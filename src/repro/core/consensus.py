@@ -20,7 +20,8 @@ disseminated with reliable broadcast, as in the paper.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.reliable_broadcast import ReliableBroadcast
 from repro.sim.process import Component, SimProcess
@@ -35,9 +36,22 @@ _NACK = "NACK"
 _RESYNC = "CONS_RESYNC"
 _DECIDE_TAG = "CONS_DECIDE"
 
+# Shared read-only stand-ins for an instance's per-round containers: one
+# instance runs per ordered batch per process and most never leave round 1,
+# so each container is only created by the first write to it.
+_NO_ROUNDS: frozenset = frozenset()
+_NO_ENTRIES: Mapping = MappingProxyType({})
+
 
 class ConsensusInstance:
     """One execution of the Chandra-Toueg consensus algorithm."""
+
+    __slots__ = (
+        "service", "cid", "participants", "order", "majority", "pid",
+        "estimate", "ts", "round", "_round_coordinator", "decided", "decision",
+        "_acked_round", "_nacked_round", "_estimates", "_acks", "_nacks",
+        "_proposal_value", "_future", "_abandon_recheck_round", "rounds_executed",
+    )
 
     def __init__(
         self,
@@ -68,16 +82,16 @@ class ConsensusInstance:
         self.decided = False
         self.decision: Any = None
 
-        self._acked_round: Set[int] = set()
-        self._nacked_round: Set[int] = set()
-        self._estimates: Dict[int, Dict[int, Tuple[int, Any]]] = {}
-        self._acks: Dict[int, Set[int]] = {}
-        self._nacks: Dict[int, Set[int]] = {}
-        self._proposal_sent: Set[int] = set()
-        self._proposal_value: Dict[int, Any] = {}
-        self._received_proposal: Dict[int, Any] = {}
-        self._future: Dict[int, List[Tuple[int, Any]]] = {}
-        self._abandon_recheck_scheduled: Set[int] = set()
+        # Rounds this process acknowledged / refused the proposal of.
+        self._acked_round = self._nacked_round = _NO_ROUNDS
+        # Per round: estimates, acks and nacks received as its coordinator,
+        # the value proposed in it (its keys are the rounds proposed in), and
+        # messages of rounds not entered yet.
+        self._estimates = self._acks = self._nacks = _NO_ENTRIES
+        self._proposal_value = self._future = _NO_ENTRIES
+        # The latest round with an abandon recheck pending (rounds only grow,
+        # so earlier ones are never asked about again); 0 = none.
+        self._abandon_recheck_round = 0
         #: Diagnostics: how many rounds this instance went through.
         self.rounds_executed = 0
 
@@ -100,6 +114,13 @@ class ConsensusInstance:
     def _multicast(self, destinations: Sequence[int], body: Any) -> None:
         if destinations:
             self.service.send(list(destinations), body)
+
+    def _send_nack(self, coordinator: int, round_number: int) -> None:
+        """Refuse ``round_number``: its proposal will never be acknowledged."""
+        self._send(coordinator, (_NACK, self.cid, round_number))
+        if self._nacked_round is _NO_ROUNDS:
+            self._nacked_round = set()
+        self._nacked_round.add(round_number)
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -129,8 +150,7 @@ class ConsensusInstance:
             if round_number > 1:
                 self._send(coordinator, (_ESTIMATE, self.cid, round_number, self.estimate, self.ts))
             if self._suspects(coordinator):
-                self._send(coordinator, (_NACK, self.cid, round_number))
-                self._nacked_round.add(round_number)
+                self._send_nack(coordinator, round_number)
                 round_number += 1
                 continue
             self._replay_future(round_number)
@@ -141,14 +161,19 @@ class ConsensusInstance:
             # Optimisation: the round-1 coordinator proposes its own value.
             self._send_proposal(round_number, self.estimate)
         else:
-            estimates = self._estimates.setdefault(round_number, {})
-            estimates[self.pid] = (self.ts, self.estimate)
-            self._maybe_propose(round_number)
+            self._record_estimate(round_number, self.pid, self.ts, self.estimate)
+
+    def _record_estimate(self, round_number: int, sender: int, ts: int, estimate: Any) -> None:
+        """Keep the first estimate of ``sender`` for a round this process coordinates."""
+        if self._estimates is _NO_ENTRIES:
+            self._estimates = {}
+        self._estimates.setdefault(round_number, {}).setdefault(sender, (ts, estimate))
+        self._maybe_propose(round_number)
 
     def _replay_future(self, round_number: int) -> None:
-        pending = self._future.pop(round_number, [])
-        for sender, body in pending:
-            self._process_current(sender, body)
+        if round_number in self._future:
+            for sender, body in self._future.pop(round_number):
+                self._process_current(sender, body)
 
     # ------------------------------------------------------------------ messages
 
@@ -171,6 +196,8 @@ class ConsensusInstance:
             # other higher-round message would let every wrong suspicion made
             # by any process drag the whole system forward and livelock the
             # instance under frequent mistakes.
+            if self._future is _NO_ENTRIES:
+                self._future = {}
             self._future.setdefault(round_number, []).append((sender, body))
             kind = body[0]
             if kind == _PROPOSE or (
@@ -201,8 +228,7 @@ class ConsensusInstance:
             self._send(
                 coordinator, (_ESTIMATE, self.cid, round_number, self.estimate, self.ts)
             )
-            self._send(coordinator, (_NACK, self.cid, round_number))
-            self._nacked_round.add(round_number)
+            self._send_nack(coordinator, round_number)
 
     def _handle_old_round(self, sender: int, body: Any) -> None:
         kind, _cid, round_number = body[0], body[1], body[2]
@@ -222,11 +248,7 @@ class ConsensusInstance:
         if kind == _ESTIMATE:
             if coordinator != self.pid:
                 return
-            _tag, _cid, _r, estimate, ts = body
-            estimates = self._estimates.setdefault(round_number, {})
-            if sender not in estimates:
-                estimates[sender] = (ts, estimate)
-            self._maybe_propose(round_number)
+            self._record_estimate(round_number, sender, body[4], body[3])
         elif kind == _PROPOSE:
             if sender != coordinator or coordinator == self.pid:
                 return
@@ -240,21 +262,23 @@ class ConsensusInstance:
                 return
             if round_number in self._nacked_round:
                 return
-            self._received_proposal[round_number] = value
             self.estimate = value
             self.ts = round_number
+            if self._acked_round is _NO_ROUNDS:
+                self._acked_round = set()
             self._acked_round.add(round_number)
             self._send(coordinator, (_ACK, self.cid, round_number))
         elif kind == _ACK:
             if coordinator != self.pid:
                 return
-            self._acks.setdefault(round_number, set()).add(sender)
-            self._maybe_decide(round_number)
+            self._record_ack(round_number, sender)
         elif kind == _NACK:
             if coordinator != self.pid:
                 return
+            if self._nacks is _NO_ENTRIES:
+                self._nacks = {}
             self._nacks.setdefault(round_number, set()).add(sender)
-            if round_number in self._proposal_sent:
+            if round_number in self._proposal_value:
                 self._maybe_abandon_round(round_number)
             else:
                 self._maybe_propose(round_number)
@@ -262,9 +286,9 @@ class ConsensusInstance:
     # ------------------------------------------------------------------ coordinator
 
     def _maybe_propose(self, round_number: int) -> None:
-        if round_number in self._proposal_sent or self.decided:
+        if round_number in self._proposal_value or self.decided:
             return
-        estimates = self._estimates.get(round_number, {})
+        estimates = self._estimates.get(round_number, ())
         if len(estimates) < self.majority:
             return
         # Adopt the estimate with the highest timestamp (deterministic
@@ -274,19 +298,24 @@ class ConsensusInstance:
         self._send_proposal(round_number, value)
 
     def _send_proposal(self, round_number: int, value: Any) -> None:
-        self._proposal_sent.add(round_number)
+        if self._proposal_value is _NO_ENTRIES:
+            self._proposal_value = {}
         self._proposal_value[round_number] = value
         self.estimate = value
         self.ts = round_number
-        self._acks.setdefault(round_number, set()).add(self.pid)
         self._multicast(self._others(), (_PROPOSE, self.cid, round_number, value))
+        self._record_ack(round_number, self.pid)
+
+    def _record_ack(self, round_number: int, sender: int) -> None:
+        if self._acks is _NO_ENTRIES:
+            self._acks = {}
+        self._acks.setdefault(round_number, set()).add(sender)
         self._maybe_decide(round_number)
 
     def _maybe_decide(self, round_number: int) -> None:
-        if self.decided or round_number not in self._proposal_sent:
+        if self.decided or round_number not in self._proposal_value:
             return
-        acks = self._acks.get(round_number, set())
-        if len(acks) >= self.majority:
+        if len(self._acks.get(round_number, ())) >= self.majority:
             self.service._local_decision(self.cid, self._proposal_value[round_number])
 
     def _maybe_abandon_round(self, round_number: int, deferred: bool = False) -> None:
@@ -305,12 +334,12 @@ class ConsensusInstance:
         """
         if self.decided or self.round != round_number:
             return
-        if round_number not in self._proposal_sent:
+        if round_number not in self._proposal_value:
             return
-        acks = self._acks.get(round_number, set())
+        acks = self._acks.get(round_number, ())
         if len(acks) >= self.majority:
             return
-        nacks = self._nacks.get(round_number, set())
+        nacks = self._nacks.get(round_number, ())
         silent = [
             pid for pid in self.participants if pid not in acks and pid not in nacks
         ]
@@ -329,14 +358,15 @@ class ConsensusInstance:
         if deferred:
             self._enter_round(round_number + 1)
             return
-        if round_number not in self._abandon_recheck_scheduled:
-            self._abandon_recheck_scheduled.add(round_number)
+        if round_number != self._abandon_recheck_round:
+            self._abandon_recheck_round = round_number
             self.service.set_timer(
                 self.service.abandon_grace, self._recheck_abandon, round_number
             )
 
     def _recheck_abandon(self, round_number: int) -> None:
-        self._abandon_recheck_scheduled.discard(round_number)
+        if round_number == self._abandon_recheck_round:
+            self._abandon_recheck_round = 0
         if not self.decided and self.round == round_number:
             self._maybe_abandon_round(round_number, deferred=True)
 
@@ -363,7 +393,7 @@ class ConsensusInstance:
         round_number = self.round
         coordinator = self.coordinator_of(round_number)
         if coordinator == self.pid:
-            if round_number in self._proposal_sent:
+            if round_number in self._proposal_value:
                 self._multicast(
                     self._others(),
                     (_PROPOSE, self.cid, round_number, self._proposal_value[round_number]),
@@ -407,7 +437,7 @@ class ConsensusInstance:
                 self._send(sender, (_NACK, self.cid, round_number))
         if (
             self.coordinator_of(self.round) == self.pid
-            and self.round in self._proposal_sent
+            and self.round in self._proposal_value
         ):
             self._send(
                 sender,
@@ -430,8 +460,7 @@ class ConsensusInstance:
         if pid != coordinator:
             return
         if round_number not in self._acked_round and round_number not in self._nacked_round:
-            self._send(coordinator, (_NACK, self.cid, round_number))
-            self._nacked_round.add(round_number)
+            self._send_nack(coordinator, round_number)
         self._enter_round(round_number + 1)
 
     # ------------------------------------------------------------------ decision
@@ -440,7 +469,7 @@ class ConsensusInstance:
         """Record that this instance has decided (set by the service)."""
         self.decided = True
         self.decision = value
-        self._future.clear()
+        self._future = _NO_ENTRIES
 
 
 class ConsensusService(Component):
@@ -492,7 +521,7 @@ class ConsensusService(Component):
 
     def on_recover(self) -> None:
         """Re-stimulate every undecided instance after a crash recovery."""
-        for instance in list(self._instances.values()):
+        for instance in list(self._undecided.values()):
             instance.resync_after_recovery()
 
     # ------------------------------------------------------------------ API

@@ -79,6 +79,9 @@ class FDAtomicBroadcast(AtomicBroadcast):
         self._next_delivery = 1
         self._highest_proposed = 0
         self._inflight_proposals: Dict[int, Set[BroadcastID]] = {}
+        # Union of ``_inflight_proposals`` (which are pairwise disjoint: each
+        # proposal is drawn from the pending messages no other one claims).
+        self._claimed: Set[BroadcastID] = set()
         # Crash-recovery bookkeeping: whether this process ever recovered
         # (payload re-requests are only needed -- and only allowed -- then),
         # and which payloads it already asked its peers for.
@@ -184,8 +187,9 @@ class FDAtomicBroadcast(AtomicBroadcast):
         # rejoin the pipeline at the group's frontier.
         for k in list(self._inflight_proposals):
             if k <= self._last_decided:
-                claimed = self._inflight_proposals.pop(k)
-                self._pending.update(claimed - self._ordered)
+                released = self._inflight_proposals.pop(k)
+                self._claimed -= released
+                self._pending.update(released - self._ordered)
         if self._highest_proposed < self._last_decided:
             self._highest_proposed = self._last_decided
         self._try_deliver()
@@ -247,10 +251,7 @@ class FDAtomicBroadcast(AtomicBroadcast):
 
     def _unproposed_pending(self) -> Set[BroadcastID]:
         """Pending messages not already part of one of our in-flight proposals."""
-        claimed: Set[BroadcastID] = set()
-        for ids in self._inflight_proposals.values():
-            claimed.update(ids)
-        return self._pending - claimed
+        return self._pending - self._claimed
 
     def _maybe_start_consensus(self, join_up_to: int = 0) -> None:
         """Open the next consensus instances this process should propose in.
@@ -282,7 +283,8 @@ class FDAtomicBroadcast(AtomicBroadcast):
             proposal = (self.pid, proposal_ids)
             self._obs.observe("abcast.proposal_size", len(proposal_ids))
             self._highest_proposed = k
-            self._inflight_proposals[k] = set(proposal_ids)
+            self._inflight_proposals[k] = fresh
+            self._claimed |= fresh
             self.consensus_started += 1
             self.consensus.propose(
                 self._cid(k),
@@ -325,7 +327,7 @@ class FDAtomicBroadcast(AtomicBroadcast):
             # instrumentation keeps only the earliest report per message.
             self._obs.abcast_sequenced(self.now, self.pid, broadcast_id)
         self._pending.difference_update(broadcast_ids)
-        self._inflight_proposals.pop(k, None)
+        self._claimed.difference_update(self._inflight_proposals.pop(k, ()))
         while self._last_decided + 1 in self._decisions:
             self._last_decided += 1
         self._try_deliver()

@@ -73,14 +73,30 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         # Messages this process A-broadcast and has not seen delivered yet;
         # they are (re)multicast whenever a new view is installed.
         self._own_pending: Dict[BroadcastID, Any] = {}
-        self._frozen = False
         self._future: Dict[Tuple[int, int], List[Tuple[int, Any]]] = {}
 
-        # Per-view state (reset by _reset_view_state).  Messages are tagged
-        # with the totally ordered view identity (epoch, view_id), so views
-        # of different reformation epochs can never be confused even when
-        # their view_id values collide.
-        self._view_id = membership.view.vid
+        # Per-view state.  Messages are tagged with the totally ordered view
+        # identity (epoch, view_id), so views of different reformation epochs
+        # can never be confused even when their view_id values collide.
+        self._reset_view_state(membership.view)
+
+        #: Diagnostics.
+        self.batches_sequenced = 0
+
+    # ------------------------------------------------------------------ helpers
+
+    def _reset_view_state(self, view: View) -> None:
+        self._view_id = view.vid
+        # What the handlers ask of the view on every message, derived once.
+        self._members = view.members
+        self._member_set = frozenset(view.members)
+        self._others = tuple(m for m in view.members if m != self.pid)
+        self._sequencer = view.sequencer
+        # Handlers only run for members (``on_message`` gates on it), so the
+        # role in the view is all they need to know.
+        self._is_sequencer = view.sequencer == self.pid
+        self._majority = view.majority()
+        self._frozen = False
         self._seq_counter = 0
         self._batch_counter = 0
         self._unsequenced: List[BroadcastID] = []
@@ -89,37 +105,21 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         self._next_batch_to_complete = 1
         self._batch_entries: Dict[int, Tuple[Tuple[int, BroadcastID], ...]] = {}
         self._batch_acks: Dict[int, Set[int]] = {}
-        self._batch_delivered: Set[int] = set()
         self._deliverable: Set[int] = set()
-        self._acked_batches: Set[int] = set()
+        # Batches of ``_batch_entries`` this process still has to acknowledge:
+        # filled by ``_on_seq``, drained on ACK.  A set, not a cursor -- a
+        # batch waiting for a retransmitted payload is overtaken by later
+        # ones.  The sequencer never acknowledges and never fills it.
+        self._unacked_batches: Set[int] = set()
         self._next_batch_to_deliver = 1
         self._assignments: Dict[BroadcastID, int] = {}
         self._unstable: Dict[BroadcastID, Optional[int]] = {}
         self._stable_watermark = 0
+        # Ids ``_on_data`` put back into ``_unstable`` after their batch went
+        # stable; the next stability update drops them again.
+        self._restabilize: List[BroadcastID] = []
         self._batch_of: Dict[BroadcastID, int] = {}
         self._requested_retransmit: Set[BroadcastID] = set()
-
-        #: Diagnostics.
-        self.batches_sequenced = 0
-
-    # ------------------------------------------------------------------ helpers
-
-    @property
-    def view(self) -> View:
-        """The current view according to the membership service."""
-        return self.membership.view
-
-    def _members(self) -> Tuple[int, ...]:
-        return self.view.members
-
-    def _other_members(self) -> List[int]:
-        return [m for m in self._members() if m != self.pid]
-
-    def _is_sequencer(self) -> bool:
-        return self.membership.is_sequencer()
-
-    def _sequencer(self) -> int:
-        return self.view.sequencer
 
     def _operational(self) -> bool:
         return self.membership.is_member() and not self._frozen
@@ -133,7 +133,7 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         self._payloads[broadcast_id] = payload
         self._own_pending[broadcast_id] = payload
         if self._operational():
-            self.send(list(self._members()), (_DATA, self._view_id, broadcast_id, payload))
+            self.send(self._members, (_DATA, self._view_id, broadcast_id, payload))
         # Otherwise the message is buffered and multicast when the next view
         # is installed (or when this process rejoins the group).
         return broadcast_id
@@ -151,7 +151,7 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             self._future.setdefault(view_id, []).append((sender, body))
             return
         if view_id < self._view_id:
-            if sender not in self._members():
+            if sender not in self._member_set:
                 self.membership.report_stale_sender(sender, view_id)
             return
         if not self.membership.is_member():
@@ -187,8 +187,11 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
     def _on_data(self, sender: int, broadcast_id: BroadcastID, payload: Any) -> None:
         self._record_payload(broadcast_id, payload)
         if broadcast_id not in self._unstable and not self.has_delivered(broadcast_id):
-            self._unstable.setdefault(broadcast_id, self._assignments.get(broadcast_id))
-        if self._is_sequencer():
+            seqnum = self._assignments.get(broadcast_id)
+            self._unstable[broadcast_id] = seqnum
+            if seqnum is not None and self._batch_of[broadcast_id] <= self._stable_watermark:
+                self._restabilize.append(broadcast_id)
+        if self._is_sequencer:
             if (
                 broadcast_id not in self._assignments
                 and not self.has_delivered(broadcast_id)
@@ -203,7 +206,7 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             self._try_deliver_batches()
 
     def _maybe_start_batch(self) -> None:
-        if not self._is_sequencer() or not self._operational():
+        if not self._is_sequencer or not self._operational():
             return
         if self.uniform and len(self._outstanding) >= self.pipeline_depth:
             return
@@ -225,9 +228,10 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         self._batch_entries[batch_id] = entries
         self._batch_acks[batch_id] = {self.pid}
         self.batches_sequenced += 1
-        others = self._other_members()
-        if others:
-            self.send(others, (_SEQ, self._view_id, batch_id, entries, self._stable_watermark))
+        if self._others:
+            self.send(
+                self._others, (_SEQ, self._view_id, batch_id, entries, self._stable_watermark)
+            )
         if self.uniform:
             self._outstanding.add(batch_id)
             self._maybe_complete_batch(batch_id)
@@ -243,10 +247,12 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         entries: Tuple[Tuple[int, BroadcastID], ...],
         watermark: int,
     ) -> None:
-        if sender != self._sequencer():
+        if sender != self._sequencer:
             return
         if batch_id not in self._batch_entries:
             self._batch_entries[batch_id] = tuple(entries)
+            if self.uniform:
+                self._unacked_batches.add(batch_id)
             for seqnum, broadcast_id in entries:
                 self._assignments[broadcast_id] = seqnum
                 self._batch_of[broadcast_id] = batch_id
@@ -261,21 +267,19 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             self._try_deliver_batches()
 
     def _try_ack_known_batches(self) -> None:
-        if self._is_sequencer() or not self.uniform or not self._operational():
+        if not self._unacked_batches or not self._operational():
             return
-        for batch_id in sorted(self._batch_entries):
-            if batch_id in self._acked_batches:
-                continue
+        for batch_id in sorted(self._unacked_batches):
             entries = self._batch_entries[batch_id]
             missing = [bid for _seq, bid in entries if bid not in self._payloads]
             if missing:
                 self._request_retransmit(missing)
                 continue
-            self._acked_batches.add(batch_id)
-            self.send_one(self._sequencer(), (_ACK, self._view_id, batch_id))
+            self._unacked_batches.discard(batch_id)
+            self.send_one(self._sequencer, (_ACK, self._view_id, batch_id))
 
     def _on_ack(self, sender: int, batch_id: int) -> None:
-        if not self._is_sequencer():
+        if not self._is_sequencer:
             return
         acks = self._batch_acks.setdefault(batch_id, set())
         acks.add(sender)
@@ -285,9 +289,8 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
     def _maybe_complete_batch(self, batch_id: int) -> None:
         if not self.uniform or batch_id not in self._outstanding:
             return
-        acks = self._batch_acks.get(batch_id, set())
-        members = set(self._members())
-        if len(acks & members) < self.view.majority():
+        acks = self._batch_acks.get(batch_id, ())
+        if len(self._member_set.intersection(acks)) < self._majority:
             return
         self._ready_batches.add(batch_id)
         # Batches are completed strictly in order so that every process
@@ -295,10 +298,9 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         while self._next_batch_to_complete in self._ready_batches:
             completing = self._next_batch_to_complete
             self._deliver_batch(completing)
-            others = self._other_members()
-            if others:
+            if self._others:
                 self.send(
-                    others, (_DELIVER, self._view_id, completing, self._stable_watermark)
+                    self._others, (_DELIVER, self._view_id, completing, self._stable_watermark)
                 )
             self._outstanding.discard(completing)
             self._ready_batches.discard(completing)
@@ -306,7 +308,7 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         self._maybe_start_batch()
 
     def _on_deliver(self, sender: int, batch_id: int, watermark: int) -> None:
-        if sender != self._sequencer():
+        if sender != self._sequencer:
             return
         self._deliverable.add(batch_id)
         self._apply_stability(watermark)
@@ -319,14 +321,13 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         for _seqnum, broadcast_id in sorted(entries):
             payload = self._payloads.get(broadcast_id)
             self._deliver_message(broadcast_id, payload)
-        self._batch_delivered.add(batch_id)
 
     def _try_deliver_batches(self) -> None:
+        if self._is_sequencer and self.uniform:
+            # The sequencer delivers through _maybe_complete_batch.
+            return
         while True:
             batch_id = self._next_batch_to_deliver
-            if self._is_sequencer() and self.uniform:
-                # The sequencer delivers through _maybe_complete_batch.
-                return
             if batch_id not in self._deliverable or batch_id not in self._batch_entries:
                 return
             entries = self._batch_entries[batch_id]
@@ -347,10 +348,10 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         missing = tuple(
             bid for bid in broadcast_ids if bid not in self._requested_retransmit
         )
-        if not missing or self._is_sequencer():
+        if not missing or self._is_sequencer:
             return
         self._requested_retransmit.update(missing)
-        self.send_one(self._sequencer(), (_RETR_REQ, self._view_id, missing))
+        self.send_one(self._sequencer, (_RETR_REQ, self._view_id, missing))
 
     def _on_retransmit_request(self, sender: int, broadcast_ids: Tuple[BroadcastID, ...]) -> None:
         entries = tuple(
@@ -369,28 +370,35 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
 
     def _update_stability(self) -> None:
         """Advance the stable watermark: batches acknowledged by all members."""
-        members = set(self._members())
         watermark = self._stable_watermark
         while True:
             next_batch = watermark + 1
             if next_batch not in self._batch_entries:
                 break
-            acks = self._batch_acks.get(next_batch, set())
-            if not members.issubset(acks):
+            if not self._member_set.issubset(self._batch_acks.get(next_batch, ())):
                 break
             watermark = next_batch
         if watermark != self._stable_watermark:
-            self._stable_watermark = watermark
             self._apply_stability(watermark)
 
     def _apply_stability(self, watermark: int) -> None:
+        """Drop from ``_unstable`` what the batches up to ``watermark`` ordered.
+
+        Only the batches the watermark newly covers are walked: a batch is
+        stable once every member acknowledged it, this process included, so
+        its entries are always known here.
+        """
         if watermark <= 0:
             return
-        self._stable_watermark = max(self._stable_watermark, watermark)
-        for broadcast_id in list(self._unstable):
-            batch = self._batch_of.get(broadcast_id)
-            if batch is not None and batch <= self._stable_watermark:
-                del self._unstable[broadcast_id]
+        unstable = self._unstable
+        if self._restabilize:
+            for broadcast_id in self._restabilize:
+                unstable.pop(broadcast_id, None)
+            self._restabilize = []
+        for batch_id in range(self._stable_watermark + 1, watermark + 1):
+            for _seqnum, broadcast_id in self._batch_entries[batch_id]:
+                unstable.pop(broadcast_id, None)
+            self._stable_watermark = batch_id
 
     # ------------------------------------------------------------------ group membership hooks
 
@@ -457,33 +465,13 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
 
     def on_view_installed(self, view: View) -> None:
         """Reset the per-view protocol state and restart in ``view``."""
-        self._view_id = view.vid
-        self._frozen = False
-        self._seq_counter = 0
-        self._batch_counter = 0
-        self._unsequenced = []
-        self._outstanding = set()
-        self._ready_batches = set()
-        self._next_batch_to_complete = 1
-        self._batch_entries = {}
-        self._batch_acks = {}
-        self._batch_delivered = set()
-        self._deliverable = set()
-        self._acked_batches = set()
-        self._next_batch_to_deliver = 1
-        self._assignments = {}
-        self._unstable = {}
-        self._stable_watermark = 0
-        self._batch_of = {}
-        self._requested_retransmit = set()
+        self._reset_view_state(view)
         # Re-multicast our own messages that are not delivered yet: they may
         # have been lost in the view change (or never sent if we were frozen
         # or excluded when they were A-broadcast).
         if self.membership.is_member():
             for broadcast_id, payload in sorted(self._own_pending.items()):
-                self.send(
-                    list(view.members), (_DATA, self._view_id, broadcast_id, payload)
-                )
+                self.send(view.members, (_DATA, self._view_id, broadcast_id, payload))
         self._replay_future(view.vid)
 
     def delivered_log_since(self, index: int) -> Tuple[Tuple[BroadcastID, Any], ...]:

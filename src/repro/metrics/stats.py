@@ -2,23 +2,16 @@
 
 The paper reports the mean latency with its 95 % confidence interval for
 every plotted point; :func:`summarize` computes the same quantities.  The
-Student-t quantile is taken from :mod:`scipy` when available and falls back
-to the normal approximation otherwise (the package has no hard dependency).
+Student-t quantile is computed here, exactly and from the standard library
+alone, so importing the package pulls in no numerical dependency.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List
-
-try:  # pragma: no cover - exercised implicitly depending on the environment
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
-
-#: Two-sided 97.5 % quantile of the standard normal distribution.
-_Z_975 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -53,12 +46,66 @@ class Summary:
         return f"{self.mean:.2f} +/- {self.ci_halfwidth:.2f} (n={self.count})"
 
 
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function (modified Lentz)."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    result = d
+    for m in range(1, 100_000):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            result *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return result
+
+
+def _beta_inc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta ``I_x(a, b)``; ``y`` is ``1 - x``, passed exactly."""
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+@lru_cache(maxsize=1024)
 def _t_quantile(confidence: float, dof: int) -> float:
+    """``t`` with ``P(|T| <= t) = confidence`` for Student's t with ``dof`` degrees."""
     if dof <= 0:
         return float("nan")
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
-    return _Z_975 if confidence == 0.95 else _Z_975
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+
+    def two_sided(t: float) -> float:
+        # P(|T| <= t) = I_{t^2 / (dof + t^2)}(1/2, dof/2)
+        total = dof + t * t
+        return _beta_inc(0.5, dof / 2.0, t * t / total, dof / total)
+
+    low, high = 0.0, 1.0
+    while two_sided(high) < confidence:
+        low, high = high, 2.0 * high
+    while True:
+        middle = 0.5 * (low + high)
+        if middle <= low or middle >= high:
+            return high
+        if two_sided(middle) < confidence:
+            low = middle
+        else:
+            high = middle
 
 
 def summarize(values: Iterable[float], confidence: float = 0.95) -> Summary:
