@@ -5,8 +5,9 @@ an ad-hoc parameter sweep, a multi-seed replication).  The subsystem splits
 the concern that used to live in hand-written nested loops into four layers:
 
 * :mod:`repro.campaigns.spec`      -- :class:`PointSpec` / :class:`SeriesSpec`
-  / :class:`CampaignSpec` describe *what* to run: scenario kind,
-  ``SystemConfig`` fields, sweep axes and seeds, with deterministic per-point
+  / :class:`CampaignSpec` describe *what* to run: a scenario kind registered
+  in :mod:`repro.scenarios.registry` with its params, ``SystemConfig``
+  fields, sweep axes and seeds, with deterministic per-point
   seed derivation following the :class:`repro.sim.rng.RandomStreams`
   convention;
 * :mod:`repro.campaigns.runner`    -- :class:`CampaignRunner` executes the
@@ -45,20 +46,18 @@ from repro.campaigns.runner import (
     execute_point,
 )
 from repro.campaigns.spec import (
-    SCENARIO_KINDS,
     CampaignSpec,
     PointSpec,
     SeriesPointSpec,
     SeriesSpec,
-    crashed_processes,
     derive_seed,
     grid,
     replicate_seeds,
 )
 from repro.campaigns.store import ResultStore
+from repro.scenarios.registry import crashed_processes
 
 __all__ = [
-    "SCENARIO_KINDS",
     "CampaignCatalog",
     "CampaignRun",
     "CampaignRunner",

@@ -9,60 +9,35 @@ Examples::
         --throughputs 10 --seeds 1 2 3 --messages 200
 
     python -m repro.campaigns --scenario churn --churn-rate 2 --downtime 150 \\
-        --detection-time 10 --throughputs 10 100 --cache-dir .campaign-cache
-
-    python -m repro.campaigns --scenario churn-steady --stack fd --fd heartbeat \\
-        --detection-time 10 --cache-dir .campaign-cache
-
-Twelve scenario kinds are available: the paper's four (``normal-steady``,
-``crash-steady``, ``suspicion-steady``, ``crash-transient``), the
-beyond-paper fault-schedule scenarios (``correlated-crash``,
-``churn-steady``, ``asymmetric-qos``, ``view-majority-loss``), the
-replicated-KV load test (``service-load``) and the network fault-injection
-scenarios (``partition-transient``, ``wan-steady``, ``gray-degradation``);
-``churn`` / ``correlated`` / ``asymmetric`` / ``normal`` /
-``majority-loss`` / ``service`` / ``partition`` / ``wan`` / ``gray`` are
-accepted shorthands.  ``view-majority-loss`` drives the GM stacks into the
-documented view-majority-loss deadlock and measures time-to-reformation
-under ``gm-reform`` (``--reformation-timeout`` sweeps the trigger window)::
+        --detection-time 10 --stack fd --fd qos heartbeat
 
     python -m repro.campaigns --scenario view-majority-loss \\
         --stack gm gm-reform --reformation-timeout 500
 
-``--hb-period`` / ``--hb-timeout`` set the heartbeat detector's parameters
-as first-class sweep dimensions whenever ``--fd heartbeat`` is selected.
-
-``service-load`` drives the replicated KV store through a client
-population; ``--throughputs`` is the offered-load axis (open loop) unless
-``--clients`` selects a closed loop, and ``--max-batch`` / ``--consistency``
-sweep request batching and the read path::
-
-    python -m repro.campaigns --scenario service-load --stack fd gm \\
-        --throughputs 200 1000 4000 --max-batch 8
-
-The fault-injection kinds reuse ``--crash-time`` as the inject instant
-(0 = mid-window) and add their own axes: ``--fault-duration`` (partition /
-degradation window length), ``--wan-profile`` (a registered WAN topology,
-``wan-3dc`` / ``wan-5dc``), ``--degrade-factor`` and ``--link-loss`` (gray
-failures; ``--crashed-process`` selects the degraded pid)::
-
-    python -m repro.campaigns --scenario partition --stack gm gm-reform \\
-        --fault-duration 2000 --detection-time 10
-
-    python -m repro.campaigns --scenario wan --wan-profile wan-5dc --n 5
-
     python -m repro.campaigns --scenario gray --degrade-factor 8 \\
         --link-loss 0.05 --detection-time 10
 
-``--max-batch`` / ``--max-delay`` (request batching) and
-``--fd-scan-interval`` (the batched failure-detector scan) are
-config-level dimensions available under *every* scenario kind.
+``--scenario`` takes a registered scenario kind or its shorthand:
+``normal-steady`` (``normal``), ``crash-steady`` (``crash``),
+``suspicion-steady`` (``suspicion``), ``crash-transient`` (``transient``),
+``correlated-crash`` (``correlated``), ``churn-steady`` (``churn``),
+``asymmetric-qos`` (``asymmetric``), ``view-majority-loss``
+(``majority-loss``), ``service-load`` (``service``), ``partition-transient``
+(``partition``), ``wan-steady`` (``wan``) and ``gray-degradation``
+(``gray``).  Each kind declares its own axes
+(:mod:`repro.scenarios.registry`); the options of the selected kind are
+generated from that declaration, ``--help`` lists every kind with its axes,
+and an axis given for a kind that does not declare it is an error.
 
-``--stack`` sweeps protocol stacks from the registry (``fd``, ``gm``,
-``gm-nonuniform``, or slash-qualified variants like ``fd/heartbeat``) and
-``--fd`` sweeps failure detector kinds (``qos``, ``heartbeat``,
-``perfect``) across every stack -- the axis QoS-FD vs heartbeat-FD
-comparisons sweep.  ``--algorithms`` is a deprecated alias of ``--stack``.
+The system-level dimensions apply under *every* kind: ``--stack`` sweeps
+protocol stacks from the registry (``fd``, ``gm``, ``gm-nonuniform``,
+``gm-reform``, or slash-qualified variants like ``fd/heartbeat``), ``--fd``
+sweeps failure detector kinds (``qos``, ``heartbeat``, ``perfect``) across
+every stack, ``--hb-period`` / ``--hb-timeout`` set the heartbeat detector,
+``--reformation-timeout`` the ``gm-reform`` recovery window, ``--max-batch``
+/ ``--max-delay`` request batching and ``--fd-scan-interval`` the batched
+failure-detector scan.  For ``service-load``, ``--throughputs`` is the
+offered-load axis (open loop) unless ``--clients`` selects a closed loop.
 
 Every completed point is cached under ``--cache-dir`` (when given), so
 re-running the same grid -- or a larger grid that contains it -- only
@@ -94,56 +69,74 @@ from repro.campaigns.aggregate import merge_scenario_results, merge_transient_re
 from repro.campaigns.catalog import CampaignCatalog
 from repro.campaigns.queue import QueueWorker, WorkQueue
 from repro.campaigns.runner import CampaignRunner
-from repro.campaigns.spec import SCENARIO_KINDS, grid
+from repro.campaigns.spec import grid
 from repro.campaigns.store import DURABILITY_MODES, ResultStore
+from repro.scenarios.registry import (
+    Axis,
+    ScenarioKind,
+    available_kinds,
+    get_kind,
+    kind_shorthands,
+)
 from repro.scenarios.results import TransientResult
 
-#: Shorthands accepted by ``--scenario`` in addition to the canonical kinds.
-SCENARIO_ALIASES = {
-    "normal": "normal-steady",
-    "crash": "crash-steady",
-    "suspicion": "suspicion-steady",
-    "transient": "crash-transient",
-    "correlated": "correlated-crash",
-    "churn": "churn-steady",
-    "asymmetric": "asymmetric-qos",
-    "majority-loss": "view-majority-loss",
-    "service": "service-load",
-    "partition": "partition-transient",
-    "wan": "wan-steady",
-    "gray": "gray-degradation",
-}
+
+def kind_catalog() -> str:
+    """Every registered kind with its shorthand and axes (the ``--help`` epilog)."""
+    lines = ["scenario kinds (--scenario NAME or its shorthand) and their axes:"]
+    for name in available_kinds():
+        kind = get_kind(name)
+        lines.append(f"  {kind.name} ({kind.shorthand}): {kind.summary}")
+        lines.extend(f"      {axis.flag:<20} {_axis_help(axis)}" for axis in kind.axes if axis.flag)
+    return "\n".join(lines)
 
 
-def main(argv: List[str] = None) -> int:
-    """Build the requested grid, run it and print one line per point."""
-    parser = argparse.ArgumentParser(description=__doc__)
+def _axis_help(axis: Axis) -> str:
+    return axis.help if axis.default is None else f"{axis.help} (default: {axis.default})"
+
+
+def build_parser(kind: ScenarioKind) -> argparse.ArgumentParser:
+    """The option parser for a grid of ``kind``: common options plus its axes."""
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        epilog=kind_catalog(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     parser.add_argument(
         "--scenario",
         default="normal-steady",
-        choices=sorted(SCENARIO_KINDS) + sorted(SCENARIO_ALIASES),
+        choices=sorted(available_kinds()) + sorted(kind_shorthands()),
         help="scenario kind of every point (default: normal-steady)",
     )
+    axes = parser.add_argument_group(f"axes of {kind.name}")
+    for axis in kind.axes:
+        if axis.flag:
+            axes.add_argument(
+                axis.flag,
+                dest=f"axis_{axis.name}",
+                metavar=None if axis.choices else axis.name.upper(),
+                type=axis.type,
+                default=axis.default,
+                choices=axis.choices,
+                help=_axis_help(axis),
+            )
     parser.add_argument(
         "--stack",
         "--stacks",
         dest="stacks",
         nargs="+",
-        default=None,
+        default=("fd", "gm"),
         help="protocol stacks to sweep (default: fd gm); accepts fd/heartbeat-style variants",
     )
     parser.add_argument(
         "--fd",
         dest="fd_kinds",
         nargs="+",
-        default=None,
+        default=(None,),
         help=(
             "failure detector kinds to sweep across every stack "
             "(default: each stack's default kind, qos for the built-ins)"
         ),
-    )
-    parser.add_argument(
-        "--algorithms", nargs="+", default=None, help="deprecated alias of --stack"
     )
     parser.add_argument(
         "--n", nargs="+", type=int, default=[3], help="system sizes to sweep"
@@ -162,64 +155,10 @@ def main(argv: List[str] = None) -> int:
         "--messages", type=int, default=100, help="measured messages per steady point"
     )
     parser.add_argument(
-        "--runs", type=int, default=8, help="independent runs per transient point"
-    )
-    parser.add_argument(
-        "--crashes", type=int, default=1, help="crash count (crash-steady)"
-    )
-    parser.add_argument(
-        "--tmr", type=float, default=1000.0, help="mean T_MR in ms (suspicion-steady)"
-    )
-    parser.add_argument(
-        "--tm", type=float, default=0.0, help="mean T_M in ms (suspicion-steady)"
-    )
-    parser.add_argument(
-        "--detection-time", type=float, default=0.0, help="T_D in ms (crash-transient)"
-    )
-    parser.add_argument(
-        "--crashed-process",
-        type=int,
-        default=0,
-        help="crashed pid (crash-transient); degraded pid (gray-degradation)",
-    )
-    parser.add_argument(
-        "--crash-time",
-        type=float,
-        default=0.0,
-        help=(
-            "fault inject instant in ms, 0 = mid-window (correlated-crash, "
-            "partition-transient, gray-degradation)"
-        ),
-    )
-    parser.add_argument(
-        "--churn-rate",
-        type=float,
-        default=1.0,
-        help="crash arrivals per second (churn-steady)",
-    )
-    parser.add_argument(
-        "--downtime",
-        type=float,
-        default=200.0,
-        help="mean downtime per crash in ms (churn-steady)",
-    )
-    parser.add_argument(
-        "--flaky-monitor",
-        type=int,
-        default=1,
-        help="observer of the flaky pair (asymmetric-qos)",
-    )
-    parser.add_argument(
-        "--flaky-target",
-        type=int,
-        default=0,
-        help="observed process of the flaky pair (asymmetric-qos)",
-    )
-    parser.add_argument(
         "--reformation-timeout",
         type=float,
         default=0.0,
-        help="reformation trigger window in ms, 0 = config default (view-majority-loss)",
+        help="reformation trigger window in ms, 0 = config default (gm-reform stacks)",
     )
     parser.add_argument(
         "--hb-period",
@@ -234,66 +173,22 @@ def main(argv: List[str] = None) -> int:
         help="heartbeat timeout in ms, 0 = default (fd kind heartbeat)",
     )
     parser.add_argument(
-        "--clients",
-        type=int,
-        default=0,
-        help="closed-loop client count, 0 = open loop (service-load)",
-    )
-    parser.add_argument(
-        "--think-time",
-        type=float,
-        default=0.0,
-        help="mean client think time in ms (service-load, closed loop)",
-    )
-    parser.add_argument(
-        "--consistency",
-        choices=("ordered", "local"),
-        default="ordered",
-        help="read path: totally ordered or local stale reads (service-load)",
-    )
-    parser.add_argument(
         "--max-batch",
         type=int,
         default=0,
-        help="request batching: payloads per ordering step, 0 = unbatched (any scenario)",
+        help="request batching: payloads per ordering step, 0 = unbatched",
     )
     parser.add_argument(
         "--max-delay",
         type=float,
         default=0.0,
-        help="max batching delay in ms before a partial batch flushes (any scenario)",
+        help="max batching delay in ms before a partial batch flushes",
     )
     parser.add_argument(
         "--fd-scan-interval",
         type=float,
         default=0.0,
-        help="batched FD scan tick in ms, 0 = exact per-pair events (any scenario)",
-    )
-    parser.add_argument(
-        "--fault-duration",
-        type=float,
-        default=0.0,
-        help=(
-            "fault window length in ms, 0 = scenario default "
-            "(partition-transient, gray-degradation)"
-        ),
-    )
-    parser.add_argument(
-        "--wan-profile",
-        default="wan-3dc",
-        help="registered WAN topology name (wan-steady)",
-    )
-    parser.add_argument(
-        "--degrade-factor",
-        type=float,
-        default=0.0,
-        help="CPU slowdown multiplier, 0 = scenario default (gray-degradation)",
-    )
-    parser.add_argument(
-        "--link-loss",
-        type=float,
-        default=0.0,
-        help="frame loss probability on the degraded pid's links (gray-degradation)",
+        help="batched FD scan tick in ms, 0 = exact per-pair events",
     )
     parser.add_argument("--name", default="adhoc", help="campaign name")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
@@ -318,7 +213,7 @@ def main(argv: List[str] = None) -> int:
         action="append",
         default=None,
         metavar="KIND",
-        choices=sorted(SCENARIO_KINDS),
+        choices=sorted(available_kinds()),
         help="re-execute cached points of this scenario kind only (repeatable)",
     )
     parser.add_argument(
@@ -372,7 +267,35 @@ def main(argv: List[str] = None) -> int:
         ),
     )
     parser.add_argument("-o", "--output", default=None, help="write the report to a file")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: List[str] = None) -> int:
+    """Build the requested grid, run it and print one line per point."""
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # Two passes: the selected kind decides which axis options exist.
+    selector = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    selector.add_argument("--scenario", default="normal-steady")
+    selected = selector.parse_known_args(argv)[0].scenario
+    selected = kind_shorthands().get(selected, selected)
+    # An unknown spelling falls through to the full parser's choices error.
+    kind = get_kind(selected if selected in available_kinds() else "normal-steady")
+    parser = build_parser(kind)
+    args, extra = parser.parse_known_args(argv)
+    for token in extra:
+        flag = token.split("=")[0]
+        owners = [
+            name
+            for name in available_kinds()
+            if any(axis.flag == flag for axis in get_kind(name).axes)
+        ]
+        if owners:
+            parser.error(
+                f"{flag} is not an axis of {kind.name}; it applies to --scenario "
+                + ", ".join(owners)
+            )
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
 
     if args.queue_worker:
         if not args.queue_dir:
@@ -387,43 +310,26 @@ def main(argv: List[str] = None) -> int:
         )
         return 0
 
-    if args.stacks is not None and args.algorithms is not None:
-        parser.error("--algorithms is a deprecated alias of --stack; pass only one")
-    stacks = args.stacks if args.stacks is not None else args.algorithms
-
     campaign = grid(
-        SCENARIO_ALIASES.get(args.scenario, args.scenario),
+        kind.name,
         name=args.name,
-        stacks=stacks if stacks is not None else ("fd", "gm"),
-        fd_kinds=args.fd_kinds if args.fd_kinds is not None else (None,),
+        stacks=args.stacks,
+        fd_kinds=args.fd_kinds,
         n_values=args.n,
         throughputs=args.throughputs,
         seeds=args.seeds,
         num_messages=args.messages,
-        num_runs=args.runs,
-        crashes=args.crashes,
-        mistake_recurrence_time=args.tmr,
-        mistake_duration=args.tm,
-        detection_time=args.detection_time,
-        crashed_process=args.crashed_process,
-        crash_time=args.crash_time,
-        churn_rate=args.churn_rate,
-        mean_downtime=args.downtime,
-        flaky_monitor=args.flaky_monitor,
-        flaky_target=args.flaky_target,
         reformation_timeout=args.reformation_timeout,
         heartbeat_period=args.hb_period,
         heartbeat_timeout=args.hb_timeout,
-        clients=args.clients,
-        think_time=args.think_time,
-        consistency=args.consistency,
         max_batch=args.max_batch,
         max_delay=args.max_delay,
         fd_scan_interval=args.fd_scan_interval,
-        fault_duration=args.fault_duration,
-        wan_profile=args.wan_profile,
-        degrade_factor=args.degrade_factor,
-        link_loss=args.link_loss,
+        **{
+            axis.name: getattr(args, f"axis_{axis.name}")
+            for axis in kind.axes
+            if axis.flag
+        },
     )
 
     store = (

@@ -149,9 +149,8 @@ def _empty_table() -> ColumnarTable:
 def load_store_table(directory: str, filename: str = "results.jsonl") -> ColumnarTable:
     """Load a result store as columns, via the mirror when it is fresh.
 
-    The fast path reads the columnar mirror (Parquet with pyarrow, the
-    packed-binary ``.rcol`` otherwise) in a handful of bulk ``frombytes``
-    calls.  When the mirror is missing or older than the JSONL -- e.g. a
+    The fast path reads the columnar mirror (the packed-binary ``.rcol``)
+    in a handful of bulk ``frombytes`` calls.  When the mirror is missing or older than the JSONL -- e.g. a
     store still being appended to by a live campaign -- the JSONL is parsed
     once and the mirror rewritten, so the *next* aggregation over the same
     store is columnar again.

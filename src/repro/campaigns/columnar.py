@@ -2,12 +2,10 @@
 
 Cross-campaign aggregation over 10^5+ point-records is dominated by
 ``json.loads`` when it re-parses ``results.jsonl``; this module mirrors the
-store into a columnar file that loads in bulk.  With ``pyarrow`` installed
-the mirror is a standard ``results.parquet`` any external tool can query;
-without it (the default toolchain ships none) the same logical columns are
-written as ``results.rcol``, a packed-binary format built purely on the
-stdlib ``array`` module -- one contiguous typed blob per column, so reading
-is a handful of ``frombytes`` calls instead of one dict per record.
+store into ``results.rcol``, a columnar file that loads in bulk: a
+packed-binary format built purely on the stdlib ``array`` module -- one
+contiguous typed blob per column, so reading is a handful of ``frombytes``
+calls instead of one dict per record.
 
 Logical schema (one row per cached point, last write wins):
 
@@ -40,15 +38,6 @@ import os
 import sys
 from array import array
 from typing import Any, Dict, Iterable, List, Optional, Tuple
-
-try:  # pragma: no cover - exercised only where pyarrow is installed
-    import pyarrow  # type: ignore
-    import pyarrow.parquet  # type: ignore
-
-    HAVE_PYARROW = True
-except ImportError:
-    pyarrow = None
-    HAVE_PYARROW = False
 
 MAGIC = b"RCOL1\n"
 
@@ -269,97 +258,34 @@ def read_rcol(path: str) -> ColumnarTable:
     )
 
 
-# ------------------------------------------------------------------ parquet
-
-def write_parquet(entries: Iterable[Entry], path: str) -> int:  # pragma: no cover
-    """Write the mirror as Parquet (pyarrow installed only)."""
-    rows = [_entry_columns(key, point, record) for key, point, record in entries]
-    names = ("key",) + STRING_COLUMNS + INT_COLUMNS + FLOAT_COLUMNS
-    data: Dict[str, Any] = {name: [row[name] for row in rows] for name in names}
-    data["latencies"] = [list(row["latencies"]) for row in rows]
-    table = pyarrow.table(data)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pyarrow.parquet.write_table(table, tmp)
-    os.replace(tmp, path)
-    return len(rows)
-
-
-def read_parquet(path: str) -> ColumnarTable:  # pragma: no cover
-    """Load a Parquet mirror back into a :class:`ColumnarTable`."""
-    table = pyarrow.parquet.read_table(path)
-    count = table.num_rows
-    keys = table.column("key").to_pylist()
-    strings: Dict[str, Tuple[array, List[str]]] = {}
-    for name in STRING_COLUMNS:
-        decoded = table.column(name).to_pylist()
-        mapping: Dict[str, int] = {}
-        codes = array("i", (mapping.setdefault(value, len(mapping)) for value in decoded))
-        strings[name] = (codes, list(mapping))
-    numbers: Dict[str, array] = {}
-    for name in INT_COLUMNS:
-        numbers[name] = array("q", table.column(name).to_pylist())
-    for name in FLOAT_COLUMNS:
-        numbers[name] = array("d", table.column(name).to_pylist())
-    offsets = array("Q", [0])
-    values = array("d")
-    for vector in table.column("latencies").to_pylist():
-        values.extend(vector)
-        offsets.append(len(values))
-    return ColumnarTable(
-        count=count,
-        keys=keys,
-        strings=strings,
-        numbers=numbers,
-        latency_offsets=offsets,
-        latency_values=values,
-    )
-
-
 # ------------------------------------------------------------------ mirror API
 
 def mirror_path(jsonl_path: str) -> str:
-    """Where the mirror of ``jsonl_path`` lives (format per toolchain)."""
-    stem = os.path.splitext(jsonl_path)[0]
-    return f"{stem}.parquet" if HAVE_PYARROW else f"{stem}.rcol"
+    """Where the mirror of ``jsonl_path`` lives."""
+    return f"{os.path.splitext(jsonl_path)[0]}.rcol"
 
 
 def write_mirror(entries: Iterable[Entry], jsonl_path: str) -> str:
     """Mirror ``entries`` beside ``jsonl_path``; returns the mirror path."""
     path = mirror_path(jsonl_path)
-    if HAVE_PYARROW:  # pragma: no cover - exercised only with pyarrow
-        write_parquet(entries, path)
-    else:
-        write_rcol(entries, path)
+    write_rcol(entries, path)
     return path
 
 
 def read_mirror(path: str) -> ColumnarTable:
-    """Load a mirror file of either format."""
-    if path.endswith(".parquet"):  # pragma: no cover - pyarrow only
-        if not HAVE_PYARROW:
-            raise RuntimeError(f"{path} needs pyarrow, which is not installed")
-        return read_parquet(path)
+    """Load a mirror file."""
     return read_rcol(path)
 
 
 def fresh_mirror_path(jsonl_path: str) -> Optional[str]:
-    """The readable, up-to-date mirror of ``jsonl_path``, or ``None``.
+    """The up-to-date mirror of ``jsonl_path``, or ``None``.
 
-    A mirror is *fresh* when it is at least as new as the JSONL file; both
-    formats are considered, preferring Parquet when pyarrow can read it.
+    A mirror is *fresh* when it is at least as new as the JSONL file.
     """
+    candidate = mirror_path(jsonl_path)
     try:
-        source_mtime = os.stat(jsonl_path).st_mtime_ns
+        if os.stat(candidate).st_mtime_ns >= os.stat(jsonl_path).st_mtime_ns:
+            return candidate
     except OSError:
-        return None
-    stem = os.path.splitext(jsonl_path)[0]
-    candidates = [f"{stem}.rcol"]
-    if HAVE_PYARROW:  # pragma: no cover - pyarrow only
-        candidates.insert(0, f"{stem}.parquet")
-    for candidate in candidates:
-        try:
-            if os.stat(candidate).st_mtime_ns >= source_mtime:
-                return candidate
-        except OSError:
-            continue
+        pass
     return None

@@ -55,12 +55,12 @@ def result_to_record(result: Any) -> Dict[str, Any]:
 def record_to_result(record: Dict[str, Any]):
     """Rebuild the result object a record was serialised from."""
     data = dict(record)
-    kind = data.pop("type", None)
-    if kind == "scenario":
+    record_type = data.pop("type", None)
+    if record_type == "scenario":
         return ScenarioResult(**data)
-    if kind == "transient":
+    if record_type == "transient":
         return TransientResult(**data)
-    raise ValueError(f"unknown campaign record type {kind!r}")
+    raise ValueError(f"unknown campaign record type {record_type!r}")
 
 
 def _jsonable_params(params: Dict[str, Any]) -> Dict[str, Any]:

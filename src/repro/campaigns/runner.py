@@ -1,9 +1,10 @@
 """Campaign execution: serial or process-parallel, cache-aware, resumable.
 
-:func:`execute_point` is the single dispatch from a :class:`PointSpec` to the
-scenario drivers; it is a pure function of the spec (every simulation is
-deterministic given its config), which is what makes the serial and parallel
-paths bit-identical and the cache sound.
+:func:`execute_point` runs a :class:`PointSpec` through the ``run`` adapter its
+scenario kind registered (:mod:`repro.scenarios.registry`); it is a pure
+function of the spec (every simulation is deterministic given its config),
+which is what makes the serial and parallel paths bit-identical and the
+cache sound.
 """
 
 from __future__ import annotations
@@ -17,25 +18,9 @@ from repro.campaigns import pool as pool_mod
 from repro.campaigns.pool import WarmPool
 from repro.campaigns.queue import QueueWorker, WorkQueue
 from repro.campaigns.records import record_to_result, result_to_record
-from repro.campaigns.spec import SCENARIO_KINDS, CampaignSpec, PointSpec
+from repro.campaigns.spec import CampaignSpec, PointSpec
 from repro.campaigns.store import ResultStore
-from repro.scenarios.faults import VML_CRASH_TIME
-from repro.scenarios.extended import (
-    run_asymmetric_qos,
-    run_churn_steady,
-    run_correlated_crash,
-    run_gray_degradation,
-    run_partition_transient,
-    run_view_majority_loss,
-    run_wan_steady,
-)
-from repro.scenarios.service_load import run_service_load
-from repro.scenarios.steady import (
-    run_crash_steady,
-    run_normal_steady,
-    run_suspicion_steady,
-)
-from repro.scenarios.transient import run_crash_transient
+from repro.scenarios.registry import available_kinds, get_kind
 
 
 def execute_point(point: PointSpec, trace_dir: Optional[str] = None) -> Dict[str, Any]:
@@ -53,120 +38,7 @@ def execute_point(point: PointSpec, trace_dir: Optional[str] = None) -> Dict[str
         from repro.obs.export import set_trace_dir
 
         set_trace_dir(trace_dir, prefix=point.key()[:12])
-    config = point.config()
-    if point.kind == "normal-steady":
-        result: Any = run_normal_steady(
-            config, point.throughput, num_messages=point.num_messages
-        )
-    elif point.kind == "crash-steady":
-        result = run_crash_steady(
-            config, point.throughput, point.crashed, num_messages=point.num_messages
-        )
-    elif point.kind == "suspicion-steady":
-        result = run_suspicion_steady(
-            config,
-            point.throughput,
-            mistake_recurrence_time=point.mistake_recurrence_time,
-            mistake_duration=point.mistake_duration,
-            num_messages=point.num_messages,
-        )
-    elif point.kind == "crash-transient":
-        result = run_crash_transient(
-            config,
-            point.throughput,
-            detection_time=point.detection_time,
-            crashed_process=point.crashed_process,
-            sender=point.sender,
-            num_runs=point.num_runs,
-        )
-    elif point.kind == "correlated-crash":
-        result = run_correlated_crash(
-            config,
-            point.throughput,
-            crashed=point.crashed,
-            crash_time=point.crash_time if point.crash_time > 0 else None,
-            detection_time=point.detection_time,
-            num_messages=point.num_messages,
-        )
-    elif point.kind == "churn-steady":
-        result = run_churn_steady(
-            config,
-            point.throughput,
-            churn_rate=point.churn_rate,
-            mean_downtime=point.mean_downtime,
-            detection_time=point.detection_time,
-            num_messages=point.num_messages,
-        )
-    elif point.kind == "view-majority-loss":
-        result = run_view_majority_loss(
-            config,
-            point.throughput,
-            detection_time=point.detection_time,
-            crash_time=point.crash_time if point.crash_time > 0 else VML_CRASH_TIME,
-            num_messages=point.num_messages,
-        )
-    elif point.kind == "service-load":
-        result = run_service_load(
-            config,
-            point.throughput,
-            clients=point.clients,
-            think_time=point.think_time,
-            consistency=point.consistency,
-            num_requests=point.num_messages,
-        )
-    elif point.kind == "asymmetric-qos":
-        result = run_asymmetric_qos(
-            config,
-            point.throughput,
-            mistake_recurrence_time=point.mistake_recurrence_time,
-            mistake_duration=point.mistake_duration,
-            flaky_monitor=point.flaky_monitor,
-            flaky_target=point.flaky_target,
-            num_messages=point.num_messages,
-        )
-    elif point.kind == "partition-transient":
-        result = run_partition_transient(
-            config,
-            point.throughput,
-            partition_start=point.crash_time if point.crash_time > 0 else None,
-            **(
-                {"partition_duration": point.fault_duration}
-                if point.fault_duration > 0
-                else {}
-            ),
-            detection_time=point.detection_time,
-            num_messages=point.num_messages,
-        )
-    elif point.kind == "wan-steady":
-        result = run_wan_steady(
-            config,
-            point.throughput,
-            profile=point.wan_profile,
-            detection_time=point.detection_time,
-            num_messages=point.num_messages,
-        )
-    elif point.kind == "gray-degradation":
-        result = run_gray_degradation(
-            config,
-            point.throughput,
-            degraded_pid=point.crashed_process,
-            **(
-                {"degrade_factor": point.degrade_factor}
-                if point.degrade_factor > 0
-                else {}
-            ),
-            degrade_start=point.crash_time if point.crash_time > 0 else None,
-            **(
-                {"degrade_duration": point.fault_duration}
-                if point.fault_duration > 0
-                else {}
-            ),
-            link_loss=point.link_loss,
-            detection_time=point.detection_time,
-            num_messages=point.num_messages,
-        )
-    else:  # pragma: no cover - PointSpec validates the kind
-        raise ValueError(f"unknown scenario kind {point.kind!r}")
+    result = get_kind(point.kind).run(point.config(), point, point.params)
     return result_to_record(result)
 
 
@@ -256,10 +128,10 @@ class CampaignRunner:
             )
         if chunk_size < 0 or max_inflight < 0:
             raise ValueError("chunk_size and max_inflight must be >= 0 (0 = auto)")
-        unknown_kinds = set(force_kinds) - set(SCENARIO_KINDS)
+        unknown_kinds = set(force_kinds) - set(available_kinds())
         if unknown_kinds:
             raise ValueError(
-                f"unknown force_kinds {sorted(unknown_kinds)}; expected {SCENARIO_KINDS}"
+                f"unknown force_kinds {sorted(unknown_kinds)}; expected {available_kinds()}"
             )
         self.jobs = jobs
         self.store = store

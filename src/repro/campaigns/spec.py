@@ -1,10 +1,11 @@
 """Declarative campaign specifications.
 
 A :class:`PointSpec` pins down *one* scenario run completely: the scenario
-kind, the ``SystemConfig`` fields, the operating point (throughput, failure
-detector QoS, crash pattern) and the seed.  Its :meth:`PointSpec.key` is a
-stable content hash used to cache and deduplicate runs -- two points with the
-same key simulate the same thing, even across figures and sessions.
+kind, the system under test, the operating point and the seed -- the common
+core every kind shares -- plus the params of that kind, as declared by its
+registration in :mod:`repro.scenarios.registry`.  Its :meth:`PointSpec.key`
+is a stable content hash used to cache and deduplicate runs -- two points
+with the same key simulate the same thing, even across figures and sessions.
 
 A :class:`CampaignSpec` groups points into the series of a figure (or an
 ad-hoc sweep) and is the unit the :class:`repro.campaigns.runner.CampaignRunner`
@@ -13,106 +14,28 @@ executes.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import math
-import warnings
 import zlib
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import __version__
+from repro.campaigns.canonical import canonical_fields, from_canonical
 from repro.failure_detectors.heartbeat import HeartbeatConfig
-from repro.scenarios.faults import VML_SUSPECT_DURATION, VML_SUSPECT_START
-from repro.sim.wan import wan_profile as wan_registry_lookup
+from repro.scenarios.registry import get_kind
 from repro.stacks import registry as stack_registry
 from repro.system import SystemConfig
 
-#: Scenario kinds a point can run: the paper's four benchmark scenarios plus
-#: the beyond-paper fault-schedule scenarios.
-SCENARIO_KINDS = (
-    "normal-steady",
-    "crash-steady",
-    "suspicion-steady",
-    "crash-transient",
-    "correlated-crash",
-    "churn-steady",
-    "asymmetric-qos",
-    "view-majority-loss",
-    "service-load",
-    "partition-transient",
-    "wan-steady",
-    "gray-degradation",
-)
-
-#: Bump when the meaning of a point's fields changes, to invalidate caches.
-#: v2: per-pair sender for crash-transient sweeps + the fault-schedule
-#: scenario fields (crash_time, churn_rate, mean_downtime, flaky pair).
-#: v3: the pluggable-stack redesign -- the ``algorithm`` dimension became
-#: ``stack`` and the ``fd_kind`` dimension was added, so every point's
-#: canonical dict (and therefore its key) changed.  Old v2 caches are
-#: simply never hit again; they can be deleted, or kept alongside (the
-#: JSONL store is append-only and version-prefixed keys never collide).
-#: v4: the reformation layer -- ``view-majority-loss`` became a kind and
-#: three sweep dimensions were added (``reformation_timeout`` and the
-#: heartbeat detector's ``heartbeat_period`` / ``heartbeat_timeout``), so
-#: every point's canonical dict changed again.  Migration is the same as
-#: v2 -> v3: old v3 caches are never hit (version-prefixed keys cannot
-#: collide); delete them or leave them in place and re-simulate.
-#: v5: the instrumentation layer -- points gained the ``instrument`` flag
-#: and instrumented records carry a ``metrics`` snapshot.  ``instrument``
-#: enters the cache key on purpose: an instrumented and an uninstrumented
-#: execution of the same operating point simulate identically (pinned by
-#: the golden-neutrality tests) but produce different records, and a
-#: metrics-bearing record must never be satisfied by a metrics-less cache
-#: hit.  Migration as before: old v4 caches are simply never hit again.
-#: v6: the service-load subsystem -- ``service-load`` became a kind and six
-#: sweep dimensions were added (``clients`` / ``think_time`` /
-#: ``consistency`` for the client population, ``max_batch`` / ``max_delay``
-#: for request batching and ``fd_scan_interval`` for the batched detector
-#: scan), so every point's canonical dict changed again.  Migration as
-#: before: version-prefixed keys never collide, so old v5 caches are simply
-#: never hit again; delete them or leave them in place and re-simulate.
-#: v7: the network fault-injection layer -- three kinds were added
-#: (``partition-transient`` / ``wan-steady`` / ``gray-degradation``) and
-#: four sweep dimensions with them (``fault_duration`` for the partition /
-#: degradation window, ``wan_profile`` naming a registered
-#: :class:`repro.sim.wan.WanProfile`, ``degrade_factor`` and ``link_loss``
-#: for gray failures); ``crash_time`` doubles as the fault inject instant
-#: and ``crashed_process`` as the gray-degraded pid for the new kinds.
-#: Every point's canonical dict changed again; migration as before: old v6
-#: caches are simply never hit (version-prefixed keys cannot collide) --
-#: delete them or leave them in place and re-simulate.
-SCHEMA_VERSION = 7
-
-INFINITY = float("inf")
-
-
-def _json_number(value: Any) -> Any:
-    """Normalise a value for the canonical point dict.
-
-    Real numbers become floats (so ``2`` and ``2.0`` hash identically);
-    infinities become the string ``"inf"`` to keep the JSON strict; bools
-    and non-numbers pass through unchanged.  NaN is rejected -- it never
-    describes a meaningful operating point.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return value
-    number = float(value)
-    if math.isnan(number):
-        raise ValueError("NaN is not a valid point parameter")
-    return number if math.isfinite(number) else "inf" if number > 0 else "-inf"
-
-
-def crashed_processes(n: int, count: int) -> Tuple[int, ...]:
-    """The ``count`` highest-numbered (non-coordinator) processes.
-
-    The paper's crash-steady convention: the coordinator re-numbering
-    optimisation makes the steady state independent of *which* processes
-    crashed, so the figures crash the highest pids.
-    """
-    return tuple(range(n - count, n))
-
+#: Bump when the meaning of a point's canonical dict changes, to invalidate
+#: caches.  v8: a point's dict (and therefore its key) covers the common core
+#: plus the params of *its own* kind only, so registering a new kind or adding
+#: a param to one kind changes nobody else's keys -- the bump is only needed
+#: again when the core itself changes.  Migration from v7 (every flat field in
+#: every key) is the usual one: version-prefixed keys never collide, so old
+#: caches are simply never hit again; delete them or leave them in place.
+SCHEMA_VERSION = 8
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Derive a per-point seed from ``root_seed`` and a stream ``name``.
@@ -140,222 +63,82 @@ def replicate_seeds(root_seed: int, replicas: int) -> Tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PointSpec:
     """One scenario run: the atom of a campaign.
 
-    Only the fields relevant to ``kind`` are consulted when the point is
-    executed (``crashed`` for crash-steady, the QoS means for
-    suspicion-steady, ``detection_time`` / ``crashed_process`` / ``num_runs``
-    for crash-transient), but *all* fields enter the cache key, so a point's
-    identity never depends on which figure declared it.
-
-    ``stack`` and ``fd_kind`` select the protocol stack and failure detector
-    variant from the registry (:mod:`repro.stacks`); a slash-qualified stack
-    (``"fd/heartbeat"``) is normalised into the two fields so equivalent
-    selections hash identically.  The keyword ``algorithm=`` is accepted as
-    a deprecated alias of ``stack=`` (DeprecationWarning at construction).
+    A point is the *common core* below plus the params its kind declares
+    (:class:`repro.scenarios.registry.ScenarioKind`).  Construction is
+    keyword-flat -- ``PointSpec("crash-steady", n=7, crashed=(5, 6))`` --
+    and the kind's params read back as attributes (``point.crashed``); a
+    keyword that is neither a core field nor declared by the kind raises.
+    Only the core and the kind's own params enter :meth:`as_dict` and the
+    cache key.  A slash-qualified ``stack`` (``"fd/heartbeat"``) is folded
+    into ``stack`` + ``fd_kind`` so equivalent selections hash identically.
     """
 
     kind: str
-    stack: Optional[str] = None
+    stack: str = "fd"
     #: ``None`` selects the stack's default kind ("qos" for the built-ins).
     fd_kind: Optional[str] = None
     n: int = 3
     seed: int = 1
     throughput: float = 10.0
-    #: Measured messages per steady-state run.
+    #: Measured messages (requests, for service-load) per run.
     num_messages: int = 100
-    #: Independent executions per crash-transient point.
-    num_runs: int = 8
-    #: Pre-crashed process ids (crash-steady only).
-    crashed: Tuple[int, ...] = ()
-    #: Mean T_MR of the failure detectors, ms (suspicion-steady only).
-    mistake_recurrence_time: float = INFINITY
-    #: Mean T_M of the failure detectors, ms (suspicion-steady only).
-    mistake_duration: float = 0.0
-    #: Constant T_D of the failure detectors, ms (crash-transient,
-    #: correlated-crash and churn-steady).
-    detection_time: float = 0.0
-    #: Which process crashes (crash-transient only).
-    crashed_process: int = 0
-    #: Tagged sender of the probe message (crash-transient only); ``None``
-    #: keeps the driver default (the highest non-crashed pid).
-    sender: Optional[int] = None
-    #: When the correlated crash / blocking crash fires, ms (correlated-crash
-    #: and view-majority-loss); 0 picks the scenario default (the middle of
-    #: the expected arrival window / the canonical schedule's 300 ms).
-    crash_time: float = 0.0
-    #: Crash arrivals per second (churn-steady only).
-    churn_rate: float = 0.0
-    #: Mean exponential downtime per crash, ms (churn-steady only).
-    mean_downtime: float = 0.0
-    #: The flaky observer pair: ``flaky_monitor`` wrongly suspects
-    #: ``flaky_target`` with the QoS means above (asymmetric-qos only).
-    flaky_monitor: int = 1
-    flaky_target: int = 0
-    #: Reformation window of the ``gm-reform`` stack, ms; 0 keeps the
-    #: ``SystemConfig`` default (reformation-capable stacks only).
+    #: Reformation window of reformation-capable stacks, ms; 0 = config default.
     reformation_timeout: float = 0.0
-    #: Heartbeat detector parameters, ms; 0 keeps the ``HeartbeatConfig``
-    #: defaults (``fd_kind="heartbeat"`` only).
+    #: Heartbeat detector parameters, ms; 0 = ``HeartbeatConfig`` defaults.
     heartbeat_period: float = 0.0
     heartbeat_timeout: float = 0.0
-    #: Closed-loop client count (service-load only); 0 runs the open loop
-    #: at ``throughput`` requests/s instead.
-    clients: int = 0
-    #: Mean exponential think time per closed-loop client, ms (service-load).
-    think_time: float = 0.0
-    #: Read-path consistency, ``"ordered"`` or ``"local"`` (service-load).
-    consistency: str = "ordered"
-    #: Request batching (any kind): 0 keeps the unbatched system, a positive
-    #: value coalesces up to that many requests per ordering step.
+    #: Requests coalesced per ordering step; 0 = the unbatched system.
     max_batch: int = 0
     #: Maximum batching delay, ms (``max_batch > 0`` only).
     max_delay: float = 0.0
-    #: Batched failure-detector scan tick, ms; 0 keeps the exact per-pair
-    #: event semantics (any kind; ignored by ``fd_kind="heartbeat"``).
+    #: Batched failure-detector scan tick, ms; 0 = exact per-pair events
+    #: (ignored by ``fd_kind="heartbeat"``).
     fd_scan_interval: float = 0.0
-    #: Fault window length, ms (partition-transient and gray-degradation);
-    #: 0 picks the scenario default.  ``crash_time`` doubles as the inject
-    #: instant for these kinds (0 = the middle of the arrival window).
-    fault_duration: float = 0.0
-    #: Registered WAN profile name (wan-steady only; "" elsewhere).
-    wan_profile: str = ""
-    #: CPU service-time multiplier of the gray-degraded process
-    #: (gray-degradation only; 0 picks the scenario default).  The victim
-    #: pid is ``crashed_process``, reusing the crash-transient dimension.
-    degrade_factor: float = 0.0
-    #: Per-frame loss probability on the degraded process's outgoing links
-    #: during the window (gray-degradation only).
-    link_loss: float = 0.0
     #: Extra ``SystemConfig`` fields, e.g. ``(("lambda_cpu", 2.0),)``.
     config_overrides: Tuple[Tuple[str, Any], ...] = ()
-    #: Run the point instrumented (:mod:`repro.obs`): the record gains a
-    #: ``metrics`` snapshot.  ``CampaignRunner(instrument=True)`` flips this
-    #: on every point of a campaign without the figures declaring it.
+    #: Run instrumented (:mod:`repro.obs`): the record gains a ``metrics``
+    #: snapshot.  ``CampaignRunner(instrument=True)`` sets it on every point.
     instrument: bool = False
-    #: Deprecated alias of ``stack`` (not a field: never enters the key).
-    algorithm: InitVar[Optional[str]] = None
+    #: The kind's params dataclass instance (built from the flat keywords).
+    params: Any = None
 
-    def __post_init__(self, algorithm: Optional[str]) -> None:
-        if algorithm is not None:
-            warnings.warn(
-                "PointSpec(algorithm=...) is deprecated; use stack= (and "
-                "fd_kind= for the failure detector variant) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.stack is not None and self.stack != algorithm:
-                raise ValueError(
-                    f"conflicting stack selection: stack={self.stack!r} vs "
-                    f"deprecated algorithm={algorithm!r}"
-                )
-            object.__setattr__(self, "stack", algorithm)
-        if self.stack is None:
-            object.__setattr__(self, "stack", "fd")
-        if self.kind not in SCENARIO_KINDS:
+    def __init__(self, kind: str, *, params: Any = None, **given: Any) -> None:
+        scenario = get_kind(kind)
+        state = dict(_CORE_DEFAULTS, kind=kind)
+        kind_params = {name: given.pop(name) for name in scenario.param_names if name in given}
+        unknown = set(given) - set(state)
+        if unknown:
             raise ValueError(
-                f"unknown scenario kind {self.kind!r}; expected one of {SCENARIO_KINDS}"
+                f"{kind} points take no {sorted(unknown)}; besides the common "
+                f"core the kind declares {list(scenario.param_names)}"
             )
-        # Validates both registry names and folds "fd/heartbeat" variants so
-        # equivalent selections produce identical cache keys; an explicit
+        state.update(given)
+        if params is None:
+            params = scenario.params(**kind_params)
+        elif kind_params:
+            params = dataclasses.replace(params, **kind_params)
+        # Validates both names and folds "fd/heartbeat" variants; an explicit
         # fd_kind conflicting with an embedded one raises (like SystemConfig).
-        spec, resolved_kind = stack_registry.resolve(self.stack, self.fd_kind)
-        object.__setattr__(self, "stack", spec.name)
-        object.__setattr__(self, "fd_kind", resolved_kind)
-        if self.kind in ("suspicion-steady", "asymmetric-qos") and self.fd_kind != "qos":
-            raise ValueError(
-                f"{self.kind} points drive the QoS mistake model and need fd_kind='qos'"
-            )
-        if self.kind == "crash-transient" and self.fd_kind == "heartbeat":
-            raise ValueError(
-                "crash-transient points pin the detection time T_D and subtract it "
-                "from the reported overhead; the heartbeat detector's T_D emerges "
-                "from period + timeout instead (use fd_kind='qos' or 'perfect')"
-            )
-        if self.kind in ("suspicion-steady", "asymmetric-qos") and not math.isfinite(
-            self.mistake_recurrence_time
-        ):
-            raise ValueError(f"{self.kind} points need a finite mistake_recurrence_time")
-        if self.kind in ("crash-steady", "correlated-crash") and not self.crashed:
-            raise ValueError(f"{self.kind} points need a non-empty crashed tuple")
-        if self.kind == "crash-transient" and self.sender == self.crashed_process:
-            raise ValueError("the tagged sender must differ from the crashed process")
-        if self.kind == "churn-steady" and (self.churn_rate <= 0 or self.mean_downtime <= 0):
-            raise ValueError("churn-steady points need churn_rate > 0 and mean_downtime > 0")
-        if self.kind == "view-majority-loss":
-            if self.n < 3:
-                raise ValueError(
-                    "view-majority-loss points need a group size n >= 3 "
-                    "(even sizes use the staged two-window construction)"
-                )
-            # The campaign path always uses the canonical suspicion window,
-            # so an out-of-window crash_time (which could never block the
-            # view) is rejected here instead of mid-campaign in a worker.
-            window_end = VML_SUSPECT_START + VML_SUSPECT_DURATION
-            if self.crash_time != 0 and not (
-                VML_SUSPECT_START < self.crash_time < window_end
-            ):
-                raise ValueError(
-                    "view-majority-loss crash_time must fall inside the "
-                    f"canonical suspicion window ({VML_SUSPECT_START:g}, "
-                    f"{window_end:g}), got {self.crash_time} (0 = default)"
-                )
-        for knob in (
-            "reformation_timeout",
-            "heartbeat_period",
-            "heartbeat_timeout",
-            "think_time",
-            "max_delay",
-            "fd_scan_interval",
-        ):
-            if getattr(self, knob) < 0:
-                raise ValueError(f"{knob} must be >= 0 (0 = default), got {getattr(self, knob)}")
-        if self.clients < 0:
-            raise ValueError(f"clients must be >= 0 (0 = open loop), got {self.clients}")
-        if self.max_batch < 0:
-            raise ValueError(f"max_batch must be >= 0 (0 = unbatched), got {self.max_batch}")
-        if self.consistency not in ("ordered", "local"):
-            raise ValueError(
-                f"consistency must be 'ordered' or 'local', got {self.consistency!r}"
-            )
-        if self.kind == "asymmetric-qos":
-            if self.flaky_monitor == self.flaky_target:
-                raise ValueError("the flaky observer pair needs two distinct processes")
-            for pid in (self.flaky_monitor, self.flaky_target):
-                if not 0 <= pid < self.n:
-                    raise ValueError(
-                        f"flaky pair process {pid} out of range 0..{self.n - 1}"
-                    )
-        if self.fault_duration < 0:
-            raise ValueError(
-                f"fault_duration must be >= 0 (0 = default), got {self.fault_duration}"
-            )
-        if not 0.0 <= self.link_loss < 1.0:
-            raise ValueError(f"link_loss must be in [0, 1), got {self.link_loss}")
-        if self.kind == "partition-transient" and self.n < 3:
-            raise ValueError("partition-transient points need n >= 3 (a real minority)")
-        if self.kind == "wan-steady":
-            if not self.wan_profile:
-                raise ValueError("wan-steady points need a wan_profile name")
-            # Fail on unknown profiles at declaration time, not mid-campaign
-            # in a worker.
-            wan_registry_lookup(self.wan_profile)
-        elif self.wan_profile:
-            raise ValueError(
-                f"wan_profile only applies to wan-steady points, got kind={self.kind!r}"
-            )
-        if self.kind == "gray-degradation":
-            if self.degrade_factor != 0.0 and self.degrade_factor <= 1.0:
-                raise ValueError(
-                    "gray-degradation needs degrade_factor > 1 (0 = default), "
-                    f"got {self.degrade_factor}"
-                )
-            if not 0 <= self.crashed_process < self.n:
-                raise ValueError(
-                    f"degraded pid {self.crashed_process} out of range 0..{self.n - 1}"
-                )
+        stack_spec, state["fd_kind"] = stack_registry.resolve(state["stack"], state["fd_kind"])
+        state["stack"] = stack_spec.name
+        for knob in _NON_NEGATIVE:
+            if state[knob] < 0:
+                raise ValueError(f"{knob} must be >= 0 (0 = default), got {state[knob]}")
+        # Frozen: fill the instance dict directly.
+        self.__dict__.update(state, params=params)
+        scenario.validate(self, params)
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for names that are not core fields: the kind's params.
+        # (Private names and ``params`` itself must fail fast: pickle probes
+        # them on instances whose dict is still empty.)
+        if name.startswith("_") or name == "params":
+            raise AttributeError(name)
+        return getattr(self.params, name)
 
     def config(self) -> SystemConfig:
         """The ``SystemConfig`` this point simulates."""
@@ -363,14 +146,10 @@ class PointSpec:
         if self.reformation_timeout > 0:
             extras.setdefault("reformation_timeout", self.reformation_timeout)
         if self.heartbeat_period > 0 or self.heartbeat_timeout > 0:
-            defaults = HeartbeatConfig()
-            extras.setdefault(
-                "heartbeat",
-                HeartbeatConfig(
-                    period=self.heartbeat_period or defaults.period,
-                    timeout=self.heartbeat_timeout or defaults.timeout,
-                ),
-            )
+            base = HeartbeatConfig()
+            period = self.heartbeat_period or base.period
+            timeout = self.heartbeat_timeout or base.timeout
+            extras.setdefault("heartbeat", HeartbeatConfig(period=period, timeout=timeout))
         if self.max_batch > 0:
             extras.setdefault("max_batch", self.max_batch)
             extras.setdefault("max_delay", self.max_delay)
@@ -379,106 +158,35 @@ class PointSpec:
         # ``instrument`` may also arrive via config_overrides; either wins.
         extras["instrument"] = bool(extras.pop("instrument", False)) or self.instrument
         return SystemConfig(
-            n=self.n,
-            stack=self.stack,
-            fd_kind=self.fd_kind,
-            seed=self.seed,
-            **extras,
+            n=self.n, stack=self.stack, fd_kind=self.fd_kind, seed=self.seed, **extras
         )
 
     def as_dict(self) -> Dict[str, Any]:
         """A canonical, strictly-JSON-serialisable view of the point.
 
-        Numbers are normalised (``10`` and ``10.0`` describe the same point)
-        so the cache key does not depend on the Python type a sweep axis
-        happened to use, and infinities are encoded as the string ``"inf"``
-        (the bare ``Infinity`` token ``json.dumps`` would emit is not valid
-        JSON and breaks external JSONL consumers).
+        The common core plus the kind's own params, flat, each value in the
+        canonical form of its declared type (:mod:`repro.campaigns.canonical`).
         """
-        return {
-            "kind": self.kind,
-            "stack": self.stack,
-            "fd_kind": self.fd_kind,
-            "n": int(self.n),
-            "seed": int(self.seed),
-            "throughput": _json_number(self.throughput),
-            "num_messages": int(self.num_messages),
-            "num_runs": int(self.num_runs),
-            "crashed": [int(pid) for pid in self.crashed],
-            "mistake_recurrence_time": _json_number(self.mistake_recurrence_time),
-            "mistake_duration": _json_number(self.mistake_duration),
-            "detection_time": _json_number(self.detection_time),
-            "crashed_process": int(self.crashed_process),
-            "sender": None if self.sender is None else int(self.sender),
-            "crash_time": _json_number(self.crash_time),
-            "churn_rate": _json_number(self.churn_rate),
-            "mean_downtime": _json_number(self.mean_downtime),
-            "flaky_monitor": int(self.flaky_monitor),
-            "flaky_target": int(self.flaky_target),
-            "reformation_timeout": _json_number(self.reformation_timeout),
-            "heartbeat_period": _json_number(self.heartbeat_period),
-            "heartbeat_timeout": _json_number(self.heartbeat_timeout),
-            "clients": int(self.clients),
-            "think_time": _json_number(self.think_time),
-            "consistency": self.consistency,
-            "max_batch": int(self.max_batch),
-            "max_delay": _json_number(self.max_delay),
-            "fd_scan_interval": _json_number(self.fd_scan_interval),
-            "fault_duration": _json_number(self.fault_duration),
-            "wan_profile": self.wan_profile,
-            "degrade_factor": _json_number(self.degrade_factor),
-            "link_loss": _json_number(self.link_loss),
-            "config_overrides": {
-                name: _json_number(value) for name, value in self.config_overrides
-            },
-            "instrument": bool(self.instrument),
-        }
+        data = canonical_fields(self)
+        data.update(canonical_fields(self.params))
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PointSpec":
-        """Rebuild a point from its :meth:`as_dict` form.
+        """Rebuild a point from its :meth:`as_dict` form, preserving :meth:`key`.
 
-        The inverse of the canonical serialisation: ``"inf"`` strings become
-        floats again, lists become tuples and the override mapping becomes
-        the tuple-of-pairs field (sorted, matching the canonical JSON).  The
-        round-trip preserves :meth:`key`, which is what lets a point travel
-        through the work queue (:mod:`repro.campaigns.queue`) and commit its
-        result under the same cache key the submitting machine computed.
-        Unknown keys (from a newer schema) are rejected rather than dropped.
+        That is what lets a point travel through the work queue and commit
+        its result under the key the submitting machine computed.  Keys the
+        point's kind does not declare are rejected, not dropped.
         """
-
-        def value_of(raw: Any) -> Any:
-            if raw == "inf":
-                return INFINITY
-            if raw == "-inf":
-                return -INFINITY
-            return raw
-
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown PointSpec fields {sorted(unknown)}")
-        kwargs = {
-            key: value_of(raw)
-            for key, raw in data.items()
-            if key not in ("crashed", "config_overrides")
-        }
-        kwargs["crashed"] = tuple(int(pid) for pid in data.get("crashed", ()))
-        kwargs["config_overrides"] = tuple(
-            sorted(
-                (name, value_of(raw))
-                for name, raw in data.get("config_overrides", {}).items()
-            )
-        )
-        return cls(**kwargs)
+        return cls(**{name: from_canonical(raw) for name, raw in data.items()})
 
     def key(self) -> str:
         """Stable content hash of the point (the result-cache key).
 
-        The hash covers the canonical point dict, the spec schema version
-        and the package version, so a release that changes simulator
-        behaviour invalidates old caches instead of silently mixing results
-        from two incompatible versions.  Memoised: the key is consulted on
+        Covers the canonical point dict, the schema version and the package
+        version, so a release that changes simulator behaviour invalidates
+        old caches instead of mixing results.  Memoised: the key is read on
         every cache lookup, commit and aggregation step.
         """
         cached = self.__dict__.get("_key")
@@ -486,72 +194,32 @@ class PointSpec:
             payload = json.dumps(self.as_dict(), sort_keys=True)
             prefix = f"v{SCHEMA_VERSION}/repro-{__version__}"
             cached = hashlib.sha256(f"{prefix}:{payload}".encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_key", cached)
+            self.__dict__["_key"] = cached
         return cached
 
     def label(self) -> str:
-        """Short human-readable description (used by logs and the CLI)."""
-        extras = {
-            "normal-steady": "",
-            "crash-steady": f" crashed={list(self.crashed)}",
-            "suspicion-steady": (
-                f" T_MR={self.mistake_recurrence_time:g} T_M={self.mistake_duration:g}"
-            ),
-            "crash-transient": (
-                f" T_D={self.detection_time:g} crash=p{self.crashed_process}"
-                + ("" if self.sender is None else f" sender=p{self.sender}")
-            ),
-            "correlated-crash": (
-                f" crashed={list(self.crashed)} T_D={self.detection_time:g}"
-            ),
-            "churn-steady": (
-                f" churn={self.churn_rate:g}/s downtime={self.mean_downtime:g}ms"
-            ),
-            "asymmetric-qos": (
-                f" p{self.flaky_monitor}~p{self.flaky_target}"
-                f" T_MR={self.mistake_recurrence_time:g} T_M={self.mistake_duration:g}"
-            ),
-            "view-majority-loss": (
-                f" T_D={self.detection_time:g}"
-                + (
-                    f" reform={self.reformation_timeout:g}ms"
-                    if self.reformation_timeout > 0
-                    else ""
-                )
-            ),
-            "service-load": (
-                (
-                    f" clients={self.clients} think={self.think_time:g}ms"
-                    if self.clients > 0
-                    else " open-loop"
-                )
-                + (f" batch={self.max_batch}" if self.max_batch > 0 else "")
-                + (f" {self.consistency}" if self.consistency != "ordered" else "")
-            ),
-            "partition-transient": (
-                f" T_D={self.detection_time:g}"
-                + (
-                    f" window={self.fault_duration:g}ms"
-                    if self.fault_duration > 0
-                    else ""
-                )
-            ),
-            "wan-steady": f" profile={self.wan_profile}",
-            "gray-degradation": (
-                f" slow=p{self.crashed_process}"
-                + (
-                    f" x{self.degrade_factor:g}"
-                    if self.degrade_factor > 0
-                    else ""
-                )
-                + (f" loss={self.link_loss:g}" if self.link_loss > 0 else "")
-            ),
-        }[self.kind]
-        stack = self.stack if self.fd_kind == "qos" else f"{self.stack}/{self.fd_kind}"
+        """Short human-readable description, for logs and error messages."""
+        knobs = get_kind(self.kind).label(self.params)
+        if self.reformation_timeout > 0:
+            knobs += f" reform={self.reformation_timeout:g}ms"
+        if self.max_batch > 0:
+            knobs += f" batch={self.max_batch}"
         return (
-            f"{self.kind} {stack} n={self.n} T={self.throughput:g}/s"
-            f"{extras} seed={self.seed}"
+            f"{self.kind} {stack_registry.variant_name(self.stack, self.fd_kind)} "
+            f"n={self.n} T={self.throughput:g}/s{knobs} seed={self.seed}"
         )
+
+
+#: Core field -> default, read off the dataclass (``kind`` is required and
+#: ``params`` is built from the flat keywords).
+_CORE_DEFAULTS = {
+    spec_field.name: spec_field.default
+    for spec_field in dataclasses.fields(PointSpec)
+    if spec_field.name not in ("kind", "params")
+}
+_NON_NEGATIVE = ("reformation_timeout", "heartbeat_period", "heartbeat_timeout") + (
+    "max_batch", "max_delay", "fd_scan_interval",
+)
 
 
 @dataclass
@@ -611,73 +279,42 @@ def grid(
     kind: str,
     *,
     name: str = "adhoc",
-    stacks: Optional[Sequence[str]] = None,
+    stacks: Sequence[str] = ("fd", "gm"),
     fd_kinds: Sequence[Optional[str]] = (None,),
-    algorithms: Optional[Sequence[str]] = None,
     n_values: Sequence[int] = (3,),
     throughputs: Sequence[float] = (10.0, 100.0),
     seeds: Sequence[int] = (1,),
     num_messages: int = 100,
-    num_runs: int = 8,
-    crashes: int = 1,
-    mistake_recurrence_time: float = 1000.0,
-    mistake_duration: float = 0.0,
-    detection_time: float = 0.0,
-    crashed_process: int = 0,
-    sender: Any = None,
-    crash_time: float = 0.0,
-    churn_rate: float = 1.0,
-    mean_downtime: float = 200.0,
-    flaky_monitor: int = 1,
-    flaky_target: int = 0,
     reformation_timeout: float = 0.0,
     heartbeat_period: float = 0.0,
     heartbeat_timeout: float = 0.0,
-    clients: int = 0,
-    think_time: float = 0.0,
-    consistency: str = "ordered",
     max_batch: int = 0,
     max_delay: float = 0.0,
     fd_scan_interval: float = 0.0,
-    fault_duration: float = 0.0,
-    wan_profile: str = "wan-3dc",
-    degrade_factor: float = 0.0,
-    link_loss: float = 0.0,
     config_overrides: Iterable[Tuple[str, Any]] = (),
     description: str = "",
+    **axes: Any,
 ) -> CampaignSpec:
     """Build an ad-hoc campaign over the cartesian product of the axes.
 
     One series per ``(stack, fd_kind, n)`` triple, one x position per
     throughput, one replica per seed.  ``stacks`` accepts slash-qualified
-    names (``"fd/heartbeat"``); the ``fd_kinds`` axis crosses every stack
-    with every failure detector kind, which is how QoS-FD vs heartbeat-FD
-    comparison sweeps are declared.  ``algorithms`` is a deprecated alias of
-    ``stacks``.  ``crashes`` (crash-steady and correlated-crash) selects the
-    highest-numbered processes, matching the paper's non-coordinator
-    convention.
+    names (``"fd/heartbeat"``); ``fd_kinds`` crosses every stack with every
+    failure detector kind (the QoS-FD vs heartbeat-FD comparison sweeps).
+    ``axes`` are the ones the kind declares
+    (``grid("churn-steady", churn_rate=2.0)``, see
+    :attr:`repro.scenarios.registry.ScenarioKind.axes`), each defaulting as
+    on the command line; an axis of another kind raises.
     """
-    if algorithms is not None:
-        warnings.warn(
-            "grid(algorithms=...) is deprecated; use stacks= instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if stacks is not None and tuple(stacks) != tuple(algorithms):
-            raise ValueError("pass stacks= or algorithms=, not conflicting both")
-        stacks = algorithms
-    if stacks is None:
-        stacks = ("fd", "gm")
+    scenario = get_kind(kind)
+    values = scenario.axis_values(axes)
     overrides = tuple(config_overrides)
-    crash_kinds = ("crash-steady", "correlated-crash")
     # Duplicate seeds would pool the same simulation twice and shrink the
     # reported CI with zero new information; drop them, preserving order.
     seeds = list(dict.fromkeys(int(seed) for seed in seeds))
     # Same for duplicate (stack, fd_kind) combos, which slash-qualified
-    # stack names crossed with an fd_kinds axis can produce.
-    # ``None`` on the fd_kinds axis means "the stack's default kind"; an
-    # explicit kind conflicting with a slash-qualified stack raises
-    # (mirroring SystemConfig) rather than silently dropping the axis.
+    # stack names crossed with an fd_kinds axis can produce (``None`` on the
+    # axis = the stack's default kind; a conflicting explicit kind raises).
     combos = list(
         dict.fromkeys(
             stack_registry.resolve(stack, fd_kind)
@@ -685,15 +322,34 @@ def grid(
             for fd_kind in fd_kinds
         )
     )
+    # The heartbeat fabric reads its own period / timeout and ignores the
+    # scan tick, the clock-driven fabrics the reverse; a knob a detector does
+    # not read stays 0 so comparison sweeps mint no keys for identical runs.
+    heartbeat_knobs = {"heartbeat_period": heartbeat_period, "heartbeat_timeout": heartbeat_timeout}
+    detector_knobs = {"heartbeat": heartbeat_knobs}
     campaign = CampaignSpec(name=name, description=description)
     for n in n_values:
-        if kind in crash_kinds and crashes > SystemConfig(n=n).max_tolerated_crashes():
-            raise ValueError(f"{crashes} crashes exceed the f < n/2 bound for n={n}")
+        params = scenario.point_params(n, values)
         for stack_spec, fd_kind in combos:
             stack = stack_spec.name
-            label = stack if fd_kind == "qos" else f"{stack}/{fd_kind}"
+            common = dict(
+                stack=stack,
+                fd_kind=fd_kind,
+                n=n,
+                num_messages=num_messages,
+                # Scoped by stack capability: a reformation-capable stack reads
+                # the knob under every scenario (churn can trigger one too).
+                reformation_timeout=(
+                    reformation_timeout if dict(stack_spec.params).get("reformation") else 0.0
+                ),
+                max_batch=max_batch,
+                max_delay=max_delay,
+                config_overrides=overrides,
+                params=params,
+                **detector_knobs.get(fd_kind, {"fd_scan_interval": fd_scan_interval}),
+            )
             series = SeriesSpec(
-                label=f"{label}, n={n}",
+                label=f"{stack_registry.variant_name(stack, fd_kind)}, n={n}",
                 params={"stack": stack, "fd_kind": fd_kind, "n": n, "kind": kind},
             )
             for throughput in throughputs:
@@ -701,122 +357,7 @@ def grid(
                     SeriesPointSpec(
                         x=throughput,
                         points=[
-                            PointSpec(
-                                kind=kind,
-                                stack=stack,
-                                fd_kind=fd_kind,
-                                n=n,
-                                seed=seed,
-                                throughput=throughput,
-                                num_messages=num_messages,
-                                num_runs=num_runs,
-                                crashed=(
-                                    crashed_processes(n, crashes)
-                                    if kind in crash_kinds
-                                    else ()
-                                ),
-                                mistake_recurrence_time=(
-                                    mistake_recurrence_time
-                                    if kind in ("suspicion-steady", "asymmetric-qos")
-                                    else INFINITY
-                                ),
-                                mistake_duration=(
-                                    mistake_duration
-                                    if kind in ("suspicion-steady", "asymmetric-qos")
-                                    else 0.0
-                                ),
-                                detection_time=(
-                                    detection_time
-                                    if kind
-                                    in (
-                                        "crash-transient",
-                                        "correlated-crash",
-                                        "churn-steady",
-                                        "view-majority-loss",
-                                        "partition-transient",
-                                        "gray-degradation",
-                                    )
-                                    else 0.0
-                                ),
-                                crashed_process=(
-                                    crashed_process
-                                    if kind in ("crash-transient", "gray-degradation")
-                                    else 0
-                                ),
-                                sender=(sender if kind == "crash-transient" else None),
-                                crash_time=(
-                                    crash_time
-                                    if kind
-                                    in (
-                                        "correlated-crash",
-                                        "view-majority-loss",
-                                        "partition-transient",
-                                        "gray-degradation",
-                                    )
-                                    else 0.0
-                                ),
-                                churn_rate=(
-                                    churn_rate if kind == "churn-steady" else 0.0
-                                ),
-                                mean_downtime=(
-                                    mean_downtime if kind == "churn-steady" else 0.0
-                                ),
-                                flaky_monitor=(
-                                    flaky_monitor if kind == "asymmetric-qos" else 1
-                                ),
-                                flaky_target=(
-                                    flaky_target if kind == "asymmetric-qos" else 0
-                                ),
-                                reformation_timeout=(
-                                    # Scoped by stack capability, not kind:
-                                    # a reformation-capable stack reads the
-                                    # knob under every scenario (e.g. churn
-                                    # can trigger reformations too).
-                                    reformation_timeout
-                                    if dict(stack_spec.params).get("reformation")
-                                    else 0.0
-                                ),
-                                heartbeat_period=(
-                                    heartbeat_period if fd_kind == "heartbeat" else 0.0
-                                ),
-                                heartbeat_timeout=(
-                                    heartbeat_timeout if fd_kind == "heartbeat" else 0.0
-                                ),
-                                clients=(clients if kind == "service-load" else 0),
-                                think_time=(
-                                    think_time if kind == "service-load" else 0.0
-                                ),
-                                consistency=(
-                                    consistency if kind == "service-load" else "ordered"
-                                ),
-                                # Config-level knobs: they reshape the system
-                                # under any scenario kind, so no kind scoping.
-                                max_batch=max_batch,
-                                max_delay=max_delay,
-                                fd_scan_interval=(
-                                    # The heartbeat fabric ignores the scan
-                                    # tick; zero it so fd-kind comparison
-                                    # sweeps don't mint distinct cache keys
-                                    # for identical heartbeat runs.
-                                    0.0 if fd_kind == "heartbeat" else fd_scan_interval
-                                ),
-                                fault_duration=(
-                                    fault_duration
-                                    if kind
-                                    in ("partition-transient", "gray-degradation")
-                                    else 0.0
-                                ),
-                                wan_profile=(
-                                    wan_profile if kind == "wan-steady" else ""
-                                ),
-                                degrade_factor=(
-                                    degrade_factor if kind == "gray-degradation" else 0.0
-                                ),
-                                link_loss=(
-                                    link_loss if kind == "gray-degradation" else 0.0
-                                ),
-                                config_overrides=overrides,
-                            )
+                            PointSpec(kind, seed=seed, throughput=throughput, **common)
                             for seed in seeds
                         ],
                     )

@@ -17,15 +17,10 @@ failure-detector scan (one calendar event per Q ms instead of per-pair
 timers) -- the throughput lane for large-n sweeps; scanned points cache
 under their own keys.
 
-Beyond the figures, ``--scenario`` runs any of the twelve scenario kinds as
-an ad-hoc campaign grid (delegating to ``python -m repro.campaigns``, whose
-options apply -- including ``--stack`` / ``--fd`` for sweeping registered
-protocol stacks and failure detector kinds, ``--hb-period`` /
-``--hb-timeout`` for the heartbeat detector plane,
-``--reformation-timeout`` for the ``gm-reform`` recovery window, the
-service-load axes ``--clients`` / ``--consistency`` / ``--max-batch``, and
-the fault-injection axes ``--fault-duration`` / ``--wan-profile`` /
-``--degrade-factor`` / ``--link-loss``)::
+Beyond the figures, ``--scenario`` runs any registered scenario kind as an
+ad-hoc campaign grid: the whole command line is handed to
+``python -m repro.campaigns``, whose options apply (its ``--help`` lists
+every kind with its axes)::
 
     python -m repro.experiments --scenario churn --churn-rate 2 \\
         --throughputs 10 100 --jobs 4 --cache-dir .cache
@@ -46,11 +41,11 @@ from typing import Dict, List
 
 from repro.campaigns.catalog import CampaignCatalog
 from repro.campaigns.runner import CampaignRunner
-from repro.campaigns.spec import SCENARIO_KINDS
 from repro.campaigns.store import DURABILITY_MODES, ResultStore
 from repro.experiments import figure4, figure5, figure6, figure7, figure8
 from repro.experiments.report import format_figure, format_markdown_table
 from repro.experiments.shape_checks import ALL_CHECKS
+from repro.scenarios.registry import available_kinds
 
 FIGURES = {
     "4": figure4.run,
@@ -115,7 +110,7 @@ def main(argv: List[str] = None) -> int:
         action="append",
         default=None,
         metavar="KIND",
-        choices=sorted(SCENARIO_KINDS),
+        choices=sorted(available_kinds()),
         help="re-simulate cached points of this scenario kind only (repeatable)",
     )
     parser.add_argument(

@@ -25,7 +25,7 @@ def build_campaign(
     quick: bool = True,
     seed: int = 1,
     n_values: Iterable[int] = (3, 7),
-    algorithms: Iterable[str] = ("fd", "gm"),
+    stacks: Iterable[str] = ("fd", "gm"),
     throughputs: Optional[Iterable[float]] = None,
     num_messages: Optional[int] = None,
     replicas: int = 1,
@@ -36,9 +36,9 @@ def build_campaign(
     campaign = CampaignSpec(name="figure4", description="latency vs throughput, normal-steady")
     for n in n_values:
         sweep = list(throughputs) if throughputs is not None else default_throughputs(n, quick)
-        for algorithm in algorithms:
+        for stack in stacks:
             series = SeriesSpec(
-                label=f"{algorithm_label(algorithm)}, n={n}", params={"n": n}
+                label=f"{algorithm_label(stack)}, n={n}", params={"n": n}
             )
             for throughput in sweep:
                 series.points.append(
@@ -47,7 +47,7 @@ def build_campaign(
                         points=[
                             PointSpec(
                                 kind="normal-steady",
-                                stack=algorithm,
+                                stack=stack,
                                 n=n,
                                 seed=point_seed,
                                 throughput=throughput,
@@ -65,7 +65,7 @@ def run(
     quick: bool = True,
     seed: int = 1,
     n_values: Iterable[int] = (3, 7),
-    algorithms: Iterable[str] = ("fd", "gm"),
+    stacks: Iterable[str] = ("fd", "gm"),
     throughputs: Optional[Iterable[float]] = None,
     num_messages: Optional[int] = None,
     replicas: int = 1,
@@ -77,7 +77,7 @@ def run(
             quick=quick,
             seed=seed,
             n_values=n_values,
-            algorithms=algorithms,
+            stacks=stacks,
             throughputs=throughputs,
             num_messages=num_messages,
             replicas=replicas,

@@ -20,11 +20,11 @@ from repro.campaigns.spec import (
     PointSpec,
     SeriesPointSpec,
     SeriesSpec,
-    crashed_processes,
     replicate_seeds,
 )
 from repro.experiments.helpers import algorithm_label, default_throughputs
 from repro.experiments.series import FigureResult
+from repro.scenarios.registry import crashed_processes
 
 QUICK_MESSAGES = 150
 FULL_MESSAGES = 500
@@ -37,7 +37,7 @@ def build_campaign(
     quick: bool = True,
     seed: int = 1,
     n_values: Iterable[int] = (3, 7),
-    algorithms: Iterable[str] = ("fd", "gm"),
+    stacks: Iterable[str] = ("fd", "gm"),
     throughputs: Optional[Iterable[float]] = None,
     num_messages: Optional[int] = None,
     replicas: int = 1,
@@ -56,16 +56,21 @@ def build_campaign(
         sweep = list(throughputs) if throughputs is not None else default_throughputs(n, quick)
         crash_counts = CRASH_COUNTS.get(n, (0, 1))
         for crashes in crash_counts:
-            crashed = crashed_processes(n, crashes)
-            for algorithm in algorithms:
-                if crashes == 0 and algorithm != "fd":
+            # The no-crash curve is Figure 4's normal-steady scenario.
+            scenario = (
+                {"kind": "crash-steady", "crashed": crashed_processes(n, crashes)}
+                if crashes
+                else {"kind": "normal-steady"}
+            )
+            for stack in stacks:
+                if crashes == 0 and stack != "fd":
                     # With no crash the two algorithms coincide (Fig. 4); the
                     # paper plots a single "FD and GM, no crash" curve.
                     continue
                 label = (
                     f"FD and GM, no crash, n={n}"
                     if crashes == 0
-                    else f"{algorithm_label(algorithm)}, {crashes} crash(es), n={n}"
+                    else f"{algorithm_label(stack)}, {crashes} crash(es), n={n}"
                 )
                 series = SeriesSpec(label=label, params={"n": n, "crashes": crashes})
                 for throughput in sweep:
@@ -74,13 +79,12 @@ def build_campaign(
                             x=throughput,
                             points=[
                                 PointSpec(
-                                    kind="normal-steady" if crashes == 0 else "crash-steady",
-                                    stack=algorithm,
+                                    stack=stack,
                                     n=n,
                                     seed=point_seed,
                                     throughput=throughput,
                                     num_messages=messages,
-                                    crashed=crashed,
+                                    **scenario,
                                 )
                                 for point_seed in seeds
                             ],
@@ -94,7 +98,7 @@ def run(
     quick: bool = True,
     seed: int = 1,
     n_values: Iterable[int] = (3, 7),
-    algorithms: Iterable[str] = ("fd", "gm"),
+    stacks: Iterable[str] = ("fd", "gm"),
     throughputs: Optional[Iterable[float]] = None,
     num_messages: Optional[int] = None,
     replicas: int = 1,
@@ -106,7 +110,7 @@ def run(
             quick=quick,
             seed=seed,
             n_values=n_values,
-            algorithms=algorithms,
+            stacks=stacks,
             throughputs=throughputs,
             num_messages=num_messages,
             replicas=replicas,

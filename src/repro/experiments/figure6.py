@@ -31,7 +31,7 @@ def build_campaign(
     quick: bool = True,
     seed: int = 1,
     panels: Iterable[Tuple[int, float]] = PANELS,
-    algorithms: Iterable[str] = ("fd", "gm"),
+    stacks: Iterable[str] = ("fd", "gm"),
     tmr_values: Optional[Iterable[float]] = None,
     num_messages: Optional[int] = None,
     replicas: int = 1,
@@ -44,9 +44,9 @@ def build_campaign(
     seeds = replicate_seeds(seed, replicas)
     campaign = CampaignSpec(name="figure6", description="latency vs T_MR, suspicion-steady")
     for n, throughput in panels:
-        for algorithm in algorithms:
+        for stack in stacks:
             series = SeriesSpec(
-                label=f"{algorithm_label(algorithm)}, n={n}, T={throughput:g}/s",
+                label=f"{algorithm_label(stack)}, n={n}, T={throughput:g}/s",
                 params={"n": n, "throughput": throughput},
             )
             for tmr in sweep:
@@ -56,7 +56,7 @@ def build_campaign(
                         points=[
                             PointSpec(
                                 kind="suspicion-steady",
-                                stack=algorithm,
+                                stack=stack,
                                 n=n,
                                 seed=point_seed,
                                 throughput=throughput,
@@ -76,7 +76,7 @@ def run(
     quick: bool = True,
     seed: int = 1,
     panels: Iterable[Tuple[int, float]] = PANELS,
-    algorithms: Iterable[str] = ("fd", "gm"),
+    stacks: Iterable[str] = ("fd", "gm"),
     tmr_values: Optional[Iterable[float]] = None,
     num_messages: Optional[int] = None,
     replicas: int = 1,
@@ -88,7 +88,7 @@ def run(
             quick=quick,
             seed=seed,
             panels=panels,
-            algorithms=algorithms,
+            stacks=stacks,
             tmr_values=tmr_values,
             num_messages=num_messages,
             replicas=replicas,

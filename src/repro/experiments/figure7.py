@@ -42,7 +42,7 @@ def build_campaign(
     quick: bool = True,
     seed: int = 1,
     panels: Iterable[Tuple[int, float, float]] = PANELS,
-    algorithms: Iterable[str] = ("fd", "gm"),
+    stacks: Iterable[str] = ("fd", "gm"),
     tm_values: Optional[Iterable[float]] = None,
     num_messages: Optional[int] = None,
     replicas: int = 1,
@@ -55,10 +55,10 @@ def build_campaign(
     seeds = replicate_seeds(seed, replicas)
     campaign = CampaignSpec(name="figure7", description="latency vs T_M, suspicion-steady")
     for n, throughput, tmr in panels:
-        for algorithm in algorithms:
+        for stack in stacks:
             series = SeriesSpec(
                 label=(
-                    f"{algorithm_label(algorithm)}, n={n}, T={throughput:g}/s, "
+                    f"{algorithm_label(stack)}, n={n}, T={throughput:g}/s, "
                     f"T_MR={tmr:g}ms"
                 ),
                 params={"n": n, "throughput": throughput, "tmr": tmr},
@@ -70,7 +70,7 @@ def build_campaign(
                         points=[
                             PointSpec(
                                 kind="suspicion-steady",
-                                stack=algorithm,
+                                stack=stack,
                                 n=n,
                                 seed=point_seed,
                                 throughput=throughput,
@@ -90,7 +90,7 @@ def run(
     quick: bool = True,
     seed: int = 1,
     panels: Iterable[Tuple[int, float, float]] = PANELS,
-    algorithms: Iterable[str] = ("fd", "gm"),
+    stacks: Iterable[str] = ("fd", "gm"),
     tm_values: Optional[Iterable[float]] = None,
     num_messages: Optional[int] = None,
     replicas: int = 1,
@@ -102,7 +102,7 @@ def run(
             quick=quick,
             seed=seed,
             panels=panels,
-            algorithms=algorithms,
+            stacks=stacks,
             tm_values=tm_values,
             num_messages=num_messages,
             replicas=replicas,

@@ -31,7 +31,7 @@ def build_campaign(
     quick: bool = True,
     seed: int = 1,
     n_values: Iterable[int] = (3, 7),
-    algorithms: Iterable[str] = ("fd", "gm"),
+    stacks: Iterable[str] = ("fd", "gm"),
     detection_times: Iterable[float] = DETECTION_TIMES,
     throughputs: Optional[Iterable[float]] = None,
     num_runs: Optional[int] = None,
@@ -45,11 +45,11 @@ def build_campaign(
     )
     for n in n_values:
         sweep = list(throughputs) if throughputs is not None else default_throughputs(n, quick)
-        for algorithm in algorithms:
+        for stack in stacks:
             for detection_time in detection_times:
                 series = SeriesSpec(
                     label=(
-                        f"{algorithm_label(algorithm)}, n={n}, "
+                        f"{algorithm_label(stack)}, n={n}, "
                         f"T_D={detection_time:g}ms"
                     ),
                     params={"n": n, "detection_time": detection_time},
@@ -61,7 +61,7 @@ def build_campaign(
                             points=[
                                 PointSpec(
                                     kind="crash-transient",
-                                    stack=algorithm,
+                                    stack=stack,
                                     n=n,
                                     seed=point_seed,
                                     throughput=throughput,
@@ -81,7 +81,7 @@ def run(
     quick: bool = True,
     seed: int = 1,
     n_values: Iterable[int] = (3, 7),
-    algorithms: Iterable[str] = ("fd", "gm"),
+    stacks: Iterable[str] = ("fd", "gm"),
     detection_times: Iterable[float] = DETECTION_TIMES,
     throughputs: Optional[Iterable[float]] = None,
     num_runs: Optional[int] = None,
@@ -94,7 +94,7 @@ def run(
             quick=quick,
             seed=seed,
             n_values=n_values,
-            algorithms=algorithms,
+            stacks=stacks,
             detection_times=detection_times,
             throughputs=throughputs,
             num_runs=num_runs,

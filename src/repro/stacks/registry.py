@@ -131,6 +131,13 @@ def split_stack(name: str) -> Tuple[str, Optional[str]]:
     return name, None
 
 
+def variant_name(stack: str, fd_kind: str) -> str:
+    """``stack``, slash-qualified with ``fd_kind`` unless that is its default."""
+    if fd_kind == get_stack(stack).default_fd_kind:
+        return stack
+    return f"{stack}/{fd_kind}"
+
+
 def resolve(stack: str, fd_kind: Optional[str] = None) -> Tuple[StackSpec, str]:
     """Resolve a stack selection to ``(StackSpec, fd_kind)``.
 

@@ -29,7 +29,6 @@ compile against.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -51,11 +50,6 @@ from repro.stacks.api import FailureDetectorFabric, StackSpec
 #: Deprecated alias of :func:`repro.stacks.available_stacks`, kept because the
 #: seed API exposed it; the registry is the source of truth now.
 ALGORITHMS = ("fd", "gm", "gm-nonuniform")
-
-_DEPRECATED_ALGORITHM = (
-    "SystemConfig(algorithm=...) is deprecated; use stack= (and fd_kind= for "
-    "the failure detector variant) instead"
-)
 
 
 @dataclass(frozen=True, init=False)
@@ -143,11 +137,6 @@ class SystemConfig:
         sweeps -- at the cost of quantizing detector transitions to the
         tick (the same approximation the heartbeat detector's
         ``check_interval`` already makes; heartbeat ignores this knob).
-
-    The keyword ``algorithm=`` is accepted as a **deprecated alias** of
-    ``stack=`` (it emits a :class:`DeprecationWarning` once, at
-    construction) so seed-era call sites keep working; reading
-    ``config.algorithm`` returns the stack name.
     """
 
     n: int = 3
@@ -171,7 +160,7 @@ class SystemConfig:
     def __init__(
         self,
         n: int = 3,
-        stack: Optional[str] = None,
+        stack: str = "fd",
         fd_kind: Optional[str] = None,
         lambda_cpu: float = 1.0,
         network_time: float = 1.0,
@@ -187,18 +176,7 @@ class SystemConfig:
         max_batch: int = 0,
         max_delay: float = 0.0,
         wan_profile: Optional[str] = None,
-        algorithm: Optional[str] = None,
     ) -> None:
-        if algorithm is not None:
-            warnings.warn(_DEPRECATED_ALGORITHM, DeprecationWarning, stacklevel=2)
-            if stack is not None and stack != algorithm:
-                raise ValueError(
-                    f"conflicting stack selection: stack={stack!r} vs "
-                    f"deprecated algorithm={algorithm!r}"
-                )
-            stack = algorithm
-        if stack is None:
-            stack = "fd"
         # Validates both names and folds "fd/heartbeat"-style variants.
         spec, resolved_kind = stack_registry.resolve(stack, fd_kind)
         if n < 1:
@@ -240,16 +218,9 @@ class SystemConfig:
         set_field(self, "wan_profile", wan_profile)
 
     @property
-    def algorithm(self) -> str:
-        """Deprecated read alias of :attr:`stack` (the seed-era field name)."""
-        return self.stack
-
-    @property
     def stack_label(self) -> str:
         """The stack name, qualified with the fd kind when non-default."""
-        if self.fd_kind == stack_registry.get_stack(self.stack).default_fd_kind:
-            return self.stack
-        return f"{self.stack}/{self.fd_kind}"
+        return stack_registry.variant_name(self.stack, self.fd_kind)
 
     def stack_spec(self) -> StackSpec:
         """The registry descriptor this configuration resolves to."""
@@ -580,9 +551,6 @@ def build_system(config: Optional[SystemConfig] = None, **overrides: Any) -> Bro
     if config is None:
         config = SystemConfig(**overrides)
     elif overrides:
-        if "algorithm" in overrides:
-            warnings.warn(_DEPRECATED_ALGORITHM, DeprecationWarning, stacklevel=2)
-            overrides.setdefault("stack", overrides.pop("algorithm"))
         stack_override = overrides.get("stack")
         if stack_override:
             # Fold a slash-qualified override ("fd/heartbeat") into the two

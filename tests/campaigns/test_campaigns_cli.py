@@ -3,6 +3,8 @@
 import pytest
 
 from repro.campaigns.__main__ import main
+from repro.campaigns.store import ResultStore
+from repro.scenarios.registry import available_kinds, get_kind
 
 
 class TestCampaignsCLI:
@@ -12,7 +14,7 @@ class TestCampaignsCLI:
             [
                 "--scenario",
                 "normal-steady",
-                "--algorithms",
+                "--stack",
                 "fd",
                 "--n",
                 "3",
@@ -34,7 +36,7 @@ class TestCampaignsCLI:
         argv = [
             "--scenario",
             "normal-steady",
-            "--algorithms",
+            "--stack",
             "fd",
             "--n",
             "3",
@@ -57,15 +59,16 @@ class TestCampaignsCLI:
     @pytest.mark.parametrize(
         "scenario_args",
         [
-            ["--scenario", "churn-steady", "--churn-rate", "4", "--downtime", "100"],
-            ["--scenario", "correlated-crash", "--crashes", "1"],
+            ["--scenario", "churn-steady", "--churn-rate", "4", "--downtime", "100",
+             "--detection-time", "5"],
+            ["--scenario", "correlated-crash", "--crashes", "1", "--detection-time", "5"],
             ["--scenario", "asymmetric-qos", "--tmr", "300"],
         ],
         ids=["churn", "correlated", "asymmetric"],
     )
     def test_new_scenario_kinds_run_and_resume(self, scenario_args, tmp_path, capsys):
         argv = scenario_args + [
-            "--algorithms",
+            "--stack",
             "fd",
             "gm",
             "--n",
@@ -74,8 +77,6 @@ class TestCampaignsCLI:
             "25",
             "--messages",
             "10",
-            "--detection-time",
-            "5",
             "--cache-dir",
             str(tmp_path / "cache"),
         ]
@@ -144,27 +145,53 @@ class TestCampaignsCLI:
         assert "series: fd, n=3" in out
         assert "series: fd/perfect, n=3" in out
 
-    def test_algorithms_alias_still_accepted(self, capsys):
+    def test_algorithms_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--algorithms", "fd", "--throughputs", "25", "--messages", "10"])
+        assert "unrecognized arguments: --algorithms" in capsys.readouterr().err
+
+    def test_axis_of_another_kind_is_an_error_naming_its_kinds(self, capsys):
+        """Used to run and silently ignore both flags (grid() zeroed them)."""
+        with pytest.raises(SystemExit):
+            main(["--scenario", "normal-steady", "--tmr", "50", "--churn-rate", "9"])
+        error = capsys.readouterr().err
+        assert "--tmr is not an axis of normal-steady" in error
+        assert "suspicion-steady, asymmetric-qos" in error
+        with pytest.raises(SystemExit):
+            main(["--scenario", "wan", "--fault-duration=100"])
+        error = capsys.readouterr().err
+        assert "--fault-duration is not an axis of wan-steady" in error
+        assert "partition-transient, gray-degradation" in error
+
+    def test_help_lists_every_kind_with_its_own_axis_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--scenario", "gray", "--help"])
+        text = capsys.readouterr().out
+        assert "axes of gray-degradation" in text
+        for name in available_kinds():
+            kind = get_kind(name)
+            assert f"{kind.name} ({kind.shorthand}): {kind.summary}" in text
+        # One spelling, owned by two kinds, documented by each.
+        assert "the pid that crashes" in text
+        assert "the degraded pid" in text
+        # --detection-time is no longer documented as a crash-transient flag.
+        assert text.count("constant crash detection time T_D in ms") >= 6
+
+    def test_shared_spellings_reach_the_selected_kinds_own_axis(self, tmp_path, capsys):
         assert (
             main(
                 [
-                    "--scenario",
-                    "normal-steady",
-                    "--algorithms",
-                    "fd",
-                    "--throughputs",
-                    "25",
-                    "--messages",
-                    "10",
+                    "--scenario", "gray", "--stack", "fd", "--crashed-process", "1",
+                    "--crash-time", "40", "--fault-duration", "80", "--degrade-factor", "3",
+                    "--throughputs", "50", "--messages", "10", "--cache-dir", str(tmp_path),
                 ]
             )
             == 0
         )
-        assert "normal-steady" in capsys.readouterr().out
-
-    def test_conflicting_stack_and_algorithms_flags_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--stack", "fd", "--algorithms", "gm"])
+        assert "gray-degradation" in capsys.readouterr().out
+        ((_key, point, _record),) = ResultStore(str(tmp_path)).entries()
+        assert (point["degraded_pid"], point["degrade_start"]) == (1, 40.0)
+        assert (point["degrade_duration"], point["degrade_factor"]) == (80.0, 3.0)
 
     def test_scenario_alias_resolves(self, capsys):
         assert (
@@ -172,7 +199,7 @@ class TestCampaignsCLI:
                 [
                     "--scenario",
                     "churn",
-                    "--algorithms",
+                    "--stack",
                     "fd",
                     "--n",
                     "3",
@@ -194,7 +221,7 @@ class TestCampaignsCLI:
                 [
                     "--scenario",
                     "asymmetric",
-                    "--algorithms",
+                    "--stack",
                     "fd",
                     "--n",
                     "3",

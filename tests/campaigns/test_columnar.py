@@ -234,10 +234,9 @@ class TestCrossCampaignSummary:
 
 
 class TestMirrorHelpers:
-    def test_mirror_path_matches_toolchain(self, tmp_path):
+    def test_the_mirror_is_the_stdlib_rcol_file(self, tmp_path):
         path = columnar.mirror_path(str(tmp_path / "results.jsonl"))
-        expected = ".parquet" if columnar.HAVE_PYARROW else ".rcol"
-        assert path.endswith(expected)
+        assert path == str(tmp_path / "results.rcol")
 
     def test_write_mirror_round_trips_through_read_mirror(self, tmp_path):
         jsonl = str(tmp_path / "results.jsonl")

@@ -41,12 +41,16 @@ class TestPointSpecRoundTrip:
         assert rebuilt.key() == point.key()
 
     def test_from_dict_preserves_infinity_fields(self):
-        # normal-steady defaults to an infinite mistake recurrence, which
-        # serialises as the string "inf" to stay strict JSON.
-        point = PointSpec(kind="normal-steady", throughput=25.0)
+        # Infinities serialise as the string "inf" to stay strict JSON.
+        point = PointSpec(
+            kind="normal-steady",
+            throughput=25.0,
+            config_overrides=(("join_retry_interval", float("inf")),),
+        )
         data = json.loads(json.dumps(point.as_dict()))  # through real JSON
+        assert data["config_overrides"] == {"join_retry_interval": "inf"}
         rebuilt = PointSpec.from_dict(data)
-        assert rebuilt.mistake_recurrence_time == float("inf")
+        assert rebuilt.config().join_retry_interval == float("inf")
         assert rebuilt.key() == point.key()
 
     def test_from_dict_rejects_unknown_fields(self):

@@ -45,11 +45,38 @@ class TestPointSpec:
         with pytest.raises(ValueError, match="unknown fd kind"):
             PointSpec(kind="normal-steady", fd_kind="nope")
 
-    def test_deprecated_algorithm_alias_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning):
-            point = PointSpec(kind="normal-steady", algorithm="gm")
-        assert point.stack == "gm"
-        assert point.key() == PointSpec(kind="normal-steady", stack="gm").key()
+    def test_undeclared_keywords_raise_instead_of_being_hashed(self):
+        # Neither a core field nor a param of the kind: the removed
+        # ``algorithm=`` alias, another kind's param, a typo.
+        for stray in ({"algorithm": "gm"}, {"crashed": ()}, {"churn_rate": 2.0}, {"sede": 3}):
+            with pytest.raises(ValueError, match="normal-steady points take no"):
+                PointSpec(kind="normal-steady", **stray)
+        with pytest.raises(ValueError, match=r"declares \['crashed'\]"):
+            PointSpec(kind="crash-steady", crashed=(2,), detection_time=5.0)
+
+    def test_kind_params_read_back_as_attributes(self):
+        point = PointSpec(kind="crash-steady", n=7, crashed=(5, 6))
+        assert point.crashed == (5, 6)
+        assert point.params.crashed == (5, 6)
+        with pytest.raises(AttributeError, match="churn_rate"):
+            point.churn_rate
+
+    def test_replace_accepts_core_fields_and_kind_params(self):
+        import dataclasses
+
+        point = PointSpec(kind="crash-steady", n=7, crashed=(5, 6))
+        clone = dataclasses.replace(point, seed=9, crashed=(6,))
+        assert (clone.seed, clone.crashed, clone.n) == (9, (6,), 7)
+        assert dataclasses.replace(point, instrument=True).params is point.params
+        assert clone.key() != point.key()
+
+    def test_points_pickle_with_their_key(self):
+        import pickle
+
+        point = PointSpec(kind="churn-steady", churn_rate=2.0, mean_downtime=50.0)
+        key = point.key()
+        clone = pickle.loads(pickle.dumps(point))
+        assert clone == point and clone.key() == key
 
     def test_slash_stack_normalises_into_both_fields(self):
         a = PointSpec(kind="churn-steady", stack="fd/heartbeat", churn_rate=1, mean_downtime=100)
@@ -78,13 +105,32 @@ class TestPointSpec:
     def test_as_dict_is_strict_json(self):
         import json
 
-        # The default infinite T_MR must not serialise as the non-standard
+        # An infinite value must not serialise as the non-standard
         # ``Infinity`` token (it would break external JSONL consumers).
-        point = PointSpec(kind="normal-steady", throughput=10.0, num_messages=50)
+        point = PointSpec(
+            kind="normal-steady",
+            throughput=10.0,
+            config_overrides=(("join_retry_interval", float("inf")),),
+        )
         text = json.dumps(point.as_dict())
         assert "Infinity" not in text
         json.loads(text, parse_constant=lambda token: pytest.fail(f"lenient {token}"))
-        assert point.as_dict()["mistake_recurrence_time"] == "inf"
+        assert point.as_dict()["config_overrides"]["join_retry_interval"] == "inf"
+
+    def test_as_dict_is_the_core_plus_the_kinds_own_params(self):
+        from repro.scenarios.registry import CORE_FIELDS
+
+        assert tuple(PointSpec(kind="normal-steady").as_dict()) == CORE_FIELDS
+        churn = PointSpec(kind="churn-steady", churn_rate=1, mean_downtime=100)
+        assert tuple(churn.as_dict()) == CORE_FIELDS + (
+            "churn_rate", "mean_downtime", "detection_time",
+        )
+        # Declared floats normalise, declared ints stay ints.
+        assert churn.as_dict()["churn_rate"] == 1.0
+        assert isinstance(churn.as_dict()["churn_rate"], float)
+        transient = PointSpec(kind="crash-transient", sender=2.0, num_runs=3)
+        assert transient.as_dict()["sender"] == 2
+        assert isinstance(transient.as_dict()["sender"], int)
 
     def test_config_override_values_are_normalised(self):
         a = PointSpec(kind="normal-steady", config_overrides=(("lambda_cpu", 2),))
@@ -179,10 +225,20 @@ class TestGrid:
         with pytest.raises(ValueError, match="conflicting"):
             grid("normal-steady", stacks=("fd/heartbeat",), fd_kinds=("qos",))
 
-    def test_deprecated_algorithms_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning):
-            campaign = grid("normal-steady", algorithms=("fd",), throughputs=(10.0,))
-        assert campaign.series[0].params["stack"] == "fd"
+    def test_axes_the_kind_does_not_declare_raise(self):
+        for stray in ({"algorithms": ("fd",)}, {"churn_rate": 2.0}, {"crashes": 1}):
+            with pytest.raises(ValueError, match="normal-steady has no axis"):
+                grid("normal-steady", throughputs=(10.0,), **stray)
+
+    def test_axes_default_as_on_the_command_line(self):
+        (point,) = grid("suspicion-steady", stacks=("fd",), throughputs=(10.0,)).points()
+        assert point.mistake_recurrence_time == 1000.0
+        (point,) = grid("churn-steady", stacks=("fd",), throughputs=(10.0,)).points()
+        assert (point.churn_rate, point.mean_downtime) == (1.0, 200.0)
+        (point,) = grid(
+            "crash-transient", stacks=("fd",), throughputs=(10.0,), sender=1, num_runs=3
+        ).points()
+        assert (point.sender, point.num_runs) == (1, 3)
 
     def test_crash_steady_respects_crash_bound(self):
         with pytest.raises(ValueError):
@@ -214,11 +270,6 @@ class TestFdKindGuards:
     def test_grid_conflicting_slash_stack_and_fd_kind_raises(self):
         with pytest.raises(ValueError, match="conflicting"):
             grid("normal-steady", stacks=("fd/heartbeat",), fd_kinds=("perfect",))
-
-    def test_alias_conflicting_with_explicit_stack_raises(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="conflicting"):
-                PointSpec(kind="normal-steady", stack="fd", algorithm="gm")
 
 
 class TestReformationAndHeartbeatDimensions:
@@ -358,11 +409,10 @@ class TestServiceLoadDimensions:
         assert base.key() not in keys
         assert len(keys) == len(variants)
         for point in [base] + variants:
-            for field in (
-                "clients", "think_time", "consistency",
-                "max_batch", "max_delay", "fd_scan_interval",
-            ):
+            for field in ("max_batch", "max_delay", "fd_scan_interval"):
                 assert field in point.as_dict()
+            for field in ("clients", "think_time", "consistency"):
+                assert (field in point.as_dict()) == (point.kind == "service-load")
 
     def test_knobs_reach_the_system_config(self):
         point = PointSpec(
@@ -423,18 +473,18 @@ class TestFaultInjectionDimensions:
         variants = [
             PointSpec(
                 kind="partition-transient", stack="gm", throughput=50.0,
-                fault_duration=500.0,
+                partition_duration=500.0,
             ),
             PointSpec(
                 kind="partition-transient", stack="gm", throughput=50.0,
-                crash_time=120.0,
+                partition_start=120.0,
             ),
             PointSpec(kind="wan-steady", stack="gm", throughput=50.0,
                       wan_profile="wan-3dc"),
             PointSpec(kind="wan-steady", stack="gm", throughput=50.0,
                       wan_profile="wan-5dc"),
             PointSpec(kind="gray-degradation", stack="gm", throughput=50.0,
-                      degrade_factor=4.0),
+                      degrade_factor=5.0),
             PointSpec(kind="gray-degradation", stack="gm", throughput=50.0,
                       link_loss=0.2),
         ]
@@ -445,18 +495,18 @@ class TestFaultInjectionDimensions:
     def test_round_trip_preserves_the_key(self):
         for point in (
             PointSpec(kind="partition-transient", stack="gm-reform",
-                      fault_duration=750.0, crash_time=200.0),
+                      partition_duration=750.0, partition_start=200.0),
             PointSpec(kind="wan-steady", stack="fd", wan_profile="wan-5dc"),
             PointSpec(kind="gray-degradation", stack="gm", degrade_factor=6.0,
-                      link_loss=0.1, crashed_process=1),
+                      link_loss=0.1, degraded_pid=1),
         ):
             clone = PointSpec.from_dict(point.as_dict())
             assert clone == point
             assert clone.key() == point.key()
 
     def test_wan_profile_must_name_a_registered_topology(self):
-        with pytest.raises(ValueError, match="wan_profile"):
-            PointSpec(kind="wan-steady", stack="gm")
+        # The driver's own default topology, no longer a required field.
+        assert PointSpec(kind="wan-steady", stack="gm").wan_profile == "wan-3dc"
         with pytest.raises(ValueError, match="unknown WAN profile"):
             PointSpec(kind="wan-steady", stack="gm", wan_profile="wan-nope")
 
@@ -469,55 +519,51 @@ class TestFaultInjectionDimensions:
             PointSpec(kind="gray-degradation", stack="gm", degrade_factor=0.5)
         with pytest.raises(ValueError, match="link_loss"):
             PointSpec(kind="gray-degradation", stack="gm", link_loss=1.0)
-        with pytest.raises(ValueError, match="fault_duration"):
-            PointSpec(kind="gray-degradation", stack="gm", fault_duration=-1.0)
-        # Zero means "the scenario default" for both knobs.
-        PointSpec(kind="gray-degradation", stack="gm")
+        with pytest.raises(ValueError, match="degrade_duration"):
+            PointSpec(kind="gray-degradation", stack="gm", degrade_duration=0.0)
+        with pytest.raises(ValueError, match="degraded_pid"):
+            PointSpec(kind="gray-degradation", stack="gm", degraded_pid=3)
+        # The params carry the driver's real defaults (no "0 = default").
+        gray = PointSpec(kind="gray-degradation", stack="gm")
+        assert (gray.degrade_factor, gray.degrade_duration) == (4.0, 2000.0)
+        assert PointSpec(kind="partition-transient").partition_duration == 2000.0
 
     def test_partition_transient_needs_three_processes(self):
         with pytest.raises(ValueError, match="n >= 3"):
             PointSpec(kind="partition-transient", stack="gm", n=2)
+        with pytest.raises(ValueError, match="partition_duration"):
+            PointSpec(kind="partition-transient", stack="gm", partition_duration=-1.0)
 
     def test_labels_mention_the_fault_axes(self):
         partition = PointSpec(
-            kind="partition-transient", stack="gm", fault_duration=500.0
+            kind="partition-transient", stack="gm", partition_duration=500.0
         )
         assert "window=500ms" in partition.label()
         wan = PointSpec(kind="wan-steady", stack="gm", wan_profile="wan-5dc")
         assert "profile=wan-5dc" in wan.label()
         gray = PointSpec(
-            kind="gray-degradation", stack="gm", crashed_process=2,
+            kind="gray-degradation", stack="gm", degraded_pid=2,
             degrade_factor=4.0, link_loss=0.2,
         )
         assert "slow=p2" in gray.label()
         assert "x4" in gray.label()
         assert "loss=0.2" in gray.label()
 
-    def test_grid_scopes_the_axes_by_kind(self):
-        for kind, expectations in (
-            (
-                "partition-transient",
-                {"fault_duration": 500.0, "wan_profile": "", "degrade_factor": 0.0},
-            ),
-            (
-                "wan-steady",
-                {"fault_duration": 0.0, "wan_profile": "wan-5dc", "link_loss": 0.0},
-            ),
-            (
-                "gray-degradation",
-                {"fault_duration": 500.0, "wan_profile": "", "degrade_factor": 4.0,
-                 "link_loss": 0.2},
-            ),
-        ):
-            campaign = grid(
-                kind,
-                stacks=("gm",),
-                throughputs=(50.0,),
-                fault_duration=500.0,
-                wan_profile="wan-5dc",
-                degrade_factor=4.0,
-                link_loss=0.2,
-            )
-            (point,) = campaign.points()
-            for field, expected in expectations.items():
-                assert getattr(point, field) == expected, (kind, field)
+    def test_grid_takes_each_kinds_own_axes(self):
+        (partition,) = grid(
+            "partition-transient", stacks=("gm",), throughputs=(50.0,),
+            partition_start=100.0, partition_duration=500.0, detection_time=10.0,
+        ).points()
+        assert partition.params == type(partition.params)(100.0, 500.0, 10.0)
+        (wan,) = grid(
+            "wan-steady", stacks=("gm",), throughputs=(50.0,), wan_profile="wan-5dc"
+        ).points()
+        assert wan.wan_profile == "wan-5dc"
+        (gray,) = grid(
+            "gray-degradation", stacks=("gm",), throughputs=(50.0,),
+            degraded_pid=1, degrade_factor=4.0, link_loss=0.2, degrade_duration=500.0,
+        ).points()
+        assert (gray.degraded_pid, gray.link_loss, gray.degrade_duration) == (1, 0.2, 500.0)
+        # An axis of another kind is rejected, not zeroed.
+        with pytest.raises(ValueError, match="wan-steady has no axis"):
+            grid("wan-steady", stacks=("gm",), throughputs=(50.0,), link_loss=0.2)

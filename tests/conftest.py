@@ -6,12 +6,26 @@ import random
 from typing import Dict, List, Sequence
 
 import pytest
+from hypothesis import settings
 
 from repro import BroadcastSystem, SystemConfig, build_system
 from repro.core.types import BroadcastID
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import RandomStreams
+
+
+# --------------------------------------------------------------------------- hypothesis
+
+# Tier-1 must be a function of the tree: the default profile derives every
+# example from the test itself and keeps no example database, so whatever
+# ``.hypothesis/examples`` holds cannot turn the run red or green.
+# The random search runs separately (``--hypothesis-profile explore``); what
+# it finds is committed as an ``@example``.  Registered before any test
+# module is imported, so per-test ``@settings(...)`` inherit the profile.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile("tier1")
 
 
 # --------------------------------------------------------------------------- helpers

@@ -1,6 +1,5 @@
 """Unit tests for the system builder and the stack-based configuration."""
 
-import warnings
 
 import pytest
 
@@ -64,45 +63,13 @@ class TestSystemConfig:
         assert SystemConfig(stack="fd/perfect") == SystemConfig(stack="fd", fd_kind="perfect")
 
 
-class TestDeprecatedAlgorithmAlias:
-    def test_algorithm_kwarg_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = SystemConfig(n=3, algorithm="gm")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert config.stack == "gm"
-
-    def test_replacing_an_aliased_config_does_not_rewarn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = SystemConfig(n=3, algorithm="gm")
-            config.with_seed(5)
-            build_system(config, seed=9)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-
-    def test_algorithm_property_reads_back_the_stack(self):
-        assert SystemConfig(stack="gm-nonuniform").algorithm == "gm-nonuniform"
-
-    def test_conflicting_stack_and_algorithm_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="conflicting"):
-                SystemConfig(stack="fd", algorithm="gm")
-
-    def test_unknown_algorithm_still_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="unknown stack"):
-                SystemConfig(algorithm="paxos")
-
-    def test_build_system_algorithm_override_maps_to_stack(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            system = build_system(SystemConfig(n=3), algorithm="gm")
-        assert system.config.stack == "gm"
-        assert any(w.category is DeprecationWarning for w in caught)
+class TestRemovedAlgorithmAlias:
+    def test_algorithm_keyword_and_property_are_gone(self):
+        with pytest.raises(TypeError, match="algorithm"):
+            SystemConfig(n=3, algorithm="gm")
+        with pytest.raises(TypeError, match="algorithm"):
+            build_system(SystemConfig(n=3), algorithm="gm")
+        assert not hasattr(SystemConfig(), "algorithm")
 
 
 class TestBuildSystem:

@@ -171,21 +171,6 @@ class TestGoldenSteady:
             GOLDEN_STEADY[("suspicion-steady", "gm")][4]
         )
 
-    def test_deprecated_algorithm_alias_reproduces_stack_results(self, algorithm):
-        import warnings
-
-        via_stack = run_normal_steady(
-            SystemConfig(n=3, stack=algorithm, seed=31), throughput=100, num_messages=60
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_alias = run_normal_steady(
-                SystemConfig(n=3, algorithm=algorithm, seed=31),
-                throughput=100,
-                num_messages=60,
-            )
-        assert observed(via_stack) == observed(via_alias)
-
 
 class TestGoldenTransient:
     def test_crash_transient_matches_seed_driver(self, algorithm):

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from repro import SystemConfig
 from repro.campaigns.runner import CampaignRunner, execute_point
 from repro.campaigns.spec import PointSpec, grid
@@ -158,13 +160,10 @@ class TestCampaignIntegration:
         (point,) = campaign.points()
         assert point.clients == 4
         assert point.consistency == "local"
-        steady = grid(
-            "normal-steady", stacks=("fd",), throughputs=(50.0,), clients=4,
-            think_time=10.0, consistency="local",
-        )
-        (steady_point,) = steady.points()
-        assert steady_point.clients == 0
-        assert steady_point.consistency == "ordered"
+        # The population axes belong to service-load alone: another kind's
+        # grid rejects them instead of silently zeroing them.
+        with pytest.raises(ValueError, match="no axis"):
+            grid("normal-steady", stacks=("fd",), throughputs=(50.0,), clients=4)
 
     def test_batching_dimension_is_unscoped(self):
         campaign = grid(
