@@ -24,6 +24,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.reliable_broadcast import ReliableBroadcast
+from repro.obs.instrumentation import NULL
 from repro.sim.process import Component, SimProcess
 
 DecisionListener = Callable[[Hashable, Any], None]
@@ -134,9 +135,10 @@ class ConsensusInstance:
                 return
             self.round = round_number
             self.rounds_executed += 1
-            self.service._obs.consensus_round(
-                self.service.now, self.pid, self.cid, round_number
-            )
+            if self.service._obs is not NULL:
+                self.service._obs.consensus_round(
+                    self.service.now, self.pid, self.cid, round_number
+                )
             coordinator = self.coordinator_of(round_number)
             self._round_coordinator = coordinator
 
@@ -564,7 +566,8 @@ class ConsensusService(Component):
             return self._instances[cid]
         instance = ConsensusInstance(self, cid, value, participants, coordinator_order)
         self._instances[cid] = instance
-        self._obs.consensus_started(self.now, self.pid, cid)
+        if self._obs is not NULL:
+            self._obs.consensus_started(self.now, self.pid, cid)
         if cid in self._decisions:
             instance.mark_decided(self._decisions[cid])
             return instance
@@ -642,7 +645,8 @@ class ConsensusService(Component):
         if cid in self._decisions:
             return
         self._decisions[cid] = value
-        self._obs.consensus_decided(self.now, self.pid, cid)
+        if self._obs is not NULL:
+            self._obs.consensus_decided(self.now, self.pid, cid)
         self._undecided.pop(cid, None)
         instance = self._instances.get(cid)
         if instance is not None:

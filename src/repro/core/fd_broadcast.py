@@ -34,6 +34,7 @@ from typing import Any, Dict, Hashable, Set, Tuple
 from repro.core.consensus import ConsensusService
 from repro.core.reliable_broadcast import ReliableBroadcast
 from repro.core.types import AtomicBroadcast, BroadcastID
+from repro.obs.instrumentation import NULL
 from repro.sim.process import SimProcess
 
 _DATA_TAG = "AB_DATA"
@@ -281,7 +282,8 @@ class FDAtomicBroadcast(AtomicBroadcast):
                 return
             proposal_ids = tuple(sorted(fresh))
             proposal = (self.pid, proposal_ids)
-            self._obs.observe("abcast.proposal_size", len(proposal_ids))
+            if self._obs is not NULL:
+                self._obs.observe("abcast.proposal_size", len(proposal_ids))
             self._highest_proposed = k
             self._inflight_proposals[k] = fresh
             self._claimed |= fresh
@@ -322,10 +324,11 @@ class FDAtomicBroadcast(AtomicBroadcast):
         proposer, broadcast_ids = value
         self._decisions[k] = (proposer, tuple(broadcast_ids))
         self._ordered.update(broadcast_ids)
-        for broadcast_id in broadcast_ids:
+        if self._obs is not NULL:
             # The decision fixes the message's place in the total order; the
             # instrumentation keeps only the earliest report per message.
-            self._obs.abcast_sequenced(self.now, self.pid, broadcast_id)
+            for broadcast_id in broadcast_ids:
+                self._obs.abcast_sequenced(self.now, self.pid, broadcast_id)
         self._pending.difference_update(broadcast_ids)
         self._claimed.difference_update(self._inflight_proposals.pop(k, ()))
         while self._last_decided + 1 in self._decisions:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, NamedTuple, Tuple
 
+from repro.obs.instrumentation import NULL
 from repro.sim.process import Component, SimProcess
 
 
@@ -85,8 +86,10 @@ class AtomicBroadcast(Component):
         self._delivered_ids: set = set()
         #: Local delivery log, in delivery order: list of (BroadcastID, payload).
         self.delivered: List[Tuple[BroadcastID, Any]] = []
-        self._delivery_listeners: List[DeliveryListener] = []
-        self._broadcast_listeners: List[BroadcastListener] = []
+        # Copy-on-write tuples: subscribing rebinds, so the per-delivery loop
+        # iterates whatever was subscribed when it started, without a copy.
+        self._delivery_listeners: Tuple[DeliveryListener, ...] = ()
+        self._broadcast_listeners: Tuple[BroadcastListener, ...] = ()
 
     # ------------------------------------------------------------------ API
 
@@ -96,11 +99,11 @@ class AtomicBroadcast(Component):
 
     def add_delivery_listener(self, listener: DeliveryListener) -> None:
         """Subscribe to local A-deliveries: ``listener(broadcast_id, payload)``."""
-        self._delivery_listeners.append(listener)
+        self._delivery_listeners += (listener,)
 
     def add_broadcast_listener(self, listener: BroadcastListener) -> None:
         """Subscribe to local A-broadcasts: ``listener(broadcast_id, payload)``."""
-        self._broadcast_listeners.append(listener)
+        self._broadcast_listeners += (listener,)
 
     def delivered_ids(self) -> List[BroadcastID]:
         """Identifiers delivered so far, in delivery order."""
@@ -122,8 +125,9 @@ class AtomicBroadcast(Component):
         return BroadcastID(self.pid, self._local_seq)
 
     def _notify_broadcast(self, broadcast_id: BroadcastID, payload: Any) -> None:
-        self._obs.abcast_broadcast(self.now, self.pid, broadcast_id, payload)
-        for listener in list(self._broadcast_listeners):
+        if self._obs is not NULL:
+            self._obs.abcast_broadcast(self.now, self.pid, broadcast_id, payload)
+        for listener in self._broadcast_listeners:
             listener(broadcast_id, payload)
 
     def _deliver(self, broadcast_id: BroadcastID, payload: Any) -> bool:
@@ -137,7 +141,8 @@ class AtomicBroadcast(Component):
             return False
         self._delivered_ids.add(broadcast_id)
         self.delivered.append((broadcast_id, payload))
-        self._obs.abcast_deliver(self.now, self.pid, broadcast_id, payload)
-        for listener in list(self._delivery_listeners):
+        if self._obs is not NULL:
+            self._obs.abcast_deliver(self.now, self.pid, broadcast_id, payload)
+        for listener in self._delivery_listeners:
             listener(broadcast_id, payload)
         return True

@@ -251,7 +251,7 @@ class CrashDetectionFabric:
             if delay == 0.0:
                 detector._set_suspected(monitored, True)
             else:
-                self._sim.schedule(delay, detector._set_suspected, monitored, True)
+                self._sim.post(delay, detector._set_suspected, monitored, True)
 
     def suspect_during(
         self,
@@ -276,7 +276,7 @@ class CrashDetectionFabric:
         for monitor in pids:
             if monitor == target:
                 continue
-            self._sim.schedule_at(start, self._forced_begins, monitor, target, duration)
+            self._sim.post_at(start, self._forced_begins, monitor, target, duration)
 
     def _forced_begins(self, monitor: int, target: int, duration: float) -> None:
         if target in self._crashed or monitor in self._crashed:
@@ -288,7 +288,7 @@ class CrashDetectionFabric:
         if duration <= 0:
             detector._set_suspected(target, False)
         else:
-            self._sim.schedule(duration, self._forced_ends, monitor, target)
+            self._sim.post(duration, self._forced_ends, monitor, target)
 
     def _forced_ends(self, monitor: int, monitored: int) -> None:
         if monitored in self._crashed:

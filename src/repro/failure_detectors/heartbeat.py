@@ -205,7 +205,7 @@ class HeartbeatFailureDetectorFabric:
             if delay == 0.0:
                 detector.force_suspect_until(monitored, INFINITY)
             else:
-                self._sim.schedule(delay, detector.force_suspect_until, monitored, INFINITY)
+                self._sim.post(delay, detector.force_suspect_until, monitored, INFINITY)
 
     def suspect_during(
         self,
@@ -227,7 +227,7 @@ class HeartbeatFailureDetectorFabric:
         for monitor in pids:
             if monitor == target:
                 continue
-            self._sim.schedule_at(start, self._forced_begins, monitor, target, duration)
+            self._sim.post_at(start, self._forced_begins, monitor, target, duration)
 
     def _forced_begins(self, monitor: int, target: int, duration: float) -> None:
         if self._network.is_crashed(monitor) or self._network.is_crashed(target):
@@ -240,4 +240,4 @@ class HeartbeatFailureDetectorFabric:
             detector.lift_forced_suspicion(target)
             return
         detector.force_suspect_until(target, self._sim.now + duration)
-        self._sim.schedule(duration, detector.lift_forced_suspicion, target)
+        self._sim.post(duration, detector.lift_forced_suspicion, target)

@@ -175,7 +175,7 @@ class OpenLoopClients(_ClientPopulation):
             else:
                 time += self._rng.uniform(0.0, 2.0 * mean)
             client = self._rng.randrange(self.num_clients)
-            self.system.sim.schedule_at(time, self._emit, client)
+            self.system.sim.post_at(time, self._emit, client)
         return time
 
     def _emit(self, client: int) -> None:
@@ -224,7 +224,7 @@ class ClosedLoopClients(_ClientPopulation):
         self._total = total_requests
         for client in range(self.num_clients):
             offset = self._think_delay() if self.think_time > 0 else 0.0
-            self.system.sim.schedule_at(
+            self.system.sim.post_at(
                 self.system.sim.now + offset, self._submit_next, client
             )
 
@@ -250,7 +250,7 @@ class ClosedLoopClients(_ClientPopulation):
         # request completes synchronously inside submit(), and re-submitting
         # inline would recurse one stack frame per shed request.
         delay = self._think_delay()
-        self.system.sim.schedule_at(self.system.sim.now + delay, self._submit_next, client)
+        self.system.sim.post_at(self.system.sim.now + delay, self._submit_next, client)
 
 
 __all__ = ["ARRIVALS", "ClosedLoopClients", "CommandMix", "OpenLoopClients"]

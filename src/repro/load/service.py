@@ -192,7 +192,7 @@ class LoadTestedService:
         on_complete: Optional[Callable[[ServiceRequest], None]] = None,
     ) -> None:
         """Schedule a submission at an absolute simulation time."""
-        self.system.sim.schedule_at(time, self.submit, sender, command, on_complete)
+        self.system.sim.post_at(time, self.submit, sender, command, on_complete)
 
     # ------------------------------------------------------------------ internals
 

@@ -17,12 +17,26 @@ one (pinned by the golden-neutrality tests).
 
 **The off path.**  When instrumentation is off, protocol layers hold the
 module singleton :data:`NULL` -- a :class:`NullInstrumentation` whose hook
-methods have empty bodies -- so their hot path pays one attribute lookup and
-one no-op call.  The two innermost loops (the simulator's event loop and
-``Network.send``) avoid even that: they keep ``None`` and branch, and the
-simulator selects a hook-free run loop up front.  A benchmark gate
-(``benchmarks/bench_instrumentation.py``) holds the off path within 2 % of
-the pre-instrumentation kernel.
+methods have empty bodies.  A call into it is cheap; *evaluating its
+arguments* (``self.now, self.pid, ...``) once per message is not, so the
+per-message and per-ordering-round hook sites test identity first::
+
+    if self._obs is not NULL:
+        self._obs.abcast_deliver(self.now, self.pid, broadcast_id, payload)
+
+That covers ``abcast_broadcast`` / ``abcast_deliver`` (``core/types.py``),
+the three ``abcast_sequenced`` sites, ``consensus_started`` /
+``consensus_round`` / ``consensus_decided`` and the two ``observe`` calls on
+proposal and batch sizes: with tracing off they cost one attribute load and
+one pointer comparison.  The two innermost loops (the simulator's event loop
+and the network's send / delivery) keep ``None`` instead and branch on it,
+and the simulator selects a hook-free run loop up front.  What still calls
+through :data:`NULL` unconditionally are the sites that fire a few times per
+run or per batch -- ``view_change``, ``view_installed``,
+``reformation_proposed``, ``service_batch`` -- where a guard would buy
+nothing; a hook added on a per-message path must take the guard.
+``tests/sim/test_call_budget.py`` holds the off path to a committed number
+of Python calls per simulated event.
 """
 
 from __future__ import annotations
@@ -34,10 +48,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 class NullInstrumentation:
     """The disabled instrumentation: every hook is an empty method.
 
-    Protocol layers call hooks unconditionally on whatever object they hold;
-    holding this singleton makes the whole subsystem one no-op call per hook
-    site.  It deliberately implements *only* the hook points -- subscribing
-    or snapshotting a disabled instrumentation is a bug, so those raise.
+    Protocol layers may call hooks on whatever object they hold; holding
+    this singleton makes a hook site at most one no-op call (per-message
+    sites skip even that, see the module docstring).  It deliberately
+    implements *only* the hook points -- subscribing or snapshotting a
+    disabled instrumentation is a bug, so those raise.
     """
 
     #: Discriminator the simulator/network use to refuse a disabled object.

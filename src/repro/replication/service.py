@@ -96,7 +96,7 @@ class ReplicatedService:
 
     def submit_at(self, time: float, sender: int, command: Command) -> None:
         """Schedule a command submission at an absolute simulation time."""
-        self.system.sim.schedule_at(time, self.submit, sender, command)
+        self.system.sim.post_at(time, self.submit, sender, command)
 
     def read_local(self, pid: int, command: Command) -> Any:
         """Serve a read from replica ``pid``'s local state, bypassing broadcast.

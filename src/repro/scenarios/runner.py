@@ -281,7 +281,7 @@ class ScenarioRunner:
         # the fault fires before the probe is A-broadcast -- the paper's
         # "p crashes and q A-broadcasts m at the same time t".
         spec.faults.schedule(system)
-        system.sim.schedule_at(spec.probe_time, emit_probe)
+        system.sim.post_at(spec.probe_time, emit_probe)
         system.run(until=horizon, max_events=spec.max_events)
 
         tagged_id = tagged.get("id")

@@ -6,20 +6,38 @@ which makes every run fully deterministic for a given seed.  Simulation time
 is a ``float``; by convention one unit is the network transmission time of a
 single message (interpreted as 1 ms in the paper's plots).
 
+Entry layout.  The heap holds ``(time, seq, callback, args, handle)`` tuples.
+``(time, seq)`` is unique, so heap comparisons run entirely in C on the two
+leading numbers and never reach the rest.  ``handle`` is the
+:class:`EventHandle` the caller may cancel, or ``None`` for an event nobody
+can cancel: the run loop unpacks the entry, calls ``callback(*args)`` and
+looks at the handle only when there is one.
+
+The one rule.  **``post*`` when you drop the handle, ``schedule*`` when you
+keep it.**  :meth:`Simulator.post` / :meth:`Simulator.post_at` are
+:meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` minus the handle:
+same past-time check, same ``seq`` draw, same position in the total order,
+no allocation beyond the heap entry.  Most events of a run (resource
+completions, local deliveries, pre-scheduled arrivals, fault injections) are
+never cancelled; only timers and the failure detector fabrics keep what
+``schedule*`` returns (a structural test holds ``src/`` to the rule).
+
 Hot-path notes.  The run loop keeps the queue and the heap primitives in
-locals, cancelled events are *counted* so the heap can be compacted in place
-when more than half of it is dead weight (timer-heavy failure detector
-workloads cancel constantly and would otherwise carry every dead timer until
-its time came), and the instrumented loop is kept as a separate method so the
-instrumentation-off path never branches per event.  None of this changes
-which events execute or in which order: ``events_processed`` and every
-delivered sequence stay bit-identical to the pre-optimisation kernel (pinned
-by the golden tests and the kernel-equivalence property suite).
+locals, ``now`` is a plain slot only this module writes (every component
+reads it once or more per message), cancelled events are *counted* so the
+heap can be compacted in place when more than half of it is dead weight
+(timer-heavy failure detector workloads cancel constantly and would otherwise
+carry every dead timer until its time came), and the instrumented loop is
+kept as a separate method so the instrumentation-off path never branches per
+event.  None of this changes which events execute or in which order:
+``events_processed`` and every delivered sequence stay bit-identical to the
+pre-optimisation kernel (pinned by the golden tests and the
+kernel-equivalence property suite).
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional
 
 #: Compaction threshold: never compact below this many cancelled events (the
@@ -34,10 +52,9 @@ class SimulationError(RuntimeError):
 class EventHandle:
     """Handle of a scheduled event, usable for cancellation.
 
-    The kernel's heap stores ``(time, seq, handle)`` tuples, so heap
-    comparisons run entirely in C on the leading floats and never reach the
-    handle (``(time, seq)`` is unique).  Handles still order themselves by
-    ``(time, seq)`` for callers that sort them directly.
+    Returned by :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`
+    and carried as the last field of the event's heap entry.  Handles order
+    themselves by ``(time, seq)`` for callers that sort them directly.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_cancel_box")
@@ -48,8 +65,10 @@ class EventHandle:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        #: Owning simulator's cancelled-event counter cell (``None`` for
-        #: handles created outside a simulator, e.g. in unit tests).
+        #: Owning simulator's cancelled-event counter cell while the event
+        #: is on the heap; ``None`` once the run loop popped it (and for
+        #: handles created outside a simulator, e.g. in unit tests), so
+        #: cancelling an event that already ran counts nothing.
         self._cancel_box = None
 
     def cancel(self) -> None:
@@ -74,12 +93,17 @@ class Simulator:
     Typical usage::
 
         sim = Simulator()
-        sim.schedule(1.5, callback, arg1, arg2)
+        sim.post(1.5, callback, arg1, arg2)             # fire and forget
+        timeout = sim.schedule(20.0, on_timeout)        # ... or keep the handle
+        timeout.cancel()
         sim.run(until=1000.0)
+
+    ``now`` is the current simulation time: a plain attribute, read by
+    everything and written by the kernel alone.
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_queue",
         "_seq",
         "_running",
@@ -91,8 +115,8 @@ class Simulator:
     )
 
     def __init__(self) -> None:
-        self._now: float = 0.0
-        self._queue: List[EventHandle] = []
+        self.now: float = 0.0
+        self._queue: List[tuple] = []
         self._seq: int = 0
         self._running: bool = False
         self._stopped: bool = False
@@ -101,15 +125,10 @@ class Simulator:
         #: Instrumentation, or ``None`` for the hook-free fast run loop.
         self._obs = None
         #: Shared one-cell counter of cancelled events still on the heap.
-        #: Handles hold a reference so ``cancel()`` stays O(1) and allocation
-        #: free; the scheduler compacts the heap when the cell outgrows half
-        #: the queue.
+        #: Handles hold a reference while they are queued so ``cancel()``
+        #: stays O(1) and allocation free; the scheduler compacts the heap
+        #: when the cell outgrows half the queue.
         self._cancel_box: List[int] = [0]
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -147,42 +166,78 @@ class Simulator:
         """Cancelled events still occupying the queue (compaction trigger)."""
         return self._cancel_box[0]
 
+    # The four entry points share one body, written out four times: they are
+    # the hottest calls of a run and a shared helper would cost every event a
+    # second frame.  The guards are phrased ``not x >= y`` so that a NaN time
+    # is rejected by the same single comparison that rejects the past.
+
+    def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback(*args)`` ``delay`` time units from now, uncancellably.
+
+        :meth:`schedule` without the :class:`EventHandle`: the event takes
+        the same place in the total order and costs one heap entry.
+        """
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
+        seq = self._seq
+        self._seq = seq + 1
+        queue = self._queue
+        heappush(queue, (self.now + delay, seq, callback, args, None))
+        cancelled = self._cancel_box[0]
+        if cancelled >= _COMPACT_MIN and cancelled * 2 > len(queue):
+            self._compact()
+
+    def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback(*args)`` at absolute simulation ``time``, uncancellably."""
+        if not time >= self.now:
+            raise SimulationError(
+                f"cannot schedule an event in the past (time={time}, now={self.now})"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        queue = self._queue
+        heappush(queue, (time, seq, callback, args, None))
+        cancelled = self._cancel_box[0]
+        if cancelled >= _COMPACT_MIN and cancelled * 2 > len(queue):
+            self._compact()
+
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` time units from now.
 
-        This is the hottest scheduling entry point (every timer, resource
-        completion and pipeline hop goes through it), so it inlines
-        :meth:`schedule_at` instead of delegating -- ``delay >= 0`` already
-        guarantees the event is not in the past.
+        Returns the handle that cancels the event; a caller that would drop
+        it uses :meth:`post` instead.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(time, seq, callback, args)
-        box = self._cancel_box
-        handle._cancel_box = box
+        box = handle._cancel_box = self._cancel_box
         queue = self._queue
-        heapq.heappush(queue, (time, seq, handle))
+        heappush(queue, (time, seq, callback, args, handle))
         cancelled = box[0]
         if cancelled >= _COMPACT_MIN and cancelled * 2 > len(queue):
             self._compact()
         return handle
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` to run at absolute simulation ``time``."""
-        if time < self._now:
+        """Schedule ``callback(*args)`` to run at absolute simulation ``time``.
+
+        Returns the handle that cancels the event; a caller that would drop
+        it uses :meth:`post_at` instead.
+        """
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule an event in the past (time={time}, now={self._now})"
+                f"cannot schedule an event in the past (time={time}, now={self.now})"
             )
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(time, seq, callback, args)
-        handle._cancel_box = self._cancel_box
+        box = handle._cancel_box = self._cancel_box
         queue = self._queue
-        heapq.heappush(queue, (time, seq, handle))
-        cancelled = self._cancel_box[0]
+        heappush(queue, (time, seq, callback, args, handle))
+        cancelled = box[0]
         if cancelled >= _COMPACT_MIN and cancelled * 2 > len(queue):
             self._compact()
         return handle
@@ -196,8 +251,8 @@ class Simulator:
         simulation -- it only shrinks :attr:`pending_events`.
         """
         queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[2].cancelled]
-        heapq.heapify(queue)
+        queue[:] = [entry for entry in queue if entry[4] is None or not entry[4].cancelled]
+        heapify(queue)
         self._cancel_box[0] = 0
 
     def stop(self) -> None:
@@ -222,7 +277,7 @@ class Simulator:
                 self._run_instrumented(until, max_events)
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> None:
         """The hook-free event loop (instrumentation off: the hot path).
@@ -231,10 +286,12 @@ class Simulator:
         cancellation, stop), with the queue, the heap pop and the budget
         hoisted out of the loop; the event count is folded back into
         ``_processed`` on exit (exceptions included) so external observers
-        see the same counter the per-iteration increment produced.
+        see the same counter the per-iteration increment produced.  A popped
+        handle is detached from the cancelled-event cell: it is no longer on
+        the heap, so a later ``cancel()`` must not count it.
         """
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         box = self._cancel_box
         budget = max_events if max_events is not None else float("inf")
         executed = 0
@@ -243,20 +300,21 @@ class Simulator:
                 if executed >= budget:
                     self._exhausted = True
                     break
-                head_time = queue[0][0]
-                if until is not None and head_time > until:
-                    self._now = until
+                if until is not None and queue[0][0] > until:
+                    self.now = until
                     break
-                head = pop(queue)[2]
-                if head.cancelled:
-                    box[0] -= 1
-                    continue
-                self._now = head_time
-                head.callback(*head.args)
+                time, _seq, callback, args, handle = pop(queue)
+                if handle is not None:
+                    if handle.cancelled:
+                        box[0] -= 1
+                        continue
+                    handle._cancel_box = None
+                self.now = time
+                callback(*args)
                 executed += 1
             else:
-                if until is not None and not queue and self._now < until:
-                    self._now = until
+                if until is not None and not queue and self.now < until:
+                    self.now = until
         finally:
             self._processed += executed
 
@@ -271,7 +329,7 @@ class Simulator:
         """
         obs = self._obs
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         box = self._cancel_box
         budget = max_events if max_events is not None else float("inf")
         executed = 0
@@ -281,21 +339,22 @@ class Simulator:
                 if executed >= budget:
                     self._exhausted = True
                     break
-                head_time = queue[0][0]
-                if until is not None and head_time > until:
-                    self._now = until
+                if until is not None and queue[0][0] > until:
+                    self.now = until
                     break
-                head = pop(queue)[2]
-                if head.cancelled:
-                    box[0] -= 1
-                    continue
-                self._now = head_time
-                head.callback(*head.args)
+                time, _seq, callback, args, handle = pop(queue)
+                if handle is not None:
+                    if handle.cancelled:
+                        box[0] -= 1
+                        continue
+                    handle._cancel_box = None
+                self.now = time
+                callback(*args)
                 executed += 1
-                obs.sim_event(head_time, _callback_category(head.callback))
+                obs.sim_event(time, _callback_category(callback))
             else:
-                if until is not None and not queue and self._now < until:
-                    self._now = until
+                if until is not None and not queue and self.now < until:
+                    self.now = until
         finally:
             self._processed += executed
 
@@ -307,13 +366,15 @@ class Simulator:
         """Clear all state so the simulator can be reused from time zero."""
         if self._running:
             raise SimulationError("cannot reset a running simulator")
-        self._now = 0.0
+        self.now = 0.0
         self._queue.clear()
         self._seq = 0
         self._processed = 0
         self._stopped = False
         self._exhausted = False
-        self._cancel_box[0] = 0
+        # A fresh cell, not a zeroed one: handles of the events just dropped
+        # still point at the old cell and must not count against this one.
+        self._cancel_box = [0]
 
 
 def _callback_category(callback: Callable[..., Any]) -> str:

@@ -391,25 +391,33 @@ class Network:
 
         stats = self.stats
         stats.messages_sent += 1
-        remote = message.remote_destinations()
+        remote = message._remote  # the slot behind remote_destinations()
         if len(remote) > 1:
             stats.multicasts_sent += 1
-        elif len(remote) == 1:
+        elif remote:
             stats.unicasts_sent += 1
 
         if sender in destinations:
             # Local delivery bypasses the resources but still goes through the
             # event queue so that callers never see re-entrant callbacks.
-            self._sim.schedule(0.0, self._deliver_local, sender, message)
+            self._sim.post(0.0, self._deliver_local, sender, message)
 
         if remote:
             self._cpus[sender].submit(self._lambda_cpu, self._emitted, message)
 
     def _deliver_local(self, pid: int, message: Message) -> None:
+        # Same body as ``_received``, kept as a method of its own: the event
+        # loop profile buckets events by the callback's qualified name.
         if pid in self._crashed:
             self.stats.dropped_receiver_crashed += 1
             return
-        self._deliver(pid, message)
+        callback = self._deliver_callbacks[pid]
+        if callback is None:
+            raise RuntimeError(f"no process attached for destination {pid}")
+        self.stats.deliveries += 1
+        if self._obs is not None:
+            self._obs.message_deliver(self._sim.now, pid, message)
+        callback(pid, message)
 
     def _emitted(self, message: Message) -> None:
         # The sending CPU finished the emission processing; the message now
@@ -423,7 +431,7 @@ class Network:
         cpus = self._cpus
         lambda_cpu = self._lambda_cpu
         received = self._received
-        for dest in message.remote_destinations():
+        for dest in message._remote:
             cpus[dest].submit(lambda_cpu, received, dest, message)
 
     def _transmitted_faulted(self, message: Message) -> None:
@@ -437,7 +445,7 @@ class Network:
         gray = self._gray_links
         wan = self._wan_delays
         stats = self.stats
-        for dest in message.remote_destinations():
+        for dest in message._remote:
             if unreachable is not None and (sender, dest) in unreachable:
                 # The frame crossed the medium but the link is cut: it never
                 # loads the receiving CPU.
@@ -457,7 +465,7 @@ class Network:
             delay = wan[sender][dest] if wan is not None else 0.0
             for _copy in range(copies):
                 if delay > 0.0:
-                    self._sim.schedule(delay, self._wan_arrived, dest, message)
+                    self._sim.post(delay, self._wan_arrived, dest, message)
                 else:
                     self._cpus[dest].submit(
                         self._lambda_cpu, self._received, dest, message
@@ -473,9 +481,6 @@ class Network:
             # The CPU processed the frame but the crashed process never sees it.
             self.stats.dropped_receiver_crashed += 1
             return
-        self._deliver(dest, message)
-
-    def _deliver(self, dest: int, message: Message) -> None:
         callback = self._deliver_callbacks[dest]
         if callback is None:
             raise RuntimeError(f"no process attached for destination {dest}")

@@ -12,12 +12,17 @@ messages are discarded and outgoing sends are dropped by the network
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.obs.instrumentation import NULL
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.messages import Message
 from repro.sim.network import Network
+
+
+#: Destination sets a process remembers before it starts over (views change,
+#: so the sets a long churn run multicasts to are not bounded by ``n``).
+_REMOTE_CACHE_LIMIT = 64
 
 
 class Component:
@@ -34,28 +39,23 @@ class Component:
         if not self.protocol:
             raise ValueError(f"{type(self).__name__} must define a protocol name")
         self.process = process
-        #: Instrumentation hook sink; :data:`repro.obs.NULL` (one no-op call
-        #: per hook site) until the system enables instrumentation, which
-        #: rewires every component in place.
+        #: Process id of the hosting process and the simulation kernel: fixed
+        #: for the life of the component, read on every message.
+        self.pid: int = process.pid
+        self.sim: Simulator = process.sim
+        #: Instrumentation hook sink; :data:`repro.obs.NULL` until the system
+        #: enables instrumentation, which rewires every component in place.
+        #: Per-message hook sites test ``self._obs is not NULL`` before they
+        #: evaluate the hook's arguments.
         self._obs = process.obs
         process.register_component(self.protocol, self)
 
     # -- convenience accessors -------------------------------------------------
 
     @property
-    def pid(self) -> int:
-        """Process id of the hosting process."""
-        return self.process.pid
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulation kernel."""
-        return self.process.sim
-
-    @property
     def now(self) -> float:
         """Current simulation time."""
-        return self.process.sim.now
+        return self.sim.now
 
     # -- messaging ---------------------------------------------------------------
 
@@ -102,6 +102,9 @@ class SimProcess:
         # once the list doubles past this mark (long steady runs would
         # otherwise keep one dead handle per timer ever set).
         self._timer_prune_at = 128
+        # destinations -> destinations without this process, for ``send``:
+        # a component multicasts to the same handful of groups all run long.
+        self._remote_of: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         #: Failure detector attached to this process (set by the system builder).
         self.failure_detector = None
         #: Instrumentation components inherit at construction (NULL = off).
@@ -139,22 +142,31 @@ class SimProcess:
         """Send ``body`` to ``destinations``; dropped if this process crashed."""
         if self._crashed:
             return
-        message = Message(
-            sender=self.pid,
-            destinations=tuple(destinations),
-            protocol=protocol,
-            body=body,
-        )
-        self.network.send(message)
+        destinations = tuple(destinations)
+        try:
+            remote = self._remote_of[destinations]
+        except KeyError:
+            remote = self._remember_remote(destinations)
+        self.network.send(Message(self.pid, destinations, protocol, body, None, remote))
+
+    def _remember_remote(self, destinations: Tuple[int, ...]) -> Tuple[int, ...]:
+        """First send to ``destinations``: derive and keep the remote tuple."""
+        cache = self._remote_of
+        if len(cache) >= _REMOTE_CACHE_LIMIT:
+            cache.clear()
+        pid = self.pid
+        remote = cache[destinations] = tuple(d for d in destinations if d != pid)
+        return remote
 
     def _on_network_delivery(self, pid: int, message: Message) -> None:
         if self._crashed:
             return
-        component = self._components.get(message.protocol)
-        if component is None:
+        try:
+            component = self._components[message.protocol]
+        except KeyError:
             raise RuntimeError(
                 f"process {self.pid} has no component for protocol {message.protocol!r}"
-            )
+            ) from None
         component.on_message(message.sender, message.body)
 
     # ------------------------------------------------------------------ timers

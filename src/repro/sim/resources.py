@@ -8,7 +8,7 @@ resource.  A message that finds the resource busy waits in a FIFO queue.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Tuple
 
 from repro.sim.engine import Simulator
 
@@ -30,7 +30,6 @@ class FIFOResource:
         "_queue",
         "_jobs_served",
         "_busy_time",
-        "_current_job_end",
         "_rate_factor",
     )
 
@@ -41,7 +40,6 @@ class FIFOResource:
         self._queue: Deque[Tuple[float, Callable[..., Any], tuple]] = deque()
         self._jobs_served = 0
         self._busy_time = 0.0
-        self._current_job_end: Optional[float] = None
         self._rate_factor = 1.0
 
     @property
@@ -94,34 +92,32 @@ class FIFOResource:
         A ``service_time`` of zero is served immediately when the resource is
         idle (and still respects FIFO order when it is not).
         """
-        if service_time < 0:
+        if not service_time >= 0:  # also rejects NaN
             raise ValueError(f"service time must be non-negative, got {service_time}")
         if self._rate_factor != 1.0:  # gray-degraded: off path stays branch-only
             service_time = service_time * self._rate_factor
+        # A job is one tuple from here on: queued, handed to the kernel and
+        # unpacked by ``_finish`` without being taken apart in between.
+        job = (service_time, on_done, args)
         if self._busy:
-            self._queue.append((service_time, on_done, args))
+            self._queue.append(job)
         else:
             # Start inlined: every message pays this path three times (emit,
             # transmit, receive), so the extra call frame is measurable.
-            sim = self._sim
             self._busy = True
-            self._current_job_end = sim.now + service_time
-            sim.schedule(service_time, self._finish, service_time, on_done, args)
+            self._sim.post(service_time, self._finish, job)
 
-    def _finish(
-        self, service_time: float, on_done: Callable[..., Any], args: tuple
-    ) -> None:
+    def _finish(self, job: Tuple[float, Callable[..., Any], tuple]) -> None:
+        service_time, on_done, args = job
         self._busy_time += service_time
         self._jobs_served += 1
         on_done(*args)
-        if self._queue:
-            next_service, next_done, next_args = self._queue.popleft()
-            sim = self._sim
-            self._current_job_end = sim.now + next_service
-            sim.schedule(next_service, self._finish, next_service, next_done, next_args)
+        queue = self._queue
+        if queue:
+            job = queue.popleft()
+            self._sim.post(job[0], self._finish, job)
         else:
             self._busy = False
-            self._current_job_end = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"FIFOResource({self.name!r}, busy={self._busy}, queued={len(self._queue)})"

@@ -30,6 +30,7 @@ compile against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core.consensus import ConsensusService
@@ -393,7 +394,7 @@ class BroadcastSystem:
 
     def broadcast_at(self, time: float, sender: int, payload: Any) -> None:
         """Schedule an A-broadcast of ``payload`` by ``sender`` at ``time``."""
-        self.sim.schedule_at(time, self.abcasts[sender].broadcast, payload)
+        self.sim.post_at(time, self.abcasts[sender].broadcast, payload)
 
     # ------------------------------------------------------------------ fault injection
     #
@@ -407,7 +408,7 @@ class BroadcastSystem:
 
     def crash_at(self, time: float, pid: int) -> None:
         """Schedule the crash of ``pid`` at ``time``."""
-        self.sim.schedule_at(time, self.processes[pid].crash)
+        self.sim.post_at(time, self.processes[pid].crash)
 
     def recover(self, pid: int) -> None:
         """Recover process ``pid`` at the current simulation time.
@@ -422,7 +423,7 @@ class BroadcastSystem:
 
     def recover_at(self, time: float, pid: int) -> None:
         """Schedule the recovery of ``pid`` at ``time``."""
-        self.sim.schedule_at(time, self.processes[pid].recover)
+        self.sim.post_at(time, self.processes[pid].recover)
 
     def suspect_permanently(self, pid: int, delay: float = 0.0) -> None:
         """Make every failure detector suspect ``pid`` permanently."""
@@ -430,7 +431,7 @@ class BroadcastSystem:
 
     def suspect_permanently_at(self, time: float, pid: int) -> None:
         """Schedule :meth:`suspect_permanently` of ``pid`` at ``time``."""
-        self.sim.schedule_at(time, self.fd_fabric.suspect_permanently, pid)
+        self.sim.post_at(time, self.fd_fabric.suspect_permanently, pid)
 
     def suspect_during(
         self,
@@ -448,7 +449,7 @@ class BroadcastSystem:
 
     def partition_at(self, time: float, groups: Iterable[Iterable[int]]) -> None:
         """Schedule a symmetric partition at ``time``."""
-        self.sim.schedule_at(
+        self.sim.post_at(
             time, self.network.partition, [tuple(group) for group in groups]
         )
 
@@ -458,7 +459,7 @@ class BroadcastSystem:
 
     def block_links_at(self, time: float, links: Iterable[Any]) -> None:
         """Schedule an asymmetric partition at ``time``."""
-        self.sim.schedule_at(
+        self.sim.post_at(
             time, self.network.block_links, [tuple(link) for link in links]
         )
 
@@ -468,7 +469,7 @@ class BroadcastSystem:
 
     def heal_at(self, time: float) -> None:
         """Schedule the healing of every partition at ``time``."""
-        self.sim.schedule_at(time, self.network.heal)
+        self.sim.post_at(time, self.network.heal)
 
     def degrade_cpu(self, pid: int, factor: float) -> None:
         """Gray failure: slow ``pid``'s CPU by ``factor`` (now)."""
@@ -476,7 +477,7 @@ class BroadcastSystem:
 
     def degrade_cpu_at(self, time: float, pid: int, factor: float) -> None:
         """Schedule a gray CPU degradation of ``pid`` at ``time``."""
-        self.sim.schedule_at(time, self.network.degrade_cpu, pid, factor)
+        self.sim.post_at(time, self.network.degrade_cpu, pid, factor)
 
     def restore_cpu(self, pid: int) -> None:
         """End ``pid``'s gray CPU degradation (now)."""
@@ -484,7 +485,7 @@ class BroadcastSystem:
 
     def restore_cpu_at(self, time: float, pid: int) -> None:
         """Schedule the end of ``pid``'s gray degradation at ``time``."""
-        self.sim.schedule_at(time, self.network.restore_cpu, pid)
+        self.sim.post_at(time, self.network.restore_cpu, pid)
 
     def degrade_link(
         self,
@@ -505,7 +506,7 @@ class BroadcastSystem:
         duplicate_probability: float = 0.0,
     ) -> None:
         """Schedule a gray link fault on ``src -> dst`` at ``time``."""
-        self.sim.schedule_at(
+        self.sim.post_at(
             time,
             self.network.degrade_link,
             src,
@@ -527,9 +528,7 @@ class BroadcastSystem:
     def add_delivery_listener(self, listener: Callable[[int, BroadcastID, Any], None]) -> None:
         """Subscribe to deliveries on every process: ``listener(pid, id, payload)``."""
         for pid, abcast in enumerate(self.abcasts):
-            abcast.add_delivery_listener(
-                lambda bid, payload, _pid=pid: listener(_pid, bid, payload)
-            )
+            abcast.add_delivery_listener(partial(listener, pid))
 
     def message_stats(self) -> Dict[str, int]:
         """Traffic counters of the underlying network."""

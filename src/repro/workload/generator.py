@@ -91,13 +91,20 @@ class PoissonWorkload:
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
+        # Per arrival: one ``expovariate`` draw, then one ``choice`` draw,
+        # then one kernel entry; everything else is loop-invariant.
+        rate = 1.0 / self.mean_interarrival
+        expovariate = self._rng.expovariate
+        choice = self._rng.choice
+        senders = self.senders
+        post_at = self.system.sim.post_at
+        emit = self._emit
+        first = self._scheduled
         time = start_time
-        for _ in range(count):
-            time += self._rng.expovariate(1.0 / self.mean_interarrival)
-            sender = self._rng.choice(self.senders)
-            index = self._scheduled
-            self._scheduled += 1
-            self.system.sim.schedule_at(time, self._emit, index, sender)
+        for index in range(first, first + count):
+            time += expovariate(rate)
+            post_at(time, emit, index, choice(senders))
+        self._scheduled = first + count
         return time
 
     def scheduled_count(self) -> int:

@@ -72,6 +72,80 @@ class TestScheduling:
         assert simulator.events_processed == 4
 
 
+class TestPost:
+    """``post`` / ``post_at``: ``schedule`` / ``schedule_at`` minus the handle."""
+
+    def test_post_returns_nothing_and_fires(self, simulator):
+        fired = []
+        assert simulator.post(2.0, fired.append, "a") is None
+        assert simulator.post_at(1.0, fired.append, "b") is None
+        simulator.run()
+        assert fired == ["b", "a"]
+        assert simulator.events_processed == 2
+
+    def test_posted_and_scheduled_events_share_one_order(self, simulator):
+        # Same instant: insertion order decides, whichever entry point was used.
+        order = []
+        simulator.post(1.0, order.append, "post")
+        simulator.schedule(1.0, order.append, "schedule")
+        simulator.post_at(1.0, order.append, "post_at")
+        simulator.schedule_at(1.0, order.append, "schedule_at")
+        simulator.run()
+        assert order == ["post", "schedule", "post_at", "schedule_at"]
+
+    def test_post_rejects_the_past(self, simulator):
+        simulator.post(5.0, lambda: None)
+        simulator.run()
+        with pytest.raises(SimulationError):
+            simulator.post(-1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            simulator.post_at(4.0, lambda: None)
+
+    def test_posted_events_survive_compaction(self, simulator):
+        fired = []
+        simulator.post(5.0, fired.append, "posted")
+        doomed = [simulator.schedule(900.0, lambda: None) for _ in range(200)]
+        for handle in doomed:
+            handle.cancel()
+        simulator.post(6.0, fired.append, "trigger")  # post compacts like schedule
+        assert simulator.pending_events == 2
+        assert simulator.cancelled_pending_events == 0
+        simulator.run()
+        assert fired == ["posted", "trigger"]
+
+
+class TestTimeGuards:
+    """NaN compares false with everything, so ``delay < 0`` let it through:
+    the callback ran with ``now == nan`` and the heap order broke for every
+    event after it.  The guards are written ``not x >= y``."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("entry", ["post", "schedule", "post_at", "schedule_at"])
+    def test_nan_time_rejected(self, simulator, entry):
+        with pytest.raises(SimulationError):
+            getattr(simulator, entry)(self.NAN, lambda: None)
+        assert simulator.pending_events == 0
+
+    @pytest.mark.parametrize("entry", ["post", "schedule", "post_at", "schedule_at"])
+    def test_zero_and_infinity_still_accepted(self, simulator, entry):
+        fired = []
+        getattr(simulator, entry)(0.0, fired.append, "now")
+        getattr(simulator, entry)(float("inf"), fired.append, "never")
+        simulator.run(until=1_000.0)
+        assert fired == ["now"]
+        assert simulator.pending_events == 1
+
+    def test_clock_stays_ordered_after_a_rejected_nan(self, simulator):
+        seen = []
+        simulator.post(2.0, lambda: seen.append(simulator.now))
+        with pytest.raises(SimulationError):
+            simulator.schedule(self.NAN, lambda: seen.append("nan"))
+        simulator.post(1.0, lambda: seen.append(simulator.now))
+        simulator.run()
+        assert seen == [1.0, 2.0]
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, simulator):
         fired = []
@@ -317,6 +391,41 @@ class TestHeapCompaction:
         assert sim.pending_events == 0
 
 
+class TestCancelAfterFiring:
+    """Cancelling a handle whose event already ran (or left the heap some
+    other way) must not count as a cancelled event *on* the heap: the counter
+    drives compaction, and ``SimProcess.crash()`` cancels every timer handle
+    it still holds, fired ones included."""
+
+    @pytest.mark.parametrize("instrumented", [False, True])
+    def test_fired_handles_do_not_inflate_the_counter(self, instrumented):
+        from repro.obs import Instrumentation
+
+        sim = Simulator()
+        if instrumented:
+            sim.set_instrumentation(Instrumentation())
+        handles = [sim.schedule(1.0 + i, lambda: None) for i in range(100)]
+        sim.run()
+        for handle in handles:
+            handle.cancel()
+        assert sim.pending_events == 0
+        assert sim.cancelled_pending_events == 0
+
+    def test_cancelling_the_running_event_counts_nothing(self, simulator):
+        handles = []
+        handles.append(simulator.schedule(1.0, lambda: handles[0].cancel()))
+        simulator.run()
+        assert simulator.events_processed == 1
+        assert simulator.cancelled_pending_events == 0
+
+    def test_cancel_after_reset_does_not_touch_the_new_counter(self, simulator):
+        stale = [simulator.schedule(1.0, lambda: None) for _ in range(5)]
+        simulator.reset()
+        for handle in stale:
+            handle.cancel()
+        assert simulator.cancelled_pending_events == 0
+
+
 class TestCallbackCategory:
     """Event-profile buckets must resolve for every dispatch shape in use."""
 
@@ -325,21 +434,76 @@ class TestCallbackCategory:
         assert _callback_category(sim.stop) == "Simulator.stop"
 
     def test_network_pipeline_methods_resolve(self):
+        from repro.obs import Instrumentation
         from repro.sim.messages import Message
         from repro.sim.network import Network, NetworkConfig
 
         sim = Simulator()
+        obs = Instrumentation()
+        sim.set_instrumentation(obs)
         network = Network(sim, NetworkConfig(n=3))
-        message = Message(sender=0, destinations=(1, 2), protocol="t", body=None)
+        for pid in range(3):
+            network.attach(pid, lambda _pid, _message: None)
         assert _callback_category(network._emitted) == "Network._emitted"
         assert _callback_category(network._transmitted) == "Network._transmitted"
         assert _callback_category(network._received) == "Network._received"
         # FIFO completion events dispatch through the resource's bound
         # _finish with the continuation as an argument, so the category
-        # stays the resource bucket, not the continuation's.
-        network.send(message)
-        entry = sim._queue[0]
-        assert _callback_category(entry[2].callback) == "FIFOResource._finish"
+        # stays the resource bucket, not the continuation's: one emission,
+        # one transmission and two receptions, plus the local delivery.
+        network.send(Message(sender=0, destinations=(0, 1, 2), protocol="t", body=None))
+        sim.run()
+        assert obs.counter("sim.events.FIFOResource._finish") == 4
+        assert obs.counter("sim.events.Network._deliver_local") == 1
+        assert obs.counter("sim.events") == 5
+
+    @pytest.mark.parametrize(
+        "stack, fd_kind, expected",
+        [
+            (
+                "fd", "qos",
+                {
+                    "FIFOResource._finish": 2591,
+                    "Network._deliver_local": 288,
+                    "PoissonWorkload._emit": 144,
+                    "QoSFailureDetectorFabric._mistake_begins": 37,
+                    "QoSFailureDetectorFabric._mistake_ends": 34,
+                },
+            ),
+            (
+                "gm", "heartbeat",
+                {
+                    "FIFOResource._finish": 4018,
+                    "Network._deliver_local": 144,
+                    "PoissonWorkload._emit": 144,
+                    "SimProcess._fire_timer": 822,
+                },
+            ),
+        ],
+    )
+    def test_full_run_emits_the_pinned_categories(self, stack, fd_kind, expected):
+        """Every event of a run lands in the ``Class.method`` bucket it had
+        before ``post*`` existed, with the same count: bound methods stay
+        bound methods (a ``partial`` or a lambda as event callback would
+        rename or merge buckets)."""
+        from repro.failure_detectors.qos import QoSConfig
+        from repro.scenarios.runner import ScenarioRunner, SteadyStateSpec
+        from repro.system import SystemConfig, build_system
+
+        config = SystemConfig(
+            n=3, stack=stack, fd_kind=fd_kind, seed=11, instrument=True,
+            fd=QoSConfig(mistake_recurrence_time=200.0, mistake_duration=5.0),
+        )
+        spec = SteadyStateSpec("suspicion-steady", config, 100.0, 120)
+        result = ScenarioRunner().run_steady_on(build_system(config), spec)
+        prefix = "sim.events."
+        emitted = {
+            name[len(prefix):]: count
+            for name, count in result.metrics["counters"].items()
+            if name.startswith(prefix)
+        }
+        assert emitted == expected
+        assert sum(emitted.values()) == result.events
 
     def test_closure_collapses_to_defining_function(self):
         def outer():

@@ -105,7 +105,61 @@ class TestTimers:
         assert fired == []
 
 
+class TestSendRouting:
+    """``send`` remembers, per destination set, the tuple without itself."""
+
+    def test_remote_destinations_match_the_uncached_message(self):
+        from repro.sim.messages import Message
+
+        sim, network, processes, _components = build(n=4)
+        sent = []
+        network.send = sent.append
+        for destinations in ([0, 1, 2, 3], (1, 3), [2], (2,), [1, 1, 2], [0, 1, 2, 3]):
+            processes[1].send("echo", destinations, "x")
+        for message in sent:
+            fresh = Message(1, message.destinations, "echo", "x")
+            assert message.remote_destinations() == fresh.remote_destinations()
+            assert message.sender == 1 and message.protocol == "echo"
+        assert [m.destinations for m in sent] == [
+            (0, 1, 2, 3), (1, 3), (2,), (2,), (1, 1, 2), (0, 1, 2, 3)
+        ]
+        # One entry per distinct destination set, shared by later sends.
+        assert sent[0].remote_destinations() is sent[5].remote_destinations()
+
+    def test_remembered_sets_are_bounded(self):
+        from repro.sim.process import _REMOTE_CACHE_LIMIT
+
+        sim, _network, processes, components = build(n=3)
+        for index in range(3 * _REMOTE_CACHE_LIMIT):
+            # Distinct destination tuples (repeats of valid pids).
+            processes[0].send("echo", (1,) * (index + 1), index)
+        assert len(processes[0]._remote_of) <= _REMOTE_CACHE_LIMIT
+        sim.run()
+        assert len(components[1].received) == sum(range(1, 3 * _REMOTE_CACHE_LIMIT + 1))
+
+
 class TestCrash:
+    def test_crash_after_fired_timers_counts_no_cancelled_event(self, monkeypatch):
+        # crash() cancels every handle the process still holds; the ones
+        # that already fired are off the heap and must not push the kernel
+        # towards a compaction that has nothing to remove.
+        sim, _network, processes, _components = build()
+        for index in range(100):
+            processes[0].set_timer(1.0 + index, lambda: None)
+        sim.run()
+        assert sim.events_processed == 100
+        processes[0].crash()
+        assert sim.cancelled_pending_events == 0
+        compactions = []
+        original = Simulator._compact
+        monkeypatch.setattr(
+            Simulator, "_compact", lambda self: (compactions.append(1), original(self))
+        )
+        for _ in range(10):
+            sim.schedule(5.0, lambda: None)
+        assert compactions == []
+        assert sim.pending_events == 10
+
     def test_crashed_process_does_not_send(self):
         sim, _network, processes, components = build()
         processes[0].crash()

@@ -54,6 +54,19 @@ class TestFIFOResource:
         with pytest.raises(ValueError):
             resource.submit(-1.0, lambda: None)
 
+    def test_nan_service_time_rejected(self, simulator, resource):
+        # NaN < 0 is false: the old guard let it through and the completion
+        # event poisoned the clock.
+        with pytest.raises(ValueError):
+            resource.submit(float("nan"), lambda: None)
+        assert not resource.busy
+        assert simulator.pending_events == 0
+
+    def test_infinite_service_time_still_accepted(self, simulator, resource):
+        resource.submit(float("inf"), lambda: None)
+        assert resource.busy
+        assert simulator.pending_events == 1
+
     def test_jobs_served_counter(self, simulator, resource):
         for _ in range(5):
             resource.submit(1.0, lambda: None)
