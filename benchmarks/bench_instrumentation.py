@@ -1,8 +1,8 @@
 """Instrumentation overhead benchmark: what switching observation on costs.
 
 The instrumentation layer (:mod:`repro.obs`) has an off path that is off:
-with tracing off, the simulator selects a hook-free run loop up front, the
-network branches on a ``None`` check, and the per-message hook sites of the
+with tracing off, the simulator's run loop and the network branch on a
+``None`` check, and the per-message hook sites of the
 protocol layers test ``self._obs is not NULL`` before they evaluate a hook's
 arguments.  This benchmark reports the other side, the cost of the on path:
 

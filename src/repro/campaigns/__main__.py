@@ -66,11 +66,14 @@ import time
 from typing import List
 
 from repro.campaigns.aggregate import merge_scenario_results, merge_transient_results
-from repro.campaigns.catalog import CampaignCatalog
+from repro.campaigns.execution import (
+    add_execution_arguments,
+    finish_report,
+    metrics_lines,
+    open_execution,
+)
 from repro.campaigns.queue import QueueWorker, WorkQueue
-from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import grid
-from repro.campaigns.store import DURABILITY_MODES, ResultStore
 from repro.scenarios.registry import (
     Axis,
     ScenarioKind,
@@ -191,82 +194,12 @@ def build_parser(kind: ScenarioKind) -> argparse.ArgumentParser:
         help="batched FD scan tick in ms, 0 = exact per-pair events",
     )
     parser.add_argument("--name", default="adhoc", help="campaign name")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-    parser.add_argument("--cache-dir", default=None, help="JSONL result cache directory")
-    parser.add_argument(
-        "--durability",
-        choices=DURABILITY_MODES,
-        default="fsync",
-        help=(
-            "cache write durability: fsync every point (default, resumable "
-            "to the last point) or batch buffered flushes (throughput)"
-        ),
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        help="re-execute every point past the cache, rewriting its record",
-    )
-    parser.add_argument(
-        "--force-kind",
-        dest="force_kinds",
-        action="append",
-        default=None,
-        metavar="KIND",
-        choices=sorted(available_kinds()),
-        help="re-execute cached points of this scenario kind only (repeatable)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=0,
-        help="points per worker round-trip (0 = sized automatically)",
-    )
-    parser.add_argument(
-        "--queue-dir",
-        default=None,
-        metavar="DIR",
-        help="distribute the grid through a shared-directory work queue",
-    )
     parser.add_argument(
         "--queue-worker",
         action="store_true",
         help="act as a fleet worker: drain --queue-dir and exit (no grid needed)",
     )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=300.0,
-        help="seconds before a crashed worker's queue lease is reclaimed",
-    )
-    parser.add_argument(
-        "--queue-timeout",
-        type=float,
-        default=0.0,
-        help="give up waiting for outstanding queue results after this many seconds (0 = wait)",
-    )
-    parser.add_argument(
-        "--catalog",
-        default=None,
-        metavar="DIR",
-        help="record the finished campaign in this catalog directory",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="DIR",
-        help="run instrumented and write one <key>.metrics.json per point to DIR",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="DIR",
-        help=(
-            "run instrumented and write per-run JSONL + Chrome trace files "
-            "to DIR (can be combined with --metrics-out)"
-        ),
-    )
-    parser.add_argument("-o", "--output", default=None, help="write the report to a file")
+    add_execution_arguments(parser)
     return parser
 
 
@@ -332,54 +265,18 @@ def main(argv: List[str] = None) -> int:
         },
     )
 
-    store = (
-        ResultStore(args.cache_dir, durability=args.durability)
-        if args.cache_dir
-        else None
-    )
-    runner = CampaignRunner(
-        jobs=args.jobs,
-        store=store,
-        instrument=args.metrics_out is not None,
-        trace_dir=args.trace,
-        chunk_size=args.chunk_size,
-        force=args.force,
-        force_kinds=tuple(args.force_kinds or ()),
-        queue=(
-            WorkQueue(args.queue_dir, lease_ttl=args.lease_ttl)
-            if args.queue_dir
-            else None
-        ),
-        queue_timeout=args.queue_timeout or None,
-    )
     started = time.time()
-    try:
-        run = runner.run(campaign)
-    finally:
-        runner.close()
-    elapsed = time.time() - started
-
-    if args.catalog:
-        CampaignCatalog(args.catalog).record_run(
-            campaign,
-            run,
-            wall_clock_s=elapsed,
-            store_path=store.path if store is not None else None,
-        )
-    if store is not None:
-        # Flushes buffered lines and refreshes the columnar mirror.
-        store.close()
+    with open_execution(args) as execution:
+        run = execution.runner.run(campaign)
+        elapsed = time.time() - started
+        execution.record(run, elapsed)
 
     total = run.executed + run.cache_hits
     lines: List[str] = [
         f"campaign {campaign.name!r}: {total} points "
         f"({run.executed} simulated, {run.cache_hits} from cache) in {elapsed:.1f} s"
     ]
-    if args.metrics_out:
-        from repro.obs.export import export_metrics_records
-
-        written = export_metrics_records(run.records, args.metrics_out)
-        lines.append(f"  wrote {written} metrics snapshots to {args.metrics_out}")
+    lines.extend(metrics_lines(args, run))
     if args.trace:
         lines.append(f"  trace files in {args.trace}")
     for series in campaign.series:
@@ -391,12 +288,7 @@ def main(argv: List[str] = None) -> int:
             else:
                 merged = merge_scenario_results(results)
             lines.append(f"    {merged.describe()}")
-
-    report = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-    print(report)
+    finish_report(args, lines)
     return 0
 
 

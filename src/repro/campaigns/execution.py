@@ -1,0 +1,165 @@
+"""The execution front-end both command lines share, declared once.
+
+``python -m repro.campaigns`` and ``python -m repro.experiments`` differ in
+*what* they run (an ad-hoc grid; the paper's figures) and agree on *how*:
+worker processes, the result cache and its durability, forced re-execution,
+the shared-directory work queue, the campaign catalog, instrumented output
+and the report file.  This module owns that half -- the options
+(:func:`add_execution_arguments`), the objects they configure and the order
+they are opened and closed in (:func:`open_execution`), and what a finished
+run writes (:func:`metrics_lines`, :func:`finish_report`) -- so an execution
+option is added in one place and reaches both.
+"""
+
+from __future__ import annotations
+
+import argparse
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
+from typing import Iterator, List, Optional
+
+from repro.campaigns.catalog import CampaignCatalog
+from repro.campaigns.queue import WorkQueue
+from repro.campaigns.runner import CampaignRun, CampaignRunner
+from repro.campaigns.store import DURABILITY_MODES, ResultStore
+from repro.scenarios.registry import available_kinds
+
+
+def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the execution options on ``parser``."""
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument("--cache-dir", default=None, help="JSONL result cache directory")
+    parser.add_argument(
+        "--durability",
+        choices=DURABILITY_MODES,
+        default="fsync",
+        help=(
+            "cache write durability: fsync every point (default, resumable "
+            "to the last point) or batch buffered flushes (throughput)"
+        ),
+    )
+    parser.add_argument(
+        "--force",
+        action="store_true",
+        help="re-execute every point past the cache, rewriting its record",
+    )
+    parser.add_argument(
+        "--force-kind",
+        dest="force_kinds",
+        action="append",
+        default=None,
+        metavar="KIND",
+        choices=sorted(available_kinds()),
+        help="re-execute cached points of this scenario kind only (repeatable)",
+    )
+    parser.add_argument(
+        "--queue-dir",
+        default=None,
+        metavar="DIR",
+        help="distribute the grid through a shared-directory work queue",
+    )
+    parser.add_argument(
+        "--lease-ttl",
+        type=float,
+        default=300.0,
+        help="seconds before a crashed worker's queue lease is reclaimed",
+    )
+    parser.add_argument(
+        "--queue-timeout",
+        type=float,
+        default=0.0,
+        help="give up waiting for outstanding queue results after this many seconds (0 = wait)",
+    )
+    parser.add_argument(
+        "--catalog",
+        default=None,
+        metavar="DIR",
+        help="record the finished campaign in this catalog directory",
+    )
+    parser.add_argument(
+        "--metrics-out",
+        default=None,
+        metavar="DIR",
+        help="run instrumented and write one <key>.metrics.json per point to DIR",
+    )
+    parser.add_argument(
+        "--trace",
+        default=None,
+        metavar="DIR",
+        help=(
+            "run instrumented and write per-run JSONL + Chrome trace files "
+            "to DIR (can be combined with --metrics-out)"
+        ),
+    )
+    parser.add_argument("-o", "--output", default=None, help="write the report to a file")
+
+
+@dataclass
+class Execution:
+    """What the execution options opened: the runner and what surrounds it."""
+
+    runner: CampaignRunner
+    store: Optional[ResultStore]
+    catalog: Optional[CampaignCatalog]
+
+    def record(self, run: CampaignRun, wall_clock_s: float, name: Optional[str] = None) -> None:
+        """Enter a finished ``run`` in the ``--catalog``, when one was asked for."""
+        if self.catalog is not None:
+            self.catalog.record_run(
+                run.campaign,
+                run,
+                wall_clock_s=wall_clock_s,
+                name=name,
+                store_path=self.store.path if self.store is not None else None,
+            )
+
+
+@contextmanager
+def open_execution(args: argparse.Namespace, fd_scan_interval: float = 0.0) -> Iterator[Execution]:
+    """Open store, queue, runner and catalog as ``args`` ask; close them on exit.
+
+    On exit -- an error included -- the runner releases its warm pool, then
+    the store closes, which flushes buffered lines and refreshes the columnar
+    mirror.
+    """
+    with ExitStack() as stack:  # unwinds in reverse: runner, then store
+        store = (
+            stack.enter_context(ResultStore(args.cache_dir, durability=args.durability))
+            if args.cache_dir
+            else None
+        )
+        runner = stack.enter_context(
+            CampaignRunner(
+                jobs=args.jobs,
+                store=store,
+                instrument=args.metrics_out is not None,
+                trace_dir=args.trace,
+                fd_scan_interval=fd_scan_interval,
+                force=args.force,
+                force_kinds=tuple(args.force_kinds or ()),
+                queue=(
+                    WorkQueue(args.queue_dir, lease_ttl=args.lease_ttl) if args.queue_dir else None
+                ),
+                queue_timeout=args.queue_timeout or None,
+            )
+        )
+        yield Execution(runner, store, CampaignCatalog(args.catalog) if args.catalog else None)
+
+
+def metrics_lines(args: argparse.Namespace, run: CampaignRun) -> List[str]:
+    """Write ``run``'s snapshots under ``--metrics-out``; the report line saying so."""
+    if not args.metrics_out:
+        return []
+    from repro.obs.export import export_metrics_records
+
+    written = export_metrics_records(run.records, args.metrics_out)
+    return [f"  wrote {written} metrics snapshots to {args.metrics_out}"]
+
+
+def finish_report(args: argparse.Namespace, lines: List[str]) -> None:
+    """Print the report and, under ``-o``, write it to the file as well."""
+    report = "\n".join(lines)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(report + "\n")
+    print(report)

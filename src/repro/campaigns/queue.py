@@ -37,7 +37,7 @@ import os
 import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import __version__
 from repro.campaigns.spec import SCHEMA_VERSION, PointSpec
@@ -114,16 +114,24 @@ class WorkQueue:
 
     # ------------------------------------------------------------------ worker
 
-    def claim(self, worker: str) -> Optional[Lease]:
+    def pending_names(self) -> List[str]:
+        """The file names under ``pending/``, in claim order."""
+        try:
+            return sorted(os.listdir(os.path.join(self.directory, PENDING)))
+        except OSError:
+            return []
+
+    def claim(self, worker: str, names: Optional[Iterable[str]] = None) -> Optional[Lease]:
         """Lease one pending point, or ``None`` when nothing is claimable.
 
         Skips points under a live lease; reclaims leases older than the TTL
-        (the crashed-worker path).
+        (the crashed-worker path).  ``names`` is a :meth:`pending_names`
+        listing taken earlier (default: taken now); an iterator is consumed
+        up to the claimed name, so successive claims walk one listing once.
+        A name that left ``pending/`` since is skipped like any lost race.
         """
-        try:
-            names = sorted(os.listdir(os.path.join(self.directory, PENDING)))
-        except OSError:
-            return None
+        if names is None:
+            names = self.pending_names()
         now = time.time()
         for name in names:
             if not name.endswith(".json"):
@@ -268,11 +276,14 @@ class QueueWorker:
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.trace_dir = trace_dir
 
-    def run_one(self) -> Optional[str]:
-        """Claim and execute one point; returns its key, or ``None`` if idle."""
+    def run_one(self, names: Optional[Iterable[str]] = None) -> Optional[str]:
+        """Claim and execute one point; returns its key, or ``None`` if idle.
+
+        ``names`` is handed to :meth:`WorkQueue.claim`.
+        """
         from repro.campaigns.runner import execute_point
 
-        lease = self.queue.claim(self.worker_id)
+        lease = self.queue.claim(self.worker_id, names)
         if lease is None:
             return None
         try:
@@ -295,12 +306,22 @@ class QueueWorker:
         return lease.key
 
     def run(self, max_points: Optional[int] = None) -> int:
-        """Execute until the queue has nothing claimable; returns the count."""
+        """Execute until the queue has nothing claimable; returns the count.
+
+        Drains in rounds of one ``pending/`` listing each (a listing per
+        claim reads the directory N times to drain N points) and stops after
+        a round that claimed nothing: points enqueued, or leases gone stale,
+        during a round are found by the next.
+        """
+        budget = float("inf") if max_points is None else max_points
         executed = 0
-        while max_points is None or executed < max_points:
-            if self.run_one() is None:
+        while executed < budget:
+            names = iter(self.queue.pending_names())
+            before = executed
+            while executed < budget and self.run_one(names):
+                executed += 1
+            if executed == before:
                 break
-            executed += 1
         return executed
 
 

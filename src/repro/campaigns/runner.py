@@ -112,8 +112,6 @@ class CampaignRunner:
         trace_dir: Optional[str] = None,
         fd_scan_interval: float = 0.0,
         *,
-        chunk_size: int = 0,
-        max_inflight: int = 0,
         force: bool = False,
         force_kinds: Sequence[str] = (),
         queue: Optional[WorkQueue] = None,
@@ -126,8 +124,6 @@ class CampaignRunner:
             raise ValueError(
                 f"fd_scan_interval must be >= 0 (0 = exact), got {fd_scan_interval}"
             )
-        if chunk_size < 0 or max_inflight < 0:
-            raise ValueError("chunk_size and max_inflight must be >= 0 (0 = auto)")
         unknown_kinds = set(force_kinds) - set(available_kinds())
         if unknown_kinds:
             raise ValueError(
@@ -144,11 +140,6 @@ class CampaignRunner:
         #: this rewrites the executed points, so scanned and exact runs of
         #: the same operating point cache under distinct keys.
         self.fd_scan_interval = fd_scan_interval
-        #: Points per worker round-trip; 0 sizes chunks automatically from
-        #: the grid (:func:`repro.campaigns.pool.chunk_size`).
-        self.chunk_size = chunk_size
-        #: Maximum chunks in flight; 0 means 4 x jobs.
-        self.max_inflight = max_inflight
         #: Re-execute every point (``force``) or every point of the listed
         #: kinds (``force_kinds``) even when cached, rewriting the store.
         self.force = force
@@ -253,15 +244,15 @@ class CampaignRunner:
         """Fan ``pending`` out over the warm pool in chunks, window-bounded.
 
         Chunks amortise per-task IPC/pickle cost on quick-point grids; the
-        bounded window (default 4 x jobs chunks) keeps arbitrarily large
-        grids from serialising every spec into executor queues before the
-        first record lands.  Commit order follows completion, but records
+        bounded window keeps arbitrarily large grids from serialising every
+        spec into executor queues before the first record lands (both sized
+        by :mod:`repro.campaigns.pool`).  Commit order follows completion, but records
         are keyed by point, so the result set is identical to serial.
         """
         executor = self.pool.executor()
-        size = self.chunk_size or pool_mod.chunk_size(len(pending), self.jobs)
+        size = pool_mod.chunk_size(len(pending), self.jobs)
         chunks = iter(pool_mod.split_chunks(pending, size))
-        window = self.max_inflight or pool_mod.INFLIGHT_CHUNKS_PER_WORKER * self.jobs
+        window = pool_mod.INFLIGHT_CHUNKS_PER_WORKER * self.jobs
         inflight: Dict[Any, List[PointSpec]] = {}
 
         def submit_next() -> None:

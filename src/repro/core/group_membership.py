@@ -81,7 +81,7 @@ is alive.  The *reformation* path restores liveness:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.consensus import ConsensusService
 from repro.core.types import View
@@ -270,6 +270,11 @@ class GroupMembership(Component):
         detector = self.process.failure_detector
         return detector is not None and detector.is_suspected(pid)
 
+    def _suspected(self) -> AbstractSet[int]:
+        """Everyone the local detector suspects now, for a scan over members."""
+        detector = self.process.failure_detector
+        return detector.suspected() if detector is not None else frozenset()
+
     def _on_suspicion_change(self, pid: int, suspected: bool) -> None:
         if suspected:
             if self._status == MEMBER and pid in self._view.members:
@@ -429,22 +434,22 @@ class GroupMembership(Component):
         if self._status != VIEW_CHANGE_IN_PROGRESS or self._proposed:
             return
         view = self._view
-        missing = [
-            member
-            for member in view.members
-            if member not in self._syncs and not self._suspects(member)
-        ]
-        if missing:
+        syncs = self._syncs
+        # Runs on every SYNC received: the O(1) test first, then stop at the
+        # first member still awaited.
+        if len(syncs) < view.majority():
             return
-        if len(self._syncs) < view.majority():
-            return
+        suspected = self._suspected()
+        for member in view.members:
+            if member not in syncs and member not in suspected:
+                return
         self._proposed = True
         survivors = tuple(m for m in view.members if m in self._syncs)
         joiners = tuple(
             sorted(
                 j
                 for j in (self._joiners_seen | self._pending_joins)
-                if j not in view.members and not self._suspects(j)
+                if j not in view.members and j not in suspected
             )
         )
         new_members = survivors + joiners
@@ -647,11 +652,9 @@ class GroupMembership(Component):
     def _check_pending_triggers(self) -> None:
         if self._status != MEMBER:
             return
-        suspected_member = any(
-            self._suspects(member) for member in self._view.members if member != self.pid
-        )
-        joinable = any(not self._suspects(j) for j in self._pending_joins)
-        if suspected_member or joinable:
+        # A detector never suspects its owner, so no member needs skipping.
+        suspected = self._suspected()
+        if not suspected.isdisjoint(self._view.members) or not self._pending_joins <= suspected:
             self._start_view_change()
 
     # ------------------------------------------------------------------ stale senders

@@ -17,6 +17,11 @@ failure-detector scan (one calendar event per Q ms instead of per-pair
 timers) -- the throughput lane for large-n sweeps; scanned points cache
 under their own keys.
 
+``--queue-dir DIR`` distributes the missing points of each figure through
+the shared-directory work queue (the full-size ``--replicas 10`` recipe);
+extra workers join from other terminals or machines with
+``python -m repro.campaigns --queue-worker --queue-dir DIR``.
+
 Beyond the figures, ``--scenario`` runs any registered scenario kind as an
 ad-hoc campaign grid: the whole command line is handed to
 ``python -m repro.campaigns``, whose options apply (its ``--help`` lists
@@ -39,13 +44,15 @@ import sys
 import time
 from typing import Dict, List
 
-from repro.campaigns.catalog import CampaignCatalog
-from repro.campaigns.runner import CampaignRunner
-from repro.campaigns.store import DURABILITY_MODES, ResultStore
+from repro.campaigns.execution import (
+    add_execution_arguments,
+    finish_report,
+    metrics_lines,
+    open_execution,
+)
 from repro.experiments import figure4, figure5, figure6, figure7, figure8
 from repro.experiments.report import format_figure, format_markdown_table
 from repro.experiments.shape_checks import ALL_CHECKS
-from repro.scenarios.registry import available_kinds
 
 FIGURES = {
     "4": figure4.run,
@@ -56,16 +63,8 @@ FIGURES = {
 }
 
 
-def main(argv: List[str] = None) -> int:
-    """Run the requested figure experiments and print/write the tables."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if any(arg == "--scenario" or arg.startswith("--scenario=") for arg in argv):
-        # Scenario grids (including the beyond-paper fault-schedule
-        # scenarios) are campaign runs: hand the full command line to the
-        # campaign CLI, which shares --jobs / --cache-dir / -o.
-        from repro.campaigns.__main__ import main as campaign_main
-
-        return campaign_main(argv)
+def build_parser() -> argparse.ArgumentParser:
+    """The figure options plus the shared execution options."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--figure",
@@ -83,43 +82,6 @@ def main(argv: List[str] = None) -> int:
         help="seed replicas per point (pooled for tighter CIs)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for the sweep points"
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache completed points in DIR/results.jsonl (resumable sweeps)",
-    )
-    parser.add_argument(
-        "--durability",
-        choices=DURABILITY_MODES,
-        default="fsync",
-        help=(
-            "cache write durability: fsync every point (default) or batch "
-            "buffered flushes (throughput on many-small-point grids)"
-        ),
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        help="re-simulate every point past the cache, rewriting its record",
-    )
-    parser.add_argument(
-        "--force-kind",
-        dest="force_kinds",
-        action="append",
-        default=None,
-        metavar="KIND",
-        choices=sorted(available_kinds()),
-        help="re-simulate cached points of this scenario kind only (repeatable)",
-    )
-    parser.add_argument(
-        "--catalog",
-        default=None,
-        metavar="DIR",
-        help="record each regenerated figure campaign in this catalog directory",
-    )
-    parser.add_argument(
         "--fd-scan-interval",
         type=float,
         default=0.0,
@@ -130,42 +92,29 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument("--markdown", action="store_true", help="emit markdown tables")
     parser.add_argument("--check", action="store_true", help="also print the shape checks")
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="DIR",
-        help="run instrumented and write one <key>.metrics.json per point to DIR",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="DIR",
-        help="run instrumented and write per-run JSONL + Chrome trace files to DIR",
-    )
-    parser.add_argument("-o", "--output", default=None, help="write the report to a file")
-    args = parser.parse_args(argv)
+    add_execution_arguments(parser)
+    return parser
+
+
+def main(argv: List[str] = None) -> int:
+    """Run the requested figure experiments and print/write the tables."""
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    if any(arg == "--scenario" or arg.startswith("--scenario=") for arg in argv):
+        # Scenario grids (including the beyond-paper fault-schedule
+        # scenarios) are campaign runs: hand the full command line to the
+        # campaign CLI, which declares the same execution options.
+        from repro.campaigns.__main__ import main as campaign_main
+
+        return campaign_main(argv)
+    args = build_parser().parse_args(argv)
 
     quick = not args.full
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
 
-    store = (
-        ResultStore(args.cache_dir, durability=args.durability)
-        if args.cache_dir
-        else None
-    )
-    runner = CampaignRunner(
-        jobs=args.jobs,
-        store=store,
-        instrument=args.metrics_out is not None,
-        trace_dir=args.trace,
-        fd_scan_interval=args.fd_scan_interval,
-        force=args.force,
-        force_kinds=tuple(args.force_kinds or ()),
-    )
-    catalog = CampaignCatalog(args.catalog) if args.catalog else None
-
     sections: List[str] = []
-    try:
+    # One runner -- and so one warm pool -- spans every figure of the invocation.
+    with open_execution(args, fd_scan_interval=args.fd_scan_interval) as execution:
+        runner = execution.runner
         for name in names:
             started = time.time()
             result = FIGURES[name](
@@ -174,45 +123,19 @@ def main(argv: List[str] = None) -> int:
             elapsed = time.time() - started
             renderer = format_markdown_table if args.markdown else format_figure
             sections.append(renderer(result))
-            stats = ""
-            if runner.last_run is not None:
-                stats = (
-                    f"; {runner.last_run.executed} points simulated, "
-                    f"{runner.last_run.cache_hits} from cache"
-                )
-            sections.append(f"(figure {name} regenerated in {elapsed:.1f} s{stats})")
-            if catalog is not None and runner.last_run is not None:
-                catalog.record_run(
-                    runner.last_run.campaign,
-                    runner.last_run,
-                    wall_clock_s=elapsed,
-                    name=f"figure{name}-{'quick' if quick else 'full'}",
-                    store_path=store.path if store is not None else None,
-                )
-            if args.metrics_out and runner.last_run is not None:
-                from repro.obs.export import export_metrics_records
-
-                written = export_metrics_records(runner.last_run.records, args.metrics_out)
-                sections.append(
-                    f"  wrote {written} metrics snapshots to {args.metrics_out}"
-                )
+            run = runner.last_run
+            sections.append(
+                f"(figure {name} regenerated in {elapsed:.1f} s; "
+                f"{run.executed} points simulated, {run.cache_hits} from cache)"
+            )
+            execution.record(run, elapsed, name=f"figure{name}-{'quick' if quick else 'full'}")
+            sections.extend(metrics_lines(args, run))
             if args.check:
                 checks: Dict[str, bool] = ALL_CHECKS[name](result)
                 for key, ok in sorted(checks.items()):
                     sections.append(f"  check {key}: {'PASS' if ok else 'FAIL'}")
             sections.append("")
-    finally:
-        # The warm pool spans every figure of the invocation; closing the
-        # store flushes buffered lines and refreshes the columnar mirror.
-        runner.close()
-        if store is not None:
-            store.close()
-
-    report = "\n".join(sections)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-    print(report)
+    finish_report(args, sections)
     return 0
 
 

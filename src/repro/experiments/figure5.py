@@ -94,27 +94,10 @@ def build_campaign(
     return campaign
 
 
-def run(
-    quick: bool = True,
-    seed: int = 1,
-    n_values: Iterable[int] = (3, 7),
-    stacks: Iterable[str] = ("fd", "gm"),
-    throughputs: Optional[Iterable[float]] = None,
-    num_messages: Optional[int] = None,
-    replicas: int = 1,
-    runner: Optional[CampaignRunner] = None,
-) -> FigureResult:
-    """Regenerate Figure 5."""
+def run(*, runner: Optional[CampaignRunner] = None, **grid) -> FigureResult:
+    """Regenerate Figure 5; ``grid`` takes :func:`build_campaign`'s keywords."""
     return run_campaign_figure(
-        build_campaign(
-            quick=quick,
-            seed=seed,
-            n_values=n_values,
-            stacks=stacks,
-            throughputs=throughputs,
-            num_messages=num_messages,
-            replicas=replicas,
-        ),
+        build_campaign(**grid),
         runner,
         figure="5",
         title="Latency vs throughput, crash-steady scenario",

@@ -72,27 +72,10 @@ def build_campaign(
     return campaign
 
 
-def run(
-    quick: bool = True,
-    seed: int = 1,
-    panels: Iterable[Tuple[int, float]] = PANELS,
-    stacks: Iterable[str] = ("fd", "gm"),
-    tmr_values: Optional[Iterable[float]] = None,
-    num_messages: Optional[int] = None,
-    replicas: int = 1,
-    runner: Optional[CampaignRunner] = None,
-) -> FigureResult:
-    """Regenerate Figure 6."""
+def run(*, runner: Optional[CampaignRunner] = None, **grid) -> FigureResult:
+    """Regenerate Figure 6; ``grid`` takes :func:`build_campaign`'s keywords."""
     return run_campaign_figure(
-        build_campaign(
-            quick=quick,
-            seed=seed,
-            panels=panels,
-            stacks=stacks,
-            tmr_values=tmr_values,
-            num_messages=num_messages,
-            replicas=replicas,
-        ),
+        build_campaign(**grid),
         runner,
         figure="6",
         title="Latency vs mistake recurrence time T_MR (T_M = 0), suspicion-steady",

@@ -86,27 +86,10 @@ def build_campaign(
     return campaign
 
 
-def run(
-    quick: bool = True,
-    seed: int = 1,
-    panels: Iterable[Tuple[int, float, float]] = PANELS,
-    stacks: Iterable[str] = ("fd", "gm"),
-    tm_values: Optional[Iterable[float]] = None,
-    num_messages: Optional[int] = None,
-    replicas: int = 1,
-    runner: Optional[CampaignRunner] = None,
-) -> FigureResult:
-    """Regenerate Figure 7."""
+def run(*, runner: Optional[CampaignRunner] = None, **grid) -> FigureResult:
+    """Regenerate Figure 7; ``grid`` takes :func:`build_campaign`'s keywords."""
     return run_campaign_figure(
-        build_campaign(
-            quick=quick,
-            seed=seed,
-            panels=panels,
-            stacks=stacks,
-            tm_values=tm_values,
-            num_messages=num_messages,
-            replicas=replicas,
-        ),
+        build_campaign(**grid),
         runner,
         figure="7",
         title="Latency vs mistake duration T_M (T_MR fixed), suspicion-steady",

@@ -77,29 +77,10 @@ def build_campaign(
     return campaign
 
 
-def run(
-    quick: bool = True,
-    seed: int = 1,
-    n_values: Iterable[int] = (3, 7),
-    stacks: Iterable[str] = ("fd", "gm"),
-    detection_times: Iterable[float] = DETECTION_TIMES,
-    throughputs: Optional[Iterable[float]] = None,
-    num_runs: Optional[int] = None,
-    replicas: int = 1,
-    runner: Optional[CampaignRunner] = None,
-) -> FigureResult:
-    """Regenerate Figure 8."""
+def run(*, runner: Optional[CampaignRunner] = None, **grid) -> FigureResult:
+    """Regenerate Figure 8; ``grid`` takes :func:`build_campaign`'s keywords."""
     return run_campaign_figure(
-        build_campaign(
-            quick=quick,
-            seed=seed,
-            n_values=n_values,
-            stacks=stacks,
-            detection_times=detection_times,
-            throughputs=throughputs,
-            num_runs=num_runs,
-            replicas=replicas,
-        ),
+        build_campaign(**grid),
         runner,
         figure="8",
         title="Latency overhead vs throughput after the crash of p1 (crash-transient)",

@@ -21,7 +21,7 @@ deterministic as every other scenario in the repository.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.metrics.stats import interarrival_from_throughput
@@ -46,16 +46,11 @@ class CommandMix:
     increment: float = 0.15
     delete: float = 0.05
     keyspace: int = 64
+    #: ``(operation, weight)`` in draw order and the weights' sum, built once.
+    _weights: tuple = field(init=False, repr=False, compare=False)
+    _total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        weights = (self.put, self.get, self.increment, self.delete)
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError(f"command mix weights must be >= 0 and not all zero: {self}")
-        if self.keyspace < 1:
-            raise ValueError(f"keyspace must be >= 1, got {self.keyspace}")
-
-    def draw(self, rng, client: int, request_id: int) -> Command:
-        """Draw one command from the mix using ``rng``."""
         weights = (
             ("put", self.put),
             ("get", self.get),
@@ -63,7 +58,17 @@ class CommandMix:
             ("delete", self.delete),
         )
         total = sum(weight for _op, weight in weights)
-        pick = rng.random() * total
+        if any(weight < 0 for _op, weight in weights) or total <= 0:
+            raise ValueError(f"command mix weights must be >= 0 and not all zero: {self}")
+        if self.keyspace < 1:
+            raise ValueError(f"keyspace must be >= 1, got {self.keyspace}")
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_total", total)
+
+    def draw(self, rng, client: int, request_id: int) -> Command:
+        """Draw one command from the mix using ``rng``."""
+        weights = self._weights
+        pick = rng.random() * self._total
         operation = weights[-1][0]
         for op, weight in weights:
             if pick < weight:

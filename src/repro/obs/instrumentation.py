@@ -29,12 +29,11 @@ the three ``abcast_sequenced`` sites, ``consensus_started`` /
 ``consensus_round`` / ``consensus_decided`` and the two ``observe`` calls on
 proposal and batch sizes: with tracing off they cost one attribute load and
 one pointer comparison.  The two innermost loops (the simulator's event loop
-and the network's send / delivery) keep ``None`` instead and branch on it,
-and the simulator selects a hook-free run loop up front.  What still calls
-through :data:`NULL` unconditionally are the sites that fire a few times per
-run or per batch -- ``view_change``, ``view_installed``,
-``reformation_proposed``, ``service_batch`` -- where a guard would buy
-nothing; a hook added on a per-message path must take the guard.
+and the network's send / delivery) keep ``None`` instead and branch on it.
+What still calls through :data:`NULL` unconditionally are the sites that
+fire a few times per run or per batch -- ``view_change``,
+``view_installed``, ``reformation_proposed``, ``service_batch`` -- where a
+guard would buy nothing; a hook added on a per-message path must take the guard.
 ``tests/sim/test_call_budget.py`` holds the off path to a committed number
 of Python calls per simulated event.
 """
@@ -493,14 +492,14 @@ class Instrumentation:
     def sim_event(self, time: float, category: str) -> None:
         """The kernel executed one event of callback ``category``.
 
-        Called only from the simulator's instrumented run loop; no structured
-        event is recorded (that would be one record per kernel event).
+        Called only from the simulator's run loop; no structured event is
+        recorded (that would be one record per kernel event).
         """
         self.counters["sim.events"] += 1
         self.counters["sim.events." + category] += 1
 
     def queue_depth(self, depth: int) -> None:
-        """Track the event-queue high-water mark (instrumented loop only)."""
+        """Track the event-queue high-water mark (called from the run loop)."""
         if depth > self.gauges.get("sim.queue_depth_hwm", -1):
             self.gauges["sim.queue_depth_hwm"] = depth
 

@@ -27,9 +27,10 @@ locals, ``now`` is a plain slot only this module writes (every component
 reads it once or more per message), cancelled events are *counted* so the
 heap can be compacted in place when more than half of it is dead weight
 (timer-heavy failure detector workloads cancel constantly and would otherwise
-carry every dead timer until its time came), and the instrumented loop is
-kept as a separate method so the instrumentation-off path never branches per
-event.  None of this changes which events execute or in which order:
+carry every dead timer until its time came), and the attached
+instrumentation is a local the one loop tests around the callback (measured
+against a second, hook-free copy of the loop: inside the run-to-run noise).
+None of this changes which events execute or in which order:
 ``events_processed`` and every delivered sequence stay bit-identical to the
 pre-optimisation kernel (pinned by the golden tests and the
 kernel-equivalence property suite).
@@ -122,7 +123,7 @@ class Simulator:
         self._stopped: bool = False
         self._processed: int = 0
         self._exhausted: bool = False
-        #: Instrumentation, or ``None`` for the hook-free fast run loop.
+        #: Instrumentation, or ``None`` when nothing observes the run loop.
         self._obs = None
         #: Shared one-cell counter of cancelled events still on the heap.
         #: Handles hold a reference while they are queued so ``cancel()``
@@ -149,10 +150,9 @@ class Simulator:
     def set_instrumentation(self, obs) -> None:
         """Attach an :class:`repro.obs.Instrumentation` (or ``None`` to detach).
 
-        With instrumentation attached, :meth:`run` uses a hook-emitting loop
-        that reports per-category event counts and the queue-depth high-water
-        mark; without it, the byte-identical hook-free loop runs -- the
-        "trace off" fast path, which pays nothing per event.
+        With instrumentation attached, :meth:`run` reports per-category
+        event counts and the queue-depth high-water mark; detached, an event
+        pays two ``is not None`` tests on a local.
         """
         self._obs = obs if obs is not None and obs.enabled else None
 
@@ -264,69 +264,22 @@ class Simulator:
 
         Returns the simulation time at which the run ended.  Events scheduled
         exactly at ``until`` are executed.
+
+        Control flow is check-for-check the seed loop (budget, ``until``,
+        cancellation, stop), with the queue, the heap pop, the budget and the
+        instrumentation hoisted out of the loop; the event count is folded
+        back into ``_processed`` on exit (exceptions included) so external
+        observers see the same counter the per-iteration increment produced.
+        A popped handle is detached from the cancelled-event cell: it is no
+        longer on the heap, so a later ``cancel()`` must not count it.  The
+        hooks only *observe*: queue depth is sampled at the top of each
+        iteration, which is where it peaks (it only grows during callbacks).
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
         self._exhausted = False
-        try:
-            if self._obs is None:
-                self._run_fast(until, max_events)
-            else:
-                self._run_instrumented(until, max_events)
-        finally:
-            self._running = False
-        return self.now
-
-    def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """The hook-free event loop (instrumentation off: the hot path).
-
-        Control flow is check-for-check the seed loop (budget, ``until``,
-        cancellation, stop), with the queue, the heap pop and the budget
-        hoisted out of the loop; the event count is folded back into
-        ``_processed`` on exit (exceptions included) so external observers
-        see the same counter the per-iteration increment produced.  A popped
-        handle is detached from the cancelled-event cell: it is no longer on
-        the heap, so a later ``cancel()`` must not count it.
-        """
-        queue = self._queue
-        pop = heappop
-        box = self._cancel_box
-        budget = max_events if max_events is not None else float("inf")
-        executed = 0
-        try:
-            while queue and not self._stopped:
-                if executed >= budget:
-                    self._exhausted = True
-                    break
-                if until is not None and queue[0][0] > until:
-                    self.now = until
-                    break
-                time, _seq, callback, args, handle = pop(queue)
-                if handle is not None:
-                    if handle.cancelled:
-                        box[0] -= 1
-                        continue
-                    handle._cancel_box = None
-                self.now = time
-                callback(*args)
-                executed += 1
-            else:
-                if until is not None and not queue and self.now < until:
-                    self.now = until
-        finally:
-            self._processed += executed
-
-    def _run_instrumented(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """The same loop, emitting per-event hooks.
-
-        Control flow is identical to :meth:`_run_fast`; the hooks only
-        *observe* (queue depth is sampled at the top of each iteration,
-        which captures the exact high-water mark because the depth only
-        grows during callbacks and each callback is followed by another
-        iteration).  Kept separate so the off path never branches per event.
-        """
         obs = self._obs
         queue = self._queue
         pop = heappop
@@ -335,7 +288,8 @@ class Simulator:
         executed = 0
         try:
             while queue and not self._stopped:
-                obs.queue_depth(len(queue))
+                if obs is not None:
+                    obs.queue_depth(len(queue))
                 if executed >= budget:
                     self._exhausted = True
                     break
@@ -351,12 +305,15 @@ class Simulator:
                 self.now = time
                 callback(*args)
                 executed += 1
-                obs.sim_event(time, _callback_category(callback))
+                if obs is not None:
+                    obs.sim_event(time, _callback_category(callback))
             else:
                 if until is not None and not queue and self.now < until:
                     self.now = until
         finally:
             self._processed += executed
+            self._running = False
+        return self.now
 
     def run_until_empty(self, max_events: int = 10_000_000) -> float:
         """Run until no events remain (bounded by ``max_events`` as a guard)."""

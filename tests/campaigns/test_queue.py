@@ -244,6 +244,93 @@ class TestQueueBackedRunner:
         runner = CampaignRunner(queue=queue, queue_poll=0.01, queue_timeout=0.05)
         # Make the embedded worker unable to claim anything, simulating a
         # grid whose points are all leased by stalled remote workers.
-        monkeypatch.setattr(WorkQueue, "claim", lambda self, worker: None)
+        monkeypatch.setattr(WorkQueue, "claim", lambda self, worker, names=None: None)
         with pytest.raises(TimeoutError):
             runner.run(campaign)
+
+
+class TestDrainRounds:
+    """A worker drains in rounds of one ``pending/`` listing each."""
+
+    @pytest.fixture
+    def stub_execution(self, monkeypatch):
+        """Replace the simulation by a stub record; returns the executed keys."""
+        import repro.campaigns.runner as runner_module
+
+        executed = []
+
+        def stub(point, trace_dir=None):
+            executed.append(point.key())
+            return {"type": "stub", "throughput": point.throughput}
+
+        monkeypatch.setattr(runner_module, "execute_point", stub)
+        return executed
+
+    def test_draining_200_points_reads_the_directory_twice(
+        self, tmp_path, monkeypatch, stub_execution
+    ):
+        queue = WorkQueue(str(tmp_path))
+        points = quick_points(200)
+        assert queue.enqueue(points) == 200
+        listings = []
+        real_listdir = os.listdir
+
+        def counting_listdir(path):
+            listings.append(os.path.basename(path))
+            return real_listdir(path)
+
+        monkeypatch.setattr(os, "listdir", counting_listdir)
+        assert QueueWorker(queue, worker_id="w1").run() == 200
+        # One round that drains everything and the empty round that ends the
+        # drain; a listing per claim made this 201 sorted directory reads.
+        assert listings == ["pending", "pending"]
+        monkeypatch.undo()
+        assert sorted(stub_execution) == sorted(point.key() for point in points)
+        assert (queue.pending_count(), queue.result_count()) == (0, 200)
+        assert os.listdir(os.path.join(str(tmp_path), "leases")) == []
+
+    def test_a_stale_listing_skips_what_another_worker_finished(self, tmp_path, stub_execution):
+        queue = WorkQueue(str(tmp_path))
+        queue.enqueue(quick_points(5))
+        slow = QueueWorker(queue, worker_id="slow")
+        names = iter(queue.pending_names())
+        assert QueueWorker(queue, worker_id="fast").run(max_points=2) == 2
+        # The first two names of the listing are done; the third is claimed.
+        assert slow.run_one(names) is not None
+        assert slow.run_one(names) is not None
+        assert slow.run_one(names) is not None
+        assert slow.run_one(names) is None
+        assert len(stub_execution) == len(set(stub_execution)) == 5
+
+    def test_a_listing_does_not_jump_a_live_lease(self, tmp_path, stub_execution):
+        queue = WorkQueue(str(tmp_path))
+        queue.enqueue(quick_points(3))
+        held = queue.claim("other")
+        assert QueueWorker(queue, worker_id="w1").run() == 2
+        assert held.key not in stub_execution
+        assert queue.pending_count() == 1
+
+    def test_points_enqueued_during_a_round_are_drained_by_the_next(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.campaigns.runner as runner_module
+
+        queue = WorkQueue(str(tmp_path))
+        first, late = quick_points(2)
+        queue.enqueue([first])
+        executed = []
+
+        def enqueueing(point, trace_dir=None):
+            executed.append(point.key())
+            queue.enqueue([late])
+            return {"type": "stub"}
+
+        monkeypatch.setattr(runner_module, "execute_point", enqueueing)
+        assert QueueWorker(queue, worker_id="w1").run() == 2
+        assert executed == [first.key(), late.key()]
+
+    def test_max_points_stops_mid_round(self, tmp_path, stub_execution):
+        queue = WorkQueue(str(tmp_path))
+        queue.enqueue(quick_points(4))
+        assert QueueWorker(queue, worker_id="w1").run(max_points=3) == 3
+        assert queue.pending_count() == 1

@@ -178,17 +178,30 @@ class TestCampaignRunner:
 
 
 class TestChunkedDispatch:
-    def test_rejects_negative_chunking_knobs(self):
-        with pytest.raises(ValueError):
-            CampaignRunner(chunk_size=-1)
-        with pytest.raises(ValueError):
-            CampaignRunner(max_inflight=-1)
-
-    def test_explicit_chunk_size_matches_serial(self):
-        campaign = tiny_campaign(throughputs=(20.0, 40.0, 60.0))
+    def test_several_chunks_behind_a_full_window_match_serial(self, monkeypatch):
+        """Five points in chunks of two behind a window of two: a short tail
+        chunk, and a third chunk submitted only when an earlier one lands."""
+        campaign = tiny_campaign(throughputs=(20.0, 30.0, 40.0, 50.0, 60.0))
         serial = CampaignRunner(jobs=1).run(campaign)
-        with CampaignRunner(jobs=2, chunk_size=2, max_inflight=1) as chunked:
+        split = []
+        real_split = runner_module.pool_mod.split_chunks
+
+        def recording_split(items, size):
+            split.extend(real_split(items, size))
+            return split
+
+        monkeypatch.setattr(runner_module.pool_mod, "chunk_size", lambda pending, workers: 2)
+        monkeypatch.setattr(runner_module.pool_mod, "split_chunks", recording_split)
+        monkeypatch.setattr(runner_module.pool_mod, "INFLIGHT_CHUNKS_PER_WORKER", 1)
+        with CampaignRunner(jobs=2) as chunked:
             assert chunked.run(campaign).records == serial.records
+        assert [len(chunk) for chunk in split] == [2, 2, 1]
+
+    def test_chunks_are_sized_from_the_grid(self):
+        """About eight chunks per worker, one point at least, 32 at most."""
+        sizes = {(p, w): runner_module.pool_mod.chunk_size(p, w) for p, w in
+                 ((0, 2), (5, 2), (192, 2), (100_000, 4))}
+        assert sizes == {(0, 2): 1, (5, 2): 1, (192, 2): 12, (100_000, 4): 32}
 
     def test_execute_chunk_matches_per_point_execution(self):
         points = tiny_campaign().points()

@@ -344,3 +344,151 @@ class TestWhatACursorWouldBreak:
         follower.on_message(0, ("DELIVER", vid, 1, 1))
         assert first not in follower._unstable and second in follower._unstable
         assert follower._restabilize == []
+
+
+# ------------------------------------------------------------------ group membership
+
+
+@pytest.fixture
+def checked_membership(monkeypatch):
+    """The per-member ``_suspects`` scans as oracles of the suspected-set reads.
+
+    ``_maybe_propose`` used to list every member it still awaited and
+    ``_check_pending_triggers`` walked the view, each through one detector
+    call per member; both now read the suspected set once.  The old
+    expressions, evaluated before each call, must predict what the call does.
+    """
+    from repro.core.group_membership import MEMBER, VIEW_CHANGE_IN_PROGRESS, GroupMembership
+
+    calls = Counter()
+    proposed_value = {}
+
+    original_propose = ConsensusService.propose
+
+    def propose(self, cid, value, **kwargs):
+        proposed_value[id(self)] = (cid, value)
+        return original_propose(self, cid, value, **kwargs)
+
+    original_maybe_propose = GroupMembership._maybe_propose
+
+    def maybe_propose(self):
+        calls["maybe_propose"] += 1
+        view = self._view
+        open_change = self._status == VIEW_CHANGE_IN_PROGRESS and not self._proposed
+        missing = [
+            member
+            for member in view.members
+            if member not in self._syncs and not self._suspects(member)
+        ]
+        expected = open_change and not missing and len(self._syncs) >= view.majority()
+        joiners = tuple(
+            sorted(
+                j
+                for j in (self._joiners_seen | self._pending_joins)
+                if j not in view.members and not self._suspects(j)
+            )
+        )
+        survivors = tuple(m for m in view.members if m in self._syncs)
+        vid = view.vid
+        already = self._proposed
+        original_maybe_propose(self)
+        if expected:
+            calls["proposed"] += 1
+            calls["proposed_past_a_suspect"] += len(survivors) < len(view.members)
+            cid, (_pid, (new_members, _unstable)) = proposed_value[id(self.consensus)]
+            assert cid == ("vc", vid)
+            assert new_members == survivors + joiners
+        elif self._view.vid == vid:
+            # Not proposing leaves the flag alone (proposing may go on to
+            # install the next view within the call, which resets it).
+            assert self._proposed == already
+
+    original_check = GroupMembership._check_pending_triggers
+
+    def check_pending_triggers(self):
+        calls["check_triggers"] += 1
+        suspected_member = any(
+            self._suspects(member) for member in self._view.members if member != self.pid
+        )
+        joinable = any(not self._suspects(j) for j in self._pending_joins)
+        expected = self._status == MEMBER and (suspected_member or joinable)
+        was_member = self._status == MEMBER
+        original_check(self)
+        if was_member:
+            calls["triggered"] += expected
+            assert (self._status != MEMBER) == expected
+
+    monkeypatch.setattr(ConsensusService, "propose", propose)
+    monkeypatch.setattr(GroupMembership, "_maybe_propose", maybe_propose)
+    monkeypatch.setattr(GroupMembership, "_check_pending_triggers", check_pending_triggers)
+    return calls
+
+
+@pytest.mark.parametrize("stack", ["gm", "gm-reform"])
+class TestMembershipSuspectedSetEquivalence:
+    def test_wrong_suspicions(self, checked_membership, stack):
+        run_suspicion_steady(
+            config(stack, n=7), 100.0, mistake_recurrence_time=200.0, mistake_duration=5.0,
+            num_messages=150,
+        )
+        assert checked_membership["proposed_past_a_suspect"] > 0
+        assert checked_membership["triggered"] > 0
+
+    def test_churn_with_rejoins(self, checked_membership, stack):
+        run_churn_steady(
+            config(stack), 100.0, churn_rate=4.0, mean_downtime=100.0, num_messages=200
+        )
+        assert checked_membership["proposed"] > 0
+        assert checked_membership["check_triggers"] > 0
+
+    def test_partition_and_heal(self, checked_membership, stack):
+        run_partition_transient(
+            config(stack), 100.0, partition_duration=400.0, num_messages=200
+        )
+        assert checked_membership["proposed"] > 0
+
+
+def test_a_sync_reads_the_detector_once_at_n15(monkeypatch):
+    """Clock-free bound: detector reads per ``_maybe_propose``, not per member.
+
+    At n = 15 a view change brings up to 15 SYNCs to each of 15 processes;
+    the per-member scan asked the detector about every member not yet
+    synced, on each of them.
+    """
+    from repro.core.group_membership import GroupMembership
+    from repro.failure_detectors.interface import FailureDetector
+
+    work = Counter()
+    inside = [False]
+    original = GroupMembership._maybe_propose
+
+    def maybe_propose(self):
+        work["calls"] += 1
+        # What the old comprehension asked the detector: one call per unsynced member.
+        work["old_reads"] += sum(1 for m in self._view.members if m not in self._syncs)
+        inside[0] = True
+        try:
+            original(self)
+        finally:
+            inside[0] = False
+
+    def counting(name):
+        method = getattr(FailureDetector, name)
+
+        def counted(self, *args):
+            work["reads"] += inside[0]
+            return method(self, *args)
+
+        return counted
+
+    monkeypatch.setattr(GroupMembership, "_maybe_propose", maybe_propose)
+    monkeypatch.setattr(FailureDetector, "is_suspected", counting("is_suspected"))
+    monkeypatch.setattr(FailureDetector, "suspected", counting("suspected"))
+    result = run_suspicion_steady(
+        SystemConfig(n=15, stack="gm", seed=1), 20.0, mistake_recurrence_time=200.0,
+        mistake_duration=5.0, num_messages=150,
+    )
+    assert result.measured == 150
+    assert work["calls"] > 1000
+    assert work["reads"] <= work["calls"]
+    assert work["old_reads"] >= 5 * work["calls"]

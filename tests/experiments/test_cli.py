@@ -1,5 +1,8 @@
 """Tests for the experiments command-line interface."""
 
+import json
+
+from repro.campaigns.queue import WorkQueue
 from repro.experiments.__main__ import main
 
 
@@ -81,3 +84,36 @@ class TestExperimentsCLI:
         patch_tiny_figure4(monkeypatch, throughputs=(30,), num_messages=10)
         assert main(["--figure", "4", "--replicas", "2", "--markdown"]) == 0
         assert "Figure 4" in capsys.readouterr().out
+
+
+class TestSharedExecutionOptions:
+    """The options of ``campaigns/execution.py``, as the figures CLI uses them."""
+
+    def test_figure4_quick_through_the_queue_prints_the_serial_table(self, tmp_path, capsys):
+        assert main(["--figure", "4", "--quick"]) == 0
+        serial = capsys.readouterr().out
+        queue_dir = str(tmp_path / "queue")
+        assert main(["--figure", "4", "--quick", "--queue-dir", queue_dir]) == 0
+        queued = capsys.readouterr().out
+        assert table_lines(queued) == table_lines(serial)
+        assert "Figure 4" in serial and "14 points simulated, 0 from cache" in queued
+        # The points really went through the shared directory.
+        queue = WorkQueue(queue_dir)
+        assert (queue.result_count(), queue.pending_count()) == (14, 0)
+
+    def test_metrics_catalog_and_output_file_reach_the_figures_cli(self, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        argv = [
+            "--figure", "4", "--quick", "--metrics-out", str(tmp_path / "metrics"),
+            "--catalog", str(tmp_path / "catalog"), "--cache-dir", str(tmp_path / "cache"),
+            "-o", str(report),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert report.read_text() == out
+        assert f"  wrote 14 metrics snapshots to {tmp_path / 'metrics'}" in out.splitlines()
+        assert "trace files in" not in out
+        summary = tmp_path / "catalog" / "figure4-quick" / "summary.json"
+        assert json.loads(summary.read_text())["store_path"] == str(
+            tmp_path / "cache" / "results.jsonl"
+        )

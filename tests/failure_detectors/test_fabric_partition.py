@@ -10,8 +10,6 @@ their view.  These tests pin that semantics and its interplay with the
 crash path and with random QoS mistakes.
 """
 
-import pytest
-
 from repro.failure_detectors.qos import QoSConfig, QoSFailureDetectorFabric
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig

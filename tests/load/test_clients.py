@@ -47,6 +47,40 @@ class TestCommandMix:
             mix.draw(rng, 0, i).operation == "get" for i in range(50)
         )
 
+    @pytest.mark.parametrize(
+        "mix", [CommandMix(), CommandMix(put=3.0, get=0.0, increment=1.5, delete=0.25, keyspace=7)]
+    )
+    def test_the_prebuilt_table_draws_what_the_per_call_table_drew(self, mix):
+        """The table used to be rebuilt inside every draw: same picks, same
+        ``random()`` then ``randrange()`` consumption of the stream."""
+
+        def per_call_draw(rng):
+            weights = (
+                ("put", mix.put),
+                ("get", mix.get),
+                ("increment", mix.increment),
+                ("delete", mix.delete),
+            )
+            pick = rng.random() * sum(weight for _op, weight in weights)
+            operation = weights[-1][0]
+            for op, weight in weights:
+                if pick < weight:
+                    operation = op
+                    break
+                pick -= weight
+            return operation, rng.randrange(mix.keyspace)
+
+        rng, oracle_rng = (RandomStreams(seed=9).stream("mix") for _ in range(2))
+        for i in range(500):
+            command = mix.draw(rng, 0, i)
+            operation, key = per_call_draw(oracle_rng)
+            assert (command.operation, int(command.key.split("-")[1])) == (operation, key)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    def test_the_table_is_not_part_of_the_value(self):
+        assert CommandMix(get=0.4) == CommandMix(get=0.4)
+        assert "_weights" not in repr(CommandMix()) and "_total" not in repr(CommandMix())
+
     def test_invalid_mixes_rejected(self):
         with pytest.raises(ValueError):
             CommandMix(put=0.0, get=0.0, increment=0.0, delete=0.0)

@@ -1,17 +1,21 @@
 """Kernel-equivalence property suite.
 
-The optimised run loop in :mod:`repro.sim.engine` (five-field heap entries,
-handle-free ``post*`` events, hoisted locals, lazy compaction) must execute
-the *exact* same callbacks in the exact same order as the straightforward
-seed kernel it replaced.  This suite pins that claim: random event programs
--- posted and handled events mixed, cancellations before and after firing,
-events that schedule more events, a mass cancellation large enough to
-compact the heap, ``stop()``, ``until`` horizons and ``max_events`` budgets
--- are run through a transcription of the seed loop and through the
-production :class:`~repro.sim.engine.Simulator`, and the full observable
-trace (fired ids, firing times, end time, ``events_processed``,
-``run_exhausted``, ``pending_events``, ``cancelled_pending_events``) must
-match bit for bit.
+The one run loop of :mod:`repro.sim.engine` (five-field heap entries,
+handle-free ``post*`` events, hoisted locals, lazy compaction, the attached
+instrumentation tested around the callback) must execute the *exact* same
+callbacks in the exact same order as the straightforward seed kernel it
+replaced -- :class:`ReferenceSimulator` below, the single reference kernel.
+This suite pins that claim: random event programs -- posted and handled
+events mixed, cancellations before and after firing, events that schedule
+more events, a mass cancellation large enough to compact the heap,
+``stop()``, a callback that raises, ``until`` horizons and ``max_events``
+budgets -- are run through the reference and through the production
+:class:`~repro.sim.engine.Simulator`, detached and with a recorder attached,
+and the full observable trace (fired ids, firing times, end time or the
+exception, ``events_processed``, ``run_exhausted``, ``pending_events``,
+``cancelled_pending_events``) must match bit for bit.  With the recorder
+attached the loop must also report exactly one ``sim_event`` per executed
+event, in execution order, and the reference's queue-depth high-water mark.
 """
 
 import heapq
@@ -58,6 +62,9 @@ class ReferenceSimulator:
         self._processed = 0
         self._stopped = False
         self._exhausted = False
+        #: Largest queue depth seen from the loop, i.e. at the top of an
+        #: iteration: the depth only grows inside callbacks, so it peaks there.
+        self.depth_hwm = 0
 
     @property
     def now(self):
@@ -104,6 +111,7 @@ class ReferenceSimulator:
         self._exhausted = False
         executed = 0
         while self._queue and not self._stopped:
+            self.depth_hwm = max(self.depth_hwm, len(self._queue))
             if max_events is not None and executed >= max_events:
                 self._exhausted = True
                 break
@@ -116,12 +124,34 @@ class ReferenceSimulator:
                 continue
             self._now = head.time
             head.callback(*head.args)
+            # Counted once it returned: an event whose callback raised was
+            # not executed.
             executed += 1
+            self._processed += 1
         else:
             if until is not None and not self._queue and self._now < until:
                 self._now = until
-        self._processed += executed
         return self._now
+
+
+class Recorder:
+    """What an attached instrumentation hears from the run loop, verbatim."""
+
+    enabled = True
+
+    def __init__(self):
+        self.events = []
+        self.depth_hwm = 0
+
+    def sim_event(self, time, category):
+        self.events.append((time, category))
+
+    def queue_depth(self, depth):
+        self.depth_hwm = max(self.depth_hwm, depth)
+
+
+class Boom(Exception):
+    """Raised by the ``raise`` action, through ``run()``, into the program."""
 
 
 _DELAYS = st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False)
@@ -131,7 +161,7 @@ _DELAYS = st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infin
 # (index % live handles) -- which may already have fired or been cancelled,
 # exercising the no-op cancel paths too --, cancel every far-future victim
 # at once (enough dead weight for the next scheduling call to compact the
-# heap), or stop the run.
+# heap), stop the run, or raise out of the callback (and so out of ``run()``).
 _ACTIONS = st.lists(
     st.one_of(
         st.tuples(st.just("spawn"), _DELAYS),
@@ -139,6 +169,7 @@ _ACTIONS = st.lists(
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
         st.tuples(st.just("massacre")),
         st.tuples(st.just("stop")),
+        st.tuples(st.just("raise")),
     ),
     max_size=3,
 )
@@ -186,8 +217,10 @@ def run_program(sim, program):
             elif kind == "massacre":
                 for victim in doomed:
                     victim.cancel()
-            else:
+            elif kind == "stop":
                 sim.stop()
+            else:
+                raise Boom(eid)
 
     for index in range(victims):
         # Beyond every ``until`` the strategy draws: victims only ever leave
@@ -203,7 +236,10 @@ def run_program(sim, program):
             sim.post_at(sim.now + delay, fire, eid)
     if not handles:
         handles.append(sim.schedule(0.0, fire, -2))
-    end = sim.run(until=until, max_events=max_events)
+    try:
+        end = sim.run(until=until, max_events=max_events)
+    except Boom as boom:
+        end = ("raised", boom.args, sim.now)
     return (
         fired,
         end,
@@ -214,37 +250,105 @@ def run_program(sim, program):
     )
 
 
+def recorded_simulator():
+    sim = Simulator()
+    recorder = Recorder()
+    sim.set_instrumentation(recorder)
+    return sim, recorder
+
+
+def assert_recorder_heard_the_run(recorder, sim, reference_sim, traces):
+    """One ``sim_event`` per executed event, in order, and the exact depth mark.
+
+    ``traces`` are the ``run_program`` traces of the runs so far; an event
+    whose callback raised was fired but not executed, and is the last one
+    its run fired.
+    """
+    executed_times = []
+    for fired, end, *_rest in traces:
+        raised = isinstance(end, tuple)
+        executed_times.extend(time for _eid, time in (fired[:-1] if raised else fired))
+    assert len(recorder.events) == sim.events_processed
+    assert [time for time, _category in recorder.events] == executed_times
+    assert {category for _time, category in recorder.events} <= {"run_program"}
+    assert recorder.depth_hwm == reference_sim.depth_hwm
+
+
 class TestKernelEquivalence:
     @given(program=programs())
     @settings(max_examples=200, deadline=None)
-    def test_optimized_loop_matches_reference_loop(self, program):
-        reference = run_program(ReferenceSimulator(), program)
-        optimized = run_program(Simulator(), program)
-        assert optimized == reference
+    def test_the_one_loop_matches_the_reference_with_and_without_a_recorder(self, program):
+        reference_sim = ReferenceSimulator()
+        reference = run_program(reference_sim, program)
+        assert run_program(Simulator(), program) == reference
+        sim, recorder = recorded_simulator()
+        assert run_program(sim, program) == reference
+        assert_recorder_heard_the_run(recorder, sim, reference_sim, [reference])
 
     @given(program=programs(), resume_until=st.none() | st.floats(min_value=0.0, max_value=500.0))
     @settings(max_examples=100, deadline=None)
     def test_equivalence_survives_resumed_runs(self, program, resume_until):
-        """A second run() continuing a stopped/limited first run also matches."""
+        """A second run() continuing a stopped/limited/raised first run also matches."""
+        reference_sim = ReferenceSimulator()
+        sim, recorder = recorded_simulator()
         traces = []
-        for sim in (ReferenceSimulator(), Simulator()):
-            first = run_program(sim, program)
-            end = sim.run(until=resume_until, max_events=50)
+        for kernel in (reference_sim, Simulator(), sim):
+            first = run_program(kernel, program)
+            fired_before = len(first[0])
+            try:
+                end = kernel.run(until=resume_until, max_events=50)
+            except Boom as boom:
+                end = ("raised", boom.args, kernel.now)
             traces.append(
-                (first, end, sim.events_processed, sim.run_exhausted,
-                 sim.pending_events, sim.cancelled_pending_events)
+                (first, end, kernel.events_processed, kernel.run_exhausted,
+                 kernel.pending_events, kernel.cancelled_pending_events)
             )
-        assert traces[0] == traces[1]
+        assert traces[0] == traces[1] == traces[2]
+        # ``fired`` is one list the program's closure keeps appending to.
+        first, end = traces[2][0], traces[2][1]
+        fired = first[0]
+        assert_recorder_heard_the_run(
+            recorder, sim, reference_sim,
+            [(fired[:fired_before], first[1]), (fired[fired_before:], end)],
+        )
 
     @given(program=programs())
     @settings(max_examples=50, deadline=None)
-    def test_instrumented_loop_matches_reference_loop(self, program):
+    def test_the_real_instrumentation_counts_what_the_recorder_hears(self, program):
         from repro.obs import Instrumentation
 
-        reference = run_program(ReferenceSimulator(), program)
+        reference_sim = ReferenceSimulator()
+        reference = run_program(reference_sim, program)
         sim = Simulator()
-        sim.set_instrumentation(Instrumentation())
+        obs = Instrumentation()
+        sim.set_instrumentation(obs)
         assert run_program(sim, program) == reference
+        assert obs.counter("sim.events") == sim.events_processed
+        assert obs.counter("sim.events.run_program") == sim.events_processed
+        assert obs.gauges.get("sim.queue_depth_hwm", 0) == reference_sim.depth_hwm
+
+    def test_a_raising_callback_is_fired_but_not_counted(self):
+        """The hand-written exception case: the event count folded back on the
+        way out excludes the event that raised, no ``sim_event`` reports it,
+        and the simulator can run again."""
+        program = (
+            [(1.0, False), (2.0, True), (3.0, False)],
+            {1: [("post", 0.5), ("raise",)]},
+            0,
+            None,
+            None,
+        )
+        reference_sim = ReferenceSimulator()
+        reference = run_program(reference_sim, program)
+        sim, recorder = recorded_simulator()
+        assert run_program(sim, program) == reference
+        fired, end, processed, _exhausted, pending, _cancelled = reference
+        assert [eid for eid, _time in fired] == [0, 1]
+        assert end == ("raised", (1,), 2.0)
+        assert (processed, pending) == (1, 2)
+        assert recorder.events == [(1.0, "run_program")]
+        assert sim.run() == reference_sim.run() == 3.0
+        assert sim.events_processed == reference_sim.events_processed == 3
 
     def test_the_strategy_reaches_a_compaction(self):
         """The hand-written worst case of the strategy: a massacre followed by

@@ -5,6 +5,7 @@
   call to the kernel's ``schedule`` / ``schedule_at`` stands alone as a
   statement, throwing its :class:`~repro.sim.engine.EventHandle` away.
 * :class:`~repro.sim.resources.FIFOResource` carries no write-only state.
+* There is one event loop: one function of ``sim/engine.py`` pops the heap.
 """
 
 import ast
@@ -99,3 +100,17 @@ def test_fifo_resource_has_no_write_only_attribute():
     declared = {element.value for element in slots.elts}
     assert written == declared, "every slot is initialised, and nothing else is"
     assert written - read == set(), f"written and never read: {sorted(written - read)}"
+
+
+def test_one_function_of_the_kernel_pops_the_heap():
+    """A second run loop (say, a hook-free copy of the first) has to pop too."""
+    tree = ast.parse(ENGINE.read_text(encoding="utf-8"))
+    poppers = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            (isinstance(inner, ast.Name) and inner.id == "heappop")
+            or (isinstance(inner, ast.Attribute) and inner.attr == "heappop")
+            for inner in ast.walk(node)
+        ):
+            poppers.append(node.name)
+    assert poppers == ["run"], f"functions of sim/engine.py that pop the heap: {poppers}"
