@@ -151,9 +151,9 @@ def load_store_table(directory: str, filename: str = "results.jsonl") -> Columna
 
     The fast path reads the columnar mirror (the packed-binary ``.rcol``)
     in a handful of bulk ``frombytes`` calls.  When the mirror is missing or older than the JSONL -- e.g. a
-    store still being appended to by a live campaign -- the JSONL is parsed
-    once and the mirror rewritten, so the *next* aggregation over the same
-    store is columnar again.
+    store still being appended to by a live campaign -- the JSONL is streamed
+    through the mirror writer, one parsed record at a time, so the *next*
+    aggregation over the same store is columnar again.
     """
     jsonl_path = os.path.join(directory, filename)
     fresh = columnar.fresh_mirror_path(jsonl_path)

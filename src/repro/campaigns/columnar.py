@@ -272,6 +272,15 @@ def write_mirror(entries: Iterable[Entry], jsonl_path: str) -> str:
     return path
 
 
+def touch_mirror(jsonl_path: str) -> None:
+    """Stamp the mirror of ``jsonl_path`` as written now.
+
+    For a rewrite of the JSONL that changed no record (a compaction): the
+    caller vouches that the mirror was fresh for the file it replaced.
+    """
+    os.utime(mirror_path(jsonl_path))
+
+
 def read_mirror(path: str) -> ColumnarTable:
     """Load a mirror file."""
     return read_rcol(path)

@@ -127,6 +127,106 @@ class TestMirrorFreshness:
         assert fresh_mirror_path(store.path) is None
 
 
+class TestMirrorAcrossCompaction:
+    """Compaction rewrites the JSONL without changing a record: a mirror that
+    described the old file is still right, one that did not is never trusted."""
+
+    def mirrored_store(self, tmp_path):
+        """A closed store with duplicate lines and a fresh mirror, both
+        back-dated so that whatever is written next is strictly newer."""
+        store = ResultStore(str(tmp_path))
+        for index in range(6):
+            store.put(
+                f"k{index % 4}",
+                {"type": "scenario", "measured": index, "events": 10 * index,
+                 "latencies": [1.0 + index, 2.5]},
+                point={"kind": "normal-steady", "stack": "fd", "n": 3, "seed": index},
+            )
+        store.close()
+        mirror = fresh_mirror_path(store.path)
+        past = os.stat(store.path).st_mtime - 60.0
+        os.utime(store.path, (past, past))
+        os.utime(mirror, (past, past))
+        assert fresh_mirror_path(store.path) == mirror
+        return store.path
+
+    def assert_mirror_equals_store(self, directory):
+        table = load_store_table(directory)
+        expected = {key: record for key, _, record in ResultStore(directory, mirror=False).entries()}
+        assert sorted(table.keys) == sorted(expected)
+        for index, key in enumerate(table.keys):
+            assert list(table.latencies(index)) == expected[key]["latencies"]
+            assert table.numbers["events"][index] == expected[key]["events"]
+            assert table.numbers["measured"][index] == expected[key]["measured"]
+
+    def test_compacting_an_unchanged_store_keeps_its_mirror_fresh(self, tmp_path, parses):
+        path = self.mirrored_store(tmp_path)
+        with open(path, "rb") as handle:
+            assert len(handle.readlines()) == 6
+        reopened = ResultStore(str(tmp_path))
+        reopened.compact()
+        reopened.close()
+        with open(path, "rb") as handle:
+            assert len(handle.readlines()) == 4
+        assert fresh_mirror_path(path) is not None
+
+        del parses[:]
+        table = load_store_table(str(tmp_path))
+        assert table.count == 4
+        # The mirror's own header is the only JSON read: no record line.
+        assert len(parses) == 1 and not parses[0].startswith('{"key"')
+        self.assert_mirror_equals_store(str(tmp_path))
+
+    def test_puts_after_the_compaction_outdate_the_mirror_again(self, tmp_path):
+        path = self.mirrored_store(tmp_path)
+        reopened = ResultStore(str(tmp_path), mirror=False)
+        reopened.compact()
+        assert fresh_mirror_path(path) is not None
+        reopened.put("late", {"type": "scenario", "measured": 1, "events": 1, "latencies": [9.0]})
+        reopened.close()
+        assert fresh_mirror_path(path) is None
+        self.assert_mirror_equals_store(str(tmp_path))
+
+    def test_puts_before_compaction_leave_the_mirror_stale_or_rewritten(self, tmp_path):
+        path = self.mirrored_store(tmp_path)
+        unmirrored = ResultStore(str(tmp_path), mirror=False)
+        unmirrored.put("new", {"type": "scenario", "measured": 7, "events": 70, "latencies": [4.0]})
+        unmirrored.compact()
+        unmirrored.close()
+        assert fresh_mirror_path(path) is None  # stale: rebuilt from the JSONL on the next load
+        self.assert_mirror_equals_store(str(tmp_path))
+
+        mirrored = ResultStore(str(tmp_path))
+        mirrored.put("newer", {"type": "scenario", "measured": 8, "events": 80, "latencies": [5.0]})
+        mirrored.compact()
+        mirrored.close()  # rewritten at close, from the store
+        assert "newer" in columnar.read_mirror(fresh_mirror_path(path)).keys
+        self.assert_mirror_equals_store(str(tmp_path))
+
+    def test_a_mirror_that_was_stale_stays_stale(self, tmp_path):
+        path = self.mirrored_store(tmp_path)
+        mirror = columnar.mirror_path(path)
+        older = os.stat(path).st_mtime - 60.0
+        os.utime(mirror, (older, older))
+        reopened = ResultStore(str(tmp_path))
+        reopened.compact()
+        reopened.close()
+        assert fresh_mirror_path(path) is None
+
+    def test_a_mirror_holding_a_peers_appends_is_not_kept(self, tmp_path):
+        # The peer's line is in its mirror but not in this store's index, so
+        # this compaction drops it from the JSONL: the mirror must go stale.
+        path = self.mirrored_store(tmp_path)
+        early = ResultStore(str(tmp_path))
+        with ResultStore(str(tmp_path)) as peer:
+            peer.put("peer", {"type": "scenario", "measured": 1, "events": 1, "latencies": [1.0]})
+        assert "peer" in columnar.read_mirror(fresh_mirror_path(path)).keys
+        early.compact()
+        early.close()
+        assert fresh_mirror_path(path) is None
+        assert "peer" not in load_store_table(str(tmp_path)).keys
+
+
 class TestLoadStoreTable:
     def test_missing_store_loads_empty(self, tmp_path):
         table = load_store_table(str(tmp_path))
