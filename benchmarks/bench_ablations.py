@@ -13,7 +13,7 @@ These go beyond the paper's figures:
 from benchmarks.conftest import save_and_print
 from repro import SystemConfig
 from repro.experiments.series import FigurePoint, FigureResult, Series
-from repro.scenarios.steady import run_crash_steady, run_normal_steady
+from repro.scenarios import run_crash_steady, run_normal_steady
 
 MESSAGES = 120
 

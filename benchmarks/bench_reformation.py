@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.scenarios.extended import run_view_majority_loss
+from repro.scenarios import run_view_majority_loss
 from repro.system import SystemConfig
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").lower() in ("1", "true", "yes")
@@ -55,10 +55,9 @@ def run_benchmark() -> str:
             started = time.perf_counter()
             for seed in SEEDS:
                 result = run_view_majority_loss(
-                    SystemConfig(n=n, stack="gm-reform", seed=seed),
+                    SystemConfig(n=n, stack="gm-reform", seed=seed, reformation_timeout=timeout),
                     THROUGHPUT,
                     detection_time=10.0,
-                    reformation_timeout=timeout,
                     num_messages=MESSAGES,
                 )
                 events += result.events

@@ -20,21 +20,19 @@ import os
 import time
 from typing import Callable, List, Tuple
 
-from repro.scenarios.extended import (
+from repro.scenarios import (
     run_asymmetric_qos,
     run_churn_steady,
     run_correlated_crash,
+    run_crash_steady,
+    run_crash_transient,
     run_gray_degradation,
+    run_normal_steady,
     run_partition_transient,
+    run_suspicion_steady,
     run_view_majority_loss,
     run_wan_steady,
 )
-from repro.scenarios.steady import (
-    run_crash_steady,
-    run_normal_steady,
-    run_suspicion_steady,
-)
-from repro.scenarios.transient import run_crash_transient
 from repro.system import SystemConfig
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").lower() in ("1", "true", "yes")
@@ -125,7 +123,7 @@ def scenario_grid() -> List[Tuple[str, Callable[[str], object]]]:
         (
             "wan-steady",
             lambda a: run_wan_steady(
-                cfg(a), THROUGHPUT, profile="wan-3dc", num_messages=MESSAGES
+                cfg(a), THROUGHPUT, wan_profile="wan-3dc", num_messages=MESSAGES
             ),
         ),
         (

@@ -28,8 +28,7 @@ import tracemalloc
 from typing import Any, Callable, Dict, Tuple
 
 from repro import SystemConfig, build_system
-from repro.scenarios.extended import run_churn_steady
-from repro.scenarios.steady import run_suspicion_steady
+from repro.scenarios import run_churn_steady, run_suspicion_steady
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
 from repro.sim.network import Network, NetworkConfig

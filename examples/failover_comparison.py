@@ -16,7 +16,7 @@ Usage::
 import sys
 
 from repro import SystemConfig
-from repro.scenarios.transient import run_crash_transient
+from repro.scenarios import run_crash_transient
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ Usage::
 
 from repro import SystemConfig
 from repro.failure_detectors.heartbeat import HeartbeatConfig, HeartbeatFailureDetector
-from repro.scenarios.steady import run_suspicion_steady
+from repro.scenarios import run_suspicion_steady
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.process import SimProcess

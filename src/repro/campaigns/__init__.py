@@ -55,7 +55,7 @@ from repro.campaigns.spec import (
     replicate_seeds,
 )
 from repro.campaigns.store import ResultStore
-from repro.scenarios.registry import crashed_processes
+from repro.scenarios.kinds import crashed_processes
 
 __all__ = [
     "CampaignCatalog",

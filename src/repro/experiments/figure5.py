@@ -24,7 +24,7 @@ from repro.campaigns.spec import (
 )
 from repro.experiments.helpers import algorithm_label, default_throughputs
 from repro.experiments.series import FigureResult
-from repro.scenarios.registry import crashed_processes
+from repro.scenarios.kinds import crashed_processes
 
 QUICK_MESSAGES = 150
 FULL_MESSAGES = 500

@@ -1,32 +1,28 @@
 """Benchmark scenarios: the paper's four plus beyond-paper fault schedules.
 
-The paper's scenarios:
+* :mod:`~repro.scenarios.registry` -- the seam: :class:`ScenarioKind`,
+  :func:`register_kind` and :func:`run_kind`, which runs one point of any
+  registered kind directly.
+* :mod:`~repro.scenarios.kinds` -- the twelve built-in kinds, one block each
+  (params, ``validate``, ``run``, registration).
+* :mod:`~repro.scenarios.runner` -- :class:`ScenarioRunner` and the specs it
+  executes; :mod:`~repro.scenarios.faults` -- the declarative
+  :class:`FaultSchedule`; :mod:`~repro.scenarios.results` -- result types.
+* :mod:`~repro.scenarios.transient` / :mod:`~repro.scenarios.service_load`
+  -- the measurements of ``crash-transient`` (plus
+  :func:`sweep_crash_transient`) and ``service-load``.
 
-* :func:`run_normal_steady`    -- Fig. 4,
-* :func:`run_crash_steady`     -- Fig. 5,
-* :func:`run_suspicion_steady` -- Figs. 6 and 7,
-* :func:`run_crash_transient`  -- Fig. 8.
-
-Beyond-paper scenarios unlocked by the declarative fault-schedule engine
-(:mod:`repro.scenarios.faults` + :mod:`repro.scenarios.runner`):
-
-* :func:`run_correlated_crash` -- a simultaneous multi-process crash inside
-  the measured window,
-* :func:`run_churn_steady`     -- Poisson crash-recovery churn with rejoin,
-* :func:`run_asymmetric_qos`   -- one flaky failure detector pair,
-* :func:`run_view_majority_loss` -- the deterministic view-majority-loss
-  blocked state, measuring time-to-reformation under ``gm-reform``,
-* :func:`run_service_load`     -- the replicated KV service under an open-
-  or closed-loop client population with admission control and optional
-  request batching (:mod:`repro.load`).
+Every built-in kind has a direct entry point ``run_<kind>(config,
+throughput, num_messages=..., **params)`` -- :func:`run_kind` bound to the
+kind's name (``run_normal_steady`` ... ``run_gray_degradation``), so an
+omitted parameter has the default a campaign point has.
+:func:`run_service_load` is the service measurement itself, which also takes
+what a point does not carry (admission bounds, a command mix, a fault schedule).
 """
 
-from repro.scenarios.extended import (
-    run_asymmetric_qos,
-    run_churn_steady,
-    run_correlated_crash,
-    run_view_majority_loss,
-)
+import functools
+
+from repro.scenarios import kinds  # noqa: F401  (registers the built-in kinds)
 from repro.scenarios.faults import (
     CorrelatedCrash,
     CrashAt,
@@ -35,6 +31,7 @@ from repro.scenarios.faults import (
     RecoverAt,
     SuspectDuring,
 )
+from repro.scenarios.registry import available_kinds, run_kind
 from repro.scenarios.results import ScenarioResult, TransientResult
 from repro.scenarios.runner import (
     ProbeSpec,
@@ -43,34 +40,31 @@ from repro.scenarios.runner import (
     SteadyStateSpec,
 )
 from repro.scenarios.service_load import run_service_load
-from repro.scenarios.steady import (
-    run_crash_steady,
-    run_normal_steady,
-    run_suspicion_steady,
-)
-from repro.scenarios.transient import run_crash_transient, sweep_crash_transient
+from repro.scenarios.transient import sweep_crash_transient
 
-__all__ = [
-    "CorrelatedCrash",
-    "CrashAt",
-    "FaultSchedule",
-    "PoissonChurn",
-    "ProbeSpec",
-    "RecoverAt",
-    "ReformationSpec",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "SteadyStateSpec",
-    "SuspectDuring",
-    "TransientResult",
-    "run_asymmetric_qos",
-    "run_churn_steady",
-    "run_correlated_crash",
-    "run_crash_steady",
-    "run_crash_transient",
-    "run_normal_steady",
-    "run_service_load",
-    "run_suspicion_steady",
-    "run_view_majority_loss",
-    "sweep_crash_transient",
-]
+_ENTRY_POINTS = {
+    "run_" + _name.replace("-", "_"): functools.partial(run_kind, _name)
+    for _name in available_kinds()
+}
+_ENTRY_POINTS["run_service_load"] = run_service_load
+globals().update(_ENTRY_POINTS)
+
+__all__ = sorted(
+    [
+        "CorrelatedCrash",
+        "CrashAt",
+        "FaultSchedule",
+        "PoissonChurn",
+        "ProbeSpec",
+        "RecoverAt",
+        "ReformationSpec",
+        "ScenarioResult",
+        "ScenarioRunner",
+        "SteadyStateSpec",
+        "SuspectDuring",
+        "TransientResult",
+        "run_kind",
+        "sweep_crash_transient",
+        *_ENTRY_POINTS,
+    ]
+)

@@ -403,7 +403,7 @@ class FaultSchedule:
         so the reformation re-admits every wrongly suspected process.
         """
         if n < 3:
-            raise ValueError(f"view-majority loss needs a group size >= 3, got n={n}")
+            raise ValueError(f"view-majority loss needs a group size n >= 3, got n={n}")
         if not suspect_start < crash_time < suspect_start + suspect_duration:
             raise ValueError(
                 "the blocking crash must fire inside the suspicion window "

@@ -2,15 +2,16 @@
 
 Every benchmark scenario -- the paper's four and the beyond-paper ones -- is
 "a Poisson workload plus a declarative :class:`~repro.scenarios.faults.FaultSchedule`
-plus a measurement".  :class:`ScenarioRunner` owns everything the old
-hand-written drivers duplicated: system construction, fault compilation,
-workload scheduling, warm-up accounting, latency recording, stop conditions
-and result assembly.  Scenario modules shrink to thin *specs*:
+plus a measurement".  :class:`ScenarioRunner` owns system construction, fault
+compilation, workload scheduling, warm-up accounting, latency recording,
+stop conditions and result assembly; a scenario kind
+(:mod:`repro.scenarios.kinds`) only builds a *spec*:
 
 * :class:`SteadyStateSpec` measures the latency of ``num_messages`` workload
-  messages after a warm-up window (``normal-steady``, ``crash-steady``,
-  ``suspicion-steady``, ``correlated-crash``, ``churn-steady``,
-  ``asymmetric-qos``);
+  messages after a warm-up window (every ``*-steady`` kind and the
+  fault-window kinds that span a crash, a partition or a gray failure);
+* :class:`ReformationSpec` additionally reports time-to-reformation
+  (``view-majority-loss``);
 * :class:`ProbeSpec` measures one tagged message injected at a fault instant
   (the crash-transient scenario), returning its latency.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.types import BroadcastID
 from repro.metrics.latency import LatencyRecorder
@@ -108,21 +109,83 @@ class ProbeSpec:
     obs: Any = None
 
 
+def arrival_horizon(last_arrival: float, throughput: float) -> float:
+    """When a run gives up: generous slack beyond the end of the arrival window."""
+    return last_arrival + max(20_000.0, 20 * interarrival_from_throughput(throughput))
+
+
+def finish_run(
+    system,
+    scenario: str,
+    throughput: float,
+    measured: int,
+    latencies: List[float],
+    params: Dict[str, Any],
+) -> ScenarioResult:
+    """Assemble the result of a finished run: the tail every measurement shares."""
+    config = system.config
+    if system.sim.run_exhausted:
+        # The run hit the event budget rather than draining/stopping --
+        # the point must be read as "gave up", not "finished".
+        params["run_exhausted"] = True
+    metrics = None
+    if system.obs is not None:
+        metrics = obs_export.metrics_snapshot(system, scenario=scenario, throughput=throughput)
+        obs_export.maybe_write_traces(
+            system,
+            f"{scenario}-{config.stack_label.replace('/', '-')}"
+            f"-n{config.n}-s{config.seed}-T{throughput:g}",
+        )
+    return ScenarioResult(
+        scenario=scenario,
+        algorithm=config.stack_label,
+        n=config.n,
+        throughput=throughput,
+        latencies=latencies,
+        undelivered=measured - len(latencies),
+        measured=measured,
+        duration=system.sim.now,
+        events=system.sim.events_processed,
+        params=params,
+        metrics=metrics,
+    )
+
+
 class ScenarioRunner:
     """Executes scenario specs on freshly built systems."""
 
-    def run_steady(self, spec: SteadyStateSpec) -> ScenarioResult:
-        """Run one steady-state scenario point and return its result."""
-        return self._measure_steady(build_system(spec.config), spec)
+    def run_steady(
+        self,
+        spec: SteadyStateSpec,
+        verify: Optional[Callable[[Any, ScenarioResult], None]] = None,
+    ) -> ScenarioResult:
+        """Run one steady-state scenario point and return its result.
+
+        ``verify(system, result)`` inspects the finished system (did the
+        fault take effect, did it heal) and may add read-outs to
+        ``result.params``.  It reports a violated invariant by raising
+        ``AssertionError``, which is recorded under ``params["script"]``
+        (``failed_stage`` / ``error`` beside the ``stages`` that completed)
+        instead of raised: a violated invariant is a datum the sweep should
+        keep, not an exception that discards the point.  Errors while
+        building or measuring propagate.
+        """
+        system = build_system(spec.config)
+        result = self._measure_steady(system, spec)
+        if verify is not None:
+            trace: Dict[str, Any] = {"stages": ["build", "measure"]}
+            try:
+                verify(system, result)
+            except AssertionError as exc:
+                trace.update(failed_stage="verify", error=str(exc))
+            else:
+                trace["stages"].append("verify")
+            result.params["script"] = trace
+        return result
 
     def run_steady_on(self, system, spec: SteadyStateSpec) -> ScenarioResult:
-        """Run one steady-state point on a caller-prepared system.
-
-        Used by scripted scenarios (:mod:`repro.scenarios.script`) whose
-        verification stages need to inspect the system after the run --
-        the caller builds the system (``build_system(spec.config)``),
-        keeps the reference, and verifies against it once this returns.
-        """
+        """Run one steady-state point on a system the caller built
+        (``build_system(spec.config)``) and wants to inspect afterwards."""
         return self._measure_steady(system, spec)
 
     def run_reformation(self, spec: ReformationSpec) -> ScenarioResult:
@@ -209,43 +272,16 @@ class ScenarioRunner:
 
         max_time = spec.max_time
         if max_time is None:
-            # Allow generous slack beyond the arrival window before giving up.
-            max_time = last_arrival + max(
-                20_000.0, 20 * interarrival_from_throughput(spec.throughput)
-            )
-
+            max_time = arrival_horizon(last_arrival, spec.throughput)
         system.run(until=max_time, max_events=spec.max_events)
 
-        params = dict(spec.params)
-        if system.sim.run_exhausted:
-            # The run hit the event budget rather than draining/stopping --
-            # the point must be read as "gave up", not "finished".
-            params["run_exhausted"] = True
-
-        metrics = None
-        if system.obs is not None:
-            metrics = obs_export.metrics_snapshot(
-                system, scenario=spec.scenario, throughput=spec.throughput
-            )
-            obs_export.maybe_write_traces(
-                system,
-                f"{spec.scenario}-{spec.config.stack_label.replace('/', '-')}"
-                f"-n{spec.config.n}-s{spec.config.seed}-T{spec.throughput:g}",
-            )
-
-        latencies = list(recorder.latencies(measured_ids).values())
-        return ScenarioResult(
-            scenario=spec.scenario,
-            algorithm=spec.config.stack_label,
-            n=spec.config.n,
-            throughput=spec.throughput,
-            latencies=latencies,
-            undelivered=spec.num_messages - len(latencies),
-            measured=spec.num_messages,
-            duration=system.sim.now,
-            events=system.sim.events_processed,
-            params=params,
-            metrics=metrics,
+        return finish_run(
+            system,
+            spec.scenario,
+            spec.throughput,
+            spec.num_messages,
+            list(recorder.latencies(measured_ids).values()),
+            dict(spec.params),
         )
 
     def run_probe(self, spec: ProbeSpec) -> Optional[float]:

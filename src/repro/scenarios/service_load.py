@@ -23,14 +23,15 @@ from typing import Any, Dict, Optional
 
 from repro.load.clients import ClosedLoopClients, CommandMix, OpenLoopClients
 from repro.load.service import AdmissionConfig, LoadTestedService
-from repro.metrics.stats import interarrival_from_throughput, latency_percentiles
-from repro.obs import export as obs_export
+from repro.metrics.stats import latency_percentiles
 from repro.scenarios.faults import FaultSchedule
 from repro.scenarios.results import ScenarioResult
 from repro.scenarios.runner import (
     DEFAULT_MAX_EVENTS,
     DEFAULT_MESSAGES,
     DEFAULT_WARMUP_FRACTION,
+    arrival_horizon,
+    finish_run,
 )
 from repro.system import SystemConfig, build_system
 
@@ -45,15 +46,12 @@ def run_service_load(
     clients: int = 0,
     think_time: float = 0.0,
     num_requests: int = DEFAULT_MESSAGES,
-    warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
     consistency: str = "ordered",
     arrival: str = "poisson",
     mix: Optional[CommandMix] = None,
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
     max_queue: int = DEFAULT_MAX_QUEUE,
     faults: Optional[FaultSchedule] = None,
-    max_time: Optional[float] = None,
-    max_events: int = DEFAULT_MAX_EVENTS,
 ) -> ScenarioResult:
     """Run one service-load operating point.
 
@@ -76,7 +74,7 @@ def run_service_load(
         admission=AdmissionConfig(max_inflight=max_inflight, max_queue=max_queue),
     )
 
-    warmup_count = int(math.ceil(num_requests * warmup_fraction))
+    warmup_count = int(math.ceil(num_requests * DEFAULT_WARMUP_FRACTION))
     total = warmup_count + num_requests
     outstanding = {"count": num_requests}
 
@@ -91,23 +89,18 @@ def run_service_load(
     if clients > 0:
         population = ClosedLoopClients(service, clients, think_time, mix=mix)
         population.start(total)
-        if max_time is None:
-            # Serial worst case per client chain, with generous slack per
-            # round trip; closed loops self-throttle, so this rarely binds.
-            rounds = math.ceil(total / clients)
-            max_time = 20_000.0 + rounds * (think_time + 500.0)
+        # Serial worst case per client chain, with generous slack per
+        # round trip; closed loops self-throttle, so this rarely binds.
+        max_time = 20_000.0 + math.ceil(total / clients) * (think_time + 500.0)
     else:
         population = OpenLoopClients(
             service, offered_load, num_clients=max(1, config.n), arrival=arrival, mix=mix
         )
         last_arrival = population.schedule_requests(total, start_time=0.0)
-        if max_time is None:
-            max_time = last_arrival + max(
-                20_000.0, 20 * interarrival_from_throughput(offered_load)
-            )
+        max_time = arrival_horizon(last_arrival, offered_load)
 
     faults.schedule(system)
-    system.run(until=max_time, max_events=max_events)
+    system.run(until=max_time, max_events=DEFAULT_MAX_EVENTS)
 
     measured = service.requests[warmup_count:]
     latencies = [
@@ -136,33 +129,7 @@ def run_service_load(
         "replicas_consistent": service.replicas_consistent(),
         **latency_percentiles(latencies),
     }
-    if system.sim.run_exhausted:
-        params["run_exhausted"] = True
-
-    metrics = None
-    if system.obs is not None:
-        metrics = obs_export.metrics_snapshot(
-            system, scenario="service-load", throughput=offered_load
-        )
-        obs_export.maybe_write_traces(
-            system,
-            f"service-load-{config.stack_label.replace('/', '-')}"
-            f"-n{config.n}-s{config.seed}-T{offered_load:g}",
-        )
-
-    return ScenarioResult(
-        scenario="service-load",
-        algorithm=config.stack_label,
-        n=config.n,
-        throughput=offered_load,
-        latencies=latencies,
-        undelivered=num_requests - len(latencies),
-        measured=num_requests,
-        duration=duration,
-        events=system.sim.events_processed,
-        params=params,
-        metrics=metrics,
-    )
+    return finish_run(system, "service-load", offered_load, num_requests, latencies, params)
 
 
 __all__ = ["DEFAULT_MAX_INFLIGHT", "DEFAULT_MAX_QUEUE", "run_service_load"]

@@ -11,7 +11,10 @@ case the paper plots; this module lets callers pick any ``(p, q)`` pair or
 sweep all of them.
 
 Because no atomic broadcast can finish before the crash is detected, the
-paper plots the latency *overhead*: latency minus the detection time ``T_D``.
+paper plots the latency *overhead*: latency minus the detection time ``T_D``
+(:meth:`~repro.scenarios.results.TransientResult.overhead_summary`).  That
+is also why the kind rejects the heartbeat detector, whose ``T_D`` is not a
+parameter but emerges from period + timeout.
 
 Each independent execution is a :class:`repro.scenarios.runner.ProbeSpec`
 (background workload, a one-event fault schedule crashing ``p`` at ``t`` and
@@ -31,41 +34,29 @@ from repro.scenarios.results import TransientResult
 from repro.scenarios.runner import ProbeSpec, ScenarioRunner
 from repro.system import SystemConfig
 
-#: Default number of independent runs per (p, q, T_D, T) point.
-DEFAULT_RUNS = 20
-#: Default steady-state warm-up before the forced crash (ms).
-DEFAULT_CRASH_TIME = 400.0
+#: Steady-state warm-up before the forced crash (ms).
+CRASH_TIME = 400.0
 
 
-def run_crash_transient(
+def measure_crash_transient(
     config: SystemConfig,
     throughput: float,
     detection_time: float,
-    crashed_process: int = 0,
-    sender: Optional[int] = None,
-    num_runs: int = DEFAULT_RUNS,
-    crash_time: float = DEFAULT_CRASH_TIME,
-    max_wait: float = 60_000.0,
-    max_events: int = 4_000_000,
+    crashed_process: int,
+    sender: Optional[int],
+    num_runs: int,
 ) -> TransientResult:
     """Measure the transient latency of a broadcast issued at the crash instant.
 
-    Each run uses a fresh system (and seed): background Poisson traffic at
-    ``throughput`` messages/s from every process, a crash of
-    ``crashed_process`` at ``crash_time`` and a tagged message A-broadcast by
-    ``sender`` at the same time.  The run ends as soon as the tagged message
-    is delivered somewhere (or after ``max_wait`` ms past the crash).
+    The measurement of the ``crash-transient`` kind, whose params, defaults
+    and checks live in :mod:`repro.scenarios.kinds`: ``num_runs`` executions
+    of the probe described above, each on a fresh system (and seed), with
+    the crash at :data:`CRASH_TIME` and ``sender=None`` meaning the highest
+    non-crashed pid.  A run ends as soon as the tagged message is delivered
+    somewhere (or :class:`ProbeSpec` ``max_wait`` past the crash).
     """
-    if config.fd_kind == "heartbeat":
-        raise ValueError(
-            "crash-transient pins the detection time T_D (and subtracts it from "
-            "the reported overhead); the heartbeat detector's T_D emerges from "
-            "period + timeout instead (use fd_kind='qos' or 'perfect')"
-        )
     if sender is None:
         sender = config.n - 1 if crashed_process != config.n - 1 else config.n - 2
-    if sender == crashed_process:
-        raise ValueError("the tagged sender must differ from the crashed process")
 
     fd = QoSConfig(detection_time=detection_time)
     base_config = replace(config, fd=fd)
@@ -90,10 +81,8 @@ def run_crash_transient(
             config=run_config.with_seed(run_config.seed + 1000 * (run + 1)),
             throughput=throughput,
             probe_sender=sender,
-            probe_time=crash_time,
-            faults=FaultSchedule([CrashAt(crash_time, crashed_process)]),
-            max_wait=max_wait,
-            max_events=max_events,
+            probe_time=CRASH_TIME,
+            faults=FaultSchedule([CrashAt(CRASH_TIME, crashed_process)]),
             obs=shared_obs,
         )
         latency = runner.run_probe(spec)
@@ -123,7 +112,7 @@ def run_crash_transient(
         sender=sender,
         latencies=latencies,
         failed_runs=failed,
-        params={"crash_time": crash_time, "num_runs": num_runs},
+        params={"crash_time": CRASH_TIME, "num_runs": num_runs},
         metrics=metrics,
     )
 
@@ -132,73 +121,40 @@ def sweep_crash_transient(
     config: SystemConfig,
     throughput: float,
     detection_time: float,
-    crashed_processes: Optional[Sequence[int]] = None,
+    crashed_processes: Sequence[int] = (0,),
     senders: Optional[Sequence[int]] = None,
-    num_runs: int = DEFAULT_RUNS,
+    num_runs: Optional[int] = None,
     store=None,
     jobs: int = 1,
-    **kwargs,
 ) -> List[TransientResult]:
     """Measure L(p, q) for several (p, q) pairs (worst case = max of the means).
 
-    Every ``(p, q)`` pair runs with its own seed derived from
-    ``config.seed`` and the pair identity, so the pairs are independent
-    replicas rather than re-reading the same random streams.  With a
-    ``store`` (a :class:`repro.campaigns.store.ResultStore`), the sweep runs
-    through the campaign subsystem: completed pairs are cached and a
-    re-run only simulates what is missing; ``jobs`` fans the pending pairs
-    out over worker processes.
+    Every ``(p, q)`` pair is one ``crash-transient`` campaign point with its
+    own seed derived from ``config.seed`` and the pair identity, so the
+    pairs are independent replicas rather than re-reading the same random
+    streams (``num_runs=None``: the kind's default).  With a ``store`` (a
+    :class:`repro.campaigns.store.ResultStore`) completed pairs are cached
+    and a re-run only simulates what is missing; ``jobs`` fans the pending
+    pairs out over worker processes.
     """
-    # Imported lazily: repro.campaigns imports the scenario drivers.
-    from repro.campaigns.runner import CampaignRunner, execute_point
-    from repro.campaigns.records import record_to_result
-    from repro.campaigns.spec import PointSpec, derive_seed
-
-    crashed_processes = (
-        list(crashed_processes) if crashed_processes is not None else [0]
+    # Imported lazily: repro.campaigns imports the scenario registry.
+    from repro.campaigns.runner import CampaignRunner
+    from repro.campaigns.spec import (
+        CampaignSpec, PointSpec, SeriesPointSpec, SeriesSpec, derive_seed,
     )
-    if kwargs and (store is not None or jobs != 1):
-        raise ValueError(
-            "store-backed or parallel sweeps only support the fields a "
-            f"PointSpec carries; got extra keyword arguments {sorted(kwargs)}"
-        )
 
-    pairs: List[tuple] = []
-    for crashed in crashed_processes:
-        candidate_senders = (
-            [s for s in senders if s != crashed]
-            if senders is not None
-            else [pid for pid in range(config.n) if pid != crashed]
-        )
-        for sender in candidate_senders:
-            pairs.append((crashed, sender))
-
-    results: List[TransientResult] = []
-    if store is None and kwargs:
-        # Legacy direct path for options (crash_time, max_wait, ...) that a
-        # PointSpec does not carry.
-        for crashed, sender in pairs:
-            seed = derive_seed(config.seed, f"transient/p{crashed}/q{sender}")
-            results.append(
-                run_crash_transient(
-                    config.with_seed(seed),
-                    throughput,
-                    detection_time,
-                    crashed_process=crashed,
-                    sender=sender,
-                    num_runs=num_runs,
-                    **kwargs,
-                )
-            )
-        return results
-
+    pairs = [
+        (crashed, sender)
+        for crashed in crashed_processes
+        for sender in (senders if senders is not None else range(config.n))
+        if sender != crashed
+    ]
     # Carry every non-default SystemConfig field into the points, so a sweep
     # over a customised system (lambda_cpu, pipeline_depth, ...) simulates
-    # that system and not the defaults.  ``fd`` is excluded: the transient
-    # driver replaces it with the point's detection time anyway.
-    # ``heartbeat`` is excluded because nested configs do not fit the flat
-    # JSON override tuples; the other exclusions are first-class PointSpec
-    # fields.
+    # that system and not the defaults.  ``fd`` is excluded: the measurement
+    # replaces it with the point's detection time anyway.  ``heartbeat`` is
+    # excluded because nested configs do not fit the flat JSON override
+    # tuples; the other exclusions are first-class PointSpec fields.
     defaults = SystemConfig(n=config.n, stack=config.stack, seed=config.seed)
     overrides = tuple(
         (field.name, getattr(config, field.name))
@@ -206,6 +162,7 @@ def sweep_crash_transient(
         if field.name not in ("n", "stack", "fd_kind", "seed", "fd", "heartbeat")
         and getattr(config, field.name) != getattr(defaults, field.name)
     )
+    runs = {} if num_runs is None else {"num_runs": num_runs}
     points = [
         PointSpec(
             kind="crash-transient",
@@ -214,29 +171,20 @@ def sweep_crash_transient(
             n=config.n,
             seed=derive_seed(config.seed, f"transient/p{crashed}/q{sender}"),
             throughput=throughput,
-            num_runs=num_runs,
             detection_time=detection_time,
             crashed_process=crashed,
             sender=sender,
             config_overrides=overrides,
+            **runs,
         )
         for crashed, sender in pairs
     ]
-    if store is None and jobs == 1:
-        return [record_to_result(execute_point(point)) for point in points]
-    from repro.campaigns.spec import CampaignSpec, SeriesPointSpec, SeriesSpec
-
-    campaign = CampaignSpec(
-        name="crash-transient-sweep",
-        series=[
-            SeriesSpec(
-                label=f"{config.stack_label}, n={config.n}",
-                points=[
-                    SeriesPointSpec(x=float(index), points=[point])
-                    for index, point in enumerate(points)
-                ],
-            )
-        ],
+    # One operating point whose replicas are the pairs.
+    series = SeriesSpec(
+        label=f"{config.stack_label}, n={config.n}",
+        points=[SeriesPointSpec(x=throughput, points=points)],
     )
-    run = CampaignRunner(jobs=jobs, store=store).run(campaign)
+    campaign = CampaignSpec(name="crash-transient-sweep", series=[series])
+    with CampaignRunner(jobs=jobs, store=store) as runner:
+        run = runner.run(campaign)
     return [run.result(point) for point in points]

@@ -74,7 +74,7 @@ class TestModelAgainstSimulator:
         assert latency == pytest.approx(expected)
 
     def test_prediction_is_lower_bound_under_load(self):
-        from repro.scenarios.steady import run_normal_steady
+        from repro.scenarios import run_normal_steady
 
         result = run_normal_steady(SystemConfig(n=3, stack="fd", seed=3), 300, num_messages=80)
         assert result.mean_latency >= predicted_latency(3)

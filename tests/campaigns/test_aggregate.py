@@ -9,8 +9,8 @@ from repro.campaigns.runner import CampaignRunner
 from repro.experiments import figure4, figure8
 from repro.experiments.helpers import base_config, point_from_scenario, point_from_transient
 from repro.scenarios.results import ScenarioResult, TransientResult
-from repro.scenarios.steady import run_normal_steady
-from repro.scenarios.transient import run_crash_transient
+from repro.scenarios import run_normal_steady
+from repro.scenarios import run_crash_transient
 
 
 class TestRecords:

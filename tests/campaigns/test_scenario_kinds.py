@@ -40,6 +40,7 @@ from repro.scenarios.registry import available_kinds, get_kind, kind_shorthands
 HERE = os.path.dirname(__file__)
 ROOT = os.path.dirname(os.path.dirname(HERE))
 CAMPAIGNS_SRC = os.path.join(ROOT, "src", "repro", "campaigns")
+SCENARIOS_SRC = os.path.join(ROOT, "src", "repro", "scenarios")
 
 BUILTIN_KINDS = (
     "normal-steady",
@@ -295,6 +296,21 @@ def code_strings(path):
     ]
 
 
+def code_imports(source):
+    """Dotted names of every module a source imports (at any depth)."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    return {
+        ".".join(module.split(".")[:depth])
+        for module in modules
+        for depth in range(1, module.count(".") + 2)
+    }
+
+
 class TestStructure:
     """The kind ladder must not grow back."""
 
@@ -335,6 +351,26 @@ class TestStructure:
         assert source.count("point.kind") == 1
         assert "get_kind(point.kind).run(" in source
         assert "elif" not in source
+
+    def test_the_registry_is_a_seam_and_each_builtin_is_one_block(self):
+        registry_path = os.path.join(SCENARIOS_SRC, "registry.py")
+        names = set(BUILTIN_KINDS) | set(kind_shorthands())
+        assert not set(code_strings(registry_path)) & names
+        with open(registry_path, encoding="utf-8") as handle:
+            assert not re.search(r"^(from|import) .*\brun_", handle.read(), re.MULTILINE)
+        # The scenario layer sits below the campaign layer; only the
+        # crash-transient sweep helper reaches up (lazily) to declare points.
+        for name in sorted(os.listdir(SCENARIOS_SRC)):
+            if name.endswith(".py") and name != "transient.py":
+                with open(os.path.join(SCENARIOS_SRC, name), encoding="utf-8") as handle:
+                    assert "repro.campaigns" not in code_imports(handle.read()), name
+        for name in BUILTIN_KINDS:
+            kind = get_kind(name)
+            home = kind.params.__module__
+            assert home == "repro.scenarios.kinds", name
+            assert kind.run.__module__ == home, name
+            if name != "normal-steady":  # which accepts every point
+                assert kind.validate.__module__ == home, name
 
     def test_spec_module_stays_small(self):
         with open(os.path.join(CAMPAIGNS_SRC, "spec.py"), encoding="utf-8") as handle:

@@ -19,13 +19,15 @@ from repro import QoSConfig, SystemConfig, build_system
 from repro.core.consensus import ConsensusService
 from repro.core.fd_broadcast import FDAtomicBroadcast
 from repro.core.sequencer_broadcast import SequencerAtomicBroadcast
-from repro.scenarios.extended import (
+from repro.scenarios import (
     run_churn_steady,
+    run_crash_steady,
     run_gray_degradation,
+    run_normal_steady,
     run_partition_transient,
+    run_suspicion_steady,
 )
 from repro.scenarios.runner import ScenarioRunner, SteadyStateSpec
-from repro.scenarios.steady import run_crash_steady, run_normal_steady, run_suspicion_steady
 
 _ACK = "ACK"
 
@@ -152,20 +154,21 @@ class TestSequencerStateEquivalence:
 
     def test_churn(self, checked, stack):
         run_churn_steady(
-            config(stack), 100.0, churn_rate=4.0, mean_downtime=100.0, num_messages=200
+            config(stack), 100.0, churn_rate=4.0, mean_downtime=100.0, detection_time=10.0,
+            num_messages=200,
         )
         assert checked["consensus_recover"] > 0
 
     def test_partition_and_heal(self, checked, stack):
         run_partition_transient(
-            config(stack), 100.0, partition_duration=400.0, num_messages=200
+            config(stack), 100.0, partition_duration=400.0, detection_time=10.0, num_messages=200
         )
         assert checked["try_ack"] > 0
 
     def test_lossy_links_force_retransmissions(self, checked, stack):
         run_gray_degradation(
             config(stack), 200.0, degraded_pid=1, degrade_duration=800.0, link_loss=0.3,
-            num_messages=250,
+            detection_time=10.0, num_messages=250,
         )
         if stack != "gm-nonuniform":
             # A batch waiting for a retransmission while later ones arrive:
@@ -179,11 +182,11 @@ def test_fd_claimed_set_is_the_union_of_the_inflight_proposals(checked, scenario
         run_normal_steady(config("fd"), 300.0, num_messages=300)
     elif scenario == "churn":
         run_churn_steady(config("fd"), 100.0, churn_rate=4.0, mean_downtime=100.0,
-                         num_messages=200)
+                         detection_time=10.0, num_messages=200)
         assert checked["consensus_recover"] > 0
     else:
         run_partition_transient(config("fd"), 100.0, partition_duration=400.0,
-                                num_messages=200)
+                                detection_time=10.0, num_messages=200)
     assert checked["unproposed"] > 0
 
 
@@ -436,14 +439,15 @@ class TestMembershipSuspectedSetEquivalence:
 
     def test_churn_with_rejoins(self, checked_membership, stack):
         run_churn_steady(
-            config(stack), 100.0, churn_rate=4.0, mean_downtime=100.0, num_messages=200
+            config(stack), 100.0, churn_rate=4.0, mean_downtime=100.0, detection_time=10.0,
+            num_messages=200,
         )
         assert checked_membership["proposed"] > 0
         assert checked_membership["check_triggers"] > 0
 
     def test_partition_and_heal(self, checked_membership, stack):
         run_partition_transient(
-            config(stack), 100.0, partition_duration=400.0, num_messages=200
+            config(stack), 100.0, partition_duration=400.0, detection_time=10.0, num_messages=200
         )
         assert checked_membership["proposed"] > 0
 

@@ -12,12 +12,12 @@ import pytest
 
 from repro import SystemConfig, build_system
 from repro.analysis.tracing import DeliveryTraceRecorder, MessageTraceRecorder
-from repro.scenarios.extended import (
+from repro.scenarios import (
     run_gray_degradation,
     run_partition_transient,
+    run_suspicion_steady,
     run_wan_steady,
 )
-from repro.scenarios.steady import run_suspicion_steady
 from repro.stacks import stack_variants
 
 #: A fixed golden workload: (time ms, sender) pairs over a 3-process group.
@@ -77,7 +77,7 @@ class TestGoldenNeutrality:
         "runner,kwargs",
         [
             (run_partition_transient, {"partition_duration": 300.0}),
-            (run_wan_steady, {"profile": "wan-3dc"}),
+            (run_wan_steady, {"wan_profile": "wan-3dc"}),
             (run_gray_degradation, {"degrade_factor": 4.0, "link_loss": 0.2}),
         ],
         ids=["partition", "wan", "gray"],
@@ -90,6 +90,7 @@ class TestGoldenNeutrality:
                 SystemConfig(n=3, stack="gm-reform", seed=3, instrument=instrument),
                 50.0,
                 num_messages=30,
+                detection_time=10.0,
                 **kwargs,
             )
 

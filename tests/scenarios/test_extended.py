@@ -1,17 +1,18 @@
-"""Tests for the beyond-paper fault-schedule scenarios."""
+"""Tests for the beyond-paper fault-schedule scenarios.
 
-import pytest
+Rejected inputs are covered once for every kind in ``test_kinds.py``.
+"""
 
 from repro import SystemConfig
-from repro.scenarios.extended import (
+from repro.scenarios import (
     run_asymmetric_qos,
     run_churn_steady,
     run_correlated_crash,
     run_gray_degradation,
+    run_normal_steady,
     run_partition_transient,
     run_wan_steady,
 )
-from repro.scenarios.steady import run_normal_steady
 
 
 def config(algorithm="fd", n=5, seed=11):
@@ -21,20 +22,12 @@ def config(algorithm="fd", n=5, seed=11):
 class TestCorrelatedCrash:
     def test_measurement_spans_the_crash(self, algorithm):
         result = run_correlated_crash(
-            config(algorithm), throughput=50, crashed=[3, 4], num_messages=60
+            config(algorithm), throughput=50, crashed=[3, 4], detection_time=10.0, num_messages=60
         )
         assert result.scenario == "correlated-crash"
         assert result.completed
         assert result.params["crashed"] == (3, 4)
         assert result.params["crash_time"] > 0
-
-    def test_crash_group_bound_enforced(self, algorithm):
-        with pytest.raises(ValueError):
-            run_correlated_crash(
-                config(algorithm), throughput=50, crashed=[2, 3, 4], num_messages=20
-            )
-        with pytest.raises(ValueError):
-            run_correlated_crash(config(algorithm), throughput=50, crashed=[])
 
     def test_explicit_crash_time_is_used(self, algorithm):
         result = run_correlated_crash(
@@ -43,6 +36,7 @@ class TestCorrelatedCrash:
             crashed=[4],
             crash_time=123.0,
             num_messages=30,
+            detection_time=10.0,
         )
         assert result.params["crash_time"] == 123.0
         assert result.completed
@@ -101,16 +95,6 @@ class TestAsymmetricQoS:
         assert result.completed
         assert result.params["flaky_monitor"] == 1
 
-    def test_flaky_pair_must_be_distinct(self, algorithm):
-        with pytest.raises(ValueError):
-            run_asymmetric_qos(
-                config(algorithm),
-                throughput=50,
-                mistake_recurrence_time=200.0,
-                flaky_monitor=1,
-                flaky_target=1,
-            )
-
     def test_gm_suffers_more_than_fd_from_a_flaky_observer(self):
         fd = run_asymmetric_qos(
             config("fd", n=3),
@@ -134,7 +118,8 @@ class TestAsymmetricQoS:
 class TestPartitionTransient:
     def test_partition_bites_and_heals(self, algorithm):
         result = run_partition_transient(
-            config(algorithm), throughput=50, partition_duration=500.0, num_messages=60
+            config(algorithm), throughput=50, partition_duration=500.0, detection_time=10.0,
+            num_messages=60,
         )
         assert result.scenario == "partition-transient"
         assert result.params["minority"] == (3, 4)
@@ -149,20 +134,19 @@ class TestPartitionTransient:
             partition_start=120.0,
             partition_duration=300.0,
             num_messages=40,
+            detection_time=10.0,
         )
         assert result.params["partition_start"] == 120.0
         assert result.params["partition_duration"] == 300.0
 
-    def test_needs_three_processes(self, algorithm):
-        with pytest.raises(ValueError):
-            run_partition_transient(config(algorithm, n=2), throughput=50)
-
     def test_determinism_per_seed(self, algorithm):
         first = run_partition_transient(
-            config(algorithm), throughput=50, partition_duration=400.0, num_messages=40
+            config(algorithm), throughput=50, partition_duration=400.0, detection_time=10.0,
+            num_messages=40,
         )
         second = run_partition_transient(
-            config(algorithm), throughput=50, partition_duration=400.0, num_messages=40
+            config(algorithm), throughput=50, partition_duration=400.0, detection_time=10.0,
+            num_messages=40,
         )
         assert first.latencies == second.latencies
         assert first.events == second.events
@@ -171,7 +155,9 @@ class TestPartitionTransient:
 class TestWanSteady:
     def test_wan_latency_dominates_the_lan_baseline(self, algorithm):
         lan = run_normal_steady(config(algorithm), throughput=50, num_messages=60)
-        wan = run_wan_steady(config(algorithm), throughput=50, num_messages=60)
+        wan = run_wan_steady(
+            config(algorithm), throughput=50, detection_time=10.0, num_messages=60
+        )
         assert wan.scenario == "wan-steady"
         assert wan.params["wan_profile"] == "wan-3dc"
         assert wan.params["dc_count"] == 3
@@ -179,16 +165,15 @@ class TestWanSteady:
         assert wan.mean_latency > lan.mean_latency + 10.0
 
     def test_wider_topology_is_slower(self, algorithm):
-        near = run_wan_steady(config(algorithm), throughput=50, num_messages=40)
+        near = run_wan_steady(
+            config(algorithm), throughput=50, detection_time=10.0, num_messages=40
+        )
         far = run_wan_steady(
-            config(algorithm), throughput=50, profile="wan-5dc", num_messages=40
+            config(algorithm), throughput=50, wan_profile="wan-5dc", detection_time=10.0,
+            num_messages=40,
         )
         assert far.params["max_wan_delay"] > near.params["max_wan_delay"]
         assert far.mean_latency > near.mean_latency
-
-    def test_unknown_profile_rejected(self, algorithm):
-        with pytest.raises(ValueError, match="unknown WAN profile"):
-            run_wan_steady(config(algorithm), throughput=50, profile="wan-nope")
 
 
 class TestGrayDegradation:
@@ -200,6 +185,7 @@ class TestGrayDegradation:
             degrade_factor=8.0,
             degrade_duration=1_000.0,
             num_messages=60,
+            detection_time=10.0,
         )
         assert gray.scenario == "gray-degradation"
         assert gray.params["degraded_pid"] == 0
@@ -213,14 +199,7 @@ class TestGrayDegradation:
             link_loss=0.3,
             degrade_duration=1_000.0,
             num_messages=40,
+            detection_time=10.0,
         )
         assert result.params["link_loss"] == 0.3
         assert result.params["dropped_lossy_link"] > 0
-
-    def test_parameter_validation(self, algorithm):
-        with pytest.raises(ValueError):
-            run_gray_degradation(config(algorithm), throughput=50, degraded_pid=9)
-        with pytest.raises(ValueError):
-            run_gray_degradation(config(algorithm), throughput=50, degrade_factor=1.0)
-        with pytest.raises(ValueError):
-            run_gray_degradation(config(algorithm), throughput=50, link_loss=1.0)

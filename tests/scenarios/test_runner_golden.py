@@ -13,12 +13,12 @@ import json
 import pytest
 
 from repro import SystemConfig
-from repro.scenarios.steady import (
+from repro.scenarios import (
     run_crash_steady,
     run_normal_steady,
     run_suspicion_steady,
 )
-from repro.scenarios.transient import run_crash_transient
+from repro.scenarios import run_crash_transient
 
 #: (mean latency, undelivered, duration, events, sha256 prefix of latencies).
 GOLDEN_STEADY = {

@@ -1,130 +1,72 @@
-"""Unit tests for the scenario stage orchestrator."""
+"""The ``verify`` step of ``ScenarioRunner.run_steady`` and its ``params["script"]`` trace."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.scenarios.results import ScenarioResult
-from repro.scenarios.script import ScenarioScript, ScriptContext, Stage
+from repro import SystemConfig
+from repro.scenarios.faults import CrashAt, FaultSchedule
+from repro.scenarios.runner import ScenarioRunner, SteadyStateSpec
 
 
-def result_stub():
-    return ScenarioResult(scenario="test", algorithm="fd", n=3, throughput=10.0)
+def spec(**overrides):
+    return SteadyStateSpec(
+        "test", SystemConfig(n=3, stack="fd", seed=5), 100.0, 10, **overrides
+    )
 
 
-class TestConstruction:
-    def test_stage_needs_a_name(self):
-        with pytest.raises(ValueError):
-            Stage("", lambda context: None)
+class TestVerify:
+    def test_successful_run_records_the_three_stages(self):
+        seen = []
 
-    def test_duplicate_stage_names_rejected(self):
-        script = ScenarioScript("s").stage("build", lambda context: None)
-        with pytest.raises(ValueError):
-            script.stage("build", lambda context: None)
+        def verify(system, result):
+            seen.append((system.sim.now, result.duration, len(result.latencies)))
+            result.params["frames"] = system.network.stats.messages_sent
 
-    def test_empty_script_cannot_run(self):
-        with pytest.raises(ValueError):
-            ScenarioScript("s").run()
-
-
-class TestExecution:
-    def test_stages_run_in_declaration_order(self):
-        order = []
-        context = (
-            ScenarioScript("s")
-            .stage("a", lambda context: order.append("a"))
-            .stage("b", lambda context: order.append("b"))
-            .stage("c", lambda context: order.append("c"))
-            .run()
-        )
-        assert order == ["a", "b", "c"]
-        assert context.stages_run == ["a", "b", "c"]
-        assert context.ok
-
-    def test_values_flow_between_stages(self):
-        def produce(context):
-            context.values["system"] = "the-system"
-
-        def consume(context):
-            context.values["seen"] = context.require("system")
-
-        context = ScenarioScript("s").stage("p", produce).stage("c", consume).run()
-        assert context.values["seen"] == "the-system"
-
-    def test_require_names_the_missing_value(self):
-        script = ScenarioScript("s").stage("c", lambda context: context.require("system"))
-        with pytest.raises(RuntimeError, match="system"):
-            script.run()
-
-    def test_critical_failure_reraises_after_recording(self):
-        def boom(context):
-            raise ValueError("bad config")
-
-        ran = []
-        script = (
-            ScenarioScript("s")
-            .stage("boom", boom)
-            .stage("after", lambda context: ran.append("after"))
-        )
-        with pytest.raises(ValueError, match="bad config"):
-            script.run()
-        assert ran == []
-
-    def test_non_critical_failure_short_circuits_without_raising(self):
-        def attach(context):
-            context.result = result_stub()
-
-        def verify(context):
-            raise AssertionError("invariant violated")
-
-        ran = []
-        context = (
-            ScenarioScript("s")
-            .stage("attach", attach)
-            .stage("verify", verify, critical=False)
-            .stage("after", lambda context: ran.append("after"))
-            .run()
-        )
-        assert ran == []
-        assert not context.ok
-        assert context.failed_stage == "verify"
-        assert isinstance(context.error, AssertionError)
-
-
-class TestAnnotation:
-    def test_successful_run_records_the_stage_trace(self):
-        def attach(context):
-            context.result = result_stub()
-
-        context = ScenarioScript("s").stage("attach", attach).run()
-        assert context.result.params["script"] == {"stages": ["attach"]}
+        result = ScenarioRunner().run_steady(spec(), verify=verify)
+        assert result.params["script"] == {"stages": ["build", "measure", "verify"]}
+        assert result.params["frames"] > 0
+        # verify sees the finished system and the assembled result.
+        assert seen == [(result.duration, result.duration, 10)]
 
     def test_failed_verification_is_a_datum_not_an_exception(self):
-        def attach(context):
-            context.result = result_stub()
-
-        def verify(context):
+        def verify(system, result):
             raise AssertionError("minority delivered past the fence")
 
-        context = (
-            ScenarioScript("s")
-            .stage("attach", attach)
-            .stage("verify", verify, critical=False)
-            .run()
-        )
-        trace = context.result.params["script"]
-        assert trace["stages"] == ["attach"]
-        assert trace["failed_stage"] == "verify"
-        assert "minority delivered" in trace["error"]
+        result = ScenarioRunner().run_steady(spec(), verify=verify)
+        assert result.params["script"] == {
+            "stages": ["build", "measure"],
+            "failed_stage": "verify",
+            "error": "minority delivered past the fence",
+        }
+        assert len(result.latencies) == 10  # the measurement is kept
 
-    def test_critical_failure_still_annotates_an_existing_result(self):
-        def attach(context):
-            context.result = result_stub()
+    def test_without_verify_there_is_no_trace(self):
+        assert "script" not in ScenarioRunner().run_steady(spec()).params
 
-        def boom(context):
-            raise RuntimeError("kernel died")
+    def test_a_bug_in_verify_is_not_mistaken_for_a_finding(self):
+        with pytest.raises(ZeroDivisionError):
+            ScenarioRunner().run_steady(spec(), verify=lambda system, result: 1 / 0)
 
-        context = ScriptContext()
-        script = ScenarioScript("s").stage("attach", attach).stage("boom", boom)
-        with pytest.raises(RuntimeError):
-            script.run(context)
-        trace = context.result.params["script"]
-        assert trace["failed_stage"] == "boom"
+
+class TestErrorsBeforeVerifyPropagate:
+    def test_building_the_system(self, monkeypatch):
+        import repro.scenarios.runner as runner_module
+
+        def broken(config):
+            raise RuntimeError("bad config")
+
+        monkeypatch.setattr(runner_module, "build_system", broken)
+        verified = []
+        with pytest.raises(RuntimeError, match="bad config"):
+            ScenarioRunner().run_steady(spec(), verify=lambda *args: verified.append(args))
+        assert verified == []
+
+    def test_measuring(self):
+        faults = FaultSchedule([CrashAt(10.0, 7)])  # no such process
+        verified = []
+        with pytest.raises(IndexError):
+            ScenarioRunner().run_steady(
+                replace(spec(), faults=faults), verify=lambda *args: verified.append(args)
+            )
+        assert verified == []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import SystemConfig
-from repro.scenarios.steady import (
+from repro.scenarios import (
     run_crash_steady,
     run_normal_steady,
     run_suspicion_steady,
@@ -51,10 +51,6 @@ class TestCrashSteady:
         )
         assert result.completed
         assert result.params["crashed"] == (2,)
-
-    def test_too_many_crashes_rejected(self, algorithm):
-        with pytest.raises(ValueError):
-            run_crash_steady(config(algorithm), throughput=100, crashed=[1, 2])
 
     def test_n7_with_three_crashes(self, algorithm):
         result = run_crash_steady(

@@ -1,9 +1,7 @@
-"""Tests for the crash-transient scenario driver."""
-
-import pytest
+"""Tests for the crash-transient scenario (rejected inputs: ``test_kinds.py``)."""
 
 from repro import SystemConfig
-from repro.scenarios.transient import run_crash_transient, sweep_crash_transient
+from repro.scenarios import run_crash_transient, sweep_crash_transient
 
 
 def config(algorithm="fd", n=3, seed=41):
@@ -31,17 +29,6 @@ class TestCrashTransient:
         )
         assert result.sender == 2
         assert result.crashed_process == 0
-
-    def test_sender_must_differ_from_crashed(self):
-        with pytest.raises(ValueError):
-            run_crash_transient(
-                config("fd"),
-                throughput=50,
-                detection_time=0.0,
-                crashed_process=1,
-                sender=1,
-                num_runs=1,
-            )
 
     def test_runs_use_different_seeds(self, algorithm):
         result = run_crash_transient(
@@ -123,29 +110,3 @@ class TestCrashTransient:
         # A five-fold CPU cost must show up in the simulated latencies: the
         # campaign points carry the non-default SystemConfig fields.
         assert slow_run[0].latencies != default_run[0].latencies
-
-    def test_sweep_rejects_extra_kwargs_with_store(self, tmp_path):
-        from repro.campaigns.store import ResultStore
-
-        with pytest.raises(ValueError):
-            sweep_crash_transient(
-                config("fd"),
-                throughput=50,
-                detection_time=0.0,
-                store=ResultStore(str(tmp_path)),
-                crash_time=100.0,
-            )
-
-
-def test_heartbeat_fd_kind_rejected():
-    import pytest
-
-    from repro.system import SystemConfig
-
-    with pytest.raises(ValueError, match="period \\+ timeout"):
-        run_crash_transient(
-            SystemConfig(n=3, stack="fd", fd_kind="heartbeat", seed=41),
-            throughput=50,
-            detection_time=10.0,
-            num_runs=1,
-        )
