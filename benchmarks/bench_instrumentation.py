@@ -1,10 +1,10 @@
 """Instrumentation overhead benchmark: what switching observation on costs.
 
 The instrumentation layer (:mod:`repro.obs`) has an off path that is off:
-with tracing off, the simulator's run loop and the network branch on a
-``None`` check, and the per-message hook sites of the
-protocol layers test ``self._obs is not NULL`` before they evaluate a hook's
-arguments.  This benchmark reports the other side, the cost of the on path:
+with tracing off, every layer holds ``None`` and every hook site -- the
+simulator's run loop, the network and the protocol layers alike -- tests
+``self._obs is not None`` before it evaluates a hook's arguments.  This
+benchmark reports the other side, the cost of the on path:
 
 * **kernel** -- the 20k-chained-ticks microbenchmark of
   ``bench_simulator_micro``, run two ways: the *off* path

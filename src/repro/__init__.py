@@ -42,10 +42,9 @@ from repro.stacks import (
     register_fd_kind,
     register_stack,
 )
-from repro.system import ALGORITHMS, BroadcastSystem, SystemConfig, build_system
+from repro.system import BroadcastSystem, SystemConfig, build_system
 
 __all__ = [
-    "ALGORITHMS",
     "AtomicBroadcast",
     "BroadcastID",
     "BroadcastSystem",

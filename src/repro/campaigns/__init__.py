@@ -34,7 +34,7 @@ from repro.campaigns.aggregate import (
     run_campaign_figure,
     series_from_spec,
 )
-from repro.campaigns.catalog import CampaignCatalog, campaign_spec_hash, git_revision
+from repro.campaigns.catalog import CampaignCatalog, campaign_spec_hash
 from repro.campaigns.columnar import ColumnarTable
 from repro.campaigns.pool import WarmPool
 from repro.campaigns.queue import QueueWorker, WorkQueue
@@ -77,7 +77,6 @@ __all__ = [
     "execute_chunk",
     "execute_point",
     "figure_from_campaign",
-    "git_revision",
     "grid",
     "load_store_table",
     "merge_scenario_results",

@@ -11,9 +11,10 @@ campaign::
 ``summary.json`` carries the campaign spec hash (a content hash over the
 sorted point keys, so two sessions declaring the same grid hash
 identically), the cache schema version, the package version, the git
-revision the run was produced by, wall-clock time and the cache/executed
-split -- enough to decide, months later, whether stored results are still
-trustworthy or need ``--force``.
+revision the run was produced by (``git_rev``: the short sha of
+:func:`repro.obs.export.git_revision`, ``null`` outside a checkout),
+wall-clock time and the cache/executed split -- enough to decide, months
+later, whether stored results are still trustworthy or need ``--force``.
 """
 
 from __future__ import annotations
@@ -22,31 +23,15 @@ import hashlib
 import json
 import os
 import re
-import subprocess
 import time
 from typing import Any, Dict, List, Optional
 
 from repro import __version__
 from repro.campaigns.spec import SCHEMA_VERSION, CampaignSpec
+from repro.obs.export import git_revision
 
 #: Catalog entry names are directory names: keep them portable.
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
-
-
-def git_revision(cwd: Optional[str] = None) -> str:
-    """The current git commit hash, or ``"unknown"`` outside a checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=cwd or os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
 
 
 def campaign_spec_hash(campaign: CampaignSpec) -> str:

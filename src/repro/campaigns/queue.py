@@ -41,6 +41,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import __version__
 from repro.campaigns.spec import SCHEMA_VERSION, PointSpec
+from repro.obs.export import git_revision
 
 PENDING = "pending"
 LEASES = "leases"
@@ -297,7 +298,7 @@ class QueueWorker:
                 "finished_unix": time.time(),
                 "schema_version": SCHEMA_VERSION,
                 "repro_version": __version__,
-                "git_rev": _cached_git_revision(),
+                "git_rev": git_revision(),
             }
             self.queue.commit(lease, record, provenance)
         except Exception:
@@ -323,16 +324,3 @@ class QueueWorker:
             if executed == before:
                 break
         return executed
-
-
-_GIT_REVISION: Optional[str] = None
-
-
-def _cached_git_revision() -> str:
-    """The repo git revision, resolved once per worker process."""
-    global _GIT_REVISION
-    if _GIT_REVISION is None:
-        from repro.campaigns.catalog import git_revision
-
-        _GIT_REVISION = git_revision()
-    return _GIT_REVISION

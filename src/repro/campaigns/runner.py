@@ -20,6 +20,7 @@ from repro.campaigns.queue import QueueWorker, WorkQueue
 from repro.campaigns.records import record_to_result, result_to_record
 from repro.campaigns.spec import CampaignSpec, PointSpec
 from repro.campaigns.store import ResultStore
+from repro.obs.export import set_trace_dir
 from repro.scenarios.registry import available_kinds, get_kind
 
 
@@ -29,16 +30,19 @@ def execute_point(point: PointSpec, trace_dir: Optional[str] = None) -> Dict[str
     Module-level (picklable) so worker processes can run it; always returns
     the record form so every execution mode feeds the aggregation layer the
     same data.  ``trace_dir`` arms the process-wide trace sink
-    (:func:`repro.obs.export.set_trace_dir`) before the run -- in a pool
-    worker that is the only place the flag can be applied -- so instrumented
+    (:func:`repro.obs.export.set_trace_dir`) for this point only -- the
+    same in the parent, a pool worker or a queue worker -- so instrumented
     points drop their JSONL/Chrome trace files beside the campaign results,
-    prefixed by the point's cache key to stay collision-free.
+    prefixed by the point's cache key to stay collision-free, and the sink
+    is disarmed again however the point ends.
     """
     if trace_dir is not None:
-        from repro.obs.export import set_trace_dir
-
         set_trace_dir(trace_dir, prefix=point.key()[:12])
-    result = get_kind(point.kind).run(point.config(), point, point.params)
+    try:
+        result = get_kind(point.kind).run(point.config(), point, point.params)
+    finally:
+        if trace_dir is not None:
+            set_trace_dir(None)
     return result_to_record(result)
 
 
@@ -177,16 +181,8 @@ class CampaignRunner:
         elif self.jobs > 1 and len(pending) > 1:
             self._run_parallel(pending, run)
         else:
-            try:
-                for point in pending:
-                    self._commit(point, execute_point(point, self.trace_dir), run)
-            finally:
-                if self.trace_dir is not None:
-                    # Serial execution armed the in-process trace sink;
-                    # disarm it so later runs in this process stay silent.
-                    from repro.obs.export import set_trace_dir
-
-                    set_trace_dir(None)
+            for point in pending:
+                self._commit(point, execute_point(point, self.trace_dir), run)
 
         run.executed = len(pending)
         if self.store is not None:

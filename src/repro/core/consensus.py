@@ -24,7 +24,6 @@ from types import MappingProxyType
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.reliable_broadcast import ReliableBroadcast
-from repro.obs.instrumentation import NULL
 from repro.sim.process import Component, SimProcess
 
 DecisionListener = Callable[[Hashable, Any], None]
@@ -135,7 +134,7 @@ class ConsensusInstance:
                 return
             self.round = round_number
             self.rounds_executed += 1
-            if self.service._obs is not NULL:
+            if self.service._obs is not None:
                 self.service._obs.consensus_round(
                     self.service.now, self.pid, self.cid, round_number
                 )
@@ -566,7 +565,7 @@ class ConsensusService(Component):
             return self._instances[cid]
         instance = ConsensusInstance(self, cid, value, participants, coordinator_order)
         self._instances[cid] = instance
-        if self._obs is not NULL:
+        if self._obs is not None:
             self._obs.consensus_started(self.now, self.pid, cid)
         if cid in self._decisions:
             instance.mark_decided(self._decisions[cid])
@@ -645,7 +644,7 @@ class ConsensusService(Component):
         if cid in self._decisions:
             return
         self._decisions[cid] = value
-        if self._obs is not NULL:
+        if self._obs is not None:
             self._obs.consensus_decided(self.now, self.pid, cid)
         self._undecided.pop(cid, None)
         instance = self._instances.get(cid)

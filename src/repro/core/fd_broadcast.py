@@ -34,7 +34,6 @@ from typing import Any, Dict, Hashable, Set, Tuple
 from repro.core.consensus import ConsensusService
 from repro.core.reliable_broadcast import ReliableBroadcast
 from repro.core.types import AtomicBroadcast, BroadcastID
-from repro.obs.instrumentation import NULL
 from repro.sim.process import SimProcess
 
 _DATA_TAG = "AB_DATA"
@@ -282,7 +281,7 @@ class FDAtomicBroadcast(AtomicBroadcast):
                 return
             proposal_ids = tuple(sorted(fresh))
             proposal = (self.pid, proposal_ids)
-            if self._obs is not NULL:
+            if self._obs is not None:
                 self._obs.observe("abcast.proposal_size", len(proposal_ids))
             self._highest_proposed = k
             self._inflight_proposals[k] = fresh
@@ -324,7 +323,7 @@ class FDAtomicBroadcast(AtomicBroadcast):
         proposer, broadcast_ids = value
         self._decisions[k] = (proposer, tuple(broadcast_ids))
         self._ordered.update(broadcast_ids)
-        if self._obs is not NULL:
+        if self._obs is not None:
             # The decision fixes the message's place in the total order; the
             # instrumentation keeps only the earliest report per message.
             for broadcast_id in broadcast_ids:

@@ -347,7 +347,8 @@ class GroupMembership(Component):
             return
         self._status = VIEW_CHANGE_IN_PROGRESS
         self._vc_started_at = self.now
-        self._obs.view_change(self.now, self.pid, self._view.vid)
+        if self._obs is not None:
+            self._obs.view_change(self.now, self.pid, self._view.vid)
         if self._handler is not None:
             self._handler.on_view_change_started()
         if self.reformation_timeout is not None:
@@ -472,7 +473,8 @@ class GroupMembership(Component):
         if self._reform_epoch_proposed >= new_epoch:
             return
         self.reformations_proposed += 1
-        self._obs.reformation_proposed(self.now, self.pid, new_epoch)
+        if self._obs is not None:
+            self._obs.reformation_proposed(self.now, self.pid, new_epoch)
         self._propose_reformation(new_epoch)
 
     def _propose_reformation(self, new_epoch: int) -> None:
@@ -616,7 +618,8 @@ class GroupMembership(Component):
         self._status = MEMBER
         self._recovering = False
         self.views_installed += 1
-        self._obs.view_installed(self.now, self.pid, view)
+        if self._obs is not None:
+            self._obs.view_installed(self.now, self.pid, view)
         self._reset_view_change_state()
         self._pending_joins.difference_update(view.members)
         if self._handler is not None:

@@ -36,7 +36,6 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.group_membership import GroupMembership
 from repro.core.types import AtomicBroadcast, BroadcastID, View
-from repro.obs.instrumentation import NULL
 from repro.sim.process import SimProcess
 
 _DATA = "DATA"
@@ -222,11 +221,11 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             self._assignments[broadcast_id] = self._seq_counter
             self._unstable[broadcast_id] = self._seq_counter
             self._batch_of[broadcast_id] = batch_id
-            if self._obs is not NULL:
+            if self._obs is not None:
                 self._obs.abcast_sequenced(self.now, self.pid, broadcast_id)
         self._unsequenced = []
         entries = tuple(entries)
-        if self._obs is not NULL:
+        if self._obs is not None:
             self._obs.observe("abcast.batch_size", len(entries))
         self._batch_entries[batch_id] = entries
         self._batch_acks[batch_id] = {self.pid}
@@ -259,7 +258,7 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             for seqnum, broadcast_id in entries:
                 self._assignments[broadcast_id] = seqnum
                 self._batch_of[broadcast_id] = batch_id
-                if self._obs is not NULL:
+                if self._obs is not None:
                     self._obs.abcast_sequenced(self.now, self.pid, broadcast_id)
                 if not self.has_delivered(broadcast_id):
                     self._unstable[broadcast_id] = seqnum

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, NamedTuple, Tuple
 
-from repro.obs.instrumentation import NULL
 from repro.sim.process import Component, SimProcess
 
 
@@ -125,7 +124,7 @@ class AtomicBroadcast(Component):
         return BroadcastID(self.pid, self._local_seq)
 
     def _notify_broadcast(self, broadcast_id: BroadcastID, payload: Any) -> None:
-        if self._obs is not NULL:
+        if self._obs is not None:
             self._obs.abcast_broadcast(self.now, self.pid, broadcast_id, payload)
         for listener in self._broadcast_listeners:
             listener(broadcast_id, payload)
@@ -141,7 +140,7 @@ class AtomicBroadcast(Component):
             return False
         self._delivered_ids.add(broadcast_id)
         self.delivered.append((broadcast_id, payload))
-        if self._obs is not NULL:
+        if self._obs is not None:
             self._obs.abcast_deliver(self.now, self.pid, broadcast_id, payload)
         for listener in self._delivery_listeners:
             listener(broadcast_id, payload)

@@ -112,7 +112,8 @@ class BatchingAtomicBroadcast(AtomicBroadcast):
         entries = tuple(self._pending)
         self._pending = []
         self.batches_flushed += 1
-        self._obs.service_batch(self.now, self.pid, len(entries))
+        if self._obs is not None:
+            self._obs.service_batch(self.now, self.pid, len(entries))
         self.inner.broadcast((BATCH_TAG, entries))
 
     def _on_inner_delivery(self, inner_id: BroadcastID, payload: Any) -> None:

@@ -3,11 +3,14 @@
 The subsystem has two halves:
 
 * :mod:`repro.obs.instrumentation` -- the :class:`Instrumentation` object a
-  :class:`repro.system.BroadcastSystem` owns when tracing is on, its named
-  hook points (message send/receive, the A-broadcast lifecycle, failure
-  detector suspicions, consensus rounds, view changes, simulator event-loop
-  stats) and the :data:`NULL` no-op singleton that makes the off path one
-  attribute call per hook site;
+  :class:`repro.system.BroadcastSystem` owns when tracing is on and its
+  named hook points (message send/receive, the A-broadcast lifecycle,
+  failure detector suspicions, consensus rounds, view changes, simulator
+  event-loop stats).  It is the one recorder of a run: its ``events`` list
+  holds the timestamped records, and :meth:`Instrumentation.subscribe`
+  attaches any further observer to a hook.  Off is ``None``: every layer
+  holds ``None`` until the system enables instrumentation, and every hook
+  site tests for it;
 * :mod:`repro.obs.export` -- the per-run ``metrics.json`` snapshot (with
   provenance), the structured JSONL event trace and the Chrome-trace span
   export of the message lifecycle.
@@ -18,7 +21,7 @@ Enable it per system (``SystemConfig(instrument=True)`` or
 (``--trace`` / ``--metrics-out``).
 """
 
-from repro.obs.instrumentation import HOOKS, NULL, Instrumentation, NullInstrumentation
+from repro.obs.instrumentation import HOOKS, Instrumentation
 from repro.obs.export import (
     chrome_trace,
     metrics_snapshot,
@@ -31,9 +34,7 @@ from repro.obs.export import (
 
 __all__ = [
     "HOOKS",
-    "NULL",
     "Instrumentation",
-    "NullInstrumentation",
     "chrome_trace",
     "metrics_snapshot",
     "metrics_snapshot_from_obs",

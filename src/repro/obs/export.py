@@ -14,10 +14,11 @@ Three views of one instrumented run:
   ``chrome://tracing`` or https://ui.perfetto.dev for visual debugging of
   scenarios like ``view-majority-loss``.
 
-The module also keeps the *process-wide trace sink* campaign workers use:
-:func:`set_trace_dir` arms it (in the worker, for parallel campaigns) and
-the scenario runner calls :func:`maybe_write_traces` after every measured
-run, so per-point trace files land beside the campaign's result records.
+The module also keeps the *process-wide trace sink* campaign execution
+uses: :func:`set_trace_dir` arms it for the duration of one point (in
+whichever process runs the point) and the scenario runner calls
+:func:`maybe_write_traces` after every measured run, so per-point trace
+files land beside the campaign's result records.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ METRICS_SCHEMA = 1
 
 _git_rev_cache: List[Optional[str]] = []
 
-# Process-wide trace sink (armed per campaign worker via set_trace_dir).
+# Process-wide trace sink (armed for one campaign point via set_trace_dir).
 _trace_dir: Optional[str] = None
 _trace_prefix: str = ""
 
@@ -131,7 +132,7 @@ def metrics_snapshot(system, **extra: Any) -> Dict[str, Any]:
     an empty snapshot would silently read as "nothing happened".
     """
     obs = system.obs
-    if obs is None or not obs.enabled:
+    if obs is None:
         raise ValueError(
             "system is not instrumented; build it with instrument=True or "
             "call enable_instrumentation() before snapshotting"
@@ -337,17 +338,13 @@ def write_chrome_trace(path: str, obs: Instrumentation) -> int:
 def set_trace_dir(path: Optional[str], prefix: str = "") -> None:
     """Arm (or, with ``None``, disarm) the process-wide per-run trace sink.
 
-    Campaign workers call this once per task (with the point's cache-key
-    prefix) so trace files written by different points never collide.
+    :func:`repro.campaigns.runner.execute_point` arms it for exactly one
+    point (with the point's cache-key prefix, so trace files written by
+    different points never collide) and disarms it when the point ends.
     """
     global _trace_dir, _trace_prefix
     _trace_dir = path
     _trace_prefix = prefix
-
-
-def get_trace_dir() -> Optional[str]:
-    """The armed trace sink directory, or ``None``."""
-    return _trace_dir
 
 
 def maybe_write_traces(system, label: str) -> List[str]:

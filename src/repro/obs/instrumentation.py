@@ -6,34 +6,26 @@ failure detectors -- reports what it does through *named hook points* on a
 single per-system :class:`Instrumentation` object.  The hooks update cheap
 primitives (monotonic counters, max-gauges, histograms), maintain the
 A-broadcast lifecycle (broadcast -> sequenced -> first A-delivery, with the
-per-stage latency breakdown), optionally append a structured event record,
-and fan out to subscribers (the trace recorders of
-:mod:`repro.analysis.tracing` are plain subscribers).
+per-stage latency breakdown), optionally append a structured event record
+to :attr:`Instrumentation.events`, and fan out to the callables attached
+with :meth:`Instrumentation.subscribe`.
 
 The paper's whole argument is observational, but observation must never
 perturb the run: hooks schedule no events, send no messages and draw no
 random numbers, so an instrumented run is bit-identical to an uninstrumented
 one (pinned by the golden-neutrality tests).
 
-**The off path.**  When instrumentation is off, protocol layers hold the
-module singleton :data:`NULL` -- a :class:`NullInstrumentation` whose hook
-methods have empty bodies.  A call into it is cheap; *evaluating its
-arguments* (``self.now, self.pid, ...``) once per message is not, so the
-per-message and per-ordering-round hook sites test identity first::
+**The off path.**  When instrumentation is off, every layer -- the
+simulator, the network, each process and each protocol component -- holds
+``None``, and every hook site tests for it before it evaluates the hook's
+arguments::
 
-    if self._obs is not NULL:
+    if self._obs is not None:
         self._obs.abcast_deliver(self.now, self.pid, broadcast_id, payload)
 
-That covers ``abcast_broadcast`` / ``abcast_deliver`` (``core/types.py``),
-the three ``abcast_sequenced`` sites, ``consensus_started`` /
-``consensus_round`` / ``consensus_decided`` and the two ``observe`` calls on
-proposal and batch sizes: with tracing off they cost one attribute load and
-one pointer comparison.  The two innermost loops (the simulator's event loop
-and the network's send / delivery) keep ``None`` instead and branch on it.
-What still calls through :data:`NULL` unconditionally are the sites that
-fire a few times per run or per batch -- ``view_change``,
-``view_installed``, ``reformation_proposed``, ``service_batch`` -- where a
-guard would buy nothing; a hook added on a per-message path must take the guard.
+With tracing off a hook site costs one attribute load and one pointer
+comparison; no call is made.  ``tests/sim/test_hook_sites.py`` holds every
+hook site outside this package to that guard, and
 ``tests/sim/test_call_budget.py`` holds the off path to a committed number
 of Python calls per simulated event.
 """
@@ -44,100 +36,7 @@ from collections import defaultdict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
-class NullInstrumentation:
-    """The disabled instrumentation: every hook is an empty method.
-
-    Protocol layers may call hooks on whatever object they hold; holding
-    this singleton makes a hook site at most one no-op call (per-message
-    sites skip even that, see the module docstring).  It deliberately
-    implements *only* the hook points -- subscribing or snapshotting a
-    disabled instrumentation is a bug, so those raise.
-    """
-
-    #: Discriminator the simulator/network use to refuse a disabled object.
-    enabled = False
-
-    # -- hook points (same signatures as Instrumentation, empty bodies) -------
-
-    def message_send(self, time, message, dropped=False):
-        pass
-
-    def message_deliver(self, time, dest, message):
-        pass
-
-    def abcast_broadcast(self, time, pid, broadcast_id, payload):
-        pass
-
-    def abcast_sequenced(self, time, pid, broadcast_id):
-        pass
-
-    def abcast_deliver(self, time, pid, broadcast_id, payload):
-        pass
-
-    def suspicion(self, time, monitor, target, suspected):
-        pass
-
-    def consensus_started(self, time, pid, cid):
-        pass
-
-    def consensus_round(self, time, pid, cid, round_number):
-        pass
-
-    def consensus_decided(self, time, pid, cid):
-        pass
-
-    def view_change(self, time, pid, vid):
-        pass
-
-    def view_installed(self, time, pid, view):
-        pass
-
-    def reformation_proposed(self, time, pid, epoch):
-        pass
-
-    def service_request(self, time, client, status):
-        pass
-
-    def service_reply(self, time, client, response_time):
-        pass
-
-    def service_batch(self, time, pid, size):
-        pass
-
-    def partition_changed(self, time, blocked_links):
-        pass
-
-    def process_degraded(self, time, pid, factor):
-        pass
-
-    def sim_event(self, time, category):
-        pass
-
-    def queue_depth(self, depth):
-        pass
-
-    def count(self, name, delta=1):
-        pass
-
-    def observe(self, name, value):
-        pass
-
-    def gauge_max(self, name, value):
-        pass
-
-    def subscribe(self, hook, fn):
-        raise RuntimeError(
-            "instrumentation is disabled; enable it first "
-            "(BroadcastSystem.enable_instrumentation())"
-        )
-
-    unsubscribe = subscribe
-
-
-#: The module-level disabled singleton every layer holds by default.
-NULL = NullInstrumentation()
-
-#: Hook names subscribers can attach to (the recorder-facing surface).
+#: Hook names subscribers can attach to.
 HOOKS = (
     "message_send",
     "message_deliver",
@@ -176,8 +75,6 @@ class Instrumentation:
         that only need the ``metrics.json`` snapshot can turn event
         recording off to bound memory on long runs.
     """
-
-    enabled = True
 
     def __init__(self, record_events: bool = True) -> None:
         self.record_events = record_events

@@ -154,7 +154,7 @@ class Simulator:
         event counts and the queue-depth high-water mark; detached, an event
         pays two ``is not None`` tests on a local.
         """
-        self._obs = obs if obs is not None and obs.enabled else None
+        self._obs = obs
 
     @property
     def pending_events(self) -> int:

@@ -145,7 +145,7 @@ class Network:
 
     def set_instrumentation(self, obs) -> None:
         """Attach an :class:`repro.obs.Instrumentation` (``None`` detaches)."""
-        self._obs = obs if obs is not None and obs.enabled else None
+        self._obs = obs
 
     # ------------------------------------------------------------------ wiring
 

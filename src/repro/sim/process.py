@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from repro.obs.instrumentation import NULL
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.messages import Message
 from repro.sim.network import Network
@@ -43,10 +42,10 @@ class Component:
         #: for the life of the component, read on every message.
         self.pid: int = process.pid
         self.sim: Simulator = process.sim
-        #: Instrumentation hook sink; :data:`repro.obs.NULL` until the system
-        #: enables instrumentation, which rewires every component in place.
-        #: Per-message hook sites test ``self._obs is not NULL`` before they
-        #: evaluate the hook's arguments.
+        #: Instrumentation hook sink; ``None`` until the system enables
+        #: instrumentation, which rewires every component in place.  Hook
+        #: sites test ``self._obs is not None`` before they evaluate the
+        #: hook's arguments.
         self._obs = process.obs
         process.register_component(self.protocol, self)
 
@@ -107,8 +106,8 @@ class SimProcess:
         self._remote_of: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         #: Failure detector attached to this process (set by the system builder).
         self.failure_detector = None
-        #: Instrumentation components inherit at construction (NULL = off).
-        self.obs = NULL
+        #: Instrumentation components inherit at construction (None = off).
+        self.obs = None
         network.attach(pid, self._on_network_delivery)
 
     # ------------------------------------------------------------------ components

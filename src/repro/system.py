@@ -48,11 +48,6 @@ from repro.sim.wan import wan_profile as wan_registry_lookup
 from repro.stacks import registry as stack_registry
 from repro.stacks.api import FailureDetectorFabric, StackSpec
 
-#: Deprecated alias of :func:`repro.stacks.available_stacks`, kept because the
-#: seed API exposed it; the registry is the source of truth now.
-ALGORITHMS = ("fd", "gm", "gm-nonuniform")
-
-
 @dataclass(frozen=True, init=False)
 class SystemConfig:
     """Configuration of a simulated atomic broadcast system.
@@ -270,7 +265,7 @@ class BroadcastSystem:
         self.memberships: List[GroupMembership] = []
         self._started = False
         #: The instrumentation of this system, or ``None`` when tracing is
-        #: off (layers then hold the :data:`repro.obs.NULL` no-op singleton).
+        #: off (every layer then holds ``None`` too, and skips its hooks).
         self.obs: Optional[Instrumentation] = None
         self._build()
         if config.instrument:
@@ -326,10 +321,10 @@ class BroadcastSystem:
         Creates (or adopts) an :class:`~repro.obs.Instrumentation`, attaches
         it to the simulation kernel and the network, rewires every process
         and protocol component's hook sink, and taps each failure detector's
-        suspicion listeners.  Safe to call any time before :meth:`run` --
-        the trace recorders call it on attach -- and a second call returns
-        the existing object.  Purely observational: enabling it changes no
-        delivered sequence, latency or event count.
+        suspicion listeners.  Safe to call any time before :meth:`run`,
+        and a second call returns the existing object.  Purely
+        observational: enabling it changes no delivered sequence, latency
+        or event count.
         """
         if self.obs is not None:
             return self.obs

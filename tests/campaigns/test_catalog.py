@@ -2,16 +2,13 @@
 
 import json
 import os
+import subprocess
 
 import pytest
 
 from repro import __version__
-from repro.campaigns.catalog import (
-    CampaignCatalog,
-    campaign_spec_hash,
-    catalog_name,
-    git_revision,
-)
+from repro.obs import export
+from repro.campaigns.catalog import CampaignCatalog, campaign_spec_hash, catalog_name
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import SCHEMA_VERSION, grid
 
@@ -20,6 +17,13 @@ def quick_campaign(throughputs=(25.0,)):
     return grid(
         "normal-steady", stacks=("fd",), throughputs=throughputs, num_messages=10
     )
+
+
+def record_quick_run(catalog):
+    """Record one tiny run and return its summary."""
+    campaign = quick_campaign()
+    catalog.record_run(campaign, CampaignRunner().run(campaign), wall_clock_s=0.0, name="rev")
+    return catalog.load("rev")
 
 
 class TestSpecHash:
@@ -50,14 +54,20 @@ class TestCatalogName:
 
 
 class TestGitRevision:
-    def test_resolves_inside_this_checkout(self):
-        rev = git_revision()
-        assert rev == "unknown" or (len(rev) == 40 and all(
+    def test_resolves_inside_this_checkout(self, tmp_path):
+        rev = export.git_revision()
+        assert rev is None or (4 <= len(rev) < 40 and all(
             ch in "0123456789abcdef" for ch in rev
         ))
+        assert record_quick_run(CampaignCatalog(str(tmp_path)))["git_rev"] == rev
 
-    def test_unknown_outside_a_checkout(self, tmp_path):
-        assert git_revision(cwd=str(tmp_path)) == "unknown"
+    def test_null_outside_a_checkout(self, tmp_path, monkeypatch):
+        def no_checkout(*args, **kwargs):
+            raise subprocess.CalledProcessError(128, args[0])
+
+        monkeypatch.setattr(export, "_git_rev_cache", [])
+        monkeypatch.setattr(export.subprocess, "run", no_checkout)
+        assert record_quick_run(CampaignCatalog(str(tmp_path)))["git_rev"] is None
 
 
 class TestCampaignCatalog:

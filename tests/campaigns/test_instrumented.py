@@ -4,10 +4,14 @@ import json
 import os
 from dataclasses import replace
 
+import pytest
+
+from repro.campaigns.queue import WorkQueue
 from repro.campaigns.records import record_to_result
 from repro.campaigns.runner import CampaignRunner, execute_point
 from repro.campaigns.spec import PointSpec, grid
 from repro.campaigns.store import ResultStore
+from repro.obs import export as obs_export
 
 
 def small_campaign(**kwargs):
@@ -140,3 +144,37 @@ class TestCampaignRunnerInstrument:
         parallel = CampaignRunner(jobs=2, instrument=True).run(campaign)
         for point in campaign.points():
             assert parallel.record(point) == serial.record(point)
+
+
+class TestTraceSink:
+    """``trace_dir`` arms the process-wide sink for one point at a time."""
+
+    @pytest.mark.parametrize("mode", ["serial", "jobs=2", "queue"])
+    def test_every_mode_writes_key_prefixed_traces(self, tmp_path, monkeypatch, mode):
+        monkeypatch.setattr(obs_export, "_trace_dir", None)
+        campaign = grid(
+            "normal-steady", stacks=("fd", "gm"), throughputs=(50.0,), seeds=(1,), num_messages=8
+        )
+        options = {
+            "serial": {},
+            "jobs=2": {"jobs": 2},
+            "queue": {"queue": WorkQueue(str(tmp_path / "q"))},
+        }[mode]
+        trace_dir = tmp_path / "traces"
+        with CampaignRunner(trace_dir=str(trace_dir), **options) as runner:
+            run = runner.run(campaign)
+        prefixes = {name.split("-", 1)[0] for name in os.listdir(trace_dir)}
+        assert prefixes == {key[:12] for key in run.records}
+        assert obs_export._trace_dir is None
+
+    def test_a_later_run_without_traces_writes_none(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(obs_export, "_trace_dir", None)
+        trace_dir = tmp_path / "traces"
+        CampaignRunner(queue=WorkQueue(str(tmp_path / "q")), trace_dir=str(trace_dir)).run(
+            small_campaign()
+        )
+        written = sorted(os.listdir(trace_dir))
+        later = grid("normal-steady", stacks=("gm",), throughputs=(10.0,), seeds=(2,), num_messages=8)
+        CampaignRunner(instrument=True).run(later)
+        assert sorted(os.listdir(trace_dir)) == written
+        assert obs_export._trace_dir is None

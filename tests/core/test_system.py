@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro import ALGORITHMS, SystemConfig, available_stacks, build_system
+from repro import SystemConfig, build_system
 from repro.failure_detectors.heartbeat import HeartbeatFailureDetectorFabric
 from repro.failure_detectors.perfect import PerfectFailureDetectorFabric
 from repro.failure_detectors.qos import QoSFailureDetectorFabric
@@ -40,10 +40,6 @@ class TestSystemConfig:
         assert SystemConfig(n=3).max_tolerated_crashes() == 1
         assert SystemConfig(n=7).max_tolerated_crashes() == 3
         assert SystemConfig(n=4).max_tolerated_crashes() == 1
-
-    def test_algorithms_constant_matches_builtin_stacks(self):
-        assert set(ALGORITHMS) == {"fd", "gm", "gm-nonuniform"}
-        assert set(ALGORITHMS) <= set(available_stacks())
 
     def test_slash_stack_selects_fd_kind(self):
         config = SystemConfig(stack="fd/heartbeat")

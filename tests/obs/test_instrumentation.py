@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import HOOKS, NULL, Instrumentation, NullInstrumentation
+from repro.obs import HOOKS, Instrumentation
 
 
 class TestPrimitives:
@@ -135,29 +135,7 @@ class TestSubscribers:
         obs.message_send(2.0, FakeMessage())
         assert len(seen) == 1
 
-    def test_every_declared_hook_exists_on_both_implementations(self):
+    def test_every_declared_hook_exists(self):
         for name in HOOKS:
             assert callable(getattr(Instrumentation(), name))
-            assert callable(getattr(NULL, name))
 
-
-class TestNullInstrumentation:
-    def test_disabled_discriminator(self):
-        assert NULL.enabled is False
-        assert Instrumentation().enabled is True
-
-    def test_hooks_are_silent_no_ops(self):
-        null = NullInstrumentation()
-        null.message_send(1.0, FakeMessage())
-        null.abcast_deliver(1.0, 0, (0, 1), "m")
-        null.sim_event(1.0, "cat")
-        null.queue_depth(10)
-        null.count("x")
-        null.observe("x", 1.0)
-        null.gauge_max("x", 1.0)
-
-    def test_subscribing_a_disabled_instrumentation_raises(self):
-        with pytest.raises(RuntimeError, match="disabled"):
-            NULL.subscribe("message_send", lambda: None)
-        with pytest.raises(RuntimeError, match="disabled"):
-            NULL.unsubscribe("message_send", lambda: None)

@@ -4,14 +4,16 @@ Observation must never perturb the run: for every registered stack variant,
 an instrumented execution must be bit-identical to an uninstrumented one --
 same delivery sequences, same delivery times, same kernel event count.  And
 the counters an instrumented run reports must match values independently
-derivable from the network statistics, the failure detectors' own counters
-and the trace recorders on the same seed.
+derivable from the network statistics, the failure detectors' own counters,
+the recorded ``send`` events and an ``abcast_deliver`` subscriber on the
+same seed.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro import SystemConfig, build_system
-from repro.analysis.tracing import DeliveryTraceRecorder, MessageTraceRecorder
 from repro.scenarios import (
     run_gray_degradation,
     run_partition_transient,
@@ -109,30 +111,29 @@ class TestCounterConsistency:
         system = build_system(
             SystemConfig(n=3, stack=variant, seed=7, instrument=True)
         )
-        messages = MessageTraceRecorder(system)
-        deliveries = DeliveryTraceRecorder(system)
+        obs = system.obs
+        delivered = []
+        obs.subscribe("abcast_deliver", lambda _t, _pid, bid, _payload: delivered.append(bid))
         system.start()
         for time, sender in ARRIVALS:
             system.broadcast_at(time, sender, f"m-{sender}-{time:g}")
         system.run(until=3_000.0)
 
-        obs = system.obs
+        sends = [event for event in obs.events if event["ev"] == "send"]
         stats = system.message_stats()
         assert obs.counter("messages.sent") == stats["messages_sent"]
-        assert obs.counter("messages.sent") == len(messages.messages)
+        assert obs.counter("messages.sent") == len(sends)
         assert obs.counters_by_prefix("messages.sent.") == {
             f"messages.sent.{proto}": count
-            for proto, count in messages.counts_by_protocol().items()
+            for proto, count in Counter(event["proto"] for event in sends).items()
         }
-        assert obs.counter("abcast.deliveries") == len(deliveries.deliveries)
+        assert obs.counter("abcast.deliveries") == len(delivered)
         assert obs.counter("abcast.broadcasts") == len(ARRIVALS)
         assert obs.counter("abcast.sequenced") == len(ARRIVALS)
-        # Every message's lifecycle latency matches the delivery recorder.
-        first_times = deliveries.first_delivery_times()
-        for delivery in deliveries.deliveries:
-            latency = obs.first_delivery_latency(delivery.broadcast_id)
-            assert latency is not None
-        assert len(obs.histograms["abcast.broadcast_to_deliver"]) == len(first_times)
+        # Every delivered message has a complete lifecycle latency.
+        for broadcast_id in delivered:
+            assert obs.first_delivery_latency(broadcast_id) is not None
+        assert len(obs.histograms["abcast.broadcast_to_deliver"]) == len(set(delivered))
 
     def test_suspicion_counters_match_the_detectors(self):
         system = build_system(SystemConfig(n=3, stack="fd", seed=7, instrument=True))
