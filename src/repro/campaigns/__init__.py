@@ -21,7 +21,7 @@ the concern that used to live in hand-written nested loops into four layers:
   containers the experiments and reports operate on.
 
 ``python -m repro.campaigns`` runs ad-hoc grids from the command line; the
-figure modules of :mod:`repro.experiments` declare their sweeps as campaigns
+figures of :mod:`repro.experiments.figures` declare their sweeps as campaigns
 and accept a shared runner (``--jobs`` / ``--cache-dir``).
 """
 
@@ -31,7 +31,6 @@ from repro.campaigns.aggregate import (
     load_store_table,
     merge_scenario_results,
     merge_transient_results,
-    run_campaign_figure,
     series_from_spec,
 )
 from repro.campaigns.catalog import CampaignCatalog, campaign_spec_hash
@@ -84,6 +83,5 @@ __all__ = [
     "record_to_result",
     "replicate_seeds",
     "result_to_record",
-    "run_campaign_figure",
     "series_from_spec",
 ]

@@ -1,11 +1,11 @@
 """Fold campaign records back into the experiment result containers.
 
-The figure modules declare *what* to simulate (a :class:`CampaignSpec`); this
-module turns the runner's records back into the ``Series`` /
-``FigureResult`` containers the report layer renders.  Multi-seed replicas of
-an x position are pooled (latencies concatenated in seed order) before
-summarising, which tightens the confidence intervals without any figure-level
-code.
+The figures (:mod:`repro.experiments.figures`) declare *what* to simulate
+(a :class:`CampaignSpec`); this module turns the runner's records back into
+the ``Series`` / ``FigureResult`` containers the report layer renders.
+Multi-seed replicas of an x position are pooled (latencies concatenated in
+seed order) before summarising, which tightens the confidence intervals
+without any figure-level code.
 
 It also hosts the *cross-campaign* query path: :func:`load_store_table`
 loads a whole result store as columns -- through the columnar mirror when it
@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import os
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.campaigns import columnar
 from repro.campaigns.columnar import ColumnarTable
-from repro.campaigns.runner import CampaignRun, CampaignRunner
+from repro.campaigns.runner import CampaignRun
 from repro.campaigns.spec import CampaignSpec, SeriesSpec
 from repro.campaigns.store import ResultStore
-from repro.experiments.helpers import point_from_scenario, point_from_transient
-from repro.experiments.series import FigureResult, Series
+from repro.experiments.series import FigurePoint, FigureResult, Series
 from repro.scenarios.results import ScenarioResult, TransientResult
 
 
@@ -71,6 +70,34 @@ def merge_transient_results(results: Sequence[TransientResult]) -> TransientResu
     return merged
 
 
+def point_from_scenario(x: float, result: ScenarioResult) -> FigurePoint:
+    """Convert a steady-state scenario result into a figure point."""
+    summary = result.summary()
+    return FigurePoint(
+        x=x,
+        mean=summary.mean,
+        ci=summary.ci_halfwidth if summary.count > 1 else 0.0,
+        samples=summary.count,
+        completed=result.completed,
+    )
+
+
+def point_from_transient(x: float, result: TransientResult) -> FigurePoint:
+    """Convert a crash-transient result into a figure point.
+
+    The latency is the paper's Fig. 8 *overhead*: latency minus the
+    detection time.
+    """
+    summary = result.overhead_summary()
+    return FigurePoint(
+        x=x,
+        mean=summary.mean,
+        ci=summary.ci_halfwidth if summary.count > 1 else 0.0,
+        samples=summary.count,
+        completed=result.runs > 0,
+    )
+
+
 def series_from_spec(spec: SeriesSpec, run: CampaignRun) -> Series:
     """Build the plotted curve of one declared series from a campaign run."""
     series = Series(label=spec.label, params=dict(spec.params))
@@ -97,36 +124,6 @@ def figure_from_campaign(
     result = FigureResult(figure=figure, title=title, x_label=x_label, y_label=y_label)
     for spec in campaign.series:
         result.add_series(series_from_spec(spec, run))
-    return result
-
-
-def run_campaign_figure(
-    campaign: CampaignSpec,
-    runner: Optional[CampaignRunner],
-    *,
-    figure: str,
-    title: str,
-    x_label: str,
-    y_label: str,
-    note: Optional[str] = None,
-) -> FigureResult:
-    """Execute ``campaign`` and render it as a figure (the figure-module protocol).
-
-    The single place where the figure modules' ``run()`` functions meet the
-    runner: default serial execution when no runner is passed, then
-    aggregation and the figure's expected-shape note.
-    """
-    runner = runner or CampaignRunner()
-    result = figure_from_campaign(
-        campaign,
-        runner.run(campaign),
-        figure=figure,
-        title=title,
-        x_label=x_label,
-        y_label=y_label,
-    )
-    if note:
-        result.notes.append(note)
     return result
 
 

@@ -12,11 +12,6 @@ processes; the tables are bit-identical to a serial run.  With
 resumes where it stopped and shared points (e.g. the no-crash curves of
 Figs. 4 and 5 in quick mode) are simulated only once.
 
-``--fd-scan-interval Q`` reruns any figure under the batched
-failure-detector scan (one calendar event per Q ms instead of per-pair
-timers) -- the throughput lane for large-n sweeps; scanned points cache
-under their own keys.
-
 ``--queue-dir DIR`` distributes the missing points of each figure through
 the shared-directory work queue (the full-size ``--replicas 10`` recipe);
 extra workers join from other terminals or machines with
@@ -42,7 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Dict, List
+from typing import List
 
 from repro.campaigns.execution import (
     add_execution_arguments,
@@ -50,17 +45,8 @@ from repro.campaigns.execution import (
     metrics_lines,
     open_execution,
 )
-from repro.experiments import figure4, figure5, figure6, figure7, figure8
+from repro.experiments.figures import FIGURES
 from repro.experiments.report import format_figure, format_markdown_table
-from repro.experiments.shape_checks import ALL_CHECKS
-
-FIGURES = {
-    "4": figure4.run,
-    "5": figure5.run,
-    "6": figure6.run,
-    "7": figure7.run,
-    "8": figure8.run,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(FIGURES) + ["all"],
         help="which figure to regenerate (default: all)",
     )
-    parser.add_argument("--full", action="store_true", help="full-size sweeps (slow)")
-    parser.add_argument("--quick", action="store_true", help="quick sweeps (default)")
+    size = parser.add_mutually_exclusive_group()
+    size.add_argument("--full", action="store_true", help="full-size sweeps (slow)")
+    size.add_argument("--quick", action="store_true", help="quick sweeps (default)")
     parser.add_argument("--seed", type=int, default=1, help="root random seed")
     parser.add_argument(
         "--replicas",
@@ -116,10 +103,9 @@ def main(argv: List[str] = None) -> int:
     with open_execution(args, fd_scan_interval=args.fd_scan_interval) as execution:
         runner = execution.runner
         for name in names:
+            figure = FIGURES[name]
             started = time.time()
-            result = FIGURES[name](
-                quick=quick, seed=args.seed, replicas=args.replicas, runner=runner
-            )
+            result = figure.run(quick=quick, seed=args.seed, replicas=args.replicas, runner=runner)
             elapsed = time.time() - started
             renderer = format_markdown_table if args.markdown else format_figure
             sections.append(renderer(result))
@@ -131,8 +117,7 @@ def main(argv: List[str] = None) -> int:
             execution.record(run, elapsed, name=f"figure{name}-{'quick' if quick else 'full'}")
             sections.extend(metrics_lines(args, run))
             if args.check:
-                checks: Dict[str, bool] = ALL_CHECKS[name](result)
-                for key, ok in sorted(checks.items()):
+                for key, ok in sorted(figure.check(result).items()):
                     sections.append(f"  check {key}: {'PASS' if ok else 'FAIL'}")
             sections.append("")
     finish_report(args, sections)

@@ -8,6 +8,11 @@ from typing import List
 from repro.experiments.series import FigureResult
 
 
+def _xs(figure: FigureResult) -> List[float]:
+    """Every x value of the figure's series, ascending (one table row each)."""
+    return sorted({x for series in figure.series for x in series.xs()})
+
+
 def format_figure(figure: FigureResult) -> str:
     """Render a figure as a fixed-width text table (one row per x value)."""
     lines: List[str] = []
@@ -17,27 +22,17 @@ def format_figure(figure: FigureResult) -> str:
         lines.append("  (no data)")
         return "\n".join(lines)
 
-    xs: List[float] = []
-    for series in figure.series:
-        for x in series.xs():
-            if x not in xs:
-                xs.append(x)
-    xs.sort()
-
-    label_width = max(len("x"), *(len(s.label) for s in figure.series))
+    widths = [max(16, len(series.label)) for series in figure.series]
     header = "  " + "x".rjust(12) + "  " + "  ".join(
-        s.label.rjust(max(16, len(s.label))) for s in figure.series
+        series.label.rjust(width) for series, width in zip(figure.series, widths)
     )
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
-    for x in xs:
+    for x in _xs(figure):
         cells = []
-        for series in figure.series:
+        for series, width in zip(figure.series, widths):
             point = series.point_at(x)
-            if point is None:
-                cells.append(" " * max(16, len(series.label)))
-            else:
-                cells.append(point.formatted().rjust(max(16, len(series.label))))
+            cells.append(("" if point is None else point.formatted()).rjust(width))
         lines.append("  " + f"{x:12g}" + "  " + "  ".join(cells))
     for note in figure.notes:
         lines.append(f"  note: {note}")
@@ -53,14 +48,7 @@ def format_markdown_table(figure: FigureResult) -> str:
     divider = "|" + "---|" * (len(figure.series) + 1)
     lines.append(header)
     lines.append(divider)
-
-    xs: List[float] = []
-    for series in figure.series:
-        for x in series.xs():
-            if x not in xs:
-                xs.append(x)
-    xs.sort()
-    for x in xs:
+    for x in _xs(figure):
         cells = []
         for series in figure.series:
             point = series.point_at(x)

@@ -40,10 +40,6 @@ class Series:
         """The x values of the curve."""
         return [p.x for p in self.points]
 
-    def means(self) -> List[float]:
-        """The mean values of the curve (NaN for incomplete points)."""
-        return [p.mean if p.completed else float("nan") for p in self.points]
-
     def point_at(self, x: float) -> Optional[FigurePoint]:
         """The point with the given x value, if any."""
         for point in self.points:

@@ -1,161 +1,10 @@
 """Shape checks: do the regenerated figures reproduce the paper's findings?
 
-These functions encode the *qualitative* claims of the paper's evaluation --
-who wins, by roughly what factor, where the curves join -- rather than the
-absolute numbers (our substrate is a simulator, not the authors' testbed).
-They are used both by the integration tests and by the EXPERIMENTS.md
-generator.
+Each figure declares its checks in its block of
+:mod:`repro.experiments.figures`; this is the lookup by figure number.
 """
 
-from __future__ import annotations
+from repro.experiments.figures import FIGURES
 
-import math
-from typing import Dict
-
-from repro.experiments.series import FigureResult, Series
-
-
-def _mean_ratio(a: Series, b: Series) -> float:
-    """Mean of the pointwise ratio a/b over x values present in both series."""
-    ratios = []
-    for point in a.points:
-        other = b.point_at(point.x)
-        if other is None or not point.completed or not other.completed:
-            continue
-        if other.mean > 0:
-            ratios.append(point.mean / other.mean)
-    if not ratios:
-        return float("nan")
-    return sum(ratios) / len(ratios)
-
-
-def check_figure4(figure: FigureResult, tolerance: float = 0.05) -> Dict[str, bool]:
-    """Fig. 4 claims: FD == GM for each n; latency grows with T and with n."""
-    checks: Dict[str, bool] = {}
-    for n in (3, 7):
-        fd = figure.get_series(f"FD, n={n}")
-        gm = figure.get_series(f"GM, n={n}")
-        if fd is None or gm is None:
-            continue
-        ratio = _mean_ratio(fd, gm)
-        checks[f"fd_equals_gm_n{n}"] = abs(ratio - 1.0) <= tolerance
-        means = [p.mean for p in fd.points if p.completed]
-        checks[f"latency_increases_with_T_n{n}"] = (
-            len(means) >= 2 and means[-1] > means[0]
-        )
-    fd3 = figure.get_series("FD, n=3")
-    fd7 = figure.get_series("FD, n=7")
-    if fd3 is not None and fd7 is not None:
-        checks["n7_slower_than_n3"] = _mean_ratio(fd7, fd3) > 1.0
-    return checks
-
-
-def check_figure5(figure: FigureResult) -> Dict[str, bool]:
-    """Fig. 5 claims: crashes lower the latency; GM <= FD for equal crashes (n=7)."""
-    checks: Dict[str, bool] = {}
-    for n in (3, 7):
-        base = figure.get_series(f"FD and GM, no crash, n={n}")
-        fd1 = figure.get_series(f"FD, 1 crash(es), n={n}")
-        gm1 = figure.get_series(f"GM, 1 crash(es), n={n}")
-        if base is None or fd1 is None or gm1 is None:
-            continue
-        checks[f"crash_reduces_latency_n{n}"] = (
-            _mean_ratio(fd1, base) < 1.05 and _mean_ratio(gm1, base) < 1.05
-        )
-        checks[f"gm_not_worse_than_fd_n{n}"] = _mean_ratio(gm1, fd1) <= 1.05
-    fd3 = figure.get_series("FD, 3 crash(es), n=7")
-    gm3 = figure.get_series("GM, 3 crash(es), n=7")
-    fd1 = figure.get_series("FD, 1 crash(es), n=7")
-    if fd3 is not None and fd1 is not None:
-        checks["more_crashes_lower_latency_n7"] = _mean_ratio(fd3, fd1) < 1.0
-    if fd3 is not None and gm3 is not None:
-        checks["gm_beats_fd_with_3_crashes_n7"] = _mean_ratio(gm3, fd3) < 1.0
-    return checks
-
-
-def check_figure6(figure: FigureResult, small_tmr: float = 10.0, large_tmr: float = 10000.0) -> Dict[str, bool]:
-    """Fig. 6 claims: GM degrades much more than FD at small T_MR; curves join at large T_MR."""
-    checks: Dict[str, bool] = {}
-    for n, throughput in ((3, 10.0), (7, 10.0), (3, 300.0), (7, 300.0)):
-        fd = figure.get_series(f"FD, n={n}, T={throughput:g}/s")
-        gm = figure.get_series(f"GM, n={n}, T={throughput:g}/s")
-        if fd is None or gm is None:
-            continue
-        key = f"n{n}_T{throughput:g}"
-        fd_small = fd.point_at(small_tmr)
-        gm_small = gm.point_at(small_tmr)
-        if fd_small is not None and gm_small is not None:
-            gm_bad = (not gm_small.completed) or (
-                fd_small.completed and gm_small.mean > 1.5 * fd_small.mean
-            )
-            checks[f"gm_much_worse_at_small_tmr_{key}"] = gm_bad
-        fd_large = fd.point_at(large_tmr)
-        gm_large = gm.point_at(large_tmr)
-        if (
-            fd_large is not None
-            and gm_large is not None
-            and fd_large.completed
-            and gm_large.completed
-        ):
-            checks[f"curves_join_at_large_tmr_{key}"] = (
-                gm_large.mean <= 1.25 * fd_large.mean
-            )
-    return checks
-
-
-def check_figure7(figure: FigureResult) -> Dict[str, bool]:
-    """Fig. 7 claims: GM latency grows with T_M much faster than FD latency."""
-    checks: Dict[str, bool] = {}
-    for n, throughput, tmr in (
-        (3, 10.0, 1000.0),
-        (7, 10.0, 10000.0),
-        (3, 300.0, 10000.0),
-        (7, 300.0, 100000.0),
-    ):
-        suffix = f"n={n}, T={throughput:g}/s, T_MR={tmr:g}ms"
-        fd = figure.get_series(f"FD, {suffix}")
-        gm = figure.get_series(f"GM, {suffix}")
-        if fd is None or gm is None:
-            continue
-        key = f"n{n}_T{throughput:g}"
-        fd_growth = _growth(fd)
-        gm_growth = _growth(gm)
-        if not math.isnan(fd_growth) and not math.isnan(gm_growth):
-            checks[f"gm_more_sensitive_to_tm_{key}"] = gm_growth > fd_growth
-    return checks
-
-
-def check_figure8(figure: FigureResult) -> Dict[str, bool]:
-    """Fig. 8 claims: overhead is moderate for both; FD at or below GM (T_D = 0, low T)."""
-    checks: Dict[str, bool] = {}
-    for n in (3, 7):
-        fd0 = figure.get_series(f"FD, n={n}, T_D=0ms")
-        gm0 = figure.get_series(f"GM, n={n}, T_D=0ms")
-        if fd0 is None or gm0 is None:
-            continue
-        checks[f"fd_not_worse_than_gm_td0_n{n}"] = _mean_ratio(fd0, gm0) <= 1.1
-        first_fd = fd0.points[0] if fd0.points else None
-        first_gm = gm0.points[0] if gm0.points else None
-        if first_fd is not None and first_gm is not None:
-            checks[f"fd_wins_at_low_T_n{n}"] = first_fd.mean <= first_gm.mean * 1.05
-        completed = [p.mean for p in fd0.points + gm0.points if p.completed]
-        if completed:
-            checks[f"overhead_moderate_n{n}"] = max(completed) < 400.0
-    return checks
-
-
-def _growth(series: Series) -> float:
-    """Ratio of the last completed point to the first completed point."""
-    completed = [p for p in series.points if p.completed and p.mean > 0]
-    if len(completed) < 2:
-        return float("nan")
-    return completed[-1].mean / completed[0].mean
-
-
-ALL_CHECKS = {
-    "4": check_figure4,
-    "5": check_figure5,
-    "6": check_figure6,
-    "7": check_figure7,
-    "8": check_figure8,
-}
+#: ``ALL_CHECKS[number](result, **options)`` -> ``{check name: passed}``.
+ALL_CHECKS = {number: figure.check for number, figure in FIGURES.items()}

@@ -3,19 +3,21 @@
 from repro.campaigns.aggregate import (
     merge_scenario_results,
     merge_transient_results,
+    point_from_scenario,
+    point_from_transient,
 )
 from repro.campaigns.records import record_to_result, result_to_record
 from repro.campaigns.runner import CampaignRunner
 from repro.experiments import figure4, figure8
-from repro.experiments.helpers import base_config, point_from_scenario, point_from_transient
 from repro.scenarios.results import ScenarioResult, TransientResult
 from repro.scenarios import run_normal_steady
 from repro.scenarios import run_crash_transient
+from repro.system import SystemConfig
 
 
 class TestRecords:
     def test_scenario_record_round_trip(self):
-        result = run_normal_steady(base_config("fd", 3, 1), 30.0, num_messages=10)
+        result = run_normal_steady(SystemConfig(n=3, stack="fd", seed=1), 30.0, num_messages=10)
         rebuilt = record_to_result(result_to_record(result))
         assert isinstance(rebuilt, ScenarioResult)
         assert rebuilt.latencies == result.latencies
@@ -23,7 +25,7 @@ class TestRecords:
 
     def test_transient_record_round_trip(self):
         result = run_crash_transient(
-            base_config("fd", 3, 1), 30.0, detection_time=0.0, num_runs=2
+            SystemConfig(n=3, stack="fd", seed=1), 30.0, detection_time=0.0, num_runs=2
         )
         rebuilt = record_to_result(result_to_record(result))
         assert isinstance(rebuilt, TransientResult)
@@ -33,12 +35,12 @@ class TestRecords:
 
 class TestMerge:
     def test_single_replica_is_identity(self):
-        result = run_normal_steady(base_config("fd", 3, 1), 30.0, num_messages=10)
+        result = run_normal_steady(SystemConfig(n=3, stack="fd", seed=1), 30.0, num_messages=10)
         assert merge_scenario_results([result]) is result
 
     def test_replicas_pool_latencies(self):
         results = [
-            run_normal_steady(base_config("fd", 3, seed), 30.0, num_messages=10)
+            run_normal_steady(SystemConfig(n=3, stack="fd", seed=seed), 30.0, num_messages=10)
             for seed in (1, 2)
         ]
         merged = merge_scenario_results(results)
@@ -49,7 +51,7 @@ class TestMerge:
     def test_transient_replicas_pool_runs(self):
         results = [
             run_crash_transient(
-                base_config("fd", 3, seed), 30.0, detection_time=0.0, num_runs=2
+                SystemConfig(n=3, stack="fd", seed=seed), 30.0, detection_time=0.0, num_runs=2
             )
             for seed in (1, 2)
         ]
@@ -66,7 +68,7 @@ class TestFigureEquivalence:
         for algorithm in ("fd", "gm"):
             for throughput in (20, 60):
                 result = run_normal_steady(
-                    base_config(algorithm, 3, 1), throughput, num_messages=15
+                    SystemConfig(n=3, stack=algorithm, seed=1), throughput, num_messages=15
                 )
                 expected.append(point_from_scenario(throughput, result))
         got = [point for series in figure.series for point in series.points]
@@ -84,7 +86,7 @@ class TestFigureEquivalence:
         expected = []
         for algorithm in ("fd", "gm"):
             result = run_crash_transient(
-                base_config(algorithm, 3, 1),
+                SystemConfig(n=3, stack=algorithm, seed=1),
                 10,
                 detection_time=0.0,
                 crashed_process=0,

@@ -2,30 +2,24 @@
 
 import json
 
+import pytest
+
 from repro.campaigns.queue import WorkQueue
-from repro.experiments.__main__ import main
+from repro.experiments import figure4, figure6, figure7, figure8
+from repro.experiments.__main__ import build_parser, main
 
 
 def patch_tiny_figure4(monkeypatch, throughputs=(50,), num_messages=20):
     """Shrink figure 4 to a tiny sweep so CLI tests stay fast."""
-    from repro.experiments import figure4 as figure4_module
-
-    def tiny_run(quick=True, seed=1, replicas=1, runner=None):
-        return figure4_module.run(
-            quick=True,
-            seed=seed,
-            n_values=(3,),
-            throughputs=throughputs,
-            num_messages=num_messages,
-            replicas=replicas,
-            runner=runner,
-        )
-
-    monkeypatch.setitem(
-        __import__("repro.experiments.__main__", fromlist=["FIGURES"]).FIGURES,
-        "4",
-        tiny_run,
+    patch_grid(
+        monkeypatch, figure4, n_values=(3,), throughputs=throughputs, num_messages=num_messages
     )
+
+
+def patch_grid(monkeypatch, figure, **grid):
+    """Make the CLI run ``figure`` with ``grid`` on top of its own arguments."""
+    run = figure.run
+    monkeypatch.setattr(figure, "run", lambda **options: run(**options, **grid))
 
 
 def table_lines(out):
@@ -117,3 +111,30 @@ class TestSharedExecutionOptions:
         assert json.loads(summary.read_text())["store_path"] == str(
             tmp_path / "cache" / "results.jsonl"
         )
+
+
+class TestFigureOptions:
+    def test_quick_and_full_are_mutually_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["--figure", "4", "--quick", "--full"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_one_store_serves_figure5_its_no_crash_points_from_figure4(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Quick Figs. 4 and 5 both measure 150 messages, so Figure 5's
+        no-crash curves (4 + 3 throughputs) are Figure 4's cached points."""
+        patch_grid(monkeypatch, figure6, panels=())
+        patch_grid(monkeypatch, figure7, panels=())
+        patch_grid(monkeypatch, figure8, n_values=())
+        argv = ["--figure", "all", "--quick", "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        status = [line for line in capsys.readouterr().out.splitlines() if line.startswith("(")]
+        assert [line.split(";")[1] for line in status] == [
+            " 14 points simulated, 0 from cache)",
+            " 26 points simulated, 7 from cache)",
+            " 0 points simulated, 0 from cache)",
+            " 0 points simulated, 0 from cache)",
+            " 0 points simulated, 0 from cache)",
+        ]

@@ -7,13 +7,6 @@ cheap figures holds even at very small message counts.
 
 
 from repro.experiments import figure4, figure5, figure6, figure7, figure8
-from repro.experiments.shape_checks import (
-    check_figure4,
-    check_figure5,
-    check_figure6,
-    check_figure7,
-    check_figure8,
-)
 
 
 class TestFigure4:
@@ -28,7 +21,7 @@ class TestFigure4:
         result = figure4.run(
             quick=True, n_values=(3,), throughputs=(50, 300), num_messages=50
         )
-        checks = check_figure4(result)
+        checks = figure4.check(result)
         assert checks["fd_equals_gm_n3"]
         assert checks["latency_increases_with_T_n3"]
 
@@ -47,7 +40,7 @@ class TestFigure5:
         result = figure5.run(
             quick=True, n_values=(3,), throughputs=(400,), num_messages=60
         )
-        checks = check_figure5(result)
+        checks = figure5.check(result)
         assert checks.get("crash_reduces_latency_n3", True)
 
 
@@ -59,7 +52,7 @@ class TestFigure6:
             tmr_values=(20.0, 10000.0),
             num_messages=40,
         )
-        checks = check_figure6(result, small_tmr=20.0, large_tmr=10000.0)
+        checks = figure6.check(result, small_tmr=20.0)
         assert checks["gm_much_worse_at_small_tmr_n3_T10"]
         assert checks["curves_join_at_large_tmr_n3_T10"]
 
@@ -72,7 +65,7 @@ class TestFigure7:
             tm_values=(1.0, 500.0),
             num_messages=40,
         )
-        checks = check_figure7(result)
+        checks = figure7.check(result)
         assert checks["gm_more_sensitive_to_tm_n3_T10"]
 
 
@@ -89,6 +82,6 @@ class TestFigure8:
             "FD, n=3, T_D=0ms",
             "GM, n=3, T_D=0ms",
         }
-        checks = check_figure8(result)
+        checks = figure8.check(result)
         assert checks["overhead_moderate_n3"]
         assert checks["fd_wins_at_low_T_n3"]

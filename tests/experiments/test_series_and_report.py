@@ -32,14 +32,12 @@ class TestSeries:
         assert series.point_at(10).mean == 8.0
         assert series.point_at(999) is None
 
-    def test_xs_and_means(self):
-        series = make_figure().get_series("FD, n=3")
-        assert series.xs() == [10, 100]
-        assert series.means() == [8.0, 11.0]
+    def test_xs(self):
+        assert make_figure().get_series("FD, n=3").xs() == [10, 100]
 
     def test_incomplete_point_mean_is_nan(self):
         series = make_figure().get_series("GM, n=3")
-        assert math.isnan(series.means()[1])
+        assert math.isnan(series.point_at(300).mean)
 
     def test_get_series_unknown_label(self):
         assert make_figure().get_series("nope") is None
