@@ -11,8 +11,10 @@ the concern that used to live in hand-written nested loops into four layers:
   seed derivation following the :class:`repro.sim.rng.RandomStreams`
   convention;
 * :mod:`repro.campaigns.runner`    -- :class:`CampaignRunner` executes the
-  points, serially or through a ``ProcessPoolExecutor`` (``jobs=N``), with
-  bit-identical results either way;
+  points in one claim-execute-commit loop: store hits are claimed, the
+  misses run in-process, on a warm worker pool (``jobs=N``) or through the
+  shared-directory work queue (:mod:`repro.campaigns.queue`), and every
+  record is committed as it arrives, bit-identical whichever way it ran;
 * :mod:`repro.campaigns.store`     -- :class:`ResultStore` caches completed
   points in an append-only JSONL file keyed by a stable hash of the point
   configuration, which makes campaigns crash-safe and resumable;
@@ -35,15 +37,9 @@ from repro.campaigns.aggregate import (
 )
 from repro.campaigns.catalog import CampaignCatalog, campaign_spec_hash
 from repro.campaigns.columnar import ColumnarTable
-from repro.campaigns.pool import WarmPool
 from repro.campaigns.queue import QueueWorker, WorkQueue
-from repro.campaigns.records import record_to_result, result_to_record
-from repro.campaigns.runner import (
-    CampaignRun,
-    CampaignRunner,
-    execute_chunk,
-    execute_point,
-)
+from repro.campaigns.records import execute_point, record_to_result, result_to_record
+from repro.campaigns.runner import CampaignRun, CampaignRunner, execute_chunk
 from repro.campaigns.spec import (
     CampaignSpec,
     PointSpec,
@@ -67,7 +63,6 @@ __all__ = [
     "ResultStore",
     "SeriesPointSpec",
     "SeriesSpec",
-    "WarmPool",
     "WorkQueue",
     "campaign_spec_hash",
     "crashed_processes",

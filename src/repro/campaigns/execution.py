@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from functools import lru_cache
+from typing import Callable, Iterator, List, Optional
 
 from repro.campaigns.catalog import CampaignCatalog
 from repro.campaigns.queue import WorkQueue
@@ -25,9 +26,26 @@ from repro.campaigns.store import DURABILITY_MODES, ResultStore
 from repro.scenarios.registry import available_kinds
 
 
+@lru_cache(maxsize=None)
+def positive(cast: Callable[[str], float]) -> Callable[[str], float]:
+    """An argparse ``type``: ``cast(text)`` when it is > 0, else a usage error.
+
+    One parser per ``cast``, so both command lines declare the same type.
+    """
+
+    def parse(text: str) -> float:
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {value:g}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names the type in its errors
+    return parse
+
+
 def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     """Declare the execution options on ``parser``."""
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument("--jobs", type=positive(int), default=1, help="worker processes")
     parser.add_argument("--cache-dir", default=None, help="JSONL result cache directory")
     parser.add_argument(
         "--durability",
@@ -60,7 +78,7 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--lease-ttl",
-        type=float,
+        type=positive(float),
         default=300.0,
         help="seconds before a crashed worker's queue lease is reclaimed",
     )
@@ -115,7 +133,7 @@ class Execution:
 
 
 @contextmanager
-def open_execution(args: argparse.Namespace, fd_scan_interval: float = 0.0) -> Iterator[Execution]:
+def open_execution(args: argparse.Namespace) -> Iterator[Execution]:
     """Open store, queue, runner and catalog as ``args`` ask; close them on exit.
 
     On exit -- an error included -- the runner releases its warm pool, then
@@ -134,7 +152,6 @@ def open_execution(args: argparse.Namespace, fd_scan_interval: float = 0.0) -> I
                 store=store,
                 instrument=args.metrics_out is not None,
                 trace_dir=args.trace,
-                fd_scan_interval=fd_scan_interval,
                 force=args.force,
                 force_kinds=tuple(args.force_kinds or ()),
                 queue=(

@@ -1,6 +1,6 @@
 """File/directory-backed distributed work queue for campaign points.
 
-The campaign runner isolates execution behind :func:`repro.campaigns.runner.execute_point`,
+The campaign runner isolates execution behind :func:`repro.campaigns.records.execute_point`,
 so distributing a grid across machines only needs a way to hand points out
 and collect records back.  This queue does it with nothing but a shared
 directory (NFS mount, synced folder, one box with many worker processes)::
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import __version__
+from repro.campaigns.records import execute_point
 from repro.campaigns.spec import SCHEMA_VERSION, PointSpec
 from repro.obs.export import git_revision
 
@@ -209,6 +210,10 @@ class WorkQueue:
         self._remove(self._pending_path(lease.key))
         self._remove(self._lease_path(lease.key))
 
+    def retire(self, key: str) -> None:
+        """Drop the committed result of ``key``, so :meth:`enqueue` queues it again."""
+        self._remove(self._result_path(key))
+
     def release(self, lease: Lease) -> None:
         """Give a claimed point back (worker shutting down cleanly)."""
         self._remove(self._lease_path(lease.key))
@@ -282,8 +287,6 @@ class QueueWorker:
 
         ``names`` is handed to :meth:`WorkQueue.claim`.
         """
-        from repro.campaigns.runner import execute_point
-
         lease = self.queue.claim(self.worker_id, names)
         if lease is None:
             return None

@@ -1,4 +1,4 @@
-"""JSON-serialisable records of scenario results.
+"""JSON-serialisable records of scenario results, and the executor that makes them.
 
 The runner always normalises results through these records -- whether a point
 was simulated in-process, in a worker process or read back from the JSONL
@@ -9,9 +9,31 @@ is what makes warm-cache reruns bit-identical to cold runs.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
+from repro.campaigns.spec import PointSpec
+from repro.obs.export import set_trace_dir
+from repro.scenarios.registry import get_kind
 from repro.scenarios.results import ScenarioResult, TransientResult
+
+
+def execute_point(point: PointSpec, trace_dir: Optional[str] = None) -> Dict[str, Any]:
+    """Simulate one point and return its serialised record.
+
+    The one executor under every execution mode: the runner's own process,
+    a pool worker and a queue worker all call it.  ``trace_dir`` arms the
+    process-wide trace sink (:func:`repro.obs.export.set_trace_dir`) for this
+    point only, prefixed by the point's cache key to stay collision-free,
+    and disarms it however the point ends.
+    """
+    if trace_dir is not None:
+        set_trace_dir(trace_dir, prefix=point.key()[:12])
+    try:
+        result = get_kind(point.kind).run(point.config(), point, point.params)
+    finally:
+        if trace_dir is not None:
+            set_trace_dir(None)
+    return result_to_record(result)
 
 
 def result_to_record(result: Any) -> Dict[str, Any]:

@@ -1,61 +1,38 @@
-"""Campaign execution: serial or process-parallel, cache-aware, resumable.
+"""Campaign execution: one claim-execute-commit loop over three point sources.
 
-:func:`execute_point` runs a :class:`PointSpec` through the ``run`` adapter its
-scenario kind registered (:mod:`repro.scenarios.registry`); it is a pure
-function of the spec (every simulation is deterministic given its config),
-which is what makes the serial and parallel paths bit-identical and the
-cache sound.
+:meth:`CampaignRunner.run` looks every point up in the store, hands the
+misses to a source of ``(point, record)`` pairs -- this process, a warm
+worker pool or a shared-directory work queue -- and commits each pair as it
+arrives.  :func:`~repro.campaigns.records.execute_point` is a pure function
+of the spec (every simulation is deterministic given its config), which is
+what makes the three sources bit-identical and the cache sound.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.campaigns import pool as pool_mod
-from repro.campaigns.pool import WarmPool
 from repro.campaigns.queue import QueueWorker, WorkQueue
-from repro.campaigns.records import record_to_result, result_to_record
+from repro.campaigns.records import execute_point, record_to_result
 from repro.campaigns.spec import CampaignSpec, PointSpec
 from repro.campaigns.store import ResultStore
-from repro.obs.export import set_trace_dir
-from repro.scenarios.registry import available_kinds, get_kind
+from repro.scenarios.registry import available_kinds
 
+#: Seconds a queue-backed run sleeps between polls for records committed by
+#: other workers.
+QUEUE_POLL_S = 0.2
 
-def execute_point(point: PointSpec, trace_dir: Optional[str] = None) -> Dict[str, Any]:
-    """Simulate one point and return its serialised record.
-
-    Module-level (picklable) so worker processes can run it; always returns
-    the record form so every execution mode feeds the aggregation layer the
-    same data.  ``trace_dir`` arms the process-wide trace sink
-    (:func:`repro.obs.export.set_trace_dir`) for this point only -- the
-    same in the parent, a pool worker or a queue worker -- so instrumented
-    points drop their JSONL/Chrome trace files beside the campaign results,
-    prefixed by the point's cache key to stay collision-free, and the sink
-    is disarmed again however the point ends.
-    """
-    if trace_dir is not None:
-        set_trace_dir(trace_dir, prefix=point.key()[:12])
-    try:
-        result = get_kind(point.kind).run(point.config(), point, point.params)
-    finally:
-        if trace_dir is not None:
-            set_trace_dir(None)
-    return result_to_record(result)
+Pairs = Iterator[Tuple[PointSpec, Dict[str, Any]]]
 
 
 def execute_chunk(
     points: Sequence[PointSpec], trace_dir: Optional[str] = None
 ) -> List[Dict[str, Any]]:
-    """Simulate a batch of points in one worker round-trip.
-
-    Chunking is what makes many-small-point grids scale: one task pickle,
-    one IPC hop and one future wake-up amortise over the whole chunk instead
-    of being paid per point.  Records come back in submission order, so the
-    parent can zip them against the chunk's specs.
-    """
+    """Simulate a batch of points in one worker round-trip; records in point order."""
     return [execute_point(point, trace_dir) for point in points]
 
 
@@ -82,30 +59,44 @@ class CampaignRun:
         return record_to_result(self.record(point))
 
 
+class WarmPool:
+    """A process pool that survives across runs: spun up on first use, reused
+    by every later ``run()`` (a multi-figure regeneration pays the spin-up
+    once) until :meth:`close`.  One that is never closed shuts its workers
+    down when it is garbage-collected, as every ``ProcessPoolExecutor`` does."""
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def executor(self) -> ProcessPoolExecutor:
+        """The live executor, spinning it up on first use."""
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        return self._executor
+
+    def close(self) -> None:
+        """Shut the workers down (idempotent)."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+
+
 class CampaignRunner:
-    """Executes campaigns through an optional cache and an optional pool.
+    """Executes campaigns through an optional cache and an optional pool or queue.
 
-    ``jobs=1`` (the default) runs every point in-process; ``jobs=N`` fans the
-    pending points out over a persistent warm worker pool, batched into
-    chunks (many quick points per worker round-trip) behind a bounded
-    in-flight window, so neither per-point IPC overhead nor an up-front
-    fan-out of 10^5 futures dominates.  The pool survives across ``run()``
-    calls -- a multi-figure regeneration pays the spin-up cost once -- and
-    is released by :meth:`close` (the runner is a context manager).  All
-    paths produce identical records because each point is an independent
-    deterministic simulation.
+    ``jobs=1`` (the default) runs every missing point in-process; ``jobs=N``
+    runs them on a warm pool of N worker processes, released by
+    :meth:`close` (the runner is a context manager).  With a ``queue``
+    (:class:`repro.campaigns.queue.WorkQueue`) this runner enqueues the
+    missing points and doubles as one worker beside any number of
+    ``--queue-worker`` processes or machines draining the same directory.
 
-    With a ``store``, completed points are written as soon as they finish
-    and never re-simulated -- re-running an interrupted campaign only
-    executes what is missing.  ``force=True`` (or a kind listed in
-    ``force_kinds``) bypasses cache *reads* for matching points and rewrites
-    their records past the cache, without touching any other stored result.
-
-    With a ``queue`` (:class:`repro.campaigns.queue.WorkQueue`), pending
-    points are enqueued to the shared directory and this runner doubles as
-    one worker: any number of additional ``--queue-worker`` processes or
-    machines can drain the same queue, and the run completes when every
-    point's record has been committed by someone.
+    With a ``store``, points are written as they finish and never
+    re-simulated, so re-running an interrupted campaign only executes what
+    is missing.  ``force=True`` (or a kind listed in ``force_kinds``)
+    re-executes matching points past the cache and rewrites their records,
+    without touching any other stored result.
     """
 
     def __init__(
@@ -114,20 +105,14 @@ class CampaignRunner:
         store: Optional[ResultStore] = None,
         instrument: bool = False,
         trace_dir: Optional[str] = None,
-        fd_scan_interval: float = 0.0,
         *,
         force: bool = False,
         force_kinds: Sequence[str] = (),
         queue: Optional[WorkQueue] = None,
-        queue_poll: float = 0.2,
         queue_timeout: Optional[float] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if fd_scan_interval < 0:
-            raise ValueError(
-                f"fd_scan_interval must be >= 0 (0 = exact), got {fd_scan_interval}"
-            )
         unknown_kinds = set(force_kinds) - set(available_kinds())
         if unknown_kinds:
             raise ValueError(
@@ -139,52 +124,51 @@ class CampaignRunner:
         # implies instrumenting.
         self.instrument = instrument or trace_dir is not None
         self.trace_dir = trace_dir
-        #: Run every point under the batched failure-detector scan with this
-        #: tick (ms); 0 keeps each point's own setting.  Like ``instrument``,
-        #: this rewrites the executed points, so scanned and exact runs of
-        #: the same operating point cache under distinct keys.
-        self.fd_scan_interval = fd_scan_interval
         #: Re-execute every point (``force``) or every point of the listed
         #: kinds (``force_kinds``) even when cached, rewriting the store.
         self.force = force
         self.force_kinds = frozenset(force_kinds)
         self.queue = queue
-        self.queue_poll = queue_poll
         self.queue_timeout = queue_timeout
-        self._pool: Optional[WarmPool] = None
+        #: No worker process starts before the first pooled run.
+        self.pool = WarmPool(jobs)
         #: Statistics of the most recent :meth:`run` (for CLI reporting).
         self.last_run: Optional[CampaignRun] = None
 
     def run(self, campaign: CampaignSpec) -> CampaignRun:
-        """Execute every point of ``campaign`` and return their records."""
-        points = campaign.points()
+        """Execute every point of ``campaign`` and return their records.
+
+        Every point the store does not hold (or that is forced) goes to the
+        source of this runner's mode; each ``(point, record)`` it yields is
+        committed on arrival, so an interrupted run keeps what finished.
+        """
         run = CampaignRun(campaign=campaign)
-        pending: List[PointSpec] = []
-        for point in points:
-            executed = self._executed_point(point)
-            if executed is not point:
-                run.aliases[point.key()] = executed.key()
-            forced = self.force or executed.kind in self.force_kinds
+        misses: List[PointSpec] = []
+        for declared in campaign.points():
+            point = declared
+            if self.instrument and not declared.instrument:
+                point = replace(declared, instrument=True)
+                run.aliases[declared.key()] = point.key()
             cached = (
-                self.store.get(executed.key())
-                if self.store is not None and not forced
-                else None
+                None if self.store is None or self._forced(point) else self.store.get(point.key())
             )
-            if cached is not None:
-                run.records[executed.key()] = cached
-                run.cache_hits += 1
+            if cached is None:
+                misses.append(point)
             else:
-                pending.append(executed)
+                run.records[point.key()] = cached
+                run.cache_hits += 1
 
-        if self.queue is not None and pending:
-            self._run_queue(pending, run)
-        elif self.jobs > 1 and len(pending) > 1:
-            self._run_parallel(pending, run)
+        if self.queue is not None and misses:
+            source = self._queued(misses)
+        elif self.jobs > 1 and len(misses) > 1:
+            source = self._pooled(misses)
         else:
-            for point in pending:
-                self._commit(point, execute_point(point, self.trace_dir), run)
+            source = ((point, execute_point(point, self.trace_dir)) for point in misses)
+        with closing(source):
+            for point, record in source:
+                self._commit(point, record, run)
 
-        run.executed = len(pending)
+        run.executed = len(misses)
         if self.store is not None:
             # Batched-durability stores buffer lines; a completed run is a
             # natural durability point either way.
@@ -196,9 +180,7 @@ class CampaignRunner:
 
     def close(self) -> None:
         """Release the warm worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        self.pool.close()
 
     def __enter__(self) -> "CampaignRunner":
         return self
@@ -206,100 +188,63 @@ class CampaignRunner:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
+    # ------------------------------------------------------------------ sources
 
-    @property
-    def pool(self) -> WarmPool:
-        """The persistent worker pool, created on first parallel run."""
-        if self._pool is None:
-            self._pool = WarmPool(self.jobs)
-        return self._pool
+    def _pooled(self, misses: List[PointSpec]) -> Pairs:
+        """One task per chunk on the warm pool, yielded in completion order.
 
-    def _executed_point(self, point: PointSpec) -> PointSpec:
-        """The point actually simulated: rewritten clone when requested."""
-        changes: Dict[str, Any] = {}
-        if self.instrument and not point.instrument:
-            changes["instrument"] = True
-        if (
-            self.fd_scan_interval > 0
-            and point.fd_scan_interval == 0
-            # The heartbeat fabric ignores the scan tick; rewriting would
-            # mint a new cache key for an identical simulation.
-            and point.fd_kind != "heartbeat"
-        ):
-            changes["fd_scan_interval"] = self.fd_scan_interval
-        if changes:
-            return replace(point, **changes)
-        return point
-
-    def _run_parallel(self, pending: List[PointSpec], run: CampaignRun) -> None:
-        """Fan ``pending`` out over the warm pool in chunks, window-bounded.
-
-        Chunks amortise per-task IPC/pickle cost on quick-point grids; the
-        bounded window keeps arbitrarily large grids from serialising every
-        spec into executor queues before the first record lands (both sized
-        by :mod:`repro.campaigns.pool`).  Commit order follows completion, but records
-        are keyed by point, so the result set is identical to serial.
+        A chunk amortises the per-task pickle, IPC hop and wake-up over up to
+        32 points; about eight chunks per worker keep stragglers balanced.
+        Every chunk is submitted at once: the executor pickles a chunk only
+        when its ``jobs + 1``-item call queue has room, so however large the
+        grid, serialisation stays a few chunks ahead of the workers.  A loop
+        that stops early cancels every chunk not yet started.
         """
+        size = max(1, min(32, len(misses) // (8 * self.jobs)))
         executor = self.pool.executor()
-        size = pool_mod.chunk_size(len(pending), self.jobs)
-        chunks = iter(pool_mod.split_chunks(pending, size))
-        window = pool_mod.INFLIGHT_CHUNKS_PER_WORKER * self.jobs
-        inflight: Dict[Any, List[PointSpec]] = {}
-
-        def submit_next() -> None:
-            chunk = next(chunks, None)
-            if chunk is not None:
-                future = executor.submit(execute_chunk, chunk, self.trace_dir)
-                inflight[future] = chunk
-
-        for _ in range(window):
-            submit_next()
+        chunks: Dict[Any, List[PointSpec]] = {}
+        for start in range(0, len(misses), size):
+            chunk = misses[start:start + size]
+            chunks[executor.submit(execute_chunk, chunk, self.trace_dir)] = chunk
         try:
-            while inflight:
-                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    chunk = inflight.pop(future)
-                    for point, record in zip(chunk, future.result()):
-                        self._commit(point, record, run)
-                    submit_next()
-        except BaseException:
-            for future in inflight:
+            for future in as_completed(chunks):
+                yield from zip(chunks[future], future.result())
+        finally:
+            for future in chunks:
                 future.cancel()
-            raise
 
-    def _run_queue(self, pending: List[PointSpec], run: CampaignRun) -> None:
-        """Distribute ``pending`` through the shared work queue.
+    def _queued(self, misses: List[PointSpec]) -> Pairs:
+        """Enqueue ``misses``, work them as one queue worker, poll for the rest.
 
-        Enqueues what is missing, then participates as one worker while
-        polling for records committed by other machines.  Completes when
-        every pending point has a committed result; stale leases of crashed
-        workers are reclaimed along the way by the normal claim path.
+        A forced point's earlier queue result is retired first, or the
+        enqueue would skip the point as done.  Completes when every point
+        has a committed result, from this worker or any other; stale leases
+        of crashed workers are reclaimed along the way by the claim path.
         """
-        self.queue.enqueue(pending)
+        for point in misses:
+            if self._forced(point):
+                self.queue.retire(point.key())
+        self.queue.enqueue(misses)
         worker = QueueWorker(self.queue, trace_dir=self.trace_dir)
-        missing = {point.key(): point for point in pending}
-        deadline = (
-            None if self.queue_timeout is None else time.monotonic() + self.queue_timeout
-        )
-        while missing:
+        outstanding = {point.key(): point for point in misses}
+        deadline = None if self.queue_timeout is None else time.monotonic() + self.queue_timeout
+        while True:
             worker.run()
-            for key in list(missing):
+            for key in list(outstanding):
                 record = self.queue.result(key)
                 if record is not None:
-                    self._commit(missing.pop(key), record, run)
-            if not missing:
-                break
+                    yield outstanding.pop(key), record
+            if not outstanding:
+                return
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError(
-                    f"{len(missing)} campaign points still outstanding in queue "
+                    f"{len(outstanding)} campaign points still outstanding in queue "
                     f"{self.queue.directory!r} after {self.queue_timeout:g} s"
                 )
-            time.sleep(self.queue_poll)
+            time.sleep(QUEUE_POLL_S)
+
+    def _forced(self, point: PointSpec) -> bool:
+        return self.force or point.kind in self.force_kinds
 
     def _commit(self, point: PointSpec, record: Dict[str, Any], run: CampaignRun) -> None:
         """Record one finished point, persisting it immediately if caching."""

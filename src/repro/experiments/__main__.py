@@ -44,6 +44,7 @@ from repro.campaigns.execution import (
     finish_report,
     metrics_lines,
     open_execution,
+    positive,
 )
 from repro.experiments.figures import FIGURES
 from repro.experiments.report import format_figure, format_markdown_table
@@ -64,18 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1, help="root random seed")
     parser.add_argument(
         "--replicas",
-        type=int,
+        type=positive(int),
         default=1,
         help="seed replicas per point (pooled for tighter CIs)",
-    )
-    parser.add_argument(
-        "--fd-scan-interval",
-        type=float,
-        default=0.0,
-        help=(
-            "run every point under the batched FD scan with this tick in ms "
-            "(the large-n throughput lane); 0 = exact per-pair events"
-        ),
     )
     parser.add_argument("--markdown", action="store_true", help="emit markdown tables")
     parser.add_argument("--check", action="store_true", help="also print the shape checks")
@@ -100,7 +92,7 @@ def main(argv: List[str] = None) -> int:
 
     sections: List[str] = []
     # One runner -- and so one warm pool -- spans every figure of the invocation.
-    with open_execution(args, fd_scan_interval=args.fd_scan_interval) as execution:
+    with open_execution(args) as execution:
         runner = execution.runner
         for name in names:
             figure = FIGURES[name]

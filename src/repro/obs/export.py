@@ -338,7 +338,7 @@ def write_chrome_trace(path: str, obs: Instrumentation) -> int:
 def set_trace_dir(path: Optional[str], prefix: str = "") -> None:
     """Arm (or, with ``None``, disarm) the process-wide per-run trace sink.
 
-    :func:`repro.campaigns.runner.execute_point` arms it for exactly one
+    :func:`repro.campaigns.records.execute_point` arms it for exactly one
     point (with the point's cache-key prefix, so trace files written by
     different points never collide) and disarms it when the point ends.
     """

@@ -17,6 +17,7 @@ from repro.campaigns import execution
 from repro.campaigns.__main__ import build_parser as campaigns_parser
 from repro.campaigns.__main__ import main as campaigns_main
 from repro.experiments.__main__ import build_parser as experiments_parser
+from repro.experiments.__main__ import main as experiments_main
 from repro.scenarios.registry import get_kind
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -56,9 +57,7 @@ class TestOneDeclaration:
         shared = set(shared_options())
         campaigns = set(options(campaigns_parser(get_kind("normal-steady")))) - shared
         experiments = set(options(experiments_parser())) - shared
-        # The scan tick is declared per CLI: one feeds grid(), the other the
-        # runner's point rewrite.
-        assert campaigns & experiments == {("--fd-scan-interval",)}
+        assert campaigns & experiments == set()
         assert ("--queue-worker",) in campaigns
         assert {("--figure",), ("--replicas",), ("--check",)} <= experiments
 
@@ -79,6 +78,23 @@ class TestOneDeclaration:
             campaigns_main(["--chunk-size", "4"])
         assert exit_info.value.code == 2
         assert "--chunk-size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cli, flag",
+        [
+            ("campaigns", "--jobs"),
+            ("campaigns", "--lease-ttl"),
+            ("experiments", "--jobs"),
+            ("experiments", "--lease-ttl"),
+            ("experiments", "--replicas"),
+        ],
+    )
+    def test_an_out_of_range_count_is_a_usage_error(self, capsys, cli, flag):
+        main = {"campaigns": campaigns_main, "experiments": experiments_main}[cli]
+        with pytest.raises(SystemExit) as exit_info:
+            main([flag, "0"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be > 0, got 0" in capsys.readouterr().err
 
 
 def parse(*argv):
@@ -103,7 +119,7 @@ class TestOpenExecution:
             "--lease-ttl", "7", "--queue-timeout", "3", "--catalog", str(tmp_path / "catalog"),
             "--trace", str(tmp_path / "trace"),
         )
-        with execution.open_execution(args, fd_scan_interval=2.5) as opened:
+        with execution.open_execution(args) as opened:
             runner = opened.runner
             assert runner.jobs == 2 and runner.store is opened.store
             assert opened.store.durability == "batch"
@@ -111,7 +127,6 @@ class TestOpenExecution:
             assert runner.queue.directory == str(tmp_path / "queue")
             assert (runner.queue.lease_ttl, runner.queue_timeout) == (7.0, 3.0)
             assert runner.instrument and runner.trace_dir == str(tmp_path / "trace")
-            assert runner.fd_scan_interval == 2.5
             assert opened.catalog is not None
 
     def test_the_runner_closes_before_the_store_even_on_error(self, tmp_path, monkeypatch):

@@ -11,9 +11,12 @@ import os
 
 import pytest
 
+import repro.campaigns.queue as queue_module
+import repro.campaigns.runner as runner_module
 from repro.campaigns.queue import QueueWorker, WorkQueue
 from repro.campaigns.runner import CampaignRunner, execute_point
 from repro.campaigns.spec import PointSpec, grid
+from repro.campaigns.store import ResultStore
 
 
 def quick_points(count=4):
@@ -241,12 +244,36 @@ class TestQueueBackedRunner:
             num_messages=10,
         )
         queue = WorkQueue(str(tmp_path))
-        runner = CampaignRunner(queue=queue, queue_poll=0.01, queue_timeout=0.05)
+        monkeypatch.setattr(runner_module, "QUEUE_POLL_S", 0.01)
+        runner = CampaignRunner(queue=queue, queue_timeout=0.05)
         # Make the embedded worker unable to claim anything, simulating a
         # grid whose points are all leased by stalled remote workers.
         monkeypatch.setattr(WorkQueue, "claim", lambda self, worker, names=None: None)
         with pytest.raises(TimeoutError):
             runner.run(campaign)
+
+    @pytest.mark.parametrize(
+        "forcing", [{"force": True}, {"force_kinds": ("normal-steady",)}], ids=["force", "kind"]
+    )
+    def test_force_re_simulates_a_point_the_queue_already_holds(self, tmp_path, forcing):
+        campaign = grid(
+            "normal-steady",
+            stacks=("fd",),
+            n_values=(3,),
+            throughputs=(25.0,),
+            num_messages=10,
+        )
+        [point] = campaign.points()
+        queue = WorkQueue(str(tmp_path / "queue"))
+        queue.enqueue([point])
+        queue.commit(queue.claim("earlier"), {"stale": True})
+        store = ResultStore(str(tmp_path / "cache"))
+        run = CampaignRunner(store=store, queue=queue, queue_timeout=60.0, **forcing).run(campaign)
+        fresh = execute_point(point)
+        assert run.executed == 1
+        assert run.records[point.key()] == fresh
+        assert store.get(point.key()) == fresh
+        assert queue.result(point.key()) == fresh
 
 
 class TestDrainRounds:
@@ -255,15 +282,13 @@ class TestDrainRounds:
     @pytest.fixture
     def stub_execution(self, monkeypatch):
         """Replace the simulation by a stub record; returns the executed keys."""
-        import repro.campaigns.runner as runner_module
-
         executed = []
 
         def stub(point, trace_dir=None):
             executed.append(point.key())
             return {"type": "stub", "throughput": point.throughput}
 
-        monkeypatch.setattr(runner_module, "execute_point", stub)
+        monkeypatch.setattr(queue_module, "execute_point", stub)
         return executed
 
     def test_draining_200_points_reads_the_directory_twice(
@@ -313,8 +338,6 @@ class TestDrainRounds:
     def test_points_enqueued_during_a_round_are_drained_by_the_next(
         self, tmp_path, monkeypatch
     ):
-        import repro.campaigns.runner as runner_module
-
         queue = WorkQueue(str(tmp_path))
         first, late = quick_points(2)
         queue.enqueue([first])
@@ -325,7 +348,7 @@ class TestDrainRounds:
             queue.enqueue([late])
             return {"type": "stub"}
 
-        monkeypatch.setattr(runner_module, "execute_point", enqueueing)
+        monkeypatch.setattr(queue_module, "execute_point", enqueueing)
         assert QueueWorker(queue, worker_id="w1").run() == 2
         assert executed == [first.key(), late.key()]
 

@@ -4,17 +4,13 @@ The heart of the subsystem's contract: serial execution, ``jobs=N`` and a
 warm cache must all produce identical records.
 """
 
+from concurrent.futures import Future
+
 import pytest
 
 import repro.campaigns.runner as runner_module
 from repro.campaigns.runner import CampaignRunner, execute_point
-from repro.campaigns.spec import (
-    CampaignSpec,
-    PointSpec,
-    SeriesPointSpec,
-    SeriesSpec,
-    grid,
-)
+from repro.campaigns.spec import PointSpec, SeriesPointSpec, grid
 from repro.campaigns.store import ResultStore
 
 
@@ -178,30 +174,69 @@ class TestCampaignRunner:
 
 
 class TestChunkedDispatch:
-    def test_several_chunks_behind_a_full_window_match_serial(self, monkeypatch):
-        """Five points in chunks of two behind a window of two: a short tail
-        chunk, and a third chunk submitted only when an earlier one lands."""
+    def test_more_chunks_than_four_per_worker_match_serial(self, monkeypatch):
+        """Forty points on two workers go out as twenty two-point chunks
+        (about eight chunks per worker), all submitted at once."""
+        campaign = tiny_campaign(throughputs=tuple(10.0 + 2.0 * step for step in range(40)))
+        serial = CampaignRunner(jobs=1).run(campaign)
+        sizes = []
+        with CampaignRunner(jobs=2) as pooled:
+            executor = pooled.pool.executor()
+            real_submit = executor.submit
+
+            def submit(fn, chunk, *args):
+                sizes.append(len(chunk))
+                return real_submit(fn, chunk, *args)
+
+            monkeypatch.setattr(executor, "submit", submit)
+            run = pooled.run(campaign)
+        assert sizes == [2] * 20
+        assert run.records == serial.records
+
+    def test_chunks_are_sized_from_the_grid(self, monkeypatch):
+        """About eight chunks per worker, one point at least, 32 at most, and
+        a short last chunk; an executor that resolves each chunk at submit
+        keeps the simulations out of it."""
+
+        class ResolvingExecutor:
+            def __init__(self):
+                self.sizes = []
+
+            def submit(self, fn, chunk, *args):
+                self.sizes.append(len(chunk))
+                future = Future()
+                future.set_result([{"stub": point.key()} for point in chunk])
+                return future
+
+        cases = {(5, 2): [1] * 5, (192, 2): [12] * 16, (1_000, 2): [32] * 31 + [8]}
+        for (points, jobs), expected in cases.items():
+            campaign = tiny_campaign(throughputs=tuple(1.0 + step for step in range(points)))
+            executor = ResolvingExecutor()
+            runner = CampaignRunner(jobs=jobs)
+            monkeypatch.setattr(runner.pool, "executor", lambda: executor)
+            run = runner.run(campaign)
+            assert executor.sizes == expected
+            assert run.executed == len(run.records) == points
+
+    def test_a_failing_point_keeps_every_chunk_finished_before_it(self, tmp_path):
+        """Commit on completion: the point that raises in a worker is the
+        last chunk, so every chunk before it was started first and at most
+        the one still running on the other worker is not in the store."""
         campaign = tiny_campaign(throughputs=(20.0, 30.0, 40.0, 50.0, 60.0))
         serial = CampaignRunner(jobs=1).run(campaign)
-        split = []
-        real_split = runner_module.pool_mod.split_chunks
-
-        def recording_split(items, size):
-            split.extend(real_split(items, size))
-            return split
-
-        monkeypatch.setattr(runner_module.pool_mod, "chunk_size", lambda pending, workers: 2)
-        monkeypatch.setattr(runner_module.pool_mod, "split_chunks", recording_split)
-        monkeypatch.setattr(runner_module.pool_mod, "INFLIGHT_CHUNKS_PER_WORKER", 1)
-        with CampaignRunner(jobs=2) as chunked:
-            assert chunked.run(campaign).records == serial.records
-        assert [len(chunk) for chunk in split] == [2, 2, 1]
-
-    def test_chunks_are_sized_from_the_grid(self):
-        """About eight chunks per worker, one point at least, 32 at most."""
-        sizes = {(p, w): runner_module.pool_mod.chunk_size(p, w) for p, w in
-                 ((0, 2), (5, 2), (192, 2), (100_000, 4))}
-        assert sizes == {(0, 2): 1, (5, 2): 1, (192, 2): 12, (100_000, 4): 32}
+        campaign.series[0].points.append(
+            SeriesPointSpec(x=70.0, points=[PointSpec(
+                "normal-steady", throughput=70.0, num_messages=15,
+                config_overrides=(("reformation_timeout", -1.0),),
+            )])
+        )
+        store = ResultStore(str(tmp_path))
+        with CampaignRunner(jobs=2, store=store) as pooled:
+            with pytest.raises(ValueError, match="reformation_timeout"):
+                pooled.run(campaign)
+        committed = {key: store.get(key) for key in serial.records if key in store}
+        assert len(committed) >= len(serial.records) - 1
+        assert all(record == serial.records[key] for key, record in committed.items())
 
     def test_execute_chunk_matches_per_point_execution(self):
         points = tiny_campaign().points()
@@ -212,18 +247,16 @@ class TestChunkedDispatch:
     def test_warm_pool_survives_across_runs(self):
         with CampaignRunner(jobs=2) as runner:
             runner.run(tiny_campaign(throughputs=(20.0, 40.0)))
-            assert runner.pool.started
-            first_checkouts = runner.pool.checkouts
+            executor = runner.pool.executor()
             runner.run(tiny_campaign(throughputs=(25.0, 45.0)))
-            # Same pool object handed out again, not a respun executor.
-            assert runner.pool.checkouts == first_checkouts + 1
-            assert runner.pool.started
-        assert not runner.pool.started  # context exit released the workers
+            # The same executor handed out again, not a respun one.
+            assert runner.pool.executor() is executor
+        assert runner.pool._executor is None  # context exit released the workers
 
     def test_serial_runner_never_starts_a_pool(self):
         runner = CampaignRunner(jobs=1)
         runner.run(tiny_campaign())
-        assert runner._pool is None
+        assert runner.pool._executor is None
 
     def test_close_is_idempotent(self):
         runner = CampaignRunner(jobs=2)
@@ -266,36 +299,3 @@ class TestForcedReexecution:
         assert (warm_normal.executed, warm_normal.cache_hits) == (0, 1)
         forced_transient = runner.run(transient)
         assert (forced_transient.executed, forced_transient.cache_hits) == (1, 0)
-
-
-class TestRunnerScanRewrite:
-    """CampaignRunner(fd_scan_interval=...) rewrites points like instrument."""
-
-    def test_points_rewritten_and_aliased(self):
-        campaign = CampaignSpec(name="scan")
-        point = PointSpec(kind="normal-steady", throughput=30.0, num_messages=10)
-        campaign.add_series(
-            SeriesSpec(label="fd", points=[SeriesPointSpec(x=30.0, points=[point])])
-        )
-        runner = CampaignRunner(fd_scan_interval=5.0)
-        run = runner.run(campaign)
-        executed_key = run.aliases[point.key()]
-        assert executed_key != point.key()
-        # Lookup by the declared point still works through the alias.
-        assert run.result(point).scenario == "normal-steady"
-
-    def test_heartbeat_points_not_rewritten(self):
-        campaign = CampaignSpec(name="scan-hb")
-        point = PointSpec(
-            kind="normal-steady", stack="fd", fd_kind="heartbeat",
-            throughput=30.0, num_messages=10,
-        )
-        campaign.add_series(
-            SeriesSpec(label="hb", points=[SeriesPointSpec(x=30.0, points=[point])])
-        )
-        run = CampaignRunner(fd_scan_interval=5.0).run(campaign)
-        assert point.key() not in run.aliases
-
-    def test_negative_interval_rejected(self):
-        with pytest.raises(ValueError):
-            CampaignRunner(fd_scan_interval=-1.0)
