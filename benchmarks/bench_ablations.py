@@ -11,7 +11,7 @@ These go beyond the paper's figures:
 """
 
 from benchmarks.conftest import save_and_print
-from repro import SystemConfig
+from repro import NetworkModel, SystemConfig
 from repro.experiments.series import FigurePoint, FigureResult, Series
 from repro.scenarios import run_crash_steady, run_normal_steady
 
@@ -42,7 +42,9 @@ def test_lambda_sweep(run_once):
         for lambda_cpu in (0.5, 1.0, 2.0):
             series = Series(label=f"FD, n=3, lambda={lambda_cpu:g}")
             for throughput in (10, 100, 300):
-                config = SystemConfig(n=3, stack="fd", seed=1, lambda_cpu=lambda_cpu)
+                config = SystemConfig(
+                    n=3, stack="fd", seed=1, network=NetworkModel(lambda_cpu=lambda_cpu)
+                )
                 series.add(
                     _point(throughput, run_normal_steady(config, throughput, num_messages=MESSAGES))
                 )

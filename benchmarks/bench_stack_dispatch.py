@@ -64,8 +64,8 @@ def assemble_inline_fd(seed: int = 1) -> None:
             process,
             rbcast,
             consensus,
-            renumber_coordinators=config.renumber_coordinators,
-            pipeline_depth=config.pipeline_depth,
+            renumber_coordinators=config.params.stack.renumber_coordinators,
+            pipeline_depth=config.params.stack.pipeline_depth,
         )
 
 

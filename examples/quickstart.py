@@ -41,7 +41,7 @@ def main() -> None:
         system.broadcast_at(time, sender, payload)
     system.run(until=1_000.0)
 
-    print(f"algorithm: {algorithm}   processes: {config.n}   lambda: {config.lambda_cpu}")
+    print(f"algorithm: {algorithm}   processes: {config.n}   lambda: {config.network.lambda_cpu}")
     print()
     print("Delivery order (identical on every process -- that is the point):")
     for pid in range(config.n):

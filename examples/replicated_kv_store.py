@@ -44,7 +44,8 @@ def run_once(algorithm: str, max_batch: int) -> dict:
         seed=7,
         fd=QoSConfig(detection_time=20.0),
         max_batch=max_batch,
-        max_delay=2.0,
+        # The flush delay is a batching param: it exists only with batching on.
+        max_delay=2.0 if max_batch else 0.0,
     )
     system = build_system(config)
     service = LoadTestedService(

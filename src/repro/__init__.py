@@ -42,13 +42,14 @@ from repro.stacks import (
     register_fd_kind,
     register_stack,
 )
-from repro.system import BroadcastSystem, SystemConfig, build_system
+from repro.system import BroadcastSystem, NetworkModel, SystemConfig, build_system
 
 __all__ = [
     "AtomicBroadcast",
     "BroadcastID",
     "BroadcastSystem",
     "HeartbeatConfig",
+    "NetworkModel",
     "QoSConfig",
     "StackSpec",
     "SystemConfig",

@@ -5,22 +5,15 @@ an ad-hoc parameter sweep, a multi-seed replication).  The subsystem splits
 the concern that used to live in hand-written nested loops into four layers:
 
 * :mod:`repro.campaigns.spec`      -- :class:`PointSpec` / :class:`SeriesSpec`
-  / :class:`CampaignSpec` describe *what* to run: a scenario kind registered
-  in :mod:`repro.scenarios.registry` with its params, ``SystemConfig``
-  fields, sweep axes and seeds, with deterministic per-point
-  seed derivation following the :class:`repro.sim.rng.RandomStreams`
-  convention;
+  / :class:`CampaignSpec` describe *what* to run: a scenario kind with its
+  params, the system's stack, fd kind and their params, axes and seeds;
 * :mod:`repro.campaigns.runner`    -- :class:`CampaignRunner` executes the
-  points in one claim-execute-commit loop: store hits are claimed, the
-  misses run in-process, on a warm worker pool (``jobs=N``) or through the
-  shared-directory work queue (:mod:`repro.campaigns.queue`), and every
-  record is committed as it arrives, bit-identical whichever way it ran;
+  points in one claim-execute-commit loop (in-process, on a worker pool or
+  through the work queue of :mod:`repro.campaigns.queue`);
 * :mod:`repro.campaigns.store`     -- :class:`ResultStore` caches completed
-  points in an append-only JSONL file keyed by a stable hash of the point
-  configuration, which makes campaigns crash-safe and resumable;
+  points in an append-only JSONL file keyed by the point's content hash;
 * :mod:`repro.campaigns.aggregate` -- folds cached records back into the
-  ``ScenarioResult`` / ``TransientResult`` / ``Series`` / ``FigureResult``
-  containers the experiments and reports operate on.
+  result, series and figure containers the experiments operate on.
 
 ``python -m repro.campaigns`` runs ad-hoc grids from the command line; the
 figures of :mod:`repro.experiments.figures` declare their sweeps as campaigns

@@ -31,31 +31,22 @@ and an axis given for a kind that does not declare it is an error.
 
 The system-level dimensions apply under *every* kind: ``--stack`` sweeps
 protocol stacks from the registry (``fd``, ``gm``, ``gm-nonuniform``,
-``gm-reform``, or slash-qualified variants like ``fd/heartbeat``), ``--fd``
-sweeps failure detector kinds (``qos``, ``heartbeat``, ``perfect``) across
-every stack, ``--hb-period`` / ``--hb-timeout`` set the heartbeat detector,
-``--reformation-timeout`` the ``gm-reform`` recovery window, ``--max-batch``
-/ ``--max-delay`` request batching and ``--fd-scan-interval`` the batched
-failure-detector scan.  For ``service-load``, ``--throughputs`` is the
-offered-load axis (open loop) unless ``--clients`` selects a closed loop.
+``gm-reform``, or slash-qualified variants like ``fd/heartbeat``) and
+``--fd`` sweeps failure detector kinds (``qos``, ``heartbeat``,
+``perfect``) across every stack.  The flags of their params are generated
+from the registrations (:mod:`repro.stacks.registry`) -- ``--hb-period``,
+``--reformation-timeout``, ``--max-batch`` and the rest -- and a flag no
+selected stack or fd kind reads is an error.  For ``service-load``,
+``--throughputs`` is the offered-load axis (open loop) unless ``--clients``
+selects a closed loop.
 
-Every completed point is cached under ``--cache-dir`` (when given), so
-re-running the same grid -- or a larger grid that contains it -- only
-simulates the missing points.  ``--durability batch`` trades the default
-per-point fsync for buffered flushes (throughput on many-small-point
-grids); ``--force`` / ``--force-kind KIND`` re-execute matching points past
-the cache and rewrite their records (other stored results are untouched).
-
-``--queue-dir DIR`` distributes the grid through a shared-directory work
-queue: the submitting process enqueues the missing points and works them
-alongside any number of extra workers started on other machines (or other
-terminals) with::
+*How* a grid runs -- ``--jobs``, ``--cache-dir``, ``--force``,
+``--queue-dir`` and the rest -- is the execution options, declared once in
+:mod:`repro.campaigns.execution` and shared with ``python -m
+repro.experiments``.  Extra workers drain a queue from other machines or
+terminals with::
 
     python -m repro.campaigns --queue-worker --queue-dir DIR
-
-``--catalog DIR`` records the finished campaign in a catalog of named
-stored campaigns (``<DIR>/<name>/summary.json``: spec hash, schema version,
-git revision, wall clock).
 """
 
 from __future__ import annotations
@@ -82,16 +73,56 @@ from repro.scenarios.registry import (
     kind_shorthands,
 )
 from repro.scenarios.results import TransientResult
+from repro.stacks.api import Param, params_of
+from repro.stacks.registry import (
+    BATCHING,
+    DEFAULT_STACKS,
+    available_fd_kinds,
+    available_stacks,
+    get_fd_kind,
+    get_stack,
+    param_keywords,
+    param_owners,
+    reads,
+    resolve,
+)
+
+#: The command-line axis that selects each kind of registration.
+_SELECTORS = {"stack": "--stack", "fd kind": "--fd"}
 
 
 def kind_catalog() -> str:
-    """Every registered kind with its shorthand and axes (the ``--help`` epilog)."""
+    """Every registered kind with its shorthand and axes, then every stack and
+    fd kind with its params (the ``--help`` epilog)."""
     lines = ["scenario kinds (--scenario NAME or its shorthand) and their axes:"]
     for name in available_kinds():
         kind = get_kind(name)
         lines.append(f"  {kind.name} ({kind.shorthand}): {kind.summary}")
         lines.extend(f"      {axis.flag:<20} {_axis_help(axis)}" for axis in kind.axes if axis.flag)
+    lines.append("stacks (--stack NAME or NAME/FD_KIND), fd kinds (--fd NAME) and their params:")
+    registrations = [("stack", get_stack(name)) for name in available_stacks()]
+    registrations += [("fd kind", get_fd_kind(name)) for name in available_fd_kinds()]
+    for axis, registration in registrations + [("layer", BATCHING)]:
+        described = (
+            f" {param.keyword}={param.default!r}" + (f" ({param.flag})" if param.flag else "")
+            for param in params_of(registration.params)
+        )
+        lines.append(f"  {axis} {registration.name}:" + "".join(described))
     return "\n".join(lines)
+
+
+def system_flags() -> List[Param]:
+    """Every declared system param with a CLI flag, once per keyword."""
+    return [entries[0][2] for entries in param_keywords().values() if entries[0][2].flag]
+
+
+def _readers(keyword: str) -> str:
+    """Where ``keyword`` applies, in command-line spelling."""
+    owners = param_owners(keyword)
+    return "; ".join(
+        f"{_SELECTORS[axis]} {' '.join(names)}" if axis in _SELECTORS else "every stack"
+        for axis, names in owners.items()
+    )
 
 
 def _axis_help(axis: Axis) -> str:
@@ -128,8 +159,11 @@ def build_parser(kind: ScenarioKind) -> argparse.ArgumentParser:
         "--stacks",
         dest="stacks",
         nargs="+",
-        default=("fd", "gm"),
-        help="protocol stacks to sweep (default: fd gm); accepts fd/heartbeat-style variants",
+        default=DEFAULT_STACKS,
+        help=(
+            f"protocol stacks to sweep (default: {' '.join(DEFAULT_STACKS)}); "
+            "accepts fd/heartbeat-style variants"
+        ),
     )
     parser.add_argument(
         "--fd",
@@ -157,42 +191,15 @@ def build_parser(kind: ScenarioKind) -> argparse.ArgumentParser:
     parser.add_argument(
         "--messages", type=int, default=100, help="measured messages per steady point"
     )
-    parser.add_argument(
-        "--reformation-timeout",
-        type=float,
-        default=0.0,
-        help="reformation trigger window in ms, 0 = config default (gm-reform stacks)",
-    )
-    parser.add_argument(
-        "--hb-period",
-        type=float,
-        default=0.0,
-        help="heartbeat period in ms, 0 = default (fd kind heartbeat)",
-    )
-    parser.add_argument(
-        "--hb-timeout",
-        type=float,
-        default=0.0,
-        help="heartbeat timeout in ms, 0 = default (fd kind heartbeat)",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=0,
-        help="request batching: payloads per ordering step, 0 = unbatched",
-    )
-    parser.add_argument(
-        "--max-delay",
-        type=float,
-        default=0.0,
-        help="max batching delay in ms before a partial batch flushes",
-    )
-    parser.add_argument(
-        "--fd-scan-interval",
-        type=float,
-        default=0.0,
-        help="batched FD scan tick in ms, 0 = exact per-pair events",
-    )
+    system = parser.add_argument_group("system params (declared by the stacks and fd kinds)")
+    for param in system_flags():
+        system.add_argument(
+            param.flag,
+            dest=param.keyword,
+            type=float if param.default is None else type(param.default),
+            default=param.default,
+            help=f"{param.help} (default: {param.default}; read by {_readers(param.keyword)})",
+        )
     parser.add_argument("--name", default="adhoc", help="campaign name")
     parser.add_argument(
         "--queue-worker",
@@ -243,27 +250,34 @@ def main(argv: List[str] = None) -> int:
         )
         return 0
 
-    campaign = grid(
-        kind.name,
-        name=args.name,
-        stacks=args.stacks,
-        fd_kinds=args.fd_kinds,
-        n_values=args.n,
-        throughputs=args.throughputs,
-        seeds=args.seeds,
-        num_messages=args.messages,
-        reformation_timeout=args.reformation_timeout,
-        heartbeat_period=args.hb_period,
-        heartbeat_timeout=args.hb_timeout,
-        max_batch=args.max_batch,
-        max_delay=args.max_delay,
-        fd_scan_interval=args.fd_scan_interval,
-        **{
-            axis.name: getattr(args, f"axis_{axis.name}")
-            for axis in kind.axes
-            if axis.flag
-        },
-    )
+    try:
+        selected = {
+            keyword
+            for stack in args.stacks
+            for fd_kind in args.fd_kinds
+            for keyword in reads(*resolve(stack, fd_kind))
+        }
+        for param in system_flags():
+            if getattr(args, param.keyword) != param.default and param.keyword not in selected:
+                parser.error(f"{param.flag} applies to {_readers(param.keyword)}")
+        campaign = grid(
+            kind.name,
+            name=args.name,
+            stacks=args.stacks,
+            fd_kinds=args.fd_kinds,
+            n_values=args.n,
+            throughputs=args.throughputs,
+            seeds=args.seeds,
+            num_messages=args.messages,
+            **{param.keyword: getattr(args, param.keyword) for param in system_flags()},
+            **{
+                axis.name: getattr(args, f"axis_{axis.name}")
+                for axis in kind.axes
+                if axis.flag
+            },
+        )
+    except ValueError as error:
+        parser.error(str(error))
 
     started = time.time()
     with open_execution(args) as execution:

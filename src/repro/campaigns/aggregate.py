@@ -147,7 +147,8 @@ def load_store_table(directory: str, filename: str = "results.jsonl") -> Columna
     """Load a result store as columns, via the mirror when it is fresh.
 
     The fast path reads the columnar mirror (the packed-binary ``.rcol``)
-    in a handful of bulk ``frombytes`` calls.  When the mirror is missing or older than the JSONL -- e.g. a
+    in a handful of bulk ``frombytes`` calls.  When the mirror is missing or
+    describes another state of the JSONL -- e.g. a
     store still being appended to by a live campaign -- the JSONL is streamed
     through the mirror writer, one parsed record at a time, so the *next*
     aggregation over the same store is columnar again.

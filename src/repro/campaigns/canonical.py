@@ -3,9 +3,9 @@
 Values are normalised by the *declared* type of their field -- ``10`` and
 ``10.0`` in a ``float`` field describe the same point -- so a key never
 depends on the Python type a sweep axis happened to use.  The form is strict
-JSON: tuples become lists, override pairs a mapping, and infinities the
-string ``"inf"`` (the bare ``Infinity`` token ``json.dumps`` would emit is
-not valid JSON and breaks external JSONL consumers).
+JSON: tuples become lists and infinities the string ``"inf"`` (the bare
+``Infinity`` token ``json.dumps`` would emit is not valid JSON and breaks
+external JSONL consumers).  :func:`canonical_system` is a whole system's.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import dataclasses
 import functools
 import math
 from typing import Any, Dict, Optional, Tuple, get_type_hints
+
+from repro.stacks.api import params_of
 
 INFINITY = float("inf")
 
@@ -45,10 +47,6 @@ _ENCODERS = {
     Optional[float]: _optional(json_number),
     Optional[str]: _optional(str),
     Tuple[int, ...]: lambda value: [int(item) for item in value],
-    # Free-form (name, value) pairs: numbers normalise, the rest passes through.
-    Tuple[Tuple[str, Any], ...]: lambda value: {
-        name: json_number(item) for name, item in value
-    },
 }
 
 
@@ -72,13 +70,39 @@ def canonical_fields(instance: Any) -> Dict[str, Any]:
     }
 
 
+def canonical_system(config: Any) -> Dict[str, Any]:
+    """The canonical form of a ``SystemConfig``: one system, one form.
+
+    The selection plus each param, fault model and network field off its
+    default, so no spelling of a default adds a key.  A point never sets the
+    fault model or the network (its kind does, at run time).
+    """
+    data: Dict[str, Any] = {"stack": config.stack, "fd_kind": config.fd_kind, "n": int(config.n)}
+    data.update(seed=int(config.seed), instrument=bool(config.instrument))
+    for instance in config.params:
+        changed = [p for p in params_of(type(instance)) if getattr(instance, p.field) != p.default]
+        if changed:
+            encoded = canonical_fields(instance)
+            data.update((declared.keyword, encoded[declared.field]) for declared in changed)
+    if config.network != _default(type(config.network)):
+        network = canonical_fields(config.network)
+        default = canonical_fields(_default(type(config.network)))
+        data.update((name, value) for name, value in network.items() if value != default[name])
+    if config.fd != _default(type(config.fd)):
+        data["fd"] = repr(config.fd)
+    return data
+
+
+@functools.lru_cache(maxsize=None)
+def _default(cls: type) -> Any:
+    return cls()
+
+
 def from_canonical(raw: Any) -> Any:
-    """Inverse of the encoders: tuples, override pairs and infinities.
+    """Inverse of the encoders: tuples and infinities.
 
     ``int`` / ``float`` survive JSON as encoded, so they need no decoding.
     """
     if isinstance(raw, list):
         return tuple(raw)
-    if isinstance(raw, dict):
-        return tuple(sorted((name, from_canonical(value)) for name, value in raw.items()))
     return INFINITY if raw == "inf" else -INFINITY if raw == "-inf" else raw

@@ -26,20 +26,25 @@ latencies           f64[]    per-record latency vector (offsets + value blob)
 ==================  =======  ====================================================
 
 The mirror is derived data: it is rewritten atomically as a whole (tmp file
-+ ``os.replace``) and considered *fresh* only when at least as new as the
-JSONL file, so a torn or stale mirror is never trusted -- readers fall back
-to the JSONL source of truth and rebuild.
++ ``os.replace``) and records the identity of the JSONL it describes, which
+it is *fresh* for only while that file keeps it -- a torn or stale mirror is
+never trusted, readers fall back to the JSONL source of truth and rebuild.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
 import sys
 from array import array
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-MAGIC = b"RCOL1\n"
+MAGIC = b"RCOL2\n"
+#: Right after the magic: the ``(st_ino, st_size, st_mtime_ns)`` of the JSONL
+#: the mirror describes.  Identity, not a clock: two writes within one tick of
+#: a coarse file clock share an mtime, but never a size.
+SOURCE = struct.Struct("<3Q")
 
 #: Dictionary-encoded string columns, in layout order.
 STRING_COLUMNS = ("kind", "stack", "fd_kind", "type")
@@ -149,8 +154,9 @@ def _atomic_write(path: str, payload: bytes) -> None:
 
 # ------------------------------------------------------------------ rcol
 
-def write_rcol(entries: Iterable[Entry], path: str) -> int:
-    """Write the packed-binary mirror; returns the number of rows."""
+def write_rcol(entries: Iterable[Entry], path: str, source: bytes = bytes(SOURCE.size)) -> int:
+    """Write the packed-binary mirror of the file ``source`` identifies;
+    returns the number of rows."""
     keys: List[str] = []
     string_codes = {name: array("i") for name in STRING_COLUMNS}
     string_values: Dict[str, Dict[str, int]] = {name: {} for name in STRING_COLUMNS}
@@ -173,25 +179,17 @@ def write_rcol(entries: Iterable[Entry], path: str) -> int:
         values.extend(columns["latencies"])
         offsets.append(len(values))
 
-    key_blob = "\n".join(keys).encode("utf-8")
-    blobs: List[bytes] = [key_blob]
-    layout: List[List[Any]] = [["key", "utf8", len(key_blob)]]
-    for name in STRING_COLUMNS:
-        blob = string_codes[name].tobytes()
-        blobs.append(blob)
-        layout.append([name, "i32", len(blob)])
-    for name in INT_COLUMNS:
-        blob = int_cols[name].tobytes()
-        blobs.append(blob)
-        layout.append([name, "i64", len(blob)])
-    for name in FLOAT_COLUMNS:
-        blob = float_cols[name].tobytes()
-        blobs.append(blob)
-        layout.append([name, "f64", len(blob)])
-    for name, column, code in (("latency_offsets", offsets, "u64"), ("latency_values", values, "f64")):
-        blob = column.tobytes()
-        blobs.append(blob)
-        layout.append([name, code, len(blob)])
+    blobs: List[bytes] = ["\n".join(keys).encode("utf-8")]
+    layout: List[List[Any]] = [["key", "utf8", len(blobs[0])]]
+    columns = (
+        [(name, string_codes[name], "i32") for name in STRING_COLUMNS]
+        + [(name, int_cols[name], "i64") for name in INT_COLUMNS]
+        + [(name, float_cols[name], "f64") for name in FLOAT_COLUMNS]
+        + [("latency_offsets", offsets, "u64"), ("latency_values", values, "f64")]
+    )
+    for name, column, code in columns:
+        blobs.append(column.tobytes())
+        layout.append([name, code, len(blobs[-1])])
 
     header = json.dumps(
         {
@@ -204,7 +202,7 @@ def write_rcol(entries: Iterable[Entry], path: str) -> int:
         sort_keys=True,
     ).encode("utf-8")
     payload = b"".join(
-        [MAGIC, len(header).to_bytes(8, "little"), header] + blobs
+        [MAGIC, source, len(header).to_bytes(8, "little"), header] + blobs
     )
     _atomic_write(path, payload)
     return len(keys)
@@ -215,9 +213,10 @@ def read_rcol(path: str) -> ColumnarTable:
     with open(path, "rb") as handle:
         payload = handle.read()
     if not payload.startswith(MAGIC):
-        raise ValueError(f"{path} is not an RCOL1 mirror")
-    header_len = int.from_bytes(payload[len(MAGIC):len(MAGIC) + 8], "little")
-    start = len(MAGIC) + 8
+        raise ValueError(f"{path} is not an RCOL2 mirror")
+    start = len(MAGIC) + SOURCE.size
+    header_len = int.from_bytes(payload[start:start + 8], "little")
+    start += 8
     header = json.loads(payload[start:start + header_len].decode("utf-8"))
     if header.get("version") != 1:
         raise ValueError(f"unsupported mirror version {header.get('version')!r}")
@@ -265,20 +264,32 @@ def mirror_path(jsonl_path: str) -> str:
     return f"{os.path.splitext(jsonl_path)[0]}.rcol"
 
 
+def _source(stat: os.stat_result) -> bytes:
+    return SOURCE.pack(stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
 def write_mirror(entries: Iterable[Entry], jsonl_path: str) -> str:
-    """Mirror ``entries`` beside ``jsonl_path``; returns the mirror path."""
+    """Mirror ``entries`` beside ``jsonl_path``; returns the mirror path.
+
+    The JSONL's identity is taken before ``entries`` stream: a line appended
+    meanwhile leaves the mirror stale, never wrongly fresh.
+    """
     path = mirror_path(jsonl_path)
-    write_rcol(entries, path)
+    write_rcol(entries, path, _source(os.stat(jsonl_path)))
     return path
 
 
-def touch_mirror(jsonl_path: str) -> None:
-    """Stamp the mirror of ``jsonl_path`` as written now.
+def restamp_mirror(jsonl_path: str, stat: os.stat_result) -> None:
+    """Record ``stat`` as the identity of the file the mirror describes.
 
     For a rewrite of the JSONL that changed no record (a compaction): the
     caller vouches that the mirror was fresh for the file it replaced.
     """
-    os.utime(mirror_path(jsonl_path))
+    handle = os.open(mirror_path(jsonl_path), os.O_WRONLY)
+    try:
+        os.pwrite(handle, _source(stat), len(MAGIC))
+    finally:
+        os.close(handle)
 
 
 def read_mirror(path: str) -> ColumnarTable:
@@ -289,11 +300,14 @@ def read_mirror(path: str) -> ColumnarTable:
 def fresh_mirror_path(jsonl_path: str) -> Optional[str]:
     """The up-to-date mirror of ``jsonl_path``, or ``None``.
 
-    A mirror is *fresh* when it is at least as new as the JSONL file.
+    A mirror is *fresh* when the JSONL file still has the identity the
+    mirror recorded.
     """
     candidate = mirror_path(jsonl_path)
     try:
-        if os.stat(candidate).st_mtime_ns >= os.stat(jsonl_path).st_mtime_ns:
+        with open(candidate, "rb") as handle:
+            recorded = handle.read(len(MAGIC) + SOURCE.size)
+        if recorded == MAGIC + _source(os.stat(jsonl_path)):
             return candidate
     except OSError:
         pass

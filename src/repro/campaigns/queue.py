@@ -168,6 +168,7 @@ class WorkQueue:
             fd = os.open(lease_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             try:
+                # A clock on purpose: a lease expires by its age, not by identity.
                 age = now - os.stat(lease_path).st_mtime
             except OSError:
                 return False  # lease vanished: its owner just committed

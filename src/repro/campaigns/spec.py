@@ -3,9 +3,10 @@
 A :class:`PointSpec` pins down *one* scenario run completely: the scenario
 kind, the system under test, the operating point and the seed -- the common
 core every kind shares -- plus the params of that kind, as declared by its
-registration in :mod:`repro.scenarios.registry`.  Its :meth:`PointSpec.key`
-is a stable content hash used to cache and deduplicate runs -- two points
-with the same key simulate the same thing, even across figures and sessions.
+registration in :mod:`repro.scenarios.registry`, and those of its stack,
+fd kind and batching layer (:mod:`repro.stacks.registry`).  Its
+:meth:`PointSpec.key` is a stable content hash used to cache and deduplicate
+runs: one simulated system has one key, across figures and sessions.
 
 A :class:`CampaignSpec` groups points into the series of a figure (or an
 ad-hoc sweep) and is the unit the :class:`repro.campaigns.runner.CampaignRunner`
@@ -19,23 +20,23 @@ import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
-from repro.campaigns.canonical import canonical_fields, from_canonical
-from repro.failure_detectors.heartbeat import HeartbeatConfig
+from repro.campaigns.canonical import canonical_fields, canonical_system, from_canonical
 from repro.scenarios.registry import get_kind
 from repro.stacks import registry as stack_registry
+from repro.stacks.registry import flat_params
 from repro.system import SystemConfig
 
 #: Bump when the meaning of a point's canonical dict changes, to invalidate
-#: caches.  v8: a point's dict (and therefore its key) covers the common core
-#: plus the params of *its own* kind only, so registering a new kind or adding
-#: a param to one kind changes nobody else's keys -- the bump is only needed
-#: again when the core itself changes.  Migration from v7 (every flat field in
-#: every key) is the usual one: version-prefixed keys never collide, so old
-#: caches are simply never hit again; delete them or leave them in place.
-SCHEMA_VERSION = 8
+#: caches.  v8: a key covers the common core plus the params of the point's
+#: own kind only.  v9: the core is eight fields, and the system part of a key
+#: is :func:`~repro.campaigns.canonical.canonical_system` -- stack, fd-kind
+#: and batching params only when off their declared defaults.  Migration from
+#: v7 and from v8 is the same: version-prefixed keys never collide, so old
+#: entries are never hit and re-simulate once; delete them or leave them.
+SCHEMA_VERSION = 9
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Derive a per-point seed from ``root_seed`` and a stream ``name``.
@@ -68,106 +69,84 @@ class PointSpec:
     """One scenario run: the atom of a campaign.
 
     A point is the *common core* below plus the params its kind declares
-    (:class:`repro.scenarios.registry.ScenarioKind`).  Construction is
-    keyword-flat -- ``PointSpec("crash-steady", n=7, crashed=(5, 6))`` --
-    and the kind's params read back as attributes (``point.crashed``); a
-    keyword that is neither a core field nor declared by the kind raises.
-    Only the core and the kind's own params enter :meth:`as_dict` and the
-    cache key.  A slash-qualified ``stack`` (``"fd/heartbeat"``) is folded
-    into ``stack`` + ``fd_kind`` so equivalent selections hash identically.
+    (:class:`repro.scenarios.registry.ScenarioKind`) and the params its
+    stack, fd kind and batching layer declare (:mod:`repro.stacks`).
+    Construction is keyword-flat -- ``PointSpec("crash-steady", n=7,
+    crashed=(5, 6), pipeline_depth=1)``; the kind's params read back as
+    attributes (``point.crashed``), the system's from :meth:`config`.  A
+    keyword nobody declares raises, and a system param is routed as
+    ``SystemConfig`` routes it.  A slash-qualified ``stack`` is folded into
+    ``stack`` + ``fd_kind`` so equivalent selections hash identically.
     """
 
     kind: str
-    stack: str = "fd"
+    stack: str = SystemConfig.stack
     #: ``None`` selects the stack's default kind ("qos" for the built-ins).
     fd_kind: Optional[str] = None
-    n: int = 3
-    seed: int = 1
+    n: int = SystemConfig.n
+    seed: int = SystemConfig.seed
     throughput: float = 10.0
     #: Measured messages (requests, for service-load) per run.
     num_messages: int = 100
-    #: Reformation window of reformation-capable stacks, ms; 0 = config default.
-    reformation_timeout: float = 0.0
-    #: Heartbeat detector parameters, ms; 0 = ``HeartbeatConfig`` defaults.
-    heartbeat_period: float = 0.0
-    heartbeat_timeout: float = 0.0
-    #: Requests coalesced per ordering step; 0 = the unbatched system.
-    max_batch: int = 0
-    #: Maximum batching delay, ms (``max_batch > 0`` only).
-    max_delay: float = 0.0
-    #: Batched failure-detector scan tick, ms; 0 = exact per-pair events
-    #: (ignored by ``fd_kind="heartbeat"``).
-    fd_scan_interval: float = 0.0
-    #: Extra ``SystemConfig`` fields, e.g. ``(("lambda_cpu", 2.0),)``.
-    config_overrides: Tuple[Tuple[str, Any], ...] = ()
     #: Run instrumented (:mod:`repro.obs`): the record gains a ``metrics``
     #: snapshot.  ``CampaignRunner(instrument=True)`` sets it on every point.
     instrument: bool = False
     #: The kind's params dataclass instance (built from the flat keywords).
     params: Any = None
+    #: The ``SystemConfig`` the point simulates (built from the core and the
+    #: flat system params).
+    system: Any = None
 
-    def __init__(self, kind: str, *, params: Any = None, **given: Any) -> None:
+    def __init__(self, kind: str, *, params: Any = None, system: Any = None, **given: Any) -> None:
         scenario = get_kind(kind)
-        state = dict(_CORE_DEFAULTS, kind=kind)
         kind_params = {name: given.pop(name) for name in scenario.param_names if name in given}
-        unknown = set(given) - set(state)
+        state = dict(_CORE_DEFAULTS, kind=kind)
+        state.update((name, given.pop(name)) for name in _CORE_DEFAULTS if name in given)
+        unknown = set(given) - set(stack_registry.param_keywords()) if given else ()
         if unknown:
             raise ValueError(
-                f"{kind} points take no {sorted(unknown)}; besides the common "
-                f"core the kind declares {list(scenario.param_names)}"
+                f"{kind} points take no {sorted(unknown)}; besides the common core "
+                f"and system params the kind declares {list(scenario.param_names)}"
             )
-        state.update(given)
         if params is None:
             params = scenario.params(**kind_params)
         elif kind_params:
             params = dataclasses.replace(params, **kind_params)
-        # Validates both names and folds "fd/heartbeat" variants; an explicit
-        # fd_kind conflicting with an embedded one raises (like SystemConfig).
-        stack_spec, state["fd_kind"] = stack_registry.resolve(state["stack"], state["fd_kind"])
-        state["stack"] = stack_spec.name
-        for knob in _NON_NEGATIVE:
-            if state[knob] < 0:
-                raise ValueError(f"{knob} must be >= 0 (0 = default), got {state[knob]}")
+        # Validates the names, folds "fd/heartbeat" variants and routes the
+        # system params (an explicit fd_kind conflicting with an embedded one
+        # raises, and so does a param the selection does not read).  A
+        # ``system`` comes from ``dataclasses.replace``: its params carry over.
+        system = SystemConfig(
+            n=state["n"], stack=state["stack"], fd_kind=state["fd_kind"],
+            seed=state["seed"], instrument=state["instrument"],
+            params=None if system is None else system.params, **given,
+        )
+        state.update(stack=system.stack, fd_kind=system.fd_kind, instrument=system.instrument)
         # Frozen: fill the instance dict directly.
-        self.__dict__.update(state, params=params)
+        self.__dict__.update(state, params=params, system=system)
         scenario.validate(self, params)
 
     def __getattr__(self, name: str) -> Any:
         # Only reached for names that are not core fields: the kind's params.
-        # (Private names and ``params`` itself must fail fast: pickle probes
+        # (Private names and the two holders must fail fast: pickle probes
         # them on instances whose dict is still empty.)
-        if name.startswith("_") or name == "params":
+        if name.startswith("_") or name in ("params", "system"):
             raise AttributeError(name)
         return getattr(self.params, name)
 
     def config(self) -> SystemConfig:
         """The ``SystemConfig`` this point simulates."""
-        extras: Dict[str, Any] = dict(self.config_overrides)
-        if self.reformation_timeout > 0:
-            extras.setdefault("reformation_timeout", self.reformation_timeout)
-        if self.heartbeat_period > 0 or self.heartbeat_timeout > 0:
-            base = HeartbeatConfig()
-            period = self.heartbeat_period or base.period
-            timeout = self.heartbeat_timeout or base.timeout
-            extras.setdefault("heartbeat", HeartbeatConfig(period=period, timeout=timeout))
-        if self.max_batch > 0:
-            extras.setdefault("max_batch", self.max_batch)
-            extras.setdefault("max_delay", self.max_delay)
-        if self.fd_scan_interval > 0:
-            extras.setdefault("fd_scan_interval", self.fd_scan_interval)
-        # ``instrument`` may also arrive via config_overrides; either wins.
-        extras["instrument"] = bool(extras.pop("instrument", False)) or self.instrument
-        return SystemConfig(
-            n=self.n, stack=self.stack, fd_kind=self.fd_kind, seed=self.seed, **extras
-        )
+        return self.system
 
     def as_dict(self) -> Dict[str, Any]:
         """A canonical, strictly-JSON-serialisable view of the point.
 
-        The common core plus the kind's own params, flat, each value in the
+        The common core, the canonical system (its params off their
+        defaults) and the kind's own params, flat, each value in the
         canonical form of its declared type (:mod:`repro.campaigns.canonical`).
         """
         data = canonical_fields(self)
+        data.update(canonical_system(self.system))
         data.update(canonical_fields(self.params))
         return data
 
@@ -199,27 +178,22 @@ class PointSpec:
 
     def label(self) -> str:
         """Short human-readable description, for logs and error messages."""
-        knobs = get_kind(self.kind).label(self.params)
-        if self.reformation_timeout > 0:
-            knobs += f" reform={self.reformation_timeout:g}ms"
-        if self.max_batch > 0:
-            knobs += f" batch={self.max_batch}"
+        knobs = get_kind(self.kind).label(self.params) + "".join(
+            f" {name}={value}" for name, value in flat_params(self.system.params).items()
+        )
         return (
-            f"{self.kind} {stack_registry.variant_name(self.stack, self.fd_kind)} "
+            f"{self.kind} {self.system.stack_label} "
             f"n={self.n} T={self.throughput:g}/s{knobs} seed={self.seed}"
         )
 
 
-#: Core field -> default, read off the dataclass (``kind`` is required and
-#: ``params`` is built from the flat keywords).
+#: Core field -> default, read off the dataclass (``kind`` is required,
+#: ``params`` and ``system`` are built from the flat keywords).
 _CORE_DEFAULTS = {
     spec_field.name: spec_field.default
     for spec_field in dataclasses.fields(PointSpec)
-    if spec_field.name not in ("kind", "params")
+    if spec_field.name not in ("kind", "params", "system")
 }
-_NON_NEGATIVE = ("reformation_timeout", "heartbeat_period", "heartbeat_timeout") + (
-    "max_batch", "max_delay", "fd_scan_interval",
-)
 
 
 @dataclass
@@ -279,19 +253,12 @@ def grid(
     kind: str,
     *,
     name: str = "adhoc",
-    stacks: Sequence[str] = ("fd", "gm"),
+    stacks: Sequence[str] = stack_registry.DEFAULT_STACKS,
     fd_kinds: Sequence[Optional[str]] = (None,),
     n_values: Sequence[int] = (3,),
     throughputs: Sequence[float] = (10.0, 100.0),
     seeds: Sequence[int] = (1,),
     num_messages: int = 100,
-    reformation_timeout: float = 0.0,
-    heartbeat_period: float = 0.0,
-    heartbeat_timeout: float = 0.0,
-    max_batch: int = 0,
-    max_delay: float = 0.0,
-    fd_scan_interval: float = 0.0,
-    config_overrides: Iterable[Tuple[str, Any]] = (),
     description: str = "",
     **axes: Any,
 ) -> CampaignSpec:
@@ -304,11 +271,15 @@ def grid(
     ``axes`` are the ones the kind declares
     (``grid("churn-steady", churn_rate=2.0)``, see
     :attr:`repro.scenarios.registry.ScenarioKind.axes`), each defaulting as
-    on the command line; an axis of another kind raises.
+    on the command line, plus system params (``reformation_timeout=300``,
+    ``max_batch=8``).  A system param goes to the points whose stack, fd
+    kind or batching layer reads it; one no point reads raises unless it
+    holds its default, and an axis of another kind raises.
     """
     scenario = get_kind(kind)
+    declared = stack_registry.param_keywords()
+    system = {keyword: axes.pop(keyword) for keyword in list(axes) if keyword in declared}
     values = scenario.axis_values(axes)
-    overrides = tuple(config_overrides)
     # Duplicate seeds would pool the same simulation twice and shrink the
     # reported CI with zero new information; drop them, preserving order.
     seeds = list(dict.fromkeys(int(seed) for seed in seeds))
@@ -322,31 +293,21 @@ def grid(
             for fd_kind in fd_kinds
         )
     )
-    # The heartbeat fabric reads its own period / timeout and ignores the
-    # scan tick, the clock-driven fabrics the reverse; a knob a detector does
-    # not read stays 0 so comparison sweeps mint no keys for identical runs.
-    heartbeat_knobs = {"heartbeat_period": heartbeat_period, "heartbeat_timeout": heartbeat_timeout}
-    detector_knobs = {"heartbeat": heartbeat_knobs}
+    reads = {combo: set(stack_registry.reads(*combo)) for combo in combos}
+    for keyword in set(system) - set().union(*reads.values()):
+        stack_registry.check_unread(keyword, system[keyword])
     campaign = CampaignSpec(name=name, description=description)
     for n in n_values:
         params = scenario.point_params(n, values)
-        for stack_spec, fd_kind in combos:
-            stack = stack_spec.name
+        for combo in combos:
+            stack, fd_kind = combo[0].name, combo[1]
             common = dict(
                 stack=stack,
                 fd_kind=fd_kind,
                 n=n,
                 num_messages=num_messages,
-                # Scoped by stack capability: a reformation-capable stack reads
-                # the knob under every scenario (churn can trigger one too).
-                reformation_timeout=(
-                    reformation_timeout if dict(stack_spec.params).get("reformation") else 0.0
-                ),
-                max_batch=max_batch,
-                max_delay=max_delay,
-                config_overrides=overrides,
                 params=params,
-                **detector_knobs.get(fd_kind, {"fd_scan_interval": fd_scan_interval}),
+                **{keyword: value for keyword, value in system.items() if keyword in reads[combo]},
             )
             series = SeriesSpec(
                 label=f"{stack_registry.variant_name(stack, fd_kind)}, n={n}",

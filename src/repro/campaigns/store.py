@@ -326,7 +326,7 @@ class ResultStore:
         self._dupes = 0
         self._unflushed = 0
         if keep_mirror:
-            columnar.touch_mirror(self.path)
+            columnar.restamp_mirror(self.path, os.fstat(reader.fileno()))
 
     def sync_mirror(self) -> Optional[str]:
         """Rewrite the columnar mirror from the store's entries, streamed.

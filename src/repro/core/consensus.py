@@ -577,10 +577,6 @@ class ConsensusService(Component):
                 instance.handle(sender, body)
         return instance
 
-    def has_proposed(self, cid: Hashable) -> bool:
-        """Whether the local process has started participating in ``cid``."""
-        return cid in self._instances
-
     def has_buffered(self, cid: Hashable) -> bool:
         """Whether messages are waiting for a local :meth:`propose` of ``cid``."""
         return cid in self._buffered

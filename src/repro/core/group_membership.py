@@ -196,11 +196,6 @@ class GroupMembership(Component):
         return self._view
 
     @property
-    def last_known_view(self) -> View:
-        """The most recent view this process knows of (even if excluded from it)."""
-        return self._last_known_view
-
-    @property
     def status(self) -> str:
         """One of ``member``, ``view_change``, ``excluded``, ``joining``."""
         return self._status

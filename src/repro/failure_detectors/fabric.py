@@ -36,10 +36,11 @@ Batched scan mode
 With the default ``scan_interval=None`` every pending detection, trust
 restoration and (in the QoS subclass) mistake transition is its own
 simulator event -- O(n^2) live timer events, which dominates the event loop
-at n >= 15.  Passing ``scan_interval=q`` (``SystemConfig(fd_scan_interval=q)``)
-switches the fabric to a *batched calendar*: pair transitions become plain
-tuples on a fabric-local heap, at most **one** simulator event (the scan) is
-armed at a time, and each scan drains every transition due by then.
+at n >= 15.  Passing ``scan_interval=q`` (the qos / perfect kinds'
+``fd_scan_interval`` param) switches the fabric to a *batched calendar*:
+pair transitions become plain tuples on a fabric-local heap, at most **one**
+simulator event (the scan) is armed at a time, and each scan drains every
+transition due by then.
 Cancellation is O(1) via per-pair generation counters instead of event
 handles, so recoveries and re-crashes never touch the simulator queue.
 

@@ -17,7 +17,7 @@ heartbeat traffic instead of the paper's abstract QoS clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from repro.failure_detectors.interface import FailureDetector
@@ -30,7 +30,7 @@ INFINITY = float("inf")
 
 @dataclass(frozen=True)
 class HeartbeatConfig:
-    """Parameters of the heartbeat detector.
+    """Parameters of the heartbeat detector: the ``heartbeat`` fd kind's params.
 
     Attributes
     ----------
@@ -41,11 +41,24 @@ class HeartbeatConfig:
     check_interval:
         How often the monitor re-evaluates its timeouts; defaults to the
         period.
+
+    The field metadata is :func:`repro.stacks.api.param`'s: the flat
+    ``heartbeat_*`` keywords and the campaigns CLI flags.
     """
 
-    period: float = 10.0
-    timeout: float = 30.0
-    check_interval: float = 0.0
+    period: float = field(
+        default=10.0,
+        metadata=dict(
+            keyword="heartbeat_period", flag="--hb-period", help="heartbeat period in ms"
+        ),
+    )
+    timeout: float = field(
+        default=30.0,
+        metadata=dict(
+            keyword="heartbeat_timeout", flag="--hb-timeout", help="heartbeat timeout in ms"
+        ),
+    )
+    check_interval: float = field(default=0.0, metadata=dict(keyword="heartbeat_check_interval"))
 
     def __post_init__(self) -> None:
         if self.period <= 0:

@@ -8,7 +8,7 @@ service:
   set;
 * :mod:`repro.load.batching` -- :class:`BatchingAtomicBroadcast`, the
   ingress request-batching wrapper that amortizes one ordering step over up
-  to ``max_batch`` requests (enabled via ``SystemConfig.max_batch``);
+  to ``max_batch`` requests (enabled by the batching layer's ``max_batch`` param);
 * :mod:`repro.load.service` -- :class:`LoadTestedService`, the
   admission-controlled, consistency-aware front of the replicated service.
 

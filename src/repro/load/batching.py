@@ -143,16 +143,4 @@ class BatchingAtomicBroadcast(AtomicBroadcast):
             self._flush_timer = self.set_timer(self.max_delay, self._flush_from_timer)
 
 
-def wrap_system_abcast(
-    process: SimProcess,
-    abcast: AtomicBroadcast,
-    max_batch: int,
-    max_delay: float,
-) -> AtomicBroadcast:
-    """The abcast the system should expose: wrapped iff batching is on."""
-    if max_batch <= 0:
-        return abcast
-    return BatchingAtomicBroadcast(process, abcast, max_batch, max_delay)
-
-
-__all__ = ["BATCH_TAG", "BatchingAtomicBroadcast", "wrap_system_abcast"]
+__all__ = ["BATCH_TAG", "BatchingAtomicBroadcast"]

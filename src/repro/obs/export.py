@@ -2,17 +2,12 @@
 
 Three views of one instrumented run:
 
-* :func:`metrics_snapshot` -- a JSON-ready dict of every counter, gauge and
-  summarised histogram, stamped with provenance (config hash, stack, fd
-  kind, seed, package version, best-effort git revision) so a snapshot read
-  months later still identifies the run that produced it;
-* :func:`write_event_trace` -- the structured event records as JSON Lines,
-  one hook invocation per line, for ad-hoc ``jq``-style analysis;
-* :func:`chrome_trace` -- the message lifecycle (A-broadcast ->
-  sequenced -> A-deliveries), failure detector suspicion intervals, view
-  installations and reformations as a Chrome trace event file, loadable in
-  ``chrome://tracing`` or https://ui.perfetto.dev for visual debugging of
-  scenarios like ``view-majority-loss``.
+* :func:`metrics_snapshot` -- every counter, gauge and summarised histogram,
+  stamped with provenance (config hash, stack, fd kind, seed, package
+  version, git revision) that identifies the run months later;
+* :func:`write_event_trace` -- the structured event records as JSON Lines;
+* :func:`chrome_trace` -- message lifecycles, suspicion intervals, view
+  installations and reformations for ``chrome://tracing`` / Perfetto.
 
 The module also keeps the *process-wide trace sink* campaign execution
 uses: :func:`set_trace_dir` arms it for the duration of one point (in
@@ -26,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-from dataclasses import asdict
 from typing import Any, Dict, List, Optional
 
 from repro import __version__
@@ -66,10 +60,14 @@ def git_revision() -> Optional[str]:
 
 
 def config_fingerprint(config) -> str:
-    """Stable short hash of a ``SystemConfig`` (covers every field)."""
+    """Stable short hash of a ``SystemConfig``: of its canonical form, the one
+    a campaign point key hashes too (two spellings of a system, one hash)."""
     import hashlib
 
-    payload = json.dumps(asdict(config), sort_keys=True, default=str)
+    # Deferred: the campaign package imports this module.
+    from repro.campaigns.canonical import canonical_system
+
+    payload = json.dumps(canonical_system(config), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -170,6 +168,11 @@ def _us(time_ms: float) -> float:
     return time_ms * 1000.0
 
 
+def _event(ph: str, cat: str, name: str, ts: float, pid: int, tid: int, **extra: Any) -> Dict:
+    """One Chrome trace event."""
+    return {"ph": ph, "cat": cat, "name": name, "ts": ts, "pid": pid, "tid": tid, **extra}
+
+
 def chrome_trace(obs: Instrumentation) -> Dict[str, Any]:
     """The run as a Chrome trace event object (``chrome://tracing`` format).
 
@@ -188,64 +191,21 @@ def chrome_trace(obs: Instrumentation) -> Dict[str, Any]:
     for record in obs.events:
         kind = record["ev"]
         time = _us(record["t"])
-        if kind == "broadcast":
+        if kind in ("broadcast", "sequenced", "adeliver"):
             bid = tuple(record["bid"])
             name = f"m({bid[0]}.{bid[1]})"
             pids.add(record["pid"])
-            events.append(
-                {
-                    "ph": "b",
-                    "cat": "abcast",
-                    "id": name,
-                    "name": name,
-                    "ts": time,
-                    "pid": record["pid"],
-                    "tid": 0,
-                }
-            )
-        elif kind == "sequenced":
-            bid = tuple(record["bid"])
-            name = f"m({bid[0]}.{bid[1]})"
-            pids.add(record["pid"])
-            events.append(
-                {
-                    "ph": "n",
-                    "cat": "abcast",
-                    "id": name,
-                    "name": "sequenced",
-                    "ts": time,
-                    "pid": record["pid"],
-                    "tid": 0,
-                }
-            )
-        elif kind == "adeliver":
-            bid = tuple(record["bid"])
-            name = f"m({bid[0]}.{bid[1]})"
-            pids.add(record["pid"])
-            if bid not in delivered:
-                delivered.add(bid)
+            if kind == "broadcast":
+                events.append(_event("b", "abcast", name, time, record["pid"], 0, id=name))
+            elif kind == "sequenced":
+                events.append(_event("n", "abcast", "sequenced", time, record["pid"], 0, id=name))
+            else:
+                if bid not in delivered:
+                    delivered.add(bid)
+                    events.append(_event("e", "abcast", name, time, record["pid"], 0, id=name))
                 events.append(
-                    {
-                        "ph": "e",
-                        "cat": "abcast",
-                        "id": name,
-                        "name": name,
-                        "ts": time,
-                        "pid": record["pid"],
-                        "tid": 0,
-                    }
+                    _event("i", "abcast", f"A-deliver {name}", time, record["pid"], 0, s="t")
                 )
-            events.append(
-                {
-                    "ph": "i",
-                    "s": "t",
-                    "cat": "abcast",
-                    "name": f"A-deliver {name}",
-                    "ts": time,
-                    "pid": record["pid"],
-                    "tid": 0,
-                }
-            )
         elif kind == "suspicion":
             monitor, target = record["monitor"], record["target"]
             pids.add(monitor)
@@ -260,58 +220,18 @@ def chrome_trace(obs: Instrumentation) -> Dict[str, Any]:
                     continue
                 suspicion_open.discard((monitor, target))
                 phase = "e"
-            events.append(
-                {
-                    "ph": phase,
-                    "cat": "fd",
-                    "id": span,
-                    "name": span,
-                    "ts": time,
-                    "pid": monitor,
-                    "tid": 1,
-                }
-            )
-        elif kind == "view_installed":
+            events.append(_event(phase, "fd", span, time, monitor, 1, id=span))
+        elif kind in ("view_installed", "reformation_proposed", "view_change"):
             pids.add(record["pid"])
-            era = f"@e{record['epoch']}" if record["epoch"] else ""
-            events.append(
-                {
-                    "ph": "i",
-                    "s": "p",
-                    "cat": "gm",
-                    "name": f"install view#{record['view_id']}{era}",
-                    "ts": time,
-                    "pid": record["pid"],
-                    "tid": 2,
-                    "args": {"members": record["members"]},
-                }
-            )
-        elif kind == "reformation_proposed":
-            pids.add(record["pid"])
-            events.append(
-                {
-                    "ph": "i",
-                    "s": "p",
-                    "cat": "gm",
-                    "name": f"propose reformation e{record['epoch']}",
-                    "ts": time,
-                    "pid": record["pid"],
-                    "tid": 2,
-                }
-            )
-        elif kind == "view_change":
-            pids.add(record["pid"])
-            events.append(
-                {
-                    "ph": "i",
-                    "s": "t",
-                    "cat": "gm",
-                    "name": f"view change {tuple(record['vid'])}",
-                    "ts": time,
-                    "pid": record["pid"],
-                    "tid": 2,
-                }
-            )
+            if kind == "view_installed":
+                era = f"@e{record['epoch']}" if record["epoch"] else ""
+                name = f"install view#{record['view_id']}{era}"
+                extra = {"s": "p", "args": {"members": record["members"]}}
+            elif kind == "reformation_proposed":
+                name, extra = f"propose reformation e{record['epoch']}", {"s": "p"}
+            else:
+                name, extra = f"view change {tuple(record['vid'])}", {"s": "t"}
+            events.append(_event("i", "gm", name, time, record["pid"], 2, **extra))
     metadata = [
         {
             "ph": "M",

@@ -7,8 +7,9 @@ checked), a ``run(config, core, params)`` that builds a spec for the shared
 :class:`~repro.scenarios.runner.ScenarioRunner`, and one
 :func:`~repro.scenarios.registry.register_kind` call.  ``crash-transient``
 and ``service-load`` measure something other than steady-state broadcast
-latency and delegate to their own modules.  A result's ``params`` echo the
-kind's params (defaults resolved) plus the kind's read-outs.
+latency and delegate to their own modules; the steady-state ones share
+:func:`_steady`.  A result's ``params`` echo the kind's params (defaults
+resolved) plus the kind's read-outs.
 
 The paper's scenarios come first (Figs. 4-8), then the fault-schedule kinds,
 ``service-load`` and the network fault-injection kinds, whose ``verify``
@@ -44,6 +45,7 @@ from repro.scenarios.runner import (
 from repro.scenarios.service_load import run_service_load
 from repro.scenarios.transient import measure_crash_transient
 from repro.sim.wan import wan_profile
+from repro.stacks.registry import GmReformParams
 from repro.system import SystemConfig
 
 #: Round trips of headroom wan-steady gives the derived per-pair detection times.
@@ -69,6 +71,19 @@ def _or_mid_window(instant: Optional[float], core: Any) -> float:
     return 0.5 * _arrival_window(core) if instant is None else instant
 
 
+def _steady(config, core: Any, fd: QoSConfig, verify=None, **fields: Any) -> ScenarioResult:
+    """Run the steady-state measurement of ``core`` on ``config`` under the
+    fault model ``fd`` (``fields``: the rest of its :class:`SteadyStateSpec`)."""
+    spec = SteadyStateSpec(
+        scenario=core.kind,
+        config=replace(config, fd=fd),
+        throughput=core.throughput,
+        num_messages=core.num_messages,
+        **fields,
+    )
+    return ScenarioRunner().run_steady(spec, verify=verify)
+
+
 # ------------------------------------------------------------------ normal-steady
 
 
@@ -79,13 +94,7 @@ class NoParams:
 
 def _run_normal_steady(config: SystemConfig, core: Any, params: NoParams) -> ScenarioResult:
     """Latency in runs with neither crashes nor suspicions (Fig. 4)."""
-    spec = SteadyStateSpec(
-        scenario="normal-steady",
-        config=replace(config, fd=QoSConfig()),
-        throughput=core.throughput,
-        num_messages=core.num_messages,
-    )
-    return ScenarioRunner().run_steady(spec)
+    return _steady(config, core, QoSConfig())
 
 
 register_kind(
@@ -142,15 +151,10 @@ def _run_crash_steady(config: SystemConfig, core: Any, params: CrashSteadyParams
     exactly the paper's definition of the crash-steady scenario.
     """
     crashed = tuple(params.crashed)
-    spec = SteadyStateSpec(
-        scenario="crash-steady",
-        config=replace(config, fd=QoSConfig()),
-        throughput=core.throughput,
-        num_messages=core.num_messages,
-        faults=FaultSchedule.pre_crashed(crashed),
-        params={"crashed": crashed},
+    return _steady(
+        config, core, QoSConfig(),
+        faults=FaultSchedule.pre_crashed(crashed), params={"crashed": crashed},
     )
-    return ScenarioRunner().run_steady(spec)
 
 
 register_kind(
@@ -201,14 +205,7 @@ def _run_suspicion_steady(
         mistake_recurrence_time=params.mistake_recurrence_time,
         mistake_duration=params.mistake_duration,
     )
-    spec = SteadyStateSpec(
-        scenario="suspicion-steady",
-        config=replace(config, fd=fd),
-        throughput=core.throughput,
-        num_messages=core.num_messages,
-        params=dict(vars(params)),
-    )
-    return ScenarioRunner().run_steady(spec)
+    return _steady(config, core, fd, params=dict(vars(params)))
 
 
 register_kind(
@@ -304,17 +301,13 @@ def _run_correlated_crash(
     """
     crashed = tuple(params.crashed)
     crash_time = _or_mid_window(params.crash_time, core)
-    spec = SteadyStateSpec(
-        scenario="correlated-crash",
-        config=replace(config, fd=QoSConfig(detection_time=params.detection_time)),
-        throughput=core.throughput,
-        num_messages=core.num_messages,
+    return _steady(
+        config, core, QoSConfig(detection_time=params.detection_time),
         faults=FaultSchedule([CorrelatedCrash(crash_time, crashed)]),
         senders=list(range(config.n)),
         reassign_crashed_senders=True,
         params=dict(vars(params), crashed=crashed, crash_time=crash_time),
     )
-    return ScenarioRunner().run_steady(spec)
 
 
 register_kind(
@@ -366,17 +359,13 @@ def _run_churn_steady(config: SystemConfig, core: Any, params: ChurnSteadyParams
         mean_downtime=params.mean_downtime,
         until=1.5 * _arrival_window(core) + 10_000.0,
     )
-    spec = SteadyStateSpec(
-        scenario="churn-steady",
-        config=replace(config, fd=QoSConfig(detection_time=params.detection_time)),
-        throughput=core.throughput,
-        num_messages=core.num_messages,
+    return _steady(
+        config, core, QoSConfig(detection_time=params.detection_time),
         faults=FaultSchedule([churn]),
         senders=list(range(config.n)),
         reassign_crashed_senders=True,
         params=dict(vars(params)),
     )
-    return ScenarioRunner().run_steady(spec)
 
 
 register_kind(
@@ -435,14 +424,7 @@ def _run_asymmetric_qos(
         mistake_recurrence_time=params.mistake_recurrence_time,
         mistake_duration=params.mistake_duration,
     )
-    spec = SteadyStateSpec(
-        scenario="asymmetric-qos",
-        config=replace(config, fd=fd),
-        throughput=core.throughput,
-        num_messages=core.num_messages,
-        params=dict(vars(params)),
-    )
-    return ScenarioRunner().run_steady(spec)
+    return _steady(config, core, fd, params=dict(vars(params)))
 
 
 register_kind(
@@ -488,16 +470,13 @@ def _run_view_majority_loss(
 ) -> ScenarioResult:
     """Latency and time-to-reformation across a view-majority loss.
 
-    The canonical blocked-state schedule
-    (:meth:`FaultSchedule.view_majority_loss`) first shrinks the installed
-    view through a window of wrong suspicions, then really crashes just
-    enough of the shrunken view that its alive members lose the view
-    majority -- the GM algorithm's documented permanent-deadlock state,
-    which the ``gm-reform`` stack converts into a measurable recovery: the
-    result's ``params`` report whether a successor view was installed and
-    how long after the blocking crash (``time_to_reformation``).  The
-    reformation window is the config's ``reformation_timeout`` (only
-    meaningful for reformation-capable stacks).
+    :meth:`FaultSchedule.view_majority_loss` shrinks the installed view
+    through wrong suspicions, then crashes just enough of it that its alive
+    members lose the view majority -- the GM algorithm's permanent deadlock,
+    which ``gm-reform`` turns into a recovery: ``params`` report whether a
+    successor view was installed and how long after the blocking crash
+    (``time_to_reformation``).  Every record echoes the stack's
+    ``reformation_timeout`` param, ``gm-reform``'s default when it has none.
     """
     spec = ReformationSpec(
         scenario="view-majority-loss",
@@ -510,7 +489,9 @@ def _run_view_majority_loss(
             vars(params),
             suspect_start=VML_SUSPECT_START,
             suspect_duration=VML_SUSPECT_DURATION,
-            reformation_timeout=config.reformation_timeout,
+            reformation_timeout=getattr(
+                config.params.stack, "reformation_timeout", GmReformParams.reformation_timeout
+            ),
         ),
     )
     return ScenarioRunner().run_reformation(spec)
@@ -633,18 +614,6 @@ def _run_partition_transient(
     n = config.n
     start = _or_mid_window(params.partition_start, core)
     heal = start + params.partition_duration
-    spec = SteadyStateSpec(
-        scenario="partition-transient",
-        config=replace(config, fd=QoSConfig(detection_time=params.detection_time)),
-        throughput=core.throughput,
-        num_messages=core.num_messages,
-        faults=FaultSchedule.partition_transient(n, start, params.partition_duration),
-        senders=list(range(n)),
-        params=dict(
-            vars(params), partition_start=start, minority=tuple(range(n - (n - 1) // 2, n))
-        ),
-    )
-
     def verify(system, result: ScenarioResult) -> None:
         dropped = system.network.stats.dropped_partitioned
         if dropped == 0:
@@ -662,7 +631,14 @@ def _run_partition_transient(
                 raise AssertionError(f"links still blocked after the heal: {still_blocked}")
         result.params["dropped_partitioned"] = dropped
 
-    return ScenarioRunner().run_steady(spec, verify=verify)
+    return _steady(
+        config, core, QoSConfig(detection_time=params.detection_time), verify,
+        faults=FaultSchedule.partition_transient(n, start, params.partition_duration),
+        senders=list(range(n)),
+        params=dict(
+            vars(params), partition_start=start, minority=tuple(range(n - (n - 1) // 2, n))
+        ),
+    )
 
 
 register_kind(
@@ -711,19 +687,6 @@ def _run_wan_steady(config: SystemConfig, core: Any, params: WanSteadyParams) ->
     fd = QoSConfig(detection_time=params.detection_time)
     if config.fd_kind == "qos":
         fd = topology.derive_fd_config(fd, config.n, slack=WAN_FD_SLACK)
-    spec = SteadyStateSpec(
-        scenario="wan-steady",
-        config=replace(config, wan_profile=params.wan_profile, fd=fd),
-        throughput=core.throughput,
-        num_messages=core.num_messages,
-        params=dict(
-            vars(params),
-            dc_count=topology.dc_count,
-            max_wan_delay=topology.max_delay(),
-            fd_slack=WAN_FD_SLACK,
-        ),
-    )
-
     def verify(system, result: ScenarioResult) -> None:
         if result.undelivered:
             raise AssertionError(
@@ -731,7 +694,16 @@ def _run_wan_steady(config: SystemConfig, core: Any, params: WanSteadyParams) ->
                 "messages were never delivered"
             )
 
-    return ScenarioRunner().run_steady(spec, verify=verify)
+    return _steady(
+        replace(config, network=replace(config.network, wan_profile=params.wan_profile)),
+        core, fd, verify,
+        params=dict(
+            vars(params),
+            dc_count=topology.dc_count,
+            max_wan_delay=topology.max_delay(),
+            fd_slack=WAN_FD_SLACK,
+        ),
+    )
 
 
 register_kind(
@@ -802,16 +774,6 @@ def _run_gray_degradation(
             if dst != pid:
                 faults.add(DegradeLinkAt(start, pid, dst, loss_probability=params.link_loss))
                 faults.add(DegradeLinkAt(end, pid, dst))
-    spec = SteadyStateSpec(
-        scenario="gray-degradation",
-        config=replace(config, fd=QoSConfig(detection_time=params.detection_time)),
-        throughput=core.throughput,
-        num_messages=core.num_messages,
-        faults=faults,
-        senders=list(range(n)),
-        params=dict(vars(params), degrade_start=start),
-    )
-
     def verify(system, result: ScenarioResult) -> None:
         # The run may legitimately stop (all measured messages delivered)
         # before the restore instant; only a run that outlived it must have
@@ -823,7 +785,10 @@ def _run_gray_degradation(
         if params.link_loss > 0.0:
             result.params["dropped_lossy_link"] = system.network.stats.dropped_lossy_link
 
-    return ScenarioRunner().run_steady(spec, verify=verify)
+    return _steady(
+        config, core, QoSConfig(detection_time=params.detection_time), verify,
+        faults=faults, senders=list(range(n)), params=dict(vars(params), degrade_start=start),
+    )
 
 
 register_kind(

@@ -13,9 +13,10 @@ keys, grids, dispatch and the command line from this table, and
 :func:`register_kind` call and changes nobody else's cache keys.  The
 built-in kinds register themselves from :mod:`repro.scenarios.kinds`.
 
-``core`` is the part of a point every kind shares (see :data:`CORE_FIELDS`);
-the built-ins only read ``core.throughput``, ``core.num_messages``,
-``core.n``, ``core.fd_kind`` and ``core.kind``, so any object with those works.
+``core`` is the part of a point every kind shares (a campaign
+``PointSpec``); the built-ins only read ``core.throughput``,
+``core.num_messages``, ``core.n``, ``core.fd_kind`` and ``core.kind``, so any
+object with those works.
 """
 
 from __future__ import annotations
@@ -27,16 +28,12 @@ from types import SimpleNamespace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.scenarios.runner import DEFAULT_MESSAGES
+from repro.stacks.registry import param_keywords
 from repro.system import SystemConfig
 
-#: The fields every point carries whatever its kind: the scenario kind, the
-#: system under test, the operating point and the config-level dimensions.
-#: A kind's params may not reuse these names (nor ``params``, which holds them).
-CORE_FIELDS = (
-    "kind", "stack", "fd_kind", "n", "seed", "throughput", "num_messages",
-    "reformation_timeout", "heartbeat_period", "heartbeat_timeout",
-    "max_batch", "max_delay", "fd_scan_interval", "config_overrides", "instrument",
-)
+#: Names a point already gives a meaning to besides ``SystemConfig``'s
+#: fields and the system params: a kind's params may not reuse them.
+_POINT_NAMES = {"kind", "throughput", "num_messages", "params", "system"}
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,8 @@ class ScenarioKind:
     def __post_init__(self) -> None:
         if not self.name or not self.shorthand:
             raise ValueError("a scenario kind needs a name and a shorthand")
-        reserved = set(self.param_names) & (set(CORE_FIELDS) | {"params"})
+        taken = _POINT_NAMES | {field.name for field in dataclasses.fields(SystemConfig)}
+        reserved = set(self.param_names) & (taken | set(param_keywords()))
         if reserved:
             raise ValueError(
                 f"{self.name}: params fields {sorted(reserved)} shadow the common core"

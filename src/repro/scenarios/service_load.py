@@ -1,19 +1,14 @@
 """The ``service-load`` scenario: load-test the replicated KV service.
 
-Where the steady-state scenarios measure A-broadcast latency of opaque
-messages, this scenario measures *service* behaviour: a client population
-(open- or closed-loop, :mod:`repro.load.clients`) submits KV commands to an
-admission-controlled :class:`repro.load.service.LoadTestedService`, and the
-measured quantity is the client-perceived response time -- queueing delay,
-batching delay and ordering latency included.
-
-The result reuses :class:`~repro.scenarios.results.ScenarioResult`:
-``latencies`` holds the response times of completed measured requests and
-``undelivered`` counts measured requests that were shed or never answered,
-so ``delivery_ratio`` reads as *goodput ratio* and a saturated operating
-point shows up exactly like a non-working one in the paper's figures.
-``params`` adds the service-level read-outs: admission outcome counts,
-goodput/offered rates and p50/p99/p999 response-time percentiles.
+A client population (open- or closed-loop, :mod:`repro.load.clients`)
+submits KV commands to an admission-controlled
+:class:`repro.load.service.LoadTestedService`; the measured quantity is the
+client-perceived response time, queueing and batching delay included.  The
+result is a :class:`~repro.scenarios.results.ScenarioResult` whose
+``latencies`` are the response times of completed measured requests and
+whose ``undelivered`` counts the shed or unanswered ones, so a saturated
+point reads like a non-working one in the paper's figures; ``params`` adds
+admission outcomes, goodput / offered rates and response-time percentiles.
 """
 
 from __future__ import annotations
@@ -60,9 +55,8 @@ def run_service_load(
     ``clients > 0`` runs a *closed-loop* population of that many clients
     with exponential ``think_time`` (ms), and ``offered_load`` is recorded
     but does not drive generation.  Request batching and the failure
-    detector come from ``config`` (``max_batch`` / ``max_delay`` /
-    ``fd_scan_interval``), so a campaign sweeps them like any other system
-    dimension.
+    detector come from ``config`` (its batching and fd-kind params), so a
+    campaign sweeps them like any other system dimension.
     """
     faults = faults if faults is not None else FaultSchedule()
     system = build_system(config)
@@ -118,8 +112,8 @@ def run_service_load(
         "arrival": arrival,
         "max_inflight": max_inflight,
         "max_queue": max_queue,
-        "max_batch": config.max_batch,
-        "max_delay": config.max_delay,
+        "max_batch": config.params.batching.max_batch,
+        "max_delay": config.params.batching.max_delay,
         "outcomes": service.outcome_counts(),
         "queue_depth_hwm": service.queue_depth_hwm,
         "inflight_hwm": service.inflight_hwm,

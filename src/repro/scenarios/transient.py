@@ -1,14 +1,11 @@
 """Crash-transient scenario (Fig. 8).
 
-The paper defines the transient latency after a crash as follows: the system
-runs in steady state under the Poisson workload; at time ``t`` a process
-``p`` crashes and another process ``q`` A-broadcasts a message ``m`` at the
-same instant; ``L(p, q)`` is the mean latency of ``m`` over many independent
-executions, and the reported value is the worst case over ``(p, q)``.  In
-practice the worst case is the crash of the round-1 coordinator of the FD
-algorithm / the sequencer of the GM algorithm (process ``p1``), which is the
-case the paper plots; this module lets callers pick any ``(p, q)`` pair or
-sweep all of them.
+The paper's transient latency after a crash: in steady state, process ``p``
+crashes at time ``t`` and process ``q`` A-broadcasts ``m`` at that instant;
+``L(p, q)`` is the mean latency of ``m`` over independent executions, and
+the worst case over ``(p, q)`` -- in practice the crash of the FD round-1
+coordinator / the GM sequencer ``p1``, the case the paper plots -- is
+reported.  Callers may pick any ``(p, q)`` pair or sweep all of them.
 
 Because no atomic broadcast can finish before the crash is detected, the
 paper plots the latency *overhead*: latency minus the detection time ``T_D``
@@ -24,7 +21,6 @@ a tagged probe from ``q`` at the same instant) run by the shared
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
@@ -32,7 +28,8 @@ from repro.failure_detectors.qos import QoSConfig
 from repro.scenarios.faults import CrashAt, FaultSchedule
 from repro.scenarios.results import TransientResult
 from repro.scenarios.runner import ProbeSpec, ScenarioRunner
-from repro.system import SystemConfig
+from repro.stacks.registry import flat_params
+from repro.system import NetworkModel, SystemConfig
 
 #: Steady-state warm-up before the forced crash (ms).
 CRASH_TIME = 400.0
@@ -135,7 +132,9 @@ def sweep_crash_transient(
     streams (``num_runs=None``: the kind's default).  With a ``store`` (a
     :class:`repro.campaigns.store.ResultStore`) completed pairs are cached
     and a re-run only simulates what is missing; ``jobs`` fans the pending
-    pairs out over worker processes.
+    pairs out over worker processes.  The points carry ``config``'s stack,
+    fd kind and batching params; a point cannot name a network model, so a
+    non-default one raises.
     """
     # Imported lazily: repro.campaigns imports the scenario registry.
     from repro.campaigns.runner import CampaignRunner
@@ -149,19 +148,8 @@ def sweep_crash_transient(
         for sender in (senders if senders is not None else range(config.n))
         if sender != crashed
     ]
-    # Carry every non-default SystemConfig field into the points, so a sweep
-    # over a customised system (lambda_cpu, pipeline_depth, ...) simulates
-    # that system and not the defaults.  ``fd`` is excluded: the measurement
-    # replaces it with the point's detection time anyway.  ``heartbeat`` is
-    # excluded because nested configs do not fit the flat JSON override
-    # tuples; the other exclusions are first-class PointSpec fields.
-    defaults = SystemConfig(n=config.n, stack=config.stack, seed=config.seed)
-    overrides = tuple(
-        (field.name, getattr(config, field.name))
-        for field in dataclass_fields(SystemConfig)
-        if field.name not in ("n", "stack", "fd_kind", "seed", "fd", "heartbeat")
-        and getattr(config, field.name) != getattr(defaults, field.name)
-    )
+    if config.network != NetworkModel():
+        raise ValueError("crash-transient sweep points run on the default network model")
     runs = {} if num_runs is None else {"num_runs": num_runs}
     points = [
         PointSpec(
@@ -171,10 +159,11 @@ def sweep_crash_transient(
             n=config.n,
             seed=derive_seed(config.seed, f"transient/p{crashed}/q{sender}"),
             throughput=throughput,
+            instrument=config.instrument,
             detection_time=detection_time,
             crashed_process=crashed,
             sender=sender,
-            config_overrides=overrides,
+            **flat_params(config.params),
             **runs,
         )
         for crashed, sender in pairs

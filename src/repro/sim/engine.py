@@ -315,10 +315,6 @@ class Simulator:
             self._running = False
         return self.now
 
-    def run_until_empty(self, max_events: int = 10_000_000) -> float:
-        """Run until no events remain (bounded by ``max_events`` as a guard)."""
-        return self.run(max_events=max_events)
-
     def reset(self) -> None:
         """Clear all state so the simulator can be reused from time zero."""
         if self._running:

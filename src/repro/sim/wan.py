@@ -9,7 +9,7 @@ datacenters -- they occupy no contended resource and are added between the
 shared-medium transmission and the receiving CPU
 (:meth:`repro.sim.network.Network.set_wan_delays`).
 
-Profiles are selected by *name* (``SystemConfig(wan_profile="wan-3dc")`` or
+Profiles are selected by *name* (``NetworkModel(wan_profile="wan-3dc")`` or
 ``--wan-profile`` on the CLIs) so they stay hashable campaign dimensions;
 :func:`register_wan_profile` adds new topologies the same way
 ``register_stack`` adds protocol stacks.
@@ -120,11 +120,6 @@ def wan_profile(name: str) -> WanProfile:
     except KeyError:
         known = ", ".join(sorted(WAN_PROFILES)) or "none"
         raise ValueError(f"unknown WAN profile {name!r} (registered: {known})") from None
-
-
-def wan_profile_names() -> Tuple[str, ...]:
-    """The registered profile names, sorted."""
-    return tuple(sorted(WAN_PROFILES))
 
 
 # ---------------------------------------------------------------------- built-ins

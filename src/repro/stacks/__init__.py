@@ -12,7 +12,7 @@ from repro.stacks.api import (
     FaultInjectable,
     StackLayers,
     StackSpec,
-    describe_stack,
+    param,
 )
 from repro.stacks.registry import (
     available_fd_kinds,
@@ -37,9 +37,9 @@ __all__ = [
     "available_fd_kinds",
     "available_stacks",
     "create_fd_fabric",
-    "describe_stack",
     "get_fd_kind",
     "get_stack",
+    "param",
     "register_fd_kind",
     "register_stack",
     "resolve",

@@ -4,35 +4,35 @@ The paper's whole point is comparing *interchangeable* protocol stacks under
 identical conditions.  This module defines the contracts that make a stack a
 first-class, swappable object instead of an ``if algorithm == ...`` chain:
 
-* :class:`StackSpec` -- a named, frozen descriptor of one layer composition
-  (which atomic broadcast variant, whether it needs a group membership
-  service, which failure detector kind it uses by default);
+* :class:`StackSpec` / :class:`FdKindSpec` / :class:`LayerSpec` -- named,
+  frozen registrations of a layer composition, a failure detector kind and
+  the batching layer, each with the params dataclass of what it reads
+  (defaults live there only, its ``__post_init__`` checks them, and
+  :func:`param` gives a field its flat keyword and CLI flag);
 * :class:`StackLayers` -- the per-process layer bundle a stack's builder
   returns to the system assembler;
-* :class:`FailureDetectorFabric` -- the structural protocol every failure
-  detector implementation must satisfy to be registered as an ``fd_kind``
-  (the QoS model of the paper, the message-based heartbeat detector, the
-  idealised perfect detector, or a user-supplied one);
+* :class:`FailureDetectorFabric` -- the structural protocol a failure
+  detector implementation satisfies to be registered as an ``fd_kind``;
 * :class:`FaultInjectable` -- the capability protocol fault schedules compile
-  against: anything that can crash/recover processes and force suspicions
-  can execute a :class:`repro.scenarios.faults.FaultSchedule`, without the
-  schedule reaching into implementation internals like ``system.fd_fabric``.
+  against, without reaching into internals like ``system.fd_fabric``.
 
-Concrete stack and failure detector registrations live in
-:mod:`repro.stacks.registry`.
+Concrete registrations live in :mod:`repro.stacks.registry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, fields
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     Iterable,
+    NamedTuple,
     Optional,
     Protocol,
+    Tuple,
     runtime_checkable,
 )
 
@@ -44,6 +44,48 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.failure_detectors.interface import FailureDetector
     from repro.sim.process import SimProcess
     from repro.system import BroadcastSystem, SystemConfig
+
+
+@dataclass(frozen=True)
+class NoParams:
+    """The params of a registration that reads nothing of its own."""
+
+
+def param(
+    default: Any, keyword: Optional[str] = None, flag: Optional[str] = None, help: str = ""
+) -> Any:
+    """A params field with spellings besides its name.
+
+    ``keyword`` is the flat name ``SystemConfig``, ``PointSpec`` and
+    ``grid()`` take (default: the field name); ``flag`` the campaigns CLI
+    option with its ``help``.
+    """
+    return field(default=default, metadata={"keyword": keyword, "flag": flag, "help": help})
+
+
+class Param(NamedTuple):
+    """One field of a params dataclass, as the flat namespace sees it."""
+
+    keyword: str
+    field: str
+    default: Any
+    flag: Optional[str]
+    help: str
+
+
+@functools.lru_cache(maxsize=None)
+def params_of(cls: type) -> Tuple[Param, ...]:
+    """The fields of a params dataclass, in declaration order."""
+    return tuple(
+        Param(
+            spec.metadata.get("keyword") or spec.name,
+            spec.name,
+            spec.default,
+            spec.metadata.get("flag"),
+            spec.metadata.get("help", ""),
+        )
+        for spec in fields(cls)
+    )
 
 
 @dataclass(frozen=True)
@@ -73,23 +115,13 @@ LayerBuilder = Callable[
 class StackSpec:
     """A named, frozen descriptor of one protocol-stack composition.
 
-    Attributes
-    ----------
-    name:
-        Registry key (``"fd"``, ``"gm"``, ``"gm-nonuniform"``, ...).
-    description:
-        One-line human-readable summary (shown by CLIs and docs).
-    build:
-        The per-process layer factory (see :data:`LayerBuilder`).
-    uses_membership:
-        Whether the stack runs a group membership service (and therefore
-        exposes ``BroadcastSystem.membership``).
-    default_fd_kind:
-        The failure detector kind the stack uses unless the configuration
-        overrides it (``"qos"`` for all paper stacks).
-    params:
-        Free-form extra metadata for tooling (kept hashable as a tuple of
-        ``(key, value)`` pairs).
+    ``name`` is the registry key and ``description`` a one-line summary;
+    ``build`` is the per-process layer factory (:data:`LayerBuilder`);
+    ``uses_membership`` says whether the stack runs a group membership
+    service (exposed as ``BroadcastSystem.membership``); ``default_fd_kind``
+    applies unless a configuration names another; ``params`` is the params
+    dataclass of what the layers read, resolved into
+    ``system.config.params.stack``.
     """
 
     name: str
@@ -97,7 +129,7 @@ class StackSpec:
     build: LayerBuilder
     uses_membership: bool = False
     default_fd_kind: str = "qos"
-    params: tuple = field(default=())
+    params: type = NoParams
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -111,8 +143,24 @@ class StackSpec:
 
 #: A failure detector fabric factory: called once per system, before any
 #: process exists, with the simulation kernel, the network, the system's
-#: random streams and the full configuration.
+#: random streams and the full configuration (its own params are
+#: ``config.params.detector``).
 FabricFactory = Callable[..., "FailureDetectorFabric"]
+
+
+class LayerSpec(NamedTuple):
+    """A layer any stack can carry, declared by its name and params."""
+
+    name: str
+    params: type
+
+
+class FdKindSpec(NamedTuple):
+    """A named failure detector kind: its fabric factory and its params."""
+
+    name: str
+    factory: FabricFactory
+    params: type = NoParams
 
 
 @runtime_checkable
@@ -270,13 +318,3 @@ class FaultInjectable(Protocol):
     ) -> None:
         """Schedule the link degradation at ``time``."""
         ...
-
-
-def describe_stack(spec: StackSpec) -> Dict[str, Any]:
-    """A JSON-friendly view of a stack descriptor (for CLIs and tooling)."""
-    return {
-        "name": spec.name,
-        "description": spec.description,
-        "uses_membership": spec.uses_membership,
-        "default_fd_kind": spec.default_fd_kind,
-    }

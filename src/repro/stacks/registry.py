@@ -1,44 +1,81 @@
-"""Registry of protocol stacks and failure detector kinds.
+"""Registry of protocol stacks, failure detector kinds and their params.
 
 The system assembler (:class:`repro.system.BroadcastSystem`) resolves its
 layer composition here instead of hard-coding an ``if algorithm == ...``
-chain.  Four stacks ship with the paper reproduction:
+chain: the paper's FD and GM algorithms (``"fd"``, ``"gm"``), the
+non-uniform GM variant and the GM algorithm with group reformation
+(``"gm-reform"``), over the ``"qos"``, ``"heartbeat"`` and ``"perfect"``
+failure detector kinds, each combination selectable as ``stack=`` +
+``fd_kind=`` or slash-qualified (``"fd/heartbeat"``).  Every system also
+carries the request-batching layer (:data:`BATCHING`), off unless
+``max_batch > 0``.
 
-* ``"fd"``            -- reliable broadcast + consensus + Chandra-Toueg
-  atomic broadcast (the *FD algorithm*),
-* ``"gm"``            -- reliable broadcast + consensus + group membership +
-  fixed-sequencer uniform atomic broadcast (the *GM algorithm*),
-* ``"gm-nonuniform"`` -- the non-uniform variant of the GM algorithm
-  (Section 8 extension),
-* ``"gm-reform"``     -- the GM algorithm plus the timeout-gated group
-  reformation layer, which restores liveness after an installed view loses
-  its majority of alive members (beyond-paper extension).
-
-and three failure detector kinds:
-
-* ``"qos"``       -- the paper's abstract QoS model (Chen/Toueg/Aguilera),
-* ``"heartbeat"`` -- a concrete, message-based heartbeat detector whose
-  traffic loads the simulated network,
-* ``"perfect"``   -- an idealised detector (no mistakes, constant detection).
-
-A stack name may embed a failure detector variant after a slash
-(``"fd/heartbeat"``, ``"gm/perfect"``): :func:`split_stack` normalises it to
-the base stack plus an ``fd_kind``.  Users extend the system by registering
-their own :class:`~repro.stacks.api.StackSpec` / fabric factory under a new
-name -- no core module needs to change.
+Each registration declares the params it reads (:mod:`repro.stacks.api`).
+Their fields form one flat keyword namespace, and :func:`resolve_params` holds
+its one rule: a keyword the selected stack, fd kind or batching layer
+declares sets that field; one only other registrations declare is dropped
+when it equals their default and raises otherwise.  Users extend the system
+by registering their own stack or fd kind -- no core module needs to change.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+import functools
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.stacks.api import FabricFactory, StackLayers, StackSpec
+from repro.failure_detectors.heartbeat import HeartbeatConfig
+from repro.stacks.api import (
+    FabricFactory,
+    FdKindSpec,
+    LayerSpec,
+    NoParams,
+    Param,
+    StackLayers,
+    StackSpec,
+    param,
+    params_of,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy/cycle-free
     from repro.stacks.api import FailureDetectorFabric
 
 _STACKS: Dict[str, StackSpec] = {}
-_FD_KINDS: Dict[str, FabricFactory] = {}
+_FD_KINDS: Dict[str, FdKindSpec] = {}
+
+#: The stacks a campaign sweeps unless told otherwise: the paper's two.
+DEFAULT_STACKS = ("fd", "gm")
+
+
+@dataclass(frozen=True)
+class BatchingParams:
+    """The request-batching layer (:mod:`repro.load.batching`), on every stack."""
+
+    max_batch: int = param(
+        0, flag="--max-batch", help="request batching: payloads per ordering step, 0 = unbatched"
+    )
+    max_delay: float = param(
+        0.0, flag="--max-delay", help="max batching delay in ms before a partial batch flushes"
+    )
+
+    def __post_init__(self) -> None:
+        if self.max_batch < 0 or self.max_delay < 0:
+            raise ValueError(f"negative max_batch / max_delay: {self.max_batch} / {self.max_delay}")
+        if self.max_delay and not self.max_batch:
+            raise ValueError("max_delay applies only with max_batch > 0")
+
+
+#: The batching layer's registration (the system wraps each abcast in a
+#: :class:`repro.load.batching.BatchingAtomicBroadcast` iff ``max_batch > 0``).
+BATCHING = LayerSpec(name="batching", params=BatchingParams)
+
+
+class SystemParams(NamedTuple):
+    """The resolved params of the registrations one system is built from."""
+
+    stack: Any
+    detector: Any
+    batching: BatchingParams
 
 
 # ------------------------------------------------------------------ registration
@@ -52,18 +89,23 @@ def register_stack(spec: StackSpec, replace: bool = False) -> StackSpec:
     return spec
 
 
-def register_fd_kind(name: str, factory: FabricFactory, replace: bool = False) -> None:
+def register_fd_kind(
+    name: str, factory: FabricFactory, replace: bool = False, params: type = NoParams
+) -> FdKindSpec:
     """Register a failure detector fabric factory under ``name``.
 
     The factory is called as ``factory(sim, network, rng, config)`` with the
     simulation kernel, the contention network, the system's random streams
-    and the full :class:`~repro.system.SystemConfig`.
+    and the full :class:`~repro.system.SystemConfig`, whose
+    ``params.detector`` is the resolved instance of ``params``.
     """
     if "/" in name:
         raise ValueError(f"fd kind names cannot contain '/': {name!r}")
+    spec = FdKindSpec(name, factory, params)
     if not replace and name in _FD_KINDS:
         raise ValueError(f"fd kind {name!r} is already registered")
-    _FD_KINDS[name] = factory
+    _FD_KINDS[name] = spec
+    return spec
 
 
 def unregister_stack(name: str) -> None:
@@ -109,8 +151,8 @@ def get_stack(name: str) -> StackSpec:
         ) from None
 
 
-def get_fd_kind(name: str) -> FabricFactory:
-    """The fabric factory registered under fd kind ``name``."""
+def get_fd_kind(name: str) -> FdKindSpec:
+    """The :class:`FdKindSpec` registered under ``name``."""
     try:
         return _FD_KINDS[name]
     except KeyError:
@@ -163,53 +205,198 @@ def resolve(stack: str, fd_kind: Optional[str] = None) -> Tuple[StackSpec, str]:
 
 def create_fd_fabric(kind: str, sim, network, rng, config) -> "FailureDetectorFabric":
     """Instantiate the fabric of fd kind ``kind`` for one system."""
-    return get_fd_kind(kind)(sim, network, rng, config)
+    return get_fd_kind(kind).factory(sim, network, rng, config)
+
+
+# ------------------------------------------------------------------ params
+
+
+def param_keywords() -> Dict[str, List[Tuple[str, str, Param]]]:
+    """Every declared keyword -> its ``(axis, registration, param)`` declarations.
+
+    ``axis`` is ``"stack"``, ``"fd kind"`` or ``"layer"``.
+    """
+    declared: Dict[str, List[Tuple[str, str, Param]]] = {}
+    for axis, registrations in (
+        ("stack", _STACKS.values()), ("fd kind", _FD_KINDS.values()), ("layer", (BATCHING,))
+    ):
+        for registration in registrations:
+            for entry in params_of(registration.params):
+                declared.setdefault(entry.keyword, []).append((axis, registration.name, entry))
+    return declared
+
+
+def param_owners(keyword: str) -> Dict[str, List[str]]:
+    """``{axis: [registration, ...]}`` of the registrations declaring ``keyword``."""
+    owners: Dict[str, List[str]] = {}
+    for axis, name, _declared in param_keywords().get(keyword, ()):
+        owners.setdefault(axis, []).append(name)
+    return owners
+
+
+def check_unread(keyword: str, value: Any) -> None:
+    """Drop ``keyword`` silently if ``value`` is its default, else raise.
+
+    For a keyword none of the selected registrations reads: the value of a
+    knob nobody turns must not mint a second name for the same system.
+    """
+    declarations = param_keywords().get(keyword)
+    if declarations is None:
+        raise TypeError(
+            f"unexpected keyword argument {keyword!r}: no stack, fd kind or layer declares it"
+        )
+    if any(value != declared.default for _axis, _name, declared in declarations):
+        owners = param_owners(keyword)
+        where = "; ".join(f"{axis} {', '.join(names)}" for axis, names in owners.items())
+        raise ValueError(f"{keyword} applies to {where}")
+
+
+def reads(spec: StackSpec, fd_kind: str) -> Dict[str, Tuple[int, str]]:
+    """``keyword -> (index, field)`` of every param a system of ``spec`` +
+    ``fd_kind`` reads; ``index`` orders stack, fd kind, batching."""
+    return {
+        declared.keyword: (index, declared.field)
+        for index, registration in enumerate((spec, get_fd_kind(fd_kind), BATCHING))
+        for declared in params_of(registration.params)
+    }
+
+
+def resolve_params(spec: StackSpec, fd_kind: str, given: Dict[str, Any]) -> SystemParams:
+    """The params of stack ``spec`` + ``fd_kind`` + batching from flat keywords.
+
+    Each keyword sets the field of the selected registration declaring it;
+    the rest go through :func:`check_unread`.  Building each params instance
+    runs its checks.
+    """
+    if not given:
+        return _defaults(spec, get_fd_kind(fd_kind))
+    routes = reads(spec, fd_kind)
+    values: Tuple[Dict[str, Any], ...] = ({}, {}, {})
+    for keyword, value in given.items():
+        if keyword in routes:
+            index, field = routes[keyword]
+            values[index][field] = value
+        else:
+            check_unread(keyword, value)
+    selected = (spec.params, get_fd_kind(fd_kind).params, BATCHING.params)
+    return SystemParams(*(cls(**fields) for cls, fields in zip(selected, values)))
+
+
+@functools.lru_cache(maxsize=None)
+def _defaults(spec: StackSpec, kind: FdKindSpec) -> SystemParams:
+    return SystemParams(spec.params(), kind.params(), BATCHING.params())
+
+
+def flat_params(params: SystemParams) -> Dict[str, Any]:
+    """``{keyword: value}`` of every field of ``params`` off its default."""
+    return {
+        declared.keyword: getattr(instance, declared.field)
+        for instance in params
+        for declared in params_of(type(instance))
+        if getattr(instance, declared.field) != declared.default
+    }
 
 
 # ------------------------------------------------------------------ builtin stacks
+
+
+def _positive(name: str, value: float) -> None:
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+
+
+@dataclass(frozen=True)
+class FdStackParams:
+    #: The coordinator re-numbering optimisation of the FD algorithm.
+    renumber_coordinators: bool = True
+    #: Ordering rounds (consensus instances / sequencer batches) in flight at
+    #: once; every built-in stack defaults to the same depth so their message
+    #: patterns match in suspicion-free runs.
+    pipeline_depth: int = 2
+
+    def __post_init__(self) -> None:
+        _positive("pipeline_depth", self.pipeline_depth)
+
+
+@dataclass(frozen=True)
+class GmParams:
+    pipeline_depth: int = 2
+    #: Retry period, ms, of the join protocol of wrongly excluded processes.
+    join_retry_interval: float = 500.0
+
+    def __post_init__(self) -> None:
+        _positive("pipeline_depth", self.pipeline_depth)
+        _positive("join_retry_interval", self.join_retry_interval)
+
+
+@dataclass(frozen=True)
+class GmReformParams(GmParams):
+    #: How long a view change may stall, ms, before a member proposes a group
+    #: reformation over the full static process set.
+    reformation_timeout: float = param(
+        500.0, flag="--reformation-timeout", help="reformation trigger window in ms"
+    )
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _positive("reformation_timeout", self.reformation_timeout)
+
+
+@dataclass(frozen=True)
+class ScanParams:
+    #: ``None``: exact clock-driven detection, each pair transition its own
+    #: simulator event.  A tick, ms: the *batched scan*, which quantizes
+    #: transitions to the tick (:mod:`repro.failure_detectors.fabric`).
+    scan_interval: Optional[float] = param(
+        None, "fd_scan_interval", "--fd-scan-interval",
+        "batched FD scan tick in ms, unset = exact per-pair events",
+    )
+
+    def __post_init__(self) -> None:
+        if self.scan_interval is not None:
+            _positive("fd_scan_interval", self.scan_interval)
 
 
 def _build_fd_stack(system, process, rbcast, consensus) -> StackLayers:
     """Layers of the FD algorithm: Chandra-Toueg atomic broadcast."""
     from repro.core.fd_broadcast import FDAtomicBroadcast
 
+    params = system.config.params.stack
     return StackLayers(
         abcast=FDAtomicBroadcast(
             process,
             rbcast,
             consensus,
-            renumber_coordinators=system.config.renumber_coordinators,
-            pipeline_depth=system.config.pipeline_depth,
+            renumber_coordinators=params.renumber_coordinators,
+            pipeline_depth=params.pipeline_depth,
         )
     )
 
 
-def _make_gm_builder(uniform: bool, reform: bool = False):
+def _make_gm_builder(uniform: bool):
     """Layer builder of the GM algorithm (uniform or non-uniform delivery).
 
-    ``reform`` arms the group-reformation path: the membership service is
-    built with the configuration's ``reformation_timeout`` so a stalled view
-    change escalates to a full-static-set reformation consensus instead of
-    blocking forever after view-majority loss.
+    Params with a ``reformation_timeout`` arm the group-reformation path: a
+    stalled view change escalates to a full-static-set reformation consensus
+    instead of blocking forever after view-majority loss.
     """
 
     def _build_gm_stack(system, process, rbcast, consensus) -> StackLayers:
         from repro.core.group_membership import GroupMembership
         from repro.core.sequencer_broadcast import SequencerAtomicBroadcast
 
+        params = system.config.params.stack
         membership = GroupMembership(
             process,
             consensus,
-            join_retry_interval=system.config.join_retry_interval,
-            reformation_timeout=(
-                system.config.reformation_timeout if reform else None
-            ),
+            join_retry_interval=params.join_retry_interval,
+            reformation_timeout=getattr(params, "reformation_timeout", None),
         )
         abcast = SequencerAtomicBroadcast(
             process,
             membership,
             uniform=uniform,
-            pipeline_depth=system.config.pipeline_depth,
+            pipeline_depth=params.pipeline_depth,
         )
         return StackLayers(abcast=abcast, membership=membership)
 
@@ -220,14 +407,14 @@ def _qos_fabric(sim, network, rng, config):
     from repro.failure_detectors.qos import QoSFailureDetectorFabric
 
     return QoSFailureDetectorFabric(
-        sim, network, rng, config.fd, scan_interval=config.fd_scan_interval
+        sim, network, rng, config.fd, scan_interval=config.params.detector.scan_interval
     )
 
 
 def _heartbeat_fabric(sim, network, rng, config):
     from repro.failure_detectors.heartbeat import HeartbeatFailureDetectorFabric
 
-    return HeartbeatFailureDetectorFabric(sim, network, config.heartbeat)
+    return HeartbeatFailureDetectorFabric(sim, network, config.params.detector)
 
 
 def _perfect_fabric(sim, network, rng, config):
@@ -238,7 +425,7 @@ def _perfect_fabric(sim, network, rng, config):
         network,
         rng,
         detection_time=config.fd.detection_time,
-        scan_interval=config.fd_scan_interval,
+        scan_interval=config.params.detector.scan_interval,
     )
 
 
@@ -251,6 +438,7 @@ def _register_builtins() -> None:
                 "failure detectors (the paper's FD algorithm)"
             ),
             build=_build_fd_stack,
+            params=FdStackParams,
         )
     )
     register_stack(
@@ -262,6 +450,7 @@ def _register_builtins() -> None:
             ),
             build=_make_gm_builder(uniform=True),
             uses_membership=True,
+            params=GmParams,
         )
     )
     register_stack(
@@ -272,6 +461,7 @@ def _register_builtins() -> None:
             ),
             build=_make_gm_builder(uniform=False),
             uses_membership=True,
+            params=GmParams,
         )
     )
     register_stack(
@@ -282,16 +472,14 @@ def _register_builtins() -> None:
                 "stalled view change escalates to a full-static-set "
                 "consensus that rebuilds the group after view-majority loss"
             ),
-            build=_make_gm_builder(uniform=True, reform=True),
+            build=_make_gm_builder(uniform=True),
             uses_membership=True,
-            # Capability flag tooling keys on: campaign grids apply the
-            # reformation-timeout sweep dimension to stacks carrying it.
-            params=(("reformation", True),),
+            params=GmReformParams,
         )
     )
-    register_fd_kind("qos", _qos_fabric)
-    register_fd_kind("heartbeat", _heartbeat_fabric)
-    register_fd_kind("perfect", _perfect_fabric)
+    register_fd_kind("qos", _qos_fabric, params=ScanParams)
+    register_fd_kind("heartbeat", _heartbeat_fabric, params=HeartbeatConfig)
+    register_fd_kind("perfect", _perfect_fabric, params=ScanParams)
 
 
 _register_builtins()

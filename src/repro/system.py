@@ -1,24 +1,12 @@
 """System builder: wires a complete simulated atomic broadcast system.
 
 :class:`BroadcastSystem` assembles the simulation kernel, the contention
-network, the processes, the failure detectors and one protocol stack
-resolved through the **stack registry** (:mod:`repro.stacks`):
-
-* ``"fd"``            -- reliable broadcast + consensus + Chandra-Toueg atomic
-  broadcast (the *FD algorithm*),
-* ``"gm"``            -- reliable broadcast + consensus + group membership +
-  fixed-sequencer uniform atomic broadcast (the *GM algorithm*),
-* ``"gm-nonuniform"`` -- the non-uniform variant of the GM algorithm
-  (extension discussed in Section 8 of the paper),
-* ``"gm-reform"``     -- the GM algorithm with the timeout-gated group
-  reformation layer (recovers from view-majority loss),
-
-each combinable with any registered failure detector kind (``"qos"``,
-``"heartbeat"``, ``"perfect"``) -- either via ``fd_kind=`` or a slash-
-qualified stack name such as ``"fd/heartbeat"``.  User-registered stacks
-and fd kinds (:func:`repro.stacks.register_stack`,
-:func:`repro.stacks.register_fd_kind`) assemble through exactly the same
-path; there is no privileged built-in wiring.
+network, the processes, the failure detectors and one protocol stack, all
+resolved by name through the registry (:mod:`repro.stacks`): the paper's
+``"fd"`` and ``"gm"`` stacks and their variants, each combinable with any
+registered failure detector kind (``fd_kind=`` or ``"fd/heartbeat"``).
+User registrations assemble through exactly the same path; there is no
+privileged built-in wiring.
 
 This is the main entry point of the library: workload generators, scenarios,
 benchmarks and the example applications all operate on a
@@ -37,7 +25,6 @@ from repro.core.consensus import ConsensusService
 from repro.core.group_membership import GroupMembership
 from repro.core.reliable_broadcast import ReliableBroadcast
 from repro.core.types import AtomicBroadcast, BroadcastID
-from repro.failure_detectors.heartbeat import HeartbeatConfig
 from repro.failure_detectors.qos import QoSConfig
 from repro.obs.instrumentation import Instrumentation
 from repro.sim.engine import Simulator
@@ -47,6 +34,35 @@ from repro.sim.rng import RandomStreams
 from repro.sim.wan import wan_profile as wan_registry_lookup
 from repro.stacks import registry as stack_registry
 from repro.stacks.api import FailureDetectorFabric, StackSpec
+from repro.stacks.registry import SystemParams
+
+@dataclass(frozen=True)
+class NetworkModel:
+    """The network a system runs on.
+
+    Attributes
+    ----------
+    lambda_cpu:
+        The ``lambda`` parameter of the network model (CPU cost of sending or
+        receiving one message, in network-time units).  The paper's published
+        results use 1.
+    network_time:
+        Network transmission time of one message; the simulation time unit
+        (interpreted as 1 ms).
+    wan_profile:
+        Name of a registered :class:`repro.sim.wan.WanProfile` spreading the
+        processes over datacenters, or ``None`` for the paper's LAN.  Kept by
+        name, and checked here, so a typo fails at configuration time.
+    """
+
+    lambda_cpu: float = 1.0
+    network_time: float = 1.0
+    wan_profile: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.wan_profile is not None:
+            wan_registry_lookup(self.wan_profile)
+
 
 @dataclass(frozen=True, init=False)
 class SystemConfig:
@@ -56,162 +72,77 @@ class SystemConfig:
     ----------
     n:
         Number of processes.
-    stack:
-        Name of the protocol stack in the registry (``"fd"``, ``"gm"``,
-        ``"gm-nonuniform"``, or any user-registered stack).  A slash-
-        qualified name (``"fd/heartbeat"``) selects a failure detector kind
-        at the same time and is normalised: ``stack`` stores the base name,
-        ``fd_kind`` the variant.
-    fd_kind:
-        Failure detector kind (``"qos"``, ``"heartbeat"``, ``"perfect"``,
-        or any user-registered kind).  Defaults to the stack's
-        ``default_fd_kind`` (``"qos"`` for all built-in stacks).
-    lambda_cpu:
-        The ``lambda`` parameter of the network model (CPU cost of sending or
-        receiving one message, in network-time units).  The paper's published
-        results use 1.
-    network_time:
-        Network transmission time of one message; the simulation time unit
-        (interpreted as 1 ms).
+    stack / fd_kind:
+        Registered names of the protocol stack and failure detector kind;
+        ``fd_kind`` defaults to the stack's ``default_fd_kind``.  A
+        slash-qualified stack (``"fd/heartbeat"``) names both and is
+        normalised into the two fields.
     seed:
         Root seed of all random streams of the run.
-    fd:
-        Quality-of-service parameters of the clock-driven failure detectors
-        (``fd_kind="qos"`` reads all of it, ``"perfect"`` only the
-        detection time, ``"heartbeat"`` ignores it).
-    heartbeat:
-        Parameters of the message-based heartbeat detector
-        (``fd_kind="heartbeat"`` only).
-    renumber_coordinators:
-        Enable the coordinator re-numbering optimisation of the FD algorithm.
-    join_retry_interval:
-        Retry period of the join protocol of wrongly excluded processes
-        (GM stacks only).
-    reformation_timeout:
-        How long a view change may stall (ms) before a member proposes a
-        group *reformation* -- a consensus over the full static process set
-        deciding the successor view, restoring liveness after an installed
-        view loses its majority of alive members.  Only stacks built with
-        reformation support read it (``"gm-reform"``); the paper's stacks
-        ignore it and keep the paper's blocking behaviour.
-    pipeline_depth:
-        How many ordering rounds (consensus instances / sequencer batches)
-        may be in flight at once.  The same value is applied to every stack
-        so that their message patterns stay identical in suspicion-free
-        runs; 1 gives the strictly sequential textbook behaviour.
     instrument:
-        Build the system with the instrumentation layer enabled
-        (:mod:`repro.obs`): per-layer counters, the A-broadcast lifecycle,
-        suspicion/consensus/view-change hooks and simulator event-loop
-        stats, exportable as ``metrics.json`` / event traces.  Off by
-        default: the uninstrumented hot path pays nothing.  Observation
-        never perturbs the run -- delivered sequences, latencies and event
-        counts are bit-identical either way (golden-neutrality tests pin
-        this).
-    max_batch:
-        ``0`` (the default) exposes each stack's atomic broadcast directly --
-        the pre-batching system, bit-identical to every golden baseline.  A
-        positive value wraps every process's abcast in a
-        :class:`repro.load.batching.BatchingAtomicBroadcast` that coalesces
-        up to ``max_batch`` client payloads into one inner A-broadcast,
-        amortizing the per-message dissemination and sequencing cost over
-        the batch.  Works uniformly for every registered stack (the wrapper
-        sits above the registry's layers).
-    max_delay:
-        Maximum time (ms) a pending payload may wait for its batch to fill
-        before the batcher flushes anyway (``max_batch > 0`` only).  ``0``
-        still coalesces payloads arriving at the same simulation instant.
-    fd_scan_interval:
-        ``None`` (the default) keeps the exact clock-driven failure detector
-        semantics: every pair transition is its own simulator event, and all
-        golden baselines are pinned against this mode.  A positive value
-        switches the qos/perfect fabrics to the **batched scan**: pair
-        transitions are kept on a fabric-local calendar and drained by one
-        simulator event per scan tick, firing each transition at the next
-        multiple of the interval.  This turns the O(n^2) per-pair timer
-        events into O(1) armed events -- the throughput lane for large-n
-        sweeps -- at the cost of quantizing detector transitions to the
-        tick (the same approximation the heartbeat detector's
-        ``check_interval`` already makes; heartbeat ignores this knob).
+        Build the system with the instrumentation layer (:mod:`repro.obs`)
+        on.  Off by default: the uninstrumented hot path pays nothing, and
+        observation never perturbs a run (golden-neutrality tests pin it).
+    fd:
+        The QoS fault model scenarios drive the clock-driven detectors with
+        (``fd_kind="qos"`` reads all of it, ``"perfect"`` only the detection
+        time, ``"heartbeat"`` ignores it).
+    network:
+        The :class:`NetworkModel`.
+    params:
+        The resolved params of the stack, the fd kind and the batching layer
+        (:class:`repro.stacks.registry.SystemParams`), given as flat keywords
+        (``SystemConfig(stack="gm", join_retry_interval=50.0)``) or, for an fd
+        kind, whole under its name (``heartbeat=HeartbeatConfig(...)``).  A
+        keyword the selection does not read is dropped when it holds its
+        default and raises otherwise: two spellings of a system, one config.
     """
 
     n: int = 3
     stack: str = "fd"
     fd_kind: str = "qos"
-    lambda_cpu: float = 1.0
-    network_time: float = 1.0
     seed: int = 1
-    fd: QoSConfig = field(default_factory=QoSConfig)
-    heartbeat: HeartbeatConfig = field(default_factory=HeartbeatConfig)
-    renumber_coordinators: bool = True
-    join_retry_interval: float = 500.0
-    reformation_timeout: float = 500.0
-    pipeline_depth: int = 2
     instrument: bool = False
-    fd_scan_interval: Optional[float] = None
-    max_batch: int = 0
-    max_delay: float = 0.0
-    wan_profile: Optional[str] = None
+    fd: QoSConfig = field(default_factory=QoSConfig)
+    network: NetworkModel = field(default_factory=NetworkModel)
+    params: SystemParams = None
 
     def __init__(
         self,
         n: int = 3,
         stack: str = "fd",
         fd_kind: Optional[str] = None,
-        lambda_cpu: float = 1.0,
-        network_time: float = 1.0,
         seed: int = 1,
-        fd: Optional[QoSConfig] = None,
-        heartbeat: Optional[HeartbeatConfig] = None,
-        renumber_coordinators: bool = True,
-        join_retry_interval: float = 500.0,
-        reformation_timeout: float = 500.0,
-        pipeline_depth: int = 2,
         instrument: bool = False,
-        fd_scan_interval: Optional[float] = None,
-        max_batch: int = 0,
-        max_delay: float = 0.0,
-        wan_profile: Optional[str] = None,
+        fd: Optional[QoSConfig] = None,
+        network: Optional[NetworkModel] = None,
+        params: Optional[SystemParams] = None,
+        **given: Any,
     ) -> None:
         # Validates both names and folds "fd/heartbeat"-style variants.
         spec, resolved_kind = stack_registry.resolve(stack, fd_kind)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        if reformation_timeout <= 0:
-            raise ValueError(
-                f"reformation_timeout must be > 0 ms, got {reformation_timeout}"
-            )
+        detector = stack_registry.get_fd_kind(resolved_kind).params
+        if params is None or given or (type(params.stack), type(params.detector)) != (
+            spec.params, detector
+        ):
+            # ``replace()`` hands the old params back: re-resolved against the
+            # new selection they keep what it reads and reject what it cannot.
+            flat = stack_registry.flat_params(params or ())
+            for name in set(given) & set(stack_registry.available_fd_kinds()):
+                flat.update(stack_registry.flat_params((given.pop(name),)))
+            flat.update(given)
+            params = stack_registry.resolve_params(spec, resolved_kind, flat)
         set_field = object.__setattr__
         set_field(self, "n", n)
         set_field(self, "stack", spec.name)
         set_field(self, "fd_kind", resolved_kind)
-        set_field(self, "lambda_cpu", lambda_cpu)
-        set_field(self, "network_time", network_time)
         set_field(self, "seed", seed)
-        set_field(self, "fd", fd if fd is not None else QoSConfig())
-        set_field(self, "heartbeat", heartbeat if heartbeat is not None else HeartbeatConfig())
-        set_field(self, "renumber_coordinators", renumber_coordinators)
-        set_field(self, "join_retry_interval", join_retry_interval)
-        set_field(self, "reformation_timeout", reformation_timeout)
-        if fd_scan_interval is not None and fd_scan_interval <= 0:
-            raise ValueError(
-                f"fd_scan_interval must be > 0 (or None), got {fd_scan_interval}"
-            )
-        if max_batch < 0:
-            raise ValueError(f"max_batch must be >= 0 (0 = batching off), got {max_batch}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0 ms, got {max_delay}")
-        if wan_profile is not None:
-            # Validates the name eagerly (typos fail at configuration time,
-            # not mid-campaign); the profile stays referenced by name so the
-            # config remains hashable and cache-key friendly.
-            wan_registry_lookup(wan_profile)
-        set_field(self, "pipeline_depth", pipeline_depth)
         set_field(self, "instrument", bool(instrument))
-        set_field(self, "fd_scan_interval", fd_scan_interval)
-        set_field(self, "max_batch", int(max_batch))
-        set_field(self, "max_delay", float(max_delay))
-        set_field(self, "wan_profile", wan_profile)
+        set_field(self, "fd", fd if fd is not None else QoSConfig())
+        set_field(self, "network", network if network is not None else NetworkModel())
+        set_field(self, "params", params)
 
     @property
     def stack_label(self) -> str:
@@ -239,18 +170,13 @@ class BroadcastSystem:
         self.stack_spec = config.stack_spec()
         self.sim = Simulator()
         self.rng = RandomStreams(config.seed)
+        model = config.network
         self.network = Network(
             self.sim,
-            NetworkConfig(
-                n=config.n,
-                lambda_cpu=config.lambda_cpu,
-                network_time=config.network_time,
-            ),
+            NetworkConfig(n=config.n, lambda_cpu=model.lambda_cpu, network_time=model.network_time),
         )
-        if config.wan_profile is not None:
-            self.network.set_wan_delays(
-                wan_registry_lookup(config.wan_profile).delays(config.n)
-            )
+        if model.wan_profile is not None:
+            self.network.set_wan_delays(wan_registry_lookup(model.wan_profile).delays(config.n))
         # Gray links draw from their own named stream: installing it up
         # front costs nothing (streams are independent and it is only read
         # when a lossy/duplicating link exists).
@@ -281,15 +207,14 @@ class BroadcastSystem:
         stack contract: golden-value tests pin it down because it fixes the
         random-stream and listener-registration order of a run.
 
-        With ``max_batch > 0`` each process's abcast is additionally wrapped
-        in a request batcher (every registered stack gets it, with zero
-        per-stack code); with the default ``max_batch=0`` no wrapper exists
-        at all, keeping the off path architecturally identical to the
-        golden-pinned system.  The import is deferred: :mod:`repro.load`
-        builds on the replication service, which imports this module.
+        With the batching layer on (``max_batch > 0``) each process's abcast
+        is wrapped in a request batcher, whatever the stack; off, no wrapper
+        exists at all.  The import is deferred: :mod:`repro.load` builds on
+        the replication service, which imports this module.
         """
         wrap = None
-        if self.config.max_batch > 0:
+        batching = self.config.params.batching
+        if batching.max_batch > 0:
             from repro.load.batching import BatchingAtomicBroadcast
 
             wrap = BatchingAtomicBroadcast
@@ -306,9 +231,7 @@ class BroadcastSystem:
             self.consensus_services.append(consensus)
             abcast = layers.abcast
             if wrap is not None:
-                abcast = wrap(
-                    process, abcast, self.config.max_batch, self.config.max_delay
-                )
+                abcast = wrap(process, abcast, batching.max_batch, batching.max_delay)
             self.abcasts.append(abcast)
 
     # ------------------------------------------------------------------ instrumentation
@@ -318,13 +241,10 @@ class BroadcastSystem:
     ) -> Instrumentation:
         """Switch the instrumentation layer on for this system (idempotent).
 
-        Creates (or adopts) an :class:`~repro.obs.Instrumentation`, attaches
-        it to the simulation kernel and the network, rewires every process
-        and protocol component's hook sink, and taps each failure detector's
-        suspicion listeners.  Safe to call any time before :meth:`run`,
-        and a second call returns the existing object.  Purely
-        observational: enabling it changes no delivered sequence, latency
-        or event count.
+        Creates (or adopts) an :class:`~repro.obs.Instrumentation` and wires
+        it into the kernel, the network, every component's hook sink and
+        each failure detector's suspicion listeners; a second call returns
+        it.  Purely observational: it changes no delivery, latency or event.
         """
         if self.obs is not None:
             return self.obs
@@ -545,18 +465,9 @@ def build_system(config: Optional[SystemConfig] = None, **overrides: Any) -> Bro
     if config is None:
         config = SystemConfig(**overrides)
     elif overrides:
-        stack_override = overrides.get("stack")
-        if stack_override:
-            # Fold a slash-qualified override ("fd/heartbeat") into the two
-            # fields, since replace() re-passes the existing fd_kind.
-            base, embedded = stack_registry.split_stack(stack_override)
-            if embedded is not None:
-                if overrides.get("fd_kind", embedded) != embedded:
-                    raise ValueError(
-                        f"conflicting failure detector selection: stack "
-                        f"{stack_override!r} vs fd_kind={overrides['fd_kind']!r}"
-                    )
-                overrides["stack"] = base
-                overrides["fd_kind"] = embedded
+        if "/" in overrides.get("stack", ""):
+            # A slash-qualified stack ("fd/heartbeat") names its own fd kind,
+            # where replace() would re-pass the existing one.
+            overrides.setdefault("fd_kind", None)
         config = replace(config, **overrides)
     return BroadcastSystem(config)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SystemConfig, build_system
+from repro import NetworkModel, SystemConfig, build_system
 from repro.analysis.model import CostModel, predicted_latency
 from repro.metrics.latency import LatencyRecorder
 
@@ -62,7 +62,7 @@ class TestModelAgainstSimulator:
     @pytest.mark.parametrize("lambda_cpu", [0.5, 1.0, 2.0])
     def test_isolated_broadcast_latency_matches_prediction(self, algorithm, lambda_cpu):
         system = build_system(
-            SystemConfig(n=3, stack=algorithm, seed=3, lambda_cpu=lambda_cpu)
+            SystemConfig(n=3, stack=algorithm, seed=3, network=NetworkModel(lambda_cpu=lambda_cpu))
         )
         recorder = LatencyRecorder()
         recorder.attach(system)

@@ -121,10 +121,24 @@ class TestMirrorFreshness:
         store = ResultStore(str(tmp_path))
         store.put("k", {"measured": 1, "latencies": [1.0]})
         store.close()
-        mirror = fresh_mirror_path(store.path)
-        old = os.stat(mirror).st_mtime - 60.0
-        os.utime(mirror, (old, old))
+        assert fresh_mirror_path(store.path) is not None
+        later = os.stat(store.path).st_mtime + 60.0
+        os.utime(store.path, (later, later))  # the JSONL is no longer the mirrored file
         assert fresh_mirror_path(store.path) is None
+
+    def test_a_put_within_the_mirrors_clock_tick_outdates_it(self, tmp_path):
+        """A coarse file clock can stamp an append with the very mtime of the
+        mirror written just before it; freshness by identity still sees it."""
+        store = ResultStore(str(tmp_path))
+        store.put("early", {"measured": 1, "latencies": [1.0]})
+        store.close()
+        stamp = os.stat(fresh_mirror_path(store.path)).st_mtime_ns
+        unmirrored = ResultStore(str(tmp_path), mirror=False)
+        unmirrored.put("late", {"measured": 2, "latencies": [2.0]})
+        unmirrored.close()
+        os.utime(store.path, ns=(stamp, stamp))
+        assert fresh_mirror_path(store.path) is None
+        assert sorted(load_store_table(str(tmp_path)).keys) == ["early", "late"]
 
 
 class TestMirrorAcrossCompaction:
@@ -132,8 +146,7 @@ class TestMirrorAcrossCompaction:
     described the old file is still right, one that did not is never trusted."""
 
     def mirrored_store(self, tmp_path):
-        """A closed store with duplicate lines and a fresh mirror, both
-        back-dated so that whatever is written next is strictly newer."""
+        """A closed store with duplicate lines and a fresh mirror."""
         store = ResultStore(str(tmp_path))
         for index in range(6):
             store.put(
@@ -143,11 +156,7 @@ class TestMirrorAcrossCompaction:
                 point={"kind": "normal-steady", "stack": "fd", "n": 3, "seed": index},
             )
         store.close()
-        mirror = fresh_mirror_path(store.path)
-        past = os.stat(store.path).st_mtime - 60.0
-        os.utime(store.path, (past, past))
-        os.utime(mirror, (past, past))
-        assert fresh_mirror_path(store.path) == mirror
+        assert fresh_mirror_path(store.path) == columnar.mirror_path(store.path)
         return store.path
 
     def assert_mirror_equals_store(self, directory):
@@ -205,9 +214,8 @@ class TestMirrorAcrossCompaction:
 
     def test_a_mirror_that_was_stale_stays_stale(self, tmp_path):
         path = self.mirrored_store(tmp_path)
-        mirror = columnar.mirror_path(path)
-        older = os.stat(path).st_mtime - 60.0
-        os.utime(mirror, (older, older))
+        later = os.stat(path).st_mtime + 60.0
+        os.utime(path, (later, later))
         reopened = ResultStore(str(tmp_path))
         reopened.compact()
         reopened.close()
@@ -251,11 +259,12 @@ class TestLoadStoreTable:
         store.put("k", {"measured": 3, "latencies": [2.0]})
         store.close()
         mirror = fresh_mirror_path(store.path)
+        with open(mirror, "rb") as handle:
+            identity = handle.read(len(columnar.MAGIC) + columnar.SOURCE.size)
         with open(mirror, "wb") as handle:
-            handle.write(b"RCOL1\ngarbage")
-        # Keep the torn mirror newer than the JSONL so it is still "fresh".
-        newer = os.stat(store.path).st_mtime + 60.0
-        os.utime(mirror, (newer, newer))
+            handle.write(identity + b"garbage")
+        # The torn mirror still names the JSONL, so it reads "fresh".
+        assert fresh_mirror_path(store.path) == mirror
         table = load_store_table(str(tmp_path))
         assert table.count == 1 and table.keys == ["k"]
 
@@ -340,6 +349,7 @@ class TestMirrorHelpers:
 
     def test_write_mirror_round_trips_through_read_mirror(self, tmp_path):
         jsonl = str(tmp_path / "results.jsonl")
+        open(jsonl, "w").close()  # the mirror records the identity of its JSONL
         path = columnar.write_mirror(sample_entries(), jsonl)
         table = columnar.read_mirror(path)
         assert table.count == 2

@@ -37,7 +37,7 @@ class TestPointSpecRoundTrip:
             throughput=30.0,
             num_messages=10,
             crashed=(2,),
-            config_overrides=(("alpha", 2.0),),
+            pipeline_depth=1,
         )
         rebuilt = PointSpec.from_dict(point.as_dict())
         assert rebuilt == point
@@ -47,13 +47,14 @@ class TestPointSpecRoundTrip:
         # Infinities serialise as the string "inf" to stay strict JSON.
         point = PointSpec(
             kind="normal-steady",
+            stack="gm",
             throughput=25.0,
-            config_overrides=(("join_retry_interval", float("inf")),),
+            join_retry_interval=float("inf"),
         )
         data = json.loads(json.dumps(point.as_dict()))  # through real JSON
-        assert data["config_overrides"] == {"join_retry_interval": "inf"}
+        assert data["join_retry_interval"] == "inf"
         rebuilt = PointSpec.from_dict(data)
-        assert rebuilt.config().join_retry_interval == float("inf")
+        assert rebuilt.config().params.stack.join_retry_interval == float("inf")
         assert rebuilt.key() == point.key()
 
     def test_from_dict_rejects_unknown_fields(self):

@@ -4,6 +4,7 @@ The heart of the subsystem's contract: serial execution, ``jobs=N`` and a
 warm cache must all produce identical records.
 """
 
+import dataclasses
 from concurrent.futures import Future
 
 import pytest
@@ -12,6 +13,11 @@ import repro.campaigns.runner as runner_module
 from repro.campaigns.runner import CampaignRunner, execute_point
 from repro.campaigns.spec import PointSpec, SeriesPointSpec, grid
 from repro.campaigns.store import ResultStore
+from repro.scenarios.registry import get_kind, register_kind, unregister_kind
+
+
+def failing_run(config, core, params):
+    raise ValueError("this point fails in the worker")
 
 
 def tiny_campaign(**kwargs):
@@ -224,16 +230,24 @@ class TestChunkedDispatch:
         the one still running on the other worker is not in the store."""
         campaign = tiny_campaign(throughputs=(20.0, 30.0, 40.0, 50.0, 60.0))
         serial = CampaignRunner(jobs=1).run(campaign)
-        campaign.series[0].points.append(
-            SeriesPointSpec(x=70.0, points=[PointSpec(
-                "normal-steady", throughput=70.0, num_messages=15,
-                config_overrides=(("reformation_timeout", -1.0),),
-            )])
+        # A kind whose run raises: registered before the pool forks its workers.
+        failing = dataclasses.replace(
+            get_kind("normal-steady"), name="fails-in-worker", shorthand="fails",
+            run=failing_run,
         )
-        store = ResultStore(str(tmp_path))
-        with CampaignRunner(jobs=2, store=store) as pooled:
-            with pytest.raises(ValueError, match="reformation_timeout"):
-                pooled.run(campaign)
+        register_kind(failing)
+        try:
+            campaign.series[0].points.append(
+                SeriesPointSpec(x=70.0, points=[PointSpec(
+                    "fails-in-worker", throughput=70.0, num_messages=15,
+                )])
+            )
+            store = ResultStore(str(tmp_path))
+            with CampaignRunner(jobs=2, store=store) as pooled:
+                with pytest.raises(ValueError, match="fails in the worker"):
+                    pooled.run(campaign)
+        finally:
+            unregister_kind(failing.name)
         committed = {key: store.get(key) for key in serial.records if key in store}
         assert len(committed) >= len(serial.records) - 1
         assert all(record == serial.records[key] for key, record in committed.items())

@@ -13,8 +13,10 @@
 
 Regenerate ``kind_keys.json`` only for an intended key change (a new
 ``SCHEMA_VERSION`` or package version): ``PointSpec.from_dict(point).key()``
-for every entry.  ``kind_records.json`` changes only when a simulation
-result is meant to change.
+for every entry, and record the old -> new pairs (with the figure keys of
+``tests/experiments/data/figures.json``) in ``data/keys_v8_to_v9.json``.
+``kind_records.json`` changes only when a simulation result is meant to
+change.
 """
 
 import ast
@@ -103,15 +105,17 @@ class TestBuiltinTable:
                 assert axis.help, (name, axis.name)
                 if kind.expand is None:
                     assert hasattr(defaults, axis.name), (name, axis.name)
-            # 0-6 own settable values on top of the 15 core ones.
+            # 0-6 own settable values on top of the 8 core ones.
             assert len(kind.param_names) <= 6
-        assert len(registry.CORE_FIELDS) == 15
 
-    def test_core_fields_are_the_point_specs_fields(self):
+    def test_the_core_is_eight_fields_plus_the_two_holders(self):
         import dataclasses
 
         fields = tuple(field.name for field in dataclasses.fields(PointSpec))
-        assert fields == registry.CORE_FIELDS + ("params",)
+        assert fields == (
+            "kind", "stack", "fd_kind", "n", "seed", "throughput", "num_messages", "instrument",
+        ) + ("params", "system")
+        assert not hasattr(registry, "CORE_FIELDS")
 
     def test_registration_rejects_collisions_and_core_shadowing(self):
         import dataclasses
@@ -142,6 +146,27 @@ class TestKeyTable:
     @pytest.mark.parametrize("entry", KEY_TABLE, ids=lambda entry: entry["point"]["kind"])
     def test_keys_do_not_change_silently(self, entry):
         assert PointSpec.from_dict(entry["point"]).key() == entry["key"]
+
+    def test_the_last_rekeying_is_one_to_one_and_in_order(self):
+        """``keys_v8_to_v9.json`` pairs every key of this table and of the
+        figure grids with its predecessor, in file order."""
+        table = load("keys_v8_to_v9.json")
+        with open(os.path.join(ROOT, "tests", "experiments", "data", "figures.json")) as handle:
+            figures = json.load(handle)
+        current = [entry["key"] for entry in KEY_TABLE] + [
+            key
+            for case in figures.values()
+            for series in case["series"]
+            for key in series["keys"]
+        ]
+        pairs = table["kind_keys.json"] + table["figures.json"]
+        assert [new for _old, new in pairs] == current
+        assert len(table["kind_keys.json"]) == len(KEY_TABLE)
+        old_to_new = {}
+        for old, new in pairs:
+            assert old_to_new.setdefault(old, new) == new
+        assert len(set(old_to_new.values())) == len(old_to_new)
+        assert not set(old_to_new) & set(old_to_new.values())
 
     @pytest.mark.parametrize(
         "entry", KEY_TABLE + RECORD_TABLE, ids=lambda entry: entry["point"]["kind"]

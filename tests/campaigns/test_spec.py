@@ -13,6 +13,8 @@ from repro.campaigns.spec import (
 )
 from repro.sim.rng import RandomStreams
 
+CORE = ("kind", "stack", "fd_kind", "n", "seed", "throughput", "num_messages", "instrument")
+
 
 class TestPointSpec:
     def test_key_is_stable_and_type_normalised(self):
@@ -109,32 +111,35 @@ class TestPointSpec:
         # ``Infinity`` token (it would break external JSONL consumers).
         point = PointSpec(
             kind="normal-steady",
+            stack="gm",
             throughput=10.0,
-            config_overrides=(("join_retry_interval", float("inf")),),
+            join_retry_interval=float("inf"),
         )
         text = json.dumps(point.as_dict())
         assert "Infinity" not in text
         json.loads(text, parse_constant=lambda token: pytest.fail(f"lenient {token}"))
-        assert point.as_dict()["config_overrides"]["join_retry_interval"] == "inf"
+        assert point.as_dict()["join_retry_interval"] == "inf"
 
-    def test_as_dict_is_the_core_plus_the_kinds_own_params(self):
-        from repro.scenarios.registry import CORE_FIELDS
-
-        assert tuple(PointSpec(kind="normal-steady").as_dict()) == CORE_FIELDS
+    def test_as_dict_is_the_core_the_systems_params_and_the_kinds_own(self):
+        assert tuple(PointSpec(kind="normal-steady").as_dict()) == CORE
         churn = PointSpec(kind="churn-steady", churn_rate=1, mean_downtime=100)
-        assert tuple(churn.as_dict()) == CORE_FIELDS + (
+        assert tuple(churn.as_dict()) == CORE + (
             "churn_rate", "mean_downtime", "detection_time",
         )
+        # System params enter only off their defaults.
+        reform = PointSpec(kind="normal-steady", stack="gm-reform", reformation_timeout=300)
+        assert tuple(reform.as_dict()) == CORE + ("reformation_timeout",)
         # Declared floats normalise, declared ints stay ints.
         assert churn.as_dict()["churn_rate"] == 1.0
         assert isinstance(churn.as_dict()["churn_rate"], float)
+        assert reform.as_dict()["reformation_timeout"] == 300.0
         transient = PointSpec(kind="crash-transient", sender=2.0, num_runs=3)
         assert transient.as_dict()["sender"] == 2
         assert isinstance(transient.as_dict()["sender"], int)
 
-    def test_config_override_values_are_normalised(self):
-        a = PointSpec(kind="normal-steady", config_overrides=(("lambda_cpu", 2),))
-        b = PointSpec(kind="normal-steady", config_overrides=(("lambda_cpu", 2.0),))
+    def test_system_param_values_are_normalised(self):
+        a = PointSpec(kind="normal-steady", stack="gm", join_retry_interval=200)
+        b = PointSpec(kind="normal-steady", stack="gm", join_retry_interval=200.0)
         assert a.key() == b.key()
 
     def test_config_round_trip(self):
@@ -144,11 +149,14 @@ class TestPointSpec:
             fd_kind="perfect",
             n=5,
             seed=9,
-            config_overrides=(("lambda_cpu", 2.0),),
+            pipeline_depth=3,
+            fd_scan_interval=2.0,
         )
         config = point.config()
         assert (config.n, config.stack, config.fd_kind) == (5, "gm", "perfect")
-        assert (config.seed, config.lambda_cpu) == (9, 2.0)
+        assert (config.seed, config.params.stack.pipeline_depth) == (9, 3)
+        assert config.params.detector.scan_interval == 2.0
+        assert PointSpec.from_dict(point.as_dict()).config() == config
 
 
 class TestSeedDerivation:
@@ -272,8 +280,13 @@ class TestFdKindGuards:
             grid("normal-steady", stacks=("fd/heartbeat",), fd_kinds=("perfect",))
 
 
+def system_params(point):
+    """The point's stack, fd-kind and batching params."""
+    return point.config().params
+
+
 class TestReformationAndHeartbeatDimensions:
-    """The v4 sweep dimensions: reformation timeout and heartbeat plane."""
+    """Declared stack and fd-kind params: the reformation window, the heartbeat plane."""
 
     def test_new_dimensions_enter_the_cache_key(self):
         base = PointSpec(kind="view-majority-loss", stack="gm-reform", detection_time=10.0)
@@ -294,9 +307,10 @@ class TestReformationAndHeartbeatDimensions:
         keys = {point.key() for point in variants}
         assert base.key() not in keys
         assert len(keys) == len(variants)
-        for point in [base] + variants:
-            for field in ("reformation_timeout", "heartbeat_period", "heartbeat_timeout"):
-                assert field in point.as_dict()
+        # A default-valued param is not in the dict: no second name for a system.
+        assert "reformation_timeout" not in base.as_dict()
+        assert variants[1].as_dict()["heartbeat_period"] == 20.0
+        assert "heartbeat_timeout" not in variants[1].as_dict()
 
     def test_view_majority_loss_accepts_any_n_from_3(self):
         with pytest.raises(ValueError, match="n >= 3"):
@@ -304,10 +318,12 @@ class TestReformationAndHeartbeatDimensions:
         PointSpec(kind="view-majority-loss", stack="gm-reform", n=4)  # staged even-n
         PointSpec(kind="view-majority-loss", stack="gm-reform", n=5)  # fine
 
-    def test_negative_knobs_rejected(self):
-        for knob in ("reformation_timeout", "heartbeat_period", "heartbeat_timeout"):
-            with pytest.raises(ValueError, match=knob):
-                PointSpec(kind="normal-steady", **{knob: -1.0})
+    def test_out_of_range_params_rejected(self):
+        with pytest.raises(ValueError, match="reformation_timeout"):
+            PointSpec(kind="normal-steady", stack="gm-reform", reformation_timeout=-1.0)
+        for field in ("period", "timeout"):
+            with pytest.raises(ValueError, match=field):
+                PointSpec(kind="normal-steady", fd_kind="heartbeat", **{f"heartbeat_{field}": -1.0})
 
     def test_knobs_reach_the_system_config(self):
         point = PointSpec(
@@ -315,37 +331,37 @@ class TestReformationAndHeartbeatDimensions:
             stack="gm-reform",
             reformation_timeout=750.0,
         )
-        assert point.config().reformation_timeout == 750.0
-        hb = PointSpec(
+        assert system_params(point).stack.reformation_timeout == 750.0
+        hb = system_params(PointSpec(
             kind="normal-steady",
             stack="gm",
             fd_kind="heartbeat",
             heartbeat_period=20.0,
-        ).config().heartbeat
+        )).detector
         assert hb.period == 20.0
-        assert hb.timeout == 30.0  # unset knob keeps the default
+        assert hb.timeout == 30.0  # unset param keeps the default
 
-    def test_zero_knobs_keep_defaults(self):
-        point = PointSpec(kind="view-majority-loss", stack="gm-reform")
-        config = point.config()
-        assert config.reformation_timeout == 500.0
-        assert config.heartbeat.period == 10.0
+    def test_unset_params_keep_their_declared_defaults(self):
+        params = system_params(PointSpec(kind="view-majority-loss", stack="gm-reform"))
+        assert params.stack.reformation_timeout == 500.0
+        heartbeat = system_params(PointSpec(kind="normal-steady", fd_kind="heartbeat"))
+        assert heartbeat.detector.period == 10.0
 
-    def test_grid_scopes_the_reformation_knob_by_stack_capability(self):
+    def test_grid_hands_each_param_to_the_stacks_that_read_it(self):
         campaign = grid(
             "view-majority-loss",
             stacks=("gm", "gm-reform"),
             throughputs=(10.0,),
             reformation_timeout=800.0,
-            heartbeat_period=25.0,
         )
-        by_stack = {point.stack: point for point in campaign.points()}
-        # Only the reformation-capable stack reads the knob; scoping it by
-        # stack (not kind) keeps e.g. churn sweeps of the knob honest.
+        by_stack = {point.stack: system_params(point).stack for point in campaign.points()}
+        # Only the reformation-capable stack reads the param, under any kind.
         assert by_stack["gm-reform"].reformation_timeout == 800.0
-        assert by_stack["gm"].reformation_timeout == 0.0
-        for point in campaign.points():
-            assert point.heartbeat_period == 0.0  # qos fd kind: knob inert
+        assert not hasattr(by_stack["gm"], "reformation_timeout")
+        # A param no stack of the grid reads is an error, unless it is the default.
+        with pytest.raises(ValueError, match="heartbeat_period applies to fd kind heartbeat"):
+            grid("view-majority-loss", stacks=("gm",), heartbeat_period=25.0)
+        assert grid("view-majority-loss", stacks=("gm",), heartbeat_period=10.0).points()
 
     def test_grid_applies_reformation_knob_under_any_kind(self):
         campaign = grid(
@@ -355,8 +371,7 @@ class TestReformationAndHeartbeatDimensions:
             reformation_timeout=250.0,
         )
         (point,) = campaign.points()
-        assert point.reformation_timeout == 250.0
-        assert point.config().reformation_timeout == 250.0
+        assert system_params(point).stack.reformation_timeout == 250.0
 
     def test_out_of_window_crash_time_rejected_at_spec_time(self):
         with pytest.raises(ValueError, match="suspicion window"):
@@ -372,20 +387,19 @@ class TestReformationAndHeartbeatDimensions:
             heartbeat_period=25.0,
             heartbeat_timeout=75.0,
         )
-        by_kind = {point.fd_kind: point for point in campaign.points()}
-        assert by_kind["heartbeat"].heartbeat_period == 25.0
-        assert by_kind["heartbeat"].heartbeat_timeout == 75.0
-        assert by_kind["qos"].heartbeat_period == 0.0
+        by_kind = {point.fd_kind: system_params(point).detector for point in campaign.points()}
+        assert (by_kind["heartbeat"].period, by_kind["heartbeat"].timeout) == (25.0, 75.0)
+        assert not hasattr(by_kind["qos"], "period")
 
     def test_label_mentions_the_reformation_window(self):
         point = PointSpec(
             kind="view-majority-loss", stack="gm-reform", reformation_timeout=800.0
         )
-        assert "reform=800ms" in point.label()
+        assert "reformation_timeout=800.0" in point.label()
 
 
 class TestServiceLoadDimensions:
-    """The v6 sweep dimensions: client population, batching, FD scan."""
+    """The client population, batching and FD-scan dimensions."""
 
     def test_new_dimensions_enter_the_cache_key(self):
         base = PointSpec(kind="service-load", stack="fd", throughput=200.0)
@@ -409,26 +423,21 @@ class TestServiceLoadDimensions:
         assert base.key() not in keys
         assert len(keys) == len(variants)
         for point in [base] + variants:
-            for field in ("max_batch", "max_delay", "fd_scan_interval"):
-                assert field in point.as_dict()
             for field in ("clients", "think_time", "consistency"):
                 assert (field in point.as_dict()) == (point.kind == "service-load")
 
     def test_knobs_reach_the_system_config(self):
-        point = PointSpec(
+        params = system_params(PointSpec(
             kind="service-load", stack="gm", max_batch=4, max_delay=2.5,
             fd_scan_interval=10.0,
-        )
-        config = point.config()
-        assert config.max_batch == 4
-        assert config.max_delay == 2.5
-        assert config.fd_scan_interval == 10.0
+        ))
+        assert (params.batching.max_batch, params.batching.max_delay) == (4, 2.5)
+        assert params.detector.scan_interval == 10.0
 
-    def test_zero_knobs_keep_defaults(self):
-        config = PointSpec(kind="service-load", stack="fd").config()
-        assert config.max_batch == 0
-        assert config.max_delay == 0.0
-        assert config.fd_scan_interval is None
+    def test_unset_params_keep_their_declared_defaults(self):
+        params = system_params(PointSpec(kind="service-load", stack="fd"))
+        assert (params.batching.max_batch, params.batching.max_delay) == (0, 0.0)
+        assert params.detector.scan_interval is None
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ValueError, match="clients"):
@@ -439,9 +448,12 @@ class TestServiceLoadDimensions:
             PointSpec(kind="service-load", consistency="eventual")
         for knob in ("think_time", "max_delay", "fd_scan_interval"):
             with pytest.raises(ValueError, match=knob):
-                PointSpec(kind="service-load", **{knob: -1.0})
+                PointSpec(kind="service-load", max_batch=2, **{knob: -1.0})
+        # A delay without batching is a knob nobody reads.
+        with pytest.raises(ValueError, match="max_delay applies only with max_batch > 0"):
+            PointSpec(kind="service-load", max_delay=2.0)
 
-    def test_grid_zeroes_the_scan_tick_for_heartbeat(self):
+    def test_grid_hands_the_scan_tick_to_the_clock_driven_detectors_only(self):
         campaign = grid(
             "normal-steady",
             stacks=("gm",),
@@ -449,14 +461,14 @@ class TestServiceLoadDimensions:
             throughputs=(10.0,),
             fd_scan_interval=5.0,
         )
-        by_kind = {point.fd_kind: point for point in campaign.points()}
-        assert by_kind["qos"].fd_scan_interval == 5.0
-        assert by_kind["heartbeat"].fd_scan_interval == 0.0
+        by_kind = {point.fd_kind: system_params(point).detector for point in campaign.points()}
+        assert by_kind["qos"].scan_interval == 5.0
+        assert not hasattr(by_kind["heartbeat"], "scan_interval")
 
     def test_label_mentions_the_population(self):
         open_loop = PointSpec(kind="service-load", stack="fd", max_batch=8)
         assert "open-loop" in open_loop.label()
-        assert "batch=8" in open_loop.label()
+        assert "max_batch=8" in open_loop.label()
         closed = PointSpec(
             kind="service-load", stack="fd", clients=16, think_time=50.0,
             consistency="local",

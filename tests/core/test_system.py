@@ -15,7 +15,9 @@ class TestSystemConfig:
         assert config.n == 3
         assert config.stack == "fd"
         assert config.fd_kind == "qos"
-        assert config.lambda_cpu == 1.0
+        assert config.network.lambda_cpu == 1.0
+        assert config.params.stack.pipeline_depth == 2
+        assert config.params.batching.max_batch == 0
 
     def test_unknown_stack_rejected(self):
         with pytest.raises(ValueError, match="unknown stack"):
@@ -85,7 +87,7 @@ class TestBuildSystem:
         )
         config = system.config
         assert (config.n, config.stack, config.fd_kind) == (5, "gm-nonuniform", "perfect")
-        assert (config.seed, config.pipeline_depth) == (11, 1)
+        assert (config.seed, config.params.stack.pipeline_depth) == (11, 1)
         # the original configuration is untouched
         assert (base.n, base.stack, base.fd_kind, base.seed) == (3, "fd", "qos", 1)
 

@@ -142,7 +142,10 @@ class TestThroughputGain:
         # ordering step (per-message lambda cost amortized k-fold).
         def drain_time(max_batch):
             system = build_system(
-                SystemConfig(n=4, stack="fd", seed=31, max_batch=max_batch, max_delay=2.0)
+                SystemConfig(
+                    n=4, stack="fd", seed=31, max_batch=max_batch,
+                    max_delay=2.0 if max_batch else 0.0,
+                )
             )
             count = 400
             for i in range(count):

@@ -383,7 +383,8 @@ class TestReformationProperties:
             stack=stack,
             seed=seed,
             fd=QoSConfig(detection_time=10.0),
-            reformation_timeout=reformation_timeout,
+            # Plain gm has no reformation window: giving it one is an error.
+            **({"reformation_timeout": reformation_timeout} if stack == "gm-reform" else {}),
         )
         system = build_system(config)
         system.start()

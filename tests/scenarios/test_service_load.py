@@ -93,7 +93,8 @@ class TestBatchingGain:
         def goodput(max_batch):
             result = run_service_load(
                 SystemConfig(
-                    n=4, stack="fd", seed=87, max_batch=max_batch, max_delay=2.0
+                    n=4, stack="fd", seed=87, max_batch=max_batch,
+                    max_delay=2.0 if max_batch else 0.0,
                 ),
                 8000.0,
                 num_requests=250,
@@ -143,7 +144,7 @@ class TestCampaignIntegration:
         run = CampaignRunner().run(campaign)
         assert len(campaign.points()) == 3
         for point in campaign.points():
-            assert point.max_batch == 2
+            assert point.config().params.batching.max_batch == 2
             result = run.result(point)
             assert result.scenario == "service-load"
             assert len(result.latencies) == 20
@@ -170,5 +171,4 @@ class TestCampaignIntegration:
             "normal-steady", stacks=("fd",), throughputs=(50.0,), max_batch=4
         )
         (point,) = campaign.points()
-        assert point.max_batch == 4
-        assert point.config().max_batch == 4
+        assert point.config().params.batching.max_batch == 4

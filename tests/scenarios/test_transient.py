@@ -1,5 +1,7 @@
 """Tests for the crash-transient scenario (rejected inputs: ``test_kinds.py``)."""
 
+import pytest
+
 from repro import SystemConfig
 from repro.scenarios import run_crash_transient, sweep_crash_transient
 
@@ -93,11 +95,13 @@ class TestCrashTransient:
             assert a.latencies == b.latencies == c.latencies
             assert a.sender == b.sender == c.sender
 
-    def test_sweep_preserves_custom_config_fields(self):
+    def test_sweep_preserves_custom_stack_params(self):
         from dataclasses import replace
 
+        from repro import NetworkModel
+
         base = config("fd")
-        slow = replace(base, lambda_cpu=5.0)
+        sequential = replace(base, pipeline_depth=1, renumber_coordinators=False)
         kwargs = dict(
             throughput=200,
             detection_time=10.0,
@@ -106,7 +110,11 @@ class TestCrashTransient:
             num_runs=2,
         )
         default_run = sweep_crash_transient(base, **kwargs)
-        slow_run = sweep_crash_transient(slow, **kwargs)
-        # A five-fold CPU cost must show up in the simulated latencies: the
-        # campaign points carry the non-default SystemConfig fields.
-        assert slow_run[0].latencies != default_run[0].latencies
+        sequential_run = sweep_crash_transient(sequential, **kwargs)
+        # No renumbering after the coordinator's crash and one instance at a
+        # time must show up in the simulated latencies: the campaign points
+        # carry the config's stack params.
+        assert sequential_run[0].latencies != default_run[0].latencies
+        # A point cannot name a network model, so a sweep refuses to drop one.
+        with pytest.raises(ValueError, match="default network"):
+            sweep_crash_transient(replace(base, network=NetworkModel(lambda_cpu=5.0)), **kwargs)

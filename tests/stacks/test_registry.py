@@ -1,5 +1,11 @@
 """Unit tests for the protocol-stack registry and its public protocols."""
 
+import os
+import re
+import sys
+import types
+from dataclasses import dataclass
+
 import pytest
 
 from repro import SystemConfig, build_system
@@ -94,6 +100,10 @@ class TestStackSpecValidation:
 
 class TestCustomRegistration:
     def test_registered_stack_assembles_through_the_standard_path(self):
+        @dataclass(frozen=True)
+        class EchoParams:
+            pipeline_depth: int = 2
+
         def build_echo_fd(system, process, rbcast, consensus):
             # A custom stack reusing the FD layers: what a user extension does.
             from repro.core.fd_broadcast import FDAtomicBroadcast
@@ -103,20 +113,26 @@ class TestCustomRegistration:
                     process,
                     rbcast,
                     consensus,
-                    renumber_coordinators=system.config.renumber_coordinators,
-                    pipeline_depth=system.config.pipeline_depth,
+                    pipeline_depth=system.config.params.stack.pipeline_depth,
                 )
             )
 
         register_stack(
-            StackSpec(name="fd-custom", description="test stack", build=build_echo_fd)
+            StackSpec(
+                name="fd-custom", description="test stack", build=build_echo_fd, params=EchoParams
+            )
         )
         try:
-            system = build_system(n=3, stack="fd-custom", seed=2)
+            system = build_system(n=3, stack="fd-custom", seed=2, pipeline_depth=3)
             system.broadcast_at(1.0, 0, "x")
             system.run(until=100.0)
             assert all(len(seq) == 1 for seq in system.delivery_sequences().values())
             assert system.config.stack == "fd-custom"
+            assert system.abcast(0).pipeline_depth == 3
+            # fd's own param is not this stack's: its default drops, a value raises.
+            assert build_system(n=3, stack="fd-custom", renumber_coordinators=True)
+            with pytest.raises(ValueError, match="renumber_coordinators applies to stack fd"):
+                build_system(n=3, stack="fd-custom", renumber_coordinators=False)
         finally:
             unregister_stack("fd-custom")
 
@@ -138,6 +154,44 @@ class TestCustomRegistration:
     def test_fd_kind_name_with_slash_rejected(self):
         with pytest.raises(ValueError, match="cannot contain"):
             register_fd_kind("qos/fast", lambda *a: None)
+
+
+class TestReadmeBlock:
+    """The README's "Adding a stack or FD kind" example, executed verbatim."""
+
+    @pytest.fixture
+    def lagging(self):
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+            text = handle.read()
+        section = text[text.index("### Adding a stack or FD kind"):]
+        code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+        module = types.ModuleType("readme_lagging")
+        sys.modules[module.__name__] = module
+        try:
+            exec(compile(code, "README.md", "exec"), module.__dict__)
+            yield module
+        finally:
+            unregister_fd_kind("lagging")
+            del sys.modules[module.__name__]
+
+    def test_the_kind_runs_with_its_declared_param(self, lagging):
+        from repro.campaigns import PointSpec
+        from repro.campaigns.records import execute_point
+
+        assert lagging.system.fd_fabric.detection_time == 40.0
+        assert "lagging" in available_fd_kinds()
+        point = PointSpec(
+            "crash-steady", stack="gm/lagging", crashed=(2,), lag_ms=40.0, num_messages=10
+        )
+        assert point.as_dict()["lag_ms"] == 40.0
+        assert execute_point(point)["measured"] == 10
+        plain = PointSpec("crash-steady", stack="gm", crashed=(2,))
+        assert PointSpec("crash-steady", stack="gm", crashed=(2,), lag_ms=25.0).key() == plain.key()
+        with pytest.raises(ValueError, match="lag_ms applies to fd kind lagging"):
+            PointSpec("crash-steady", stack="gm", crashed=(2,), lag_ms=40.0)
+        with pytest.raises(ValueError, match="lag_ms must be >= 0"):
+            build_system(n=3, fd_kind="lagging", lag_ms=-1.0)
 
 
 class TestProtocolConformance:
