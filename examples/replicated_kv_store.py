@@ -30,6 +30,7 @@ from repro.load import (
     LoadTestedService,
 )
 from repro.metrics.stats import latency_percentiles, summarize
+from repro.scenarios.faults import CrashAt, FaultSchedule, RecoverAt
 
 CLIENTS = 12
 THINK_TIME = 4.0  # ms: aggressive interactive users
@@ -71,8 +72,7 @@ def run_once(algorithm: str, max_batch: int) -> dict:
 
     # One replica (the sequencer / round-1 coordinator) crashes mid-run and
     # rejoins later; the service keeps answering from the survivors.
-    system.crash_at(150.0, 0)
-    system.recover_at(900.0, 0)
+    FaultSchedule([CrashAt(150.0, 0), RecoverAt(900.0, 0)]).apply(system)
     system.run(until=120_000.0)
     finish_time = system.sim.now
     # Let the in-flight deliveries drain so every replica applies the tail

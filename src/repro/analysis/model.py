@@ -123,25 +123,6 @@ class CostModel:
         # proposal multicast, n - 1 ack unicasts and a decision multicast.
         return MessageCost(multicasts=2 * self.n + 2, unicasts=self.n - 1)
 
-    def saturation_throughput(self) -> float:
-        """Rough upper bound on the sustainable throughput (messages/s).
-
-        The shared network is the bottleneck at λ <= 1: each atomic broadcast
-        puts ``3 + (n - 1)`` messages on the wire at 1 network unit each, so
-        the network saturates near ``1000 / (3 + n - 1)`` broadcasts per
-        second for the 1 ms time unit.  For λ > 1 the coordinator CPU
-        saturates first; we return the smaller bound.
-        """
-        per_broadcast = self.messages_per_broadcast("fd").total
-        network_bound = 1000.0 / (per_broadcast * self.network_time)
-        # The coordinator/sequencer sends 2 multicasts and receives the data
-        # multicast plus n - 1 acks per broadcast.
-        coordinator_msgs = 3 + (self.n - 1)
-        cpu_bound = (
-            1000.0 / (coordinator_msgs * self.lambda_cpu) if self.lambda_cpu > 0 else float("inf")
-        )
-        return min(network_bound, cpu_bound)
-
 
 def predicted_latency(
     n: int, algorithm: str = "fd", lambda_cpu: float = 1.0, network_time: float = 1.0

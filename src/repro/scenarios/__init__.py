@@ -7,7 +7,8 @@
   (params, ``validate``, ``run``, registration).
 * :mod:`~repro.scenarios.runner` -- :class:`ScenarioRunner` and the specs it
   executes; :mod:`~repro.scenarios.faults` -- the declarative
-  :class:`FaultSchedule`; :mod:`~repro.scenarios.results` -- result types.
+  :class:`FaultSchedule` and its events, one class per fault;
+  :mod:`~repro.scenarios.results` -- result types.
 * :mod:`~repro.scenarios.transient` / :mod:`~repro.scenarios.service_load`
   -- the measurements of ``crash-transient`` (plus
   :func:`sweep_crash_transient`) and ``service-load``.
@@ -26,9 +27,15 @@ from repro.scenarios import kinds  # noqa: F401  (registers the built-in kinds)
 from repro.scenarios.faults import (
     CorrelatedCrash,
     CrashAt,
+    DegradeAt,
+    DegradeLinkAt,
+    FaultEvent,
     FaultSchedule,
+    HealAt,
+    PartitionAt,
     PoissonChurn,
     RecoverAt,
+    RestoreAt,
     SuspectDuring,
 )
 from repro.scenarios.registry import available_kinds, run_kind
@@ -53,11 +60,17 @@ __all__ = sorted(
     [
         "CorrelatedCrash",
         "CrashAt",
+        "DegradeAt",
+        "DegradeLinkAt",
+        "FaultEvent",
         "FaultSchedule",
+        "HealAt",
+        "PartitionAt",
         "PoissonChurn",
         "ProbeSpec",
         "RecoverAt",
         "ReformationSpec",
+        "RestoreAt",
         "ScenarioResult",
         "ScenarioRunner",
         "SteadyStateSpec",

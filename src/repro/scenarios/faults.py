@@ -10,6 +10,13 @@ stop hand-coding their fault logic: every scenario (the paper's four and the
 beyond-paper ones) is "a workload plus a fault schedule", executed by the
 :class:`repro.scenarios.runner.ScenarioRunner`.
 
+A fault is one class: each :class:`FaultEvent` subclass declares its
+parameters, the process ids it names (:meth:`FaultEvent.pids_named`) and the
+kernel events it posts (:meth:`FaultEvent.schedule`: a ``post_at`` of the
+bound method that enacts it on the system's processes, network or failure
+detector fabric, or the fabric's own suspicion window).  :meth:`FaultSchedule.schedule` is one loop over the
+timeline, so adding a fault kind touches nothing else.
+
 Two kinds of events exist:
 
 * **pre-run events** (``CrashAt`` with ``time <= 0``) are applied
@@ -20,7 +27,9 @@ Two kinds of events exist:
 
 Generators (:class:`PoissonChurn`) expand deterministically into concrete
 crash/recovery pairs using the system's named random streams, so a churn
-schedule is a pure function of the system seed.
+schedule is a pure function of the system seed.  Before anything is
+applied or posted, the schedule checks every pid every event names against
+the system's ``n``.
 """
 
 from __future__ import annotations
@@ -40,7 +49,19 @@ VML_CRASH_TIME = 300.0
 
 
 class FaultEvent:
-    """Base class of all fault-schedule events (marker only)."""
+    """Base class of all fault-schedule events.
+
+    A timed event posts its kernel events in :meth:`schedule`; a generator
+    (:class:`PoissonChurn`) expands into timed events instead.
+    """
+
+    def pids_named(self) -> Tuple[int, ...]:
+        """Every process id this event names (checked against the system)."""
+        return ()
+
+    def schedule(self, system) -> None:
+        """Post this event's kernel events on ``system``'s simulator."""
+        raise NotImplementedError(f"{type(self).__name__} does not schedule itself")
 
 
 @dataclass(frozen=True)
@@ -58,6 +79,14 @@ class CrashAt(FaultEvent):
     pid: int
     permanent_suspicion: bool = False
 
+    def pids_named(self) -> Tuple[int, ...]:
+        return (self.pid,)
+
+    def schedule(self, system) -> None:
+        system.sim.post_at(self.time, system.processes[self.pid].crash)
+        if self.permanent_suspicion:
+            system.sim.post_at(self.time, system.fd_fabric.suspect_permanently, self.pid)
+
 
 @dataclass(frozen=True)
 class RecoverAt(FaultEvent):
@@ -69,6 +98,12 @@ class RecoverAt(FaultEvent):
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError(f"recoveries cannot predate the run, got time={self.time}")
+
+    def pids_named(self) -> Tuple[int, ...]:
+        return (self.pid,)
+
+    def schedule(self, system) -> None:
+        system.sim.post_at(self.time, system.processes[self.pid].recover)
 
 
 @dataclass(frozen=True)
@@ -87,6 +122,13 @@ class CorrelatedCrash(FaultEvent):
             raise ValueError("a correlated crash needs at least one process")
         if len(set(self.pids)) != len(self.pids):
             raise ValueError(f"duplicate pids in correlated crash group: {self.pids}")
+
+    def pids_named(self) -> Tuple[int, ...]:
+        return self.pids
+
+    def schedule(self, system) -> None:
+        for pid in self.pids:
+            system.sim.post_at(self.time, system.processes[pid].crash)
 
 
 @dataclass(frozen=True)
@@ -108,6 +150,12 @@ class SuspectDuring(FaultEvent):
             raise ValueError(f"start must be >= 0, got {self.start}")
         if self.duration < 0:
             raise ValueError(f"duration must be >= 0, got {self.duration}")
+
+    def pids_named(self) -> Tuple[int, ...]:
+        return (self.target, *(self.monitors or ()))
+
+    def schedule(self, system) -> None:
+        system.suspect_during(self.target, self.start, self.duration, monitors=self.monitors)
 
 
 @dataclass(frozen=True)
@@ -142,6 +190,19 @@ class PartitionAt(FaultEvent):
             if len(link) != 2 or link[0] == link[1]:
                 raise ValueError(f"a blocked link must be a (src, dst) pair, got {link!r}")
 
+    def pids_named(self) -> Tuple[int, ...]:
+        return tuple(pid for side in (*self.groups, *self.links) for pid in side)
+
+    def schedule(self, system) -> None:
+        if self.groups:
+            system.sim.post_at(
+                self.time, system.network.partition, [tuple(group) for group in self.groups]
+            )
+        else:
+            system.sim.post_at(
+                self.time, system.network.block_links, [tuple(link) for link in self.links]
+            )
+
 
 @dataclass(frozen=True)
 class HealAt(FaultEvent):
@@ -152,6 +213,9 @@ class HealAt(FaultEvent):
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError(f"healing cannot predate the run, got time={self.time}")
+
+    def schedule(self, system) -> None:
+        system.sim.post_at(self.time, system.network.heal)
 
 
 @dataclass(frozen=True)
@@ -173,6 +237,12 @@ class DegradeAt(FaultEvent):
         if self.factor < 1.0:
             raise ValueError(f"a degradation factor must be >= 1, got {self.factor}")
 
+    def pids_named(self) -> Tuple[int, ...]:
+        return (self.pid,)
+
+    def schedule(self, system) -> None:
+        system.sim.post_at(self.time, system.network.degrade_cpu, self.pid, self.factor)
+
 
 @dataclass(frozen=True)
 class RestoreAt(FaultEvent):
@@ -184,6 +254,12 @@ class RestoreAt(FaultEvent):
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError(f"restorations cannot predate the run, got time={self.time}")
+
+    def pids_named(self) -> Tuple[int, ...]:
+        return (self.pid,)
+
+    def schedule(self, system) -> None:
+        system.sim.post_at(self.time, system.network.restore_cpu, self.pid)
 
 
 @dataclass(frozen=True)
@@ -212,6 +288,19 @@ class DegradeLinkAt(FaultEvent):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+    def pids_named(self) -> Tuple[int, ...]:
+        return (self.src, self.dst)
+
+    def schedule(self, system) -> None:
+        system.sim.post_at(
+            self.time,
+            system.network.degrade_link,
+            self.src,
+            self.dst,
+            self.loss_probability,
+            self.duplicate_probability,
+        )
 
 
 @dataclass(frozen=True)
@@ -309,30 +398,6 @@ class FaultSchedule:
         """Append ``event`` (chainable)."""
         self.events.append(event)
         return self
-
-    def crash(self, time: float, pid: int) -> "FaultSchedule":
-        """Append a :class:`CrashAt` (chainable)."""
-        return self.add(CrashAt(time, pid))
-
-    def recover(self, time: float, pid: int) -> "FaultSchedule":
-        """Append a :class:`RecoverAt` (chainable)."""
-        return self.add(RecoverAt(time, pid))
-
-    def partition(self, time: float, groups: Sequence[Sequence[int]]) -> "FaultSchedule":
-        """Append a symmetric :class:`PartitionAt` (chainable)."""
-        return self.add(PartitionAt(time, groups=tuple(tuple(g) for g in groups)))
-
-    def heal(self, time: float) -> "FaultSchedule":
-        """Append a :class:`HealAt` (chainable)."""
-        return self.add(HealAt(time))
-
-    def degrade(self, time: float, pid: int, factor: float) -> "FaultSchedule":
-        """Append a :class:`DegradeAt` (chainable)."""
-        return self.add(DegradeAt(time, pid, factor))
-
-    def restore(self, time: float, pid: int) -> "FaultSchedule":
-        """Append a :class:`RestoreAt` (chainable)."""
-        return self.add(RestoreAt(time, pid))
 
     @staticmethod
     def pre_crashed(pids: Sequence[int]) -> "FaultSchedule":
@@ -532,66 +597,32 @@ class FaultSchedule:
 
     # ------------------------------------------------------------------ compilation
 
+    def _check(self, system) -> None:
+        """Raise ``ValueError`` naming the first event with a pid ``system`` lacks."""
+        n = system.config.n
+        for event in self.events:
+            for pid in event.pids_named():
+                if not 0 <= pid < n:
+                    raise ValueError(
+                        f"{event!r} names process {pid}, but the system has "
+                        f"processes 0..{n - 1}"
+                    )
+
     def apply_pre(self, system) -> None:
         """Apply the pre-run crashes synchronously (before the run starts)."""
+        self._check(system)
         for event in self.pre_run_events():
             system.crash(event.pid)
             if event.permanent_suspicion:
                 system.suspect_permanently(event.pid)
 
     def schedule(self, system) -> None:
-        """Schedule every timed event on the system's simulation kernel."""
+        """Post every timed event on the system's simulation kernel."""
+        self._check(system)
         for event in self.timeline(system):
-            if isinstance(event, CrashAt):
-                system.crash_at(event.time, event.pid)
-                if event.permanent_suspicion:
-                    system.suspect_permanently_at(event.time, event.pid)
-            elif isinstance(event, RecoverAt):
-                system.recover_at(event.time, event.pid)
-            elif isinstance(event, CorrelatedCrash):
-                for pid in event.pids:
-                    system.crash_at(event.time, pid)
-            elif isinstance(event, SuspectDuring):
-                system.suspect_during(
-                    event.target,
-                    event.start,
-                    event.duration,
-                    monitors=event.monitors,
-                )
-            elif isinstance(event, PartitionAt):
-                if event.groups:
-                    system.partition_at(event.time, event.groups)
-                else:
-                    system.block_links_at(event.time, event.links)
-            elif isinstance(event, HealAt):
-                system.heal_at(event.time)
-            elif isinstance(event, DegradeAt):
-                system.degrade_cpu_at(event.time, event.pid, event.factor)
-            elif isinstance(event, RestoreAt):
-                system.restore_cpu_at(event.time, event.pid)
-            elif isinstance(event, DegradeLinkAt):
-                system.degrade_link_at(
-                    event.time,
-                    event.src,
-                    event.dst,
-                    event.loss_probability,
-                    event.duplicate_probability,
-                )
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"cannot schedule fault event {event!r}")
+            event.schedule(system)
 
     def apply(self, system) -> None:
-        """Compile the whole schedule onto ``system`` (pre events + timed).
-
-        ``system`` is anything satisfying the
-        :class:`repro.stacks.FaultInjectable` capability protocol -- the
-        schedule only uses ``crash`` / ``recover`` (and their scheduled
-        variants), ``suspect_permanently`` / ``suspect_permanently_at``,
-        ``suspect_during``, the partition capabilities (``partition_at`` /
-        ``block_links_at`` / ``heal_at``) and the gray-failure capabilities
-        (``degrade_cpu_at`` / ``restore_cpu_at`` / ``degrade_link_at``),
-        never failure detector or network internals, so schedules run
-        unchanged on every registered stack and fd kind.
-        """
+        """Compile the whole schedule onto ``system`` (pre events + timed)."""
         self.apply_pre(system)
         self.schedule(system)

@@ -30,9 +30,11 @@ from repro.scenarios.faults import (
     VML_SUSPECT_DURATION,
     VML_SUSPECT_START,
     CorrelatedCrash,
+    DegradeAt,
     DegradeLinkAt,
     FaultSchedule,
     PoissonChurn,
+    RestoreAt,
 )
 from repro.scenarios.registry import Axis, ScenarioKind, register_kind
 from repro.scenarios.results import ScenarioResult
@@ -768,7 +770,7 @@ def _run_gray_degradation(
     n, pid = config.n, params.degraded_pid
     start = _or_mid_window(params.degrade_start, core)
     end = start + params.degrade_duration
-    faults = FaultSchedule().degrade(start, pid, params.degrade_factor).restore(end, pid)
+    faults = FaultSchedule([DegradeAt(start, pid, params.degrade_factor), RestoreAt(end, pid)])
     if params.link_loss > 0.0:
         for dst in range(n):
             if dst != pid:

@@ -9,7 +9,6 @@ stack.  See :mod:`repro.stacks.api` for the contracts and
 
 from repro.stacks.api import (
     FailureDetectorFabric,
-    FaultInjectable,
     StackLayers,
     StackSpec,
     param,
@@ -31,7 +30,6 @@ from repro.stacks.registry import (
 
 __all__ = [
     "FailureDetectorFabric",
-    "FaultInjectable",
     "StackLayers",
     "StackSpec",
     "available_fd_kinds",

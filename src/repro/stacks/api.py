@@ -12,9 +12,12 @@ first-class, swappable object instead of an ``if algorithm == ...`` chain:
 * :class:`StackLayers` -- the per-process layer bundle a stack's builder
   returns to the system assembler;
 * :class:`FailureDetectorFabric` -- the structural protocol a failure
-  detector implementation satisfies to be registered as an ``fd_kind``;
-* :class:`FaultInjectable` -- the capability protocol fault schedules compile
-  against, without reaching into internals like ``system.fd_fabric``.
+  detector implementation satisfies to be registered as an ``fd_kind``.
+
+Faults are not part of this API: each :mod:`repro.scenarios.faults` event
+posts the bound method that enacts it (a process's ``crash``, the network's
+``partition``, the fabric's ``suspect_permanently``, ...), so every stack
+and fd kind runs every fault schedule unchanged.
 
 Concrete registrations live in :mod:`repro.stacks.registry`.
 """
@@ -43,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.core.types import AtomicBroadcast
     from repro.failure_detectors.interface import FailureDetector
     from repro.sim.process import SimProcess
-    from repro.system import BroadcastSystem, SystemConfig
+    from repro.system import BroadcastSystem
 
 
 @dataclass(frozen=True)
@@ -203,118 +206,4 @@ class FailureDetectorFabric(Protocol):
         monitors: Optional[Iterable[int]] = None,
     ) -> None:
         """Force a wrong suspicion of ``target`` during ``[start, start + duration]``."""
-        ...
-
-
-@runtime_checkable
-class FaultInjectable(Protocol):
-    """Capability protocol fault schedules compile against.
-
-    :meth:`repro.scenarios.faults.FaultSchedule.apply` only needs these
-    members, so schedules run against a :class:`repro.system.BroadcastSystem`
-    -- or against any test double providing the same capabilities -- without
-    touching failure detector internals.
-    """
-
-    #: The system configuration (churn generators read ``n``, ``seed`` and
-    #: the ``f < n/2`` bound from it).
-    config: "SystemConfig"
-
-    def crash(self, pid: int) -> None:
-        """Crash process ``pid`` at the current simulation time."""
-        ...
-
-    def crash_at(self, time: float, pid: int) -> None:
-        """Schedule the crash of ``pid`` at ``time``."""
-        ...
-
-    def recover(self, pid: int) -> None:
-        """Recover process ``pid`` at the current simulation time."""
-        ...
-
-    def recover_at(self, time: float, pid: int) -> None:
-        """Schedule the recovery of ``pid`` at ``time``."""
-        ...
-
-    def suspect_permanently(self, pid: int, delay: float = 0.0) -> None:
-        """Make every failure detector suspect ``pid`` permanently."""
-        ...
-
-    def suspect_permanently_at(self, time: float, pid: int) -> None:
-        """Schedule :meth:`suspect_permanently` of ``pid`` at ``time``."""
-        ...
-
-    def suspect_during(
-        self,
-        target: int,
-        start: float,
-        duration: float,
-        monitors: Optional[Iterable[int]] = None,
-    ) -> None:
-        """Force a wrong suspicion of ``target`` during ``[start, start + duration]``."""
-        ...
-
-    # -------------------------------------------------------------- partitions
-
-    def partition(self, groups: Iterable[Iterable[int]]) -> None:
-        """Split the network into isolated groups at the current time."""
-        ...
-
-    def partition_at(self, time: float, groups: Iterable[Iterable[int]]) -> None:
-        """Schedule a symmetric partition into ``groups`` at ``time``."""
-        ...
-
-    def block_links(self, links: Iterable[tuple]) -> None:
-        """Block exactly the directed ``(src, dst)`` links (asymmetric cut)."""
-        ...
-
-    def block_links_at(self, time: float, links: Iterable[tuple]) -> None:
-        """Schedule an asymmetric link cut at ``time``."""
-        ...
-
-    def heal(self) -> None:
-        """Restore full reachability at the current simulation time."""
-        ...
-
-    def heal_at(self, time: float) -> None:
-        """Schedule the heal of every partition/link cut at ``time``."""
-        ...
-
-    # ------------------------------------------------------------ gray failures
-
-    def degrade_cpu(self, pid: int, factor: float) -> None:
-        """Slow down the CPU of ``pid`` by ``factor`` (gray failure)."""
-        ...
-
-    def degrade_cpu_at(self, time: float, pid: int, factor: float) -> None:
-        """Schedule the CPU degradation of ``pid`` at ``time``."""
-        ...
-
-    def restore_cpu(self, pid: int) -> None:
-        """Return the CPU of ``pid`` to full speed."""
-        ...
-
-    def restore_cpu_at(self, time: float, pid: int) -> None:
-        """Schedule the CPU restoration of ``pid`` at ``time``."""
-        ...
-
-    def degrade_link(
-        self,
-        src: int,
-        dst: int,
-        loss_probability: float = 0.0,
-        duplicate_probability: float = 0.0,
-    ) -> None:
-        """Make the directed link lossy and/or duplicating (both zero restores)."""
-        ...
-
-    def degrade_link_at(
-        self,
-        time: float,
-        src: int,
-        dst: int,
-        loss_probability: float = 0.0,
-        duplicate_probability: float = 0.0,
-    ) -> None:
-        """Schedule the link degradation at ``time``."""
         ...

@@ -10,9 +10,10 @@ privileged built-in wiring.
 
 This is the main entry point of the library: workload generators, scenarios,
 benchmarks and the example applications all operate on a
-:class:`BroadcastSystem`, which satisfies the
-:class:`repro.stacks.FaultInjectable` capability protocol fault schedules
-compile against.
+:class:`BroadcastSystem`.  Its fault methods act *now* (``crash``,
+``recover``, ``suspect_permanently``) or declare a suspicion window
+(``suspect_during``); a fault at a later time is a
+:mod:`repro.scenarios.faults` event, which posts itself on the kernel.
 """
 
 from __future__ import annotations
@@ -312,18 +313,10 @@ class BroadcastSystem:
         self.sim.post_at(time, self.abcasts[sender].broadcast, payload)
 
     # ------------------------------------------------------------------ fault injection
-    #
-    # Together these satisfy the :class:`repro.stacks.FaultInjectable`
-    # capability protocol: fault schedules compile against them instead of
-    # reaching into the failure detector fabric.
 
     def crash(self, pid: int) -> None:
         """Crash process ``pid`` at the current simulation time."""
         self.processes[pid].crash()
-
-    def crash_at(self, time: float, pid: int) -> None:
-        """Schedule the crash of ``pid`` at ``time``."""
-        self.sim.post_at(time, self.processes[pid].crash)
 
     def recover(self, pid: int) -> None:
         """Recover process ``pid`` at the current simulation time.
@@ -336,17 +329,9 @@ class BroadcastSystem:
         """
         self.processes[pid].recover()
 
-    def recover_at(self, time: float, pid: int) -> None:
-        """Schedule the recovery of ``pid`` at ``time``."""
-        self.sim.post_at(time, self.processes[pid].recover)
-
     def suspect_permanently(self, pid: int, delay: float = 0.0) -> None:
         """Make every failure detector suspect ``pid`` permanently."""
         self.fd_fabric.suspect_permanently(pid, delay)
-
-    def suspect_permanently_at(self, time: float, pid: int) -> None:
-        """Schedule :meth:`suspect_permanently` of ``pid`` at ``time``."""
-        self.sim.post_at(time, self.fd_fabric.suspect_permanently, pid)
 
     def suspect_during(
         self,
@@ -357,78 +342,6 @@ class BroadcastSystem:
     ) -> None:
         """Force a wrong suspicion of ``target`` during ``[start, start + duration]``."""
         self.fd_fabric.suspect_during(target, start, duration, monitors=monitors)
-
-    def partition(self, groups: Iterable[Iterable[int]]) -> None:
-        """Partition the network symmetrically into ``groups`` (now)."""
-        self.network.partition([tuple(group) for group in groups])
-
-    def partition_at(self, time: float, groups: Iterable[Iterable[int]]) -> None:
-        """Schedule a symmetric partition at ``time``."""
-        self.sim.post_at(
-            time, self.network.partition, [tuple(group) for group in groups]
-        )
-
-    def block_links(self, links: Iterable[Any]) -> None:
-        """Block individual directed links (asymmetric partition, now)."""
-        self.network.block_links([tuple(link) for link in links])
-
-    def block_links_at(self, time: float, links: Iterable[Any]) -> None:
-        """Schedule an asymmetric partition at ``time``."""
-        self.sim.post_at(
-            time, self.network.block_links, [tuple(link) for link in links]
-        )
-
-    def heal(self) -> None:
-        """Heal every partition and blocked link (now)."""
-        self.network.heal()
-
-    def heal_at(self, time: float) -> None:
-        """Schedule the healing of every partition at ``time``."""
-        self.sim.post_at(time, self.network.heal)
-
-    def degrade_cpu(self, pid: int, factor: float) -> None:
-        """Gray failure: slow ``pid``'s CPU by ``factor`` (now)."""
-        self.network.degrade_cpu(pid, factor)
-
-    def degrade_cpu_at(self, time: float, pid: int, factor: float) -> None:
-        """Schedule a gray CPU degradation of ``pid`` at ``time``."""
-        self.sim.post_at(time, self.network.degrade_cpu, pid, factor)
-
-    def restore_cpu(self, pid: int) -> None:
-        """End ``pid``'s gray CPU degradation (now)."""
-        self.network.restore_cpu(pid)
-
-    def restore_cpu_at(self, time: float, pid: int) -> None:
-        """Schedule the end of ``pid``'s gray degradation at ``time``."""
-        self.sim.post_at(time, self.network.restore_cpu, pid)
-
-    def degrade_link(
-        self,
-        src: int,
-        dst: int,
-        loss_probability: float = 0.0,
-        duplicate_probability: float = 0.0,
-    ) -> None:
-        """Make the directed link ``src -> dst`` lossy/duplicating (now)."""
-        self.network.degrade_link(src, dst, loss_probability, duplicate_probability)
-
-    def degrade_link_at(
-        self,
-        time: float,
-        src: int,
-        dst: int,
-        loss_probability: float = 0.0,
-        duplicate_probability: float = 0.0,
-    ) -> None:
-        """Schedule a gray link fault on ``src -> dst`` at ``time``."""
-        self.sim.post_at(
-            time,
-            self.network.degrade_link,
-            src,
-            dst,
-            loss_probability,
-            duplicate_probability,
-        )
 
     def correct_processes(self) -> List[int]:
         """Ids of processes that have not crashed."""

@@ -49,9 +49,6 @@ class TestCostModelFormulas:
         assert model.crash_transient_overhead("fd") == 3 * model.step
         assert model.crash_transient_overhead("gm") == 5 * model.step
 
-    def test_saturation_bound_decreases_with_n(self):
-        assert CostModel(n=7).saturation_throughput() < CostModel(n=3).saturation_throughput()
-
     def test_predicted_latency_wrapper(self):
         assert predicted_latency(3) == 9.0
         assert predicted_latency(3, lambda_cpu=2.0) == 15.0

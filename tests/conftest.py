@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import pathlib
 import random
-from typing import Dict, List, Sequence
+import re
+import sys
+import types
+from typing import Dict, Iterator, List, Sequence
 
 import pytest
 from hypothesis import settings
@@ -90,6 +95,27 @@ def assert_no_duplicates(sequences: Dict[int, List[BroadcastID]]) -> None:
     """Assert no process delivered the same message twice."""
     for pid, sequence in sequences.items():
         assert len(sequence) == len(set(sequence)), f"p{pid} delivered duplicates"
+
+
+@contextlib.contextmanager
+def readme_module(heading: str, name: str) -> Iterator[types.ModuleType]:
+    """Execute the first python block after README ``heading`` as module ``name``.
+
+    A real module in ``sys.modules`` (dropped again on exit), so what the
+    block declares pickles by reference.
+    """
+    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8"
+    )
+    section = text[text.index(heading):]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    module = types.ModuleType(name)
+    sys.modules[name] = module
+    try:
+        exec(compile(code, "README.md", "exec"), module.__dict__)
+        yield module
+    finally:
+        del sys.modules[name]
 
 
 # --------------------------------------------------------------------------- fixtures

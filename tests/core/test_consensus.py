@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.consensus import ConsensusInstance
 from repro.failure_detectors.qos import QoSConfig
+from repro.scenarios.faults import CrashAt, FaultSchedule
 
 from tests.core.helpers import ConsensusHarness
 
@@ -277,7 +278,7 @@ class TestCatchUpRoundSkipping:
         system.start()
         for time, sender, payload in self.SCENARIO["arrivals"]:
             system.broadcast_at(time, sender, payload)
-        system.crash_at(100.0, 1)
+        FaultSchedule([CrashAt(100.0, 1)]).apply(system)
         system.run(until=60_000.0, max_events=1_500_000)
 
         required = {"m2", "m3", "m4", "m5", "m6"}  # everything a correct sender sent

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import QoSConfig, SystemConfig, build_system
+from repro.scenarios.faults import CrashAt, FaultSchedule
 from tests.conftest import assert_no_duplicates, assert_prefix_consistent
 
 
@@ -50,7 +51,7 @@ class TestDelivery:
     def test_broadcast_from_crashed_process_never_delivered(self):
         system = fd_system()
         system.start()
-        system.crash_at(0.5, 1)
+        FaultSchedule([CrashAt(0.5, 1)]).apply(system)
         system.broadcast_at(1.0, 1, "ghost")
         system.run(until=500.0)
         assert all(abcast.delivered == [] for abcast in system.abcasts)
@@ -95,7 +96,7 @@ class TestCrashes:
         system = fd_system(fd=QoSConfig(detection_time=10.0))
         system.start()
         system.broadcast_at(1.0, 1, "before")
-        system.crash_at(50.0, 0)
+        FaultSchedule([CrashAt(50.0, 0)]).apply(system)
         system.broadcast_at(60.0, 1, "after-1")
         system.broadcast_at(70.0, 2, "after-2")
         system.run(until=2000.0)
@@ -109,7 +110,7 @@ class TestCrashes:
         system.start()
         for i in range(8):
             system.broadcast_at(1.0 + 5 * i, (i % 2) + 1, f"m{i}")
-        system.crash_at(22.0, 0)
+        FaultSchedule([CrashAt(22.0, 0)]).apply(system)
         system.run(until=2000.0)
         sequences = system.delivery_sequences()
         # Uniform atomic broadcast: even the crashed process's deliveries must
@@ -119,8 +120,7 @@ class TestCrashes:
     def test_tolerates_f_crashes_n7(self):
         system = fd_system(n=7, fd=QoSConfig(detection_time=10.0))
         system.start()
-        for pid in (4, 5, 6):
-            system.crash_at(30.0 + pid, pid)
+        FaultSchedule([CrashAt(30.0 + pid, pid) for pid in (4, 5, 6)]).apply(system)
         for i in range(10):
             system.broadcast_at(1.0 + 10 * i, i % 4, f"m{i}")
         system.run(until=5000.0)
@@ -131,8 +131,7 @@ class TestCrashes:
     def test_blocks_without_majority(self):
         system = fd_system(fd=QoSConfig(detection_time=5.0))
         system.start()
-        system.crash_at(0.5, 1)
-        system.crash_at(0.5, 2)
+        FaultSchedule([CrashAt(0.5, 1), CrashAt(0.5, 2)]).apply(system)
         system.broadcast_at(10.0, 0, "stuck")
         system.run(until=2000.0)
         # With only 1 of 3 processes alive no message can be ordered.
@@ -143,7 +142,7 @@ class TestRenumbering:
     def test_renumbering_moves_coordinator_away_from_crashed_process(self):
         system = fd_system(fd=QoSConfig(detection_time=5.0), renumber_coordinators=True)
         system.start()
-        system.crash_at(20.0, 0)
+        FaultSchedule([CrashAt(20.0, 0)]).apply(system)
         for i in range(12):
             system.broadcast_at(30.0 + 10 * i, 1 + (i % 2), f"m{i}")
         system.run(until=5000.0)

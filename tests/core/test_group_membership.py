@@ -3,6 +3,7 @@
 
 from repro import QoSConfig, SystemConfig, build_system
 from repro.core.group_membership import EXCLUDED, JOINING, MEMBER
+from repro.scenarios.faults import CrashAt, FaultSchedule
 
 
 def gm_system(n=3, seed=17, **overrides):
@@ -31,7 +32,7 @@ class TestCrashExclusion:
     def test_crashed_process_removed_from_view(self):
         system = gm_system(fd=QoSConfig(detection_time=10.0))
         system.start()
-        system.crash_at(20.0, 2)
+        FaultSchedule([CrashAt(20.0, 2)]).apply(system)
         system.run(until=1000.0)
         for pid in (0, 1):
             view = system.membership(pid).view
@@ -46,8 +47,7 @@ class TestCrashExclusion:
                 lambda view, _pid=pid: views[_pid].append(view)
             )
         system.start()
-        system.crash_at(20.0, 4)
-        system.crash_at(300.0, 3)
+        FaultSchedule([CrashAt(20.0, 4), CrashAt(300.0, 3)]).apply(system)
         system.run(until=3000.0)
         survivor_views = [tuple(views[pid]) for pid in (0, 1, 2)]
         assert survivor_views[0] == survivor_views[1] == survivor_views[2]
@@ -56,14 +56,14 @@ class TestCrashExclusion:
     def test_view_counter_increases(self):
         system = gm_system(fd=QoSConfig(detection_time=5.0))
         system.start()
-        system.crash_at(10.0, 1)
+        FaultSchedule([CrashAt(10.0, 1)]).apply(system)
         system.run(until=1000.0)
         assert system.membership(0).views_installed == 1
 
     def test_sequencer_crash_promotes_next_member(self):
         system = gm_system(fd=QoSConfig(detection_time=5.0))
         system.start()
-        system.crash_at(10.0, 0)
+        FaultSchedule([CrashAt(10.0, 0)]).apply(system)
         system.run(until=1000.0)
         assert system.membership(1).view.sequencer == 1
         assert system.membership(1).is_sequencer()
@@ -124,7 +124,7 @@ class TestViewSynchrony:
         system.start()
         for i in range(6):
             system.broadcast_at(1.0 + 3 * i, 1 + i % 2, f"m{i}")
-        system.crash_at(11.0, 0)
+        FaultSchedule([CrashAt(11.0, 0)]).apply(system)
         system.run(until=3000.0)
         delivered_1 = [b for b, _p in system.abcast(1).delivered]
         delivered_2 = [b for b, _p in system.abcast(2).delivered]

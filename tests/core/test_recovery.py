@@ -3,6 +3,7 @@
 from repro import SystemConfig, build_system
 from repro.core.group_membership import MEMBER
 from repro.failure_detectors.qos import QoSConfig
+from repro.scenarios.faults import CrashAt, FaultSchedule, RecoverAt
 
 
 def make_system(algorithm, n=3, seed=5, detection_time=10.0, **overrides):
@@ -27,8 +28,7 @@ class TestRecoveredProcessCatchesUp:
         system.start()
         for time, sender in [(5.0, 0), (15.0, 1), (100.0, 0), (300.0, 1), (500.0, 0)]:
             system.broadcast_at(time, sender, f"m-{time}-{sender}")
-        system.crash_at(50.0, 2)
-        system.recover_at(250.0, 2)
+        FaultSchedule([CrashAt(50.0, 2), RecoverAt(250.0, 2)]).apply(system)
         system.run(until=3000.0, max_events=500_000)
         sequences = system.delivery_sequences()
         assert len(sequences[0]) == 5
@@ -38,8 +38,7 @@ class TestRecoveredProcessCatchesUp:
         system = make_system(algorithm)
         system.start()
         system.broadcast_at(5.0, 0, "before")
-        system.crash_at(20.0, 2)
-        system.recover_at(200.0, 2)
+        FaultSchedule([CrashAt(20.0, 2), RecoverAt(200.0, 2)]).apply(system)
         system.broadcast_at(1500.0, 2, "from-recovered")
         system.run(until=4000.0, max_events=500_000)
         for pid in range(3):
@@ -50,8 +49,10 @@ class TestRecoveredProcessCatchesUp:
         system = make_system(algorithm, detection_time=50.0)
         system.start()
         system.broadcast_at(5.0, 0, "a")
-        system.crash_at(20.0, 2)
-        system.recover_at(30.0, 2)  # back before T_D = 50 elapses
+        FaultSchedule([
+            CrashAt(20.0, 2),
+            RecoverAt(30.0, 2),  # back before T_D = 50 elapses
+        ]).apply(system)
         system.broadcast_at(400.0, 1, "b")
         system.run(until=3000.0, max_events=500_000)
         detector = system.fd_fabric.detector(0)
@@ -65,10 +66,12 @@ class TestRecoveredProcessCatchesUp:
         system.start()
         for time, sender in [(5.0, 0), (300.0, 1), (900.0, 0), (1600.0, 1)]:
             system.broadcast_at(time, sender, f"m-{time}")
-        system.crash_at(50.0, 2)
-        system.recover_at(400.0, 2)
-        system.crash_at(1000.0, 2)
-        system.recover_at(1300.0, 2)
+        FaultSchedule([
+            CrashAt(50.0, 2),
+            RecoverAt(400.0, 2),
+            CrashAt(1000.0, 2),
+            RecoverAt(1300.0, 2),
+        ]).apply(system)
         system.run(until=5000.0, max_events=800_000)
         sequences = system.delivery_sequences()
         assert len(sequences[0]) == 4
@@ -84,9 +87,9 @@ class TestRecoveryPayloadRefetch:
         system = make_system("fd", detection_time=5.0)
         system.start()
         system.broadcast_at(5.0, 0, "before")
-        system.crash_at(10.0, 2)
+        FaultSchedule([CrashAt(10.0, 2)]).apply(system)
         system.broadcast_at(20.0, 0, "while-down")
-        system.recover_at(20.5, 2)
+        FaultSchedule([RecoverAt(20.5, 2)]).apply(system)
         system.broadcast_at(200.0, 1, "after")
         system.run(until=5000.0, max_events=500_000)
         sequences = system.delivery_sequences()
@@ -101,8 +104,7 @@ class TestGroupMembershipRejoin:
         system = make_system("gm")
         system.start()
         system.broadcast_at(5.0, 0, "a")
-        system.crash_at(50.0, 2)
-        system.recover_at(400.0, 2)
+        FaultSchedule([CrashAt(50.0, 2), RecoverAt(400.0, 2)]).apply(system)
         system.run(until=3000.0, max_events=500_000)
         membership = system.membership(2)
         assert membership.status == MEMBER
@@ -114,7 +116,7 @@ class TestGroupMembershipRejoin:
     def test_on_recover_reconciles_back_to_membership(self):
         system = make_system("gm")
         system.start()
-        system.crash_at(50.0, 2)
+        FaultSchedule([CrashAt(50.0, 2)]).apply(system)
         system.run(until=100.0)
         membership = system.membership(2)
         system.recover(2)
@@ -130,8 +132,10 @@ class TestGroupMembershipRejoin:
         system = make_system("gm")
         system.start()
         system.broadcast_at(5.0, 1, "a")
-        system.crash_at(50.0, 0)  # the sequencer of the initial view
-        system.recover_at(500.0, 0)
+        FaultSchedule([
+            CrashAt(50.0, 0),  # the sequencer of the initial view
+            RecoverAt(500.0, 0),
+        ]).apply(system)
         system.broadcast_at(2000.0, 1, "b")
         system.run(until=6000.0, max_events=800_000)
         membership = system.membership(0)
@@ -148,8 +152,7 @@ class TestFailureDetectorRecovery:
     def test_trust_restored_one_detection_time_after_recovery(self):
         system = make_system("fd", detection_time=20.0)
         system.start()
-        system.crash_at(10.0, 2)
-        system.recover_at(100.0, 2)
+        FaultSchedule([CrashAt(10.0, 2), RecoverAt(100.0, 2)]).apply(system)
         system.run(until=40.0)
         assert system.fd_fabric.detector(0).is_suspected(2)
         system.run(until=119.0)
@@ -160,9 +163,11 @@ class TestFailureDetectorRecovery:
     def test_recrash_cancels_pending_trust_restoration(self):
         system = make_system("fd", detection_time=20.0)
         system.start()
-        system.crash_at(10.0, 2)
-        system.recover_at(100.0, 2)
-        system.crash_at(110.0, 2)  # down again before trust returns at 120
+        FaultSchedule([
+            CrashAt(10.0, 2),
+            RecoverAt(100.0, 2),
+            CrashAt(110.0, 2),  # down again before trust returns at 120
+        ]).apply(system)
         system.run(until=500.0)
         assert system.fd_fabric.detector(0).is_suspected(2)
 
@@ -205,8 +210,7 @@ class TestFailureDetectorRecovery:
         )
         system = build_system(config)
         system.start()
-        system.crash_at(10.0, 2)
-        system.recover_at(200.0, 2)
+        FaultSchedule([CrashAt(10.0, 2), RecoverAt(200.0, 2)]).apply(system)
         system.run(until=2000.0, max_events=300_000)
         detector = system.fd_fabric.detector(2)
         # The recovered process's own detector makes fresh mistakes again.
@@ -253,7 +257,7 @@ class TestPairOverrides:
         )
         system = build_system(config)
         system.start()
-        system.crash_at(10.0, 2)
+        FaultSchedule([CrashAt(10.0, 2)]).apply(system)
         system.run(until=50.0)
         assert system.fd_fabric.detector(0).is_suspected(2)  # default T_D = 10
         assert not system.fd_fabric.detector(1).is_suspected(2)  # override T_D = 100

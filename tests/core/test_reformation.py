@@ -15,7 +15,7 @@ import pytest
 
 from repro import QoSConfig, SystemConfig, build_system
 from repro.core.types import View
-from repro.scenarios.faults import FaultSchedule
+from repro.scenarios.faults import CrashAt, FaultSchedule
 from tests.conftest import assert_no_duplicates, assert_prefix_consistent
 
 
@@ -127,7 +127,7 @@ class TestSplitBrainFencing:
             )
             system = build_system(config)
             system.start()
-            system.crash_at(100.0, 1)
+            FaultSchedule([CrashAt(100.0, 1)]).apply(system)
             for time, sender in ((10.0, 0), (50.0, 2), (400.0, 0), (900.0, 2)):
                 system.broadcast_at(time, sender, f"m{time:g}.{sender}")
             system.run(until=30_000.0)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import QoSConfig, SystemConfig, build_system
+from repro.scenarios.faults import CrashAt, FaultSchedule
 from tests.conftest import assert_no_duplicates, assert_prefix_consistent
 
 
@@ -113,7 +114,7 @@ class TestSequencerCrash:
         system = gm_system(fd=QoSConfig(detection_time=10.0))
         system.start()
         system.broadcast_at(1.0, 1, "before")
-        system.crash_at(30.0, 0)
+        FaultSchedule([CrashAt(30.0, 0)]).apply(system)
         system.broadcast_at(40.0, 1, "during")
         system.broadcast_at(200.0, 2, "after")
         system.run(until=3000.0)
@@ -127,7 +128,7 @@ class TestSequencerCrash:
         system.start()
         # Broadcast right before the sequencer crashes: the message must be
         # delivered through the view change (view synchrony) or re-sent.
-        system.crash_at(10.0, 0)
+        FaultSchedule([CrashAt(10.0, 0)]).apply(system)
         system.broadcast_at(10.0, 2, "in-flight")
         system.run(until=3000.0)
         for pid in (1, 2):
@@ -139,15 +140,14 @@ class TestSequencerCrash:
         system.start()
         for i in range(8):
             system.broadcast_at(1.0 + 4 * i, 1 + i % 2, f"m{i}")
-        system.crash_at(17.0, 0)
+        FaultSchedule([CrashAt(17.0, 0)]).apply(system)
         system.run(until=3000.0)
         assert_prefix_consistent(system.delivery_sequences())
 
     def test_two_crashes_tolerated_n7(self):
         system = gm_system(n=7, fd=QoSConfig(detection_time=10.0))
         system.start()
-        system.crash_at(20.0, 0)
-        system.crash_at(120.0, 1)
+        FaultSchedule([CrashAt(20.0, 0), CrashAt(120.0, 1)]).apply(system)
         for i in range(10):
             system.broadcast_at(1.0 + 30 * i, 2 + i % 5, f"m{i}")
         system.run(until=10_000.0)
@@ -162,7 +162,7 @@ class TestBroadcastWhileNotOperational:
     def test_broadcast_during_view_change_is_buffered_and_delivered(self):
         system = gm_system(fd=QoSConfig(detection_time=5.0))
         system.start()
-        system.crash_at(10.0, 0)
+        FaultSchedule([CrashAt(10.0, 0)]).apply(system)
         # Right after detection the group is in a view change; broadcasts
         # issued then must still be delivered eventually.
         system.broadcast_at(16.0, 1, "during-view-change")

@@ -12,6 +12,7 @@ import pytest
 
 from repro import QoSConfig, SystemConfig, build_system
 from repro.failure_detectors.qos import QoSFailureDetectorFabric
+from repro.scenarios.faults import CrashAt, FaultSchedule
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import RandomStreams
@@ -237,7 +238,7 @@ class TestStacksOnBatchedScan:
         broadcasts = poisson_broadcasts(25, 0.02, senders=[1, 2, 3], seed=17)
         for time, sender, payload in broadcasts:
             system.broadcast_at(time, sender, payload)
-        system.crash_at(250.0, 0)
+        FaultSchedule([CrashAt(250.0, 0)]).apply(system)
         system.run(until=120_000.0, max_events=3_000_000)
         sequences = system.delivery_sequences()
         assert_prefix_consistent(sequences)

@@ -15,6 +15,7 @@ delivery logs:
 import pytest
 
 from repro import QoSConfig, SystemConfig, build_system
+from repro.scenarios.faults import CrashAt, FaultSchedule
 from tests.conftest import (
     assert_no_duplicates,
     assert_prefix_consistent,
@@ -30,8 +31,7 @@ def run_scenario(algorithm, n, seed, broadcasts, crashes=(), qos=None, until=120
     for time, sender, payload in broadcasts:
         system.broadcast_at(time, sender, payload)
         sent.append((time, sender, payload))
-    for time, pid in crashes:
-        system.crash_at(time, pid)
+    FaultSchedule([CrashAt(time, pid) for time, pid in crashes]).apply(system)
     system.run(until=until, max_events=3_000_000)
     return system, sent
 

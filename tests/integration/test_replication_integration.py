@@ -3,6 +3,7 @@
 from repro import QoSConfig, SystemConfig, build_system
 from repro.replication.service import ReplicatedService
 from repro.replication.state_machine import Command
+from repro.scenarios.faults import CrashAt, FaultSchedule
 
 
 class TestReplicatedStoreEndToEnd:
@@ -25,7 +26,7 @@ class TestReplicatedStoreEndToEnd:
                 sender,
                 Command("increment", f"key-{i % 5}", client=sender, request_id=i),
             )
-        system.crash_at(150.0, 0)
+        FaultSchedule([CrashAt(150.0, 0)]).apply(system)
         system.run(until=60_000.0, max_events=3_000_000)
 
         assert service.replicas_consistent()

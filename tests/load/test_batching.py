@@ -5,6 +5,7 @@ import pytest
 from repro import SystemConfig, build_system
 from repro.core.types import AtomicBroadcast
 from repro.load.batching import BATCH_TAG, BatchingAtomicBroadcast
+from repro.scenarios.faults import CrashAt, FaultSchedule, RecoverAt
 
 
 def batched_system(algorithm="fd", n=3, seed=21, max_batch=4, max_delay=5.0, **overrides):
@@ -117,7 +118,7 @@ class TestCrashRecovery:
         system = batched_system(algorithm, max_batch=10, max_delay=5.0)
         batcher = system.abcasts[0]
         system.sim.schedule_at(1.0, batcher.broadcast, "buffered")
-        system.crash_at(2.0, 0)
+        FaultSchedule([CrashAt(2.0, 0)]).apply(system)
         system.run(until=100.0)
         assert batcher.pending_count == 1
         assert batcher.batches_flushed == 0
@@ -128,8 +129,7 @@ class TestCrashRecovery:
         )
         batcher = system.abcasts[0]
         system.sim.schedule_at(1.0, batcher.broadcast, "survivor")
-        system.crash_at(2.0, 0)
-        system.recover_at(50.0, 0)
+        FaultSchedule([CrashAt(2.0, 0), RecoverAt(50.0, 0)]).apply(system)
         system.run(until=2000.0)
         assert batcher.pending_count == 0
         assert any(p == "survivor" for _bid, p in system.abcasts[1].delivered)

@@ -11,6 +11,7 @@ from repro import QoSConfig, SystemConfig, build_system
 from repro.load.clients import ClosedLoopClients, CommandMix, OpenLoopClients
 from repro.load.service import AdmissionConfig, LoadTestedService
 from repro.replication.state_machine import Command
+from repro.scenarios.faults import CrashAt, FaultSchedule, RecoverAt
 
 
 def make_service(algorithm="fd", n=3, seed=61, **kwargs):
@@ -148,9 +149,10 @@ class TestFaultSchedules:
             service, offered_load=150.0, num_clients=4, senders=[1, 2, 3]
         )
         clients.schedule_requests(60)
-        system.crash_at(100.0, 0)
+        faults = FaultSchedule([CrashAt(100.0, 0)])
         if recover_at is not None:
-            system.recover_at(recover_at, 0)
+            faults.add(RecoverAt(recover_at, 0))
+        faults.apply(system)
         system.run(until=20_000.0)
         return service
 
@@ -200,8 +202,7 @@ class TestFaultSchedules:
             service, num_clients=6, think_time=5.0, senders=[1, 2, 3]
         )
         population.start(total_requests=80)
-        service.system.crash_at(50.0, 0)
-        service.system.recover_at(300.0, 0)
+        FaultSchedule([CrashAt(50.0, 0), RecoverAt(300.0, 0)]).apply(service.system)
         service.system.run(until=60_000.0)
         assert population.issued == 80
         assert sorted(completions) == list(range(80))
@@ -224,8 +225,7 @@ class TestFaultSchedules:
             service, offered_load=200.0, num_clients=4, senders=[1, 2, 3]
         )
         clients.schedule_requests(60)
-        system.crash_at(80.0, 0)
-        system.recover_at(400.0, 0)
+        FaultSchedule([CrashAt(80.0, 0), RecoverAt(400.0, 0)]).apply(system)
         system.run(until=20_000.0)
         assert service.replicas_consistent()
         completed = [r for r in service.requests if r.response_time is not None]

@@ -17,7 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import QoSConfig, SystemConfig, build_system
-from repro.scenarios.faults import CorrelatedCrash, CrashAt, FaultSchedule, RecoverAt
+from repro.scenarios.faults import (
+    CorrelatedCrash,
+    CrashAt,
+    DegradeAt,
+    FaultSchedule,
+    RecoverAt,
+    RestoreAt,
+)
 from tests.conftest import assert_no_duplicates, assert_prefix_consistent
 
 
@@ -56,8 +63,7 @@ def run_generated(n, algorithm, seed, arrivals, crash_plan, qos):
     system.start()
     for time, sender, payload in arrivals:
         system.broadcast_at(time, sender, payload)
-    for time, pid in crash_plan:
-        system.crash_at(time, pid)
+    FaultSchedule([CrashAt(time, pid) for time, pid in crash_plan]).apply(system)
     system.run(until=60_000.0, max_events=1_500_000)
     return system
 
@@ -232,7 +238,7 @@ def fault_schedules(draw):
     cursor = draw(st.floats(min_value=5.0, max_value=50.0))
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         downtime = draw(st.floats(min_value=1.0, max_value=120.0))
-        schedule.crash(cursor, churned).recover(cursor + downtime, churned)
+        schedule.add(CrashAt(cursor, churned)).add(RecoverAt(cursor + downtime, churned))
         ever_crashed.add(churned)
         cursor += downtime + draw(st.floats(min_value=40.0, max_value=150.0))
 
@@ -250,7 +256,7 @@ def fault_schedules(draw):
             )
             ever_crashed.update((extra, partner))
         else:
-            schedule.crash(draw(st.floats(min_value=5.0, max_value=300.0)), extra)
+            schedule.add(CrashAt(draw(st.floats(min_value=5.0, max_value=300.0)), extra))
             ever_crashed.add(extra)
 
     return n, algorithm, seed, detection_time, arrivals, schedule, ever_crashed
@@ -587,8 +593,8 @@ class TestGrayFailureProperties:
             )
         )
         system.start()
-        FaultSchedule().degrade(start, victim, factor).restore(
-            start + duration, victim
+        FaultSchedule(
+            [DegradeAt(start, victim, factor), RestoreAt(start + duration, victim)]
         ).apply(system)
         for time, sender, payload in arrivals:
             system.broadcast_at(time, sender, payload)

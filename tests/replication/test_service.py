@@ -4,6 +4,7 @@
 from repro import QoSConfig, SystemConfig, build_system
 from repro.replication.service import ReplicatedService
 from repro.replication.state_machine import Command
+from repro.scenarios.faults import CrashAt, FaultSchedule
 
 
 def make_service(algorithm="fd", n=3, seed=51, **overrides):
@@ -45,7 +46,7 @@ class TestReplicatedService:
         system, service = make_service(algorithm, fd=QoSConfig(detection_time=10.0))
         for i in range(8):
             service.submit_at(1.0 + 6 * i, 1 + i % 2, Command("put", f"k{i}", i))
-        system.crash_at(20.0, 0)
+        FaultSchedule([CrashAt(20.0, 0)]).apply(system)
         system.run(until=5000.0)
         assert service.replicas_consistent()
         # The surviving replicas executed every request.

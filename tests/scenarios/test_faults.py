@@ -16,6 +16,7 @@ from repro.scenarios.faults import (
     RestoreAt,
     SuspectDuring,
 )
+from tests.conftest import readme_module
 
 
 def make_system(n=3, algorithm="fd", seed=1, **overrides):
@@ -58,7 +59,7 @@ class TestScheduleCompilation:
 
     def test_timed_crash_and_recovery_fire_in_order(self):
         system = make_system()
-        FaultSchedule().crash(10.0, 1).recover(25.0, 1).apply(system)
+        FaultSchedule([CrashAt(10.0, 1), RecoverAt(25.0, 1)]).apply(system)
         assert not system.network.is_crashed(1)
         system.run(until=15.0)
         assert system.network.is_crashed(1)
@@ -81,16 +82,106 @@ class TestScheduleCompilation:
         assert not system.fd_fabric.detector(0).is_suspected(2)
 
     def test_max_concurrent_crashes_accounts_for_recoveries(self):
-        schedule = (
-            FaultSchedule()
-            .crash(10.0, 0)
-            .recover(20.0, 0)
-            .crash(20.0, 1)
-            .recover(30.0, 1)
+        schedule = FaultSchedule(
+            [CrashAt(10.0, 0), RecoverAt(20.0, 0), CrashAt(20.0, 1), RecoverAt(30.0, 1)]
         )
         assert schedule.max_concurrent_crashes() == 1
-        overlapping = FaultSchedule().crash(10.0, 0).crash(15.0, 1).recover(40.0, 0)
+        overlapping = FaultSchedule([CrashAt(10.0, 0), CrashAt(15.0, 1), RecoverAt(40.0, 0)])
         assert overlapping.max_concurrent_crashes() == 2
+
+
+class TestEventsScheduleThemselves:
+    def test_each_timed_event_posts_the_bound_method_that_enacts_it(self):
+        system = make_system(n=3)
+        processes, network, fabric = system.processes, system.network, system.fd_fabric
+        FaultSchedule([
+            CrashAt(10.0, 1, permanent_suspicion=True),
+            RecoverAt(50.0, 1),
+            CorrelatedCrash(55.0, (2, 0)),
+            PartitionAt(60.0, groups=((0, 1), (2,))),
+            PartitionAt(65.0, links=((0, 2),)),
+            HealAt(70.0),
+            DegradeAt(80.0, 0, 4.0),
+            RestoreAt(90.0, 0),
+            DegradeLinkAt(95.0, 0, 1, loss_probability=0.5),
+        ]).apply(system)
+        # The system is not started: its queue holds exactly the posted faults.
+        posted = [
+            (time, callback, args) for time, _seq, callback, args, _handle in sorted(system.sim._queue)
+        ]
+        assert posted == [
+            (10.0, processes[1].crash, ()),
+            (10.0, fabric.suspect_permanently, (1,)),
+            (50.0, processes[1].recover, ()),
+            (55.0, processes[2].crash, ()),
+            (55.0, processes[0].crash, ()),
+            (60.0, network.partition, ([(0, 1), (2,)],)),
+            (65.0, network.block_links, ([(0, 2)],)),
+            (70.0, network.heal, ()),
+            (80.0, network.degrade_cpu, (0, 4.0)),
+            (90.0, network.restore_cpu, (0,)),
+            (95.0, network.degrade_link, (0, 1, 0.5, 0.0)),
+        ]
+
+
+#: Every timed event class naming a process a 3-process system lacks, plus a
+#: pre-run crash: (event, the pid the error must name).  ``HealAt`` names no
+#: process, so nothing is out of range.
+OUT_OF_RANGE = [
+    (CrashAt(0.0, 5, permanent_suspicion=True), 5),
+    (CrashAt(10.0, 3), 3),
+    (RecoverAt(10.0, 7), 7),
+    (CorrelatedCrash(10.0, (1, 7)), 7),
+    (SuspectDuring(start=5.0, duration=10.0, target=7), 7),
+    (SuspectDuring(start=5.0, duration=10.0, target=0, monitors=(1, 9)), 9),
+    (PartitionAt(10.0, groups=((0, 1), (9,))), 9),
+    (PartitionAt(10.0, links=((0, 9),)), 9),
+    (DegradeAt(10.0, 9, 2.0), 9),
+    (RestoreAt(10.0, 9), 9),
+    (DegradeLinkAt(10.0, 9, 0, loss_probability=0.5), 9),
+    (CrashAt(10.0, -1), -1),
+    (HealAt(10.0), None),
+]
+
+
+class TestOutOfRangePids:
+    @pytest.mark.parametrize("event,pid", OUT_OF_RANGE, ids=lambda case: repr(case))
+    def test_rejected_before_anything_is_applied_or_posted(self, event, pid):
+        system = make_system(n=3)
+        # A valid crash first: a partially compiled schedule would post it.
+        schedule = FaultSchedule([CrashAt(1.0, 0), event])
+        if pid is None:
+            schedule.apply(system)
+            assert system.sim.pending_events == 2
+            return
+        with pytest.raises(ValueError, match=f"{type(event).__name__}.* names process {pid},"):
+            schedule.apply(system)
+        assert system.sim.pending_events == 0
+        assert system.network.crashed_processes() == set()
+
+    def test_every_timed_event_class_is_in_the_table(self):
+        classes = {type(event) for event, _pid in OUT_OF_RANGE}
+        assert classes == {
+            CrashAt, RecoverAt, CorrelatedCrash, SuspectDuring, PartitionAt,
+            HealAt, DegradeAt, RestoreAt, DegradeLinkAt,
+        }
+
+    def test_schedule_alone_checks_too(self):
+        system = make_system(n=3)
+        with pytest.raises(ValueError, match="names process 4"):
+            FaultSchedule([CrashAt(10.0, 1), RecoverAt(20.0, 4)]).schedule(system)
+        assert system.sim.pending_events == 0
+
+
+class TestReadmeBlock:
+    """The README's "Adding a fault event" example, executed verbatim."""
+
+    def test_the_event_schedules_itself_and_is_checked(self):
+        with readme_module("### Adding a fault event", "readme_silent_sender") as silent:
+            assert silent.system.network.stats.dropped_lossy_link > 0
+            assert silent.system.abcast(0).delivered == []  # p2's only message was lost
+            with pytest.raises(ValueError, match="names process 5"):
+                FaultSchedule([silent.SilentSenderAt(20.0, 5)]).apply(make_system(n=3))
 
 
 class TestPoissonChurn:
@@ -137,12 +228,11 @@ class TestPoissonChurn:
         # window nor breach the concurrency bound together with it.
         for seed in range(1, 8):
             system = make_system(n=5, seed=seed)
-            schedule = (
-                FaultSchedule()
-                .crash(100.0, 4)
-                .recover(2000.0, 4)
-                .add(PoissonChurn(rate=20.0, mean_downtime=300.0, until=3000.0))
-            )
+            schedule = FaultSchedule([
+                CrashAt(100.0, 4),
+                RecoverAt(2000.0, 4),
+                PoissonChurn(rate=20.0, mean_downtime=300.0, until=3000.0),
+            ])
             worst = schedule.max_concurrent_crashes(system)
             assert worst <= SystemConfig(n=5).max_tolerated_crashes()
             generated = schedule.events[-1].expand(
@@ -214,7 +304,7 @@ class TestLinkFaultEventValidation:
 class TestLinkFaultScheduleCompilation:
     def test_partition_and_heal_fire_in_order(self):
         system = make_system(n=3)
-        FaultSchedule().partition(10.0, [(0, 1), (2,)]).heal(25.0).apply(system)
+        FaultSchedule([PartitionAt(10.0, groups=((0, 1), (2,))), HealAt(25.0)]).apply(system)
         assert not system.network.is_link_blocked(0, 2)
         system.run(until=15.0)
         assert system.network.is_link_blocked(0, 2)
@@ -232,7 +322,7 @@ class TestLinkFaultScheduleCompilation:
 
     def test_degrade_and_restore_scale_the_cpu(self):
         system = make_system(n=3)
-        FaultSchedule().degrade(10.0, 1, 4.0).restore(20.0, 1).apply(system)
+        FaultSchedule([DegradeAt(10.0, 1, 4.0), RestoreAt(20.0, 1)]).apply(system)
         assert system.network.cpu(1).rate_factor == 1.0
         system.run(until=15.0)
         assert system.network.cpu(1).rate_factor == 4.0

@@ -65,7 +65,7 @@ class TestErrorsBeforeVerifyPropagate:
     def test_measuring(self):
         faults = FaultSchedule([CrashAt(10.0, 7)])  # no such process
         verified = []
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="names process 7"):
             ScenarioRunner().run_steady(
                 replace(spec(), faults=faults), verify=lambda *args: verified.append(args)
             )

@@ -1,9 +1,5 @@
 """Unit tests for the protocol-stack registry and its public protocols."""
 
-import os
-import re
-import sys
-import types
 from dataclasses import dataclass
 
 import pytest
@@ -11,7 +7,6 @@ import pytest
 from repro import SystemConfig, build_system
 from repro.stacks import (
     FailureDetectorFabric,
-    FaultInjectable,
     StackLayers,
     StackSpec,
     available_fd_kinds,
@@ -26,6 +21,7 @@ from repro.stacks import (
     unregister_fd_kind,
     unregister_stack,
 )
+from tests.conftest import readme_module
 
 
 class TestBuiltinRegistrations:
@@ -161,19 +157,11 @@ class TestReadmeBlock:
 
     @pytest.fixture
     def lagging(self):
-        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-        with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
-            text = handle.read()
-        section = text[text.index("### Adding a stack or FD kind"):]
-        code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
-        module = types.ModuleType("readme_lagging")
-        sys.modules[module.__name__] = module
         try:
-            exec(compile(code, "README.md", "exec"), module.__dict__)
-            yield module
+            with readme_module("### Adding a stack or FD kind", "readme_lagging") as module:
+                yield module
         finally:
             unregister_fd_kind("lagging")
-            del sys.modules[module.__name__]
 
     def test_the_kind_runs_with_its_declared_param(self, lagging):
         from repro.campaigns import PointSpec
@@ -195,104 +183,7 @@ class TestReadmeBlock:
 
 
 class TestProtocolConformance:
-    def test_broadcast_system_satisfies_fault_injectable(self):
-        assert isinstance(build_system(n=3), FaultInjectable)
-
     def test_all_builtin_fabrics_satisfy_the_fabric_protocol(self):
         for fd_kind in available_fd_kinds():
             system = build_system(n=3, fd_kind=fd_kind)
             assert isinstance(system.fd_fabric, FailureDetectorFabric), fd_kind
-
-    def test_fault_schedule_runs_against_the_capability_protocol(self):
-        """A minimal FaultInjectable double executes a schedule: the compiler
-        never touches fd_fabric or other system internals."""
-        from repro.scenarios.faults import FaultSchedule, SuspectDuring
-
-        calls = []
-
-        class Recorder:
-            config = SystemConfig(n=3)
-
-            def crash(self, pid):
-                calls.append(("crash", pid))
-
-            def crash_at(self, time, pid):
-                calls.append(("crash_at", time, pid))
-
-            def recover(self, pid):
-                calls.append(("recover", pid))
-
-            def recover_at(self, time, pid):
-                calls.append(("recover_at", time, pid))
-
-            def suspect_permanently(self, pid, delay=0.0):
-                calls.append(("suspect_permanently", pid))
-
-            def suspect_permanently_at(self, time, pid):
-                calls.append(("suspect_permanently_at", time, pid))
-
-            def suspect_during(self, target, start, duration, monitors=None):
-                calls.append(("suspect_during", target, start, duration))
-
-            def partition(self, groups):
-                calls.append(("partition", groups))
-
-            def partition_at(self, time, groups):
-                calls.append(("partition_at", time, groups))
-
-            def block_links(self, links):
-                calls.append(("block_links", links))
-
-            def block_links_at(self, time, links):
-                calls.append(("block_links_at", time, links))
-
-            def heal(self):
-                calls.append(("heal",))
-
-            def heal_at(self, time):
-                calls.append(("heal_at", time))
-
-            def degrade_cpu(self, pid, factor):
-                calls.append(("degrade_cpu", pid, factor))
-
-            def degrade_cpu_at(self, time, pid, factor):
-                calls.append(("degrade_cpu_at", time, pid, factor))
-
-            def restore_cpu(self, pid):
-                calls.append(("restore_cpu", pid))
-
-            def restore_cpu_at(self, time, pid):
-                calls.append(("restore_cpu_at", time, pid))
-
-            def degrade_link(self, src, dst, loss_probability=0.0, duplicate_probability=0.0):
-                calls.append(("degrade_link", src, dst))
-
-            def degrade_link_at(
-                self, time, src, dst, loss_probability=0.0, duplicate_probability=0.0
-            ):
-                calls.append(("degrade_link_at", time, src, dst, loss_probability))
-
-        schedule = (
-            FaultSchedule.pre_crashed([2])
-            .crash(10.0, 1)
-            .recover(50.0, 1)
-            .add(SuspectDuring(start=20.0, duration=5.0, target=0))
-            .partition(60.0, [(0, 1), (2,)])
-            .heal(70.0)
-            .degrade(80.0, 0, 4.0)
-            .restore(90.0, 0)
-        )
-        recorder = Recorder()
-        assert isinstance(recorder, FaultInjectable)
-        schedule.apply(recorder)
-        assert calls == [
-            ("crash", 2),
-            ("suspect_permanently", 2),
-            ("crash_at", 10.0, 1),
-            ("recover_at", 50.0, 1),
-            ("suspect_during", 0, 20.0, 5.0),
-            ("partition_at", 60.0, ((0, 1), (2,))),
-            ("heal_at", 70.0),
-            ("degrade_cpu_at", 80.0, 0, 4.0),
-            ("restore_cpu_at", 90.0, 0),
-        ]
