@@ -26,37 +26,40 @@ happen:
 with the paper's *random* mistake model (exponential ``T_MR`` / ``T_M``);
 :class:`repro.failure_detectors.perfect.PerfectFailureDetectorFabric` uses
 it as-is, so "perfect" can no longer inherit QoS mistake behaviour by
-accident.  The mistake-specific extension points are the ``_cancel_mistakes``
-/ ``_resume_mistakes`` hooks, the ``_scan_mistake_*`` calendar handlers and
-the :meth:`start` override.
+accident.  A mistake model adds its transition kinds to :attr:`kinds`, one
+handler per kind, and overrides the ``_cancel_mistakes`` /
+``_resume_mistakes`` hooks and :meth:`start`.
 
-Batched scan mode
------------------
+Pending transitions
+-------------------
 
-With the default ``scan_interval=None`` every pending detection, trust
-restoration and (in the QoS subclass) mistake transition is its own
-simulator event -- O(n^2) live timer events, which dominates the event loop
-at n >= 15.  Passing ``scan_interval=q`` (the qos / perfect kinds'
-``fd_scan_interval`` param) switches the fabric to a *batched calendar*:
-pair transitions become plain tuples on a fabric-local heap, at most **one**
-simulator event (the scan) is armed at a time, and each scan drains every
-transition due by then.
-Cancellation is O(1) via per-pair generation counters instead of event
-handles, so recoveries and re-crashes never touch the simulator queue.
+Every pair transition is of one *kind*, named after the method that handles
+it (``_detect_crash``, ``_restore_trust``, ``_partition_detect``,
+``_partition_trust``, and the mistake model's two).  ``_due[kind][pair]``
+holds the pair's one pending transition of that kind: :meth:`_after` arms
+it (replacing a pending one), :meth:`_cancel` drops it, and its handler
+removes it when it fires.  Nothing else arms or drops a transition.
 
-The trade-off is explicit: transitions fire at the next multiple of ``q``
-at or after their exact due time, so results are quantized to the scan tick
-(same flavour of approximation as the heartbeat detector's
-``check_interval``) and are *not* bit-identical to the default mode.  The
-default mode stays the golden-pinned exact semantics; batch mode is the
-throughput lane for large-n sweeps.
+Two backends sit behind :meth:`_after`.  By default (``scan_interval=None``)
+an entry is the kernel :class:`~repro.sim.engine.EventHandle` of its
+handler: exact per-pair timers, the golden-pinned semantics.  That is
+O(n^2) live timer events, which dominates the event loop at n >= 15, so
+``scan_interval=q`` (the qos / perfect kinds' ``fd_scan_interval`` param)
+makes an entry a sequence number on a fabric-local calendar heap instead:
+at most **one** simulator event (the scan) is armed at a time, and each
+scan runs the handler of every entry due by then that is still the pair's
+pending one.  Transitions fire at the next multiple of ``q`` at or after
+their due time, so results are quantized to the scan tick and *not*
+bit-identical to the exact mode.  Partition transitions are rare (a handful
+per scenario) and stay kernel events in both backends, like the
+forced-suspicion windows.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.failure_detectors.interface import FailureDetector
 from repro.sim.engine import EventHandle, Simulator
@@ -65,11 +68,14 @@ from repro.sim.network import Network
 #: An ordered (monitor, monitored) failure detector pair.
 Pair = Tuple[int, int]
 
-#: Calendar entry kinds (index into the scan dispatch table).
-KIND_DETECT = 0
-KIND_TRUST = 1
-KIND_MISTAKE_BEGIN = 2
-KIND_MISTAKE_END = 3
+#: Pair transition kinds, each named after the fabric method that handles it.
+DETECT = "_detect_crash"
+TRUST = "_restore_trust"
+PARTITION_DETECT = "_partition_detect"
+PARTITION_TRUST = "_partition_trust"
+
+#: A pending transition: a kernel event, or a sequence number on the calendar.
+Entry = Union[EventHandle, int]
 
 
 class CrashDetectionFabric:
@@ -77,6 +83,8 @@ class CrashDetectionFabric:
 
     #: Detector class instantiated per process; subclasses may refine it.
     detector_class = FailureDetector
+    #: The pair transition kinds this fabric arms.
+    kinds: Tuple[str, ...] = (DETECT, TRUST, PARTITION_DETECT, PARTITION_TRUST)
 
     def __init__(
         self,
@@ -93,43 +101,21 @@ class CrashDetectionFabric:
         self._detectors: Dict[int, FailureDetector] = {
             pid: self.detector_class(pid, pids) for pid in pids
         }
-        # Pending crash detections / post-recovery trust restorations, so a
-        # recovery (resp. a re-crash) can cancel them (exact mode only).
-        self._pending_detect: Dict[Pair, EventHandle] = {}
-        self._pending_trust: Dict[Pair, EventHandle] = {}
         self._crashed: set = set()
         self._started = False
+        #: The pending transition of each kind, per pair.
+        self._due: Dict[str, Dict[Pair, Entry]] = {kind: {} for kind in self.kinds}
         # Batched-scan calendar (``scan_interval is not None``): a heap of
-        # ``(due, seq, kind, monitor, monitored, gen)`` tuples drained by one
-        # armed simulator event.  ``gen`` snapshots the pair's generation
-        # counter; bumping the counter invalidates every outstanding entry of
-        # that pair/kind family without touching the heap.
+        # ``(due, seq, kind, monitor, monitored)`` tuples drained by one
+        # armed simulator event.
         self._scan_interval = scan_interval
         self._calendar: List[tuple] = []
         self._cal_seq = 0
         self._armed_time: Optional[float] = None
         self._armed_handle: Optional[EventHandle] = None
-        # KIND_MISTAKE_BEGIN and KIND_MISTAKE_END share one generation map:
-        # legacy ``_cancel_mistakes`` cancels both transition kinds at once.
-        mistake_gen: Dict[Pair, int] = {}
-        self._cal_gens = ({}, {}, mistake_gen, mistake_gen)
-        self._scan_dispatch = (
-            self._scan_detect,
-            self._scan_trust,
-            self._scan_mistake_begins,
-            self._scan_mistake_ends,
-        )
-        #: Pairs with a live trust-restoration entry on the calendar (batch
-        #: mode's counterpart of ``pair in self._pending_trust``).
-        self._trust_armed: Set[Pair] = set()
         #: (monitor, monitored) pairs whose ``monitored -> monitor`` link is
-        #: currently blocked by a partition, plus their pending transitions.
-        #: Partition changes are rare (a handful per scenario), so these stay
-        #: direct simulator events even in batched-scan mode -- the same
-        #: convention as the forced-suspicion windows.
+        #: currently blocked by a partition.
         self._partition_blocked: Set[Pair] = set()
-        self._pending_part_detect: Dict[Pair, EventHandle] = {}
-        self._pending_part_trust: Dict[Pair, EventHandle] = {}
         network.add_crash_listener(self._on_crash)
         network.add_recovery_listener(self._on_recovery)
         network.add_partition_listener(self._on_partition)
@@ -160,45 +146,54 @@ class CrashDetectionFabric:
         return 0.0
 
     def _cancel_mistakes(self, monitor: int, monitored: int) -> None:
-        """Cancel pending random-mistake events of the pair (mistake models)."""
+        """Cancel pending random-mistake transitions of the pair (mistake models)."""
 
     def _resume_mistakes(self, monitor: int, monitored: int) -> None:
         """Resume random-mistake generation for the pair after a recovery."""
 
-    def _scan_mistake_begins(self, monitor: int, monitored: int) -> None:
-        """Calendar handler for mistake onsets (mistake models override)."""
+    # ------------------------------------------------------------------ pending transitions
 
-    def _scan_mistake_ends(self, monitor: int, monitored: int) -> None:
-        """Calendar handler for mistake corrections (mistake models override)."""
+    def _after(self, kind: str, delay: float, monitor: int, monitored: int) -> None:
+        """Arm the pair's ``kind`` transition ``delay`` from now.
 
-    # ------------------------------------------------------------------ calendar
-
-    def _calendar_push(self, kind: int, delay: float, monitor: int, monitored: int) -> None:
-        """Enter a pair transition on the batch calendar, ``delay`` from now."""
-        due = self._sim.now + delay
-        gen = self._cal_gens[kind].get((monitor, monitored), 0)
-        heapq.heappush(self._calendar, (due, self._cal_seq, kind, monitor, monitored, gen))
-        self._cal_seq += 1
-        # Fast path: a scan armed at or before ``due`` already covers this
-        # entry (its tick is <= quantize(due)), so skip the quantization.
-        armed = self._armed_time
-        if armed is None or armed > due:
-            self._arm(due)
-
-    def _calendar_cancel(self, kind: int, monitor: int, monitored: int) -> None:
-        """Invalidate every outstanding calendar entry of the pair's kind."""
-        gens = self._cal_gens[kind]
+        A pair has at most one pending transition of each kind, so a pending
+        one is dropped first.
+        """
+        due = self._due[kind]
         pair = (monitor, monitored)
-        gens[pair] = gens.get(pair, 0) + 1
+        if pair in due:
+            self._cancel(kind, monitor, monitored)
+        if self._scan_interval is None or kind in (PARTITION_DETECT, PARTITION_TRUST):
+            due[pair] = self._sim.schedule(delay, getattr(self, kind), monitor, monitored)
+            return
+        time = self._sim.now + delay
+        seq = self._cal_seq
+        self._cal_seq = seq + 1
+        heapq.heappush(self._calendar, (time, seq, kind, monitor, monitored))
+        due[pair] = seq
+        # Fast path: a scan armed at or before ``time`` already covers this
+        # entry (its tick is <= ``time``'s tick), so skip the quantization.
+        armed = self._armed_time
+        if armed is None or armed > time:
+            self._arm(time)
 
-    def _quantize(self, time: float) -> float:
-        """The first scan tick at or after ``time`` (``ceil`` to the grid)."""
-        interval = self._scan_interval
-        return math.ceil(time / interval) * interval
+    def _cancel(self, kind: str, monitor: int, monitored: int) -> None:
+        """Drop the pair's pending ``kind`` transition, if there is one.
+
+        A calendar entry is dropped by forgetting its sequence number: the
+        scan skips an entry that is no longer its pair's pending one.
+        """
+        entry = self._due[kind].pop((monitor, monitored), None)
+        if isinstance(entry, EventHandle):
+            entry.cancel()
 
     def _arm(self, due: float) -> None:
-        """Make sure the scan event fires no later than ``due``'s tick."""
-        tick = self._quantize(due)
+        """Make sure the scan event fires no later than ``due``'s tick.
+
+        The tick is the first multiple of the scan interval at or after ``due``.
+        """
+        interval = self._scan_interval
+        tick = math.ceil(due / interval) * interval
         if self._armed_time is not None and self._armed_time <= tick:
             return
         if self._armed_handle is not None:
@@ -207,29 +202,24 @@ class CrashDetectionFabric:
         self._armed_handle = self._sim.schedule_at(tick, self._scan)
 
     def _scan(self) -> None:
-        """Drain every calendar transition due by now, in (time, seq) order."""
+        """Run every pending calendar transition due by now, in (time, seq) order."""
         self._armed_time = None
         self._armed_handle = None
         calendar = self._calendar
-        gens = self._cal_gens
-        dispatch = self._scan_dispatch
+        due = self._due
         pop = heapq.heappop
         now = self._sim.now
         while calendar and calendar[0][0] <= now:
-            due, _seq, kind, monitor, monitored, gen = pop(calendar)
-            if gens[kind].get((monitor, monitored), 0) != gen:
-                continue
-            dispatch[kind](monitor, monitored)
+            _time, seq, kind, monitor, monitored = pop(calendar)
+            if due[kind].get((monitor, monitored)) == seq:
+                getattr(self, kind)(monitor, monitored)
         if calendar:
             self._arm(calendar[0][0])
 
     def _trust_pending(self, monitor: int, monitored: int) -> bool:
         """Whether the pair has a pending post-recovery trust restoration."""
-        if (monitor, monitored) in self._pending_part_trust:
-            return True
-        if self._scan_interval is not None:
-            return (monitor, monitored) in self._trust_armed
-        return (monitor, monitored) in self._pending_trust
+        pair = (monitor, monitored)
+        return pair in self._due[PARTITION_TRUST] or pair in self._due[TRUST]
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -237,8 +227,8 @@ class CrashDetectionFabric:
         """Lifecycle hook called once when the system starts (idempotent)."""
         self._started = True
 
-    def suspect_permanently(self, monitored: int, delay: float = 0.0) -> None:
-        """Make every monitor suspect ``monitored`` permanently after ``delay``.
+    def suspect_permanently(self, monitored: int) -> None:
+        """Make every monitor suspect ``monitored`` from now until it recovers.
 
         Used by the crash-steady scenario where crashes happened long before
         the measured window: every detector suspects the crashed processes
@@ -249,10 +239,7 @@ class CrashDetectionFabric:
             if monitor == monitored:
                 continue
             self._cancel_mistakes(monitor, monitored)
-            if delay == 0.0:
-                detector._set_suspected(monitored, True)
-            else:
-                self._sim.post(delay, detector._set_suspected, monitored, True)
+            detector._set_suspected(monitored, True)
 
     def suspect_during(
         self,
@@ -318,26 +305,18 @@ class CrashDetectionFabric:
             # A stray random-mistake correction must not clear the upcoming
             # partition suspicion, so the pair's mistakes stop (crash parity).
             self._cancel_mistakes(monitor, monitored)
-            self._cancel_part_trust(monitor, monitored)
+            self._cancel(PARTITION_TRUST, monitor, monitored)
             if monitored in self._crashed:
                 continue  # the crash path already drives this pair
-            self._pending_part_detect[(monitor, monitored)] = self._sim.schedule(
-                self._detection_time(monitor, monitored),
-                self._partition_detect,
-                monitor,
-                monitored,
+            self._after(
+                PARTITION_DETECT, self._detection_time(monitor, monitored), monitor, monitored
             )
         for monitor, monitored in self._partition_blocked - now_blocked:
             # A cut shorter than the detection time goes unnoticed.
-            pending = self._pending_part_detect.pop((monitor, monitored), None)
-            if pending is not None:
-                pending.cancel()
+            self._cancel(PARTITION_DETECT, monitor, monitored)
             if monitored not in self._crashed and detectors[monitor].is_suspected(monitored):
-                self._pending_part_trust[(monitor, monitored)] = self._sim.schedule(
-                    self._detection_time(monitor, monitored),
-                    self._partition_trust,
-                    monitor,
-                    monitored,
+                self._after(
+                    PARTITION_TRUST, self._detection_time(monitor, monitored), monitor, monitored
                 )
             # Mistake generation resumes once the link is back (the pending
             # partition trust, entered first, keeps ``_resume_mistakes`` from
@@ -347,21 +326,16 @@ class CrashDetectionFabric:
         self._partition_blocked = now_blocked
 
     def _partition_detect(self, monitor: int, monitored: int) -> None:
-        self._pending_part_detect.pop((monitor, monitored), None)
+        self._due[PARTITION_DETECT].pop((monitor, monitored), None)
         if monitored in self._crashed:
             return
         self._detectors[monitor]._set_suspected(monitored, True)
 
     def _partition_trust(self, monitor: int, monitored: int) -> None:
-        self._pending_part_trust.pop((monitor, monitored), None)
+        self._due[PARTITION_TRUST].pop((monitor, monitored), None)
         if monitored in self._crashed or (monitor, monitored) in self._partition_blocked:
             return
         self._detectors[monitor]._set_suspected(monitored, False)
-
-    def _cancel_part_trust(self, monitor: int, monitored: int) -> None:
-        handle = self._pending_part_trust.pop((monitor, monitored), None)
-        if handle is not None:
-            handle.cancel()
 
     # ------------------------------------------------------------------ crashes
 
@@ -369,27 +343,16 @@ class CrashDetectionFabric:
         if pid in self._crashed:
             return
         self._crashed.add(pid)
-        batch = self._scan_interval is not None
         for monitor in self._detectors:
             if monitor == pid:
                 continue
             self._cancel_mistakes(monitor, pid)
-            self._cancel_trust(monitor, pid)
-            detection_time = self._detection_time(monitor, pid)
-            if batch:
-                self._calendar_push(KIND_DETECT, detection_time, monitor, pid)
-            else:
-                self._pending_detect[(monitor, pid)] = self._sim.schedule(
-                    detection_time, self._detect_crash, monitor, pid
-                )
+            self._cancel(TRUST, monitor, pid)
+            self._after(DETECT, self._detection_time(monitor, pid), monitor, pid)
 
     def _detect_crash(self, monitor: int, crashed: int) -> None:
-        self._pending_detect.pop((monitor, crashed), None)
-        self._detectors[monitor]._set_suspected(crashed, True)
-
-    def _scan_detect(self, monitor: int, crashed: int) -> None:
-        # Recovery bumps the detect generation, so reaching here means the
-        # crash is still in effect.
+        # A recovery cancels the detection, so the crash is still in effect.
+        self._due[DETECT].pop((monitor, crashed), None)
         self._detectors[monitor]._set_suspected(crashed, True)
 
     # ------------------------------------------------------------------ recoveries
@@ -398,40 +361,22 @@ class CrashDetectionFabric:
         if pid not in self._crashed:
             return
         self._crashed.discard(pid)
-        batch = self._scan_interval is not None
         for monitor in self._detectors:
             if monitor == pid:
                 continue
             # A crash shorter than the detection time goes unnoticed.
-            if batch:
-                self._calendar_cancel(KIND_DETECT, monitor, pid)
-            else:
-                pending = self._pending_detect.pop((monitor, pid), None)
-                if pending is not None:
-                    pending.cancel()
+            self._cancel(DETECT, monitor, pid)
             if (monitor, pid) in self._partition_blocked:
                 # The recovered process is still cut off from this monitor:
                 # the heal (not the recovery) owns the eventual trust
                 # restoration.  If the crash masked the partition's own
                 # detection (it began while the process was down), arm it now.
-                if (monitor, pid) not in self._pending_part_detect and not self._detectors[
+                if (monitor, pid) not in self._due[PARTITION_DETECT] and not self._detectors[
                     monitor
                 ].is_suspected(pid):
-                    self._pending_part_detect[(monitor, pid)] = self._sim.schedule(
-                        self._detection_time(monitor, pid),
-                        self._partition_detect,
-                        monitor,
-                        pid,
-                    )
+                    self._after(PARTITION_DETECT, self._detection_time(monitor, pid), monitor, pid)
             elif self._detectors[monitor].is_suspected(pid):
-                detection_time = self._detection_time(monitor, pid)
-                if batch:
-                    self._trust_armed.add((monitor, pid))
-                    self._calendar_push(KIND_TRUST, detection_time, monitor, pid)
-                else:
-                    self._pending_trust[(monitor, pid)] = self._sim.schedule(
-                        detection_time, self._restore_trust, monitor, pid
-                    )
+                self._after(TRUST, self._detection_time(monitor, pid), monitor, pid)
             # Wrong-suspicion generation resumes in both directions (unless a
             # partition still blocks that direction's monitoring link).
             if self._started:
@@ -441,24 +386,7 @@ class CrashDetectionFabric:
                     self._resume_mistakes(pid, monitor)
 
     def _restore_trust(self, monitor: int, recovered: int) -> None:
-        self._pending_trust.pop((monitor, recovered), None)
+        self._due[TRUST].pop((monitor, recovered), None)
         if recovered in self._crashed:
             return
         self._detectors[monitor]._set_suspected(recovered, False)
-
-    def _scan_trust(self, monitor: int, recovered: int) -> None:
-        self._trust_armed.discard((monitor, recovered))
-        if recovered in self._crashed:
-            return
-        self._detectors[monitor]._set_suspected(recovered, False)
-
-    # ------------------------------------------------------------------ helpers
-
-    def _cancel_trust(self, monitor: int, monitored: int) -> None:
-        if self._scan_interval is not None:
-            self._calendar_cancel(KIND_TRUST, monitor, monitored)
-            self._trust_armed.discard((monitor, monitored))
-            return
-        handle = self._pending_trust.pop((monitor, monitored), None)
-        if handle is not None:
-            handle.cancel()

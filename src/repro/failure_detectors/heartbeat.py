@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from repro.failure_detectors.interface import FailureDetector
-from repro.sim.engine import Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.network import Network
 from repro.sim.process import Component, SimProcess
 
@@ -38,9 +38,7 @@ class HeartbeatConfig:
         Interval between two heartbeats sent by a process.
     timeout:
         A process is suspected when no heartbeat arrived for this long.
-    check_interval:
-        How often the monitor re-evaluates its timeouts; defaults to the
-        period.
+        The monitor re-checks its timeouts once per ``period``.
 
     The field metadata is :func:`repro.stacks.api.param`'s: the flat
     ``heartbeat_*`` keywords and the campaigns CLI flags.
@@ -58,20 +56,12 @@ class HeartbeatConfig:
             keyword="heartbeat_timeout", flag="--hb-timeout", help="heartbeat timeout in ms"
         ),
     )
-    check_interval: float = field(default=0.0, metadata=dict(keyword="heartbeat_check_interval"))
 
     def __post_init__(self) -> None:
         if self.period <= 0:
             raise ValueError(f"period must be > 0, got {self.period}")
         if self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.check_interval < 0:
-            raise ValueError(f"check_interval must be >= 0, got {self.check_interval}")
-
-    @property
-    def effective_check_interval(self) -> float:
-        """The check interval actually used (defaults to ``period``)."""
-        return self.check_interval if self.check_interval > 0 else self.period
 
 
 class HeartbeatFailureDetector(FailureDetector, Component):
@@ -90,6 +80,9 @@ class HeartbeatFailureDetector(FailureDetector, Component):
         # suspicion of that process.
         self._forced_until: Dict[int, float] = {}
         self._started = False
+        # The pending timer of each chain (heartbeat, timeout check).
+        self._beat_timer: Optional[EventHandle] = None
+        self._check_timer: Optional[EventHandle] = None
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -102,7 +95,7 @@ class HeartbeatFailureDetector(FailureDetector, Component):
         for pid in self.monitored:
             self._last_heartbeat[pid] = now
         self._emit_heartbeat()
-        self.set_timer(self.config.effective_check_interval, self._check_timeouts)
+        self._check_timer = self.set_timer(self.config.period, self._check_timeouts)
 
     def on_crash(self) -> None:
         """The hosting process crashed: timers died with it; allow a restart."""
@@ -114,8 +107,14 @@ class HeartbeatFailureDetector(FailureDetector, Component):
         Re-arming the last-heartbeat clocks on recovery mirrors the QoS
         fabric's post-recovery grace: the recovered monitor does not
         instantly suspect every peer just because its clocks went stale
-        while it was down.
+        while it was down.  A process crashed before the run was started
+        while down: its first timers fire while it is down and end both
+        chains (or would keep the old phase), so they restart here too.
         """
+        if self._started:
+            self._beat_timer.cancel()
+            self._check_timer.cancel()
+            self._started = False
         self.start()
 
     # ------------------------------------------------------------------ messages
@@ -152,7 +151,7 @@ class HeartbeatFailureDetector(FailureDetector, Component):
         destinations = [pid for pid in range(self.process.network.n) if pid != self.pid]
         if destinations:
             self.send(destinations, ("HEARTBEAT", self.pid))
-        self.set_timer(self.config.period, self._emit_heartbeat)
+        self._beat_timer = self.set_timer(self.config.period, self._emit_heartbeat)
 
     def _check_timeouts(self) -> None:
         now = self.now
@@ -160,7 +159,7 @@ class HeartbeatFailureDetector(FailureDetector, Component):
             last = self._last_heartbeat.get(pid, 0.0)
             if now - last > self.config.timeout and not self.is_suspected(pid):
                 self._set_suspected(pid, True)
-        self.set_timer(self.config.effective_check_interval, self._check_timeouts)
+        self._check_timer = self.set_timer(self.config.period, self._check_timeouts)
 
 
 class HeartbeatFailureDetectorFabric:
@@ -179,6 +178,7 @@ class HeartbeatFailureDetectorFabric:
         self._network = network
         self.config = config
         self._detectors: Dict[int, HeartbeatFailureDetector] = {}
+        network.add_recovery_listener(self._on_recovery)
 
     # ------------------------------------------------------------------ access
 
@@ -205,20 +205,23 @@ class HeartbeatFailureDetectorFabric:
 
     # ------------------------------------------------------------------ fault injection
 
-    def suspect_permanently(self, monitored: int, delay: float = 0.0) -> None:
-        """Make every monitor suspect ``monitored`` permanently after ``delay``.
+    def suspect_permanently(self, monitored: int) -> None:
+        """Make every monitor suspect ``monitored`` from now until it recovers.
 
-        The forced window never expires, so even a live process stays
-        suspected (its heartbeats are ignored) -- matching the crash-steady
-        convention of the clock-driven fabrics.
+        The forced window has no deadline, so even a live process stays
+        suspected (its heartbeats are ignored).  A recovery of ``monitored``
+        ends the window and its next heartbeat restores trust -- the
+        crash-steady convention of the clock-driven fabrics.
         """
         for monitor, detector in self._detectors.items():
             if monitor == monitored:
                 continue
-            if delay == 0.0:
-                detector.force_suspect_until(monitored, INFINITY)
-            else:
-                self._sim.post(delay, detector.force_suspect_until, monitored, INFINITY)
+            detector.force_suspect_until(monitored, INFINITY)
+
+    def _on_recovery(self, pid: int, _time: float) -> None:
+        for detector in self._detectors.values():
+            if detector._forced_until.get(pid) == INFINITY:
+                del detector._forced_until[pid]
 
     def suspect_during(
         self,

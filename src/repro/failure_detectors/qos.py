@@ -20,35 +20,35 @@ Crash detection, trust restoration after recovery and the forced-suspicion
 capabilities (:meth:`~repro.failure_detectors.fabric.CrashDetectionFabric.suspect_permanently`,
 :meth:`~repro.failure_detectors.fabric.CrashDetectionFabric.suspect_during`)
 come from the shared :class:`~repro.failure_detectors.fabric.CrashDetectionFabric`
-base; this module adds the *random* mistake model on top.
+base; this module adds the *random* mistake model on top: two more
+transition kinds, ``_mistake_begins`` and ``_mistake_ends``, armed through
+the base's pending-transition table, so they ride the batched calendar when
+``scan_interval`` is set (see the fabric base) and are exact timers
+otherwise.
 
-Two hot-path notes.  Every pair caches its effective config and a bound
+One hot-path note.  Every pair caches its effective config and a bound
 ``expovariate`` per RNG stream (the draw *sequence* per stream is unchanged,
 so results stay bit-identical -- the seed resolved the stream name with an
-f-string and a dict lookup per draw).  And with
-``scan_interval`` set (see the fabric base), mistake transitions ride the
-fabric's batched calendar instead of per-pair simulator events -- the
-O(n^2)-timers throughput lane for large n.
+f-string and a dict lookup per draw).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from repro.failure_detectors.fabric import (
-    KIND_MISTAKE_BEGIN,
-    KIND_MISTAKE_END,
-    CrashDetectionFabric,
-    Pair,
-)
+from repro.failure_detectors.fabric import CrashDetectionFabric, Pair
 from repro.failure_detectors.interface import FailureDetector
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
 
 INFINITY = float("inf")
+
+#: The mistake model's pair transition kinds (see the fabric base).
+MISTAKE_BEGINS = "_mistake_begins"
+MISTAKE_ENDS = "_mistake_ends"
 
 __all__ = ["INFINITY", "Pair", "QoSConfig", "QoSFailureDetector", "QoSFailureDetectorFabric"]
 
@@ -159,6 +159,7 @@ class QoSFailureDetectorFabric(CrashDetectionFabric):
     """Creates and drives the QoS failure detectors of every process."""
 
     detector_class = QoSFailureDetector
+    kinds = CrashDetectionFabric.kinds + (MISTAKE_BEGINS, MISTAKE_ENDS)
 
     def __init__(
         self,
@@ -171,9 +172,6 @@ class QoSFailureDetectorFabric(CrashDetectionFabric):
     ) -> None:
         self._rng = rng
         self.config = config
-        # Pending mistake events per ordered monitor pair (monitor, monitored)
-        # (exact mode only; batch mode tracks mistakes on the calendar).
-        self._pending: Dict[Pair, List[EventHandle]] = {}
         # Per-pair cache of (effective config, recurrence draw, duration
         # draw).  The draws are bound ``expovariate`` calls on the pair's
         # named streams: same streams, same draw sequence as resolving the
@@ -227,11 +225,8 @@ class QoSFailureDetectorFabric(CrashDetectionFabric):
         return self._pair_config(monitor, monitored).detection_time
 
     def _cancel_mistakes(self, monitor: int, monitored: int) -> None:
-        if self._scan_interval is not None:
-            self._calendar_cancel(KIND_MISTAKE_BEGIN, monitor, monitored)
-            return
-        for handle in self._pending.pop((monitor, monitored), []):
-            handle.cancel()
+        self._cancel(MISTAKE_BEGINS, monitor, monitored)
+        self._cancel(MISTAKE_ENDS, monitor, monitored)
 
     def _resume_mistakes(self, monitor: int, monitored: int) -> None:
         if monitor in self._crashed or monitored in self._crashed:
@@ -273,22 +268,10 @@ class QoSFailureDetectorFabric(CrashDetectionFabric):
         interval = state[1]()
         if interval == INFINITY:
             return
-        if self._scan_interval is not None:
-            self._calendar_push(KIND_MISTAKE_BEGIN, interval, monitor, monitored)
-            return
-        handle = self._sim.schedule(interval, self._mistake_begins, monitor, monitored)
-        pending = self._pending.setdefault((monitor, monitored), [])
-        pending.append(handle)
-        if len(pending) > 3:
-            # At most two events are live per pair (one end, one begin); the
-            # rest have fired or been cancelled.  Prune so long runs do not
-            # accumulate one dead handle per mistake cycle.
-            now = self._sim.now
-            pending[:] = [
-                h for h in pending if not h.cancelled and h.time >= now
-            ]
+        self._after(MISTAKE_BEGINS, interval, monitor, monitored)
 
     def _mistake_begins(self, monitor: int, monitored: int) -> None:
+        self._due[MISTAKE_BEGINS].pop((monitor, monitored), None)
         if monitored in self._crashed or monitor in self._crashed:
             return
         detector = self._detectors[monitor]
@@ -304,36 +287,11 @@ class QoSFailureDetectorFabric(CrashDetectionFabric):
                 # algorithms' failure-handling paths.
                 detector._set_suspected(monitored, False)
             else:
-                handle = self._sim.schedule(
-                    duration, self._mistake_ends, monitor, monitored
-                )
-                self._pending.setdefault((monitor, monitored), []).append(handle)
+                self._after(MISTAKE_ENDS, duration, monitor, monitored)
         self._schedule_next_mistake(monitor, monitored)
 
     def _mistake_ends(self, monitor: int, monitored: int) -> None:
-        if monitored in self._crashed:
-            return
-        self._detectors[monitor]._set_suspected(monitored, False)
-
-    # ------------------------------------------------------------------ batched scan
-
-    def _scan_mistake_begins(self, monitor: int, monitored: int) -> None:
-        if monitored in self._crashed or monitor in self._crashed:
-            return
-        detector = self._detectors[monitor]
-        state = self._pair_cache.get((monitor, monitored))
-        if state is None:
-            state = self._pair_state(monitor, monitored)
-        duration = state[2]()
-        if monitored not in detector._suspected:
-            detector._set_suspected(monitored, True)
-            if duration <= 0:
-                detector._set_suspected(monitored, False)
-            else:
-                self._calendar_push(KIND_MISTAKE_END, duration, monitor, monitored)
-        self._schedule_next_mistake(monitor, monitored)
-
-    def _scan_mistake_ends(self, monitor: int, monitored: int) -> None:
+        self._due[MISTAKE_ENDS].pop((monitor, monitored), None)
         if monitored in self._crashed:
             return
         self._detectors[monitor]._set_suspected(monitored, False)

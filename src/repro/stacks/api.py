@@ -194,8 +194,8 @@ class FailureDetectorFabric(Protocol):
         """Lifecycle hook invoked once when the system starts."""
         ...
 
-    def suspect_permanently(self, monitored: int, delay: float = 0.0) -> None:
-        """Make every monitor suspect ``monitored`` permanently after ``delay``."""
+    def suspect_permanently(self, monitored: int) -> None:
+        """Make every monitor suspect ``monitored`` from now until it recovers."""
         ...
 
     def suspect_during(

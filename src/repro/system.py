@@ -329,9 +329,9 @@ class BroadcastSystem:
         """
         self.processes[pid].recover()
 
-    def suspect_permanently(self, pid: int, delay: float = 0.0) -> None:
-        """Make every failure detector suspect ``pid`` permanently."""
-        self.fd_fabric.suspect_permanently(pid, delay)
+    def suspect_permanently(self, pid: int) -> None:
+        """Make every failure detector suspect ``pid`` from now until it recovers."""
+        self.fd_fabric.suspect_permanently(pid)
 
     def suspect_during(
         self,

@@ -4,8 +4,8 @@ Batch mode replaces O(n^2) per-pair timer events with one fabric-local
 calendar drained by a single armed scan event.  It is *quantized*, not
 bit-identical: every transition fires at the first multiple of the scan
 interval at or after its exact due time.  These tests pin the semantics
-(quantization, O(1) generation-based cancellation, trust bookkeeping,
-mistake generation) and that the full stacks stay safe on top of it.
+(quantization, O(1) cancellation by forgetting an entry, trust
+bookkeeping, mistake generation) and that the full stacks stay safe on top of it.
 """
 
 import pytest
@@ -85,8 +85,8 @@ class TestBatchedCrashDetection:
         assert fabric.detector(0).is_suspected(2)
 
     def test_recovery_before_detection_cancels_it(self):
-        # Generation-based cancellation: the calendar entry stays on the
-        # heap but must be dead when the scan reaches it.
+        # Cancellation forgets the pair's entry: the calendar tuple stays on
+        # the heap but must be dead when the scan reaches it.
         sim, network, fabric = build_fabric(detection_time=25.0, scan_interval=10.0)
         fabric.start()
         sim.schedule(10.0, network.crash, 2)

@@ -8,6 +8,7 @@ from repro.failure_detectors.heartbeat import (
     HeartbeatFailureDetector,
     HeartbeatFailureDetectorFabric,
 )
+from repro.scenarios.faults import CrashAt, FaultSchedule, RecoverAt
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.process import SimProcess
@@ -34,12 +35,6 @@ class TestHeartbeatConfig:
     def test_rejects_non_positive_timeout(self):
         with pytest.raises(ValueError):
             HeartbeatConfig(timeout=0.0)
-
-    def test_check_interval_defaults_to_period(self):
-        config = HeartbeatConfig(period=7.0, timeout=20.0)
-        assert config.effective_check_interval == 7.0
-        explicit = HeartbeatConfig(period=7.0, timeout=20.0, check_interval=3.0)
-        assert explicit.effective_check_interval == 3.0
 
 
 class TestHeartbeatDetector:
@@ -151,6 +146,26 @@ class TestHeartbeatFabric:
         sim.schedule_at(110.0, processes[1].recover)
         sim.run(until=400.0)
         assert events == []
+
+    @pytest.mark.parametrize("recovery", [5.0, 200.0])
+    def test_a_process_down_before_the_run_heartbeats_once_recovered(self, recovery):
+        """Its first timers fire while it is down (after the first period)
+        or right after the recovery (before it): either way it runs exactly
+        one heartbeat chain from the recovery on, and is trusted again."""
+        system = build_system(n=3, fd_kind="heartbeat", seed=1)
+        FaultSchedule([CrashAt(0.0, 2), RecoverAt(recovery, 2)]).apply(system)
+        detector = system.fd_fabric.detector(2)
+        beats = []
+        emit = detector._emit_heartbeat
+
+        def counted():
+            beats.append(system.sim.now)
+            emit()
+
+        detector._emit_heartbeat = counted
+        system.run(until=recovery + 95.0)
+        assert beats == [0.0] + [recovery + 10.0 * k for k in range(10)]
+        assert not system.fd_fabric.detector(0).is_suspected(2)
 
     def test_suspect_permanently_sticks_even_for_live_targets(self):
         sim, _network, _processes, fabric = build_fabric()

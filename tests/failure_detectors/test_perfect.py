@@ -4,7 +4,7 @@ import pytest
 
 from repro.failure_detectors.fabric import CrashDetectionFabric
 from repro.failure_detectors.perfect import PerfectFailureDetectorFabric
-from repro.failure_detectors.qos import QoSFailureDetectorFabric
+from repro.failure_detectors.qos import MISTAKE_BEGINS, MISTAKE_ENDS, QoSFailureDetectorFabric
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 
@@ -60,8 +60,13 @@ class TestPerfectIsNotQoS:
 
     def test_has_no_mistake_machinery(self):
         _sim, _network, fabric = build()
-        for attribute in ("_schedule_next_mistake", "_mistake_begins", "_pending"):
+        for attribute in ("_schedule_next_mistake", "_mistake_begins"):
             assert not hasattr(fabric, attribute)
+
+    def test_arms_no_mistake_kind(self):
+        _sim, _network, fabric = build()
+        assert not {MISTAKE_BEGINS, MISTAKE_ENDS} & set(fabric.kinds)
+        assert not {MISTAKE_BEGINS, MISTAKE_ENDS} & set(fabric._due)
 
 
 class TestPerfectRecovery:

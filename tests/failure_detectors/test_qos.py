@@ -1,5 +1,6 @@
 """Unit tests for the QoS failure detector model (T_D, T_MR, T_M)."""
 
+import math
 
 import pytest
 
@@ -9,12 +10,14 @@ from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import RandomStreams
 
 
-def build_fabric(n=3, seed=1, **qos):
+def build_fabric(n=3, seed=1, scan_interval=None, **qos):
     sim = Simulator()
     network = Network(sim, NetworkConfig(n=n))
     for pid in range(n):
         network.attach(pid, lambda p, m: None)
-    fabric = QoSFailureDetectorFabric(sim, network, RandomStreams(seed), QoSConfig(**qos))
+    fabric = QoSFailureDetectorFabric(
+        sim, network, RandomStreams(seed), QoSConfig(**qos), scan_interval=scan_interval
+    )
     return sim, network, fabric
 
 
@@ -71,13 +74,6 @@ class TestCrashDetection:
         fabric.suspect_permanently(1)
         assert fabric.detector(0).is_suspected(1)
         assert fabric.detector(2).is_suspected(1)
-
-    def test_suspect_permanently_with_delay(self):
-        sim, _network, fabric = build_fabric()
-        fabric.suspect_permanently(1, delay=50.0)
-        assert not fabric.detector(0).is_suspected(1)
-        sim.run(until=50.0)
-        assert fabric.detector(0).is_suspected(1)
 
 
 class TestWrongSuspicions:
@@ -144,6 +140,32 @@ class TestWrongSuspicions:
         detector = fabric.detector(0)
         # Once crashed, the suspicion is permanent: no trust event afterwards.
         assert detector.is_suspected(1)
+
+    @pytest.mark.parametrize("scan_interval", [None, 1.0])
+    def test_a_mistake_ended_early_does_not_end_the_next_one(self, scan_interval):
+        """``force_trust`` ends a mistake before its end transition fires, so
+        the pair's next mistake arms an end while the first is pending: it
+        replaces that one, and the new mistake lasts its own drawn duration
+        (on the scan grid in batched mode)."""
+        uniform = RandomStreams(3).stream("fd/0/1/duration").random
+        first, second = (-math.log(1.0 - uniform()) * 100.0 for _ in range(2))
+        assert first < 1.0 + second  # the first end would cut the second mistake short
+        sim, _network, fabric = build_fabric(
+            seed=3, mistake_recurrence_time=1e12, mistake_duration=100.0,
+            scan_interval=scan_interval,
+        )
+        trusted = []
+        fabric.detector(0).add_listener(
+            lambda pid, suspected: None if suspected else trusted.append(sim.now)
+        )
+        fabric.start()
+        fabric._mistake_begins(0, 1)
+        fabric.detector(0).force_trust(1)
+        sim.run(until=1.0)
+        fabric._mistake_begins(0, 1)
+        sim.run(until=1e6)
+        expected = 1.0 + second if scan_interval is None else math.ceil(1.0 + second)
+        assert trusted == [0.0, expected]
 
     def test_pairs_are_independent(self):
         sim, _network, fabric = build_fabric(
