@@ -48,49 +48,49 @@ def run_once(algorithm: str, max_batch: int) -> dict:
         # The flush delay is a batching param: it exists only with batching on.
         max_delay=2.0 if max_batch else 0.0,
     )
-    system = build_system(config)
-    service = LoadTestedService(
-        system,
-        admission=AdmissionConfig(max_inflight=32, max_queue=64),
-    )
-    population = ClosedLoopClients(
-        service,
-        num_clients=CLIENTS,
-        think_time=THINK_TIME,
-        mix=CommandMix(put=0.45, get=0.3, increment=0.2, delete=0.05),
-        senders=[1, 2, 3, 4],  # process 0 crashes; keep it off the ingress path
-    )
-    done = {"count": 0}
+    with build_system(config) as system:
+        service = LoadTestedService(
+            system,
+            admission=AdmissionConfig(max_inflight=32, max_queue=64),
+        )
+        population = ClosedLoopClients(
+            service,
+            num_clients=CLIENTS,
+            think_time=THINK_TIME,
+            mix=CommandMix(put=0.45, get=0.3, increment=0.2, delete=0.05),
+            senders=[1, 2, 3, 4],  # process 0 crashes; keep it off the ingress path
+        )
+        done = {"count": 0}
 
-    def on_complete(_request) -> None:
-        done["count"] += 1
-        if done["count"] >= TOTAL_REQUESTS:
-            system.sim.stop()
+        def on_complete(_request) -> None:
+            done["count"] += 1
+            if done["count"] >= TOTAL_REQUESTS:
+                system.sim.stop()
 
-    service.add_completion_listener(on_complete)
-    population.start(TOTAL_REQUESTS)
+        service.add_completion_listener(on_complete)
+        population.start(TOTAL_REQUESTS)
 
-    # One replica (the sequencer / round-1 coordinator) crashes mid-run and
-    # rejoins later; the service keeps answering from the survivors.
-    FaultSchedule([CrashAt(150.0, 0), RecoverAt(900.0, 0)]).apply(system)
-    system.run(until=120_000.0)
-    finish_time = system.sim.now
-    # Let the in-flight deliveries drain so every replica applies the tail
-    # of the log (the client stopped at its *first* reply).
-    system.run(until=finish_time + 1_000.0)
+        # One replica (the sequencer / round-1 coordinator) crashes mid-run and
+        # rejoins later; the service keeps answering from the survivors.
+        FaultSchedule([CrashAt(150.0, 0), RecoverAt(900.0, 0)]).apply(system)
+        system.run(until=120_000.0)
+        finish_time = system.sim.now
+        # Let the in-flight deliveries drain so every replica applies the tail
+        # of the log (the client stopped at its *first* reply).
+        system.run(until=finish_time + 1_000.0)
 
-    response_times = service.response_times()
-    correct = system.correct_processes()
-    snapshots = {pid: service.replicated.replicas[pid].snapshot() for pid in correct}
-    return {
-        "summary": summarize(response_times),
-        "percentiles": latency_percentiles(response_times),
-        "goodput": 1000.0 * len(response_times) / finish_time,
-        "outcomes": service.outcome_counts(),
-        "identical": len(set(snapshots.values())) == 1,
-        "survivors": len(correct),
-        "consistent": service.replicas_consistent(),
-    }
+        response_times = service.response_times()
+        correct = system.correct_processes()
+        snapshots = {pid: service.replicated.replicas[pid].snapshot() for pid in correct}
+        return {
+            "summary": summarize(response_times),
+            "percentiles": latency_percentiles(response_times),
+            "goodput": 1000.0 * len(response_times) / finish_time,
+            "outcomes": service.outcome_counts(),
+            "identical": len(set(snapshots.values())) == 1,
+            "survivors": len(correct),
+            "consistent": service.replicas_consistent(),
+        }
 
 
 def main() -> None:

@@ -21,11 +21,11 @@ Quickstart::
 
     from repro import SystemConfig, build_system
 
-    system = build_system(SystemConfig(n=3, stack="fd", seed=1))
-    system.start()
-    system.broadcast(sender=0, payload="hello")
-    system.run(until=100.0)
-    print(system.abcast(0).delivered)
+    with build_system(SystemConfig(n=3, stack="fd", seed=1)) as system:
+        system.start()
+        system.broadcast(sender=0, payload="hello")
+        system.run(until=100.0)
+        print(system.abcast(0).delivered)
 """
 
 # Defined before the imports below: submodules (e.g. repro.obs.export) read

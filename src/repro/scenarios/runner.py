@@ -170,58 +170,58 @@ class ScenarioRunner:
         keep, not an exception that discards the point.  Errors while
         building or measuring propagate.
         """
-        system = build_system(spec.config)
-        result = self._measure_steady(system, spec)
-        if verify is not None:
-            trace: Dict[str, Any] = {"stages": ["build", "measure"]}
-            try:
-                verify(system, result)
-            except AssertionError as exc:
-                trace.update(failed_stage="verify", error=str(exc))
-            else:
-                trace["stages"].append("verify")
-            result.params["script"] = trace
+        with build_system(spec.config) as system:
+            result = self._measure_steady(system, spec)
+            if verify is not None:
+                trace: Dict[str, Any] = {"stages": ["build", "measure"]}
+                try:
+                    verify(system, result)
+                except AssertionError as exc:
+                    trace.update(failed_stage="verify", error=str(exc))
+                else:
+                    trace["stages"].append("verify")
+                result.params["script"] = trace
         return result
 
     def run_steady_on(self, system, spec: SteadyStateSpec) -> ScenarioResult:
         """Run one steady-state point on a system the caller built
-        (``build_system(spec.config)``) and wants to inspect afterwards."""
+        (``build_system(spec.config)``), inspects afterwards and closes."""
         return self._measure_steady(system, spec)
 
     def run_reformation(self, spec: ReformationSpec) -> ScenarioResult:
         """Run one view-majority-loss point, measuring time-to-reformation."""
-        system = build_system(spec.config)
-        watches_views = system.stack_spec.uses_membership
-        installs: list = []
-        if watches_views:
-            for pid, membership in enumerate(system.memberships):
-                membership.add_view_listener(
-                    lambda view, _pid=pid: installs.append(
-                        (system.sim.now, _pid, view)
+        with build_system(spec.config) as system:
+            watches_views = system.stack_spec.uses_membership
+            installs: list = []
+            if watches_views:
+                for pid, membership in enumerate(system.memberships):
+                    membership.add_view_listener(
+                        lambda view, _pid=pid: installs.append(
+                            (system.sim.now, _pid, view)
+                        )
                     )
-                )
-        steady = replace(
-            spec,
-            senders=list(range(spec.config.n)),
-            reassign_crashed_senders=True,
-            params=dict(spec.params),
-        )
-        result = self._measure_steady(system, steady)
-        reformed = [
-            (time, pid, view) for time, pid, view in installs if view.epoch > 0
-        ]
-        first = min(reformed, default=None)
-        result.params.update(
-            {
-                "block_time": spec.block_time,
-                "reformed": bool(reformed) if watches_views else None,
-                "time_to_reformation": (
-                    None if first is None else first[0] - spec.block_time
-                ),
-                "reformed_members": None if first is None else list(first[2].members),
-                "views_installed": len(installs) if watches_views else None,
-            }
-        )
+            steady = replace(
+                spec,
+                senders=list(range(spec.config.n)),
+                reassign_crashed_senders=True,
+                params=dict(spec.params),
+            )
+            result = self._measure_steady(system, steady)
+            reformed = [
+                (time, pid, view) for time, pid, view in installs if view.epoch > 0
+            ]
+            first = min(reformed, default=None)
+            result.params.update(
+                {
+                    "block_time": spec.block_time,
+                    "reformed": bool(reformed) if watches_views else None,
+                    "time_to_reformation": (
+                        None if first is None else first[0] - spec.block_time
+                    ),
+                    "reformed_members": None if first is None else list(first[2].members),
+                    "views_installed": len(installs) if watches_views else None,
+                }
+            )
         return result
 
     def _measure_steady(self, system, spec: SteadyStateSpec) -> ScenarioResult:
@@ -286,39 +286,39 @@ class ScenarioRunner:
 
     def run_probe(self, spec: ProbeSpec) -> Optional[float]:
         """Run one probe execution; return the tagged latency (or ``None``)."""
-        system = build_system(spec.config)
-        if spec.obs is not None:
-            system.enable_instrumentation(spec.obs)
-        spec.faults.apply_pre(system)
-        recorder = LatencyRecorder()
-        recorder.attach(system)
+        with build_system(spec.config) as system:
+            if spec.obs is not None:
+                system.enable_instrumentation(spec.obs)
+            spec.faults.apply_pre(system)
+            recorder = LatencyRecorder()
+            recorder.attach(system)
 
-        # Background traffic before and after the fault, from every process
-        # (a crashed sender's post-crash messages are dropped by the network,
-        # which matches "crashed processes do not send any further messages").
-        workload = PoissonWorkload(
-            system, spec.throughput, senders=list(range(spec.config.n))
-        )
-        horizon = spec.probe_time + spec.max_wait
-        background_count = int(spec.throughput * horizon / 1000.0) + 1
-        workload.schedule_messages(background_count, start_time=0.0)
+            # Background traffic before and after the fault, from every process
+            # (a crashed sender's post-crash messages are dropped by the network,
+            # which matches "crashed processes do not send any further messages").
+            workload = PoissonWorkload(
+                system, spec.throughput, senders=list(range(spec.config.n))
+            )
+            horizon = spec.probe_time + spec.max_wait
+            background_count = int(spec.throughput * horizon / 1000.0) + 1
+            workload.schedule_messages(background_count, start_time=0.0)
 
-        tagged: Dict[str, Any] = {}
+            tagged: Dict[str, Any] = {}
 
-        def on_delivery(_pid, broadcast_id, _payload) -> None:
-            if tagged.get("id") == broadcast_id:
-                system.sim.stop()
+            def on_delivery(_pid, broadcast_id, _payload) -> None:
+                if tagged.get("id") == broadcast_id:
+                    system.sim.stop()
 
-        def emit_probe() -> None:
-            tagged["id"] = system.broadcast(spec.probe_sender, spec.payload)
+            def emit_probe() -> None:
+                tagged["id"] = system.broadcast(spec.probe_sender, spec.payload)
 
-        system.add_delivery_listener(on_delivery)
-        # The fault events are scheduled first so that, at the probe instant,
-        # the fault fires before the probe is A-broadcast -- the paper's
-        # "p crashes and q A-broadcasts m at the same time t".
-        spec.faults.schedule(system)
-        system.sim.post_at(spec.probe_time, emit_probe)
-        system.run(until=horizon, max_events=spec.max_events)
+            system.add_delivery_listener(on_delivery)
+            # The fault events are scheduled first so that, at the probe instant,
+            # the fault fires before the probe is A-broadcast -- the paper's
+            # "p crashes and q A-broadcasts m at the same time t".
+            spec.faults.schedule(system)
+            system.sim.post_at(spec.probe_time, emit_probe)
+            system.run(until=horizon, max_events=spec.max_events)
 
         tagged_id = tagged.get("id")
         if tagged_id is None:

@@ -59,71 +59,71 @@ def run_service_load(
     campaign sweeps them like any other system dimension.
     """
     faults = faults if faults is not None else FaultSchedule()
-    system = build_system(config)
-    faults.apply_pre(system)
+    with build_system(config) as system:
+        faults.apply_pre(system)
 
-    service = LoadTestedService(
-        system,
-        consistency=consistency,
-        admission=AdmissionConfig(max_inflight=max_inflight, max_queue=max_queue),
-    )
-
-    warmup_count = int(math.ceil(num_requests * DEFAULT_WARMUP_FRACTION))
-    total = warmup_count + num_requests
-    outstanding = {"count": num_requests}
-
-    def on_complete(request) -> None:
-        if request.index >= warmup_count:
-            outstanding["count"] -= 1
-            if outstanding["count"] <= 0 and population.issued >= total:
-                system.sim.stop()
-
-    service.add_completion_listener(on_complete)
-
-    if clients > 0:
-        population = ClosedLoopClients(service, clients, think_time, mix=mix)
-        population.start(total)
-        # Serial worst case per client chain, with generous slack per
-        # round trip; closed loops self-throttle, so this rarely binds.
-        max_time = 20_000.0 + math.ceil(total / clients) * (think_time + 500.0)
-    else:
-        population = OpenLoopClients(
-            service, offered_load, num_clients=max(1, config.n), arrival=arrival, mix=mix
+        service = LoadTestedService(
+            system,
+            consistency=consistency,
+            admission=AdmissionConfig(max_inflight=max_inflight, max_queue=max_queue),
         )
-        last_arrival = population.schedule_requests(total, start_time=0.0)
-        max_time = arrival_horizon(last_arrival, offered_load)
 
-    faults.schedule(system)
-    system.run(until=max_time, max_events=DEFAULT_MAX_EVENTS)
+        warmup_count = int(math.ceil(num_requests * DEFAULT_WARMUP_FRACTION))
+        total = warmup_count + num_requests
+        outstanding = {"count": num_requests}
 
-    measured = service.requests[warmup_count:]
-    latencies = [
-        request.response_time
-        for request in measured
-        if request.response_time is not None
-    ]
-    duration = system.sim.now
-    completed_total = sum(1 for r in service.requests if r.response_time is not None)
+        def on_complete(request) -> None:
+            if request.index >= warmup_count:
+                outstanding["count"] -= 1
+                if outstanding["count"] <= 0 and population.issued >= total:
+                    system.sim.stop()
 
-    params: Dict[str, Any] = {
-        "clients": clients,
-        "think_time": think_time,
-        "consistency": consistency,
-        "arrival": arrival,
-        "max_inflight": max_inflight,
-        "max_queue": max_queue,
-        "max_batch": config.params.batching.max_batch,
-        "max_delay": config.params.batching.max_delay,
-        "outcomes": service.outcome_counts(),
-        "queue_depth_hwm": service.queue_depth_hwm,
-        "inflight_hwm": service.inflight_hwm,
-        # Rates over the whole run, in requests/s.
-        "offered_rate": 1000.0 * len(service.requests) / duration if duration else 0.0,
-        "goodput": 1000.0 * completed_total / duration if duration else 0.0,
-        "replicas_consistent": service.replicas_consistent(),
-        **latency_percentiles(latencies),
-    }
-    return finish_run(system, "service-load", offered_load, num_requests, latencies, params)
+        service.add_completion_listener(on_complete)
+
+        if clients > 0:
+            population = ClosedLoopClients(service, clients, think_time, mix=mix)
+            population.start(total)
+            # Serial worst case per client chain, with generous slack per
+            # round trip; closed loops self-throttle, so this rarely binds.
+            max_time = 20_000.0 + math.ceil(total / clients) * (think_time + 500.0)
+        else:
+            population = OpenLoopClients(
+                service, offered_load, num_clients=max(1, config.n), arrival=arrival, mix=mix
+            )
+            last_arrival = population.schedule_requests(total, start_time=0.0)
+            max_time = arrival_horizon(last_arrival, offered_load)
+
+        faults.schedule(system)
+        system.run(until=max_time, max_events=DEFAULT_MAX_EVENTS)
+
+        measured = service.requests[warmup_count:]
+        latencies = [
+            request.response_time
+            for request in measured
+            if request.response_time is not None
+        ]
+        duration = system.sim.now
+        completed_total = sum(1 for r in service.requests if r.response_time is not None)
+
+        params: Dict[str, Any] = {
+            "clients": clients,
+            "think_time": think_time,
+            "consistency": consistency,
+            "arrival": arrival,
+            "max_inflight": max_inflight,
+            "max_queue": max_queue,
+            "max_batch": config.params.batching.max_batch,
+            "max_delay": config.params.batching.max_delay,
+            "outcomes": service.outcome_counts(),
+            "queue_depth_hwm": service.queue_depth_hwm,
+            "inflight_hwm": service.inflight_hwm,
+            # Rates over the whole run, in requests/s.
+            "offered_rate": 1000.0 * len(service.requests) / duration if duration else 0.0,
+            "goodput": 1000.0 * completed_total / duration if duration else 0.0,
+            "replicas_consistent": service.replicas_consistent(),
+            **latency_percentiles(latencies),
+        }
+        return finish_run(system, "service-load", offered_load, num_requests, latencies, params)
 
 
 __all__ = ["DEFAULT_MAX_INFLIGHT", "DEFAULT_MAX_QUEUE", "run_service_load"]

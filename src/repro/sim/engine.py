@@ -316,7 +316,10 @@ class Simulator:
         return self.now
 
     def reset(self) -> None:
-        """Clear all state so the simulator can be reused from time zero."""
+        """Clear all state so the simulator can be reused from time zero.
+
+        ``BroadcastSystem.close()`` calls it to drop a finished run's events.
+        """
         if self._running:
             raise SimulationError("cannot reset a running simulator")
         self.now = 0.0

@@ -164,7 +164,15 @@ class SystemConfig:
 
 
 class BroadcastSystem:
-    """A fully wired simulated system running one registered protocol stack."""
+    """A fully wired simulated system running one registered protocol stack.
+
+    Its parts point at each other (process and network, component and
+    process, detector and fabric), so a finished system is one reference
+    cycle: :meth:`close` (or a ``with`` block) breaks it once its results
+    have been read, and reference counting frees the whole system.
+    """
+
+    _closed = False
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
@@ -283,8 +291,34 @@ class BroadcastSystem:
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Start (if needed) and run the simulation; returns the end time."""
+        if self._closed:
+            raise RuntimeError("run() on a closed BroadcastSystem")
         self.start()
         return self.sim.run(until=until, max_events=max_events)
+
+    def close(self) -> None:
+        """Free this finished system (idempotent); ``run()`` then raises.
+
+        Empties the kernel queue and clears the attributes of the system,
+        the network, the fabric, its detectors, the processes and their
+        components: every back-reference of the cycle goes, nothing of the
+        run survives, so read the results first.
+        """
+        if self._closed:
+            return
+        self.sim.reset()
+        parts = [self, self.network, self.fd_fabric, *self.fd_fabric.detectors().values()]
+        for process in self.processes:
+            parts += [process, *process.components()]
+        for part in parts:
+            vars(part).clear()
+        self._closed = True
+
+    def __enter__(self) -> "BroadcastSystem":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ operations
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro import SystemConfig, build_system
+from repro import build_system
 from repro.stacks import (
     FailureDetectorFabric,
     StackLayers,
@@ -167,7 +167,7 @@ class TestReadmeBlock:
         from repro.campaigns import PointSpec
         from repro.campaigns.records import execute_point
 
-        assert lagging.system.fd_fabric.detection_time == 40.0
+        assert lagging.detection_time == 40.0
         assert "lagging" in available_fd_kinds()
         point = PointSpec(
             "crash-steady", stack="gm/lagging", crashed=(2,), lag_ms=40.0, num_messages=10
