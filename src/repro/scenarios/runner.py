@@ -185,7 +185,8 @@ class ScenarioRunner:
 
     def run_steady_on(self, system, spec: SteadyStateSpec) -> ScenarioResult:
         """Run one steady-state point on a system the caller built
-        (``build_system(spec.config)``), inspects afterwards and closes."""
+        (``build_system(spec.config)``) and still owns: the caller inspects
+        it afterwards, and dropping it (or closing it) frees it."""
         return self._measure_steady(system, spec)
 
     def run_reformation(self, spec: ReformationSpec) -> ScenarioResult:
@@ -194,11 +195,10 @@ class ScenarioRunner:
             watches_views = system.stack_spec.uses_membership
             installs: list = []
             if watches_views:
+                sim = system.sim
                 for pid, membership in enumerate(system.memberships):
                     membership.add_view_listener(
-                        lambda view, _pid=pid: installs.append(
-                            (system.sim.now, _pid, view)
-                        )
+                        lambda view, _pid=pid: installs.append((sim.now, _pid, view))
                     )
             steady = replace(
                 spec,
@@ -225,7 +225,12 @@ class ScenarioRunner:
         return result
 
     def _measure_steady(self, system, spec: SteadyStateSpec) -> ScenarioResult:
-        """The shared steady-state measurement loop on a prepared system."""
+        """The shared steady-state measurement loop on a prepared system.
+
+        The listeners and callbacks it registers capture the kernel, never
+        ``system``: no part of a system refers back to it, so the caller's
+        last reference decides when it is freed.
+        """
         spec.faults.apply_pre(system)
 
         recorder = LatencyRecorder()
@@ -245,6 +250,7 @@ class ScenarioRunner:
         total = warmup_count + spec.num_messages
         measured_ids: Set[BroadcastID] = set()
         outstanding = {"count": spec.num_messages, "all_sent": False}
+        stop = system.sim.stop
 
         def on_sent(index: int, broadcast_id: BroadcastID, _time: float) -> None:
             if index >= warmup_count:
@@ -262,7 +268,7 @@ class ScenarioRunner:
 
         def _maybe_stop() -> None:
             if outstanding["all_sent"] and outstanding["count"] <= 0:
-                system.sim.stop()
+                stop()
 
         workload.add_sent_callback(on_sent)
         system.add_delivery_listener(on_delivery)
@@ -304,13 +310,15 @@ class ScenarioRunner:
             workload.schedule_messages(background_count, start_time=0.0)
 
             tagged: Dict[str, Any] = {}
+            stop = system.sim.stop
+            probe_abcast = system.abcast(spec.probe_sender)
 
             def on_delivery(_pid, broadcast_id, _payload) -> None:
                 if tagged.get("id") == broadcast_id:
-                    system.sim.stop()
+                    stop()
 
             def emit_probe() -> None:
-                tagged["id"] = system.broadcast(spec.probe_sender, spec.payload)
+                tagged["id"] = probe_abcast.broadcast(spec.payload)
 
             system.add_delivery_listener(on_delivery)
             # The fault events are scheduled first so that, at the probe instant,

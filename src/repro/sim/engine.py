@@ -113,6 +113,7 @@ class Simulator:
         "_exhausted",
         "_obs",
         "_cancel_box",
+        "__weakref__",
     )
 
     def __init__(self) -> None:

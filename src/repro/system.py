@@ -167,9 +167,16 @@ class BroadcastSystem:
     """A fully wired simulated system running one registered protocol stack.
 
     Its parts point at each other (process and network, component and
-    process, detector and fabric), so a finished system is one reference
-    cycle: :meth:`close` (or a ``with`` block) breaks it once its results
-    have been read, and reference counting frees the whole system.
+    process, detector and fabric) but never back at the system: whatever is
+    registered inside it -- listeners, callbacks, queued events -- captures
+    the kernel or the parts it uses.  So dropping the last reference to a
+    system frees it through reference counting alone (its finalizer calls
+    :meth:`close`, which breaks the cycles among the parts), and
+    :meth:`close` or a ``with`` block frees it early.  A part kept past its
+    system -- a process, the kernel, a :class:`PoissonWorkload` -- is dead
+    from then on: the kernel is empty and the other parts have no
+    attributes.  An owner that wraps a system (a replicated service, its
+    clients) holds it, and keeps it alive and runnable while held.
     """
 
     _closed = False
@@ -267,16 +274,8 @@ class BroadcastSystem:
             for component in process.components():
                 component._obs = obs
         for monitor, detector in self.fd_fabric.detectors().items():
-            detector.add_listener(self._suspicion_hook(monitor, obs))
+            detector.add_listener(_suspicion_hook(self.sim, monitor, obs))
         return obs
-
-    def _suspicion_hook(self, monitor: int, obs: Instrumentation):
-        """A detector listener forwarding to the suspicion hook with time/owner."""
-
-        def _listener(target: int, suspected: bool) -> None:
-            obs.suspicion(self.sim.now, monitor, target, suspected)
-
-        return _listener
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -301,10 +300,12 @@ class BroadcastSystem:
 
         Empties the kernel queue and clears the attributes of the system,
         the network, the fabric, its detectors, the processes and their
-        components: every back-reference of the cycle goes, nothing of the
-        run survives, so read the results first.
+        components: every cycle among them goes, nothing of the run
+        survives, so read the results first.  Dropping the system calls it.
+        A system whose constructor raised before it had processes has
+        nothing to free.
         """
-        if self._closed:
+        if self._closed or "processes" not in vars(self):
             return
         self.sim.reset()
         parts = [self, self.network, self.fd_fabric, *self.fd_fabric.detectors().values()]
@@ -318,6 +319,9 @@ class BroadcastSystem:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def __del__(self) -> None:
         self.close()
 
     # ------------------------------------------------------------------ operations
@@ -405,6 +409,15 @@ class BroadcastSystem:
         from repro.obs import export as obs_export
 
         return obs_export.metrics_snapshot(self, **extra)
+
+
+def _suspicion_hook(sim: Simulator, monitor: int, obs: Instrumentation):
+    """A detector listener forwarding to the suspicion hook with time/owner."""
+
+    def _listener(target: int, suspected: bool) -> None:
+        obs.suspicion(sim.now, monitor, target, suspected)
+
+    return _listener
 
 
 def build_system(config: Optional[SystemConfig] = None, **overrides: Any) -> BroadcastSystem:

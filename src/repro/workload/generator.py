@@ -31,7 +31,12 @@ class SentMessage:
 
 
 class PoissonWorkload:
-    """Schedules Poisson A-broadcast arrivals on a :class:`BroadcastSystem`."""
+    """Schedules Poisson A-broadcast arrivals on a :class:`BroadcastSystem`.
+
+    Its arrivals sit in the system's kernel queue, so it keeps the parts it
+    drives (kernel, abcasts, processes) and not the system: like any part,
+    it is dead once its system is dropped.
+    """
 
     def __init__(
         self,
@@ -54,7 +59,9 @@ class PoissonWorkload:
         """
         if throughput <= 0:
             raise ValueError(f"throughput must be positive, got {throughput}")
-        self.system = system
+        self.sim = system.sim
+        self.abcasts = system.abcasts
+        self.processes = system.processes
         self.throughput = throughput
         self.senders: List[int] = (
             list(senders) if senders is not None else list(range(system.config.n))
@@ -97,7 +104,7 @@ class PoissonWorkload:
         expovariate = self._rng.expovariate
         choice = self._rng.choice
         senders = self.senders
-        post_at = self.system.sim.post_at
+        post_at = self.sim.post_at
         emit = self._emit
         first = self._scheduled
         time = start_time
@@ -114,11 +121,11 @@ class PoissonWorkload:
     # ------------------------------------------------------------------ internals
 
     def _emit(self, index: int, sender: int) -> None:
-        if self.reassign_crashed and self.system.process(sender).crashed:
+        if self.reassign_crashed and self.processes[sender].crashed:
             sender = self._live_sender(sender)
         payload = self._payload_factory(index)
-        broadcast_id = self.system.broadcast(sender, payload)
-        now = self.system.sim.now
+        broadcast_id = self.abcasts[sender].broadcast(payload)
+        now = self.sim.now
         sent = SentMessage(index=index, broadcast_id=broadcast_id, sender=sender, time=now)
         self.sent.append(sent)
         for callback in list(self._sent_callbacks):
@@ -133,6 +140,6 @@ class PoissonWorkload:
         position = self.senders.index(sender)
         for offset in range(1, len(self.senders)):
             candidate = self.senders[(position + offset) % len(self.senders)]
-            if not self.system.process(candidate).crashed:
+            if not self.processes[candidate].crashed:
                 return candidate
         return sender
