@@ -5,17 +5,23 @@ so distributing a grid across machines only needs a way to hand points out
 and collect records back.  This queue does it with nothing but a shared
 directory (NFS mount, synced folder, one box with many worker processes)::
 
-    <queue-dir>/pending/<key>.json    the serialised PointSpec, awaiting work
-    <queue-dir>/leases/<key>.lease    who is executing it, since when
+    <queue-dir>/points/<hash>.jsonl   one manifest per enqueue: {key, point} lines
+    <queue-dir>/leases/<key>.lease    who is executing a point, since when
     <queue-dir>/results/<key>.json    {key, point, record, provenance}
+
+A point is pending while a manifest lists it and ``results/`` holds no
+record of it.  A manifest never changes once it is visible, so a worker
+parses each one once.  Committing a point writes its result and drops its
+lease, which was never fsynced: the hot path deletes no durable file
+(freeing one costs a block discard on file systems mounted with it).
 
 The protocol relies only on two portable filesystem primitives:
 
 * **lease acquisition** is ``O_CREAT | O_EXCL`` -- exactly one worker can
   create the lease file, so no point is executed twice while its worker is
   alive;
-* **commits** are tmp-file + ``os.replace`` -- a reader never observes a
-  half-written result.
+* **manifests and results** are written tmp-file + fsync + ``os.replace``
+  -- a reader never observes a half-written one.
 
 A worker that crashes mid-point leaves its lease behind; once the lease is
 older than ``lease_ttl`` seconds any other worker reclaims it (atomically
@@ -32,27 +38,28 @@ runs one.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro import __version__
 from repro.campaigns.records import execute_point
 from repro.campaigns.spec import SCHEMA_VERSION, PointSpec
 from repro.obs.export import git_revision
 
-PENDING = "pending"
+POINTS = "points"
 LEASES = "leases"
 RESULTS = "results"
 
 
-def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
+def _atomic_write(path: str, body: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
+        handle.write(body)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -83,13 +90,13 @@ class WorkQueue:
             raise ValueError(f"lease_ttl must be > 0 seconds, got {lease_ttl}")
         self.directory = directory
         self.lease_ttl = lease_ttl
-        for sub in (PENDING, LEASES, RESULTS):
+        for sub in (POINTS, LEASES, RESULTS):
             os.makedirs(os.path.join(directory, sub), exist_ok=True)
+        # Every manifest parsed so far, by file name, and the points they list.
+        self._manifests: Set[str] = set()
+        self._points: Dict[str, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------ paths
-
-    def _pending_path(self, key: str) -> str:
-        return os.path.join(self.directory, PENDING, f"{key}.json")
 
     def _lease_path(self, key: str) -> str:
         return os.path.join(self.directory, LEASES, f"{key}.lease")
@@ -97,62 +104,84 @@ class WorkQueue:
     def _result_path(self, key: str) -> str:
         return os.path.join(self.directory, RESULTS, f"{key}.json")
 
+    def _listing(self, sub: str, suffix: str) -> List[str]:
+        """The names under ``sub`` ending in ``suffix`` (never a ``*.tmp.<pid>``)."""
+        try:
+            names = os.listdir(os.path.join(self.directory, sub))
+        except OSError:
+            return []
+        return [name for name in names if name.endswith(suffix)]
+
+    def _known(self) -> Dict[str, Dict[str, Any]]:
+        """Every point any manifest lists, key -> point dict; parses new manifests only."""
+        for name in self._listing(POINTS, ".jsonl"):
+            if name not in self._manifests:
+                with open(os.path.join(self.directory, POINTS, name), encoding="utf-8") as handle:
+                    for line in handle:
+                        entry = json.loads(line)
+                        self._points[entry["key"]] = entry["point"]
+                self._manifests.add(name)
+        return self._points
+
+    def _done(self) -> Set[str]:
+        return {name[:-len(".json")] for name in self._listing(RESULTS, ".json")}
+
     # ------------------------------------------------------------------ producer
 
     def enqueue(self, points: List[PointSpec]) -> int:
-        """Queue every point that is neither pending nor already done."""
-        added = 0
+        """Queue, as one manifest, every point no manifest lists and no result holds."""
+        known = self._known()
+        done = self._done()
+        added: Dict[str, Dict[str, Any]] = {}
         for point in points:
             key = point.key()
-            if os.path.exists(self._result_path(key)):
-                continue
-            if os.path.exists(self._pending_path(key)):
-                continue
-            _atomic_write_json(
-                self._pending_path(key), {"key": key, "point": point.as_dict()}
-            )
-            added += 1
-        return added
+            if key not in known and key not in done and key not in added:
+                added[key] = point.as_dict()
+        if not added:
+            return 0
+        body = "".join(
+            json.dumps({"key": key, "point": point}, sort_keys=True) + "\n"
+            for key, point in added.items()
+        )
+        name = hashlib.sha256(body.encode("utf-8")).hexdigest() + ".jsonl"
+        path = os.path.join(self.directory, POINTS, name)
+        if not os.path.exists(path):
+            _atomic_write(path, body)
+        self._manifests.add(name)
+        self._points.update(added)
+        return len(added)
 
     # ------------------------------------------------------------------ worker
 
-    def pending_names(self) -> List[str]:
-        """The file names under ``pending/``, in claim order."""
-        try:
-            return sorted(os.listdir(os.path.join(self.directory, PENDING)))
-        except OSError:
-            return []
+    def pending_keys(self) -> List[str]:
+        """The keys listed by a manifest and not yet committed, in claim order."""
+        return sorted(self._known().keys() - self._done())
 
-    def claim(self, worker: str, names: Optional[Iterable[str]] = None) -> Optional[Lease]:
+    def claim(self, worker: str, keys: Optional[Iterable[str]] = None) -> Optional[Lease]:
         """Lease one pending point, or ``None`` when nothing is claimable.
 
         Skips points under a live lease; reclaims leases older than the TTL
-        (the crashed-worker path).  ``names`` is a :meth:`pending_names`
+        (the crashed-worker path).  ``keys`` is a :meth:`pending_keys`
         listing taken earlier (default: taken now); an iterator is consumed
-        up to the claimed name, so successive claims walk one listing once.
-        A name that left ``pending/`` since is skipped like any lost race.
+        up to the claimed key, so successive claims walk one listing once.
+        A key committed since is skipped like any lost race.
         """
-        if names is None:
-            names = self.pending_names()
+        if keys is None:
+            keys = self.pending_keys()
         now = time.time()
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            key = name[:-len(".json")]
+        for key in keys:
             if os.path.exists(self._result_path(key)):
-                # A worker crashed between committing the result and tidying
-                # the pending marker; finish the tidy-up for it.
-                self._remove(self._pending_path(key))
+                # Committed since the listing; a lease still beside the result
+                # is a worker's that crashed before dropping it.
                 self._remove(self._lease_path(key))
                 continue
             if not self._acquire_lease(key, worker, now):
                 continue
-            spec = _read_json(self._pending_path(key))
-            if spec is None or "point" not in spec:
-                # Torn or vanished pending file: drop our lease and move on.
+            if os.path.exists(self._result_path(key)):
+                # Its worker committed and dropped the lease after our check.
                 self._remove(self._lease_path(key))
                 continue
-            return Lease(key=key, point=PointSpec.from_dict(spec["point"]), worker=worker)
+            return Lease(key=key, point=PointSpec.from_dict(self._points[key]), worker=worker)
         return None
 
     def _acquire_lease(self, key: str, worker: str, now: float) -> bool:
@@ -200,19 +229,18 @@ class WorkQueue:
         record: Dict[str, Any],
         provenance: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Publish the record of a leased point and retire it from the queue."""
+        """Publish the record of a leased point and drop its lease."""
         payload: Dict[str, Any] = {
             "key": lease.key,
             "point": lease.point.as_dict(),
             "record": record,
             "provenance": dict(provenance or {}),
         }
-        _atomic_write_json(self._result_path(lease.key), payload)
-        self._remove(self._pending_path(lease.key))
+        _atomic_write(self._result_path(lease.key), json.dumps(payload, sort_keys=True))
         self._remove(self._lease_path(lease.key))
 
     def retire(self, key: str) -> None:
-        """Drop the committed result of ``key``, so :meth:`enqueue` queues it again."""
+        """Drop the committed result of ``key``, so the point is pending again."""
         self._remove(self._result_path(key))
 
     def release(self, lease: Lease) -> None:
@@ -242,28 +270,16 @@ class WorkQueue:
     def results(self) -> Iterator[Tuple[str, Optional[Dict[str, Any]], Dict[str, Any]]]:
         """Iterate ``(key, point, record)`` over every committed result."""
         directory = os.path.join(self.directory, RESULTS)
-        for name in sorted(os.listdir(directory)):
-            if not name.endswith(".json"):
-                continue
+        for name in sorted(self._listing(RESULTS, ".json")):
             entry = _read_json(os.path.join(directory, name))
             if entry and "record" in entry:
                 yield entry.get("key", name[:-5]), entry.get("point"), entry["record"]
 
     def pending_count(self) -> int:
-        return self._count(PENDING, ".json")
+        return len(self.pending_keys())
 
     def result_count(self) -> int:
-        return self._count(RESULTS, ".json")
-
-    def _count(self, sub: str, suffix: str) -> int:
-        try:
-            return sum(
-                1
-                for name in os.listdir(os.path.join(self.directory, sub))
-                if name.endswith(suffix)
-            )
-        except OSError:
-            return 0
+        return len(self._listing(RESULTS, ".json"))
 
 
 class QueueWorker:
@@ -283,22 +299,22 @@ class QueueWorker:
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.trace_dir = trace_dir
 
-    def run_one(self, names: Optional[Iterable[str]] = None) -> Optional[str]:
+    def run_one(self, keys: Optional[Iterable[str]] = None) -> Optional[str]:
         """Claim and execute one point; returns its key, or ``None`` if idle.
 
-        ``names`` is handed to :meth:`WorkQueue.claim`.
+        ``keys`` is handed to :meth:`WorkQueue.claim`.
         """
-        lease = self.queue.claim(self.worker_id, names)
+        lease = self.queue.claim(self.worker_id, keys)
         if lease is None:
             return None
         try:
-            started = time.time()
+            started = time.perf_counter()
             record = execute_point(lease.point, self.trace_dir)
             provenance = {
                 "worker": self.worker_id,
                 "host": socket.gethostname(),
                 "pid": os.getpid(),
-                "wall_clock_s": time.time() - started,
+                "wall_clock_s": time.perf_counter() - started,
                 "finished_unix": time.time(),
                 "schema_version": SCHEMA_VERSION,
                 "repro_version": __version__,
@@ -313,17 +329,17 @@ class QueueWorker:
     def run(self, max_points: Optional[int] = None) -> int:
         """Execute until the queue has nothing claimable; returns the count.
 
-        Drains in rounds of one ``pending/`` listing each (a listing per
-        claim reads the directory N times to drain N points) and stops after
-        a round that claimed nothing: points enqueued, or leases gone stale,
-        during a round are found by the next.
+        Drains in rounds of one :meth:`WorkQueue.pending_keys` listing each
+        (a listing per claim reads the directories N times to drain N
+        points) and stops after a round that claimed nothing: points
+        enqueued, or leases gone stale, during a round are found by the next.
         """
         budget = float("inf") if max_points is None else max_points
         executed = 0
         while executed < budget:
-            names = iter(self.queue.pending_names())
+            keys = iter(self.queue.pending_keys())
             before = executed
-            while executed < budget and self.run_one(names):
+            while executed < budget and self.run_one(keys):
                 executed += 1
             if executed == before:
                 break

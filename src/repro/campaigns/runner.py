@@ -217,7 +217,7 @@ class CampaignRunner:
         """Enqueue ``misses``, work them as one queue worker, poll for the rest.
 
         A forced point's earlier queue result is retired first, or the
-        enqueue would skip the point as done.  Completes when every point
+        point would count as done.  Completes when every point
         has a committed result, from this worker or any other; stale leases
         of crashed workers are reclaimed along the way by the claim path.
         """

@@ -8,6 +8,8 @@ serial path (points travel as dicts and come back under the same key).
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +19,8 @@ from repro.campaigns.queue import QueueWorker, WorkQueue
 from repro.campaigns.runner import CampaignRunner, execute_point
 from repro.campaigns.spec import PointSpec, grid
 from repro.campaigns.store import ResultStore
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src")
 
 
 def quick_points(count=4):
@@ -94,6 +98,27 @@ class TestWorkQueue:
         assert queue.enqueue(points) == 0  # one done, one still pending
         assert queue.pending_count() == 1
 
+    def test_one_enqueue_writes_one_manifest(self, tmp_path):
+        queue = WorkQueue(str(tmp_path))
+        points = quick_points(3)
+        assert queue.enqueue(points + points[:1]) == 3  # deduped within the call
+        [manifest] = os.listdir(os.path.join(str(tmp_path), "points"))
+        with open(os.path.join(str(tmp_path), "points", manifest), encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
+        assert [line["key"] for line in lines] == [point.key() for point in points]
+        assert [PointSpec.from_dict(line["point"]) for line in lines] == points
+        assert queue.pending_keys() == sorted(point.key() for point in points)
+
+    def test_a_retired_result_makes_its_point_pending_again(self, tmp_path):
+        queue = WorkQueue(str(tmp_path))
+        [point] = quick_points(1)
+        queue.enqueue([point])
+        queue.commit(queue.claim("w1"), {"stale": True})
+        assert queue.pending_count() == 0
+        queue.retire(point.key())
+        assert queue.enqueue([point]) == 0  # its manifest still lists it
+        assert queue.pending_keys() == [point.key()]
+
     def test_leased_point_is_not_claimable_by_another_worker(self, tmp_path):
         queue = WorkQueue(str(tmp_path))
         queue.enqueue(quick_points(1))
@@ -148,19 +173,46 @@ class TestWorkQueue:
         assert queue.claim("w1") is not None
         assert queue.claim("w2") is None
 
-    def test_orphaned_pending_with_result_is_tidied(self, tmp_path):
-        # A worker crashed between committing the result and removing the
-        # pending marker; the next claim finishes the tidy-up.
+    def test_lease_left_beside_a_committed_result_is_tidied(self, tmp_path):
+        # A worker crashed between replacing its result and dropping its
+        # lease; the next claim skips the point and removes the lease.
         queue = WorkQueue(str(tmp_path))
         [point] = quick_points(1)
         queue.enqueue([point])
+        listing = iter(queue.pending_keys())  # w2's round began before the commit
         lease = queue.claim("w1")
         queue.commit(lease, {"measured": 8})
-        # Resurrect the pending marker as the crash would leave it.
-        with open(queue._pending_path(point.key()), "w", encoding="utf-8") as handle:
-            json.dump({"key": point.key(), "point": point.as_dict()}, handle)
-        assert queue.claim("w2") is None
+        with open(queue._lease_path(point.key()), "w", encoding="utf-8") as handle:
+            json.dump({"worker": "w1"}, handle)
+        assert queue.claim("w3") is None  # a fresh listing no longer offers it
+        assert queue.claim("w2", listing) is None
+        assert not os.path.exists(queue._lease_path(point.key()))
         assert queue.pending_count() == 0
+        assert queue.result(point.key()) == {"measured": 8}
+
+    def test_temporary_files_of_crashed_writers_are_ignored(self, tmp_path, monkeypatch):
+        # A crashed enqueue or commit leaves its ``*.tmp.<pid>`` behind,
+        # possibly half-written; no listing or count sees it.
+        queue = WorkQueue(str(tmp_path))
+        points = quick_points(3)
+        queue.enqueue(points[:2])
+        lease = queue.claim("w1")
+        queue.commit(lease, {"measured": 8})
+        for sub, name in (
+            ("points", "0123abcd.jsonl.tmp.4242"),
+            ("results", f"{points[1].key()}.json.tmp.4242"),
+            ("results", f"{points[2].key()}.json.tmp.4242"),
+        ):
+            with open(os.path.join(str(tmp_path), sub, name), "w", encoding="utf-8") as handle:
+                handle.write('{"key": "torn')
+        fresh = WorkQueue(str(tmp_path))
+        assert fresh.pending_keys() == [points[1].key()]
+        assert (fresh.pending_count(), fresh.result_count()) == (1, 1)
+        assert [key for key, _, _ in fresh.results()] == [points[0].key()]
+        assert fresh.enqueue(points) == 1  # only the third point is new
+        monkeypatch.setattr(queue_module, "execute_point", lambda point, trace_dir=None: {})
+        assert QueueWorker(fresh, worker_id="w2").run() == 2
+        assert (fresh.pending_count(), fresh.result_count()) == (0, 3)
 
     def test_results_iterates_committed_entries(self, tmp_path):
         queue = WorkQueue(str(tmp_path))
@@ -192,6 +244,22 @@ class TestQueueWorker:
             assert provenance["worker"] == "unit-worker"
             for field in ("host", "pid", "wall_clock_s", "schema_version", "git_rev"):
                 assert field in provenance
+
+    def test_wall_clock_s_survives_a_clock_step(self, tmp_path, monkeypatch):
+        queue = WorkQueue(str(tmp_path))
+        queue.enqueue(quick_points(1))
+        stepped = queue_module.time.time() - 3600.0
+
+        def stepping(point, trace_dir=None):
+            monkeypatch.setattr(queue_module.time, "time", lambda: stepped)
+            return {}
+
+        monkeypatch.setattr(queue_module, "execute_point", stepping)
+        [key] = queue.pending_keys()
+        assert QueueWorker(queue, worker_id="w").run() == 1
+        provenance = queue.result_entry(key)["provenance"]
+        assert 0.0 <= provenance["wall_clock_s"] < 60.0
+        assert provenance["finished_unix"] == stepped
 
     def test_worker_respects_max_points(self, tmp_path):
         queue = WorkQueue(str(tmp_path))
@@ -278,7 +346,7 @@ class TestQueueBackedRunner:
 
 
 class TestDrainRounds:
-    """A worker drains in rounds of one ``pending/`` listing each."""
+    """A worker drains in rounds of one ``pending_keys`` listing each."""
 
     @pytest.fixture
     def stub_execution(self, monkeypatch):
@@ -308,8 +376,9 @@ class TestDrainRounds:
         monkeypatch.setattr(os, "listdir", counting_listdir)
         assert QueueWorker(queue, worker_id="w1").run() == 200
         # One round that drains everything and the empty round that ends the
-        # drain; a listing per claim made this 201 sorted directory reads.
-        assert listings == ["pending", "pending"]
+        # drain, each listing ``points/`` and ``results/`` once; a listing
+        # per claim made this 201 reads of each.
+        assert listings == ["points", "results", "points", "results"]
         monkeypatch.undo()
         assert sorted(stub_execution) == sorted(point.key() for point in points)
         assert (queue.pending_count(), queue.result_count()) == (0, 200)
@@ -319,13 +388,13 @@ class TestDrainRounds:
         queue = WorkQueue(str(tmp_path))
         queue.enqueue(quick_points(5))
         slow = QueueWorker(queue, worker_id="slow")
-        names = iter(queue.pending_names())
+        keys = iter(queue.pending_keys())
         assert QueueWorker(queue, worker_id="fast").run(max_points=2) == 2
-        # The first two names of the listing are done; the third is claimed.
-        assert slow.run_one(names) is not None
-        assert slow.run_one(names) is not None
-        assert slow.run_one(names) is not None
-        assert slow.run_one(names) is None
+        # The first two keys of the listing are done; the third is claimed.
+        assert slow.run_one(keys) is not None
+        assert slow.run_one(keys) is not None
+        assert slow.run_one(keys) is not None
+        assert slow.run_one(keys) is None
         assert len(stub_execution) == len(set(stub_execution)) == 5
 
     def test_a_listing_does_not_jump_a_live_lease(self, tmp_path, stub_execution):
@@ -358,3 +427,129 @@ class TestDrainRounds:
         queue.enqueue(quick_points(4))
         assert QueueWorker(queue, worker_id="w1").run(max_points=3) == 3
         assert queue.pending_count() == 1
+
+    def test_overlapping_producers_and_two_workers_execute_each_point_once(
+        self, tmp_path, stub_execution
+    ):
+        directory = str(tmp_path)
+        points = quick_points(9)
+        assert WorkQueue(directory).enqueue(points[:6]) == 6
+        assert WorkQueue(directory).enqueue(points[3:]) == 3  # 3..5 already listed
+        assert len(os.listdir(os.path.join(directory, "points"))) == 2
+        workers = [QueueWorker(WorkQueue(directory), worker_id=f"w{i}") for i in (1, 2)]
+        while any([worker.run_one() for worker in workers]):
+            pass
+        assert sorted(stub_execution) == sorted(point.key() for point in points)
+        assert WorkQueue(directory).pending_count() == 0
+
+
+class TestFileSystemWork:
+    """Clock-free bound: a point costs one fsync (its result) and one removal
+    (its unfsynced lease); an enqueue costs one fsync however many points."""
+
+    def test_enqueue_and_drain_200_points(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(queue_module, "execute_point", lambda point, trace_dir=None: {})
+        queue = WorkQueue(str(tmp_path))
+        points = quick_points(200)
+        fsyncs, removed = [], []
+        real_fsync, real_remove = os.fsync, os.remove
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        def counting_remove(path):
+            removed.append(path)
+            real_remove(path)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        monkeypatch.setattr(os, "remove", counting_remove)
+        assert queue.enqueue(points) == 200
+        assert (len(fsyncs), removed) == (1, [])
+        assert QueueWorker(queue, worker_id="w1").run() == 200
+        assert len(fsyncs) == 1 + 200
+        assert sorted(removed) == sorted(queue._lease_path(point.key()) for point in points)
+
+
+#: One queue worker process whose execution logs the key it ran and returns.
+WORKER_SCRIPT = """
+import sys
+import repro.campaigns.queue as queue_module
+directory, worker, log = sys.argv[1:]
+
+def logging_stub(point, trace_dir=None):
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write(point.key() + "\\n")
+    return {}
+
+queue_module.execute_point = logging_stub
+print(queue_module.QueueWorker(queue_module.WorkQueue(directory), worker_id=worker).run())
+"""
+
+
+class TestConcurrentWorkers:
+    def test_four_worker_processes_execute_each_point_once(self, tmp_path):
+        directory = str(tmp_path / "queue")
+        points = quick_points(60)
+        WorkQueue(directory).enqueue(points)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+        logs = [str(tmp_path / f"w{index}.log") for index in range(4)]
+        workers = [
+            subprocess.Popen(
+                [sys.executable, "-c", WORKER_SCRIPT, directory, f"w{index}", log],
+                env=env, stdout=subprocess.PIPE, text=True,
+            )
+            for index, log in enumerate(logs)
+        ]
+        try:
+            counts = [int(worker.communicate(timeout=120)[0]) for worker in workers]
+        finally:
+            for worker in workers:
+                worker.kill()
+        assert [worker.returncode for worker in workers] == [0, 0, 0, 0]
+        executed = []
+        for log in logs:
+            if os.path.exists(log):
+                with open(log, encoding="utf-8") as handle:
+                    executed.extend(handle.read().split())
+        assert sum(counts) == len(executed) == 60
+        assert sorted(executed) == sorted(point.key() for point in points)
+        queue = WorkQueue(directory)
+        assert (queue.pending_count(), queue.result_count()) == (0, 60)
+        assert os.listdir(os.path.join(directory, "leases")) == []
+
+
+class TestOldQueueDirectory:
+    """A queue directory from the per-point ``pending/`` layout still works."""
+
+    def test_pending_dir_is_ignored_and_a_rerun_drains_the_grid(self, tmp_path):
+        campaign = grid(
+            "normal-steady",
+            stacks=("fd",),
+            n_values=(3,),
+            throughputs=(20.0, 40.0),
+            num_messages=10,
+        )
+        done, missing = campaign.points()
+        serial = CampaignRunner(jobs=1).run(campaign)
+        directory = str(tmp_path)
+        for sub in ("pending", "leases", "results"):
+            os.makedirs(os.path.join(directory, sub))
+        old_pending = os.path.join(directory, "pending", f"{missing.key()}.json")
+        with open(old_pending, "w", encoding="utf-8") as handle:
+            json.dump({"key": missing.key(), "point": missing.as_dict()}, handle, sort_keys=True)
+        with open(os.path.join(directory, "results", f"{done.key()}.json"), "w",
+                  encoding="utf-8") as handle:
+            json.dump({"key": done.key(), "point": done.as_dict(),
+                       "record": serial.records[done.key()],
+                       "provenance": {"worker": "old"}}, handle, sort_keys=True)
+
+        queue = WorkQueue(directory)
+        assert (queue.pending_count(), queue.result_count()) == (0, 1)
+        run = CampaignRunner(queue=queue, queue_timeout=60.0).run(campaign)
+        assert run.records == serial.records
+        assert queue.result_entry(done.key())["provenance"] == {"worker": "old"}
+        assert queue.result_entry(missing.key())["provenance"]["worker"] != "old"
+        assert (queue.pending_count(), queue.result_count()) == (0, 2)
+        assert os.path.exists(old_pending)  # left as it was, never read
