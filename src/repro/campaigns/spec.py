@@ -124,7 +124,7 @@ class PointSpec:
         state.update(stack=system.stack, fd_kind=system.fd_kind, instrument=system.instrument)
         # Frozen: fill the instance dict directly.
         self.__dict__.update(state, params=params, system=system)
-        scenario.validate(self, params)
+        scenario.check(self, params)
 
     def __getattr__(self, name: str) -> Any:
         # Only reached for names that are not core fields: the kind's params.

@@ -4,11 +4,15 @@ The paper's performance measure is the latency of atomic broadcast: the time
 from ``A-broadcast(m)`` to the *earliest* ``A-deliver(m)`` on any process
 (Section 5.1).  :class:`LatencyRecorder` attaches to a
 :class:`repro.system.BroadcastSystem` and records both ends of every message.
+:func:`observed_digest` condenses what a finished run observed into one hash.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+import math
+import struct
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.types import BroadcastID
 from repro.metrics.stats import Summary, summarize
@@ -99,3 +103,31 @@ class LatencyRecorder:
     def tracked_count(self) -> int:
         """Number of broadcast messages tracked so far."""
         return len(self._broadcast_times)
+
+
+def observed_digest(system, latencies: Sequence[float]) -> str:
+    """16-hex sha256 prefix of what a finished run observed.
+
+    Folds each process's delivery sequence (``(sender, seq)`` in order) and
+    up/down state with its last crash time, each membership's final view
+    (epoch, view id, members) and ``latencies`` in their given order.  No
+    kernel event count, tie-break counter, payload or wall-clock: the same
+    deliveries at the same latencies agree however many events they took.
+    Packed little-endian (int64 ids, float64 times), so every host agrees.
+    """
+    import hashlib  # deferred: importing the scenario runner does not load OpenSSL
+
+    network = system.network
+    parts = [struct.pack("<q", system.config.n)]
+    for pid, ids in system.delivery_sequences().items():
+        crash_time = network.crash_time(pid)
+        state = (network.is_crashed(pid), math.nan if crash_time is None else crash_time)
+        flat_ids = chain.from_iterable(ids)
+        parts.append(struct.pack(f"<qdq{2 * len(ids)}q", *state, len(ids), *flat_ids))
+    parts.append(struct.pack("<q", len(system.memberships)))
+    for membership in system.memberships:
+        view = membership.view
+        size = len(view.members)
+        parts.append(struct.pack(f"<3q{size}q", view.epoch, view.view_id, size, *view.members))
+    parts.append(struct.pack(f"<q{len(latencies)}d", len(latencies), *latencies))
+    return hashlib.sha256(b"".join(parts)).hexdigest()[:16]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -122,6 +123,14 @@ class ScenarioKind:
         values.update(given)
         return values
 
+    def check(self, core: Any, params: Any) -> None:
+        """Reject a point that could never run: the common core, then ``validate``."""
+        if not (math.isfinite(core.throughput) and core.throughput > 0):
+            raise ValueError(f"throughput must be finite and > 0, got {core.throughput}")
+        if core.num_messages < 0:
+            raise ValueError(f"num_messages must be >= 0, got {core.num_messages}")
+        self.validate(core, params)
+
     def point_params(self, n: int, values: Dict[str, Any]) -> Any:
         """The params instance of a grid point of size ``n``."""
         return self.params(**(self.expand(n, dict(values)) if self.expand else values))
@@ -185,8 +194,8 @@ def run_kind(
 
     The same three steps a ``PointSpec`` takes: build the kind's params
     dataclass from ``params`` (so an omitted parameter has the default a
-    campaign point has), run the kind's ``validate``, call the kind's
-    ``run``.  ``repro.scenarios.run_<kind>`` are this function bound to a
+    campaign point has), :meth:`ScenarioKind.check` the point, call the
+    kind's ``run``.  ``repro.scenarios.run_<kind>`` are this function bound to a
     built-in's name.
     """
     kind = get_kind(name)
@@ -201,5 +210,5 @@ def run_kind(
         n=config.n, fd_kind=config.fd_kind,
     )
     kind_params = kind.params(**params)
-    kind.validate(core, kind_params)
+    kind.check(core, kind_params)
     return kind.run(config, core, kind_params)

@@ -31,6 +31,10 @@ class ScenarioResult:
     params: Dict[str, Any] = field(default_factory=dict)
     #: ``metrics.json`` snapshot of the run (instrumented runs only).
     metrics: Optional[Dict[str, Any]] = None
+    #: :func:`repro.metrics.observed_digest` of the finished run.  ``None`` on
+    #: a result rebuilt from a campaign record (records do not carry it) and
+    #: on a merge of several replicas.
+    observed_digest: Optional[str] = None
 
     def summary(self, confidence: float = 0.95) -> Summary:
         """Mean latency and confidence interval of the measured messages."""

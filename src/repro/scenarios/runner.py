@@ -15,9 +15,11 @@ stop conditions and result assembly; a scenario kind
 * :class:`ProbeSpec` measures one tagged message injected at a fault instant
   (the crash-transient scenario), returning its latency.
 
-The runner reproduces the legacy drivers bit for bit for the paper's four
-scenarios: construction order, listener registration order and random-stream
-usage are identical, so golden results carry over unchanged.
+Every steady-state result carries :attr:`ScenarioResult.observed_digest`,
+the one answer to "did the simulated behaviour change?".  What the runner
+simulates is pinned by ``tests/scenarios/test_runner_golden.py`` (that digest
+per paper scenario and stack) and the committed JSON pins under
+``tests/*/data/``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.types import BroadcastID
-from repro.metrics.latency import LatencyRecorder
+from repro.metrics.latency import LatencyRecorder, observed_digest
 from repro.metrics.stats import interarrival_from_throughput
 from repro.obs import export as obs_export
 from repro.scenarios.faults import FaultSchedule
@@ -148,6 +150,7 @@ def finish_run(
         events=system.sim.events_processed,
         params=params,
         metrics=metrics,
+        observed_digest=observed_digest(system, latencies),
     )
 
 

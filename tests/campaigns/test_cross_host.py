@@ -2,11 +2,11 @@
 
 Queue workers may run other interpreters -- another ``PYTHONHASHSEED``,
 the ``spawn`` start method rather than ``fork`` (which inherits the parent's
-hash secret and imported state).  Keys are rebuilt from declared params and
-records come from seeded simulation, so both must come out byte-identical
-wherever a point runs.  The points cover kind x stack pairs with a
-non-default stack param, a heartbeat detector with a non-default period and
-a batched system.
+hash secret and imported state).  Keys are rebuilt from declared params, and
+records and observed digests come from seeded simulation, so all three must
+come out byte-identical wherever a point runs.  The points cover kind x
+stack pairs with a non-default stack param, a heartbeat detector with a
+non-default period and a batched system.
 """
 
 import json
@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.campaigns.records import execute_point
 from repro.campaigns.spec import PointSpec
+from repro.scenarios.registry import get_kind
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
@@ -42,6 +43,21 @@ print(json.dumps([[point.key(), execute_point(point)] for point in points], sort
 """
 
 
+#: The observed digest of each point's run, in another interpreter.
+DIGESTS = """
+import json, sys
+from repro.campaigns.spec import PointSpec
+from repro.scenarios.registry import get_kind
+points = [PointSpec.from_dict(data) for data in json.loads(sys.argv[1])]
+print(json.dumps([get_kind(p.kind).run(p.config(), p, p.params).observed_digest for p in points]))
+"""
+
+
+def digest(point):
+    """The observed digest of one run of ``point``."""
+    return get_kind(point.kind).run(point.config(), point, point.params).observed_digest
+
+
 def points():
     return [PointSpec.from_dict({**COMMON, **data}) for data in POINTS]
 
@@ -50,12 +66,12 @@ def here():
     return json.dumps([[point.key(), execute_point(point)] for point in points()], sort_keys=True)
 
 
-def in_interpreter(hash_seed):
+def in_interpreter(hash_seed, script=SCRIPT):
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     env["PYTHONPATH"] = os.pathsep.join([os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")])
     wire = json.dumps([point.as_dict() for point in points()])
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, wire], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script, wire], env=env, capture_output=True, text=True, check=True
     )
     return done.stdout.strip()
 
@@ -73,3 +89,13 @@ def test_records_are_identical_under_the_spawn_start_method():
     assert json.dumps(spawned, sort_keys=True) == json.dumps(
         [execute_point(point) for point in points()], sort_keys=True
     )
+
+
+def test_digests_are_identical_under_two_hash_seeds_and_spawn():
+    expected = [digest(point) for point in points()]
+    assert all(expected)
+    assert json.loads(in_interpreter(0, DIGESTS)) == expected
+    assert json.loads(in_interpreter(4242, DIGESTS)) == expected
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        assert list(pool.map(digest, points())) == expected

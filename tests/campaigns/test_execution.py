@@ -8,8 +8,6 @@ figures CLI is in ``tests/experiments/test_cli.py``.)
 """
 
 import argparse
-import json
-import os
 
 import pytest
 
@@ -19,8 +17,7 @@ from repro.campaigns.__main__ import main as campaigns_main
 from repro.experiments.__main__ import build_parser as experiments_parser
 from repro.experiments.__main__ import main as experiments_main
 from repro.scenarios.registry import get_kind
-
-DATA = os.path.join(os.path.dirname(__file__), "data")
+from tests import goldens
 
 
 def options(parser):
@@ -64,8 +61,7 @@ class TestOneDeclaration:
     def test_the_campaign_cli_accepts_what_it_accepted_but_for_chunk_size(self):
         """``data/cli_options.json`` is the option table of the campaign CLI
         before the execution options moved out of it, less ``--chunk-size``."""
-        with open(os.path.join(DATA, "cli_options.json"), encoding="utf-8") as handle:
-            before = {tuple(row["flags"]): row for row in json.load(handle)}
+        before = {tuple(row["flags"]): row for row in goldens.load("cli_options.json")}
         now = options(campaigns_parser(get_kind("normal-steady")))
         assert set(now) == set(before)
         for flags, row in before.items():

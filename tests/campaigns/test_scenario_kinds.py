@@ -38,6 +38,7 @@ from repro.campaigns.spec import PointSpec, grid
 from repro.campaigns.store import ResultStore
 from repro.scenarios import registry
 from repro.scenarios.registry import available_kinds, get_kind, kind_shorthands
+from tests import goldens
 
 HERE = os.path.dirname(__file__)
 ROOT = os.path.dirname(os.path.dirname(HERE))
@@ -60,13 +61,8 @@ BUILTIN_KINDS = (
 )
 
 
-def load(name):
-    with open(os.path.join(HERE, "data", name), encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-KEY_TABLE = load("kind_keys.json")
-RECORD_TABLE = load("kind_records.json")
+KEY_TABLE = goldens.load("kind_keys.json")
+RECORD_TABLE = goldens.load("kind_records.json")
 
 
 def readme_section(title):
@@ -150,9 +146,8 @@ class TestKeyTable:
     def test_the_last_rekeying_is_one_to_one_and_in_order(self):
         """``keys_v8_to_v9.json`` pairs every key of this table and of the
         figure grids with its predecessor, in file order."""
-        table = load("keys_v8_to_v9.json")
-        with open(os.path.join(ROOT, "tests", "experiments", "data", "figures.json")) as handle:
-            figures = json.load(handle)
+        table = goldens.load("keys_v8_to_v9.json")
+        figures = goldens.load("figures.json")
         current = [entry["key"] for entry in KEY_TABLE] + [
             key
             for case in figures.values()

@@ -265,8 +265,11 @@ class TestGrid:
         assert [point.seed for point in series_point.points] == [1, 2]
 
     def test_nan_parameters_are_rejected(self):
-        point = PointSpec(kind="normal-steady", throughput=float("nan"))
-        with pytest.raises(ValueError):
+        # The core at declaration, any other param when the key is built.
+        with pytest.raises(ValueError, match="throughput must be finite"):
+            PointSpec(kind="normal-steady", throughput=float("nan"))
+        point = PointSpec(kind="crash-transient", detection_time=float("nan"))
+        with pytest.raises(ValueError, match="NaN is not a valid point parameter"):
             point.key()
 
 

@@ -4,14 +4,14 @@
 defaults and under the benchmark suite's overrides, the campaign name and
 description, and per series its label, params, x values and ordered point
 keys.  A point key is the result-cache key, so an unchanged file means
-existing caches stay hot.  Regenerate (only for a deliberate grid change)
-with ``PYTHONPATH=src python tests/experiments/test_figure_grids.py``.
+existing caches stay hot.  Re-capture it (only for a deliberate grid change)
+by deleting the file and rerunning this test (``tests/goldens.py``).
 """
 
-import json
 import os
 
 from repro.experiments import figure4, figure5, figure6, figure7, figure8
+from tests import goldens
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "figures.json")
 
@@ -51,25 +51,11 @@ def describe(campaign):
     }
 
 
-def capture():
-    """Every case, keyed ``figureN k=v ...``."""
-    return {
+def test_every_figure_grid_matches_the_golden_byte_for_byte():
+    cases = {
         " ".join([name] + [f"{key}={value}" for key, value in grid.items()]): describe(
             module.build_campaign(**grid)
         )
         for name, module, grid in CASES
     }
-
-
-def render(cases):
-    return json.dumps(cases, indent=1) + "\n"
-
-
-def test_every_figure_grid_matches_the_golden_byte_for_byte():
-    with open(GOLDEN, encoding="utf-8") as handle:
-        assert render(capture()) == handle.read()
-
-
-if __name__ == "__main__":
-    with open(GOLDEN, "w", encoding="utf-8") as handle:
-        handle.write(render(capture()))
+    goldens.check(GOLDEN, cases)

@@ -7,15 +7,15 @@ kinds x two scan ticks; n = 5, seed 3, 50 A-broadcasts/s, 200 messages), what
 one instrumented run did: the kernel event count, the run's duration, every
 measured latency and every ``sim.events.*`` and ``fd.*`` counter.  An
 unchanged file means the calendar fires the same transitions at the same
-ticks.  Regenerate (only for a deliberate change of simulated behaviour) with
-``PYTHONPATH=src python tests/failure_detectors/test_scan_events.py``.
+ticks.  Re-capture it (only for a deliberate change of simulated behaviour) by
+deleting the file and rerunning this test (``tests/goldens.py``).
 """
 
-import json
 import os
 
 from repro import SystemConfig
 from repro.scenarios.registry import run_kind
+from tests import goldens
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "scan_events.json")
 
@@ -47,23 +47,14 @@ def run_row(stack, kind, scan_interval):
     }
 
 
-def capture():
-    """Every row of the grid, keyed ``<kind> <stack> <scan interval>``."""
-    return {
+def test_the_batched_scan_fires_the_pinned_transitions():
+    rows = {
         f"{kind} {stack} {scan_interval:g}": run_row(stack, kind, scan_interval)
         for kind in KINDS
         for stack in STACKS
         for scan_interval in SCAN_INTERVALS
     }
-
-
-def render(rows):
-    return json.dumps(rows, indent=1, sort_keys=True) + "\n"
-
-
-def test_the_batched_scan_fires_the_pinned_transitions():
-    with open(GOLDEN, encoding="utf-8") as handle:
-        assert render(capture()) == handle.read()
+    goldens.check(GOLDEN, rows, sort_keys=True)
 
 
 def test_the_two_ticks_differ():
@@ -72,16 +63,9 @@ def test_the_two_ticks_differ():
     Mistakes and crash-recovery transitions ride the calendar, so their rows
     move with the tick; partition transitions and the pre-run crash do not.
     """
-    with open(GOLDEN, encoding="utf-8") as handle:
-        rows = json.load(handle)
+    rows = goldens.load("scan_events.json")
     for kind in KINDS:
         for stack in STACKS:
             fine, coarse = (rows[f"{kind} {stack} {q:g}"] for q in SCAN_INTERVALS)
             on_the_calendar = kind in ("suspicion-steady", "churn-steady")
             assert (fine != coarse) == on_the_calendar, f"{kind} {stack}"
-
-
-if __name__ == "__main__":
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w", encoding="utf-8") as handle:
-        handle.write(render(capture()))

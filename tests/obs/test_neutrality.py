@@ -2,11 +2,11 @@
 
 Observation must never perturb the run: for every registered stack variant,
 an instrumented execution must be bit-identical to an uninstrumented one --
-same delivery sequences, same delivery times, same kernel event count.  And
-the counters an instrumented run reports must match values independently
-derivable from the network statistics, the failure detectors' own counters,
-the recorded ``send`` events and an ``abcast_deliver`` subscriber on the
-same seed.
+same delivery sequences, same delivery times, same kernel event count, same
+observed digest.  And the counters an instrumented run reports must match
+values independently derivable from the network statistics, the failure
+detectors' own counters, the recorded ``send`` events and an
+``abcast_deliver`` subscriber on the same seed.
 """
 
 from collections import Counter
@@ -20,6 +20,7 @@ from repro.scenarios import (
     run_suspicion_steady,
     run_wan_steady,
 )
+from repro.scenarios.registry import run_kind
 from repro.stacks import stack_variants
 
 #: A fixed golden workload: (time ms, sender) pairs over a 3-process group.
@@ -53,6 +54,17 @@ class TestGoldenNeutrality:
         assert inst_system.sim.events_processed == base_system.sim.events_processed
         assert inst_system.sim.now == base_system.sim.now
         assert inst_system.message_stats() == base_system.message_stats()
+
+    @pytest.mark.parametrize("variant", stack_variants())
+    def test_instrumented_run_observes_the_same_digest(self, variant):
+        def measure(instrument):
+            config = SystemConfig(n=5, stack=variant, seed=7, instrument=instrument)
+            return run_kind("crash-steady", config, 100.0, num_messages=30, crashed=(4,))
+
+        base = measure(False)
+        inst = measure(True)
+        assert base.metrics is None and inst.metrics is not None
+        assert inst.observed_digest == base.observed_digest
 
     def test_neutral_under_failure_detector_mistakes(self):
         """The RNG-heavy suspicion-steady scenario stays bit-identical too."""

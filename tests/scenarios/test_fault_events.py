@@ -7,11 +7,10 @@ records what one instrumented ``fd`` and one ``gm`` system did under it:
 the kernel event count, the ``sim.events.<Class.method>`` counters (which
 bound method every fault posted, and how often) and the delivery sequences.
 An unchanged file means compiling a schedule posts the same events at the
-same times.  Regenerate (only for a deliberate change of simulated
-behaviour) with ``PYTHONPATH=src python tests/scenarios/test_fault_events.py``.
+same times.  Re-capture it (only for a deliberate change of simulated
+behaviour) by deleting the file and rerunning this test (``tests/goldens.py``).
 """
 
-import json
 import os
 
 from repro import SystemConfig, build_system
@@ -28,6 +27,7 @@ from repro.scenarios.faults import (
     RestoreAt,
     SuspectDuring,
 )
+from tests import goldens
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "fault_events.json")
 
@@ -86,30 +86,15 @@ def run_case(stack, events):
     }
 
 
-def capture():
-    """Every case on every stack, keyed ``<case> <stack>``."""
-    return {
+def test_every_fault_class_posts_the_pinned_kernel_events():
+    cases = {
         f"{name} {stack}": run_case(stack, events)
         for name, events in CASES.items()
         for stack in STACKS
     }
-
-
-def render(cases):
-    return json.dumps(cases, indent=1, sort_keys=True) + "\n"
-
-
-def test_every_fault_class_posts_the_pinned_kernel_events():
-    with open(GOLDEN, encoding="utf-8") as handle:
-        assert render(capture()) == handle.read()
+    goldens.check(GOLDEN, cases, sort_keys=True)
 
 
 def test_every_timed_event_class_is_covered():
     covered = {type(event).__name__ for events in CASES.values() for event in events}
     assert covered >= set(CASES) - {"pre-run", "mixed"} | {"PoissonChurn"}
-
-
-if __name__ == "__main__":
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w", encoding="utf-8") as handle:
-        handle.write(render(capture()))

@@ -1,9 +1,11 @@
 """The built-in kinds behave the same on the direct path and the campaign path.
 
 ``run_kind`` and ``PointSpec`` take the same three steps (build the kind's
-params, ``validate``, ``run``), so the same stated parameters simulate the
+params, ``ScenarioKind.check``, ``run``), so the same stated parameters simulate the
 same system and the same bad input is rejected with the same message.
 """
+
+import math
 
 import pytest
 
@@ -91,6 +93,10 @@ INVALID = [
     ("gray-degradation", {}, {"degrade_duration": 0.0}, "degrade_duration must be > 0"),
     ("normal-steady", {}, {"crashed": (1,)}, "normal-steady points take no"),
     ("wan-steady", {}, {"profile": "wan-5dc"}, r"declares \['wan_profile', 'detection_time'\]"),
+    ("normal-steady", {"throughput": 0.0}, {}, "throughput must be finite and > 0"),
+    ("service-load", {"throughput": -1.0}, {}, "throughput must be finite and > 0"),
+    ("wan-steady", {"throughput": math.inf}, {}, "throughput must be finite and > 0"),
+    ("view-majority-loss", {"num_messages": -1}, {}, "num_messages must be >= 0"),
 ]
 
 #: Former driver keywords no caller set: constants now, on every path.
@@ -109,8 +115,11 @@ class TestInvalidInputIsRejectedAtDeclaration:
     def test_on_both_paths_with_one_message(self, kind, core, params, message):
         with pytest.raises(ValueError, match=message):
             PointSpec(kind, **core, **params)
+        system = dict(core)
+        throughput = system.pop("throughput", 50.0)
+        num_messages = system.pop("num_messages", 10)
         with pytest.raises(ValueError, match=message):
-            run_kind(kind, SystemConfig(**core), 50.0, num_messages=10, **params)
+            run_kind(kind, SystemConfig(**system), throughput, num_messages=num_messages, **params)
 
     @pytest.mark.parametrize("name", available_kinds())
     def test_no_entry_point_takes_a_removed_keyword(self, name):

@@ -1,14 +1,13 @@
-"""Golden-value tests: the ScenarioRunner reproduces the legacy drivers.
+"""Golden-value tests: the paper's scenarios simulate the pinned behaviour.
 
-The values below were captured from the seed repository's hand-written
-scenario drivers (``scenarios/steady.py`` / ``scenarios/transient.py``
-before the fault-schedule refactor).  The refactored drivers must keep
-construction order, listener registration order and random-stream usage
-identical, so every number matches bit for bit.
+Each steady-state row pins (mean latency, undelivered, duration, kernel
+events, ``result.observed_digest``).  The digest folds every process's
+delivery order, every measured latency, the final views and the crash
+states, so a matching row means the run observed exactly what it did when
+the row was captured.  The oldest rows date back to the first scenario
+drivers; every refactor since kept them.  Re-capture a row only for a
+deliberate change of simulated behaviour, and say so.
 """
-
-import hashlib
-import json
 
 import pytest
 
@@ -20,14 +19,14 @@ from repro.scenarios import (
 )
 from repro.scenarios import run_crash_transient
 
-#: (mean latency, undelivered, duration, events, sha256 prefix of latencies).
+#: (mean latency, undelivered, duration, events, observed digest).
 GOLDEN_STEADY = {
-    ("normal-steady", "fd"): (11.413199718013795, 0, 768.821849452246, 1460, "2b0063a941aa1017"),
-    ("normal-steady", "gm"): (11.413199718013795, 0, 768.821849452246, 1392, "2b0063a941aa1017"),
-    ("crash-steady", "fd"): (9.627147225463041, 0, 751.7707303878062, 1281, "08872b3cb8dbe753"),
-    ("crash-steady", "gm"): (9.627147225463041, 0, 751.7707303878062, 1030, "08872b3cb8dbe753"),
-    ("suspicion-steady", "fd"): (8.88605195060407, 0, 5188.85601135372, 1162, "9cce3be47913a585"),
-    ("suspicion-steady", "gm"): (12.393748769369768, 0, 5188.85601135372, 3574, "7107422ba56e637f"),
+    ("normal-steady", "fd"): (11.413199718013795, 0, 768.821849452246, 1460, "25bf80fd7c2ddf17"),
+    ("normal-steady", "gm"): (11.413199718013795, 0, 768.821849452246, 1392, "3fdb85087a086ce7"),
+    ("crash-steady", "fd"): (9.627147225463041, 0, 751.7707303878062, 1281, "3b35c527eb5e6818"),
+    ("crash-steady", "gm"): (9.627147225463041, 0, 751.7707303878062, 1030, "e582152515ae6a4d"),
+    ("suspicion-steady", "fd"): (8.88605195060407, 0, 5188.85601135372, 1162, "1c9f9706d02e5836"),
+    ("suspicion-steady", "gm"): (12.393748769369768, 0, 5188.85601135372, 3574, "88e14ad325a851e2"),
 }
 
 #: (latencies, failed runs, sender).
@@ -36,13 +35,13 @@ GOLDEN_TRANSIENT = {
     "gm": ([25.0, 25.0, 25.0], 0, 2),
 }
 
-GOLDEN_CRASH_N7 = (15.858900609538008, 0, 365.12432269626055, 1581, "6d5bdcea3e40f72a")
+GOLDEN_CRASH_N7 = (15.858900609538008, 0, 365.12432269626055, 1581, "c94d00c1fba8fc99")
 
 #: The third registered stack, captured from the pre-redesign (inline-wired)
 #: seed drivers: the registry assembly must reproduce it bit for bit too.
 GOLDEN_GM_NONUNIFORM = {
-    "normal-steady": (2.720138110780536, 0, 762.821849452246, 715, "5f5c83989982481c"),
-    "suspicion-steady": (4.8246781814549875, 0, 5182.85601135372, 3136, "98bdd4b319bb9120"),
+    "normal-steady": (2.720138110780536, 0, 762.821849452246, 715, "fd79cd3c207f4f47"),
+    "suspicion-steady": (4.8246781814549875, 0, 5182.85601135372, 3136, "2238a1038483616c"),
 }
 
 #: Heartbeat / perfect failure detector variants, captured from the stack
@@ -51,31 +50,28 @@ GOLDEN_GM_NONUNIFORM = {
 #: not just the qos column.  crash-steady exercises real view changes on
 #: the heartbeat fabric, pinning the GM view-change path per fd kind.
 GOLDEN_VARIANTS = {
-    ("normal-steady", "fd/heartbeat"): (16.12006560798542, 0, 769.821849452246, 2825, "012a1604291043ea"),
-    ("normal-steady", "gm/heartbeat"): (16.12006560798542, 0, 769.821849452246, 2758, "012a1604291043ea"),
-    ("normal-steady", "gm-nonuniform/heartbeat"): (3.5099322101313337, 0, 762.821849452246, 2086, "bce99586a6e51808"),
-    ("normal-steady", "fd/perfect"): (11.413199718013795, 0, 768.821849452246, 1460, "2b0063a941aa1017"),
-    ("normal-steady", "gm/perfect"): (11.413199718013795, 0, 768.821849452246, 1392, "2b0063a941aa1017"),
-    ("normal-steady", "gm-nonuniform/perfect"): (2.720138110780536, 0, 762.821849452246, 715, "5f5c83989982481c"),
-    ("crash-steady", "fd/heartbeat"): (11.395225719929488, 0, 756.0, 2189, "d7828db4504ce15a"),
-    ("crash-steady", "gm/heartbeat"): (11.395225719929488, 0, 756.0, 1938, "d7828db4504ce15a"),
-    ("crash-steady", "fd/perfect"): (9.627147225463041, 0, 751.7707303878062, 1281, "08872b3cb8dbe753"),
-    ("crash-steady", "gm/perfect"): (9.627147225463041, 0, 751.7707303878062, 1030, "08872b3cb8dbe753"),
+    ("normal-steady", "fd/heartbeat"): (16.12006560798542, 0, 769.821849452246, 2825, "fabef1fe7463d091"),
+    ("normal-steady", "gm/heartbeat"): (16.12006560798542, 0, 769.821849452246, 2758, "8cd664cdfcd10617"),
+    ("normal-steady", "gm-nonuniform/heartbeat"): (3.5099322101313337, 0, 762.821849452246, 2086, "4fb87d0714f9d862"),
+    ("normal-steady", "fd/perfect"): (11.413199718013795, 0, 768.821849452246, 1460, "25bf80fd7c2ddf17"),
+    ("normal-steady", "gm/perfect"): (11.413199718013795, 0, 768.821849452246, 1392, "3fdb85087a086ce7"),
+    ("normal-steady", "gm-nonuniform/perfect"): (2.720138110780536, 0, 762.821849452246, 715, "fd79cd3c207f4f47"),
+    ("crash-steady", "fd/heartbeat"): (11.395225719929488, 0, 756.0, 2189, "6c348c1d04b013a1"),
+    ("crash-steady", "gm/heartbeat"): (11.395225719929488, 0, 756.0, 1938, "031c6fd15760eb40"),
+    ("crash-steady", "fd/perfect"): (9.627147225463041, 0, 751.7707303878062, 1281, "3b35c527eb5e6818"),
+    ("crash-steady", "gm/perfect"): (9.627147225463041, 0, 751.7707303878062, 1030, "e582152515ae6a4d"),
 }
 
 #: The reformation stack.  Failure-free runs are bit-identical to the plain
 #: GM stack (the reformation path is completely inert without a stalled
-#: view change); under wrong suspicions the *latencies* stay identical to
-#: plain GM (same digest) and only the event count grows, by the armed
-#: reformation timers that fire without triggering (no reformation happens).
+#: view change); under wrong suspicions the deliveries, latencies and views
+#: stay identical to plain GM (same digest) and only the event count grows,
+#: by the armed reformation timers that fire without triggering (no
+#: reformation happens).
 GOLDEN_GM_REFORM = {
-    "normal-steady": (11.413199718013795, 0, 768.821849452246, 1392, "2b0063a941aa1017"),
-    "suspicion-steady": (12.393748769369768, 0, 5188.85601135372, 3727, "7107422ba56e637f"),
+    "normal-steady": (11.413199718013795, 0, 768.821849452246, 1392, "3fdb85087a086ce7"),
+    "suspicion-steady": (12.393748769369768, 0, 5188.85601135372, 3727, "88e14ad325a851e2"),
 }
-
-
-def latency_digest(latencies):
-    return hashlib.sha256(json.dumps(latencies).encode()).hexdigest()[:16]
 
 
 def observed(result):
@@ -84,7 +80,7 @@ def observed(result):
         result.undelivered,
         result.duration,
         result.events,
-        latency_digest(result.latencies),
+        result.observed_digest,
     )
 
 
@@ -165,9 +161,10 @@ class TestGoldenSteady:
             num_messages=40,
         )
         assert observed(suspicion) == GOLDEN_GM_REFORM["suspicion-steady"]
-        # Same latencies as plain GM under wrong suspicions (only the event
-        # count differs, by the armed-but-untriggered reformation timers).
-        assert suspicion.latencies and latency_digest(suspicion.latencies) == (
+        # Same deliveries, latencies and views as plain GM under wrong
+        # suspicions (only the event count differs, by the
+        # armed-but-untriggered reformation timers).
+        assert suspicion.latencies and suspicion.observed_digest == (
             GOLDEN_STEADY[("suspicion-steady", "gm")][4]
         )
 
