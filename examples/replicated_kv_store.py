@@ -130,7 +130,7 @@ def main() -> None:
     print(
         f"closed-loop goodput gain from batching: {gain:.2f}x "
         "(closed loops self-throttle; open-loop saturation gains are larger -- "
-        "see benchmarks/bench_service_load.py)"
+        "see the capacity curve in README.md)"
     )
 
 

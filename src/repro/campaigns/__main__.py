@@ -107,7 +107,7 @@ def kind_catalog() -> str:
             f" {param.keyword}={param.default!r}" + (f" ({param.flag})" if param.flag else "")
             for param in params_of(registration.params)
         )
-        lines.append(f"  {axis} {registration.name}:" + "".join(described))
+        lines.append(f"  {axis} {registration.name}:" + ("".join(described) or " no params"))
     return "\n".join(lines)
 
 

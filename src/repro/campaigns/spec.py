@@ -72,7 +72,7 @@ class PointSpec:
     (:class:`repro.scenarios.registry.ScenarioKind`) and the params its
     stack, fd kind and batching layer declare (:mod:`repro.stacks`).
     Construction is keyword-flat -- ``PointSpec("crash-steady", n=7,
-    crashed=(5, 6), pipeline_depth=1)``; the kind's params read back as
+    crashed=(5, 6), max_batch=8)``; the kind's params read back as
     attributes (``point.crashed``), the system's from :meth:`config`.  A
     keyword nobody declares raises, and a system param is routed as
     ``SystemConfig`` routes it.  A slash-qualified ``stack`` is folded into

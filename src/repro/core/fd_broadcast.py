@@ -18,13 +18,12 @@ Two practical details follow the paper:
 * **Aggregation** -- all the messages pending when an instance starts are
   proposed together, so one consensus execution can order many messages (this
   is what keeps the algorithm usable under high load).
-* **Coordinator re-numbering** (optional, on by default) -- the proposal is
-  tagged with the identifier of the proposing process; once an instance
-  decides, every process rotates the coordinator order of subsequent
-  instances so that the decided proposer becomes the round-1 coordinator.
-  This makes crashed processes stop being coordinators after a crash, which
-  is the optimisation Section 7 of the paper describes for the crash-steady
-  scenario.
+* **Coordinator re-numbering** -- the proposal is tagged with the identifier
+  of the proposing process; once an instance decides, every process rotates
+  the coordinator order of subsequent instances so that the decided proposer
+  becomes the round-1 coordinator.  This makes crashed processes stop being
+  coordinators after a crash, which is the optimisation Section 7 of the
+  paper describes for the crash-steady scenario.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Any, Dict, Hashable, Set, Tuple
 
 from repro.core.consensus import ConsensusService
 from repro.core.reliable_broadcast import ReliableBroadcast
-from repro.core.types import AtomicBroadcast, BroadcastID
+from repro.core.types import PIPELINE_DEPTH, AtomicBroadcast, BroadcastID
 from repro.sim.process import SimProcess
 
 _DATA_TAG = "AB_DATA"
@@ -53,21 +52,10 @@ class FDAtomicBroadcast(AtomicBroadcast):
         process: SimProcess,
         rbcast: ReliableBroadcast,
         consensus: ConsensusService,
-        renumber_coordinators: bool = True,
-        pipeline_depth: int = 2,
     ) -> None:
         super().__init__(process)
-        if pipeline_depth < 1:
-            raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
         self.rbcast = rbcast
         self.consensus = consensus
-        self.renumber_coordinators = renumber_coordinators
-        #: Maximum number of consensus instances allowed in flight at once.
-        #: 1 reproduces the strictly sequential textbook behaviour; 2 (the
-        #: default) lets a new instance start while the previous one is still
-        #: deciding, which is what keeps the transient latency after a crash
-        #: down to a single recovery.
-        self.pipeline_depth = pipeline_depth
         self.participants: Tuple[int, ...] = tuple(range(process.network.n))
 
         self._payloads: Dict[BroadcastID, Any] = {}
@@ -264,7 +252,7 @@ class FDAtomicBroadcast(AtomicBroadcast):
         """
         while True:
             k = self._highest_proposed + 1
-            if k > self._last_decided + self.pipeline_depth:
+            if k > self._last_decided + PIPELINE_DEPTH:
                 return
             fresh = self._unproposed_pending()
             need = bool(fresh) or k <= join_up_to
@@ -275,7 +263,7 @@ class FDAtomicBroadcast(AtomicBroadcast):
                 # consensus numbers must be exhausted in order.
                 need = any(
                     self.consensus.has_buffered(self._cid(j))
-                    for j in range(k + 1, self._last_decided + self.pipeline_depth + 1)
+                    for j in range(k + 1, self._last_decided + PIPELINE_DEPTH + 1)
                 )
             if not need:
                 return
@@ -297,15 +285,12 @@ class FDAtomicBroadcast(AtomicBroadcast):
     def _coordinator_order_for(self, k: int) -> Tuple[int, ...]:
         """Coordinator rotation used by instance ``k``.
 
-        With re-numbering enabled, the rotation starts at the proposer whose
-        value was decided by instance ``k - pipeline_depth``: that decision is
-        guaranteed to be known by every process that participates in ``k``
-        (the pipeline never runs further ahead), so all of them use the same
-        rotation.
+        The rotation starts at the proposer whose value was decided by
+        instance ``k - PIPELINE_DEPTH``: that decision is guaranteed to be
+        known by every process that participates in ``k`` (the pipeline never
+        runs further ahead), so all of them use the same rotation.
         """
-        if not self.renumber_coordinators:
-            return self.participants
-        anchor = k - self.pipeline_depth
+        anchor = k - PIPELINE_DEPTH
         if anchor < 1 or anchor not in self._decisions:
             return self.participants
         return self._rotate_order(self._decisions[anchor][0])
@@ -313,7 +298,7 @@ class FDAtomicBroadcast(AtomicBroadcast):
     def _on_unknown_instance(self, cid: Hashable) -> None:
         if not isinstance(cid, tuple) or len(cid) != 2 or cid[0] != "ab":
             return
-        if self._highest_proposed < cid[1] <= self._last_decided + self.pipeline_depth:
+        if self._highest_proposed < cid[1] <= self._last_decided + PIPELINE_DEPTH:
             self._maybe_start_consensus()
 
     def _on_decision(self, cid: Hashable, value: Any) -> None:

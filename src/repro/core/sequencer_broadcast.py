@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.group_membership import GroupMembership
-from repro.core.types import AtomicBroadcast, BroadcastID, View
+from repro.core.types import PIPELINE_DEPTH, AtomicBroadcast, BroadcastID, View
 from repro.sim.process import SimProcess
 
 _DATA = "DATA"
@@ -56,17 +56,10 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         process: SimProcess,
         membership: GroupMembership,
         uniform: bool = True,
-        pipeline_depth: int = 2,
     ) -> None:
         super().__init__(process)
-        if pipeline_depth < 1:
-            raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
         self.membership = membership
         self.uniform = uniform
-        #: Maximum number of batches the sequencer keeps in flight; mirrors
-        #: the consensus pipeline depth of the FD algorithm so both algorithms
-        #: generate the same message pattern under the same arrival pattern.
-        self.pipeline_depth = pipeline_depth
         membership.set_broadcast_handler(self)
 
         self._payloads: Dict[BroadcastID, Any] = {}
@@ -208,7 +201,7 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
     def _maybe_start_batch(self) -> None:
         if not self._is_sequencer or not self._operational():
             return
-        if self.uniform and len(self._outstanding) >= self.pipeline_depth:
+        if self.uniform and len(self._outstanding) >= PIPELINE_DEPTH:
             return
         if not self._unsequenced:
             return

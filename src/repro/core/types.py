@@ -6,6 +6,13 @@ from typing import Any, Callable, List, NamedTuple, Tuple
 
 from repro.sim.process import Component, SimProcess
 
+#: Ordering rounds in flight at once: consensus instances of the FD algorithm,
+#: sequencer batches of the GM algorithm.  Both share the depth so that their
+#: message patterns match in suspicion-free runs; 2 lets a new round start
+#: while the previous one is still deciding, which keeps the transient latency
+#: after a crash down to a single recovery.
+PIPELINE_DEPTH = 2
+
 
 class BroadcastID(NamedTuple):
     """Globally unique, totally ordered identifier of an A-broadcast message.

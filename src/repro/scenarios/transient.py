@@ -133,8 +133,11 @@ def sweep_crash_transient(
     :class:`repro.campaigns.store.ResultStore`) completed pairs are cached
     and a re-run only simulates what is missing; ``jobs`` fans the pending
     pairs out over worker processes.  The points carry ``config``'s stack,
-    fd kind and batching params; a point cannot name a network model, so a
-    non-default one raises.
+    fd kind and batching params, but a point cannot name a network model:
+    the sweep refuses a ``config`` whose ``network`` (``lambda_cpu``,
+    ``network_time``, ``wan_profile``) is not the default with
+    ``ValueError``.  Measure such a system pair by pair with
+    :func:`measure_crash_transient`.
     """
     # Imported lazily: repro.campaigns imports the scenario registry.
     from repro.campaigns.runner import CampaignRunner

@@ -306,26 +306,11 @@ def _positive(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class FdStackParams:
-    #: The coordinator re-numbering optimisation of the FD algorithm.
-    renumber_coordinators: bool = True
-    #: Ordering rounds (consensus instances / sequencer batches) in flight at
-    #: once; every built-in stack defaults to the same depth so their message
-    #: patterns match in suspicion-free runs.
-    pipeline_depth: int = 2
-
-    def __post_init__(self) -> None:
-        _positive("pipeline_depth", self.pipeline_depth)
-
-
-@dataclass(frozen=True)
 class GmParams:
-    pipeline_depth: int = 2
     #: Retry period, ms, of the join protocol of wrongly excluded processes.
     join_retry_interval: float = 500.0
 
     def __post_init__(self) -> None:
-        _positive("pipeline_depth", self.pipeline_depth)
         _positive("join_retry_interval", self.join_retry_interval)
 
 
@@ -361,16 +346,7 @@ def _build_fd_stack(system, process, rbcast, consensus) -> StackLayers:
     """Layers of the FD algorithm: Chandra-Toueg atomic broadcast."""
     from repro.core.fd_broadcast import FDAtomicBroadcast
 
-    params = system.config.params.stack
-    return StackLayers(
-        abcast=FDAtomicBroadcast(
-            process,
-            rbcast,
-            consensus,
-            renumber_coordinators=params.renumber_coordinators,
-            pipeline_depth=params.pipeline_depth,
-        )
-    )
+    return StackLayers(abcast=FDAtomicBroadcast(process, rbcast, consensus))
 
 
 def _make_gm_builder(uniform: bool):
@@ -392,12 +368,7 @@ def _make_gm_builder(uniform: bool):
             join_retry_interval=params.join_retry_interval,
             reformation_timeout=getattr(params, "reformation_timeout", None),
         )
-        abcast = SequencerAtomicBroadcast(
-            process,
-            membership,
-            uniform=uniform,
-            pipeline_depth=params.pipeline_depth,
-        )
+        abcast = SequencerAtomicBroadcast(process, membership, uniform=uniform)
         return StackLayers(abcast=abcast, membership=membership)
 
     return _build_gm_stack
@@ -438,7 +409,6 @@ def _register_builtins() -> None:
                 "failure detectors (the paper's FD algorithm)"
             ),
             build=_build_fd_stack,
-            params=FdStackParams,
         )
     )
     register_stack(

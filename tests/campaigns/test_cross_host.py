@@ -5,8 +5,8 @@ the ``spawn`` start method rather than ``fork`` (which inherits the parent's
 hash secret and imported state).  Keys are rebuilt from declared params, and
 records and observed digests come from seeded simulation, so all three must
 come out byte-identical wherever a point runs.  The points cover kind x
-stack pairs with a non-default stack param, a heartbeat detector with a
-non-default period and a batched system.
+stack pairs with a non-default stack or batching param and a heartbeat
+detector with a non-default period.
 """
 
 import json
@@ -23,7 +23,7 @@ from repro.scenarios.registry import get_kind
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 POINTS = [
-    dict(kind="crash-steady", stack="fd", crashed=[2], pipeline_depth=1, renumber_coordinators=False),
+    dict(kind="crash-steady", stack="fd", crashed=[2], max_batch=2, max_delay=1.0),
     dict(kind="churn-steady", stack="gm", fd_kind="heartbeat", heartbeat_period=20.0,
          churn_rate=2.0, mean_downtime=100.0),
     dict(kind="service-load", stack="gm-reform", max_batch=4, max_delay=2.0, clients=4,

@@ -41,7 +41,7 @@ class TestPointSpecRoundTrip:
             throughput=30.0,
             num_messages=10,
             crashed=(2,),
-            pipeline_depth=1,
+            max_batch=2,
         )
         rebuilt = PointSpec.from_dict(point.as_dict())
         assert rebuilt == point

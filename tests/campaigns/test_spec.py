@@ -149,12 +149,12 @@ class TestPointSpec:
             fd_kind="perfect",
             n=5,
             seed=9,
-            pipeline_depth=3,
+            join_retry_interval=250.0,
             fd_scan_interval=2.0,
         )
         config = point.config()
         assert (config.n, config.stack, config.fd_kind) == (5, "gm", "perfect")
-        assert (config.seed, config.params.stack.pipeline_depth) == (9, 3)
+        assert (config.seed, config.params.stack.join_retry_interval) == (9, 250.0)
         assert config.params.detector.scan_interval == 2.0
         assert PointSpec.from_dict(point.as_dict()).config() == config
 

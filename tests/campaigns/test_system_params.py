@@ -32,7 +32,7 @@ NO_OP_SPELLINGS = [
     ("fd", dict(heartbeat_period=7.0)),
     ("fd", dict(max_delay=5.0)),
     ("fd", dict(config_overrides=(("lambda_cpu", 1.0),))),
-    ("fd", dict(config_overrides=(("renumber_coordinators", True),))),
+    ("fd", dict(config_overrides=(("max_batch", 0),))),
     ("fd/heartbeat", dict(fd_scan_interval=5.0)),
     ("gm", dict(config_overrides=(("join_retry_interval", 500.0),))),
 ]
@@ -42,7 +42,7 @@ DEFAULT_SPELLINGS = [
     ("fd", dict(reformation_timeout=500.0)),
     ("fd", dict(heartbeat_period=10.0, heartbeat_timeout=30)),
     ("fd", dict(max_batch=0, max_delay=0.0)),
-    ("fd", dict(renumber_coordinators=True, pipeline_depth=2)),
+    ("gm-reform", dict(join_retry_interval=500.0, reformation_timeout=500.0)),
     ("fd/heartbeat", dict(fd_scan_interval=None)),
     ("gm", dict(join_retry_interval=500)),
 ]
@@ -86,9 +86,15 @@ class TestOneSystemOneKey:
         with pytest.raises(ValueError, match="normal-steady points take no"):
             PointSpec(lambda_cpu=2.0, **POINT)
 
+    def test_the_removed_ablation_knobs_are_unexpected_keywords(self):
+        # Not even their old defaults are dropped: no registration declares them.
+        for keyword, old_default in dict(renumber_coordinators=True, pipeline_depth=2).items():
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+                SystemConfig(**{keyword: old_default})
+
     def test_a_stack_swap_keeps_what_the_new_stack_reads(self):
-        swapped = dataclasses.replace(SystemConfig(stack="gm", pipeline_depth=3), stack="gm-reform")
-        assert (swapped.params.stack.pipeline_depth, swapped.params.stack.reformation_timeout) == (3, 500.0)
+        swapped = dataclasses.replace(SystemConfig(stack="gm", join_retry_interval=250.0), stack="gm-reform")
+        assert (swapped.params.stack.join_retry_interval, swapped.params.stack.reformation_timeout) == (250.0, 500.0)
         reform = SystemConfig(stack="gm-reform", reformation_timeout=300.0)
         with pytest.raises(ValueError, match="reformation_timeout applies to stack gm-reform"):
             dataclasses.replace(reform, stack="gm")
@@ -179,4 +185,4 @@ class TestCommandLine:
             assert f"  fd kind {name}: " in epilog
         assert "reformation_timeout=500.0 (--reformation-timeout)" in epilog
         assert "heartbeat_period=10.0 (--hb-period)" in epilog
-        assert "pipeline_depth=2" in epilog
+        assert "join_retry_interval=500.0" in epilog

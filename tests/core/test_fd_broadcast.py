@@ -70,26 +70,6 @@ class TestAggregation:
         assert all(len(seq) == 20 for seq in system.delivery_sequences().values())
         assert instances <= 12
 
-    def test_pipeline_depth_one_is_strictly_sequential(self):
-        system = fd_system(pipeline_depth=1)
-        system.start()
-        for i in range(6):
-            system.broadcast_at(1.0 + i * 0.5, i % 3, f"m{i}")
-        system.run(until=500.0)
-        assert all(len(seq) == 6 for seq in system.delivery_sequences().values())
-
-    def test_invalid_pipeline_depth_rejected(self):
-        from repro.core.fd_broadcast import FDAtomicBroadcast
-
-        system = fd_system()
-        with pytest.raises(ValueError):
-            FDAtomicBroadcast(
-                system.processes[0],
-                system.rbcasts[0],
-                system.consensus_services[0],
-                pipeline_depth=0,
-            )
-
 
 class TestCrashes:
     def test_delivery_continues_after_coordinator_crash(self):
@@ -140,7 +120,7 @@ class TestCrashes:
 
 class TestRenumbering:
     def test_renumbering_moves_coordinator_away_from_crashed_process(self):
-        system = fd_system(fd=QoSConfig(detection_time=5.0), renumber_coordinators=True)
+        system = fd_system(fd=QoSConfig(detection_time=5.0))
         system.start()
         FaultSchedule([CrashAt(20.0, 0)]).apply(system)
         for i in range(12):
@@ -151,15 +131,6 @@ class TestRenumbering:
         order = abcast._coordinator_order_for(abcast._last_decided + 1)
         assert order[0] != 0
         assert all(len(seq) == 12 for pid, seq in system.delivery_sequences().items() if pid != 0)
-
-    def test_renumbering_can_be_disabled(self):
-        system = fd_system(renumber_coordinators=False)
-        system.start()
-        for i in range(6):
-            system.broadcast_at(1.0 + 2 * i, i % 3, f"m{i}")
-        system.run(until=500.0)
-        abcast = system.abcasts[0]
-        assert abcast._coordinator_order_for(abcast._last_decided + 1) == (0, 1, 2)
 
     def test_direct_message_to_fd_abcast_rejected(self):
         system = fd_system()

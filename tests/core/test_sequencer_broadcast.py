@@ -1,7 +1,5 @@
 """Unit tests for the fixed-sequencer (GM) atomic broadcast."""
 
-import pytest
-
 from repro import QoSConfig, SystemConfig, build_system
 from repro.scenarios.faults import CrashAt, FaultSchedule
 from tests.conftest import assert_no_duplicates, assert_prefix_consistent
@@ -58,15 +56,6 @@ class TestNormalOperation:
         sequencer = system.abcasts[0]
         assert sequencer.batches_sequenced <= 12
         assert all(len(seq) == 20 for seq in system.delivery_sequences().values())
-
-    def test_invalid_pipeline_depth_rejected(self):
-        from repro.core.sequencer_broadcast import SequencerAtomicBroadcast
-
-        system = gm_system()
-        with pytest.raises(ValueError):
-            SequencerAtomicBroadcast(
-                system.processes[1], system.memberships[1], pipeline_depth=0
-            )
 
 
 class TestNonUniformVariant:

@@ -7,6 +7,7 @@ from repro import SystemConfig, build_system
 from repro.failure_detectors.heartbeat import HeartbeatFailureDetectorFabric
 from repro.failure_detectors.perfect import PerfectFailureDetectorFabric
 from repro.failure_detectors.qos import QoSFailureDetectorFabric
+from repro.stacks.api import NoParams
 
 
 class TestSystemConfig:
@@ -16,7 +17,7 @@ class TestSystemConfig:
         assert config.stack == "fd"
         assert config.fd_kind == "qos"
         assert config.network.lambda_cpu == 1.0
-        assert config.params.stack.pipeline_depth == 2
+        assert config.params.stack == NoParams()
         assert config.params.batching.max_batch == 0
 
     def test_unknown_stack_rejected(self):
@@ -83,11 +84,11 @@ class TestBuildSystem:
     def test_overrides_round_trip_every_axis(self):
         base = SystemConfig()
         system = build_system(
-            base, n=5, stack="gm-nonuniform", fd_kind="perfect", seed=11, pipeline_depth=1
+            base, n=5, stack="gm-nonuniform", fd_kind="perfect", seed=11, join_retry_interval=250.0
         )
         config = system.config
         assert (config.n, config.stack, config.fd_kind) == (5, "gm-nonuniform", "perfect")
-        assert (config.seed, config.params.stack.pipeline_depth) == (11, 1)
+        assert (config.seed, config.params.stack.join_retry_interval) == (11, 250.0)
         # the original configuration is untouched
         assert (base.n, base.stack, base.fd_kind, base.seed) == (3, "fd", "qos", 1)
 

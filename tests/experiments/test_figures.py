@@ -1,8 +1,8 @@
 """Smoke tests of the figure experiments with tiny parameters.
 
-The full sweeps run in ``benchmarks/``; these tests only check that every
-figure module produces well-formed series and that the headline shape of the
-cheap figures holds even at very small message counts.
+The full sweeps run through ``python -m repro.experiments``; these tests only
+check that every figure module produces well-formed series and that the
+headline shape of the cheap figures holds even at very small message counts.
 """
 
 

@@ -86,14 +86,16 @@ class TestClosedLoop:
 
 
 class TestBatchingGain:
-    def test_batching_doubles_saturation_throughput(self):
+    @pytest.mark.parametrize("stack", ["fd", "gm", "gm-reform"])
+    def test_batching_doubles_saturation_throughput(self, stack):
         # The acceptance criterion: >= 2x measured saturation-throughput
         # gain at equal n, from amortizing the ordering step over k
-        # requests.  Offered load far above capacity in both runs.
+        # requests, on every stack.  Offered load far above capacity in both
+        # runs (857 -> 2563 req/s, 2.99x, when the gate was set).
         def goodput(max_batch):
             result = run_service_load(
                 SystemConfig(
-                    n=4, stack="fd", seed=87, max_batch=max_batch,
+                    n=4, stack=stack, seed=87, max_batch=max_batch,
                     max_delay=2.0 if max_batch else 0.0,
                 ),
                 8000.0,
@@ -101,6 +103,7 @@ class TestBatchingGain:
                 max_inflight=128,
                 max_queue=256,
             )
+            assert result.params["replicas_consistent"]
             return result.params["goodput"]
 
         assert goodput(8) / goodput(0) >= 2.0

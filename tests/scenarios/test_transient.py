@@ -101,7 +101,7 @@ class TestCrashTransient:
         from repro import NetworkModel
 
         base = config("fd")
-        sequential = replace(base, pipeline_depth=1, renumber_coordinators=False)
+        batched = replace(base, max_batch=4, max_delay=5.0)
         kwargs = dict(
             throughput=200,
             detection_time=10.0,
@@ -110,11 +110,10 @@ class TestCrashTransient:
             num_runs=2,
         )
         default_run = sweep_crash_transient(base, **kwargs)
-        sequential_run = sweep_crash_transient(sequential, **kwargs)
-        # No renumbering after the coordinator's crash and one instance at a
-        # time must show up in the simulated latencies: the campaign points
-        # carry the config's stack params.
-        assert sequential_run[0].latencies != default_run[0].latencies
+        batched_run = sweep_crash_transient(batched, **kwargs)
+        # Holding the probe for a batch must show up in the simulated
+        # latencies: the campaign points carry the config's system params.
+        assert batched_run[0].latencies != default_run[0].latencies
         # A point cannot name a network model, so a sweep refuses to drop one.
         with pytest.raises(ValueError, match="default network"):
             sweep_crash_transient(replace(base, network=NetworkModel(lambda_cpu=5.0)), **kwargs)

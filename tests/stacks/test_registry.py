@@ -98,39 +98,44 @@ class TestCustomRegistration:
     def test_registered_stack_assembles_through_the_standard_path(self):
         @dataclass(frozen=True)
         class EchoParams:
-            pipeline_depth: int = 2
+            join_retry_interval: float = 500.0
 
-        def build_echo_fd(system, process, rbcast, consensus):
-            # A custom stack reusing the FD layers: what a user extension does.
-            from repro.core.fd_broadcast import FDAtomicBroadcast
+        def build_echo_gm(system, process, rbcast, consensus):
+            # A custom stack reusing the GM layers: what a user extension does.
+            from repro.core.group_membership import GroupMembership
+            from repro.core.sequencer_broadcast import SequencerAtomicBroadcast
 
+            membership = GroupMembership(
+                process,
+                consensus,
+                join_retry_interval=system.config.params.stack.join_retry_interval,
+            )
             return StackLayers(
-                abcast=FDAtomicBroadcast(
-                    process,
-                    rbcast,
-                    consensus,
-                    pipeline_depth=system.config.params.stack.pipeline_depth,
-                )
+                abcast=SequencerAtomicBroadcast(process, membership), membership=membership
             )
 
         register_stack(
             StackSpec(
-                name="fd-custom", description="test stack", build=build_echo_fd, params=EchoParams
+                name="gm-custom",
+                description="test stack",
+                build=build_echo_gm,
+                uses_membership=True,
+                params=EchoParams,
             )
         )
         try:
-            system = build_system(n=3, stack="fd-custom", seed=2, pipeline_depth=3)
+            system = build_system(n=3, stack="gm-custom", seed=2, join_retry_interval=250.0)
             system.broadcast_at(1.0, 0, "x")
             system.run(until=100.0)
             assert all(len(seq) == 1 for seq in system.delivery_sequences().values())
-            assert system.config.stack == "fd-custom"
-            assert system.abcast(0).pipeline_depth == 3
-            # fd's own param is not this stack's: its default drops, a value raises.
-            assert build_system(n=3, stack="fd-custom", renumber_coordinators=True)
-            with pytest.raises(ValueError, match="renumber_coordinators applies to stack fd"):
-                build_system(n=3, stack="fd-custom", renumber_coordinators=False)
+            assert system.config.stack == "gm-custom"
+            assert system.memberships[0].join_retry_interval == 250.0
+            # gm-reform's own param is not this stack's: its default drops, a value raises.
+            assert build_system(n=3, stack="gm-custom", reformation_timeout=500.0)
+            with pytest.raises(ValueError, match="reformation_timeout applies to stack gm-reform"):
+                build_system(n=3, stack="gm-custom", reformation_timeout=300.0)
         finally:
-            unregister_stack("fd-custom")
+            unregister_stack("gm-custom")
 
     def test_registered_fd_kind_is_selectable(self):
         from repro.failure_detectors.perfect import PerfectFailureDetectorFabric
