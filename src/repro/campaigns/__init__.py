@@ -28,7 +28,6 @@ from repro.campaigns.aggregate import (
     merge_transient_results,
     series_from_spec,
 )
-from repro.campaigns.catalog import CampaignCatalog, campaign_spec_hash
 from repro.campaigns.columnar import ColumnarTable
 from repro.campaigns.queue import QueueWorker, WorkQueue
 from repro.campaigns.records import execute_point, record_to_result, result_to_record
@@ -46,7 +45,6 @@ from repro.campaigns.store import ResultStore
 from repro.scenarios.kinds import crashed_processes
 
 __all__ = [
-    "CampaignCatalog",
     "CampaignRun",
     "CampaignRunner",
     "CampaignSpec",
@@ -57,7 +55,6 @@ __all__ = [
     "SeriesPointSpec",
     "SeriesSpec",
     "WorkQueue",
-    "campaign_spec_hash",
     "crashed_processes",
     "cross_campaign_summary",
     "derive_seed",

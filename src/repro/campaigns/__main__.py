@@ -43,8 +43,8 @@ selects a closed loop.
 *How* a grid runs -- ``--jobs``, ``--cache-dir``, ``--force``,
 ``--queue-dir`` and the rest -- is the execution options, declared once in
 :mod:`repro.campaigns.execution` and shared with ``python -m
-repro.experiments``.  Extra workers drain a queue from other machines or
-terminals with::
+repro.experiments``; they configure the runner the grid runs on.  Extra
+workers drain a queue from other machines or terminals with::
 
     python -m repro.campaigns --queue-worker --queue-dir DIR
 """
@@ -279,11 +279,10 @@ def main(argv: List[str] = None) -> int:
     except ValueError as error:
         parser.error(str(error))
 
-    started = time.time()
-    with open_execution(args) as execution:
-        run = execution.runner.run(campaign)
-        elapsed = time.time() - started
-        execution.record(run, elapsed)
+    started = time.perf_counter()
+    with open_execution(args) as runner:
+        run = runner.run(campaign)
+        elapsed = time.perf_counter() - started
 
     total = run.executed + run.cache_hits
     lines: List[str] = [

@@ -3,23 +3,21 @@
 ``python -m repro.campaigns`` and ``python -m repro.experiments`` differ in
 *what* they run (an ad-hoc grid; the paper's figures) and agree on *how*:
 worker processes, the result cache and its durability, forced re-execution,
-the shared-directory work queue, the campaign catalog, instrumented output
-and the report file.  This module owns that half -- the options
-(:func:`add_execution_arguments`), the objects they configure and the order
-they are opened and closed in (:func:`open_execution`), and what a finished
-run writes (:func:`metrics_lines`, :func:`finish_report`) -- so an execution
-option is added in one place and reaches both.
+the shared-directory work queue, instrumented output and the report file.
+This module owns that half -- the options (:func:`add_execution_arguments`),
+the runner they configure and the order it and its store are opened and
+closed in (:func:`open_execution`), and what a finished run writes
+(:func:`metrics_lines`, :func:`finish_report`) -- so an execution option is
+added in one place and reaches both.
 """
 
 from __future__ import annotations
 
 import argparse
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List
 
-from repro.campaigns.catalog import CampaignCatalog
 from repro.campaigns.queue import WorkQueue
 from repro.campaigns.runner import CampaignRun, CampaignRunner
 from repro.campaigns.store import DURABILITY_MODES, ResultStore
@@ -84,15 +82,9 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--queue-timeout",
-        type=float,
-        default=0.0,
-        help="give up waiting for outstanding queue results after this many seconds (0 = wait)",
-    )
-    parser.add_argument(
-        "--catalog",
+        type=positive(float),
         default=None,
-        metavar="DIR",
-        help="record the finished campaign in this catalog directory",
+        help="give up waiting for outstanding queue results after this many seconds (unset = wait)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -112,29 +104,9 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", default=None, help="write the report to a file")
 
 
-@dataclass
-class Execution:
-    """What the execution options opened: the runner and what surrounds it."""
-
-    runner: CampaignRunner
-    store: Optional[ResultStore]
-    catalog: Optional[CampaignCatalog]
-
-    def record(self, run: CampaignRun, wall_clock_s: float, name: Optional[str] = None) -> None:
-        """Enter a finished ``run`` in the ``--catalog``, when one was asked for."""
-        if self.catalog is not None:
-            self.catalog.record_run(
-                run.campaign,
-                run,
-                wall_clock_s=wall_clock_s,
-                name=name,
-                store_path=self.store.path if self.store is not None else None,
-            )
-
-
 @contextmanager
-def open_execution(args: argparse.Namespace) -> Iterator[Execution]:
-    """Open store, queue, runner and catalog as ``args`` ask; close them on exit.
+def open_execution(args: argparse.Namespace) -> Iterator[CampaignRunner]:
+    """Open store, queue and runner as ``args`` ask; close them on exit.
 
     On exit -- an error included -- the runner releases its warm pool, then
     the store closes, which flushes buffered lines and refreshes the columnar
@@ -157,10 +129,10 @@ def open_execution(args: argparse.Namespace) -> Iterator[Execution]:
                 queue=(
                     WorkQueue(args.queue_dir, lease_ttl=args.lease_ttl) if args.queue_dir else None
                 ),
-                queue_timeout=args.queue_timeout or None,
+                queue_timeout=args.queue_timeout,
             )
         )
-        yield Execution(runner, store, CampaignCatalog(args.catalog) if args.catalog else None)
+        yield runner
 
 
 def metrics_lines(args: argparse.Namespace, run: CampaignRun) -> List[str]:

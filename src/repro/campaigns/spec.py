@@ -224,7 +224,6 @@ class CampaignSpec:
 
     name: str
     series: List[SeriesSpec] = field(default_factory=list)
-    description: str = ""
 
     def add_series(self, series: SeriesSpec) -> None:
         """Append a curve to the campaign."""
@@ -259,7 +258,6 @@ def grid(
     throughputs: Sequence[float] = (10.0, 100.0),
     seeds: Sequence[int] = (1,),
     num_messages: int = 100,
-    description: str = "",
     **axes: Any,
 ) -> CampaignSpec:
     """Build an ad-hoc campaign over the cartesian product of the axes.
@@ -296,7 +294,7 @@ def grid(
     reads = {combo: set(stack_registry.reads(*combo)) for combo in combos}
     for keyword in set(system) - set().union(*reads.values()):
         stack_registry.check_unread(keyword, system[keyword])
-    campaign = CampaignSpec(name=name, description=description)
+    campaign = CampaignSpec(name=name)
     for n in n_values:
         params = scenario.point_params(n, values)
         for combo in combos:

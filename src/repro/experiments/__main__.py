@@ -92,13 +92,12 @@ def main(argv: List[str] = None) -> int:
 
     sections: List[str] = []
     # One runner -- and so one warm pool -- spans every figure of the invocation.
-    with open_execution(args) as execution:
-        runner = execution.runner
+    with open_execution(args) as runner:
         for name in names:
             figure = FIGURES[name]
-            started = time.time()
+            started = time.perf_counter()
             result = figure.run(quick=quick, seed=args.seed, replicas=args.replicas, runner=runner)
-            elapsed = time.time() - started
+            elapsed = time.perf_counter() - started
             renderer = format_markdown_table if args.markdown else format_figure
             sections.append(renderer(result))
             run = runner.last_run
@@ -106,7 +105,6 @@ def main(argv: List[str] = None) -> int:
                 f"(figure {name} regenerated in {elapsed:.1f} s; "
                 f"{run.executed} points simulated, {run.cache_hits} from cache)"
             )
-            execution.record(run, elapsed, name=f"figure{name}-{'quick' if quick else 'full'}")
             sections.extend(metrics_lines(args, run))
             if args.check:
                 for key, ok in sorted(figure.check(result).items()):

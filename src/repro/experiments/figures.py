@@ -47,8 +47,6 @@ class Figure:
     title: str
     #: The expected shape, printed under the table.
     note: str
-    #: The campaign's description (part of its catalog entry, not of a point key).
-    description: str
     #: ``label(algorithm=..., **curve params)`` -> the curve's label.
     label: Callable[..., str]
     #: ``curves(quick, **grid)`` -> the grid; its keywords are the figure's.
@@ -67,7 +65,7 @@ class Figure:
     ) -> CampaignSpec:
         """Declare the figure's grid as a campaign, one point per seed replica."""
         seeds = replicate_seeds(seed, replicas)
-        campaign = CampaignSpec(name=f"figure{self.number}", description=self.description)
+        campaign = CampaignSpec(name=f"figure{self.number}")
         for curve in self.curves(quick, **grid):
             label = self.label(algorithm=algorithm_label(curve.point["stack"]), **curve.params)
             series = SeriesSpec(label=label, params=curve.params)
@@ -200,7 +198,6 @@ register_figure(
             "the FD and GM curves coincide for each n; latency grows with the "
             "throughput and with n."
         ),
-        description="latency vs throughput, normal-steady",
         label="{algorithm}, n={n}".format,
         curves=_figure4_curves,
         checks=_check_figure4,
@@ -286,7 +283,6 @@ register_figure(
             "latency decreases as more processes crash; for the same number of crashes "
             "the GM curve is at or below the FD curve (the gap grows with n)."
         ),
-        description="latency vs throughput, crash-steady",
         label=_figure5_label,
         curves=_figure5_curves,
         checks=_check_figure5,
@@ -357,7 +353,6 @@ register_figure(
             "GM latency explodes (or the point does not complete) at small T_MR "
             "while FD degrades only mildly; the curves join at very large T_MR."
         ),
-        description="latency vs T_MR, suspicion-steady",
         label="{algorithm}, n={n}, T={throughput:g}/s".format,
         curves=_figure6_curves,
         checks=_check_figure6,
@@ -423,7 +418,6 @@ register_figure(
             "GM latency grows with T_M much faster than FD latency (exclusions "
             "followed by costly rejoins)."
         ),
-        description="latency vs T_M, suspicion-steady",
         label="{algorithm}, n={n}, T={throughput:g}/s, T_MR={tmr:g}ms".format,
         curves=_figure7_curves,
         checks=_check_figure7,
@@ -485,7 +479,6 @@ register_figure(
             "latency; the FD algorithm is at or below the GM algorithm (clearest at "
             "low throughput and for T_D = 0)."
         ),
-        description="latency overhead vs throughput, crash-transient",
         label="{algorithm}, n={n}, T_D={detection_time:g}ms".format,
         curves=_figure8_curves,
         checks=_check_figure8,

@@ -8,7 +8,7 @@ changes with :meth:`FailureDetector.add_listener`; listeners are invoked as
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Set
+from typing import Callable, Iterable, List, Set
 
 SuspicionListener = Callable[[int, bool], None]
 
@@ -88,30 +88,3 @@ class FailureDetector:
         """Testing hook: mark ``pid`` trusted immediately."""
         self._set_suspected(pid, False)
 
-
-class SuspicionLog:
-    """Optional helper recording (time, pid, suspected) transitions."""
-
-    def __init__(self) -> None:
-        self.entries: List[tuple] = []
-
-    def record(self, time: float, pid: int, suspected: bool) -> None:
-        """Append one transition to the log."""
-        self.entries.append((time, pid, suspected))
-
-    def transitions_for(self, pid: int) -> List[tuple]:
-        """All transitions concerning ``pid``."""
-        return [entry for entry in self.entries if entry[1] == pid]
-
-    def mistake_durations(self, pid: int) -> List[float]:
-        """Durations of completed suspicion periods of ``pid``."""
-        durations: List[float] = []
-        start: Dict[int, float] = {}
-        for time, entry_pid, suspected in self.entries:
-            if entry_pid != pid:
-                continue
-            if suspected:
-                start[entry_pid] = time
-            elif entry_pid in start:
-                durations.append(time - start.pop(entry_pid))
-        return durations

@@ -38,7 +38,7 @@ def shared_options():
 class TestOneDeclaration:
     def test_both_parsers_expose_every_execution_option_identically(self):
         shared = shared_options()
-        assert {"--jobs", "--cache-dir", "--durability", "--force", "--force-kind", "--catalog",
+        assert {"--jobs", "--cache-dir", "--durability", "--force", "--force-kind",
                 "--metrics-out", "--trace", "--output", "--queue-dir", "--lease-ttl",
                 "--queue-timeout"} == {flags[-1] for flags in shared}
         campaigns = options(campaigns_parser(get_kind("normal-steady")))
@@ -60,7 +60,8 @@ class TestOneDeclaration:
 
     def test_the_campaign_cli_accepts_what_it_accepted_but_for_chunk_size(self):
         """``data/cli_options.json`` is the option table of the campaign CLI
-        before the execution options moved out of it, less ``--chunk-size``."""
+        before the execution options moved out of it, less ``--chunk-size``
+        and ``--catalog``."""
         before = {tuple(row["flags"]): row for row in goldens.load("cli_options.json")}
         now = options(campaigns_parser(get_kind("normal-steady")))
         assert set(now) == set(before)
@@ -75,13 +76,23 @@ class TestOneDeclaration:
         assert exit_info.value.code == 2
         assert "--chunk-size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cli", ["campaigns", "experiments"])
+    def test_catalog_is_gone(self, capsys, cli):
+        main = {"campaigns": campaigns_main, "experiments": experiments_main}[cli]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--catalog", "DIR"])
+        assert exit_info.value.code == 2
+        assert "--catalog" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "cli, flag",
         [
             ("campaigns", "--jobs"),
             ("campaigns", "--lease-ttl"),
+            ("campaigns", "--queue-timeout"),
             ("experiments", "--jobs"),
             ("experiments", "--lease-ttl"),
+            ("experiments", "--queue-timeout"),
             ("experiments", "--replicas"),
         ],
     )
@@ -101,29 +112,24 @@ def parse(*argv):
 
 class TestOpenExecution:
     def test_defaults_open_a_plain_serial_runner(self):
-        with execution.open_execution(parse()) as opened:
-            runner = opened.runner
+        with execution.open_execution(parse()) as runner:
             assert (runner.jobs, runner.store, runner.queue) == (1, None, None)
             assert not runner.instrument and not runner.force
-            assert (opened.store, opened.catalog) == (None, None)
-            opened.record(None, 0.0)  # no --catalog: nothing to record, nothing read
 
     def test_every_option_reaches_the_object_it_configures(self, tmp_path):
         args = parse(
             "--jobs", "2", "--cache-dir", str(tmp_path / "cache"), "--durability", "batch",
             "--force-kind", "churn-steady", "--queue-dir", str(tmp_path / "queue"),
-            "--lease-ttl", "7", "--queue-timeout", "3", "--catalog", str(tmp_path / "catalog"),
-            "--trace", str(tmp_path / "trace"),
+            "--lease-ttl", "7", "--queue-timeout", "3", "--trace", str(tmp_path / "trace"),
         )
-        with execution.open_execution(args) as opened:
-            runner = opened.runner
-            assert runner.jobs == 2 and runner.store is opened.store
-            assert opened.store.durability == "batch"
+        with execution.open_execution(args) as runner:
+            assert runner.jobs == 2
+            assert runner.store.path == str(tmp_path / "cache" / "results.jsonl")
+            assert runner.store.durability == "batch"
             assert runner.force_kinds == {"churn-steady"} and not runner.force
             assert runner.queue.directory == str(tmp_path / "queue")
             assert (runner.queue.lease_ttl, runner.queue_timeout) == (7.0, 3.0)
             assert runner.instrument and runner.trace_dir == str(tmp_path / "trace")
-            assert opened.catalog is not None
 
     def test_the_runner_closes_before_the_store_even_on_error(self, tmp_path, monkeypatch):
         from repro.campaigns.runner import CampaignRunner

@@ -19,6 +19,7 @@ for every entry, and record the old -> new pairs (with the figure keys of
 change.
 """
 
+import argparse
 import ast
 import inspect
 import json
@@ -31,6 +32,8 @@ import types
 import pytest
 
 import repro.campaigns.__main__ as campaigns_cli
+import repro.experiments.__main__ as experiments_cli
+from repro.campaigns import execution
 from repro.campaigns import runner as runner_module
 from repro.campaigns.queue import QueueWorker, WorkQueue
 from repro.campaigns.runner import CampaignRunner, execute_point
@@ -60,6 +63,9 @@ BUILTIN_KINDS = (
     "gray-degradation",
 )
 
+
+#: A long option as the docs spell it.
+FLAG = r"(?<![\w-])--[a-z][a-z-]+"
 
 KEY_TABLE = goldens.load("kind_keys.json")
 RECORD_TABLE = goldens.load("kind_records.json")
@@ -415,5 +421,38 @@ class TestDocsDrift:
         for name in available_kinds():
             parser = campaigns_cli.build_parser(get_kind(name))
             parser_options.update(parser._option_string_actions)
-        mentioned = set(re.findall(r"(?<![\w-])--[a-z][a-z-]+", campaigns_cli.__doc__))
+        mentioned = set(re.findall(FLAG, campaigns_cli.__doc__))
         assert mentioned <= parser_options, sorted(mentioned - parser_options)
+
+    @pytest.mark.parametrize("doc", ["README.md", "EXPERIMENTS.md"])
+    def test_doc_command_lines_only_use_real_options(self, hot_sender, doc):
+        """Each ``python -m repro.campaigns|experiments`` command line in ``doc``
+        parses: its flags are options of the parser that line reaches (the
+        campaign CLI's for the selected ``--scenario``)."""
+        with open(os.path.join(ROOT, doc), encoding="utf-8") as handle:
+            text = handle.read().replace("\\\n", " ")
+        checked = 0
+        for match in re.finditer(r"(`?)python -m repro\.(campaigns|experiments)\b", text):
+            # Inline code ends at its backtick, a code block line at the newline.
+            end = text.find("`" if match.group(1) else "\n", match.end())
+            line = text[match.end() : end if end >= 0 else len(text)]
+            scenario = re.search(r"--scenario(?:[ =]([a-z-]+))?", line)
+            if match.group(2) == "experiments" and scenario is None:
+                parser = experiments_cli.build_parser()
+            else:
+                name = (scenario and scenario.group(1)) or "normal-steady"
+                parser = campaigns_cli.build_parser(get_kind(kind_shorthands().get(name, name)))
+            unknown = set(re.findall(FLAG, line)) - set(parser._option_string_actions)
+            assert not unknown, (line, sorted(unknown))
+            checked += 1
+        assert checked
+
+    def test_readme_execution_table_rows_are_execution_options(self):
+        parser = argparse.ArgumentParser()
+        execution.add_execution_arguments(parser)
+        section = readme_section("### Execution options")
+        cells = re.findall(r"^\| (`-.*?) \|", section, re.MULTILINE)
+        rows = {flag for cell in cells for flag in re.findall(r"`(--?[a-z][a-z-]*)", cell)}
+        assert rows and rows <= set(parser._option_string_actions), sorted(
+            rows - set(parser._option_string_actions)
+        )

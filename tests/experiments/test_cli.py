@@ -95,22 +95,19 @@ class TestSharedExecutionOptions:
         queue = WorkQueue(queue_dir)
         assert (queue.result_count(), queue.pending_count()) == (14, 0)
 
-    def test_metrics_catalog_and_output_file_reach_the_figures_cli(self, tmp_path, capsys):
+    def test_metrics_cache_and_output_file_reach_the_figures_cli(self, tmp_path, capsys):
         report = tmp_path / "report.txt"
         argv = [
             "--figure", "4", "--quick", "--metrics-out", str(tmp_path / "metrics"),
-            "--catalog", str(tmp_path / "catalog"), "--cache-dir", str(tmp_path / "cache"),
-            "-o", str(report),
+            "--cache-dir", str(tmp_path / "cache"), "-o", str(report),
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert report.read_text() == out
         assert f"  wrote 14 metrics snapshots to {tmp_path / 'metrics'}" in out.splitlines()
         assert "trace files in" not in out
-        summary = tmp_path / "catalog" / "figure4-quick" / "summary.json"
-        assert json.loads(summary.read_text())["store_path"] == str(
-            tmp_path / "cache" / "results.jsonl"
-        )
+        lines = (tmp_path / "cache" / "results.jsonl").read_text().splitlines()
+        assert len(lines) == 14 and all("metrics" in json.loads(line)["record"] for line in lines)
 
 
 class TestFigureOptions:

@@ -1,9 +1,8 @@
 """The figure grids are pinned: every campaign a figure declares, point key by point key.
 
 ``data/figures.json`` records, for each figure at its quick and full
-defaults and under the benchmark suite's overrides, the campaign name and
-description, and per series its label, params, x values and ordered point
-keys.  A point key is the result-cache key, so an unchanged file means
+defaults and under the benchmark suite's overrides, the campaign name, and
+per series its label, params, x values and ordered point keys.  A point key is the result-cache key, so an unchanged file means
 existing caches stay hot.  Re-capture it (only for a deliberate grid change)
 by deleting the file and rerunning this test (``tests/goldens.py``).
 """
@@ -36,7 +35,6 @@ def describe(campaign):
     """The parts of a campaign that decide what is simulated and printed."""
     return {
         "name": campaign.name,
-        "description": campaign.description,
         "series": [
             {
                 "label": series.label,

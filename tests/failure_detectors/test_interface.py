@@ -1,6 +1,6 @@
 """Unit tests for the failure detector interface."""
 
-from repro.failure_detectors.interface import FailureDetector, SuspicionLog
+from repro.failure_detectors.interface import FailureDetector
 
 
 class TestFailureDetector:
@@ -57,24 +57,3 @@ class TestFailureDetector:
         assert detector.suspicion_events == 2
         assert detector.trust_events == 1
 
-
-class TestSuspicionLog:
-    def test_records_transitions(self):
-        log = SuspicionLog()
-        log.record(1.0, 2, True)
-        log.record(5.0, 2, False)
-        log.record(3.0, 1, True)
-        assert log.transitions_for(2) == [(1.0, 2, True), (5.0, 2, False)]
-
-    def test_mistake_durations(self):
-        log = SuspicionLog()
-        log.record(1.0, 2, True)
-        log.record(4.0, 2, False)
-        log.record(10.0, 2, True)
-        log.record(12.5, 2, False)
-        assert log.mistake_durations(2) == [3.0, 2.5]
-
-    def test_open_mistake_not_counted(self):
-        log = SuspicionLog()
-        log.record(1.0, 2, True)
-        assert log.mistake_durations(2) == []

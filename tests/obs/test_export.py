@@ -1,6 +1,7 @@
 """Tests for the exporters: metrics snapshots, JSONL traces, Chrome traces."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -72,6 +73,23 @@ class TestMetricsSnapshot:
         path = tmp_path / "out" / "metrics.json"
         written = obs_export.write_metrics(str(path), system)
         assert json.loads(path.read_text()) == json.loads(json.dumps(written))
+
+
+class TestGitRevision:
+    def test_resolves_inside_this_checkout(self):
+        rev = obs_export.git_revision()
+        assert rev is None or (4 <= len(rev) < 40 and all(
+            ch in "0123456789abcdef" for ch in rev
+        ))
+        assert metrics_snapshot(instrumented_run())["provenance"]["git_rev"] == rev
+
+    def test_null_outside_a_checkout(self, monkeypatch):
+        def no_checkout(*args, **kwargs):
+            raise subprocess.CalledProcessError(128, args[0])
+
+        monkeypatch.setattr(obs_export, "_git_rev_cache", [])
+        monkeypatch.setattr(obs_export.subprocess, "run", no_checkout)
+        assert metrics_snapshot(instrumented_run())["provenance"]["git_rev"] is None
 
 
 class TestHistogramSummary:
