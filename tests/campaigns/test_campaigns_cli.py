@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro.campaigns`` ad-hoc grid CLI."""
 
+import re
+
 import pytest
 
 from repro.campaigns.__main__ import main
@@ -31,6 +33,13 @@ class TestCampaignsCLI:
         assert "campaign 'adhoc': 1 points (1 simulated, 0 from cache)" in text
         assert "normal-steady" in text
         assert capsys.readouterr().out.strip() == text.strip()
+
+    @pytest.mark.usefixtures("wall_clock_stepping_back")
+    def test_reported_seconds_ignore_wall_clock_steps(self, capsys):
+        assert main(["--scenario", "normal-steady", "--stack", "fd", "--throughputs", "25",
+                     "--messages", "10"]) == 0
+        seconds = float(re.search(r"\) in (\S+) s$", capsys.readouterr().out, re.M).group(1))
+        assert 0.0 <= seconds < 600.0
 
     def test_cache_dir_makes_second_run_free(self, tmp_path, capsys):
         argv = [

@@ -103,6 +103,16 @@ class TestOneDeclaration:
         assert exit_info.value.code == 2
         assert f"argument {flag}: must be > 0, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-5", "nan"])
+    @pytest.mark.parametrize("cli", ["campaigns", "experiments"])
+    def test_a_negative_or_nan_queue_timeout_is_a_usage_error(self, capsys, cli, value):
+        """Both used to parse, leaving a deadline already past or never compared."""
+        main = {"campaigns": campaigns_main, "experiments": experiments_main}[cli]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--queue-timeout", value])
+        assert exit_info.value.code == 2
+        assert f"argument --queue-timeout: must be > 0, got {value}" in capsys.readouterr().err
+
 
 def parse(*argv):
     parser = argparse.ArgumentParser()
@@ -115,6 +125,10 @@ class TestOpenExecution:
         with execution.open_execution(parse()) as runner:
             assert (runner.jobs, runner.store, runner.queue) == (1, None, None)
             assert not runner.instrument and not runner.force
+
+    def test_an_unset_queue_timeout_waits(self, tmp_path):
+        with execution.open_execution(parse("--queue-dir", str(tmp_path))) as runner:
+            assert runner.queue is not None and runner.queue_timeout is None
 
     def test_every_option_reaches_the_object_it_configures(self, tmp_path):
         args = parse(

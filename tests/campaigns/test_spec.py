@@ -194,6 +194,19 @@ class TestCampaignSpec:
         )
         assert campaign.points() == [shared, only_b]
 
+    def test_point_keys_do_not_depend_on_the_campaign_name(self):
+        keys = [
+            [point.key() for point in grid("normal-steady", name=name, num_messages=10).points()]
+            for name in ("adhoc", "something-else")
+        ]
+        assert keys[0] == keys[1]
+
+    def test_description_is_gone(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'description'"):
+            CampaignSpec(name="described", description="a campaign")
+        with pytest.raises(ValueError, match=r"no axis \['description'\]"):
+            grid("normal-steady", description="a campaign")
+
 
 class TestGrid:
     def test_cartesian_product_shape(self):

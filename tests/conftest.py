@@ -7,6 +7,7 @@ import pathlib
 import random
 import re
 import sys
+import time
 import types
 from typing import Dict, Iterator, List, Sequence
 
@@ -149,3 +150,18 @@ def any_algorithm(request) -> str:
 def small_system(algorithm) -> BroadcastSystem:
     """A three-process system running the parametrised algorithm."""
     return build_system(SystemConfig(n=3, stack=algorithm, seed=7))
+
+
+@pytest.fixture
+def wall_clock_stepping_back(monkeypatch) -> None:
+    """``time.time()`` reads an hour earlier at each call, as under repeated
+    NTP corrections; a duration taken from it comes out negative."""
+    real_time = time.time
+    readings = 0
+
+    def stepping_back() -> float:
+        nonlocal readings
+        readings += 1
+        return real_time() - 3600.0 * readings
+
+    monkeypatch.setattr(time, "time", stepping_back)

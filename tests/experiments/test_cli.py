@@ -1,6 +1,7 @@
 """Tests for the experiments command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -55,6 +56,13 @@ class TestExperimentsCLI:
         out = capsys.readouterr().out
         assert "| throughput [1/s] |" in out
         assert "check" in out
+
+    @pytest.mark.usefixtures("wall_clock_stepping_back")
+    def test_reported_seconds_ignore_wall_clock_steps(self, capsys, monkeypatch):
+        patch_tiny_figure4(monkeypatch)
+        assert main(["--figure", "4", "--quick"]) == 0
+        seconds = float(re.search(r"regenerated in (\S+) s;", capsys.readouterr().out).group(1))
+        assert 0.0 <= seconds < 600.0
 
     def test_jobs_and_cache_reproduce_serial_tables(self, capsys, monkeypatch, tmp_path):
         patch_tiny_figure4(monkeypatch, throughputs=(30, 60), num_messages=15)
