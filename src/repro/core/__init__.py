@@ -14,6 +14,8 @@
 * :mod:`repro.core.sequencer_broadcast` -- the *GM algorithm*: fixed-sequencer
   uniform atomic broadcast reconfigured through group membership, plus its
   non-uniform variant.
+* :mod:`repro.core.log` -- the decided prefix both algorithms keep, and the one
+  fetch that catch-up, retransmission and state transfer use.
 """
 
 from repro.core.types import AtomicBroadcast, BroadcastID, View

@@ -51,6 +51,7 @@ class ConsensusInstance:
         "estimate", "ts", "round", "_round_coordinator", "decided", "decision",
         "_acked_round", "_nacked_round", "_estimates", "_acks", "_nacks",
         "_proposal_value", "_future", "_abandon_recheck_round", "rounds_executed",
+        "abandoned_nacked", "abandoned_silent", "rounds_skipped", "started_at", "decided_at",
     )
 
     def __init__(
@@ -92,8 +93,14 @@ class ConsensusInstance:
         # The latest round with an abandon recheck pending (rounds only grow,
         # so earlier ones are never asked about again); 0 = none.
         self._abandon_recheck_round = 0
-        #: Diagnostics: how many rounds this instance went through.
+        #: Diagnostics (plain counters, no event): rounds entered; rounds
+        #: abandoned on nacks alone, or on nacks plus suspected silent
+        #: processes after ``abandon_grace``; rounds the catch-up rule jumped
+        #: over; and when the instance was created and decided.
         self.rounds_executed = 0
+        self.abandoned_nacked = self.abandoned_silent = self.rounds_skipped = 0
+        self.started_at = service.sim.now
+        self.decided_at: Optional[float] = None
 
     # ------------------------------------------------------------------ helpers
 
@@ -222,6 +229,7 @@ class ConsensusInstance:
         would have sent -- our estimate, plus the nack that records that we
         jumped past the round and will never acknowledge its proposal.
         """
+        self.rounds_skipped += limit - first
         for round_number in range(first, limit):
             coordinator = self.coordinator_of(round_number)
             if coordinator == self.pid:
@@ -346,6 +354,7 @@ class ConsensusInstance:
         ]
         if len(acks) + len(silent) < self.majority:
             # Explicit refusals alone make the round hopeless.
+            self.abandoned_nacked += 1
             self._enter_round(round_number + 1)
             return
         detector = self.service.process.failure_detector
@@ -357,6 +366,7 @@ class ConsensusInstance:
         if len(acks) + len(trusted_silent) >= self.majority:
             return
         if deferred:
+            self.abandoned_silent += 1
             self._enter_round(round_number + 1)
             return
         if round_number != self._abandon_recheck_round:
@@ -470,6 +480,7 @@ class ConsensusInstance:
         """Record that this instance has decided (set by the service)."""
         self.decided = True
         self.decision = value
+        self.decided_at = self.service.sim.now
         self._future = _NO_ENTRIES
 
 
@@ -535,16 +546,6 @@ class ConsensusService(Component):
         """Subscribe to first contact with instances not yet proposed locally."""
         self._unknown_listeners.append(listener)
 
-    def full_set(self) -> Tuple[int, ...]:
-        """The full static process set of the system (ids ``0 .. n-1``).
-
-        Group reformation runs its successor-view consensus over this set
-        instead of the (majority-less) current view, so any global majority
-        of alive processes can decide -- the property that restores liveness
-        after view-majority loss.
-        """
-        return tuple(range(self.process.network.n))
-
     def propose(
         self,
         cid: Hashable,
@@ -554,13 +555,14 @@ class ConsensusService(Component):
     ) -> ConsensusInstance:
         """Propose ``value`` in instance ``cid`` and start participating in it.
 
-        ``participants`` defaults to the **full static process set**
-        (:meth:`full_set`): an instance scoped that way is decidable by any
+        ``participants`` defaults to the **full static process set** (ids
+        ``0 .. n-1``): an instance scoped that way is decidable by any
         majority of all processes, independent of the views a group
-        membership layer above may have installed.
+        membership layer above may have installed -- what group reformation
+        needs once the installed view has lost its majority.
         """
         if participants is None:
-            participants = self.full_set()
+            participants = range(self.process.network.n)
         if cid in self._instances:
             return self._instances[cid]
         instance = ConsensusInstance(self, cid, value, participants, coordinator_order)
@@ -592,6 +594,32 @@ class ConsensusService(Component):
     def instance(self, cid: Hashable) -> Optional[ConsensusInstance]:
         """The local instance object for ``cid`` (or ``None``)."""
         return self._instances.get(cid)
+
+    def counters(self) -> Dict[str, float]:
+        """The instances' diagnostic counters, summed over this process.
+
+        ``rounds`` sums the instances' ``rounds_executed``; ``decisions``
+        counts the instances that entered a round and decided, and
+        ``decision_ms`` is their summed time from creation to decision;
+        ``open`` counts the ones that entered a round and did not decide.
+        """
+        totals = dict.fromkeys(
+            ("rounds", "abandoned_nacked", "abandoned_silent", "rounds_skipped",
+             "decisions", "decision_ms", "open"), 0,
+        )
+        for instance in self._instances.values():
+            if not instance.rounds_executed:
+                continue
+            totals["rounds"] += instance.rounds_executed
+            totals["abandoned_nacked"] += instance.abandoned_nacked
+            totals["abandoned_silent"] += instance.abandoned_silent
+            totals["rounds_skipped"] += instance.rounds_skipped
+            if instance.decided:
+                totals["decisions"] += 1
+                totals["decision_ms"] += instance.decided_at - instance.started_at
+            else:
+                totals["open"] += 1
+        return totals
 
     # ------------------------------------------------------------------ messages
 

@@ -8,10 +8,11 @@ messages decided by instance ``k`` are A-delivered before those of instance
 identifiers.
 
 Crash *recovery* (beyond the paper's crash-stop model) works with a warm
-restart plus a catch-up exchange: a recovered process asks its peers for the
-consensus decisions (and message payloads) it missed while down, applies them
-in instance order -- so its delivery sequence stays a prefix of the group's
-total order -- and then resumes proposing from the group's frontier.
+restart plus a catch-up: a recovered process fetches from its peers' decided
+logs (:mod:`repro.core.log`) the consensus decisions and message payloads it
+missed while down, applies them in instance order -- so its delivery sequence
+stays a prefix of the group's total order -- and then resumes proposing from
+the group's frontier.
 
 Two practical details follow the paper:
 
@@ -28,18 +29,15 @@ Two practical details follow the paper:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Set, Tuple
+from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
 from repro.core.consensus import ConsensusService
+from repro.core.log import FETCH, FETCHED, DecidedLog
 from repro.core.reliable_broadcast import ReliableBroadcast
 from repro.core.types import PIPELINE_DEPTH, AtomicBroadcast, BroadcastID
 from repro.sim.process import SimProcess
 
 _DATA_TAG = "AB_DATA"
-_CATCHUP_REQ = "AB_CATCHUP_REQ"
-_CATCHUP_RESP = "AB_CATCHUP_RESP"
-_PAYLOAD_REQ = "AB_PAYLOAD_REQ"
-_PAYLOAD_RESP = "AB_PAYLOAD_RESP"
 
 
 class FDAtomicBroadcast(AtomicBroadcast):
@@ -58,25 +56,23 @@ class FDAtomicBroadcast(AtomicBroadcast):
         self.consensus = consensus
         self.participants: Tuple[int, ...] = tuple(range(process.network.n))
 
-        self._payloads: Dict[BroadcastID, Any] = {}
+        #: The decided prefix: instance ``k``'s ``(proposer, ids)`` at position
+        #: ``k``.  The hot paths read its dicts directly.
+        self.log = DecidedLog()
+        self._payloads = self.log.payload_of
+        self._decisions = self.log.batches
         self._rb_uid_of: Dict[BroadcastID, Tuple[int, int]] = {}
         self._pending: Set[BroadcastID] = set()
         self._ordered: Set[BroadcastID] = set()
-        self._decisions: Dict[int, Tuple[int, Tuple[BroadcastID, ...]]] = {}
-        self._last_decided = 0
         self._next_delivery = 1
         self._highest_proposed = 0
         self._inflight_proposals: Dict[int, Set[BroadcastID]] = {}
         # Union of ``_inflight_proposals`` (which are pairwise disjoint: each
         # proposal is drawn from the pending messages no other one claims).
         self._claimed: Set[BroadcastID] = set()
-        # Crash-recovery bookkeeping: whether this process ever recovered
-        # (payload re-requests are only needed -- and only allowed -- then),
-        # and which payloads it already asked its peers for.
+        # Whether this process ever recovered: payload fetches are only
+        # needed -- and only allowed -- then.
         self._recovered_once = False
-        self._requested_payloads: Set[BroadcastID] = set()
-        #: Diagnostics: number of consensus instances this process proposed in.
-        self.consensus_started = 0
 
         rbcast.add_listener(self._on_rbcast_delivery)
         consensus.add_decision_listener(self._on_decision)
@@ -92,16 +88,12 @@ class FDAtomicBroadcast(AtomicBroadcast):
         return broadcast_id
 
     def on_message(self, sender: int, body: Any) -> None:
-        """Handle a catch-up message (the only direct messages of this protocol)."""
+        """Handle a fetch of the decided log (the only direct messages of this protocol)."""
         kind = body[0]
-        if kind == _CATCHUP_REQ:
-            self._on_catchup_request(sender, body[1])
-        elif kind == _CATCHUP_RESP:
-            self._on_catchup_response(body[1], body[2], body[3])
-        elif kind == _PAYLOAD_REQ:
-            self._on_payload_request(sender, body[1])
-        elif kind == _PAYLOAD_RESP:
-            self._on_payload_response(body[1])
+        if kind == FETCH:
+            self._on_fetch(sender, body[2], body[3])
+        elif kind == FETCHED:
+            self._on_fetched(body[1], body[2], body[3])
         else:
             raise RuntimeError(f"unexpected direct message to the FD abcast: {body!r}")
 
@@ -110,76 +102,70 @@ class FDAtomicBroadcast(AtomicBroadcast):
     def on_recover(self) -> None:
         """Ask every peer for the decisions missed while this process was down.
 
-        The request reaches back to the delivery frontier, not just the
+        The fetch reaches back to the delivery frontier, not just the
         decision frontier: an instance may be decided locally while its
         payloads are still missing (they were dropped during the crash), and
-        the catch-up responses are the only way to refetch them.
+        the catch-up answers are the only way to refetch them.
         """
         self._recovered_once = True
-        self._requested_payloads.clear()  # allow re-requests after this recovery
+        self.log.requested.clear()  # allow fetching again after this recovery
         # Asking every peer trades a little duplicate traffic (n - 1 full
-        # responses per recovery) for robustness: any single chosen peer may
+        # answers per recovery) for robustness: any single chosen peer may
         # itself be down right now.  At the paper's system sizes the cost is
         # negligible.
-        others = [pid for pid in self.participants if pid != self.pid]
-        if others:
-            since = min(self._next_delivery - 1, self._last_decided)
-            self.send(others, (_CATCHUP_REQ, since))
+        since = min(self._next_delivery - 1, self.log.length)
+        self._fetch_from_peers(since, ())
 
-    def _on_catchup_request(self, sender: int, since: int) -> None:
-        # Undecided messages ride along too: a DATA multicast sent while the
-        # requester was down was dropped and -- its origin staying alive --
-        # is never relayed again, so without this hand-over the requester
-        # could not propose (or even learn of) the messages the group is
-        # currently ordering.
-        unordered = tuple(
-            (bid, self._payloads[bid]) for bid in sorted(self._pending)
-            if bid in self._payloads
-        )
-        if self._last_decided <= since and self._highest_proposed <= since and not unordered:
+    def _on_fetch(self, sender: int, since: Optional[int], ids: Tuple) -> None:
+        log = self.log
+        if since is None:
+            payloads = log.payloads(ids)
+            if payloads:
+                self.send_one(sender, (FETCHED, None, (), payloads))
             return
-        entries = []
-        for k in range(since + 1, self._last_decided + 1):
-            proposer, broadcast_ids = self._decisions[k]
-            payloads = tuple(
-                (bid, self._payloads[bid]) for bid in broadcast_ids if bid in self._payloads
-            )
-            entries.append((k, proposer, broadcast_ids, payloads))
+        # A catch-up.  Undecided messages ride along too: a DATA multicast
+        # sent while the requester was down was dropped and -- its origin
+        # staying alive -- is never relayed again, so without this hand-over
+        # the requester could not propose (or even learn of) the messages the
+        # group is currently ordering.
+        unordered = log.payloads(sorted(self._pending))
+        batches = log.since(since)
+        if not batches and self._highest_proposed <= since and not unordered:
+            return
+        named = log.payloads(bid for _k, (_proposer, bids) in batches for bid in bids)
         # The proposal frontier rides along so the recovered process also
         # joins instances that are open but *undecided*: their participants
         # may be parked waiting for the recovered process itself (e.g. as
         # the round-1 coordinator, which sends nothing until it proposes).
-        self.send_one(
-            sender,
-            (_CATCHUP_RESP, tuple(entries), self._highest_proposed, unordered),
-        )
+        self.send_one(sender, (FETCHED, self._highest_proposed, batches, named + unordered))
 
-    def _on_catchup_response(
-        self, entries: Tuple, frontier: int = 0, unordered: Tuple = ()
-    ) -> None:
-        for broadcast_id, payload in unordered:
-            self._payloads.setdefault(broadcast_id, payload)
+    def _on_fetched(self, frontier: Optional[int], batches: Tuple, payloads: Tuple) -> None:
+        self.log.merge(payloads)
+        if frontier is None:  # the payloads a decision named
+            self._try_deliver()
+            return
+        decisions = self._decisions
+        for k, batch in batches:
+            if k not in decisions:
+                decisions[k] = batch
+                self._ordered.update(batch[1])
+                self._pending.difference_update(batch[1])
+        for broadcast_id, _payload in payloads:
             if broadcast_id not in self._ordered and not self.has_delivered(broadcast_id):
                 self._pending.add(broadcast_id)
-        for k, proposer, broadcast_ids, payloads in entries:
-            for broadcast_id, payload in payloads:
-                self._payloads.setdefault(broadcast_id, payload)
-            if k not in self._decisions:
-                self._decisions[k] = (proposer, tuple(broadcast_ids))
-                self._ordered.update(broadcast_ids)
-                self._pending.difference_update(broadcast_ids)
-        while self._last_decided + 1 in self._decisions:
-            self._last_decided += 1
+        log = self.log
+        while log.length + 1 in decisions:
+            log.length += 1
         # Proposals left in flight across the crash would pin their messages
         # forever (their instances were decided without us): release them and
         # rejoin the pipeline at the group's frontier.
         for k in list(self._inflight_proposals):
-            if k <= self._last_decided:
+            if k <= log.length:
                 released = self._inflight_proposals.pop(k)
                 self._claimed -= released
                 self._pending.update(released - self._ordered)
-        if self._highest_proposed < self._last_decided:
-            self._highest_proposed = self._last_decided
+        if self._highest_proposed < log.length:
+            self._highest_proposed = log.length
         self._try_deliver()
         self._maybe_start_consensus(join_up_to=frontier)
 
@@ -190,32 +176,19 @@ class FDAtomicBroadcast(AtomicBroadcast):
         by reliable broadcast before (or shortly after) its decision, but a
         DATA multicast sent while this process was down is dropped and -- the
         origin being alive and trusted -- never relayed.  An instance that
-        was still undecided when the catch-up responses were built can
+        was still undecided when the catch-up answers were built can
         therefore decide later with payloads only this path can recover.
         """
         if not self._recovered_once:
             return
-        missing = tuple(
-            bid for bid in broadcast_ids if bid not in self._requested_payloads
-        )
-        if not missing:
-            return
-        self._requested_payloads.update(missing)
+        missing = self.log.unrequested(broadcast_ids)
+        if missing:
+            self._fetch_from_peers(None, missing)
+
+    def _fetch_from_peers(self, since: Optional[int], ids: Tuple) -> None:
         others = [pid for pid in self.participants if pid != self.pid]
         if others:
-            self.send(others, (_PAYLOAD_REQ, missing))
-
-    def _on_payload_request(self, sender: int, broadcast_ids: Tuple) -> None:
-        entries = tuple(
-            (bid, self._payloads[bid]) for bid in broadcast_ids if bid in self._payloads
-        )
-        if entries:
-            self.send_one(sender, (_PAYLOAD_RESP, entries))
-
-    def _on_payload_response(self, entries: Tuple) -> None:
-        for broadcast_id, payload in entries:
-            self._payloads.setdefault(broadcast_id, payload)
-        self._try_deliver()
+            self.send(others, (FETCH, None, since, ids))
 
     # ------------------------------------------------------------------ data dissemination
 
@@ -252,7 +225,7 @@ class FDAtomicBroadcast(AtomicBroadcast):
         """
         while True:
             k = self._highest_proposed + 1
-            if k > self._last_decided + PIPELINE_DEPTH:
+            if k > self.log.length + PIPELINE_DEPTH:
                 return
             fresh = self._unproposed_pending()
             need = bool(fresh) or k <= join_up_to
@@ -263,7 +236,7 @@ class FDAtomicBroadcast(AtomicBroadcast):
                 # consensus numbers must be exhausted in order.
                 need = any(
                     self.consensus.has_buffered(self._cid(j))
-                    for j in range(k + 1, self._last_decided + PIPELINE_DEPTH + 1)
+                    for j in range(k + 1, self.log.length + PIPELINE_DEPTH + 1)
                 )
             if not need:
                 return
@@ -274,7 +247,6 @@ class FDAtomicBroadcast(AtomicBroadcast):
             self._highest_proposed = k
             self._inflight_proposals[k] = fresh
             self._claimed |= fresh
-            self.consensus_started += 1
             self.consensus.propose(
                 self._cid(k),
                 proposal,
@@ -290,15 +262,16 @@ class FDAtomicBroadcast(AtomicBroadcast):
         known by every process that participates in ``k`` (the pipeline never
         runs further ahead), so all of them use the same rotation.
         """
-        anchor = k - PIPELINE_DEPTH
-        if anchor < 1 or anchor not in self._decisions:
+        anchor = self._decisions.get(k - PIPELINE_DEPTH)
+        if anchor is None or anchor[0] not in self.participants:
             return self.participants
-        return self._rotate_order(self._decisions[anchor][0])
+        index = self.participants.index(anchor[0])
+        return self.participants[index:] + self.participants[:index]
 
     def _on_unknown_instance(self, cid: Hashable) -> None:
         if not isinstance(cid, tuple) or len(cid) != 2 or cid[0] != "ab":
             return
-        if self._highest_proposed < cid[1] <= self._last_decided + PIPELINE_DEPTH:
+        if self._highest_proposed < cid[1] <= self.log.length + PIPELINE_DEPTH:
             self._maybe_start_consensus()
 
     def _on_decision(self, cid: Hashable, value: Any) -> None:
@@ -315,16 +288,11 @@ class FDAtomicBroadcast(AtomicBroadcast):
                 self._obs.abcast_sequenced(self.now, self.pid, broadcast_id)
         self._pending.difference_update(broadcast_ids)
         self._claimed.difference_update(self._inflight_proposals.pop(k, ()))
-        while self._last_decided + 1 in self._decisions:
-            self._last_decided += 1
+        log = self.log
+        while log.length + 1 in self._decisions:
+            log.length += 1
         self._try_deliver()
         self._maybe_start_consensus()
-
-    def _rotate_order(self, first: int) -> Tuple[int, ...]:
-        if first not in self.participants:
-            return self.participants
-        index = self.participants.index(first)
-        return self.participants[index:] + self.participants[:index]
 
     # ------------------------------------------------------------------ delivery
 

@@ -23,23 +23,15 @@ View changes follow the algorithm the paper describes (Section 4.3):
 Correct processes that were wrongly excluded rejoin: they send a join request
 to the members they know of, a member includes them in the next view change,
 and the rejoining process synchronises its state with a state transfer (it
-asks a member for the messages it missed while excluded) before resuming
-normal operation -- exactly the scheme of Section 4.3 of the paper.
+fetches from a member's decided log, :mod:`repro.core.log`, the messages it
+missed while excluded) before resuming normal operation -- exactly the scheme
+of Section 4.3 of the paper.
 
 Crash *recovery* (beyond the paper's crash-stop model) combines both
-mechanisms.  A process that recovers while it still believes it is a member
-starts a view change in its current view and participates fully -- it sends
-its ``SYNC`` (asking peers to retransmit theirs) and takes part in the
-consensus, which keeps the view change live even when every other member is
-also recovering; when the new view is decided it installs it like any other
-member, the view-synchrony union covering everything it missed (nothing a
-member has not delivered can be stable, because stability requires its own
-acknowledgement).  A process that recovers after the group already excluded
-it -- or whose restarted view change turns out to be stale because the group
-moved on -- re-enters through the join protocol instead: members answer its
-stale messages with the current view (if it is still a member of it) or a
-not-member notification, and the join protocol's state transfer replays the
-log suffix it missed before it operates again.
+mechanisms (see :meth:`GroupMembership.on_recover`): a process that recovers
+while it still believes it is a member takes part in a resync view change of
+its current view; one the group moved on without re-enters through the join
+protocol and its state transfer.
 
 Group reformation (beyond the paper)
 ------------------------------------
@@ -84,6 +76,7 @@ from __future__ import annotations
 from typing import AbstractSet, Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.consensus import ConsensusService
+from repro.core.log import FETCH, FETCHED
 from repro.core.types import View
 from repro.sim.process import Component, SimProcess
 
@@ -96,8 +89,6 @@ _VIEW_CHANGE = "VIEW_CHANGE"
 _SYNC = "SYNC"
 _JOIN_REQ = "JOIN_REQ"
 _VIEW_INSTALL = "VIEW_INSTALL"
-_STATE_REQ = "STATE_REQ"
-_STATE_RESP = "STATE_RESP"
 _NOT_MEMBER = "NOT_MEMBER"
 
 #: Process states.
@@ -143,7 +134,7 @@ class GroupMembership(Component):
         #: reformation timer covers that window under ``gm-reform``.
         self.view_change_revive_after = view_change_revive_after
 
-        self._handler = None  # the atomic broadcast layer (set by set_broadcast_handler)
+        self._handler: Any = None  # the atomic broadcast layer (set_broadcast_handler)
         self._view_listeners: List[ViewListener] = []
 
         # Per-view-change state (reset whenever a view is installed).
@@ -163,7 +154,6 @@ class GroupMembership(Component):
         self._pending_joins: Set[int] = set()
         self._future: Dict[ViewId, List[Tuple[int, Any]]] = {}
         self._not_member_notified: Set[Tuple[int, ViewId]] = set()
-        self._join_attempts = 0
         #: Diagnostics: number of views installed by this process.
         self.views_installed = 0
         #: Diagnostics: number of reformations this process proposed.
@@ -177,10 +167,12 @@ class GroupMembership(Component):
     def set_broadcast_handler(self, handler: Any) -> None:
         """Register the atomic broadcast layer the service flushes/reconfigures.
 
-        The handler must provide ``collect_unstable()``,
-        ``on_view_change_started()``, ``deliver_view_change(entries)``,
-        ``on_view_installed(view)``, ``delivered_log_since(index)``,
-        ``apply_state(entries)`` and the ``delivered_count`` property.
+        Required before the system starts.  The handler must provide
+        ``collect_unstable()``, ``on_view_change_started()``,
+        ``deliver_view_change(entries)``, ``on_view_installed(view)``,
+        ``on_member_recovered()``, the ``delivered_count`` property and
+        ``log``, the :class:`~repro.core.log.DecidedLog` of its deliveries
+        that state transfers fetch from.
         """
         self._handler = handler
 
@@ -247,16 +239,11 @@ class GroupMembership(Component):
         """
         self._recovering = True
         if self._status in (EXCLUDED, JOINING):
-            self._status = EXCLUDED
-            self._reset_view_change_state()
-            self._attempt_join()
+            self._become_excluded()
             return
         self._status = MEMBER
         self._reset_view_change_state()
-        if self._handler is not None:
-            recovered_hook = getattr(self._handler, "on_member_recovered", None)
-            if recovered_hook is not None:
-                recovered_hook()
+        self._handler.on_member_recovered()
         self._start_view_change(resync=True)
 
     # ------------------------------------------------------------------ failure detector
@@ -287,22 +274,16 @@ class GroupMembership(Component):
                 and pid not in self._syncs
                 and self.now - self._vc_started_at >= self.view_change_revive_after
             ):
-                # A co-member we never heard a SYNC from came back into
-                # trust while the view change has been stalled well past
-                # any healthy completion time: the peer was unreachable
-                # (e.g. across a partition), so everything we multicast
-                # meanwhile -- including the view change announcement
-                # itself -- was dropped, and with no retransmission the
-                # stall would be permanent on both sides.  Re-announce to
-                # that peer alone, with the resync flag so a peer still in
-                # this same view change repeats its SYNC.  A peer that
-                # moved past this view instead answers with VIEW_INSTALL
-                # or NOT_MEMBER, pulling us back through the join
-                # protocol's state transfer.  The stall-age gate keeps the
-                # QoS-mistake path byte-silent: a wrong suspicion's trust
-                # returns within one mistake duration, while the view
-                # change either already completed (status is MEMBER again)
-                # or has been open only a few round trips.
+                # A co-member we never heard a SYNC from is trusted again
+                # while the view change has stalled far past any healthy
+                # completion time: it was unreachable (e.g. partitioned), so
+                # all we multicast meanwhile, the announcement included, was
+                # dropped for good.  Re-announce to it alone, with the resync
+                # flag: a peer still in this view change repeats its SYNC,
+                # one past it answers VIEW_INSTALL or NOT_MEMBER.  The age
+                # gate keeps QoS mistakes byte-silent: their trust returns
+                # within one mistake duration, when the view change has
+                # completed or been open for a few round trips only.
                 self.send_one(pid, (_VIEW_CHANGE, self._view.vid, True))
                 self.send_one(pid, self._sync_message())
 
@@ -311,21 +292,24 @@ class GroupMembership(Component):
     def on_message(self, sender: int, body: Any) -> None:
         """Dispatch a group membership message."""
         kind = body[0]
-        if kind == _VIEW_CHANGE:
-            # body[2] (the resync flag) is absent in the legacy two-field form.
-            self._on_view_change_msg(sender, body[1], len(body) > 2 and body[2])
+        if kind in (_VIEW_CHANGE, _SYNC) and body[1] > self._view.vid:
+            # Part of a view change of a view not installed here yet: it is
+            # replayed when that view is.
+            self._future.setdefault(body[1], []).append((sender, body))
+        elif kind == _VIEW_CHANGE:
+            self._on_view_change_msg(sender, body[1], body[2])
         elif kind == _SYNC:
             self._on_sync(sender, body[1], body[2], body[3])
         elif kind == _JOIN_REQ:
             self._on_join_request(sender)
         elif kind == _VIEW_INSTALL:
-            self._on_view_install_msg(sender, body[1], body[2])
-        elif kind == _STATE_REQ:
-            self._on_state_request(sender, body[1])
-        elif kind == _STATE_RESP:
-            self._on_state_response(sender, body[1], body[2], body[3])
+            self._on_view_install_msg(sender, body[1])
+        elif kind == FETCH:
+            self._on_fetch(sender, body[2])
+        elif kind == FETCHED:
+            self._on_fetched(body[1], body[2])
         elif kind == _NOT_MEMBER:
-            self._on_not_member(sender, body[1], body[2])
+            self._on_not_member(body[1])
         else:
             raise ValueError(f"unexpected group membership message {kind!r}")
 
@@ -344,45 +328,31 @@ class GroupMembership(Component):
         self._vc_started_at = self.now
         if self._obs is not None:
             self._obs.view_change(self.now, self.pid, self._view.vid)
-        if self._handler is not None:
-            self._handler.on_view_change_started()
+        self._handler.on_view_change_started()
         if self.reformation_timeout is not None:
             self.set_timer(self.reformation_timeout, self._maybe_reform, self._view.vid)
-        members = list(self._view.members)
         if not self._vc_sent:
             self._vc_sent = True
-            self.send(members, (_VIEW_CHANGE, self._view.vid, resync))
-        self._send_sync()
+            self.send(self._view.members, (_VIEW_CHANGE, self._view.vid, resync))
+        if not self._sync_sent:
+            self._sync_sent = True
+            self.send(self._view.members, self._sync_message())
 
     def _sync_message(self) -> Tuple:
         """The SYNC message for the current view change."""
-        unstable = ()
-        if self._handler is not None:
-            unstable = tuple(self._handler.collect_unstable())
+        unstable = self._handler.collect_unstable()
         joiners = tuple(sorted(j for j in self._pending_joins if not self._suspects(j)))
         return (_SYNC, self._view.vid, unstable, joiners)
 
-    def _send_sync(self) -> None:
-        if self._sync_sent:
-            return
-        self._sync_sent = True
-        self.send(list(self._view.members), self._sync_message())
-
     def _on_view_change_msg(self, sender: int, vid: ViewId, resync: bool) -> None:
         if vid != self._view.vid or not self.is_member():
-            if vid > self._view.vid:
-                self._future.setdefault(vid, []).append(
-                    (sender, (_VIEW_CHANGE, vid, resync))
-                )
-            elif vid < self._view.vid and self.is_member():
+            if vid < self._view.vid and self.is_member():
                 # A stale view change comes from a process that missed the
                 # group's progress while it was down.  Point it at the
                 # current view: a current member re-enters through a state
                 # transfer, anyone else restarts the join protocol.
                 if sender in self._view.members:
-                    self.send_one(
-                        sender, (_VIEW_INSTALL, self._view.vid, self._view.members)
-                    )
+                    self.send_one(sender, (_VIEW_INSTALL, self._view))
                 else:
                     self.report_stale_sender(sender, vid)
             return
@@ -396,10 +366,6 @@ class GroupMembership(Component):
 
     def _on_sync(self, sender: int, vid: ViewId, entries: Tuple, joiners: Tuple) -> None:
         if vid != self._view.vid or not self.is_member():
-            if vid > self._view.vid:
-                self._future.setdefault(vid, []).append(
-                    (sender, (_SYNC, vid, entries, joiners))
-                )
             return
         if self._status == MEMBER:
             self._start_view_change()
@@ -413,18 +379,12 @@ class GroupMembership(Component):
         union: Dict = {}
         for entries in sync_sets:
             for broadcast_id, payload, seqnum in entries:
-                current_payload, current_seqnum = union.get(broadcast_id, (None, None))
-                if current_payload is None:
-                    current_payload = payload
-                if current_seqnum is None:
-                    current_seqnum = seqnum
-                union[broadcast_id] = (current_payload, current_seqnum)
-        return tuple(
-            sorted(
-                ((bid, payload, seqnum) for bid, (payload, seqnum) in union.items()),
-                key=lambda entry: entry[0],
-            )
-        )
+                known_payload, known_seqnum = union.get(broadcast_id, (None, None))
+                union[broadcast_id] = (
+                    payload if known_payload is None else known_payload,
+                    seqnum if known_seqnum is None else known_seqnum,
+                )
+        return tuple((bid, *union[bid]) for bid in sorted(union))
 
     def _maybe_propose(self) -> None:
         if self._status != VIEW_CHANGE_IN_PROGRESS or self._proposed:
@@ -491,19 +451,14 @@ class GroupMembership(Component):
                 if pid == self.pid or not self._suspects(pid)
             )
         )
-        if self._syncs:
-            unstable = self._merge_unstable(list(self._syncs.values()))
-        elif self._handler is not None:
-            unstable = self._merge_unstable([tuple(self._handler.collect_unstable())])
-        else:
-            unstable = ()
+        syncs = list(self._syncs.values()) or [self._handler.collect_unstable()]
+        unstable = self._merge_unstable(syncs)
         origin = self._view.vid if self.is_member() else self._last_known_view.vid
         # The proposal carries the proposer's delivered count: at decision
         # time it is the prefix fence that separates members who may deliver
         # the unstable union directly from members who must reconcile
         # through the state transfer first (see :meth:`_on_reform_decision`).
-        delivered = self._handler.delivered_count if self._handler is not None else 0
-        value = (self.pid, (origin, candidate, unstable, delivered))
+        value = (self.pid, (origin, candidate, unstable, self._handler.delivered_count))
         # Participants default to the full static process set: any global
         # majority of alive processes decides, members or not.
         self.consensus.propose(("reform", new_epoch), value)
@@ -548,14 +503,10 @@ class GroupMembership(Component):
                 # missed in order; members at or past the decided prefix
                 # deliver the union directly (already-delivered entries are
                 # deduplicated by the broadcast layer).
-                local_prefix = (
-                    self._handler.delivered_count if self._handler is not None else 0
-                )
-                if self._view.vid < origin_vid or local_prefix < decided_prefix:
-                    self._become_excluded(new_view)
+                if self._view.vid < origin_vid or self._handler.delivered_count < decided_prefix:
+                    self._become_excluded()
                     return
-                if self._handler is not None:
-                    self._handler.deliver_view_change(unstable)
+                self._handler.deliver_view_change(unstable)
                 joiners = [m for m in new_view.members if m not in self._view.members]
                 self._install_view(new_view, notify_joiners=joiners)
             else:
@@ -563,7 +514,7 @@ class GroupMembership(Component):
                 # process must not deliver the union (it may start past the
                 # local delivery prefix); the rejoin state transfer replays
                 # everything in order instead.
-                self._become_excluded(new_view)
+                self._become_excluded()
             return
         # Excluded or joining: the reformed view supersedes whatever this
         # process was trying to join; the running join-retry loop now
@@ -591,8 +542,7 @@ class GroupMembership(Component):
         self._last_known_view = new_view
         joiners = [m for m in new_members if m not in self._view.members]
         if self.pid in new_members:
-            if self._handler is not None:
-                self._handler.deliver_view_change(unstable)
+            self._handler.deliver_view_change(unstable)
             self._install_view(new_view, notify_joiners=joiners)
         else:
             # Do NOT deliver the union when excluded: the decided union only
@@ -605,7 +555,7 @@ class GroupMembership(Component):
             # and therefore requires the joiner's log to be a prefix of the
             # group's.  Everything is replayed, in order, by the state
             # transfer when this process rejoins.
-            self._become_excluded(new_view)
+            self._become_excluded()
 
     def _install_view(self, view: View, notify_joiners: Sequence[int] = ()) -> None:
         self._view = view
@@ -617,8 +567,7 @@ class GroupMembership(Component):
             self._obs.view_installed(self.now, self.pid, view)
         self._reset_view_change_state()
         self._pending_joins.difference_update(view.members)
-        if self._handler is not None:
-            self._handler.on_view_installed(view)
+        self._handler.on_view_installed(view)
         for listener in list(self._view_listeners):
             listener(view)
         # The sequencer notifies the joiners.  If it crashed between syncing
@@ -627,11 +576,11 @@ class GroupMembership(Component):
         # :meth:`_on_join_request`), so nobody is stranded.
         if notify_joiners and view.sequencer == self.pid:
             for joiner in notify_joiners:
-                self.send_one(joiner, (_VIEW_INSTALL, view.vid, view.members))
+                self.send_one(joiner, (_VIEW_INSTALL, view))
         self._replay_future(view.vid)
         self._check_pending_triggers()
 
-    def _become_excluded(self, new_view: View) -> None:
+    def _become_excluded(self) -> None:
         self._status = EXCLUDED
         self._reset_view_change_state()
         self._attempt_join()
@@ -675,20 +624,16 @@ class GroupMembership(Component):
         if key in self._not_member_notified:
             return
         self._not_member_notified.add(key)
-        self.send_one(sender, (_NOT_MEMBER, self._view.vid, self._view.members))
+        self.send_one(sender, (_NOT_MEMBER, self._view))
 
-    def _on_not_member(self, sender: int, vid: ViewId, members: Tuple[int, ...]) -> None:
-        if vid <= self._view.vid or self.pid in members:
+    def _on_not_member(self, view: View) -> None:
+        if view.vid <= self._view.vid or self.pid in view.members:
             return
-        if self._status in (EXCLUDED, JOINING):
-            self._last_known_view = View(vid[1], tuple(members), vid[0])
-            return
-        # We believed we were an (old-view) member but the group moved on
-        # without us: fall back to the join protocol.
-        self._status = EXCLUDED
-        self._last_known_view = View(vid[1], tuple(members), vid[0])
-        self._reset_view_change_state()
-        self._attempt_join()
+        self._last_known_view = view
+        if self._status not in (EXCLUDED, JOINING):
+            # We believed we were an (old-view) member but the group moved
+            # on without us: fall back to the join protocol.
+            self._become_excluded()
 
     # ------------------------------------------------------------------ joins
 
@@ -699,7 +644,7 @@ class GroupMembership(Component):
             # The joiner is already part of the current view (it missed the
             # VIEW_INSTALL notification, or is re-entering it after a crash
             # recovery): tell it directly; the state transfer catches it up.
-            self.send_one(sender, (_VIEW_INSTALL, self._view.vid, self._view.members))
+            self.send_one(sender, (_VIEW_INSTALL, self._view))
             return
         self._pending_joins.add(sender)
         if self._status == MEMBER and not self._suspects(sender):
@@ -708,14 +653,13 @@ class GroupMembership(Component):
     def _attempt_join(self) -> None:
         if self._status not in (EXCLUDED, JOINING):
             return
-        self._join_attempts += 1
         members = [m for m in self._last_known_view.members if m != self.pid]
         if members:
             self.send(members, (_JOIN_REQ, self._last_known_view.vid))
         self.set_timer(self.join_retry_interval, self._attempt_join)
 
-    def _on_view_install_msg(self, sender: int, vid: ViewId, members: Tuple[int, ...]) -> None:
-        if vid <= self._view.vid or self.pid not in members:
+    def _on_view_install_msg(self, sender: int, view: View) -> None:
+        if view.vid <= self._view.vid or self.pid not in view.members:
             return
         if self._status not in (EXCLUDED, JOINING):
             # A member only receives a VIEW_INSTALL for a higher view when it
@@ -727,25 +671,21 @@ class GroupMembership(Component):
                 return
             self.set_timer(self.join_retry_interval, self._attempt_join)
         self._status = JOINING
-        self._last_known_view = View(vid[1], tuple(members), vid[0])
-        delivered = self._handler.delivered_count if self._handler is not None else 0
-        self.send_one(sender, (_STATE_REQ, delivered))
+        self._last_known_view = view
+        self.send_one(sender, (FETCH, None, self._handler.delivered_count, ()))
 
-    def _on_state_request(self, sender: int, since: int) -> None:
-        if not self.is_member() or self._handler is None:
+    def _on_fetch(self, sender: int, since: int) -> None:
+        """Answer a state transfer: the view to enter and the log after ``since``."""
+        if not self.is_member():
             return
-        entries = tuple(self._handler.delivered_log_since(since))
-        self.send_one(
-            sender, (_STATE_RESP, self._view.vid, self._view.members, entries)
-        )
+        self.send_one(sender, (FETCHED, self._view, self._handler.log.since(since), ()))
 
-    def _on_state_response(
-        self, sender: int, vid: ViewId, members: Tuple[int, ...], entries: Tuple
-    ) -> None:
+    def _on_fetched(self, view: View, batches: Tuple) -> None:
         if self._status != JOINING:
             return
-        if self.pid not in members or vid <= self._view.vid:
+        if self.pid not in view.members or view.vid <= self._view.vid:
             return
-        if self._handler is not None:
-            self._handler.apply_state(entries)
-        self._install_view(View(vid[1], tuple(members), vid[0]))
+        self._handler.deliver_view_change(
+            tuple((bid, payload, k) for k, (bid, payload) in batches)
+        )
+        self._install_view(view)

@@ -103,15 +103,10 @@ class ReliableBroadcast(Component):
 
     # ------------------------------------------------------------------ relaying
 
-    def _on_suspicion_change(self, pid: int, suspected: bool) -> None:
-        if not suspected:
-            return
-        self._relay_messages_from(pid)
-
-    def _relay_messages_from(self, origin: int) -> None:
+    def _on_suspicion_change(self, origin: int, suspected: bool) -> None:
         # Per-origin insertion order equals the origin's relative order in
         # the full buffer, so relays go out in the historical order.
-        per_origin = self._unstable_by_origin.get(origin)
+        per_origin = self._unstable_by_origin.get(origin) if suspected else None
         if not per_origin:
             return
         relayed = self._relayed_for

@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.group_membership import GroupMembership
+from repro.core.log import FETCH, FETCHED, DecidedLog
 from repro.core.types import PIPELINE_DEPTH, AtomicBroadcast, BroadcastID, View
 from repro.sim.process import SimProcess
 
@@ -42,8 +43,6 @@ _DATA = "DATA"
 _SEQ = "SEQ"
 _ACK = "ACK"
 _DELIVER = "DELIVER"
-_RETR_REQ = "RETR_REQ"
-_RETR_RESP = "RETR_RESP"
 
 
 class SequencerAtomicBroadcast(AtomicBroadcast):
@@ -62,7 +61,11 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         self.uniform = uniform
         membership.set_broadcast_handler(self)
 
-        self._payloads: Dict[BroadcastID, Any] = {}
+        #: The decided prefix: the ``k``-th delivered ``(id, payload)`` at
+        #: position ``k``, the order every member of a view shares.  The hot
+        #: paths read its payload dict directly.
+        self.log = DecidedLog()
+        self._payloads = self.log.payload_of
         # Messages this process A-broadcast and has not seen delivered yet;
         # they are (re)multicast whenever a new view is installed.
         self._own_pending: Dict[BroadcastID, Any] = {}
@@ -112,7 +115,7 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         # stable; the next stability update drops them again.
         self._restabilize: List[BroadcastID] = []
         self._batch_of: Dict[BroadcastID, int] = {}
-        self._requested_retransmit: Set[BroadcastID] = set()
+        self.log.requested.clear()
 
     def _operational(self) -> bool:
         return self.membership.is_member() and not self._frozen
@@ -162,10 +165,14 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             self._on_ack(sender, body[2])
         elif kind == _DELIVER:
             self._on_deliver(sender, body[2], body[3])
-        elif kind == _RETR_REQ:
-            self._on_retransmit_request(sender, body[2])
-        elif kind == _RETR_RESP:
-            self._on_retransmit_response(sender, body[2])
+        elif kind == FETCH:
+            payloads = self.log.payloads(body[3])
+            if payloads:
+                self.send_one(sender, (FETCHED, self._view_id, (), payloads))
+        elif kind == FETCHED:
+            self.log.merge(body[3])
+            self._try_ack_known_batches()
+            self._try_deliver_batches()
         else:
             raise ValueError(f"unexpected sequencer broadcast message {kind!r}")
 
@@ -178,7 +185,7 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             self._payloads[broadcast_id] = payload
 
     def _on_data(self, sender: int, broadcast_id: BroadcastID, payload: Any) -> None:
-        self._record_payload(broadcast_id, payload)
+        # ``on_message`` recorded the payload already, whatever the view.
         if broadcast_id not in self._unstable and not self.has_delivered(broadcast_id):
             seqnum = self._assignments.get(broadcast_id)
             self._unstable[broadcast_id] = seqnum
@@ -337,30 +344,18 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
     def _deliver_message(self, broadcast_id: BroadcastID, payload: Any) -> None:
         if self._deliver(broadcast_id, payload):
             self._own_pending.pop(broadcast_id, None)
+            log = self.log
+            log.length += 1
+            log.batches[log.length] = self.delivered[-1]
 
     # ------------------------------------------------------------------ retransmissions
 
     def _request_retransmit(self, broadcast_ids: Iterable[BroadcastID]) -> None:
-        missing = tuple(
-            bid for bid in broadcast_ids if bid not in self._requested_retransmit
-        )
-        if not missing or self._is_sequencer:
+        if self._is_sequencer:
             return
-        self._requested_retransmit.update(missing)
-        self.send_one(self._sequencer, (_RETR_REQ, self._view_id, missing))
-
-    def _on_retransmit_request(self, sender: int, broadcast_ids: Tuple[BroadcastID, ...]) -> None:
-        entries = tuple(
-            (bid, self._payloads[bid]) for bid in broadcast_ids if bid in self._payloads
-        )
-        if entries:
-            self.send_one(sender, (_RETR_RESP, self._view_id, entries))
-
-    def _on_retransmit_response(self, sender: int, entries: Tuple) -> None:
-        for broadcast_id, payload in entries:
-            self._record_payload(broadcast_id, payload)
-        self._try_ack_known_batches()
-        self._try_deliver_batches()
+        missing = self.log.unrequested(broadcast_ids)
+        if missing:
+            self.send_one(self._sequencer, (FETCH, self._view_id, None, missing))
 
     # ------------------------------------------------------------------ stability
 
@@ -399,15 +394,16 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
     # ------------------------------------------------------------------ group membership hooks
 
     def collect_unstable(self) -> Tuple[Tuple[BroadcastID, Any, Optional[int]], ...]:
-        """Unstable messages of the current view, as (id, payload, seqnum)."""
-        entries = []
-        for broadcast_id, seqnum in sorted(self._unstable.items()):
-            payload = self._payloads.get(broadcast_id)
-            if payload is None:
-                # Never advertise a message we cannot provide the payload of.
-                continue
-            entries.append((broadcast_id, payload, seqnum))
-        return tuple(entries)
+        """Unstable messages of the current view, as (id, payload, seqnum).
+
+        A message whose payload is unknown here is never advertised.
+        """
+        payloads = self._payloads
+        return tuple(
+            (broadcast_id, payloads[broadcast_id], seqnum)
+            for broadcast_id, seqnum in sorted(self._unstable.items())
+            if payloads.get(broadcast_id) is not None
+        )
 
     def on_view_change_started(self) -> None:
         """Freeze normal operation while the view change runs."""
@@ -429,11 +425,12 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         it collects this layer's unstable set for the resync SYNC.
         """
         for broadcast_id, seqnum in self._assignments.items():
-            if broadcast_id in self._unstable or self.has_delivered(broadcast_id):
-                continue
-            if broadcast_id not in self._payloads:
-                continue
-            self._unstable[broadcast_id] = seqnum
+            if (
+                broadcast_id not in self._unstable
+                and broadcast_id in self._payloads
+                and not self.has_delivered(broadcast_id)
+            ):
+                self._unstable[broadcast_id] = seqnum
 
     def deliver_view_change(self, entries: Tuple) -> None:
         """Deliver the decided union of unstable messages (view synchrony).
@@ -445,14 +442,14 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         batch itself before crashing -- re-added to its own unstable set by
         :meth:`on_member_recovered` before the resync SYNC goes out.
         Nothing it has not delivered can have left every sync.
+
+        A joiner applies the decided log it fetched the same way, each
+        entry's position standing in for its sequence number.
         """
-        with_seqnum = sorted(
-            (entry for entry in entries if entry[2] is not None), key=lambda e: e[2]
-        )
-        without_seqnum = sorted(
-            (entry for entry in entries if entry[2] is None), key=lambda e: e[0]
-        )
-        for broadcast_id, payload, _seqnum in list(with_seqnum) + list(without_seqnum):
+        # Sequenced entries first, in sequence order, then the unsequenced
+        # ones; ties go by id, the order the entries arrive in.
+        order = sorted(entries, key=lambda entry: (entry[2] is None, entry[2] or 0, entry[0]))
+        for broadcast_id, payload, _seqnum in order:
             self._record_payload(broadcast_id, payload)
             known_payload = self._payloads.get(broadcast_id, payload)
             if known_payload is None:
@@ -469,16 +466,6 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             for broadcast_id, payload in sorted(self._own_pending.items()):
                 self.send(view.members, (_DATA, self._view_id, broadcast_id, payload))
         self._replay_future(view.vid)
-
-    def delivered_log_since(self, index: int) -> Tuple[Tuple[BroadcastID, Any], ...]:
-        """Suffix of the delivery log, used to answer state transfer requests."""
-        return tuple(self.delivered[index:])
-
-    def apply_state(self, entries: Tuple) -> None:
-        """Apply a state transfer: deliver every missed message in order."""
-        for broadcast_id, payload in entries:
-            self._record_payload(broadcast_id, payload)
-            self._deliver_message(broadcast_id, payload)
 
     def _replay_future(self, view_id: Tuple[int, int]) -> None:
         for sender, body in self._future.pop(view_id, []):

@@ -350,8 +350,10 @@ register_figure(
         title="Latency vs mistake recurrence time T_MR (T_M = 0), suspicion-steady",
         x_label="mistake recurrence time T_MR [ms]",
         note=(
-            "GM latency explodes (or the point does not complete) at small T_MR "
-            "while FD degrades only mildly; the curves join at very large T_MR."
+            "per the paper, GM latency explodes (or the point does not complete) at "
+            "small T_MR while FD degrades only mildly; the curves join at very large "
+            "T_MR.  Measured here: at T = 300/s and T_MR <= 100 ms, FD's mean latency "
+            "grows with run length; the cause is open (ROADMAP 16)."
         ),
         label="{algorithm}, n={n}, T={throughput:g}/s".format,
         curves=_figure6_curves,

@@ -102,13 +102,15 @@ class _ClientPopulation:
     ) -> None:
         if num_clients < 1:
             raise ValueError(f"num_clients must be >= 1, got {num_clients}")
+        # The service and the parts it keeps, never the system itself.
         self.service = service
-        self.system = service.system
+        self._sim = service.sim
+        self._processes = service.processes
         self.num_clients = num_clients
         self.mix = mix if mix is not None else CommandMix()
-        self._rng = self.system.rng.stream(rng_name)
+        self._rng = service.rng.stream(rng_name)
         self.senders: List[int] = (
-            list(senders) if senders is not None else list(range(self.system.config.n))
+            list(senders) if senders is not None else list(range(len(self._processes)))
         )
         if not self.senders:
             raise ValueError("at least one ingress replica is required")
@@ -118,12 +120,12 @@ class _ClientPopulation:
     def _sender_for(self, client: int) -> int:
         """Ingress replica of ``client``: round-robin, skipping crashed ones."""
         preferred = self.senders[client % len(self.senders)]
-        if not self.system.process(preferred).crashed:
+        if not self._processes[preferred].crashed:
             return preferred
         position = self.senders.index(preferred)
         for offset in range(1, len(self.senders)):
             candidate = self.senders[(position + offset) % len(self.senders)]
-            if not self.system.process(candidate).crashed:
+            if not self._processes[candidate].crashed:
                 return candidate
         return preferred
 
@@ -180,7 +182,7 @@ class OpenLoopClients(_ClientPopulation):
             else:
                 time += self._rng.uniform(0.0, 2.0 * mean)
             client = self._rng.randrange(self.num_clients)
-            self.system.sim.post_at(time, self._emit, client)
+            self._sim.post_at(time, self._emit, client)
         return time
 
     def _emit(self, client: int) -> None:
@@ -229,9 +231,7 @@ class ClosedLoopClients(_ClientPopulation):
         self._total = total_requests
         for client in range(self.num_clients):
             offset = self._think_delay() if self.think_time > 0 else 0.0
-            self.system.sim.post_at(
-                self.system.sim.now + offset, self._submit_next, client
-            )
+            self._sim.post_at(self._sim.now + offset, self._submit_next, client)
 
     def _think_delay(self) -> float:
         if self.think_time <= 0:
@@ -255,7 +255,7 @@ class ClosedLoopClients(_ClientPopulation):
         # request completes synchronously inside submit(), and re-submitting
         # inline would recurse one stack frame per shed request.
         delay = self._think_delay()
-        self.system.sim.post_at(self.system.sim.now + delay, self._submit_next, client)
+        self._sim.post_at(self._sim.now + delay, self._submit_next, client)
 
 
 __all__ = ["ARRIVALS", "ClosedLoopClients", "CommandMix", "OpenLoopClients"]

@@ -87,7 +87,12 @@ class ServiceRequest:
 
 
 class LoadTestedService:
-    """Admission-controlled, consistency-aware front of the replicated KV store."""
+    """Admission-controlled, consistency-aware front of the replicated KV store.
+
+    Like the :class:`ReplicatedService` it fronts, it keeps the parts of
+    ``system`` it uses (:attr:`sim`, :attr:`processes`, :attr:`rng`), not
+    ``system``: hold the system for as long as the service runs.
+    """
 
     def __init__(
         self,
@@ -101,15 +106,19 @@ class LoadTestedService:
             raise ValueError(
                 f"unknown consistency mode {consistency!r}; expected one of {CONSISTENCY_MODES}"
             )
-        self.system = system
         self.consistency = consistency
         self.admission = admission if admission is not None else AdmissionConfig()
-        self.replicated = ReplicatedService(
+        replicated = self.replicated = ReplicatedService(
             system,
             state_machine_factory=state_machine_factory,
             processing_time=processing_time,
         )
-        self.replicated.add_reply_listener(self._on_reply)
+        self.sim, self.processes, self.rng = replicated.sim, replicated.processes, replicated.rng
+        # The first reply to a request is its first A-delivery anywhere: the
+        # replicated layer's listener on the same abcast, registered just
+        # before this one, has recorded it by the time this one runs.
+        for abcast in replicated.abcasts:
+            abcast.add_delivery_listener(lambda bid, _payload: self._on_reply(bid))
         #: Every request ever submitted, in submission order.
         self.requests: List[ServiceRequest] = []
         self._by_broadcast: Dict[Any, ServiceRequest] = {}
@@ -145,7 +154,7 @@ class LoadTestedService:
         the request finishes -- immediately for shed requests and local
         reads, at the first A-delivery for ordered commands.
         """
-        now = self.system.sim.now
+        now = self.sim.now
         request = ServiceRequest(
             index=len(self.requests),
             command=command,
@@ -159,7 +168,7 @@ class LoadTestedService:
         if self.consistency == "local" and command.operation == "get":
             request.status = "local"
             self.local_reads += 1
-            self._observe_request(now, command.client, "local")
+            self._observe_request(request, "local")
             reply = self.replicated.read_local(sender, command)
             self._complete(request, reply, shed=False)
             return request
@@ -173,14 +182,14 @@ class LoadTestedService:
             self._queue.append(request)
             if len(self._queue) > self.queue_depth_hwm:
                 self.queue_depth_hwm = len(self._queue)
-            self._observe_request(now, command.client, "queued")
-            obs = self.system.obs
+            self._observe_request(request, "queued")
+            obs = self.processes[sender].obs
             if obs is not None:
                 obs.gauge_max("service.queue_depth_hwm", len(self._queue))
             return request
         request.status = "shed"
         self.shed += 1
-        self._observe_request(now, command.client, "shed")
+        self._observe_request(request, "shed")
         self._complete(request, reply=None, shed=True)
         return request
 
@@ -192,53 +201,52 @@ class LoadTestedService:
         on_complete: Optional[Callable[[ServiceRequest], None]] = None,
     ) -> None:
         """Schedule a submission at an absolute simulation time."""
-        self.system.sim.post_at(time, self.submit, sender, command, on_complete)
+        self.sim.post_at(time, self.submit, sender, command, on_complete)
 
     # ------------------------------------------------------------------ internals
 
-    def _observe_request(self, now: float, client: int, status: str) -> None:
-        obs = self.system.obs
+    def _observe_request(self, request: ServiceRequest, status: str) -> None:
+        obs = self.processes[request.sender].obs
         if obs is not None:
-            obs.service_request(now, client, status)
+            obs.service_request(self.sim.now, request.command.client, status)
 
     def _admit(self, request: ServiceRequest) -> None:
         self._inflight += 1
         if self._inflight > self.inflight_hwm:
             self.inflight_hwm = self._inflight
+        obs = self.processes[request.sender].obs
         if request.status != "queued":
             self.admitted += 1
-            self._observe_request(self.system.sim.now, request.command.client, "admitted")
-        obs = self.system.obs
+            self._observe_request(request, "admitted")
         if obs is not None:
             obs.gauge_max("service.inflight_hwm", self._inflight)
         request.client_request = self.replicated.submit(request.sender, request.command)
         self._by_broadcast[request.client_request.broadcast_id] = request
 
-    def _on_reply(self, client_request: ClientRequest) -> None:
-        request = self._by_broadcast.pop(client_request.broadcast_id, None)
+    def _on_reply(self, broadcast_id) -> None:
+        request = self._by_broadcast.pop(broadcast_id, None)
         if request is None:
-            # A request submitted directly on the replicated layer
-            # (mixed use is legal); the window never accounted for it.
+            # Not a first delivery, or a request submitted directly on the
+            # replicated layer (mixed use is legal); the window never
+            # accounted for it.
             return
         self._inflight -= 1
-        self._complete(request, client_request.reply, shed=False)
+        self._complete(request, request.client_request.reply, shed=False)
         while self._queue and (
             self.admission.max_inflight <= 0 or self._inflight < self.admission.max_inflight
         ):
             self._admit(self._queue.popleft())
 
     def _complete(self, request: ServiceRequest, reply: Any, shed: bool) -> None:
-        request.completed_at = self.system.sim.now
+        request.completed_at = self.sim.now
         request.reply = reply
         request.shed = shed
         if request.status == "local":
-            obs = self.system.obs
+            obs = self.processes[request.sender].obs
             if obs is not None:
                 # Ordered commands are reported by the replication layer at
                 # first A-delivery; the local read path never gets there.
-                obs.service_reply(
-                    self.system.sim.now, request.command.client, request.response_time
-                )
+                obs.service_reply(self.sim.now, request.command.client, request.response_time)
         for callback in list(request.callbacks):
             callback(request)
         for listener in list(self._completion_listeners):

@@ -38,12 +38,16 @@ class ClientRequest:
         return self.first_reply_at - self.submitted_at
 
 
-#: Called when a submitted request gets its first reply.
-ReplyListener = Callable[[ClientRequest], None]
-
-
 class ReplicatedService:
-    """Active replication of a state machine over atomic broadcast."""
+    """Active replication of a state machine over atomic broadcast.
+
+    The service keeps the parts of ``system`` it uses -- the kernel, the
+    processes, their abcasts and the random streams its client populations
+    draw from -- and not ``system`` itself: the delivery listeners it hangs
+    on the abcasts never reach back to the system, so the caller's last
+    reference to the system still decides when it is freed.  Hold the
+    system for as long as the service runs.
+    """
 
     def __init__(
         self,
@@ -51,52 +55,37 @@ class ReplicatedService:
         state_machine_factory: Callable[[], StateMachine] = KeyValueStore,
         processing_time: float = 0.0,
     ) -> None:
-        self.system = system
+        self.sim = system.sim
+        self.rng = system.rng
+        self.processes = system.processes
+        self.abcasts = system.abcasts
         self.processing_time = processing_time
-        self.replicas: Dict[int, StateMachine] = {
-            pid: state_machine_factory() for pid in range(system.config.n)
-        }
+        n = len(self.processes)
+        self.replicas: Dict[int, StateMachine] = {pid: state_machine_factory() for pid in range(n)}
         #: Commands applied by each replica, in application order.
-        self.applied_log: Dict[int, List[Command]] = {
-            pid: [] for pid in range(system.config.n)
-        }
+        self.applied_log: Dict[int, List[Command]] = {pid: [] for pid in range(n)}
         self.requests: Dict[BroadcastID, ClientRequest] = {}
-        self._reply_listeners: List[ReplyListener] = []
-        self._wire()
-
-    # ------------------------------------------------------------------ wiring
-
-    def _wire(self) -> None:
-        for pid in range(self.system.config.n):
-            self.system.abcast(pid).add_delivery_listener(
+        for pid, abcast in enumerate(self.abcasts):
+            abcast.add_delivery_listener(
                 lambda bid, payload, _pid=pid: self._on_delivery(_pid, bid, payload)
             )
-
-    def add_reply_listener(self, listener: ReplyListener) -> None:
-        """Subscribe to first replies: ``listener(request)`` once per request.
-
-        The listener fires at the first A-delivery of the request anywhere
-        in the group (the client-perceived completion instant); the load
-        layer's closed-loop clients and admission window drain on it.
-        """
-        self._reply_listeners.append(listener)
 
     # ------------------------------------------------------------------ client API
 
     def submit(self, sender: int, command: Command) -> ClientRequest:
         """Submit ``command`` through replica ``sender`` (at the current time)."""
-        broadcast_id = self.system.broadcast(sender, command)
+        broadcast_id = self.abcasts[sender].broadcast(command)
         request = ClientRequest(
             command=command,
             broadcast_id=broadcast_id,
-            submitted_at=self.system.sim.now,
+            submitted_at=self.sim.now,
         )
         self.requests[broadcast_id] = request
         return request
 
     def submit_at(self, time: float, sender: int, command: Command) -> None:
         """Schedule a command submission at an absolute simulation time."""
-        self.system.sim.post_at(time, self.submit, sender, command)
+        self.sim.post_at(time, self.submit, sender, command)
 
     def read_local(self, pid: int, command: Command) -> Any:
         """Serve a read from replica ``pid``'s local state, bypassing broadcast.
@@ -123,15 +112,11 @@ class ReplicatedService:
         self.applied_log[pid].append(payload)
         request = self.requests.get(broadcast_id)
         if request is not None and request.first_reply_at is None:
-            request.first_reply_at = self.system.sim.now + self.processing_time
+            request.first_reply_at = self.sim.now + self.processing_time
             request.reply = reply
-            obs = self.system.obs
+            obs = self.processes[pid].obs
             if obs is not None:
-                obs.service_reply(
-                    self.system.sim.now, payload.client, request.response_time
-                )
-            for listener in list(self._reply_listeners):
-                listener(request)
+                obs.service_reply(self.sim.now, payload.client, request.response_time)
 
     # ------------------------------------------------------------------ inspection
 
@@ -149,9 +134,10 @@ class ReplicatedService:
 
     def replicas_consistent(self) -> bool:
         """Whether all *correct* replicas applied the same command prefix."""
-        correct = self.system.correct_processes()
         logs = [
-            [cmd for cmd in self.applied_log[pid]] for pid in correct
+            self.applied_log[pid]
+            for pid, process in enumerate(self.processes)
+            if not process.crashed
         ]
         if not logs:
             return True

@@ -70,13 +70,16 @@ def run_service_load(
 
         warmup_count = int(math.ceil(num_requests * DEFAULT_WARMUP_FRACTION))
         total = warmup_count + num_requests
-        outstanding = {"count": num_requests}
+        # Each request completes once, so the last measured completion means
+        # every request was issued.  The listener holds the kernel's stop and
+        # a counter: nothing of the service or the clients.
+        stop, outstanding = system.sim.stop, [num_requests]
 
         def on_complete(request) -> None:
             if request.index >= warmup_count:
-                outstanding["count"] -= 1
-                if outstanding["count"] <= 0 and population.issued >= total:
-                    system.sim.stop()
+                outstanding[0] -= 1
+                if outstanding[0] == 0:
+                    stop()
 
         service.add_completion_listener(on_complete)
 

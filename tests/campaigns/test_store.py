@@ -80,11 +80,14 @@ class TestDurabilityModes:
         with pytest.raises(ValueError):
             ResultStore(str(tmp_path), durability="batch", flush_every=0)
 
-    def test_fsync_mode_is_durable_per_put(self, tmp_path):
-        store = ResultStore(str(tmp_path), durability="fsync")
+    # On the disk, not the suite's tmpfs: an fsync there is real work, and a
+    # store bug that only a disk-backed file system shows must fail here.
+    @pytest.mark.real_filesystem
+    def test_fsync_mode_is_durable_per_put(self, real_tmp_path):
+        store = ResultStore(str(real_tmp_path), durability="fsync")
         store.put("k", {"measured": 1})
         # Visible to an independent reader before close/flush.
-        assert ResultStore(str(tmp_path)).get("k") == {"measured": 1}
+        assert ResultStore(str(real_tmp_path)).get("k") == {"measured": 1}
         store.close()
 
     def test_batch_mode_flushes_every_n_puts(self, tmp_path):

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import contextlib
+import os
 import pathlib
 import random
 import re
+import shutil
 import sys
+import tempfile
 import time
 import types
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import pytest
 from hypothesis import settings
@@ -32,6 +35,57 @@ from repro.sim.rng import RandomStreams
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("explore", derandomize=False, print_blob=True)
 settings.load_profile("tier1")
+
+
+# --------------------------------------------------------------------------- temporary files
+
+# The store tests fsync on every put, and on a disk-backed temporary
+# directory those syncs dominate the suite's wall time.  So when /dev/shm is
+# a writable tmpfs, each run puts pytest's base temp directory and
+# ``tempfile``'s default (``TMPDIR`` too, for worker processes) in a fresh
+# directory there, removed when the run ends.  An explicit ``--basetemp``
+# wins.  Tests marked ``real_filesystem`` keep the disk through the
+# ``real_tmp_path`` fixture, so a bug only a real file system shows still has
+# a witness.
+_REAL_TMPDIR = tempfile.gettempdir()
+_RUN_TMPDIR: Optional[str] = None
+
+
+def _writable_tmpfs(path: str = "/dev/shm") -> bool:
+    try:
+        with open("/proc/mounts", encoding="utf-8") as mounts:
+            fs_types = {
+                fields[1]: fields[2] for fields in map(str.split, mounts) if len(fields) > 2
+            }
+    except OSError:
+        return False
+    return fs_types.get(path) == "tmpfs" and os.access(path, os.W_OK)
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_configure(config) -> None:
+    global _RUN_TMPDIR
+    config.addinivalue_line(
+        "markers",
+        "real_filesystem: runs in the disk-backed temporary directory (real_tmp_path)",
+    )
+    if config.option.basetemp or not _writable_tmpfs():
+        return
+    _RUN_TMPDIR = tempfile.mkdtemp(prefix="repro-tests-", dir="/dev/shm")
+    tempfile.tempdir = os.environ["TMPDIR"] = _RUN_TMPDIR
+    config.option.basetemp = os.path.join(_RUN_TMPDIR, "pytest")
+
+
+def pytest_unconfigure(config) -> None:
+    if _RUN_TMPDIR is not None:
+        shutil.rmtree(_RUN_TMPDIR, ignore_errors=True)
+
+
+@pytest.fixture
+def real_tmp_path() -> Iterator[pathlib.Path]:
+    """A fresh directory under the temporary directory the run started with."""
+    with tempfile.TemporaryDirectory(dir=_REAL_TMPDIR) as path:
+        yield pathlib.Path(path)
 
 
 # --------------------------------------------------------------------------- helpers

@@ -1,5 +1,7 @@
 """Unit tests for the Chandra-Toueg consensus implementation."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.consensus import ConsensusInstance
@@ -297,3 +299,60 @@ class TestCatchUpRoundSkipping:
         instance._skip_rounds(2, 5)
         # rounds 2 and 3 have other coordinators (1, 2); round 4 is our own
         assert instance._nacked_round == {2, 3}
+        assert instance.rounds_skipped == 3
+
+
+def summed_counters(services):
+    totals = Counter()
+    for service in services:
+        totals.update(service.counters())
+    return totals
+
+
+class TestCounters:
+    """The per-instance diagnostics: plain counters, no event, no RNG draw."""
+
+    def steady(self, read_counters=False):
+        from repro import SystemConfig, build_system
+        from repro.scenarios.runner import ScenarioRunner, SteadyStateSpec
+
+        spec = SteadyStateSpec("normal-steady", SystemConfig(n=5, seed=4), 300.0, 60)
+        system = build_system(spec.config)
+        reads = []
+        if read_counters:
+            services = system.consensus_services
+            system.abcasts[0].add_delivery_listener(
+                lambda _bid, _payload: reads.append(summed_counters(services))
+            )
+        result = ScenarioRunner().run_steady_on(system, spec)
+        return system, result, reads
+
+    def test_a_suspicion_free_run_decides_every_instance_in_its_first_round(self):
+        system, _result, _reads = self.steady()
+        totals = summed_counters(system.consensus_services)
+        assert totals["decisions"] > 0
+        # The run stops at its last measured delivery: the instances still
+        # open then have entered their first round too.
+        assert totals["rounds"] == totals["decisions"] + totals["open"]
+        assert totals["abandoned_nacked"] == totals["abandoned_silent"] == 0
+        assert totals["rounds_skipped"] == 0
+        assert totals["decision_ms"] > 0
+
+    def test_reading_the_counters_leaves_the_run_unchanged(self):
+        _system, plain, _ = self.steady()
+        _system, read, reads = self.steady(read_counters=True)
+        assert len(reads) >= 60
+        assert read.events == plain.events
+        assert read.observed_digest == plain.observed_digest
+
+    def test_wrong_suspicions_show_in_the_counters(self):
+        harness = ConsensusHarness(
+            n=3, qos=QoSConfig(mistake_recurrence_time=5.0, mistake_duration=0.0), seed=3
+        )
+        harness.start()
+        for k in range(10):
+            harness.propose_all(("c", k), [f"{k}-a", f"{k}-b", f"{k}-c"])
+        harness.run(until=20_000.0)
+        totals = summed_counters(harness.services)
+        assert totals["decisions"] == 30
+        assert totals["rounds"] > totals["decisions"]

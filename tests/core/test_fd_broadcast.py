@@ -66,7 +66,7 @@ class TestAggregation:
         for i in range(20):
             system.broadcast_at(1.0 + 0.1 * i, i % 3, f"m{i}")
         system.run(until=1000.0)
-        instances = system.abcasts[0]._last_decided
+        instances = system.abcasts[0].log.length
         assert all(len(seq) == 20 for seq in system.delivery_sequences().values())
         assert instances <= 12
 
@@ -128,7 +128,7 @@ class TestRenumbering:
         system.run(until=5000.0)
         abcast = system.abcasts[1]
         # After a while the coordinator order must start with a live process.
-        order = abcast._coordinator_order_for(abcast._last_decided + 1)
+        order = abcast._coordinator_order_for(abcast.log.length + 1)
         assert order[0] != 0
         assert all(len(seq) == 12 for pid, seq in system.delivery_sequences().items() if pid != 0)
 

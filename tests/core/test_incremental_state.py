@@ -18,6 +18,7 @@ import pytest
 from repro import QoSConfig, SystemConfig, build_system
 from repro.core.consensus import ConsensusService
 from repro.core.fd_broadcast import FDAtomicBroadcast
+from repro.core.log import FETCH, FETCHED
 from repro.core.sequencer_broadcast import SequencerAtomicBroadcast
 from repro.scenarios import (
     run_churn_steady,
@@ -254,14 +255,14 @@ class TestWhatACursorWouldBreak:
         follower = system.abcasts[1]
         vid = follower._view_id
         acks = self.sent_by(system, 1, _ACK)
-        requests = self.sent_by(system, 1, "RETR_REQ")
+        requests = self.sent_by(system, 1, FETCH)
         first, second = (2, 1), (2, 2)
 
         # Batch 1 orders a message whose DATA never reached this process.
         follower.on_message(0, ("SEQ", vid, 1, ((1, first),), 0))
         assert follower._unacked_batches == {1}
         assert acks == []
-        assert requests == [("RETR_REQ", vid, (first,))]
+        assert requests == [(FETCH, vid, None, (first,))]
 
         # Batch 2 is complete here: it is acknowledged while 1 still waits.
         follower.on_message(2, ("DATA", vid, second, "second"))
@@ -271,10 +272,10 @@ class TestWhatACursorWouldBreak:
         assert len(requests) == 1  # asked once, not on every pass
 
         # The retransmitted payload releases batch 1 -- exactly once.
-        follower.on_message(0, ("RETR_RESP", vid, ((first, "first"),)))
+        follower.on_message(0, (FETCHED, vid, (), ((first, "first"),)))
         assert acks == [(_ACK, vid, 2), (_ACK, vid, 1)]
         assert follower._unacked_batches == set()
-        follower.on_message(0, ("RETR_RESP", vid, ((first, "first"),)))
+        follower.on_message(0, (FETCHED, vid, (), ((first, "first"),)))
         assert len(acks) == 2
 
         # Delivery still follows the batch order.
@@ -337,7 +338,7 @@ class TestWhatACursorWouldBreak:
         vid = follower._view_id
         first, second = (2, 1), (2, 2)
         follower.on_message(0, ("SEQ", vid, 1, ((1, first),), 0))
-        follower.on_message(0, ("RETR_RESP", vid, ((first, "first"),)))
+        follower.on_message(0, (FETCHED, vid, (), ((first, "first"),)))
         # Batch 1 went stable (everyone acknowledged) before its DELIVER or
         # its original DATA made it here.
         follower.on_message(0, ("SEQ", vid, 2, ((2, second),), 1))

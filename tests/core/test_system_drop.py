@@ -106,16 +106,22 @@ def collector_off():
         gc.enable()
 
 
-def test_a_held_service_keeps_its_system_runnable(collector_off):
-    service = ReplicatedService(build_system(SystemConfig(n=3)))
-    system = weakref.ref(service.system)
+def test_a_held_service_leaves_its_system_to_the_owner(collector_off):
+    # The service keeps the parts it uses, never the system: the owner holds
+    # the system while the service runs, and dropping it frees the system
+    # however long the service lives on.
+    system = build_system(SystemConfig(n=3))
+    service = ReplicatedService(system)
     for index in range(5):
         service.submit_at(1.0 + index, index % 3, Command("put", f"k{index}", index))
-    service.system.run(until=500.0)
-    assert system() is not None
+    system.run(until=500.0)
     assert len(service.requests) == 5
     assert service.replicas_consistent()
     assert service.replicas[0].get("k4") == 4
+    system_ref = weakref.ref(system)
+    del system
+    assert system_ref() is None
+    assert vars(service.processes[0]) == {}
 
 
 def test_a_part_kept_past_its_system_is_dead(collector_off):

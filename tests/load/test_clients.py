@@ -10,7 +10,7 @@ from repro.sim.rng import RandomStreams
 
 def make_service(algorithm="fd", n=3, seed=41, admission=None, **overrides):
     system = build_system(SystemConfig(n=n, stack=algorithm, seed=seed, **overrides))
-    return LoadTestedService(system, admission=admission)
+    return system, LoadTestedService(system, admission=admission)
 
 
 class TestCommandMix:
@@ -92,17 +92,17 @@ class TestCommandMix:
 
 class TestOpenLoop:
     def test_schedules_exactly_count_requests(self, algorithm):
-        service = make_service(algorithm)
+        system, service = make_service(algorithm)
         clients = OpenLoopClients(service, offered_load=100.0, num_clients=3)
         clients.schedule_requests(40)
-        service.system.run(until=10_000.0)
+        system.run(until=10_000.0)
         assert clients.issued == 40
         assert len(service.requests) == 40
 
     def test_uniform_and_poisson_share_the_mean_rate(self):
         times = {}
         for arrival in ("poisson", "uniform"):
-            service = make_service()
+            system, service = make_service()
             clients = OpenLoopClients(
                 service, offered_load=200.0, arrival=arrival
             )
@@ -113,9 +113,9 @@ class TestOpenLoop:
 
     def test_identical_seeds_identical_runs(self, algorithm):
         def signature():
-            service = make_service(algorithm, seed=77)
+            system, service = make_service(algorithm, seed=77)
             OpenLoopClients(service, offered_load=150.0, num_clients=2).schedule_requests(30)
-            service.system.run(until=10_000.0)
+            system.run(until=10_000.0)
             return [
                 (r.command.operation, r.command.key, r.submitted_at, r.completed_at)
                 for r in service.requests
@@ -124,7 +124,7 @@ class TestOpenLoop:
         assert signature() == signature()
 
     def test_invalid_parameters_rejected(self):
-        service = make_service()
+        system, service = make_service()
         with pytest.raises(ValueError):
             OpenLoopClients(service, offered_load=0.0)
         with pytest.raises(ValueError):
@@ -133,18 +133,18 @@ class TestOpenLoop:
             OpenLoopClients(service, offered_load=10.0, num_clients=0)
 
     def test_crashed_ingress_is_skipped(self):
-        service = make_service(n=3)
-        service.system.start()
-        service.system.process(0).crash()
+        system, service = make_service(n=3)
+        system.start()
+        system.process(0).crash()
         clients = OpenLoopClients(service, offered_load=100.0, num_clients=6)
         clients.schedule_requests(30)
-        service.system.run(until=10_000.0)
+        system.run(until=10_000.0)
         assert all(request.sender != 0 for request in service.requests)
 
 
 class TestClosedLoop:
     def test_each_client_keeps_one_request_outstanding(self, algorithm):
-        service = make_service(algorithm)
+        system, service = make_service(algorithm)
         population = ClosedLoopClients(service, num_clients=4, think_time=10.0)
         in_flight = {}
         max_outstanding = [0]
@@ -164,32 +164,32 @@ class TestClosedLoop:
 
         service.submit = tracking_submit
         population.start(total_requests=60)
-        service.system.run(until=100_000.0)
+        system.run(until=100_000.0)
         assert population.issued == 60
         assert max_outstanding[0] == 1
 
     def test_stops_after_total_requests(self, algorithm):
-        service = make_service(algorithm)
+        system, service = make_service(algorithm)
         population = ClosedLoopClients(service, num_clients=3, think_time=2.0)
         population.start(total_requests=25)
-        service.system.run(until=100_000.0)
+        system.run(until=100_000.0)
         assert population.issued == 25
         assert sum(1 for r in service.requests if r.completed) == 25
 
     def test_zero_think_time_with_shedding_terminates(self):
         # Every shed completes synchronously; the population must re-submit
         # through the kernel instead of recursing.
-        service = make_service(
+        system, service = make_service(
             n=3, admission=AdmissionConfig(max_inflight=1, max_queue=0)
         )
         population = ClosedLoopClients(service, num_clients=5, think_time=0.0)
         population.start(total_requests=300)
-        service.system.run(until=100_000.0)
+        system.run(until=100_000.0)
         assert population.issued == 300
         assert service.shed > 0
 
     def test_cannot_start_twice(self):
-        service = make_service()
+        system, service = make_service()
         population = ClosedLoopClients(service, num_clients=2, think_time=1.0)
         population.start(total_requests=5)
         with pytest.raises(RuntimeError):
@@ -197,4 +197,4 @@ class TestClosedLoop:
 
     def test_negative_think_time_rejected(self):
         with pytest.raises(ValueError):
-            ClosedLoopClients(make_service(), num_clients=2, think_time=-1.0)
+            ClosedLoopClients(make_service()[1], num_clients=2, think_time=-1.0)

@@ -17,7 +17,7 @@ from repro.scenarios.faults import CrashAt, FaultSchedule, RecoverAt
 def make_service(algorithm="fd", n=3, seed=61, **kwargs):
     overrides = kwargs.pop("config", {})
     system = build_system(SystemConfig(n=n, stack=algorithm, seed=seed, **overrides))
-    return LoadTestedService(system, **kwargs)
+    return system, LoadTestedService(system, **kwargs)
 
 
 def put(i, client=0):
@@ -26,19 +26,18 @@ def put(i, client=0):
 
 class TestAdmission:
     def test_unbounded_window_admits_everything(self, algorithm):
-        service = make_service(algorithm)
+        system, service = make_service(algorithm)
         for i in range(20):
             service.submit_at(1.0 + i, 0, put(i))
-        service.system.run(until=5000.0)
+        system.run(until=5000.0)
         assert service.outcome_counts() == {
             "admitted": 20, "queued": 0, "shed": 0, "local_reads": 0
         }
 
     def test_window_queues_then_sheds(self):
-        service = make_service(
+        system, service = make_service(
             admission=AdmissionConfig(max_inflight=2, max_queue=3)
         )
-        system = service.system
         system.start()
         statuses = [service.submit(0, put(i)).status for i in range(7)]
         assert statuses == [
@@ -56,10 +55,10 @@ class TestAdmission:
         assert all(r.response_time is not None for r in completed)
 
     def test_shed_requests_complete_immediately_without_reply(self):
-        service = make_service(
+        system, service = make_service(
             admission=AdmissionConfig(max_inflight=1, max_queue=0)
         )
-        service.system.start()
+        system.start()
         service.submit(0, put(0))
         shed = service.submit(0, put(1))
         assert shed.status == "shed"
@@ -67,23 +66,23 @@ class TestAdmission:
         assert shed.reply is None and shed.response_time is None
 
     def test_queued_requests_complete_in_fifo_order(self):
-        service = make_service(
+        system, service = make_service(
             admission=AdmissionConfig(max_inflight=1, max_queue=8)
         )
-        service.system.start()
+        system.start()
         for i in range(6):
             service.submit(0, put(i))
-        service.system.run(until=10_000.0)
+        system.run(until=10_000.0)
         ordered = [r.command.key for r in service.requests if not r.shed]
         applied = [c.key for c in service.replicated.applied_log[0]]
         assert applied == ordered == [f"k{i}" for i in range(6)]
 
     def test_queueing_delay_counts_into_response_time(self):
-        service = make_service(admission=AdmissionConfig(max_inflight=1, max_queue=8))
-        service.system.start()
+        system, service = make_service(admission=AdmissionConfig(max_inflight=1, max_queue=8))
+        system.start()
         first = service.submit(0, put(0))
         queued = service.submit(0, put(1))
-        service.system.run(until=10_000.0)
+        system.run(until=10_000.0)
         assert queued.response_time > first.response_time
 
     def test_invalid_admission_rejected(self):
@@ -97,11 +96,11 @@ class TestAdmission:
 
 class TestConsistencyModes:
     def test_local_get_bypasses_broadcast_and_window(self):
-        service = make_service(
+        system, service = make_service(
             consistency="local",
             admission=AdmissionConfig(max_inflight=1, max_queue=0),
         )
-        service.system.start()
+        system.start()
         service.submit(0, put(0))  # occupies the whole window
         read = service.submit(0, Command("get", "k0", client=1, request_id=1))
         assert read.status == "local"
@@ -109,21 +108,21 @@ class TestConsistencyModes:
         assert service.local_reads == 1
 
     def test_local_reads_can_be_stale(self):
-        service = make_service(consistency="local")
-        service.system.start()
+        system, service = make_service(consistency="local")
+        system.start()
         service.submit(1, put(0))
         # Read through a different ingress before anything is delivered.
         stale = service.submit(0, Command("get", "k0", client=1, request_id=1))
         assert stale.reply == ("value", None)
-        service.system.run(until=5000.0)
+        system.run(until=5000.0)
         fresh = service.submit(0, Command("get", "k0", client=1, request_id=2))
         assert fresh.reply == ("value", 0)
 
     def test_ordered_mode_orders_reads_too(self, algorithm):
-        service = make_service(algorithm, consistency="ordered")
+        system, service = make_service(algorithm, consistency="ordered")
         service.submit_at(1.0, 0, put(0))
         service.submit_at(2.0, 0, Command("get", "k0", client=1, request_id=1))
-        service.system.run(until=5000.0)
+        system.run(until=5000.0)
         assert service.local_reads == 0
         get_request = service.requests[1]
         assert get_request.reply == ("value", 0)
@@ -137,14 +136,13 @@ class TestFaultSchedules:
     """Satellite: the service under crash/recovery fault schedules."""
 
     def crashy_run(self, algorithm, *, recover_at=None, seed=71):
-        service = make_service(
+        system, service = make_service(
             algorithm,
             n=4,
             seed=seed,
             admission=AdmissionConfig(max_inflight=16, max_queue=32),
             config={"fd": QoSConfig(detection_time=10.0)},
         )
-        system = service.system
         clients = OpenLoopClients(
             service, offered_load=150.0, num_clients=4, senders=[1, 2, 3]
         )
@@ -154,10 +152,10 @@ class TestFaultSchedules:
             faults.add(RecoverAt(recover_at, 0))
         faults.apply(system)
         system.run(until=20_000.0)
-        return service
+        return system, service
 
     def test_crash_mid_load_keeps_applied_logs_convergent(self, algorithm):
-        service = self.crashy_run(algorithm)
+        _system, service = self.crashy_run(algorithm)
         assert service.replicas_consistent()
         # The survivors all applied every completed request.
         completed = [r for r in service.requests if r.response_time is not None]
@@ -166,17 +164,17 @@ class TestFaultSchedules:
             assert len(service.replicated.applied_log[pid]) == 60
 
     def test_crash_recover_mid_load_converges(self, algorithm):
-        service = self.crashy_run(algorithm, recover_at=400.0)
+        _system, service = self.crashy_run(algorithm, recover_at=400.0)
         assert service.replicas_consistent()
         completed = [r for r in service.requests if r.response_time is not None]
         assert len(completed) == 60
 
     def test_no_lost_or_duplicate_replies_for_acknowledged_requests(self, algorithm):
-        service = self.crashy_run(algorithm, recover_at=400.0)
+        system, service = self.crashy_run(algorithm, recover_at=400.0)
         acknowledged = [r for r in service.requests if r.response_time is not None]
         # Every acknowledged request is applied exactly once per correct
         # replica: no duplicates (idempotent delivery) and no losses.
-        for pid in service.system.correct_processes():
+        for pid in system.correct_processes():
             log = service.replicated.applied_log[pid]
             ids = [(c.client, c.request_id) for c in log]
             assert len(ids) == len(set(ids))
@@ -186,7 +184,7 @@ class TestFaultSchedules:
                 assert key in applied
 
     def test_completion_fires_exactly_once_per_request(self, algorithm):
-        service = make_service(
+        system, service = make_service(
             algorithm,
             n=4,
             admission=AdmissionConfig(max_inflight=4, max_queue=8),
@@ -202,14 +200,14 @@ class TestFaultSchedules:
             service, num_clients=6, think_time=5.0, senders=[1, 2, 3]
         )
         population.start(total_requests=80)
-        FaultSchedule([CrashAt(50.0, 0), RecoverAt(300.0, 0)]).apply(service.system)
-        service.system.run(until=60_000.0)
+        FaultSchedule([CrashAt(50.0, 0), RecoverAt(300.0, 0)]).apply(system)
+        system.run(until=60_000.0)
         assert population.issued == 80
         assert sorted(completions) == list(range(80))
         assert all(count == 1 for count in completions.values())
 
     def test_batched_service_survives_crash_schedule(self, algorithm):
-        service = make_service(
+        system, service = make_service(
             algorithm,
             n=4,
             seed=73,
@@ -220,7 +218,6 @@ class TestFaultSchedules:
                 "max_delay": 3.0,
             },
         )
-        system = service.system
         clients = OpenLoopClients(
             service, offered_load=200.0, num_clients=4, senders=[1, 2, 3]
         )
@@ -236,11 +233,10 @@ class TestInstrumentation:
     def test_service_hooks_feed_the_metrics_snapshot(self):
         from repro.obs.export import metrics_snapshot
 
-        service = make_service(
+        system, service = make_service(
             admission=AdmissionConfig(max_inflight=2, max_queue=2),
             config={"instrument": True},
         )
-        system = service.system
         system.start()
         mix = CommandMix(put=1.0, get=0.0, increment=0.0, delete=0.0)
         clients = OpenLoopClients(service, offered_load=500.0, mix=mix)

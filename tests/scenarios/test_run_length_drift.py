@@ -1,0 +1,48 @@
+"""A steady point's latency must not depend on how long the point runs.
+
+At n = 7, T = 300/s, T_M = 0 and T_MR = 100 ms (seed 1), FD's mean latency
+doubles when the run doubles: 697.5 ms at 150 messages, 1 485.7 ms at 300.
+GM, on the same cell, holds 61.4 -> 60.6 ms.  The FD pin is a strict xfail:
+the fix ROADMAP 16 asks for turns it into a strict XPASS, which fails the
+suite until the marker goes.
+"""
+
+import statistics
+
+import pytest
+
+from repro import SystemConfig
+from repro.scenarios.registry import run_kind
+
+#: Largest accepted change of the mean latency from 150 to 300 messages.
+DRIFT = 1.25
+
+
+def mean_latency(stack, messages):
+    result = run_kind(
+        "suspicion-steady",
+        SystemConfig(n=7, stack=stack, seed=1),
+        300.0,
+        messages,
+        mistake_recurrence_time=100.0,
+        mistake_duration=0.0,
+    )
+    assert result.undelivered == 0
+    return statistics.fmean(result.latencies)
+
+
+def run_length_drift(stack):
+    return mean_latency(stack, 300) / mean_latency(stack, 150)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 16: FD's latency grows with run length under frequent wrong suspicions",
+)
+def test_fd_latency_is_flat_in_run_length():
+    assert 1 / DRIFT <= run_length_drift("fd") <= DRIFT
+
+
+def test_gm_latency_is_flat_in_run_length():
+    assert 1 / DRIFT <= run_length_drift("gm") <= DRIFT
