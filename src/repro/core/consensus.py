@@ -495,22 +495,13 @@ class ConsensusService(Component):
 
     protocol = "consensus"
 
-    def __init__(
-        self,
-        process: SimProcess,
-        rbcast: ReliableBroadcast,
-        abandon_grace: Optional[float] = None,
-    ) -> None:
+    def __init__(self, process: SimProcess, rbcast: ReliableBroadcast) -> None:
         super().__init__(process)
         self.rbcast = rbcast
         network_config = process.network.config
         #: Grace period before a coordinator abandons a round that is blocked
         #: only by suspicions (roughly one acknowledgement round-trip).
-        self.abandon_grace = (
-            abandon_grace
-            if abandon_grace is not None
-            else 2 * (2 * network_config.lambda_cpu + network_config.network_time) + 2.0
-        )
+        self.abandon_grace = 2 * (2 * network_config.lambda_cpu + network_config.network_time) + 2.0
         self._instances: Dict[Hashable, ConsensusInstance] = {}
         # Undecided subset of ``_instances``, maintained on creation and
         # decision: the suspicion sweep runs once per new suspicion (hot

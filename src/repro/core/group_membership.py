@@ -97,6 +97,15 @@ VIEW_CHANGE_IN_PROGRESS = "view_change"
 EXCLUDED = "excluded"
 JOINING = "joining"
 
+#: How long a view change must have been stalled before a trust transition
+#: of a silent co-member triggers a re-announcement (see
+#: :meth:`GroupMembership._on_suspicion_change`).  Well above any healthy
+#: view change's completion time, well below any partition worth surviving;
+#: partitions shorter than this (but longer than the detection time) can
+#: still strand a plain-``gm`` minority -- the reformation timer covers that
+#: window under ``gm-reform``.
+VIEW_CHANGE_REVIVE_AFTER = 50.0
+
 
 class GroupMembership(Component):
     """Primary-partition group membership (protocol ``"gm"``)."""
@@ -107,32 +116,19 @@ class GroupMembership(Component):
         self,
         process: SimProcess,
         consensus: ConsensusService,
-        initial_members: Optional[Sequence[int]] = None,
         join_retry_interval: float = 500.0,
         reformation_timeout: Optional[float] = None,
-        view_change_revive_after: float = 50.0,
     ) -> None:
         super().__init__(process)
         self.consensus = consensus
-        members = tuple(initial_members) if initial_members is not None else tuple(
-            range(process.network.n)
-        )
-        self._view = View(0, members)
+        self._view = View(0, tuple(range(process.network.n)))
         self._last_known_view = self._view
-        self._status = MEMBER if self.pid in members else EXCLUDED
+        self._status = MEMBER
         self.join_retry_interval = join_retry_interval
         #: How long a view change may stall before this process proposes a
         #: group reformation over the full static process set; ``None``
         #: disables the reformation path entirely (the paper's protocol).
         self.reformation_timeout = reformation_timeout
-        #: How long a view change must have been stalled before a trust
-        #: transition of a silent co-member triggers a re-announcement
-        #: (see :meth:`_on_suspicion_change`).  Well above any healthy
-        #: view change's completion time, well below any partition worth
-        #: surviving; partitions shorter than this (but longer than the
-        #: detection time) can still strand a plain-``gm`` minority -- the
-        #: reformation timer covers that window under ``gm-reform``.
-        self.view_change_revive_after = view_change_revive_after
 
         self._handler: Any = None  # the atomic broadcast layer (set_broadcast_handler)
         self._view_listeners: List[ViewListener] = []
@@ -272,7 +268,7 @@ class GroupMembership(Component):
                 and self._vc_sent
                 and pid in self._view.members
                 and pid not in self._syncs
-                and self.now - self._vc_started_at >= self.view_change_revive_after
+                and self.now - self._vc_started_at >= VIEW_CHANGE_REVIVE_AFTER
             ):
                 # A co-member we never heard a SYNC from is trusted again
                 # while the view change has stalled far past any healthy

@@ -26,22 +26,18 @@ class ReliableBroadcast(Component):
 
     protocol = "rbcast"
 
-    def __init__(self, process: SimProcess, group: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, process: SimProcess) -> None:
         super().__init__(process)
-        n = process.network.n
-        #: Default destination group of :meth:`broadcast`.
-        self.group: Tuple[int, ...] = tuple(group) if group is not None else tuple(range(n))
+        self._group: Tuple[int, ...] = tuple(range(process.network.n))
         self._listeners: List[RBListener] = []
         self._listener_snapshot: tuple = ()
         self._local_seq = 0
         self._delivered: set = set()
-        # Delivered-but-not-stable messages kept for relaying, keyed by rb uid.
-        self._unstable: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...], Any]] = {}
-        # The same entries indexed by origin: the relay sweep runs on every
-        # new suspicion and must only walk the suspect's messages, not the
-        # whole buffer.  ``rb_uid[0]`` is the origin, so both stay in sync.
+        # Delivered messages neither stable nor relayed yet, by origin: the
+        # relay sweep runs on every new suspicion and walks only the
+        # suspect's messages.  A relayed message leaves the buffer, so it is
+        # relayed at most once.
         self._unstable_by_origin: Dict[int, Dict[Tuple[int, int], Tuple[int, Tuple[int, ...], Any]]] = {}
-        self._relayed_for: set = set()
         #: Diagnostic counter: number of relayed messages.
         self.relays = 0
 
@@ -68,7 +64,7 @@ class ReliableBroadcast(Component):
         """
         self._local_seq += 1
         rb_uid = (self.pid, self._local_seq)
-        destinations = tuple(group) if group is not None else self.group
+        destinations = tuple(group) if group is not None else self._group
         if self.pid not in destinations:
             destinations = destinations + (self.pid,)
         self.send(destinations, (_MSG, rb_uid, self.pid, destinations, payload))
@@ -76,14 +72,13 @@ class ReliableBroadcast(Component):
 
     def mark_stable(self, rb_uid: Tuple[int, int]) -> None:
         """Drop ``rb_uid`` from the relay buffer (it is known to be stable)."""
-        if self._unstable.pop(rb_uid, None) is not None:
-            per_origin = self._unstable_by_origin.get(rb_uid[0])
-            if per_origin is not None:
-                per_origin.pop(rb_uid, None)
+        per_origin = self._unstable_by_origin.get(rb_uid[0])
+        if per_origin is not None:
+            per_origin.pop(rb_uid, None)
 
     def unstable_count(self) -> int:
         """Number of messages currently held for potential relaying."""
-        return len(self._unstable)
+        return sum(len(per_origin) for per_origin in self._unstable_by_origin.values())
 
     # ------------------------------------------------------------------ messages
 
@@ -96,7 +91,6 @@ class ReliableBroadcast(Component):
             return
         self._delivered.add(rb_uid)
         entry = (origin, tuple(destinations), payload)
-        self._unstable[rb_uid] = entry
         self._unstable_by_origin.setdefault(origin, {})[rb_uid] = entry
         for listener in self._listener_snapshot:
             listener(origin, rb_uid, payload)
@@ -104,15 +98,12 @@ class ReliableBroadcast(Component):
     # ------------------------------------------------------------------ relaying
 
     def _on_suspicion_change(self, origin: int, suspected: bool) -> None:
-        # Per-origin insertion order equals the origin's relative order in
-        # the full buffer, so relays go out in the historical order.
+        # Per-origin insertion order is the order of R-delivery, so relays go
+        # out in that order.
         per_origin = self._unstable_by_origin.get(origin) if suspected else None
         if not per_origin:
             return
-        relayed = self._relayed_for
-        for rb_uid, (msg_origin, destinations, payload) in list(per_origin.items()):
-            if rb_uid in relayed:
-                continue
-            relayed.add(rb_uid)
+        self._unstable_by_origin[origin] = {}
+        for rb_uid, (msg_origin, destinations, payload) in per_origin.items():
             self.relays += 1
             self.send(destinations, (_MSG, rb_uid, msg_origin, destinations, payload))

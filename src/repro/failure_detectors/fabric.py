@@ -90,14 +90,13 @@ class CrashDetectionFabric:
         self,
         sim: Simulator,
         network: Network,
-        monitored: Optional[Iterable[int]] = None,
         scan_interval: Optional[float] = None,
     ) -> None:
         if scan_interval is not None and scan_interval <= 0:
             raise ValueError(f"scan_interval must be > 0, got {scan_interval}")
         self._sim = sim
         self._network = network
-        pids = list(range(network.n)) if monitored is None else sorted(monitored)
+        pids = list(range(network.n))
         self._detectors: Dict[int, FailureDetector] = {
             pid: self.detector_class(pid, pids) for pid in pids
         }

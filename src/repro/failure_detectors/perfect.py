@@ -13,13 +13,12 @@ available as the ``"perfect"`` fd kind of the stack registry
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.failure_detectors.fabric import CrashDetectionFabric
 from repro.failure_detectors.interface import FailureDetector
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.sim.rng import RandomStreams
 
 
 class PerfectFailureDetector(FailureDetector):
@@ -35,18 +34,13 @@ class PerfectFailureDetectorFabric(CrashDetectionFabric):
         self,
         sim: Simulator,
         network: Network,
-        rng: Optional[RandomStreams] = None,
         detection_time: float = 0.0,
-        monitored: Optional[Iterable[int]] = None,
         scan_interval: Optional[float] = None,
     ) -> None:
         if detection_time < 0:
             raise ValueError(f"detection_time must be >= 0, got {detection_time}")
-        # ``rng`` is accepted (and ignored) so the fabric satisfies the
-        # uniform registry factory signature: a perfect detector draws
-        # nothing random.
         self.detection_time = detection_time
-        super().__init__(sim, network, monitored=monitored, scan_interval=scan_interval)
+        super().__init__(sim, network, scan_interval=scan_interval)
 
     def _detection_time(self, monitor: int, monitored: int) -> float:
         return self.detection_time

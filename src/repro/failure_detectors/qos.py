@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.failure_detectors.fabric import CrashDetectionFabric, Pair
 from repro.failure_detectors.interface import FailureDetector
@@ -167,7 +167,6 @@ class QoSFailureDetectorFabric(CrashDetectionFabric):
         network: Network,
         rng: RandomStreams,
         config: QoSConfig,
-        monitored: Optional[Iterable[int]] = None,
         scan_interval: Optional[float] = None,
     ) -> None:
         self._rng = rng
@@ -177,7 +176,7 @@ class QoSFailureDetectorFabric(CrashDetectionFabric):
         # named streams: same streams, same draw sequence as resolving the
         # stream by name per draw, minus the f-string and dict lookups.
         self._pair_cache: Dict[Pair, Tuple[QoSConfig, Callable[[], float], Callable[[], float]]] = {}
-        super().__init__(sim, network, monitored=monitored, scan_interval=scan_interval)
+        super().__init__(sim, network, scan_interval=scan_interval)
 
     # ------------------------------------------------------------------ hooks
 

@@ -97,7 +97,6 @@ class _ClientPopulation:
         service,
         num_clients: int,
         mix: Optional[CommandMix],
-        rng_name: str,
         senders: Optional[Sequence[int]],
     ) -> None:
         if num_clients < 1:
@@ -108,7 +107,7 @@ class _ClientPopulation:
         self._processes = service.processes
         self.num_clients = num_clients
         self.mix = mix if mix is not None else CommandMix()
-        self._rng = service.rng.stream(rng_name)
+        self._rng = service.rng.stream("load-clients")
         self.senders: List[int] = (
             list(senders) if senders is not None else list(range(len(self._processes)))
         )
@@ -154,10 +153,9 @@ class OpenLoopClients(_ClientPopulation):
         num_clients: int = 1,
         arrival: str = "poisson",
         mix: Optional[CommandMix] = None,
-        rng_name: str = "load-clients",
         senders: Optional[Sequence[int]] = None,
     ) -> None:
-        super().__init__(service, num_clients, mix, rng_name, senders)
+        super().__init__(service, num_clients, mix, senders)
         if offered_load <= 0:
             raise ValueError(f"offered_load must be positive, got {offered_load}")
         if arrival not in ARRIVALS:
@@ -211,10 +209,9 @@ class ClosedLoopClients(_ClientPopulation):
         num_clients: int,
         think_time: float,
         mix: Optional[CommandMix] = None,
-        rng_name: str = "load-clients",
         senders: Optional[Sequence[int]] = None,
     ) -> None:
-        super().__init__(service, num_clients, mix, rng_name, senders)
+        super().__init__(service, num_clients, mix, senders)
         if think_time < 0:
             raise ValueError(f"think_time must be >= 0 ms, got {think_time}")
         self.think_time = think_time

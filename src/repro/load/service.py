@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.replication.service import ClientRequest, ReplicatedService
-from repro.replication.state_machine import Command, KeyValueStore, StateMachine
+from repro.replication.state_machine import Command
 
 #: Consistency modes of the read path.
 CONSISTENCY_MODES = ("ordered", "local")
@@ -99,8 +99,6 @@ class LoadTestedService:
         system,
         consistency: str = "ordered",
         admission: Optional[AdmissionConfig] = None,
-        processing_time: float = 0.0,
-        state_machine_factory: Callable[[], StateMachine] = KeyValueStore,
     ) -> None:
         if consistency not in CONSISTENCY_MODES:
             raise ValueError(
@@ -108,11 +106,7 @@ class LoadTestedService:
             )
         self.consistency = consistency
         self.admission = admission if admission is not None else AdmissionConfig()
-        replicated = self.replicated = ReplicatedService(
-            system,
-            state_machine_factory=state_machine_factory,
-            processing_time=processing_time,
-        )
+        replicated = self.replicated = ReplicatedService(system)
         self.sim, self.processes, self.rng = replicated.sim, replicated.processes, replicated.rng
         # The first reply to a request is its first A-delivery anywhere: the
         # replicated layer's listener on the same abcast, registered just

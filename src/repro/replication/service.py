@@ -7,16 +7,16 @@ time seen by the client is modelled, as in Section 5.1 of the paper, as the
 time of the *first* reply -- which, assuming identical processing and reply
 times across replicas, is the first A-delivery plus a constant.  The
 constant is irrelevant for comparisons, so the recorded response time is the
-first-delivery latency plus the configured processing time.
+first-delivery latency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.types import BroadcastID
-from repro.replication.state_machine import Command, KeyValueStore, StateMachine
+from repro.replication.state_machine import Command, KeyValueStore
 from repro.system import BroadcastSystem
 
 
@@ -49,19 +49,13 @@ class ReplicatedService:
     system for as long as the service runs.
     """
 
-    def __init__(
-        self,
-        system: BroadcastSystem,
-        state_machine_factory: Callable[[], StateMachine] = KeyValueStore,
-        processing_time: float = 0.0,
-    ) -> None:
+    def __init__(self, system: BroadcastSystem) -> None:
         self.sim = system.sim
         self.rng = system.rng
         self.processes = system.processes
         self.abcasts = system.abcasts
-        self.processing_time = processing_time
         n = len(self.processes)
-        self.replicas: Dict[int, StateMachine] = {pid: state_machine_factory() for pid in range(n)}
+        self.replicas: Dict[int, KeyValueStore] = {pid: KeyValueStore() for pid in range(n)}
         #: Commands applied by each replica, in application order.
         self.applied_log: Dict[int, List[Command]] = {pid: [] for pid in range(n)}
         self.requests: Dict[BroadcastID, ClientRequest] = {}
@@ -112,7 +106,7 @@ class ReplicatedService:
         self.applied_log[pid].append(payload)
         request = self.requests.get(broadcast_id)
         if request is not None and request.first_reply_at is None:
-            request.first_reply_at = self.sim.now + self.processing_time
+            request.first_reply_at = self.sim.now
             request.reply = reply
             obs = self.processes[pid].obs
             if obs is not None:

@@ -1,4 +1,4 @@
-"""Deterministic state machines replicated over atomic broadcast."""
+"""The deterministic key-value store replicated over atomic broadcast."""
 
 from __future__ import annotations
 
@@ -13,9 +13,8 @@ class Command:
     Attributes
     ----------
     operation:
-        Operation name, interpreted by the concrete state machine
-        (for the key-value store: ``"put"``, ``"get"``, ``"delete"``,
-        ``"increment"``).
+        Operation name: ``"put"``, ``"get"``, ``"delete"`` or
+        ``"increment"``.
     key / value:
         Operands of the operation.
     client:
@@ -31,19 +30,7 @@ class Command:
     request_id: int = 0
 
 
-class StateMachine:
-    """Base class: apply commands deterministically, produce replies."""
-
-    def apply(self, command: Command) -> Any:
-        """Apply ``command`` and return the reply value."""
-        raise NotImplementedError
-
-    def snapshot(self) -> Any:
-        """A deterministic, comparable snapshot of the full state."""
-        raise NotImplementedError
-
-
-class KeyValueStore(StateMachine):
+class KeyValueStore:
     """A small deterministic key-value store with counters."""
 
     def __init__(self) -> None:

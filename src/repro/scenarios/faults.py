@@ -308,31 +308,27 @@ class PoissonChurn(FaultEvent):
     """Crash-recovery churn: a Poisson process of crashes, each with a downtime.
 
     Crash arrivals form a Poisson process of ``rate`` crashes/s over
-    ``[start, until]``; each crash picks a uniformly random up process and
+    ``[0, until]``; each crash picks a uniformly random up process and
     keeps it down for an exponential downtime of mean ``mean_downtime`` ms.
-    The generator never takes down more than ``max_concurrent`` processes at
-    once (default: the ``f < n/2`` bound of the system), so a churn schedule
-    always keeps a correct majority -- crash arrivals that would violate the
-    bound are dropped.
+    The generator never takes down more than the ``f < n/2`` bound of the
+    system at once, so a churn schedule always keeps a correct majority --
+    crash arrivals that would violate the bound are dropped.
 
-    Expansion is driven by the system's named random stream ``rng_name``:
-    the concrete crash/recovery timeline is a deterministic function of the
+    Expansion is driven by the system's random stream ``"churn"``: the
+    concrete crash/recovery timeline is a deterministic function of the
     system seed.
     """
 
     rate: float
     mean_downtime: float
     until: float
-    start: float = 0.0
-    max_concurrent: Optional[int] = None
-    rng_name: str = "churn"
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
             raise ValueError(f"churn rate must be > 0 crashes/s, got {self.rate}")
         if self.mean_downtime <= 0:
             raise ValueError(f"mean_downtime must be > 0 ms, got {self.mean_downtime}")
-        if self.until <= self.start:
+        if self.until <= 0:
             raise ValueError("the churn window must have positive length")
 
     def expand(
@@ -352,16 +348,12 @@ class PoissonChurn(FaultEvent):
         re-crashes/revives a process another event controls nor exceeds the
         concurrency bound together with those events.
         """
-        rng = RandomStreams(system.config.seed).stream(self.rng_name)
+        rng = RandomStreams(system.config.seed).stream("churn")
         n = system.config.n
-        limit = (
-            self.max_concurrent
-            if self.max_concurrent is not None
-            else system.config.max_tolerated_crashes()
-        )
+        limit = system.config.max_tolerated_crashes()
         events: List[FaultEvent] = []
         down: List[Tuple[float, int]] = []  # (recovery_time, pid), kept sorted
-        time = self.start
+        time = 0.0
         while True:
             time += rng.expovariate(self.rate / 1000.0)
             if time >= self.until:
@@ -566,11 +558,12 @@ class FaultSchedule:
     def max_concurrent_crashes(self, system=None) -> int:
         """Largest number of processes simultaneously down under this schedule.
 
-        Used to validate the ``f < n/2`` bound: scenario drivers refuse
-        schedules that ever take a majority down.  Schedules containing
-        generators (:class:`PoissonChurn`) need ``system`` to expand them;
-        validating one without a system would silently undercount, so it is
-        an error.
+        A check of the ``f < n/2`` bound for callers and tests; no scenario
+        driver runs it (the built-in kinds keep the bound by construction:
+        their params checks cap static crashes, and :class:`PoissonChurn`
+        caps itself).  Schedules containing generators (:class:`PoissonChurn`)
+        need ``system`` to expand them; validating one without a system would
+        silently undercount, so it is an error.
         """
         if system is None and any(
             isinstance(event, PoissonChurn) for event in self.events

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
-from repro.failure_detectors.qos import INFINITY, QoSConfig
+from repro.failure_detectors.qos import QoSConfig
 from repro.metrics.stats import interarrival_from_throughput
 from repro.scenarios.faults import (
     VML_CRASH_TIME,
@@ -54,11 +54,13 @@ from repro.system import SystemConfig
 WAN_FD_SLACK = 2.0
 
 _DETECTION_TIME = Axis(
-    "detection_time", 0.0, "constant crash detection time T_D in ms", "--detection-time"
+    "detection_time", "constant crash detection time T_D in ms", "--detection-time"
 )
-_CRASHES = Axis("crashes", 1, "how many of the highest-numbered processes crash", "--crashes", int)
-_TMR = Axis("mistake_recurrence_time", 1000.0, "mean mistake recurrence time T_MR in ms", "--tmr")
-_TM = Axis("mistake_duration", 0.0, "mean mistake duration T_M in ms", "--tm")
+_CRASHES = Axis(
+    "crashes", "how many of the highest-numbered processes crash", "--crashes", int, default=1
+)
+_TMR = Axis("mistake_recurrence_time", "mean mistake recurrence time T_MR in ms", "--tmr")
+_TM = Axis("mistake_duration", "mean mistake duration T_M in ms", "--tm")
 _MID_WINDOW = "in ms (default: the middle of the arrival window)"
 
 
@@ -180,7 +182,7 @@ register_kind(
 @dataclass(frozen=True)
 class SuspicionSteadyParams:
     #: Means of the detectors' exponential T_MR / T_M, ms.
-    mistake_recurrence_time: float = INFINITY
+    mistake_recurrence_time: float = 1000.0
     mistake_duration: float = 0.0
 
 
@@ -270,10 +272,10 @@ register_kind(
             + ("" if p.sender is None else f" sender=p{p.sender}")
         ),
         axes=(
-            Axis("num_runs", 8, "independent runs per point", "--runs", int),
+            Axis("num_runs", "independent runs per point", "--runs", int),
             _DETECTION_TIME,
-            Axis("crashed_process", 0, "the pid that crashes", "--crashed-process", int),
-            Axis("sender", None, "tagged sender (default: the highest non-crashed pid)"),
+            Axis("crashed_process", "the pid that crashes", "--crashed-process", int),
+            Axis("sender", "tagged sender (default: the highest non-crashed pid)"),
         ),
     )
 )
@@ -323,7 +325,7 @@ register_kind(
         label=lambda p: f" crashed={list(p.crashed)} T_D={p.detection_time:g}",
         axes=(
             _CRASHES,
-            Axis("crash_time", None, f"crash instant {_MID_WINDOW}", "--crash-time"),
+            Axis("crash_time", f"crash instant {_MID_WINDOW}", "--crash-time"),
             _DETECTION_TIME,
         ),
         expand=_expand_crashes,
@@ -337,8 +339,8 @@ register_kind(
 @dataclass(frozen=True)
 class ChurnSteadyParams:
     #: Crash arrivals per second and mean exponential downtime, ms.
-    churn_rate: float = 0.0
-    mean_downtime: float = 0.0
+    churn_rate: float = 1.0
+    mean_downtime: float = 200.0
     detection_time: float = 0.0
 
 
@@ -380,8 +382,8 @@ register_kind(
         validate=_validate_churn,
         label=lambda p: f" churn={p.churn_rate:g}/s downtime={p.mean_downtime:g}ms",
         axes=(
-            Axis("churn_rate", 1.0, "crash arrivals per second", "--churn-rate"),
-            Axis("mean_downtime", 200.0, "mean downtime per crash in ms", "--downtime"),
+            Axis("churn_rate", "crash arrivals per second", "--churn-rate"),
+            Axis("mean_downtime", "mean downtime per crash in ms", "--downtime"),
             _DETECTION_TIME,
         ),
     )
@@ -393,7 +395,7 @@ register_kind(
 
 @dataclass(frozen=True)
 class AsymmetricQosParams:
-    mistake_recurrence_time: float = INFINITY
+    mistake_recurrence_time: float = 1000.0
     mistake_duration: float = 0.0
     #: ``flaky_monitor`` wrongly suspects ``flaky_target``; other pairs are perfect.
     flaky_monitor: int = 1
@@ -444,8 +446,8 @@ register_kind(
         axes=(
             _TMR,
             _TM,
-            Axis("flaky_monitor", 1, "observer of the flaky pair", "--flaky-monitor", int),
-            Axis("flaky_target", 0, "observed process of the flaky pair", "--flaky-target", int),
+            Axis("flaky_monitor", "observer of the flaky pair", "--flaky-monitor", int),
+            Axis("flaky_target", "observed process of the flaky pair", "--flaky-target", int),
         ),
     )
 )
@@ -512,7 +514,6 @@ register_kind(
             _DETECTION_TIME,
             Axis(
                 "crash_time",
-                VML_CRASH_TIME,
                 "blocking crash instant in ms, inside the suspicion window (50, 450)",
                 "--crash-time",
             ),
@@ -563,11 +564,10 @@ register_kind(
             + (f" {p.consistency}" if p.consistency != "ordered" else "")
         ),
         axes=(
-            Axis("clients", 0, "closed-loop client count, 0 = open loop", "--clients", int),
-            Axis("think_time", 0.0, "mean client think time in ms (closed loop)", "--think-time"),
+            Axis("clients", "closed-loop client count, 0 = open loop", "--clients", int),
+            Axis("think_time", "mean client think time in ms (closed loop)", "--think-time"),
             Axis(
                 "consistency",
-                "ordered",
                 "read path: totally ordered or local stale reads",
                 "--consistency",
                 str,
@@ -653,8 +653,8 @@ register_kind(
         validate=_validate_partition,
         label=lambda p: f" T_D={p.detection_time:g} window={p.partition_duration:g}ms",
         axes=(
-            Axis("partition_start", None, f"partition instant {_MID_WINDOW}", "--crash-time"),
-            Axis("partition_duration", 2000.0, "length of the partition in ms", "--fault-duration"),
+            Axis("partition_start", f"partition instant {_MID_WINDOW}", "--crash-time"),
+            Axis("partition_duration", "length of the partition in ms", "--fault-duration"),
             _DETECTION_TIME,
         ),
     )
@@ -718,7 +718,7 @@ register_kind(
         validate=_validate_wan,
         label=lambda p: f" profile={p.wan_profile}",
         axes=(
-            Axis("wan_profile", "wan-3dc", "registered WAN topology name", "--wan-profile", str),
+            Axis("wan_profile", "registered WAN topology name", "--wan-profile", str),
             _DETECTION_TIME,
         ),
     )
@@ -806,16 +806,14 @@ register_kind(
             + (f" loss={p.link_loss:g}" if p.link_loss > 0 else "")
         ),
         axes=(
-            Axis("degraded_pid", 0, "the degraded pid", "--crashed-process", int),
+            Axis("degraded_pid", "the degraded pid", "--crashed-process", int),
             Axis(
-                "degrade_factor", 4.0, "CPU service-time multiplier while degraded",
-                "--degrade-factor",
+                "degrade_factor", "CPU service-time multiplier while degraded", "--degrade-factor"
             ),
-            Axis("degrade_start", None, f"degradation instant {_MID_WINDOW}", "--crash-time"),
-            Axis("degrade_duration", 2000.0, "length of the degradation in ms", "--fault-duration"),
+            Axis("degrade_start", f"degradation instant {_MID_WINDOW}", "--crash-time"),
+            Axis("degrade_duration", "length of the degradation in ms", "--fault-duration"),
             Axis(
-                "link_loss", 0.0, "frame loss probability on the degraded pid's links",
-                "--link-loss",
+                "link_loss", "frame loss probability on the degraded pid's links", "--link-loss"
             ),
             _DETECTION_TIME,
         ),

@@ -37,23 +37,28 @@ from repro.system import SystemConfig
 _POINT_NAMES = {"kind", "throughput", "num_messages", "params", "system"}
 
 
+#: ``Axis.default`` of an axis that names a params field: the field's default.
+_FROM_PARAMS: Any = object()
+
+
 @dataclass(frozen=True)
 class Axis:
     """One sweepable dimension of a kind: a ``grid()`` keyword and CLI flag.
 
     ``name`` is the ``grid()`` keyword -- a field of the kind's params unless
     the kind's ``expand`` hook derives the params from it (``crashes``).
-    ``flag`` is the command-line spelling (``None``: ``grid()`` only), and
-    ``default`` applies to both, so the CLI and a bare ``grid(kind)`` sweep
-    the same point.
+    ``flag`` is the command-line spelling (``None``: ``grid()`` only).  The
+    default of both is the params field's default, so the CLI, a bare
+    ``grid(kind)`` and ``run_kind`` run the same point; only an axis that
+    names no params field declares its own ``default``.
     """
 
     name: str
-    default: Any
     help: str
     flag: Optional[str] = None
     type: Callable[[str], Any] = float
     choices: Optional[Tuple[Any, ...]] = None
+    default: Any = _FROM_PARAMS
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,8 @@ class ScenarioKind:
     label:
         ``label(params)`` -> the kind's fragment of a point's log label.
     axes:
-        The kind's sweep axes (see :class:`Axis`).
+        The kind's sweep axes (see :class:`Axis`), each with its default
+        resolved at registration.
     expand:
         Optional ``expand(n, values) -> params kwargs`` for kinds whose axes
         are not params fields one to one; ``values`` maps every axis name to
@@ -106,6 +112,17 @@ class ScenarioKind:
             raise ValueError(
                 f"{self.name}: params fields {sorted(reserved)} shadow the common core"
             )
+        defaults = {field.name: field.default for field in dataclasses.fields(self.params)}
+        axes = []
+        for axis in self.axes:
+            default = defaults.get(axis.name, axis.default)
+            if default is _FROM_PARAMS or axis.default not in (_FROM_PARAMS, default):
+                raise ValueError(
+                    f"{self.name}: axis {axis.name!r} takes its default from the params "
+                    "field it names; an axis that names none declares its own"
+                )
+            axes.append(dataclasses.replace(axis, default=default))
+        object.__setattr__(self, "axes", tuple(axes))
 
     @functools.cached_property
     def param_names(self) -> Tuple[str, ...]:

@@ -39,10 +39,15 @@ from repro.workload.generator import PoissonWorkload
 
 #: Default number of measured messages per point.
 DEFAULT_MESSAGES = 400
-#: Default fraction of extra messages used to warm the system up.
+#: Fraction of extra messages sent before the measured ones to warm the
+#: system up.
 DEFAULT_WARMUP_FRACTION = 0.2
 #: Hard cap on simulated events, to bound runs where the algorithm thrashes.
 DEFAULT_MAX_EVENTS = 4_000_000
+#: How long a probe run waits for its tagged message, in ms past the probe.
+PROBE_MAX_WAIT = 60_000.0
+#: The payload of a probe run's tagged message.
+PROBE_PAYLOAD = "tagged-transient-message"
 
 
 @dataclass
@@ -53,15 +58,12 @@ class SteadyStateSpec:
     config: SystemConfig
     throughput: float
     num_messages: int = DEFAULT_MESSAGES
-    warmup_fraction: float = DEFAULT_WARMUP_FRACTION
     faults: FaultSchedule = field(default_factory=FaultSchedule)
     #: Workload senders; default: the processes alive after the pre-run faults.
     senders: Optional[Sequence[int]] = None
     #: Redirect arrivals whose chosen sender is down to the next live process
     #: (used by scenarios whose fault schedule crashes processes mid-run).
     reassign_crashed_senders: bool = False
-    max_time: Optional[float] = None
-    max_events: int = DEFAULT_MAX_EVENTS
     params: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -102,9 +104,6 @@ class ProbeSpec:
     probe_sender: int
     probe_time: float
     faults: FaultSchedule = field(default_factory=FaultSchedule)
-    max_wait: float = 60_000.0
-    max_events: int = DEFAULT_MAX_EVENTS
-    payload: Any = "tagged-transient-message"
     #: Shared :class:`repro.obs.Instrumentation` to attach to the fresh
     #: system (the transient driver passes one object across its runs so a
     #: point's counters aggregate over all independent executions).
@@ -249,7 +248,7 @@ class ScenarioRunner:
             reassign_crashed=spec.reassign_crashed_senders,
         )
 
-        warmup_count = int(math.ceil(spec.num_messages * spec.warmup_fraction))
+        warmup_count = int(math.ceil(spec.num_messages * DEFAULT_WARMUP_FRACTION))
         total = warmup_count + spec.num_messages
         measured_ids: Set[BroadcastID] = set()
         outstanding = {"count": spec.num_messages, "all_sent": False}
@@ -279,10 +278,9 @@ class ScenarioRunner:
         last_arrival = workload.schedule_messages(total, start_time=0.0)
         spec.faults.schedule(system)
 
-        max_time = spec.max_time
-        if max_time is None:
-            max_time = arrival_horizon(last_arrival, spec.throughput)
-        system.run(until=max_time, max_events=spec.max_events)
+        system.run(
+            until=arrival_horizon(last_arrival, spec.throughput), max_events=DEFAULT_MAX_EVENTS
+        )
 
         return finish_run(
             system,
@@ -308,7 +306,7 @@ class ScenarioRunner:
             workload = PoissonWorkload(
                 system, spec.throughput, senders=list(range(spec.config.n))
             )
-            horizon = spec.probe_time + spec.max_wait
+            horizon = spec.probe_time + PROBE_MAX_WAIT
             background_count = int(spec.throughput * horizon / 1000.0) + 1
             workload.schedule_messages(background_count, start_time=0.0)
 
@@ -321,7 +319,7 @@ class ScenarioRunner:
                     stop()
 
             def emit_probe() -> None:
-                tagged["id"] = probe_abcast.broadcast(spec.payload)
+                tagged["id"] = probe_abcast.broadcast(PROBE_PAYLOAD)
 
             system.add_delivery_listener(on_delivery)
             # The fault events are scheduled first so that, at the probe instant,
@@ -329,7 +327,7 @@ class ScenarioRunner:
             # "p crashes and q A-broadcasts m at the same time t".
             spec.faults.schedule(system)
             system.sim.post_at(spec.probe_time, emit_probe)
-            system.run(until=horizon, max_events=spec.max_events)
+            system.run(until=horizon, max_events=DEFAULT_MAX_EVENTS)
 
         tagged_id = tagged.get("id")
         if tagged_id is None:

@@ -50,7 +50,8 @@ def measure_crash_transient(
     of the probe described above, each on a fresh system (and seed), with
     the crash at :data:`CRASH_TIME` and ``sender=None`` meaning the highest
     non-crashed pid.  A run ends as soon as the tagged message is delivered
-    somewhere (or :class:`ProbeSpec` ``max_wait`` past the crash).
+    somewhere (or :data:`~repro.scenarios.runner.PROBE_MAX_WAIT` ms past the
+    crash).
     """
     if sender is None:
         sender = config.n - 1 if crashed_process != config.n - 1 else config.n - 2

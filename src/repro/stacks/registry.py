@@ -394,7 +394,6 @@ def _perfect_fabric(sim, network, rng, config):
     return PerfectFailureDetectorFabric(
         sim,
         network,
-        rng,
         detection_time=config.fd.detection_time,
         scan_interval=config.params.detector.scan_interval,
     )

@@ -12,7 +12,7 @@ process Poisson.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.types import BroadcastID
 from repro.metrics.stats import interarrival_from_throughput
@@ -43,8 +43,6 @@ class PoissonWorkload:
         system,
         throughput: float,
         senders: Optional[Sequence[int]] = None,
-        rng_name: str = "workload",
-        payload_factory: Optional[Callable[[int], Any]] = None,
         reassign_crashed: bool = False,
     ) -> None:
         """Create a workload of ``throughput`` messages per second.
@@ -69,8 +67,7 @@ class PoissonWorkload:
         if not self.senders:
             raise ValueError("at least one sender is required")
         self.reassign_crashed = reassign_crashed
-        self._rng = system.rng.stream(rng_name)
-        self._payload_factory = payload_factory or (lambda index: f"workload-{index}")
+        self._rng = system.rng.stream("workload")
         self._sent_callbacks: List[SentCallback] = []
         #: Messages actually A-broadcast so far, in send order.
         self.sent: List[SentMessage] = []
@@ -123,8 +120,7 @@ class PoissonWorkload:
     def _emit(self, index: int, sender: int) -> None:
         if self.reassign_crashed and self.processes[sender].crashed:
             sender = self._live_sender(sender)
-        payload = self._payload_factory(index)
-        broadcast_id = self.abcasts[sender].broadcast(payload)
+        broadcast_id = self.abcasts[sender].broadcast(f"workload-{index}")
         now = self.sim.now
         sent = SentMessage(index=index, broadcast_id=broadcast_id, sender=sender, time=now)
         self.sent.append(sent)

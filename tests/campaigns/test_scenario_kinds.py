@@ -134,7 +134,23 @@ class TestBuiltinTable:
 
         with pytest.raises(ValueError, match="shadow the common core"):
             dataclasses.replace(normal, name="other", shorthand="o", params=Shadowing)
+        churn = get_kind("churn-steady")
+        for axis in (registry.Axis("churn_rate", "h", default=2.0), registry.Axis("rate", "h")):
+            with pytest.raises(ValueError, match="takes its default from the params field"):
+                dataclasses.replace(churn, name="other", shorthand="o", axes=(axis,))
         assert available_kinds() == BUILTIN_KINDS
+
+    @pytest.mark.parametrize("name", available_kinds())
+    def test_a_bare_grid_sweeps_the_default_point(self, name):
+        kind = get_kind(name)
+        first = grid(name).points()[0]
+        # Only what ``expand`` derives from an axis is not a default.
+        derived = {
+            field: getattr(first.params, field)
+            for field in kind.param_names
+            if field not in {axis.name for axis in kind.axes}
+        }
+        assert first.params == PointSpec(name, **derived).params
 
     def test_unknown_kind_names_the_registered_ones(self):
         with pytest.raises(ValueError, match="unknown scenario kind 'churn'"):

@@ -102,7 +102,7 @@ class TestPointSpec:
         with pytest.raises(ValueError):
             PointSpec(kind="crash-steady")  # needs a crashed tuple
         with pytest.raises(ValueError):
-            PointSpec(kind="suspicion-steady")  # needs a finite T_MR
+            PointSpec(kind="suspicion-steady", mistake_recurrence_time=float("inf"))
 
     def test_as_dict_is_strict_json(self):
         import json

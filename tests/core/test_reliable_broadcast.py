@@ -108,3 +108,17 @@ class TestReliableBroadcast:
         detectors[1].force_trust(0)
         sim.run()
         assert rbcasts[1].relays == 1  # only the suspicion relays, once
+
+    def test_a_relayed_message_leaves_the_buffer(self):
+        sim, network, _p, detectors, rbcasts, _deliveries = build()
+        rbcasts[0].broadcast("x")
+        sim.run()
+        detectors[1].force_suspect(0)
+        sim.run()
+        assert (rbcasts[1].relays, rbcasts[1].unstable_count()) == (1, 0)
+        before = network.stats.messages_sent
+        detectors[1].force_trust(0)
+        detectors[1].force_suspect(0)
+        sim.run()
+        assert rbcasts[1].relays == 1
+        assert network.stats.messages_sent == before

@@ -24,6 +24,7 @@ from repro import SystemConfig, build_system
 from repro.replication.service import ReplicatedService
 from repro.replication.state_machine import Command
 from repro.scenarios.faults import CrashAt, FaultSchedule, PoissonChurn
+from repro.scenarios import runner
 from repro.scenarios.runner import ScenarioRunner, SteadyStateSpec
 from repro.stacks.registry import (
     available_fd_kinds,
@@ -39,10 +40,12 @@ from repro.workload.generator import PoissonWorkload
 from tests.core.test_system_close import cyclic_garbage
 
 #: How the measured run ends: drained, cut by the event budget with
-#: arrivals still queued, or under a crash plus crash-recovery churn.
+#: arrivals still queued (``EXHAUSTED_BUDGET`` events), or under a crash plus
+#: crash-recovery churn.
+EXHAUSTED_BUDGET = 300
 FORMS = {
     "completed": {},
-    "exhausted": {"max_events": 300},
+    "exhausted": {},
     "churn-crash": {
         "faults": FaultSchedule(
             [CrashAt(20.0, 4), PoissonChurn(rate=10.0, mean_downtime=60.0, until=400.0)]
@@ -78,7 +81,9 @@ MATRIX = list(
     MATRIX,
     ids=[f"{s}/{k}-batch{b}-obs{int(i)}-{f}" for s, k, b, i, f in MATRIX],
 )
-def test_a_dropped_system_frees_itself(stack, fd_kind, max_batch, instrument, form):
+def test_a_dropped_system_frees_itself(stack, fd_kind, max_batch, instrument, form, monkeypatch):
+    if form == "exhausted":
+        monkeypatch.setattr(runner, "DEFAULT_MAX_EVENTS", EXHAUSTED_BUDGET)
     config = SystemConfig(
         n=5,
         stack=stack,

@@ -40,11 +40,11 @@ class TestReplicatedStoreEndToEnd:
 
     def test_response_times_track_first_delivery(self, algorithm):
         system = build_system(SystemConfig(n=3, stack=algorithm, seed=93))
-        service = ReplicatedService(system, processing_time=2.0)
+        service = ReplicatedService(system)
         system.start()
         for i in range(10):
             service.submit_at(1.0 + 5 * i, i % 3, Command("put", f"k{i}", i))
         system.run(until=5_000.0)
         times = service.response_times()
         assert len(times) == 10
-        assert all(time >= 2.0 for time in times)
+        assert all(time > 0 for time in times)

@@ -53,14 +53,18 @@ class TestReplicatedService:
         assert service.replicas[1].snapshot() == service.replicas[2].snapshot()
         assert len(service.applied_log[1]) == 8
 
-    def test_processing_time_added_to_response(self):
-        system, service_fast = make_service("fd", seed=52)
-        service_slow = ReplicatedService(system, processing_time=5.0)
-        # Only checking the accounting: both services observe the same deliveries.
-        service_fast.submit_at(1.0, 0, Command("put", "x", 1))
+    def test_reply_time_is_the_first_delivery(self):
+        system, service = make_service("fd", seed=52)
+        first_delivery = {}
+        for abcast in system.abcasts:
+            abcast.add_delivery_listener(
+                lambda bid, _payload: first_delivery.setdefault(bid, system.sim.now)
+            )
+        service.submit_at(1.0, 0, Command("put", "x", 1))
         system.run(until=200.0)
-        (fast_request,) = service_fast.requests.values()
-        assert fast_request.response_time > 0
+        (request,) = service.requests.values()
+        assert request.first_reply_at == first_delivery[request.broadcast_id]
+        assert request.response_time == first_delivery[request.broadcast_id] - 1.0
 
     def test_response_times_listing(self, algorithm):
         system, service = make_service(algorithm)

@@ -57,7 +57,7 @@ INVALID = [
     ("crash-steady", {}, {}, "non-empty crashed"),
     ("crash-steady", {"n": 3}, {"crashed": (1, 2)}, "2 crashes exceed the f < n/2 bound for n=3"),
     ("crash-steady", {"n": 3}, {"crashed": (7,)}, "crashed process 7 out of range"),
-    ("suspicion-steady", {}, {}, "finite mistake_recurrence_time"),
+    ("suspicion-steady", {}, {"mistake_recurrence_time": math.inf}, "finite mistake_recurrence"),
     ("suspicion-steady", {"fd_kind": "heartbeat"}, {"mistake_recurrence_time": 100.0}, "fd_kind"),
     ("crash-transient", {"fd_kind": "heartbeat"}, {}, r"period \+ timeout"),
     ("crash-transient", {}, {"crashed_process": 1, "sender": 1}, "must differ"),
@@ -66,9 +66,9 @@ INVALID = [
     ("crash-transient", {"n": 1}, {}, "n >= 2"),
     ("correlated-crash", {}, {}, "non-empty crashed"),
     ("correlated-crash", {"n": 5}, {"crashed": (2, 3, 4)}, "3 crashes exceed the f < n/2 bound"),
-    ("churn-steady", {}, {}, "churn_rate > 0 and mean_downtime > 0"),
+    ("churn-steady", {}, {"churn_rate": 0.0}, "churn_rate > 0 and mean_downtime > 0"),
     ("churn-steady", {}, {"churn_rate": 1.0, "mean_downtime": 0.0}, "mean_downtime > 0"),
-    ("asymmetric-qos", {}, {}, "finite mistake_recurrence_time"),
+    ("asymmetric-qos", {}, {"mistake_recurrence_time": math.inf}, "finite mistake_recurrence"),
     ("asymmetric-qos", {"fd_kind": "perfect"}, {"mistake_recurrence_time": 100.0}, "fd_kind"),
     (
         "asymmetric-qos", {},

@@ -143,7 +143,7 @@ class TestCustomRegistration:
         register_fd_kind(
             "instant",
             lambda sim, network, rng, config: PerfectFailureDetectorFabric(
-                sim, network, rng, detection_time=0.0
+                sim, network, detection_time=0.0
             ),
         )
         try:

@@ -70,12 +70,10 @@ class TestPoissonWorkload:
         assert schedule(5) == schedule(5)
         assert schedule(5) != schedule(6)
 
-    def test_payload_factory(self):
+    def test_payload_names_the_arrival_index(self):
         system = make_system()
-        workload = PoissonWorkload(
-            system, 50.0, payload_factory=lambda index: {"request": index}
-        )
+        workload = PoissonWorkload(system, 50.0)
         workload.schedule_messages(3)
         system.run(until=100_000.0)
         delivered = [p for _b, p in system.abcast(0).delivered]
-        assert {"request": 0} in delivered
+        assert sorted(delivered) == ["workload-0", "workload-1", "workload-2"]
