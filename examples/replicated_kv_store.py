@@ -81,7 +81,7 @@ def run_once(algorithm: str, max_batch: int) -> dict:
 
         response_times = service.response_times()
         correct = system.correct_processes()
-        snapshots = {pid: service.replicated.replicas[pid].snapshot() for pid in correct}
+        snapshots = {pid: service.replicas[pid].snapshot() for pid in correct}
         return {
             "summary": summarize(response_times),
             "percentiles": latency_percentiles(response_times),

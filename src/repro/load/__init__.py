@@ -9,8 +9,9 @@ service:
 * :mod:`repro.load.batching` -- :class:`BatchingAtomicBroadcast`, the
   ingress request-batching wrapper that amortizes one ordering step over up
   to ``max_batch`` requests (enabled by the batching layer's ``max_batch`` param);
-* :mod:`repro.load.service` -- :class:`LoadTestedService`, the
-  admission-controlled, consistency-aware front of the replicated service.
+* :mod:`repro.load.service` -- :class:`LoadTestedService`, the replicated
+  service (:mod:`repro.replication`) with an admission window, a FIFO
+  queue, load shedding and a local read path.
 
 The ``service-load`` scenario (:func:`repro.scenarios.run_service_load`)
 drives all three through the campaign machinery.
@@ -18,12 +19,7 @@ drives all three through the campaign machinery.
 
 from repro.load.batching import BATCH_TAG, BatchingAtomicBroadcast
 from repro.load.clients import ARRIVALS, ClosedLoopClients, CommandMix, OpenLoopClients
-from repro.load.service import (
-    CONSISTENCY_MODES,
-    AdmissionConfig,
-    LoadTestedService,
-    ServiceRequest,
-)
+from repro.load.service import CONSISTENCY_MODES, AdmissionConfig, LoadTestedService
 
 __all__ = [
     "ARRIVALS",
@@ -35,5 +31,4 @@ __all__ = [
     "CommandMix",
     "LoadTestedService",
     "OpenLoopClients",
-    "ServiceRequest",
 ]

@@ -22,7 +22,7 @@ deterministic as every other scenario in the repository.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.metrics.stats import interarrival_from_throughput
 from repro.replication.state_machine import Command
@@ -200,7 +200,9 @@ class ClosedLoopClients(_ClientPopulation):
     at the start instant -- the maximum-pressure configuration).
 
     ``total_requests`` bounds the run: once the population has issued that
-    many requests, clients stop instead of submitting again.
+    many requests, clients stop instead of submitting again.  The population
+    subscribes once to the service's completions and recognises its own
+    requests by their command.
     """
 
     def __init__(
@@ -217,6 +219,8 @@ class ClosedLoopClients(_ClientPopulation):
         self.think_time = think_time
         self._total = 0
         self._started = False
+        #: Each client's outstanding command: how a completion is recognised as ours.
+        self._waiting: Dict[int, Command] = {}
 
     def start(self, total_requests: int) -> None:
         """Launch the population; it stops after ``total_requests`` submissions."""
@@ -226,9 +230,9 @@ class ClosedLoopClients(_ClientPopulation):
             raise ValueError(f"total_requests must be >= 1, got {total_requests}")
         self._started = True
         self._total = total_requests
+        self.service.add_completion_listener(self._on_complete)
         for client in range(self.num_clients):
-            offset = self._think_delay() if self.think_time > 0 else 0.0
-            self._sim.post_at(self._sim.now + offset, self._submit_next, client)
+            self._sim.post_at(self._sim.now + self._think_delay(), self._submit_next, client)
 
     def _think_delay(self) -> float:
         if self.think_time <= 0:
@@ -238,15 +242,12 @@ class ClosedLoopClients(_ClientPopulation):
     def _submit_next(self, client: int) -> None:
         if self.issued >= self._total:
             return
-        command = self._next_command(client)
-        self.service.submit(
-            self._sender_for(client),
-            command,
-            on_complete=lambda _request, _client=client: self._on_complete(_client),
-        )
+        command = self._waiting[client] = self._next_command(client)
+        self.service.submit(self._sender_for(client), command)
 
-    def _on_complete(self, client: int) -> None:
-        if self.issued >= self._total:
+    def _on_complete(self, request) -> None:
+        client = request.command.client
+        if self._waiting.get(client) is not request.command or self.issued >= self._total:
             return
         # Always go through the kernel, even with zero think time: a shed
         # request completes synchronously inside submit(), and re-submitting

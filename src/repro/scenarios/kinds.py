@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.failure_detectors.qos import QoSConfig
+from repro.load.service import CONSISTENCY_MODES
 from repro.metrics.stats import interarrival_from_throughput
 from repro.scenarios.faults import (
     VML_CRASH_TIME,
@@ -39,10 +40,10 @@ from repro.scenarios.faults import (
 from repro.scenarios.registry import Axis, ScenarioKind, register_kind
 from repro.scenarios.results import ScenarioResult
 from repro.scenarios.runner import (
-    DEFAULT_WARMUP_FRACTION,
     ReformationSpec,
     ScenarioRunner,
     SteadyStateSpec,
+    warmup_count,
 )
 from repro.scenarios.service_load import run_service_load
 from repro.scenarios.transient import measure_crash_transient
@@ -66,7 +67,7 @@ _MID_WINDOW = "in ms (default: the middle of the arrival window)"
 
 def _arrival_window(core: Any) -> float:
     """Expected length of the arrival window in ms (for default fault timing)."""
-    total = int(math.ceil(core.num_messages * DEFAULT_WARMUP_FRACTION)) + core.num_messages
+    total = warmup_count(core.num_messages) + core.num_messages
     return total * interarrival_from_throughput(core.throughput)
 
 
@@ -540,9 +541,9 @@ def _validate_service_load(core: Any, params: ServiceLoadParams) -> None:
         raise ValueError(f"clients must be >= 0 (0 = open loop), got {params.clients}")
     if params.think_time < 0:
         raise ValueError(f"think_time must be >= 0, got {params.think_time}")
-    if params.consistency not in ("ordered", "local"):
+    if params.consistency not in CONSISTENCY_MODES:
         raise ValueError(
-            f"consistency must be 'ordered' or 'local', got {params.consistency!r}"
+            f"consistency must be one of {CONSISTENCY_MODES}, got {params.consistency!r}"
         )
 
 
@@ -571,7 +572,7 @@ register_kind(
                 "read path: totally ordered or local stale reads",
                 "--consistency",
                 str,
-                ("ordered", "local"),
+                CONSISTENCY_MODES,
             ),
         ),
     )

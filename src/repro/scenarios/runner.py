@@ -110,6 +110,11 @@ class ProbeSpec:
     obs: Any = None
 
 
+def warmup_count(num_messages: int) -> int:
+    """How many messages precede the ``num_messages`` measured ones."""
+    return int(math.ceil(num_messages * DEFAULT_WARMUP_FRACTION))
+
+
 def arrival_horizon(last_arrival: float, throughput: float) -> float:
     """When a run gives up: generous slack beyond the end of the arrival window."""
     return last_arrival + max(20_000.0, 20 * interarrival_from_throughput(throughput))
@@ -248,14 +253,14 @@ class ScenarioRunner:
             reassign_crashed=spec.reassign_crashed_senders,
         )
 
-        warmup_count = int(math.ceil(spec.num_messages * DEFAULT_WARMUP_FRACTION))
-        total = warmup_count + spec.num_messages
+        warmup = warmup_count(spec.num_messages)
+        total = warmup + spec.num_messages
         measured_ids: Set[BroadcastID] = set()
         outstanding = {"count": spec.num_messages, "all_sent": False}
         stop = system.sim.stop
 
         def on_sent(index: int, broadcast_id: BroadcastID, _time: float) -> None:
-            if index >= warmup_count:
+            if index >= warmup:
                 measured_ids.add(broadcast_id)
                 if recorder.is_delivered(broadcast_id):
                     outstanding["count"] -= 1

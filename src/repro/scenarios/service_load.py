@@ -24,9 +24,9 @@ from repro.scenarios.results import ScenarioResult
 from repro.scenarios.runner import (
     DEFAULT_MAX_EVENTS,
     DEFAULT_MESSAGES,
-    DEFAULT_WARMUP_FRACTION,
     arrival_horizon,
     finish_run,
+    warmup_count,
 )
 from repro.system import SystemConfig, build_system
 
@@ -68,15 +68,15 @@ def run_service_load(
             admission=AdmissionConfig(max_inflight=max_inflight, max_queue=max_queue),
         )
 
-        warmup_count = int(math.ceil(num_requests * DEFAULT_WARMUP_FRACTION))
-        total = warmup_count + num_requests
+        warmup = warmup_count(num_requests)
+        total = warmup + num_requests
         # Each request completes once, so the last measured completion means
         # every request was issued.  The listener holds the kernel's stop and
         # a counter: nothing of the service or the clients.
         stop, outstanding = system.sim.stop, [num_requests]
 
         def on_complete(request) -> None:
-            if request.index >= warmup_count:
+            if request.index >= warmup:
                 outstanding[0] -= 1
                 if outstanding[0] == 0:
                     stop()
@@ -99,7 +99,7 @@ def run_service_load(
         faults.schedule(system)
         system.run(until=max_time, max_events=DEFAULT_MAX_EVENTS)
 
-        measured = service.requests[warmup_count:]
+        measured = service.requests[warmup:]
         latencies = [
             request.response_time
             for request in measured

@@ -151,18 +151,16 @@ class TestClosedLoop:
 
         original = service.submit
 
-        def tracking_submit(sender, command, on_complete=None):
+        def tracking_submit(sender, command):
             in_flight[command.client] = in_flight.get(command.client, 0) + 1
             max_outstanding[0] = max(max_outstanding[0], max(in_flight.values()))
+            return original(sender, command)
 
-            def done(request):
-                in_flight[request.command.client] -= 1
-                if on_complete is not None:
-                    on_complete(request)
-
-            return original(sender, command, on_complete=done)
+        def done(request):
+            in_flight[request.command.client] -= 1
 
         service.submit = tracking_submit
+        service.add_completion_listener(done)
         population.start(total_requests=60)
         system.run(until=100_000.0)
         assert population.issued == 60

@@ -74,7 +74,7 @@ class TestAdmission:
             service.submit(0, put(i))
         system.run(until=10_000.0)
         ordered = [r.command.key for r in service.requests if not r.shed]
-        applied = [c.key for c in service.replicated.applied_log[0]]
+        applied = [c.key for c in service.applied_log[0]]
         assert applied == ordered == [f"k{i}" for i in range(6)]
 
     def test_queueing_delay_counts_into_response_time(self):
@@ -128,7 +128,7 @@ class TestConsistencyModes:
         assert get_request.reply == ("value", 0)
         # The read went through the log on every replica.
         for pid in range(3):
-            ops = [c.operation for c in service.replicated.applied_log[pid]]
+            ops = [c.operation for c in service.applied_log[pid]]
             assert ops == ["put", "get"]
 
 
@@ -161,7 +161,7 @@ class TestFaultSchedules:
         completed = [r for r in service.requests if r.response_time is not None]
         assert len(completed) == 60
         for pid in (1, 2, 3):
-            assert len(service.replicated.applied_log[pid]) == 60
+            assert len(service.applied_log[pid]) == 60
 
     def test_crash_recover_mid_load_converges(self, algorithm):
         _system, service = self.crashy_run(algorithm, recover_at=400.0)
@@ -175,7 +175,7 @@ class TestFaultSchedules:
         # Every acknowledged request is applied exactly once per correct
         # replica: no duplicates (idempotent delivery) and no losses.
         for pid in system.correct_processes():
-            log = service.replicated.applied_log[pid]
+            log = service.applied_log[pid]
             ids = [(c.client, c.request_id) for c in log]
             assert len(ids) == len(set(ids))
             applied = set(ids)
@@ -254,3 +254,19 @@ class TestInstrumentation:
         )
         assert snapshot["gauges"]["service.inflight_hwm"] == service.inflight_hwm
         assert "service.response_time" in snapshot["histograms"]
+
+    def test_reported_response_time_includes_the_queue_wait(self):
+        system, service = make_service(
+            seed=5,
+            admission=AdmissionConfig(max_inflight=1, max_queue=4),
+            config={"instrument": True},
+        )
+        for i in range(3):
+            service.submit_at(1.0, 0, put(i))
+        system.run(until=5000.0)
+        times = [request.response_time for request in service.requests]
+        assert [round(t) for t in times] == [7, 16, 25]
+        obs = system.obs
+        assert obs.histograms["service.response_time"] == times
+        assert [e["rt"] for e in obs.events if e["ev"] == "service_reply"] == times
+        assert obs.counters["service.replies"] == 3

@@ -26,7 +26,7 @@ class TestReplicatedService:
         system, service = make_service(algorithm)
         service.submit_at(1.0, 1, Command("put", "x", 1, client=7, request_id=1))
         system.run(until=200.0)
-        (request,) = service.requests.values()
+        (request,) = service.requests
         assert request.reply == ("ok", "x")
         assert request.response_time is not None and request.response_time > 0
 
@@ -38,8 +38,8 @@ class TestReplicatedService:
             )
         system.run(until=2000.0)
         assert service.replicas_consistent()
-        states = service.replica_states()
-        assert len(set(states.values())) == 1
+        states = {replica.snapshot() for replica in service.replicas.values()}
+        assert len(states) == 1
         assert service.replicas[0].get("counter") == 10
 
     def test_consistency_survives_a_crash(self, algorithm):
@@ -62,9 +62,10 @@ class TestReplicatedService:
             )
         service.submit_at(1.0, 0, Command("put", "x", 1))
         system.run(until=200.0)
-        (request,) = service.requests.values()
-        assert request.first_reply_at == first_delivery[request.broadcast_id]
-        assert request.response_time == first_delivery[request.broadcast_id] - 1.0
+        (request,) = service.requests
+        (first,) = first_delivery.values()
+        assert request.completed_at == first
+        assert request.response_time == first - 1.0
 
     def test_response_times_listing(self, algorithm):
         system, service = make_service(algorithm)
