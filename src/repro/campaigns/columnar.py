@@ -91,9 +91,6 @@ class ColumnarTable:
         """The latency vector of row ``index`` (a typed-array slice)."""
         return self.latency_values[self.latency_offsets[index]:self.latency_offsets[index + 1]]
 
-    def latency_count(self, index: int) -> int:
-        return self.latency_offsets[index + 1] - self.latency_offsets[index]
-
     def row(self, index: int) -> Dict[str, Any]:
         """One row as a plain dict (tests and spot checks; not the fast path)."""
         out: Dict[str, Any] = {"key": self.keys[index]}

@@ -26,7 +26,6 @@ from repro import __version__
 from repro.campaigns.canonical import canonical_fields, canonical_system, from_canonical
 from repro.scenarios.registry import get_kind
 from repro.stacks import registry as stack_registry
-from repro.stacks.registry import flat_params
 from repro.system import SystemConfig
 
 #: Bump when the meaning of a point's canonical dict changes, to invalidate
@@ -175,16 +174,6 @@ class PointSpec:
             cached = hashlib.sha256(f"{prefix}:{payload}".encode("utf-8")).hexdigest()
             self.__dict__["_key"] = cached
         return cached
-
-    def label(self) -> str:
-        """Short human-readable description, for logs and error messages."""
-        knobs = get_kind(self.kind).label(self.params) + "".join(
-            f" {name}={value}" for name, value in flat_params(self.system.params).items()
-        )
-        return (
-            f"{self.kind} {self.system.stack_label} "
-            f"n={self.n} T={self.throughput:g}/s{knobs} seed={self.seed}"
-        )
 
 
 #: Core field -> default, read off the dataclass (``kind`` is required,

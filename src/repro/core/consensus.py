@@ -48,7 +48,7 @@ class ConsensusInstance:
 
     __slots__ = (
         "service", "cid", "participants", "order", "majority", "pid",
-        "estimate", "ts", "round", "_round_coordinator", "decided", "decision",
+        "estimate", "ts", "round", "_round_coordinator", "decided",
         "_acked_round", "_nacked_round", "_estimates", "_acks", "_nacks",
         "_proposal_value", "_future", "_abandon_recheck_round", "rounds_executed",
         "abandoned_nacked", "abandoned_silent", "rounds_skipped", "started_at", "decided_at",
@@ -81,7 +81,6 @@ class ConsensusInstance:
         # it is cached instead of recomputed from the rotation.
         self._round_coordinator = self.order[-1]
         self.decided = False
-        self.decision: Any = None
 
         # Rounds this process acknowledged / refused the proposal of.
         self._acked_round = self._nacked_round = _NO_ROUNDS
@@ -476,10 +475,9 @@ class ConsensusInstance:
 
     # ------------------------------------------------------------------ decision
 
-    def mark_decided(self, value: Any) -> None:
+    def mark_decided(self) -> None:
         """Record that this instance has decided (set by the service)."""
         self.decided = True
-        self.decision = value
         self.decided_at = self.service.sim.now
         self._future = _NO_ENTRIES
 
@@ -561,7 +559,7 @@ class ConsensusService(Component):
         if self._obs is not None:
             self._obs.consensus_started(self.now, self.pid, cid)
         if cid in self._decisions:
-            instance.mark_decided(self._decisions[cid])
+            instance.mark_decided()
             return instance
         self._undecided[cid] = instance
         instance.start()
@@ -573,14 +571,6 @@ class ConsensusService(Component):
     def has_buffered(self, cid: Hashable) -> bool:
         """Whether messages are waiting for a local :meth:`propose` of ``cid``."""
         return cid in self._buffered
-
-    def is_decided(self, cid: Hashable) -> bool:
-        """Whether instance ``cid`` has decided locally."""
-        return cid in self._decisions
-
-    def decision(self, cid: Hashable) -> Any:
-        """The decision of ``cid`` (raises ``KeyError`` if undecided)."""
-        return self._decisions[cid]
 
     def instance(self, cid: Hashable) -> Optional[ConsensusInstance]:
         """The local instance object for ``cid`` (or ``None``)."""
@@ -664,7 +654,7 @@ class ConsensusService(Component):
         self._undecided.pop(cid, None)
         instance = self._instances.get(cid)
         if instance is not None:
-            instance.mark_decided(value)
+            instance.mark_decided()
         self._buffered.pop(cid, None)
         for listener in list(self._decision_listeners):
             listener(cid, value)

@@ -150,10 +150,6 @@ class GroupMembership(Component):
         self._pending_joins: Set[int] = set()
         self._future: Dict[ViewId, List[Tuple[int, Any]]] = {}
         self._not_member_notified: Set[Tuple[int, ViewId]] = set()
-        #: Diagnostics: number of views installed by this process.
-        self.views_installed = 0
-        #: Diagnostics: number of reformations this process proposed.
-        self.reformations_proposed = 0
 
         consensus.add_decision_listener(self._on_decision)
         consensus.add_unknown_instance_listener(self._on_unknown_instance)
@@ -423,7 +419,6 @@ class GroupMembership(Component):
         new_epoch = self._view.epoch + 1
         if self._reform_epoch_proposed >= new_epoch:
             return
-        self.reformations_proposed += 1
         if self._obs is not None:
             self._obs.reformation_proposed(self.now, self.pid, new_epoch)
         self._propose_reformation(new_epoch)
@@ -558,7 +553,6 @@ class GroupMembership(Component):
         self._last_known_view = view
         self._status = MEMBER
         self._recovering = False
-        self.views_installed += 1
         if self._obs is not None:
             self._obs.view_installed(self.now, self.pid, view)
         self._reset_view_change_state()

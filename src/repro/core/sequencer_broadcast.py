@@ -76,9 +76,6 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         # can never be confused even when their view_id values collide.
         self._reset_view_state(membership.view)
 
-        #: Diagnostics.
-        self.batches_sequenced = 0
-
     # ------------------------------------------------------------------ helpers
 
     def _reset_view_state(self, view: View) -> None:
@@ -229,7 +226,6 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             self._obs.observe("abcast.batch_size", len(entries))
         self._batch_entries[batch_id] = entries
         self._batch_acks[batch_id] = {self.pid}
-        self.batches_sequenced += 1
         if self._others:
             self.send(
                 self._others, (_SEQ, self._view_id, batch_id, entries, self._stable_watermark)

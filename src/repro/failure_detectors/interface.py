@@ -8,7 +8,7 @@ changes with :meth:`FailureDetector.add_listener`; listeners are invoked as
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Set
+from typing import Callable, Iterable, Set, Tuple
 
 SuspicionListener = Callable[[int, bool], None]
 
@@ -20,15 +20,10 @@ class FailureDetector:
         self.owner_pid = owner_pid
         self._monitored: Set[int] = {pid for pid in monitored if pid != owner_pid}
         self._suspected: Set[int] = set()
-        self._listeners: List[SuspicionListener] = []
-        # Immutable snapshot iterated on every flip; rebuilt on add/remove so
-        # the (hot) notification loop never copies the listener list.  Same
-        # semantics as iterating a copy: mutations during a notification
-        # affect the next flip, not the one in flight.
-        self._listener_snapshot: tuple = ()
-        #: Counters useful for tests and diagnostics.
-        self.suspicion_events = 0
-        self.trust_events = 0
+        # A tuple, replaced on add, so the (hot) notification loop never
+        # copies it: a listener added during a notification sees the next
+        # flip, not the one in flight.
+        self._listeners: Tuple[SuspicionListener, ...] = ()
 
     # ------------------------------------------------------------------ queries
 
@@ -45,22 +40,11 @@ class FailureDetector:
         """The set of currently suspected processes."""
         return set(self._suspected)
 
-    def trusted(self) -> Set[int]:
-        """Monitored processes that are currently not suspected."""
-        return self._monitored - self._suspected
-
     # ------------------------------------------------------------------ listeners
 
     def add_listener(self, listener: SuspicionListener) -> None:
         """Subscribe to suspicion-state changes."""
-        self._listeners.append(listener)
-        self._listener_snapshot = tuple(self._listeners)
-
-    def remove_listener(self, listener: SuspicionListener) -> None:
-        """Unsubscribe a previously added listener (no-op if absent)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-            self._listener_snapshot = tuple(self._listeners)
+        self._listeners += (listener,)
 
     # ------------------------------------------------------------------ mutation
 
@@ -73,11 +57,9 @@ class FailureDetector:
             return
         if suspected:
             suspected_set.add(pid)
-            self.suspicion_events += 1
         else:
             suspected_set.discard(pid)
-            self.trust_events += 1
-        for listener in self._listener_snapshot:
+        for listener in self._listeners:
             listener(pid, suspected)
 
     def force_suspect(self, pid: int) -> None:

@@ -202,8 +202,8 @@ class QoSFailureDetectorFabric(CrashDetectionFabric):
         return state
 
     def _make_draw(self, name: str, mean: float) -> Callable[[], float]:
-        # Mirrors ``RandomStreams.exponential``: degenerate means consume no
-        # randomness (and leave the stream uncreated until a real draw).
+        # Degenerate means consume no randomness (and leave the stream
+        # uncreated until a real draw).
         if mean == 0:
             return _constant_draw(0.0)
         if mean == INFINITY:

@@ -72,8 +72,6 @@ class BatchingAtomicBroadcast(AtomicBroadcast):
         self.max_delay = max_delay
         self._pending: List[Tuple[BroadcastID, Any]] = []
         self._flush_timer = None
-        #: Containers flushed so far (diagnostic).
-        self.batches_flushed = 0
         inner.add_delivery_listener(self._on_inner_delivery)
 
     # ------------------------------------------------------------------ API
@@ -111,7 +109,6 @@ class BatchingAtomicBroadcast(AtomicBroadcast):
             return
         entries = tuple(self._pending)
         self._pending = []
-        self.batches_flushed += 1
         if self._obs is not None:
             self._obs.service_batch(self.now, self.pid, len(entries))
         self.inner.broadcast((BATCH_TAG, entries))

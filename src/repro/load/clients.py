@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.metrics.stats import interarrival_from_throughput
 from repro.replication.state_machine import Command
+from repro.sim.process import live_sender
 
 #: Arrival disciplines of the open-loop population.
 ARRIVALS = ("poisson", "uniform")
@@ -119,14 +120,7 @@ class _ClientPopulation:
     def _sender_for(self, client: int) -> int:
         """Ingress replica of ``client``: round-robin, skipping crashed ones."""
         preferred = self.senders[client % len(self.senders)]
-        if not self._processes[preferred].crashed:
-            return preferred
-        position = self.senders.index(preferred)
-        for offset in range(1, len(self.senders)):
-            candidate = self.senders[(position + offset) % len(self.senders)]
-            if not self._processes[candidate].crashed:
-                return candidate
-        return preferred
+        return live_sender(self._processes, self.senders, preferred)
 
     def _next_command(self, client: int) -> Command:
         request_id = self.issued

@@ -32,6 +32,7 @@ from typing import Any, Deque, Dict, Optional
 from repro.core.types import BroadcastID
 from repro.replication.service import ReplicatedService, ServiceRequest
 from repro.replication.state_machine import Command
+from repro.sim.process import live_sender
 
 #: Consistency modes of the read path.
 CONSISTENCY_MODES = ("ordered", "local")
@@ -140,9 +141,13 @@ class LoadTestedService(ReplicatedService):
 
     def _on_delivery(self, pid: int, broadcast_id: BroadcastID, payload: Any) -> None:
         super()._on_delivery(pid, broadcast_id, payload)
-        # A first delivery frees a slot of the window: admit the queue's head.
+        # A first delivery frees a slot of the window: admit the queue's head,
+        # through a live replica (a crashed one would lose the broadcast).
         while self._queue and self._window_open():
-            self._broadcast(self._queue.popleft())
+            request = self._queue.popleft()
+            pids = range(len(self.processes))
+            request.sender = live_sender(self.processes, pids, request.sender)
+            self._broadcast(request)
 
     # ------------------------------------------------------------------ inspection
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import struct
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.core.types import BroadcastID
-from repro.metrics.stats import Summary, summarize
 
 
 class LatencyRecorder:
@@ -54,14 +53,6 @@ class LatencyRecorder:
 
     # ------------------------------------------------------------------ queries
 
-    def broadcast_time(self, broadcast_id: BroadcastID) -> Optional[float]:
-        """When ``broadcast_id`` was A-broadcast (or ``None``)."""
-        return self._broadcast_times.get(broadcast_id)
-
-    def first_delivery_time(self, broadcast_id: BroadcastID) -> Optional[float]:
-        """Earliest A-delivery time of ``broadcast_id`` (or ``None``)."""
-        return self._first_delivery.get(broadcast_id)
-
     def delivery_count(self, broadcast_id: BroadcastID) -> int:
         """How many processes A-delivered ``broadcast_id`` so far."""
         return self._delivery_counts.get(broadcast_id, 0)
@@ -90,19 +81,6 @@ class LatencyRecorder:
             if value is not None:
                 result[broadcast_id] = value
         return result
-
-    def undelivered(self, only: Optional[Iterable[BroadcastID]] = None) -> List[BroadcastID]:
-        """Messages that were broadcast but never delivered anywhere."""
-        ids = self._broadcast_times if only is None else only
-        return [bid for bid in ids if bid in self._broadcast_times and bid not in self._first_delivery]
-
-    def summary(self, only: Optional[Iterable[BroadcastID]] = None) -> Summary:
-        """Summary statistics of the recorded latencies."""
-        return summarize(self.latencies(only).values())
-
-    def tracked_count(self) -> int:
-        """Number of broadcast messages tracked so far."""
-        return len(self._broadcast_times)
 
 
 def observed_digest(system, latencies: Sequence[float]) -> str:

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List
 
+#: Level of the confidence interval of every :func:`summarize` (the paper's).
+CONFIDENCE = 0.95
+
 
 @dataclass(frozen=True)
 class Summary:
@@ -28,17 +31,7 @@ class Summary:
     ci_halfwidth: float
     minimum: float
     maximum: float
-    confidence: float = 0.95
-
-    @property
-    def ci_low(self) -> float:
-        """Lower bound of the confidence interval."""
-        return self.mean - self.ci_halfwidth
-
-    @property
-    def ci_high(self) -> float:
-        """Upper bound of the confidence interval."""
-        return self.mean + self.ci_halfwidth
+    confidence: float = CONFIDENCE
 
     def __str__(self) -> str:
         if self.count == 0:
@@ -108,20 +101,20 @@ def _t_quantile(confidence: float, dof: int) -> float:
             high = middle
 
 
-def summarize(values: Iterable[float], confidence: float = 0.95) -> Summary:
-    """Compute the mean and its ``confidence`` interval for ``values``."""
+def summarize(values: Iterable[float]) -> Summary:
+    """Compute the mean and its :data:`CONFIDENCE` interval for ``values``."""
     data: List[float] = [float(v) for v in values]
     count = len(data)
     if count == 0:
         nan = float("nan")
-        return Summary(0, nan, nan, nan, nan, nan, confidence)
+        return Summary(0, nan, nan, nan, nan, nan, CONFIDENCE)
     mean = sum(data) / count
     if count == 1:
-        return Summary(1, mean, 0.0, float("inf"), mean, mean, confidence)
+        return Summary(1, mean, 0.0, float("inf"), mean, mean, CONFIDENCE)
     variance = sum((v - mean) ** 2 for v in data) / (count - 1)
     std = math.sqrt(variance)
-    halfwidth = _t_quantile(confidence, count - 1) * std / math.sqrt(count)
-    return Summary(count, mean, std, halfwidth, min(data), max(data), confidence)
+    halfwidth = _t_quantile(CONFIDENCE, count - 1) * std / math.sqrt(count)
+    return Summary(count, mean, std, halfwidth, min(data), max(data), CONFIDENCE)
 
 
 def percentile(values: Iterable[float], q: float) -> float:
@@ -158,13 +151,6 @@ def latency_percentiles(values: Iterable[float]) -> dict:
         "p99": percentile(ordered, 0.99),
         "p999": percentile(ordered, 0.999),
     }
-
-
-def throughput_from_interarrival(mean_interarrival_ms: float) -> float:
-    """Convert a mean inter-arrival time in ms to a throughput in messages/s."""
-    if mean_interarrival_ms <= 0:
-        raise ValueError("mean inter-arrival time must be positive")
-    return 1000.0 / mean_interarrival_ms
 
 
 def interarrival_from_throughput(throughput_per_s: float) -> float:

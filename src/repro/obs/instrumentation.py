@@ -33,7 +33,7 @@ of Python calls per simulated event.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Set, Tuple
 
 
 #: Hook names subscribers can attach to.
@@ -90,7 +90,7 @@ class Instrumentation:
         # A-broadcast lifecycle state (stage timestamps keyed by BroadcastID).
         self._broadcast_times: Dict[Any, float] = {}
         self._sequence_times: Dict[Any, float] = {}
-        self._first_delivery: Dict[Any, float] = {}
+        self._delivered: Set[Any] = set()
         # Active wrong/right suspicions keyed by (monitor, target).
         self._suspected_since: Dict[Tuple[int, int], float] = {}
 
@@ -207,8 +207,8 @@ class Instrumentation:
     def abcast_deliver(self, time: float, pid: int, broadcast_id, payload) -> None:
         """Process ``pid`` A-delivered ``broadcast_id`` (lifecycle end)."""
         self.counters["abcast.deliveries"] += 1
-        if broadcast_id not in self._first_delivery:
-            self._first_delivery[broadcast_id] = time
+        if broadcast_id not in self._delivered:
+            self._delivered.add(broadcast_id)
             broadcast_time = self._broadcast_times.get(broadcast_id)
             if broadcast_time is not None:
                 self.observe("abcast.broadcast_to_deliver", time - broadcast_time)
@@ -405,19 +405,3 @@ class Instrumentation:
     def counter(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never touched)."""
         return self.counters.get(name, 0)
-
-    def counters_by_prefix(self, prefix: str) -> Dict[str, int]:
-        """All counters whose name starts with ``prefix`` (sorted by name)."""
-        return {
-            name: value
-            for name, value in sorted(self.counters.items())
-            if name.startswith(prefix)
-        }
-
-    def first_delivery_latency(self, broadcast_id) -> Optional[float]:
-        """Broadcast-to-first-delivery latency of one message, if complete."""
-        started = self._broadcast_times.get(broadcast_id)
-        delivered = self._first_delivery.get(broadcast_id)
-        if started is None or delivered is None:
-            return None
-        return delivered - started

@@ -97,10 +97,6 @@ class ReplicatedService:
         self._broadcast(request)
         return request
 
-    def submit_at(self, time: float, sender: int, command: Command) -> None:
-        """Schedule a submission at an absolute simulation time."""
-        self.sim.post_at(time, self.submit, sender, command)
-
     def read_local(self, pid: int, command: Command) -> Any:
         """Serve a read from replica ``pid``'s local state, bypassing broadcast.
 

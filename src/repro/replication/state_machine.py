@@ -31,15 +31,13 @@ class Command:
 
 
 class KeyValueStore:
-    """A small deterministic key-value store with counters."""
+    """A small deterministic key-value store."""
 
     def __init__(self) -> None:
         self._data: Dict[str, Any] = {}
-        self.applied: int = 0
 
     def apply(self, command: Command) -> Any:
         """Apply one command; unknown operations raise ``ValueError``."""
-        self.applied += 1
         if command.operation == "put":
             self._data[command.key] = command.value
             return ("ok", command.key)

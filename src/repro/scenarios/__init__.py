@@ -10,8 +10,7 @@
   :class:`FaultSchedule` and its events, one class per fault;
   :mod:`~repro.scenarios.results` -- result types.
 * :mod:`~repro.scenarios.transient` / :mod:`~repro.scenarios.service_load`
-  -- the measurements of ``crash-transient`` (plus
-  :func:`sweep_crash_transient`) and ``service-load``.
+  -- the measurements of ``crash-transient`` and ``service-load``.
 
 Every built-in kind has a direct entry point ``run_<kind>(config,
 throughput, num_messages=..., **params)`` -- :func:`run_kind` bound to the
@@ -47,7 +46,6 @@ from repro.scenarios.runner import (
     SteadyStateSpec,
 )
 from repro.scenarios.service_load import run_service_load
-from repro.scenarios.transient import sweep_crash_transient
 
 _ENTRY_POINTS = {
     "run_" + _name.replace("-", "_"): functools.partial(run_kind, _name)
@@ -77,7 +75,6 @@ __all__ = sorted(
         "SuspectDuring",
         "TransientResult",
         "run_kind",
-        "sweep_crash_transient",
         *_ENTRY_POINTS,
     ]
 )

@@ -48,6 +48,11 @@ VML_SUSPECT_DURATION = 400.0
 VML_CRASH_TIME = 300.0
 
 
+def minority(n: int) -> Tuple[int, ...]:
+    """The top ``(n - 1) // 2`` pids: the largest side that leaves a majority."""
+    return tuple(range(n - (n - 1) // 2, n))
+
+
 class FaultEvent:
     """Base class of all fault-schedule events.
 
@@ -404,8 +409,7 @@ class FaultSchedule:
     ) -> "FaultSchedule":
         """The canonical transient partition: split off a minority, then heal.
 
-        The top ``(n - 1) // 2`` pids form the minority side -- the largest
-        split that still leaves a majority able to make progress.  The
+        The :func:`minority` is cut off from the majority.  The
         minority must never deliver past the epoch fence while partitioned
         (its views cannot gather a majority), and after healing every
         process converges back onto one total order.
@@ -414,11 +418,11 @@ class FaultSchedule:
             raise ValueError(f"a transient partition needs n >= 3, got n={n}")
         if duration <= 0:
             raise ValueError(f"the partition needs a positive duration, got {duration}")
-        minority = tuple(range(n - (n - 1) // 2, n))
-        majority = tuple(range(n - (n - 1) // 2))
+        cut_off = minority(n)
+        majority = tuple(range(n - len(cut_off)))
         return FaultSchedule(
             [
-                PartitionAt(start, groups=(majority, minority)),
+                PartitionAt(start, groups=(majority, cut_off)),
                 HealAt(start + duration),
             ]
         )
@@ -478,14 +482,14 @@ class FaultSchedule:
             # single shrink crosses its majority exactly as the odd-n case.
             stage2_start = (suspect_start + crash_time) / 2.0
             intermediate = n - 1
-            suspected = tuple(range(intermediate - (intermediate - 1) // 2, intermediate))
+            suspected = minority(intermediate)
             events.extend(
                 SuspectDuring(stage2_start, window_end - stage2_start, target)
                 for target in suspected
             )
             shrunken = intermediate - len(suspected)
         else:
-            suspected = tuple(range(n - (n - 1) // 2, n))
+            suspected = minority(n)
             events.extend(
                 SuspectDuring(suspect_start, suspect_duration, target)
                 for target in suspected

@@ -36,6 +36,7 @@ from repro.scenarios.faults import (
     FaultSchedule,
     PoissonChurn,
     RestoreAt,
+    minority,
 )
 from repro.scenarios.registry import Axis, ScenarioKind, register_kind
 from repro.scenarios.results import ScenarioResult
@@ -170,7 +171,6 @@ register_kind(
         params=CrashSteadyParams,
         run=_run_crash_steady,
         validate=_validate_crashed,
-        label=lambda p: f" crashed={list(p.crashed)}",
         axes=(_CRASHES,),
         expand=_expand_crashes,
     )
@@ -221,7 +221,6 @@ register_kind(
         params=SuspicionSteadyParams,
         run=_run_suspicion_steady,
         validate=_validate_suspicion,
-        label=lambda p: f" T_MR={p.mistake_recurrence_time:g} T_M={p.mistake_duration:g}",
         axes=(_TMR, _TM),
     )
 )
@@ -268,10 +267,6 @@ register_kind(
             config, core.throughput, **vars(params)
         ),
         validate=_validate_crash_transient,
-        label=lambda p: (
-            f" T_D={p.detection_time:g} crash=p{p.crashed_process}"
-            + ("" if p.sender is None else f" sender=p{p.sender}")
-        ),
         axes=(
             Axis("num_runs", "independent runs per point", "--runs", int),
             _DETECTION_TIME,
@@ -323,7 +318,6 @@ register_kind(
         params=CorrelatedCrashParams,
         run=_run_correlated_crash,
         validate=_validate_crashed,
-        label=lambda p: f" crashed={list(p.crashed)} T_D={p.detection_time:g}",
         axes=(
             _CRASHES,
             Axis("crash_time", f"crash instant {_MID_WINDOW}", "--crash-time"),
@@ -381,7 +375,6 @@ register_kind(
         params=ChurnSteadyParams,
         run=_run_churn_steady,
         validate=_validate_churn,
-        label=lambda p: f" churn={p.churn_rate:g}/s downtime={p.mean_downtime:g}ms",
         axes=(
             Axis("churn_rate", "crash arrivals per second", "--churn-rate"),
             Axis("mean_downtime", "mean downtime per crash in ms", "--downtime"),
@@ -440,10 +433,6 @@ register_kind(
         params=AsymmetricQosParams,
         run=_run_asymmetric_qos,
         validate=_validate_asymmetric,
-        label=lambda p: (
-            f" p{p.flaky_monitor}~p{p.flaky_target}"
-            f" T_MR={p.mistake_recurrence_time:g} T_M={p.mistake_duration:g}"
-        ),
         axes=(
             _TMR,
             _TM,
@@ -510,7 +499,6 @@ register_kind(
         params=ViewMajorityLossParams,
         run=_run_view_majority_loss,
         validate=_validate_view_majority_loss,
-        label=lambda p: f" T_D={p.detection_time:g}",
         axes=(
             _DETECTION_TIME,
             Axis(
@@ -560,10 +548,6 @@ register_kind(
             config, core.throughput, num_requests=core.num_messages, **vars(params)
         ),
         validate=_validate_service_load,
-        label=lambda p: (
-            (f" clients={p.clients} think={p.think_time:g}ms" if p.clients > 0 else " open-loop")
-            + (f" {p.consistency}" if p.consistency != "ordered" else "")
-        ),
         axes=(
             Axis("clients", "closed-loop client count, 0 = open loop", "--clients", int),
             Axis("think_time", "mean client think time in ms (closed loop)", "--think-time"),
@@ -638,9 +622,7 @@ def _run_partition_transient(
         config, core, QoSConfig(detection_time=params.detection_time), verify,
         faults=FaultSchedule.partition_transient(n, start, params.partition_duration),
         senders=list(range(n)),
-        params=dict(
-            vars(params), partition_start=start, minority=tuple(range(n - (n - 1) // 2, n))
-        ),
+        params=dict(vars(params), partition_start=start, minority=minority(n)),
     )
 
 
@@ -652,7 +634,6 @@ register_kind(
         params=PartitionTransientParams,
         run=_run_partition_transient,
         validate=_validate_partition,
-        label=lambda p: f" T_D={p.detection_time:g} window={p.partition_duration:g}ms",
         axes=(
             Axis("partition_start", f"partition instant {_MID_WINDOW}", "--crash-time"),
             Axis("partition_duration", "length of the partition in ms", "--fault-duration"),
@@ -717,7 +698,6 @@ register_kind(
         params=WanSteadyParams,
         run=_run_wan_steady,
         validate=_validate_wan,
-        label=lambda p: f" profile={p.wan_profile}",
         axes=(
             Axis("wan_profile", "registered WAN topology name", "--wan-profile", str),
             _DETECTION_TIME,
@@ -802,10 +782,6 @@ register_kind(
         params=GrayDegradationParams,
         run=_run_gray_degradation,
         validate=_validate_gray,
-        label=lambda p: (
-            f" slow=p{p.degraded_pid} x{p.degrade_factor:g}"
-            + (f" loss={p.link_loss:g}" if p.link_loss > 0 else "")
-        ),
         axes=(
             Axis("degraded_pid", "the degraded pid", "--crashed-process", int),
             Axis(

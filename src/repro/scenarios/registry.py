@@ -5,9 +5,9 @@ four benchmark scenarios plus the beyond-paper fault-schedule, service-load
 and network fault-injection scenarios.  Each kind is one
 :class:`ScenarioKind` registration -- its name and CLI shorthand, a frozen
 params dataclass holding exactly the fields that kind reads, a ``validate``
-hook, a ``run(config, core, params)`` that performs the measurement, a label
-fragment and its sweep axes (``grid()`` keywords and CLI flags, as plain
-data).  The campaign layer (:mod:`repro.campaigns`) builds points, cache
+hook, a ``run(config, core, params)`` that performs the measurement and its
+sweep axes (``grid()`` keywords and CLI flags, as plain data).  The campaign
+layer (:mod:`repro.campaigns`) builds points, cache
 keys, grids, dispatch and the command line from this table, and
 :func:`run_kind` runs one point without it; adding a kind is one
 :func:`register_kind` call and changes nobody else's cache keys.  The
@@ -82,8 +82,6 @@ class ScenarioKind:
     validate:
         ``validate(core, params)`` raises ``ValueError`` for a point that
         could never run, at declaration time instead of mid-campaign.
-    label:
-        ``label(params)`` -> the kind's fragment of a point's log label.
     axes:
         The kind's sweep axes (see :class:`Axis`), each with its default
         resolved at registration.
@@ -99,7 +97,6 @@ class ScenarioKind:
     params: type
     run: Callable[[SystemConfig, Any, Any], Any]
     validate: Callable[[Any, Any], None] = lambda core, params: None
-    label: Callable[[Any], str] = lambda params: ""
     axes: Tuple[Axis, ...] = ()
     expand: Optional[Callable[[int, Dict[str, Any]], Dict[str, Any]]] = None
 
@@ -156,9 +153,9 @@ class ScenarioKind:
 _KINDS: Dict[str, ScenarioKind] = {}
 
 
-def register_kind(kind: ScenarioKind, replace: bool = False) -> ScenarioKind:
-    """Register ``kind`` under its name (error on collision unless ``replace``)."""
-    if not replace and kind.name in _KINDS:
+def register_kind(kind: ScenarioKind) -> ScenarioKind:
+    """Register ``kind`` under its name (an error if the name is taken)."""
+    if kind.name in _KINDS:
         raise ValueError(f"scenario kind {kind.name!r} is already registered")
     taken = {
         spelling

@@ -36,9 +36,9 @@ class ScenarioResult:
     #: on a merge of several replicas.
     observed_digest: Optional[str] = None
 
-    def summary(self, confidence: float = 0.95) -> Summary:
+    def summary(self) -> Summary:
         """Mean latency and confidence interval of the measured messages."""
-        return summarize(self.latencies, confidence)
+        return summarize(self.latencies)
 
     @property
     def mean_latency(self) -> float:
@@ -83,15 +83,13 @@ class TransientResult:
     #: Aggregated metrics snapshot over all runs (instrumented points only).
     metrics: Optional[Dict[str, Any]] = None
 
-    def latency_summary(self, confidence: float = 0.95) -> Summary:
+    def latency_summary(self) -> Summary:
         """Summary of the latency of the tagged message across runs."""
-        return summarize(self.latencies, confidence)
+        return summarize(self.latencies)
 
-    def overhead_summary(self, confidence: float = 0.95) -> Summary:
+    def overhead_summary(self) -> Summary:
         """Summary of the latency *overhead* (latency minus detection time)."""
-        return summarize(
-            [latency - self.detection_time for latency in self.latencies], confidence
-        )
+        return summarize([latency - self.detection_time for latency in self.latencies])
 
     @property
     def runs(self) -> int:

@@ -5,7 +5,7 @@ crashes at time ``t`` and process ``q`` A-broadcasts ``m`` at that instant;
 ``L(p, q)`` is the mean latency of ``m`` over independent executions, and
 the worst case over ``(p, q)`` -- in practice the crash of the FD round-1
 coordinator / the GM sequencer ``p1``, the case the paper plots -- is
-reported.  Callers may pick any ``(p, q)`` pair or sweep all of them.
+reported.  Callers may pick any ``(p, q)`` pair.
 
 Because no atomic broadcast can finish before the crash is detected, the
 paper plots the latency *overhead*: latency minus the detection time ``T_D``
@@ -22,14 +22,13 @@ a tagged probe from ``q`` at the same instant) run by the shared
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.failure_detectors.qos import QoSConfig
 from repro.scenarios.faults import CrashAt, FaultSchedule
 from repro.scenarios.results import TransientResult
 from repro.scenarios.runner import ProbeSpec, ScenarioRunner
-from repro.stacks.registry import flat_params
-from repro.system import NetworkModel, SystemConfig
+from repro.system import SystemConfig
 
 #: Steady-state warm-up before the forced crash (ms).
 CRASH_TIME = 400.0
@@ -114,70 +113,3 @@ def measure_crash_transient(
         metrics=metrics,
     )
 
-
-def sweep_crash_transient(
-    config: SystemConfig,
-    throughput: float,
-    detection_time: float,
-    crashed_processes: Sequence[int] = (0,),
-    senders: Optional[Sequence[int]] = None,
-    num_runs: Optional[int] = None,
-    store=None,
-    jobs: int = 1,
-) -> List[TransientResult]:
-    """Measure L(p, q) for several (p, q) pairs (worst case = max of the means).
-
-    Every ``(p, q)`` pair is one ``crash-transient`` campaign point with its
-    own seed derived from ``config.seed`` and the pair identity, so the
-    pairs are independent replicas rather than re-reading the same random
-    streams (``num_runs=None``: the kind's default).  With a ``store`` (a
-    :class:`repro.campaigns.store.ResultStore`) completed pairs are cached
-    and a re-run only simulates what is missing; ``jobs`` fans the pending
-    pairs out over worker processes.  The points carry ``config``'s stack,
-    fd kind and batching params, but a point cannot name a network model:
-    the sweep refuses a ``config`` whose ``network`` (``lambda_cpu``,
-    ``network_time``, ``wan_profile``) is not the default with
-    ``ValueError``.  Measure such a system pair by pair with
-    :func:`measure_crash_transient`.
-    """
-    # Imported lazily: repro.campaigns imports the scenario registry.
-    from repro.campaigns.runner import CampaignRunner
-    from repro.campaigns.spec import (
-        CampaignSpec, PointSpec, SeriesPointSpec, SeriesSpec, derive_seed,
-    )
-
-    pairs = [
-        (crashed, sender)
-        for crashed in crashed_processes
-        for sender in (senders if senders is not None else range(config.n))
-        if sender != crashed
-    ]
-    if config.network != NetworkModel():
-        raise ValueError("crash-transient sweep points run on the default network model")
-    runs = {} if num_runs is None else {"num_runs": num_runs}
-    points = [
-        PointSpec(
-            kind="crash-transient",
-            stack=config.stack,
-            fd_kind=config.fd_kind,
-            n=config.n,
-            seed=derive_seed(config.seed, f"transient/p{crashed}/q{sender}"),
-            throughput=throughput,
-            instrument=config.instrument,
-            detection_time=detection_time,
-            crashed_process=crashed,
-            sender=sender,
-            **flat_params(config.params),
-            **runs,
-        )
-        for crashed, sender in pairs
-    ]
-    # One operating point whose replicas are the pairs.
-    series = SeriesSpec(
-        label=f"{config.stack_label}, n={config.n}",
-        points=[SeriesPointSpec(x=throughput, points=points)],
-    )
-    campaign = CampaignSpec(name="crash-transient-sweep", series=[series])
-    with CampaignRunner(jobs=jobs, store=store) as runner:
-        run = runner.run(campaign)
-    return [run.result(point) for point in points]

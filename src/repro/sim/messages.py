@@ -60,10 +60,6 @@ class Message:
             tuple(d for d in destinations if d != sender) if remote is None else remote
         )
 
-    def is_multicast(self) -> bool:
-        """True when the message has more than one remote destination."""
-        return len(self._remote) > 1
-
     def remote_destinations(self) -> Tuple[int, ...]:
         """Destinations other than the sender itself (fixed at creation)."""
         return self._remote

@@ -122,10 +122,6 @@ class SimProcess:
         """Return the component registered under ``protocol``."""
         return self._components[protocol]
 
-    def has_component(self, protocol: str) -> bool:
-        """Whether a component is registered under ``protocol``."""
-        return protocol in self._components
-
     def components(self) -> Iterable[Component]:
         """All registered components."""
         return self._components.values()
@@ -224,3 +220,20 @@ class SimProcess:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = "crashed" if self._crashed else "up"
         return f"SimProcess(pid={self.pid}, {state}, components={sorted(self._components)})"
+
+
+def live_sender(processes: Sequence["SimProcess"], senders: Sequence[int], preferred: int) -> int:
+    """``preferred`` if that process is up, else the next live one of ``senders``.
+
+    "Next" is list order after ``preferred``, wrapping around.  When every
+    sender is down -- impossible under the ``f < n/2`` bound the scenarios
+    keep -- the answer is ``preferred``.
+    """
+    if not processes[preferred].crashed:
+        return preferred
+    position = senders.index(preferred)
+    for offset in range(1, len(senders)):
+        candidate = senders[(position + offset) % len(senders)]
+        if not processes[candidate].crashed:
+            return candidate
+    return preferred

@@ -44,23 +44,3 @@ class RandomStreams:
         digest = zlib.crc32(name.encode("utf-8"))
         return (self._seed * 2_654_435_761 + digest) & 0xFFFFFFFFFFFF
 
-    def exponential(self, name: str, mean: float) -> float:
-        """Draw an exponential variate with the given ``mean`` from ``name``.
-
-        A mean of zero returns zero (used for degenerate distributions such
-        as a zero mistake duration), a mean of ``inf`` returns ``inf``.
-        """
-        if mean == 0:
-            return 0.0
-        if mean == float("inf"):
-            return float("inf")
-        if mean < 0:
-            raise ValueError(f"mean must be non-negative, got {mean}")
-        return self.stream(name).expovariate(1.0 / mean)
-
-    def uniform_choice(self, name: str, items):
-        """Pick a uniformly random element of ``items`` from stream ``name``."""
-        seq = list(items)
-        if not seq:
-            raise ValueError("cannot choose from an empty sequence")
-        return self.stream(name).choice(seq)

@@ -33,15 +33,12 @@ class WanProfile:
     ----------
     name:
         Registry key (also the campaign cache-key dimension value).
-    description:
-        One-line human description for catalogs and ``--help`` text.
     latency_matrix:
         ``dc x dc`` one-way propagation delays; the diagonal must be zero
         (intra-datacenter traffic only pays the LAN contention model).
     """
 
     name: str
-    description: str
     latency_matrix: Tuple[Tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
@@ -129,7 +126,6 @@ def wan_profile(name: str) -> WanProfile:
 register_wan_profile(
     WanProfile(
         name="wan-3dc",
-        description="three datacenters, 20/30/40 one-way latencies",
         latency_matrix=(
             (0.0, 20.0, 40.0),
             (20.0, 0.0, 30.0),
@@ -143,7 +139,6 @@ register_wan_profile(
 register_wan_profile(
     WanProfile(
         name="wan-5dc",
-        description="five datacenters, two continents, 10-80 one-way latencies",
         latency_matrix=(
             (0.0, 10.0, 20.0, 50.0, 60.0),
             (10.0, 0.0, 15.0, 55.0, 65.0),

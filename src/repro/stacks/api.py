@@ -118,17 +118,15 @@ LayerBuilder = Callable[
 class StackSpec:
     """A named, frozen descriptor of one protocol-stack composition.
 
-    ``name`` is the registry key and ``description`` a one-line summary;
-    ``build`` is the per-process layer factory (:data:`LayerBuilder`);
-    ``uses_membership`` says whether the stack runs a group membership
-    service (exposed as ``BroadcastSystem.membership``); ``default_fd_kind``
-    applies unless a configuration names another; ``params`` is the params
-    dataclass of what the layers read, resolved into
+    ``name`` is the registry key; ``build`` is the per-process layer factory
+    (:data:`LayerBuilder`); ``uses_membership`` says whether the stack runs a
+    group membership service (exposed as ``BroadcastSystem.membership``);
+    ``default_fd_kind`` applies unless a configuration names another;
+    ``params`` is the params dataclass of what the layers read, resolved into
     ``system.config.params.stack``.
     """
 
     name: str
-    description: str
     build: LayerBuilder
     uses_membership: bool = False
     default_fd_kind: str = "qos"

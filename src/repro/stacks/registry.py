@@ -81,17 +81,15 @@ class SystemParams(NamedTuple):
 # ------------------------------------------------------------------ registration
 
 
-def register_stack(spec: StackSpec, replace: bool = False) -> StackSpec:
-    """Register ``spec`` under its name (error on collision unless ``replace``)."""
-    if not replace and spec.name in _STACKS:
+def register_stack(spec: StackSpec) -> StackSpec:
+    """Register ``spec`` under its name (an error if the name is taken)."""
+    if spec.name in _STACKS:
         raise ValueError(f"stack {spec.name!r} is already registered")
     _STACKS[spec.name] = spec
     return spec
 
 
-def register_fd_kind(
-    name: str, factory: FabricFactory, replace: bool = False, params: type = NoParams
-) -> FdKindSpec:
+def register_fd_kind(name: str, factory: FabricFactory, params: type = NoParams) -> FdKindSpec:
     """Register a failure detector fabric factory under ``name``.
 
     The factory is called as ``factory(sim, network, rng, config)`` with the
@@ -101,10 +99,9 @@ def register_fd_kind(
     """
     if "/" in name:
         raise ValueError(f"fd kind names cannot contain '/': {name!r}")
-    spec = FdKindSpec(name, factory, params)
-    if not replace and name in _FD_KINDS:
+    if name in _FD_KINDS:
         raise ValueError(f"fd kind {name!r} is already registered")
-    _FD_KINDS[name] = spec
+    spec = _FD_KINDS[name] = FdKindSpec(name, factory, params)
     return spec
 
 
@@ -400,23 +397,10 @@ def _perfect_fabric(sim, network, rng, config):
 
 
 def _register_builtins() -> None:
-    register_stack(
-        StackSpec(
-            name="fd",
-            description=(
-                "Chandra-Toueg atomic broadcast on consensus and unreliable "
-                "failure detectors (the paper's FD algorithm)"
-            ),
-            build=_build_fd_stack,
-        )
-    )
+    register_stack(StackSpec(name="fd", build=_build_fd_stack))
     register_stack(
         StackSpec(
             name="gm",
-            description=(
-                "fixed-sequencer uniform atomic broadcast on a group "
-                "membership service (the paper's GM algorithm)"
-            ),
             build=_make_gm_builder(uniform=True),
             uses_membership=True,
             params=GmParams,
@@ -425,9 +409,6 @@ def _register_builtins() -> None:
     register_stack(
         StackSpec(
             name="gm-nonuniform",
-            description=(
-                "non-uniform variant of the GM algorithm (Section 8 extension)"
-            ),
             build=_make_gm_builder(uniform=False),
             uses_membership=True,
             params=GmParams,
@@ -436,11 +417,6 @@ def _register_builtins() -> None:
     register_stack(
         StackSpec(
             name="gm-reform",
-            description=(
-                "GM algorithm with timeout-gated group reformation: a "
-                "stalled view change escalates to a full-static-set "
-                "consensus that rebuilds the group after view-majority loss"
-            ),
             build=_make_gm_builder(uniform=True),
             uses_membership=True,
             params=GmReformParams,

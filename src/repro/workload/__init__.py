@@ -1,5 +1,5 @@
 """Workload generation for the benchmark scenarios."""
 
-from repro.workload.generator import PoissonWorkload, SentMessage
+from repro.workload.generator import PoissonWorkload
 
-__all__ = ["PoissonWorkload", "SentMessage"]
+__all__ = ["PoissonWorkload"]

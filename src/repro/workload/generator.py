@@ -11,23 +11,13 @@ process Poisson.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.types import BroadcastID
 from repro.metrics.stats import interarrival_from_throughput
+from repro.sim.process import live_sender
 
 SentCallback = Callable[[int, BroadcastID, float], None]
-
-
-@dataclass(frozen=True)
-class SentMessage:
-    """One workload message that was actually handed to the broadcast layer."""
-
-    index: int
-    broadcast_id: BroadcastID
-    sender: int
-    time: float
 
 
 class PoissonWorkload:
@@ -50,8 +40,8 @@ class PoissonWorkload:
         ``senders`` defaults to every process of the system; crash-steady
         experiments restrict it to the correct processes.  With
         ``reassign_crashed``, an arrival whose chosen sender is down at
-        emission time is redirected to the next live configured sender (in
-        pid order, wrapping around) -- scenarios whose fault schedule crashes
+        emission time is redirected to the next live configured sender
+        (:func:`repro.sim.process.live_sender`) -- scenarios whose fault schedule crashes
         and recovers processes mid-run use this to keep "correct processes
         send at the same rate" without disturbing the random streams.
         """
@@ -69,8 +59,6 @@ class PoissonWorkload:
         self.reassign_crashed = reassign_crashed
         self._rng = system.rng.stream("workload")
         self._sent_callbacks: List[SentCallback] = []
-        #: Messages actually A-broadcast so far, in send order.
-        self.sent: List[SentMessage] = []
         self._scheduled = 0
 
     # ------------------------------------------------------------------ wiring
@@ -111,31 +99,12 @@ class PoissonWorkload:
         self._scheduled = first + count
         return time
 
-    def scheduled_count(self) -> int:
-        """Number of arrivals scheduled so far."""
-        return self._scheduled
-
     # ------------------------------------------------------------------ internals
 
     def _emit(self, index: int, sender: int) -> None:
-        if self.reassign_crashed and self.processes[sender].crashed:
-            sender = self._live_sender(sender)
+        if self.reassign_crashed:
+            sender = live_sender(self.processes, self.senders, sender)
         broadcast_id = self.abcasts[sender].broadcast(f"workload-{index}")
         now = self.sim.now
-        sent = SentMessage(index=index, broadcast_id=broadcast_id, sender=sender, time=now)
-        self.sent.append(sent)
         for callback in list(self._sent_callbacks):
             callback(index, broadcast_id, now)
-
-    def _live_sender(self, sender: int) -> int:
-        """The next configured sender (pid order, wrapping) that is up.
-
-        Falls back to the original sender when every configured sender is
-        down -- impossible under the ``f < n/2`` bound the scenarios enforce.
-        """
-        position = self.senders.index(sender)
-        for offset in range(1, len(self.senders)):
-            candidate = self.senders[(position + offset) % len(self.senders)]
-            if not self.processes[candidate].crashed:
-                return candidate
-        return sender

@@ -241,10 +241,9 @@ class TestTestLocalKind:
         for entry in KEY_TABLE:
             assert PointSpec.from_dict(entry["point"]).key() == entry["key"]
 
-    def test_points_validate_label_and_round_trip(self, hot_sender):
+    def test_points_validate_and_round_trip(self, hot_sender):
         point = PointSpec("hot-sender", stack="gm", hot_pid=2, burst=8)
         assert (point.hot_pid, point.burst) == (2, 8)
-        assert "hot=p2 x8" in point.label()
         assert PointSpec.from_dict(json.loads(json.dumps(point.as_dict()))) == point
         with pytest.raises(ValueError, match="hot_pid 3 out of range"):
             PointSpec("hot-sender", hot_pid=3)

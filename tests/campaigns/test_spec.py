@@ -407,12 +407,6 @@ class TestReformationAndHeartbeatDimensions:
         assert (by_kind["heartbeat"].period, by_kind["heartbeat"].timeout) == (25.0, 75.0)
         assert not hasattr(by_kind["qos"], "period")
 
-    def test_label_mentions_the_reformation_window(self):
-        point = PointSpec(
-            kind="view-majority-loss", stack="gm-reform", reformation_timeout=800.0
-        )
-        assert "reformation_timeout=800.0" in point.label()
-
 
 class TestServiceLoadDimensions:
     """The client population, batching and FD-scan dimensions."""
@@ -480,17 +474,6 @@ class TestServiceLoadDimensions:
         by_kind = {point.fd_kind: system_params(point).detector for point in campaign.points()}
         assert by_kind["qos"].scan_interval == 5.0
         assert not hasattr(by_kind["heartbeat"], "scan_interval")
-
-    def test_label_mentions_the_population(self):
-        open_loop = PointSpec(kind="service-load", stack="fd", max_batch=8)
-        assert "open-loop" in open_loop.label()
-        assert "max_batch=8" in open_loop.label()
-        closed = PointSpec(
-            kind="service-load", stack="fd", clients=16, think_time=50.0,
-            consistency="local",
-        )
-        assert "clients=16" in closed.label()
-        assert "local" in closed.label()
 
 
 class TestFaultInjectionDimensions:
@@ -561,21 +544,6 @@ class TestFaultInjectionDimensions:
             PointSpec(kind="partition-transient", stack="gm", n=2)
         with pytest.raises(ValueError, match="partition_duration"):
             PointSpec(kind="partition-transient", stack="gm", partition_duration=-1.0)
-
-    def test_labels_mention_the_fault_axes(self):
-        partition = PointSpec(
-            kind="partition-transient", stack="gm", partition_duration=500.0
-        )
-        assert "window=500ms" in partition.label()
-        wan = PointSpec(kind="wan-steady", stack="gm", wan_profile="wan-5dc")
-        assert "profile=wan-5dc" in wan.label()
-        gray = PointSpec(
-            kind="gray-degradation", stack="gm", degraded_pid=2,
-            degrade_factor=4.0, link_loss=0.2,
-        )
-        assert "slow=p2" in gray.label()
-        assert "x4" in gray.label()
-        assert "loss=0.2" in gray.label()
 
     def test_grid_takes_each_kinds_own_axes(self):
         (partition,) = grid(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import os
 import pathlib
@@ -150,6 +151,13 @@ def assert_no_duplicates(sequences: Dict[int, List[BroadcastID]]) -> None:
     """Assert no process delivered the same message twice."""
     for pid, sequence in sequences.items():
         assert len(sequence) == len(set(sequence)), f"p{pid} delivered duplicates"
+
+
+def count_flips(detector) -> collections.Counter:
+    """Suspicions (``[True]``) and trusts (``[False]``) ``detector`` makes from now on."""
+    flips: collections.Counter = collections.Counter()
+    detector.add_listener(lambda _pid, suspected: flips.update((suspected,)))
+    return flips
 
 
 @contextlib.contextmanager

@@ -53,12 +53,14 @@ class TestCrashExclusion:
         assert survivor_views[0] == survivor_views[1] == survivor_views[2]
         assert [v.members for v in survivor_views[0]] == [(0, 1, 2, 3), (0, 1, 2)]
 
-    def test_view_counter_increases(self):
+    def test_one_crash_installs_one_view(self):
         system = gm_system(fd=QoSConfig(detection_time=5.0))
+        installed = []
+        system.membership(0).add_view_listener(installed.append)
         system.start()
         FaultSchedule([CrashAt(10.0, 1)]).apply(system)
         system.run(until=1000.0)
-        assert system.membership(0).views_installed == 1
+        assert [view.members for view in installed] == [(0, 2)]
 
     def test_sequencer_crash_promotes_next_member(self):
         system = gm_system(fd=QoSConfig(detection_time=5.0))

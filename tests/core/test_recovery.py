@@ -4,6 +4,7 @@ from repro import SystemConfig, build_system
 from repro.core.group_membership import MEMBER
 from repro.failure_detectors.qos import QoSConfig
 from repro.scenarios.faults import CrashAt, FaultSchedule, RecoverAt
+from tests.conftest import count_flips
 
 
 def make_system(algorithm, n=3, seed=5, detection_time=10.0, **overrides):
@@ -47,6 +48,7 @@ class TestRecoveredProcessCatchesUp:
 
     def test_short_crash_below_detection_time_goes_unnoticed_by_detectors(self, algorithm):
         system = make_system(algorithm, detection_time=50.0)
+        flips = count_flips(system.fd_fabric.detector(0))
         system.start()
         system.broadcast_at(5.0, 0, "a")
         FaultSchedule([
@@ -55,8 +57,7 @@ class TestRecoveredProcessCatchesUp:
         ]).apply(system)
         system.broadcast_at(400.0, 1, "b")
         system.run(until=3000.0, max_events=500_000)
-        detector = system.fd_fabric.detector(0)
-        assert detector.suspicion_events == 0
+        assert flips[True] == 0
         sequences = system.delivery_sequences()
         assert sequences[2] == sequences[0]
         assert len(sequences[0]) == 2
@@ -102,6 +103,8 @@ class TestRecoveryPayloadRefetch:
 class TestGroupMembershipRejoin:
     def test_recovery_triggers_readmission_view_change(self):
         system = make_system("gm")
+        installed = []
+        system.membership(0).add_view_listener(installed.append)
         system.start()
         system.broadcast_at(5.0, 0, "a")
         FaultSchedule([CrashAt(50.0, 2), RecoverAt(400.0, 2)]).apply(system)
@@ -110,7 +113,7 @@ class TestGroupMembershipRejoin:
         assert membership.status == MEMBER
         assert 2 in membership.view.members
         # Exclusion view change + readmission view change both happened.
-        assert system.membership(0).views_installed >= 2
+        assert len(installed) >= 2
         assert membership.view.view_id == system.membership(0).view.view_id
 
     def test_on_recover_reconciles_back_to_membership(self):
@@ -209,12 +212,12 @@ class TestFailureDetectorRecovery:
             ),
         )
         system = build_system(config)
+        flips = count_flips(system.fd_fabric.detector(2))
         system.start()
         FaultSchedule([CrashAt(10.0, 2), RecoverAt(200.0, 2)]).apply(system)
         system.run(until=2000.0, max_events=300_000)
-        detector = system.fd_fabric.detector(2)
         # The recovered process's own detector makes fresh mistakes again.
-        assert detector.suspicion_events > 0
+        assert flips[True] > 0
 
 
 class TestPairOverrides:
@@ -222,11 +225,10 @@ class TestPairOverrides:
         fd = QoSConfig().with_pair(1, 0, mistake_recurrence_time=50.0, mistake_duration=1.0)
         config = SystemConfig(n=3, stack="fd", seed=9, fd=fd)
         system = build_system(config)
+        flips = [count_flips(system.fd_fabric.detector(pid)) for pid in range(3)]
         system.start()
         system.run(until=5000.0, max_events=300_000)
-        assert system.fd_fabric.detector(1).suspicion_events > 0
-        assert system.fd_fabric.detector(0).suspicion_events == 0
-        assert system.fd_fabric.detector(2).suspicion_events == 0
+        assert [counts[True] > 0 for counts in flips] == [False, True, False]
 
     def test_pair_lookup_and_replacement(self):
         config = QoSConfig().with_pair(1, 0, mistake_recurrence_time=100.0)

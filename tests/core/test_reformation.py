@@ -40,13 +40,13 @@ def alive_members(system):
 
 class TestBlockedStateRecovery:
     def test_plain_gm_blocks_forever(self):
-        system = build_blocked_state_system("gm")
+        system = build_blocked_state_system("gm", instrument=True)
         system.broadcast_at(1000.0, 0, "after-block")
         system.run(until=30_000.0)
         membership = system.membership(0)
         assert membership.status == "view_change"
         assert membership.view.epoch == 0
-        assert membership.reformations_proposed == 0
+        assert system.obs.counter("gm.reformations_proposed") == 0
         # The post-block message is never delivered anywhere.
         assert all(
             "after-block" not in [p for _b, p in system.abcast(pid).delivered]
@@ -54,7 +54,11 @@ class TestBlockedStateRecovery:
         )
 
     def test_gm_reform_installs_successor_view(self):
-        system = build_blocked_state_system("gm-reform")
+        system = build_blocked_state_system("gm-reform", instrument=True)
+        proposers = []
+        system.obs.subscribe(
+            "reformation_proposed", lambda _time, pid, _epoch: proposers.append(pid)
+        )
         system.broadcast_at(1000.0, 0, "after-block")
         system.broadcast_at(2000.0, 2, "from-readmitted")
         system.run(until=30_000.0)
@@ -65,7 +69,7 @@ class TestBlockedStateRecovery:
         view = next(iter(views.values()))
         assert view.epoch == 1
         assert set(views) == set(view.members) == {0, 2}
-        assert system.membership(0).reformations_proposed == 1
+        assert proposers.count(0) == 1
         # Liveness restored: both the survivor's and the re-admitted
         # process's messages deliver at every member, identically.
         logs = {pid: [p for _b, p in system.abcast(pid).delivered] for pid in (0, 2)}
@@ -166,13 +170,12 @@ class TestReformationKnobs:
             SystemConfig(n=3, stack="gm-reform", reformation_timeout=0.0)
 
     def test_failure_free_run_never_reforms(self):
-        system = build_system(SystemConfig(n=3, stack="gm-reform", seed=2))
+        system = build_system(SystemConfig(n=3, stack="gm-reform", seed=2, instrument=True))
         system.start()
         for time, sender in ((1.0, 0), (5.0, 1), (9.0, 2)):
             system.broadcast_at(time, sender, f"m{sender}")
         system.run(until=5_000.0)
+        assert system.obs.counter("gm.reformations_proposed") == 0
         for pid in range(3):
-            membership = system.membership(pid)
-            assert membership.reformations_proposed == 0
-            assert membership.view == View(0, (0, 1, 2))
+            assert system.membership(pid).view == View(0, (0, 1, 2))
         assert all(len(seq) == 3 for seq in system.delivery_sequences().values())

@@ -119,7 +119,7 @@ class TestBuildSystem:
         system = build_system(n=3, fd_kind="heartbeat")
         for process in system.processes:
             assert process.failure_detector is system.fd_fabric.detector(process.pid)
-            assert process.has_component("heartbeat-fd")
+            assert process.component("heartbeat-fd") is process.failure_detector
 
     def test_fd_system_has_no_membership(self):
         system = build_system(stack="fd")

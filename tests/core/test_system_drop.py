@@ -118,7 +118,8 @@ def test_a_held_service_leaves_its_system_to_the_owner(collector_off):
     system = build_system(SystemConfig(n=3))
     service = ReplicatedService(system)
     for index in range(5):
-        service.submit_at(1.0 + index, index % 3, Command("put", f"k{index}", index))
+        command = Command("put", f"k{index}", index)
+        service.sim.post_at(1.0 + index, service.submit, index % 3, command)
     system.run(until=500.0)
     assert len(service.requests) == 5
     assert service.replicas_consistent()

@@ -16,7 +16,9 @@ from repro.scenarios.faults import CrashAt, FaultSchedule
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import RandomStreams
-from tests.conftest import assert_no_duplicates, assert_prefix_consistent, poisson_broadcasts
+from tests.conftest import (
+    assert_no_duplicates, assert_prefix_consistent, count_flips, poisson_broadcasts,
+)
 
 
 def build_fabric(n=3, seed=1, scan_interval=10.0, **qos):
@@ -159,12 +161,12 @@ class TestBatchedMistakes:
             scan_interval=1.0,
             seed=3,
         )
+        flips = [count_flips(fabric.detector(pid)) for pid in range(3)]
         fabric.start()
         sim.run(until=2_000.0)
-        for pid in range(3):
-            detector = fabric.detector(pid)
-            assert detector.suspicion_events > 0
-            assert detector.trust_events > 0
+        for counts in flips:
+            assert counts[True] > 0
+            assert counts[False] > 0
 
     def test_crash_stops_mistakes_for_the_pair(self):
         sim, network, fabric = build_fabric(

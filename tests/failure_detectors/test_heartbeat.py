@@ -97,7 +97,7 @@ class TestHeartbeatFabric:
         assert sorted(fabric.detectors()) == [0, 1, 2]
         for process in processes:
             assert fabric.detector(process.pid) is process.failure_detector
-            assert process.has_component("heartbeat-fd")
+            assert process.component("heartbeat-fd") is process.failure_detector
 
     def test_double_attach_rejected(self):
         _sim, _network, processes, fabric = build_fabric()

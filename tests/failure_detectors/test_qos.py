@@ -8,6 +8,7 @@ from repro.failure_detectors.qos import QoSConfig, QoSFailureDetectorFabric
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import RandomStreams
+from tests.conftest import count_flips
 
 
 def build_fabric(n=3, seed=1, scan_interval=None, **qos):
@@ -79,18 +80,19 @@ class TestCrashDetection:
 class TestWrongSuspicions:
     def test_no_mistakes_with_infinite_recurrence(self):
         sim, _network, fabric = build_fabric()
+        flips = [count_flips(fabric.detector(pid)) for pid in range(3)]
         fabric.start()
         sim.run(until=10_000.0)
-        for pid in range(3):
-            assert fabric.detector(pid).suspicion_events == 0
+        assert all(counts[True] == 0 for counts in flips)
 
     def test_mistake_rate_roughly_matches_recurrence_time(self):
         sim, _network, fabric = build_fabric(
             n=2, mistake_recurrence_time=100.0, mistake_duration=0.0, seed=3
         )
+        flips = count_flips(fabric.detector(0))
         fabric.start()
         sim.run(until=100_000.0)
-        events = fabric.detector(0).suspicion_events
+        events = flips[True]
         # Expect about 1000 mistakes; allow generous statistical slack.
         assert 700 < events < 1300
 
@@ -171,8 +173,9 @@ class TestWrongSuspicions:
         sim, _network, fabric = build_fabric(
             n=3, mistake_recurrence_time=100.0, mistake_duration=0.0, seed=11
         )
+        flips = [count_flips(fabric.detector(pid)) for pid in range(3)]
         fabric.start()
         sim.run(until=20_000.0)
-        counts = [fabric.detector(pid).suspicion_events for pid in range(3)]
+        counts = [flips[pid][True] for pid in range(3)]
         assert all(count > 0 for count in counts)
         assert len(set(counts)) > 1, "independent streams should not be identical"

@@ -21,8 +21,9 @@ class TestReplicatedStoreEndToEnd:
         system.start()
         for i in range(40):
             sender = 1 + i % 4
-            service.submit_at(
+            service.sim.post_at(
                 5.0 + 12.0 * i,
+                service.submit,
                 sender,
                 Command("increment", f"key-{i % 5}", client=sender, request_id=i),
             )
@@ -43,7 +44,7 @@ class TestReplicatedStoreEndToEnd:
         service = ReplicatedService(system)
         system.start()
         for i in range(10):
-            service.submit_at(1.0 + 5 * i, i % 3, Command("put", f"k{i}", i))
+            service.sim.post_at(1.0 + 5 * i, service.submit, i % 3, Command("put", f"k{i}", i))
         system.run(until=5_000.0)
         times = service.response_times()
         assert len(times) == 10

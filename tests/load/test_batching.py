@@ -61,14 +61,15 @@ class TestBatching:
         tag, entries = inner_sent[0]
         assert tag == BATCH_TAG
         assert [payload for _bid, payload in entries] == ["m0", "m1", "m2"]
-        assert batcher.batches_flushed == 1
 
     def test_partial_batch_flushes_after_max_delay(self, algorithm):
         system = batched_system(algorithm, max_batch=10, max_delay=7.0)
         batcher = system.abcasts[0]
+        flushed = []
+        batcher.inner.add_broadcast_listener(lambda bid, payload: flushed.append(payload))
         system.sim.schedule_at(1.0, batcher.broadcast, "lonely")
         system.run(until=500.0)
-        assert batcher.batches_flushed == 1
+        assert len(flushed) == 1
         assert batcher.pending_count == 0
         for abcast in system.abcasts:
             assert [p for _bid, p in abcast.delivered] == ["lonely"]
@@ -117,11 +118,13 @@ class TestCrashRecovery:
     def test_crash_drops_timer_but_keeps_pending(self, algorithm):
         system = batched_system(algorithm, max_batch=10, max_delay=5.0)
         batcher = system.abcasts[0]
+        flushed = []
+        batcher.inner.add_broadcast_listener(lambda bid, payload: flushed.append(payload))
         system.sim.schedule_at(1.0, batcher.broadcast, "buffered")
         FaultSchedule([CrashAt(2.0, 0)]).apply(system)
         system.run(until=100.0)
         assert batcher.pending_count == 1
-        assert batcher.batches_flushed == 0
+        assert flushed == []
 
     def test_recover_rearms_and_flushes_buffered_payloads(self, algorithm):
         system = batched_system(

@@ -28,7 +28,7 @@ class TestAdmission:
     def test_unbounded_window_admits_everything(self, algorithm):
         system, service = make_service(algorithm)
         for i in range(20):
-            service.submit_at(1.0 + i, 0, put(i))
+            service.sim.post_at(1.0 + i, service.submit, 0, put(i))
         system.run(until=5000.0)
         assert service.outcome_counts() == {
             "admitted": 20, "queued": 0, "shed": 0, "local_reads": 0
@@ -120,8 +120,8 @@ class TestConsistencyModes:
 
     def test_ordered_mode_orders_reads_too(self, algorithm):
         system, service = make_service(algorithm, consistency="ordered")
-        service.submit_at(1.0, 0, put(0))
-        service.submit_at(2.0, 0, Command("get", "k0", client=1, request_id=1))
+        service.sim.post_at(1.0, service.submit, 0, put(0))
+        service.sim.post_at(2.0, service.submit, 0, Command("get", "k0", client=1, request_id=1))
         system.run(until=5000.0)
         assert service.local_reads == 0
         get_request = service.requests[1]
@@ -262,7 +262,7 @@ class TestInstrumentation:
             config={"instrument": True},
         )
         for i in range(3):
-            service.submit_at(1.0, 0, put(i))
+            service.sim.post_at(1.0, service.submit, 0, put(i))
         system.run(until=5000.0)
         times = [request.response_time for request in service.requests]
         assert [round(t) for t in times] == [7, 16, 25]

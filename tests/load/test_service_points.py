@@ -14,6 +14,8 @@ simulated behaviour) by deleting the file and rerunning this test
 
 import os
 
+import pytest
+
 from repro import SystemConfig, build_system
 from repro.load.clients import ClosedLoopClients, CommandMix, OpenLoopClients
 from repro.load.service import AdmissionConfig, LoadTestedService
@@ -90,3 +92,11 @@ def test_service_points_are_pinned():
     assert any(outcome["queued"] for outcome in outcomes)
     assert any(outcome["shed"] for outcome in outcomes)
     goldens.check(GOLDEN, payload)
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_every_request_completes_across_a_crash(stack):
+    """A request dequeued while its ingress replica is down goes out through a live one."""
+    times = run_point(stack, "closed-crash-recover")["response_times"]
+    assert len(times) == 150
+    assert None not in times

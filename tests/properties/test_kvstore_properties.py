@@ -25,14 +25,6 @@ class TestKeyValueStoreProperties:
         assert replies_a == replies_b
         assert a.snapshot() == b.snapshot()
 
-    @given(script=st.lists(commands, max_size=60))
-    @settings(max_examples=100, deadline=None)
-    def test_applied_counter_matches_script_length(self, script):
-        store = KeyValueStore()
-        for command in script:
-            store.apply(command)
-        assert store.applied == len(script)
-
     @given(script=st.lists(commands, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_reads_never_modify_state(self, script):

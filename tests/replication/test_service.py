@@ -17,14 +17,14 @@ def make_service(algorithm="fd", n=3, seed=51, **overrides):
 class TestReplicatedService:
     def test_command_applied_on_all_replicas(self, algorithm):
         system, service = make_service(algorithm)
-        service.submit_at(1.0, 0, Command("put", "x", 42, client=1, request_id=1))
+        service.sim.post_at(1.0, service.submit, 0, Command("put", "x", 42, client=1, request_id=1))
         system.run(until=200.0)
         for pid in range(3):
             assert service.replicas[pid].get("x") == 42
 
     def test_client_gets_reply_and_response_time(self, algorithm):
         system, service = make_service(algorithm)
-        service.submit_at(1.0, 1, Command("put", "x", 1, client=7, request_id=1))
+        service.sim.post_at(1.0, service.submit, 1, Command("put", "x", 1, client=7, request_id=1))
         system.run(until=200.0)
         (request,) = service.requests
         assert request.reply == ("ok", "x")
@@ -33,9 +33,8 @@ class TestReplicatedService:
     def test_replicas_apply_in_same_order(self, algorithm):
         system, service = make_service(algorithm)
         for i in range(10):
-            service.submit_at(
-                1.0 + i * 0.7, i % 3, Command("increment", "counter", client=i, request_id=i)
-            )
+            command = Command("increment", "counter", client=i, request_id=i)
+            service.sim.post_at(1.0 + i * 0.7, service.submit, i % 3, command)
         system.run(until=2000.0)
         assert service.replicas_consistent()
         states = {replica.snapshot() for replica in service.replicas.values()}
@@ -45,7 +44,7 @@ class TestReplicatedService:
     def test_consistency_survives_a_crash(self, algorithm):
         system, service = make_service(algorithm, fd=QoSConfig(detection_time=10.0))
         for i in range(8):
-            service.submit_at(1.0 + 6 * i, 1 + i % 2, Command("put", f"k{i}", i))
+            service.sim.post_at(1.0 + 6 * i, service.submit, 1 + i % 2, Command("put", f"k{i}", i))
         FaultSchedule([CrashAt(20.0, 0)]).apply(system)
         system.run(until=5000.0)
         assert service.replicas_consistent()
@@ -60,7 +59,7 @@ class TestReplicatedService:
             abcast.add_delivery_listener(
                 lambda bid, _payload: first_delivery.setdefault(bid, system.sim.now)
             )
-        service.submit_at(1.0, 0, Command("put", "x", 1))
+        service.sim.post_at(1.0, service.submit, 0, Command("put", "x", 1))
         system.run(until=200.0)
         (request,) = service.requests
         (first,) = first_delivery.values()
@@ -70,7 +69,7 @@ class TestReplicatedService:
     def test_response_times_listing(self, algorithm):
         system, service = make_service(algorithm)
         for i in range(5):
-            service.submit_at(1.0 + i, 0, Command("put", f"k{i}", i))
+            service.sim.post_at(1.0 + i, service.submit, 0, Command("put", f"k{i}", i))
         system.run(until=500.0)
         times = service.response_times()
         assert len(times) == 5

@@ -29,12 +29,6 @@ class TestKeyValueStore:
         with pytest.raises(ValueError):
             KeyValueStore().apply(Command("explode", "a"))
 
-    def test_applied_counter(self):
-        store = KeyValueStore()
-        for i in range(4):
-            store.apply(Command("put", f"k{i}", i))
-        assert store.applied == 4
-
     def test_snapshot_is_sorted_and_comparable(self):
         a, b = KeyValueStore(), KeyValueStore()
         a.apply(Command("put", "x", 1))

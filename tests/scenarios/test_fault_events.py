@@ -78,7 +78,11 @@ def run_case(stack, events):
     return {
         "events_processed": system.sim.events_processed,
         "now": system.sim.now,
-        "sim_events": system.obs.counters_by_prefix("sim.events."),
+        "sim_events": {
+            name: count
+            for name, count in sorted(system.obs.counters.items())
+            if name.startswith("sim.events.")
+        },
         "deliveries": {
             str(pid): [list(bid) for bid in ids]
             for pid, ids in system.delivery_sequences().items()

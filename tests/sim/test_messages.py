@@ -13,16 +13,9 @@ class TestMessage:
         message = Message(0, (0, 1, 2), "proto", "x")
         assert message.remote_destinations() == (1, 2)
 
-    def test_unicast_is_not_multicast(self):
-        assert not Message(0, (1,), "proto", "x").is_multicast()
-
-    def test_multicast_detection(self):
-        assert Message(0, (1, 2), "proto", "x").is_multicast()
-
     def test_self_only_message_has_no_remote_destinations(self):
         message = Message(0, (0,), "proto", "x")
         assert message.remote_destinations() == ()
-        assert not message.is_multicast()
 
     def test_repr_mentions_protocol(self):
         assert "proto" in repr(Message(0, (1,), "proto", "x"))

@@ -58,8 +58,7 @@ class TestComponents:
     def test_component_lookup(self):
         _sim, _network, processes, components = build()
         assert processes[0].component("echo") is components[0]
-        assert processes[0].has_component("echo")
-        assert not processes[0].has_component("other")
+        assert list(processes[0].components()) == [components[0]]
 
     def test_message_dispatch_to_component(self):
         sim, _network, _processes, components = build()

@@ -1,8 +1,5 @@
 """Unit tests for the named random streams."""
 
-
-import pytest
-
 from repro.sim.rng import RandomStreams
 
 
@@ -40,27 +37,3 @@ class TestRandomStreams:
     def test_seed_property(self):
         assert RandomStreams(42).seed == 42
 
-    def test_exponential_zero_mean(self, rng):
-        assert rng.exponential("fd", 0.0) == 0.0
-
-    def test_exponential_infinite_mean(self, rng):
-        assert rng.exponential("fd", float("inf")) == float("inf")
-
-    def test_exponential_negative_mean_rejected(self, rng):
-        with pytest.raises(ValueError):
-            rng.exponential("fd", -1.0)
-
-    def test_exponential_mean_is_approximately_right(self):
-        streams = RandomStreams(7)
-        samples = [streams.exponential("x", 100.0) for _ in range(5000)]
-        mean = sum(samples) / len(samples)
-        assert 90.0 < mean < 110.0
-
-    def test_uniform_choice(self, rng):
-        items = ["a", "b", "c"]
-        for _ in range(20):
-            assert rng.uniform_choice("pick", items) in items
-
-    def test_uniform_choice_empty_rejected(self, rng):
-        with pytest.raises(ValueError):
-            rng.uniform_choice("pick", [])

@@ -6,6 +6,11 @@
   statement, throwing its :class:`~repro.sim.engine.EventHandle` away.
 * :class:`~repro.sim.resources.FIFOResource` carries no write-only state.
 * There is one event loop: one function of ``sim/engine.py`` pops the heap.
+* No program state is write-only and no entry point is uncalled: every
+  attribute a class of ``src/repro`` stores is loaded by ``src/repro`` or
+  ``benchmarks/suite``, and every public function, method and class is loaded
+  by ``src/repro``, ``benchmarks/`` or ``examples/``, unless :data:`TEST_ONLY`
+  names it with its reason.
 """
 
 import ast
@@ -15,6 +20,7 @@ import repro
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 ENGINE = SRC / "sim" / "engine.py"
+REPO = SRC.parent.parent
 
 
 def _trees():
@@ -115,3 +121,107 @@ def test_one_function_of_the_kernel_pops_the_heap():
         ):
             poppers.append(node.name)
     assert poppers == ["run"], f"functions of sim/engine.py that pop the heap: {poppers}"
+
+
+_NETWORK_STATS = "read by name through NetworkStats.as_dict(), i.e. system.message_stats()"
+_QUEUE = "the queue's progress; its directory layout stays private to the queue"
+_MODEL = "the closed-form cost model the analysis tests hold the simulator to"
+
+#: ``Class.name`` (or a module-level ``name``) that no program loads and that
+#: stays anyway, with the reason.  Each is a test seam that steers or exposes
+#: state no other API does, documented API, or evidence a ROADMAP item reads.
+TEST_ONLY = {
+    "ReliableBroadcast.relays": "ROADMAP 16's evidence: the relays of a run",
+    "ReliableBroadcast.unstable_count": "the unstable-message buffer, no other view",
+    "FailureDetector.force_suspect": "steers a detector",
+    "FailureDetector.force_trust": "steers a detector",
+    "Simulator.pending_events": "the kernel queue's live entries",
+    "Simulator.cancelled_pending_events": "the kernel queue's cancelled entries",
+    "FIFOResource.queue_length": "FIFO resource stats",
+    "FIFOResource.jobs_served": "FIFO resource stats",
+    "FIFOResource.busy_time": "FIFO resource stats",
+    "Network.network_resource": "the medium, whose FIFO resource stats tests read",
+    "Instrumentation.subscribe": "README API; ROADMAP 3(b) builds on it",
+    "Instrumentation.unsubscribe": "README API; ROADMAP 3(b) builds on it",
+    "Instrumentation.counter": "one counter, 0 when never touched",
+    "write_metrics": "README API: writes one metrics.json",
+    "unregister_kind": "undoes a registration a test made",
+    "unregister_stack": "undoes a registration a test made",
+    "unregister_fd_kind": "undoes a registration a test made",
+    "stack_variants": "every selectable stack name, which tests sweep",
+    "FaultSchedule.max_concurrent_crashes": "README: the f < n/2 check of a schedule",
+    "GroupMembership.is_sequencer": "the reference for the cached sequencer flag",
+    "BatchingAtomicBroadcast.pending_count": "the batch buffer, no other view",
+    "LoadTestedService.inflight": "the admission window's occupancy, no other view",
+    "Message.remote_destinations": "the view of the slot the network reads directly",
+    "Summary.minimum": "a field of Summary, the shape every caller gets",
+    "Summary.maximum": "a field of Summary, the shape every caller gets",
+    "WorkQueue.result_entry": _QUEUE,
+    "WorkQueue.pending_count": _QUEUE,
+    "WorkQueue.result_count": _QUEUE,
+    "CostModel.crash_transient_overhead": _MODEL,
+    "CostModel.messages_per_broadcast": _MODEL,
+    "CostModel.view_change_messages": _MODEL,
+    **{
+        f"NetworkStats.{name}": _NETWORK_STATS
+        for name in (
+            "messages_sent", "unicasts_sent", "multicasts_sent", "deliveries",
+            "dropped_sender_crashed", "dropped_receiver_crashed", "duplicated_link",
+        )
+    },
+}
+
+
+def _loads(*roots):
+    """Every name an AST ``Name`` or ``Attribute`` load under ``roots`` uses.
+
+    An import (a re-export) and an ``__all__`` string are no loads.
+    """
+    names = set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+    return names
+
+
+def _stored(cls):
+    """Names ``cls`` stores on ``self`` or declares as class-body fields."""
+    for node in ast.walk(cls):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            yield node.attr
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def _definitions(body, owner=""):
+    """``(qualified name, name)`` of each public def and class, classes recursed."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield f"{owner}{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node.body, f"{node.name}.")
+
+
+def test_no_write_only_state_and_no_uncalled_entry_point():
+    read = _loads(SRC, REPO / "benchmarks" / "suite")
+    called = _loads(SRC, REPO / "benchmarks", REPO / "examples")
+    unread = set()
+    for _path, tree in _trees():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            unread.update(f"{cls.name}.{name}" for name in _stored(cls) if name not in read)
+        unread.update(qualified for qualified, name in _definitions(tree.body) if name not in called)
+    unlisted = sorted(unread - set(TEST_ONLY))
+    assert unlisted == [], f"no program reads these, delete them: {unlisted}"
+    stale = sorted(set(TEST_ONLY) - unread)
+    assert stale == [], f"a program reads these now, or they are gone: {stale}"

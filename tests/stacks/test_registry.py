@@ -81,11 +81,11 @@ class TestResolution:
 class TestStackSpecValidation:
     def test_name_required(self):
         with pytest.raises(ValueError):
-            StackSpec(name="", description="x", build=lambda *a: None)
+            StackSpec(name="", build=lambda *a: None)
 
     def test_slash_in_name_rejected(self):
         with pytest.raises(ValueError, match="cannot contain"):
-            StackSpec(name="fd/custom", description="x", build=lambda *a: None)
+            StackSpec(name="fd/custom", build=lambda *a: None)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -117,7 +117,6 @@ class TestCustomRegistration:
         register_stack(
             StackSpec(
                 name="gm-custom",
-                description="test stack",
                 build=build_echo_gm,
                 uses_membership=True,
                 params=EchoParams,

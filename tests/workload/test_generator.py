@@ -10,6 +10,13 @@ def make_system(seed=21):
     return build_system(SystemConfig(n=3, stack="fd", seed=seed))
 
 
+def record_sends(workload):
+    """``(index, sender, time)`` of every arrival ``workload`` sends from now on."""
+    sent = []
+    workload.add_sent_callback(lambda index, bid, time: sent.append((index, bid.sender, time)))
+    return sent
+
+
 class TestPoissonWorkload:
     def test_invalid_throughput_rejected(self):
         with pytest.raises(ValueError):
@@ -31,17 +38,18 @@ class TestPoissonWorkload:
     def test_all_scheduled_messages_are_sent(self):
         system = make_system()
         workload = PoissonWorkload(system, 100.0)
+        sent = record_sends(workload)
         workload.schedule_messages(20)
         system.run(until=100_000.0)
-        assert len(workload.sent) == 20
-        assert workload.scheduled_count() == 20
+        assert [index for index, _sender, _time in sent] == list(range(20))
 
     def test_senders_restricted(self):
         system = make_system()
         workload = PoissonWorkload(system, 100.0, senders=[1, 2])
+        sent = record_sends(workload)
         workload.schedule_messages(30)
         system.run(until=100_000.0)
-        assert {sent.sender for sent in workload.sent} <= {1, 2}
+        assert {sender for _index, sender, _time in sent} <= {1, 2}
 
     def test_sent_callback_invoked_in_order(self):
         system = make_system()
@@ -63,9 +71,10 @@ class TestPoissonWorkload:
         def schedule(seed):
             system = make_system(seed)
             workload = PoissonWorkload(system, 50.0)
+            sent = record_sends(workload)
             workload.schedule_messages(15)
             system.run(until=100_000.0)
-            return [(round(s.time, 6), s.sender) for s in workload.sent]
+            return [(round(time, 6), sender) for _index, sender, time in sent]
 
         assert schedule(5) == schedule(5)
         assert schedule(5) != schedule(6)
