@@ -399,10 +399,9 @@ class TestStructure:
         assert not set(code_strings(registry_path)) & names
         with open(registry_path, encoding="utf-8") as handle:
             assert not re.search(r"^(from|import) .*\brun_", handle.read(), re.MULTILINE)
-        # The scenario layer sits below the campaign layer; only the
-        # crash-transient sweep helper reaches up (lazily) to declare points.
+        # The scenario layer sits below the campaign layer and never reaches up.
         for name in sorted(os.listdir(SCENARIOS_SRC)):
-            if name.endswith(".py") and name != "transient.py":
+            if name.endswith(".py"):
                 with open(os.path.join(SCENARIOS_SRC, name), encoding="utf-8") as handle:
                     assert "repro.campaigns" not in code_imports(handle.read()), name
         for name in BUILTIN_KINDS:

@@ -28,6 +28,16 @@ class TestFailureDetector:
         detector.force_trust(1)
         assert events == [(1, True), (1, False)]
 
+    def test_event_counters(self):
+        detector = FailureDetector(0, range(3))
+        events = []
+        detector.add_listener(lambda pid, suspected: events.append(suspected))
+        detector.force_suspect(1)
+        detector.force_trust(1)
+        detector.force_suspect(2)
+        assert events.count(True) == 2
+        assert events.count(False) == 1
+
     def test_owner_never_suspected(self):
         detector = FailureDetector(0, range(3))
         detector.force_suspect(0)

@@ -206,6 +206,25 @@ class TestFaultSchedules:
         assert sorted(completions) == list(range(80))
         assert all(count == 1 for count in completions.values())
 
+    def test_a_dequeued_request_leaves_through_a_live_replica(self, algorithm):
+        system, service = make_service(
+            algorithm,
+            admission=AdmissionConfig(max_inflight=1, max_queue=4),
+            config={"fd": QoSConfig(detection_time=10.0)},
+        )
+        FaultSchedule([CrashAt(0.5, 1)]).apply(system)
+        system.start()
+        first = service.submit(0, put(0))
+        queued = service.submit(1, put(1))
+        assert queued.status == "queued"
+        system.run(until=5000.0)
+        # Replica 1 was down when the window freed: the request went out
+        # through the next live replica instead of being lost with it.
+        assert queued.sender == 2
+        assert first.response_time is not None
+        assert queued.response_time is not None
+        assert service.inflight == 0
+
     def test_batched_service_survives_crash_schedule(self, algorithm):
         system, service = make_service(
             algorithm,

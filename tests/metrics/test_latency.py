@@ -5,6 +5,7 @@ import pytest
 from repro import SystemConfig, build_system
 from repro.core.types import BroadcastID
 from repro.metrics.latency import LatencyRecorder
+from repro.metrics.stats import summarize
 
 
 class TestStandaloneRecorder:
@@ -40,6 +41,16 @@ class TestStandaloneRecorder:
             recorder.record_delivery(bid, start + 7.0)
         assert set(recorder.latencies()) == {a, b}
         assert set(recorder.latencies(only=[a])) == {a}
+
+    def test_summary(self):
+        recorder = LatencyRecorder()
+        for i in range(5):
+            bid = BroadcastID(0, i + 1)
+            recorder.record_broadcast(bid, 0.0)
+            recorder.record_delivery(bid, float(i + 1))
+        summary = summarize(recorder.latencies().values())
+        assert summary.count == 5
+        assert summary.mean == pytest.approx(3.0)
 
     def test_first_broadcast_time_wins(self):
         recorder = LatencyRecorder()

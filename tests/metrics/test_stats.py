@@ -64,6 +64,13 @@ class TestSummarize:
             3.182446305284 * math.sqrt(20.0 / 3.0) / 2.0, rel=1e-9
         )
 
+    def test_confidence_level_is_honoured(self):
+        # Three degrees of freedom: the 99 % quantile is 1.84x the 95 % one
+        # (t = 5.841 against 3.182), the 90 % one below both.
+        narrow, default, wide = (_t_quantile(c, 3) for c in (0.90, 0.95, 0.99))
+        assert narrow < default < wide
+        assert wide / default == pytest.approx(5.840909309733 / 3.182446305284, rel=1e-9)
+
     def test_two_samples_use_the_one_degree_quantile(self):
         # Figure 8 averages as few as two runs per point: t_{0.975,1} = 12.71,
         # 6.5x the normal quantile a small-sample interval must not use.

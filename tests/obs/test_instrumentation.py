@@ -55,6 +55,12 @@ class TestLifecycle:
         assert obs.histograms["abcast.broadcast_to_deliver"] == [5.0]
         assert obs.histograms["abcast.sequence_to_deliver"] == [2.0]
 
+    def test_incomplete_lifecycle_has_no_latency(self):
+        obs = Instrumentation()
+        obs.abcast_broadcast(1.0, 0, (0, 1), "m")
+        assert "abcast.broadcast_to_deliver" not in obs.histograms
+        assert obs.counter("abcast.deliveries") == 0
+
     def test_message_send_splits_dropped_sends(self):
         obs = Instrumentation()
         obs.message_send(1.0, FakeMessage(protocol="rbcast"))

@@ -15,6 +15,7 @@ from repro.scenarios.faults import (
     RecoverAt,
     RestoreAt,
     SuspectDuring,
+    minority,
 )
 from tests.conftest import readme_module
 
@@ -171,6 +172,22 @@ class TestOutOfRangePids:
         with pytest.raises(ValueError, match="names process 4"):
             FaultSchedule([CrashAt(10.0, 1), RecoverAt(20.0, 4)]).schedule(system)
         assert system.sim.pending_events == 0
+
+
+class TestMinority:
+    """The pids a canonical partition or suspicion window cuts off."""
+
+    @pytest.mark.parametrize(
+        "n, expected", [(3, (2,)), (4, (3,)), (5, (3, 4)), (6, (4, 5)), (7, (4, 5, 6))]
+    )
+    def test_minority_is_the_top_pids(self, n, expected):
+        assert minority(n) == expected
+
+    def test_what_stays_is_a_strict_majority(self):
+        for n in range(3, 16):
+            assert 2 * (n - len(minority(n))) > n
+            # ... and the minority is as large as that allows.
+            assert 2 * (n - len(minority(n)) - 1) <= n
 
 
 class TestReadmeBlock:

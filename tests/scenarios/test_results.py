@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from repro.scenarios.results import ScenarioResult, TransientResult
 
 
@@ -40,6 +42,9 @@ class TestScenarioResult:
         assert "normal-steady" in text
         assert "fd" in text
 
+    def test_summary_is_the_95_percent_interval(self):
+        assert self.make([1.0, 2.0, 4.0], measured=3).summary().confidence == 0.95
+
     def test_describe_flags_incomplete_points(self):
         text = self.make([1.0], measured=10, undelivered=9).describe()
         assert "DID NOT COMPLETE" in text
@@ -65,6 +70,14 @@ class TestTransientResult:
     def test_overhead_subtracts_detection_time(self):
         result = self.make([20.0, 30.0], detection_time=10.0)
         assert result.overhead_summary().mean == 15.0
+
+    def test_both_summaries_are_95_percent_intervals(self):
+        result = self.make([20.0, 30.0, 25.0])
+        assert result.latency_summary().confidence == 0.95
+        assert result.overhead_summary().confidence == 0.95
+        assert result.overhead_summary().ci_halfwidth == pytest.approx(
+            result.latency_summary().ci_halfwidth
+        )
 
     def test_describe(self):
         assert "crash-transient" in self.make([12.0]).describe()

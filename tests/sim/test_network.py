@@ -5,6 +5,7 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
 from repro.sim.network import Network, NetworkConfig
+from repro.sim.wan import register_wan_profile, wan_profile
 
 
 class Collector:
@@ -290,6 +291,16 @@ class TestWanDelays:
         network.send(Message(0, (1,), "p", "x"))
         sim.run()
         assert collector.times_for(1) == [3.0]
+
+
+class TestWanProfiles:
+    def test_duplicate_profile_rejected(self):
+        with pytest.raises(ValueError, match="already registered"):
+            register_wan_profile(wan_profile("wan-3dc"))
+
+    def test_unknown_profile_names_the_registered_ones(self):
+        with pytest.raises(ValueError, match="wan-3dc"):
+            wan_profile("wan-nowhere")
 
 
 class TestGrayFaults:

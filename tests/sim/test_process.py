@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.process import Component, SimProcess
+from repro.sim.process import Component, SimProcess, live_sender
 
 
 class Echo(Component):
@@ -185,3 +185,37 @@ class TestCrash:
         _sim, network, processes, _components = build()
         processes[2].crash()
         assert network.is_crashed(2)
+
+
+class TestLiveSender:
+    """One rule for every ingress choice: the preferred replica if up, else the next live one."""
+
+    def test_an_up_preferred_sender_is_kept(self):
+        _sim, _network, processes, _components = build()
+        processes[0].crash()
+        assert live_sender(processes, [0, 1, 2], 1) == 1
+
+    def test_a_crashed_sender_passes_to_the_next_one_in_list_order(self):
+        _sim, _network, processes, _components = build(n=4)
+        processes[1].crash()
+        assert live_sender(processes, [0, 1, 2, 3], 1) == 2
+        assert live_sender(processes, [3, 1, 0, 2], 1) == 0
+
+    def test_the_search_wraps_around_the_list(self):
+        _sim, _network, processes, _components = build()
+        processes[2].crash()
+        assert live_sender(processes, [0, 1, 2], 2) == 0
+
+    def test_only_the_listed_senders_are_candidates(self):
+        _sim, _network, processes, _components = build()
+        processes[2].crash()
+        assert live_sender(processes, [1, 2], 2) == 1
+        processes[1].crash()
+        # Process 0 is up but not a sender of this list.
+        assert live_sender(processes, [1, 2], 2) == 2
+
+    def test_every_sender_down_keeps_the_preferred(self):
+        _sim, _network, processes, _components = build()
+        for process in processes:
+            process.crash()
+        assert live_sender(processes, [0, 1, 2], 1) == 1

@@ -14,6 +14,7 @@
 """
 
 import ast
+import functools
 import pathlib
 
 import repro
@@ -213,15 +214,57 @@ def _definitions(body, owner=""):
                 yield from _definitions(node.body, f"{node.name}.")
 
 
-def test_no_write_only_state_and_no_uncalled_entry_point():
+def _findings(trees, read, called):
+    """``(write-only attributes, uncalled definitions)`` of ``trees``, qualified."""
+    write_only, uncalled = set(), set()
+    for tree in trees:
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            write_only.update(f"{cls.name}.{name}" for name in _stored(cls) if name not in read)
+        uncalled.update(qualified for qualified, name in _definitions(tree.body) if name not in called)
+    return write_only, uncalled
+
+
+@functools.lru_cache(maxsize=None)
+def _source_findings():
     read = _loads(SRC, REPO / "benchmarks" / "suite")
     called = _loads(SRC, REPO / "benchmarks", REPO / "examples")
-    unread = set()
-    for _path, tree in _trees():
-        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
-            unread.update(f"{cls.name}.{name}" for name in _stored(cls) if name not in read)
-        unread.update(qualified for qualified, name in _definitions(tree.body) if name not in called)
-    unlisted = sorted(unread - set(TEST_ONLY))
-    assert unlisted == [], f"no program reads these, delete them: {unlisted}"
-    stale = sorted(set(TEST_ONLY) - unread)
+    return _findings((tree for _path, tree in _trees()), read, called)
+
+
+def test_no_state_is_write_only():
+    write_only, _uncalled = _source_findings()
+    unlisted = sorted(write_only - set(TEST_ONLY))
+    assert unlisted == [], f"stored and never read by a program, delete them: {unlisted}"
+
+
+def test_every_public_entry_point_is_called():
+    _write_only, uncalled = _source_findings()
+    unlisted = sorted(uncalled - set(TEST_ONLY))
+    assert unlisted == [], f"no program calls these, delete them: {unlisted}"
+
+
+def test_the_allowlist_names_only_what_no_program_reads():
+    write_only, uncalled = _source_findings()
+    stale = sorted(set(TEST_ONLY) - write_only - uncalled)
     assert stale == [], f"a program reads these now, or they are gone: {stale}"
+
+
+def test_the_rules_see_a_write_only_tally_and_an_uncalled_view(tmp_path):
+    # Guards the two rules above against passing vacuously.
+    source = (
+        "class Detector:\n"
+        "    def __init__(self):\n"
+        "        self.events = 0\n"
+        "        self.suspected = set()\n"
+        "    def suspect(self, pid):\n"
+        "        self.events += 1\n"
+        "        self.suspected.add(pid)\n"
+        "    def summary(self):\n"
+        "        return len(self.suspected)\n"
+        "Detector().suspect(1)\n"
+    )
+    (tmp_path / "detector.py").write_text(source, encoding="utf-8")
+    loads = _loads(tmp_path)
+    assert _findings([ast.parse(source)], loads, loads) == (
+        {"Detector.events"}, {"Detector.summary"}
+    )

@@ -86,3 +86,13 @@ class TestPoissonWorkload:
         system.run(until=100_000.0)
         delivered = [p for _b, p in system.abcast(0).delivered]
         assert sorted(delivered) == ["workload-0", "workload-1", "workload-2"]
+
+    def test_reassign_crashed_sends_through_the_next_live_sender(self):
+        system = make_system()
+        workload = PoissonWorkload(system, 100.0, senders=[1, 2], reassign_crashed=True)
+        sent = record_sends(workload)
+        system.processes[1].crash()
+        workload.schedule_messages(20)
+        system.run(until=100_000.0)
+        assert len(sent) == 20
+        assert {sender for _index, sender, _time in sent} == {2}
