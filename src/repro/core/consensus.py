@@ -111,8 +111,7 @@ class ConsensusInstance:
         return [pid for pid in self.participants if pid != self.pid]
 
     def _suspects(self, pid: int) -> bool:
-        detector = self.service.process.failure_detector
-        return detector is not None and detector.is_suspected(pid)
+        return self.service.process.failure_detector.is_suspected(pid)
 
     def _send(self, destination: int, body: Any) -> None:
         self.service.send_one(destination, body)
@@ -356,12 +355,8 @@ class ConsensusInstance:
             self.abandoned_nacked += 1
             self._enter_round(round_number + 1)
             return
-        detector = self.service.process.failure_detector
-        if detector is None:
-            trusted_silent = silent
-        else:
-            suspected = detector._suspected
-            trusted_silent = [pid for pid in silent if pid not in suspected]
+        suspected = self.service.process.failure_detector._suspected
+        trusted_silent = [pid for pid in silent if pid not in suspected]
         if len(acks) + len(trusted_silent) >= self.majority:
             return
         if deferred:
@@ -516,9 +511,7 @@ class ConsensusService(Component):
 
     def start(self) -> None:
         """Subscribe to the local failure detector."""
-        detector = self.process.failure_detector
-        if detector is not None:
-            detector.add_listener(self._on_suspicion_change)
+        self.process.failure_detector.add_listener(self._on_suspicion_change)
 
     def on_recover(self) -> None:
         """Re-stimulate every undecided instance after a crash recovery."""
@@ -571,10 +564,6 @@ class ConsensusService(Component):
     def has_buffered(self, cid: Hashable) -> bool:
         """Whether messages are waiting for a local :meth:`propose` of ``cid``."""
         return cid in self._buffered
-
-    def instance(self, cid: Hashable) -> Optional[ConsensusInstance]:
-        """The local instance object for ``cid`` (or ``None``)."""
-        return self._instances.get(cid)
 
     def counters(self) -> Dict[str, float]:
         """The instances' diagnostic counters, summed over this process.

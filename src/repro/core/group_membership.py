@@ -203,14 +203,11 @@ class GroupMembership(Component):
         after the start.
         """
         detector = self.process.failure_detector
-        if detector is not None:
-            detector.add_listener(self._on_suspicion_change)
-            if self._status == MEMBER and any(
-                detector.is_suspected(member)
-                for member in self._view.members
-                if member != self.pid
-            ):
-                self._start_view_change()
+        detector.add_listener(self._on_suspicion_change)
+        if self._status == MEMBER and any(
+            detector.is_suspected(member) for member in self._view.members if member != self.pid
+        ):
+            self._start_view_change()
 
     def on_recover(self) -> None:
         """Reconcile with the group after a crash recovery.
@@ -241,13 +238,11 @@ class GroupMembership(Component):
     # ------------------------------------------------------------------ failure detector
 
     def _suspects(self, pid: int) -> bool:
-        detector = self.process.failure_detector
-        return detector is not None and detector.is_suspected(pid)
+        return self.process.failure_detector.is_suspected(pid)
 
     def _suspected(self) -> AbstractSet[int]:
         """Everyone the local detector suspects now, for a scan over members."""
-        detector = self.process.failure_detector
-        return detector.suspected() if detector is not None else frozenset()
+        return self.process.failure_detector.suspected()
 
     def _on_suspicion_change(self, pid: int, suspected: bool) -> None:
         if suspected:

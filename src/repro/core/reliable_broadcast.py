@@ -45,9 +45,7 @@ class ReliableBroadcast(Component):
 
     def start(self) -> None:
         """Subscribe to the failure detector to relay on suspicion."""
-        detector = self.process.failure_detector
-        if detector is not None:
-            detector.add_listener(self._on_suspicion_change)
+        self.process.failure_detector.add_listener(self._on_suspicion_change)
 
     # ------------------------------------------------------------------ API
 

@@ -361,7 +361,9 @@ register_figure(
             "per the paper, GM latency explodes (or the point does not complete) at "
             "small T_MR while FD degrades only mildly; the curves join at very large "
             "T_MR.  Measured here: at T = 300/s and T_MR <= 100 ms, FD's mean latency "
-            "grows with run length; the cause is open (ROADMAP 16)."
+            "grows with run length: consensus acknowledgements queue behind "
+            "reliable-broadcast relays of wrongly suspected origins (EXPERIMENTS.md); "
+            "whether that is a bug or the model is open (ROADMAP 16(b))."
         ),
         label="{algorithm}, n={n}, T={throughput:g}/s".format,
         curves=_figure6_curves,

@@ -18,7 +18,9 @@ concrete, message-based :class:`HeartbeatFailureDetector`: it lets users
 check how implementation parameters (heartbeat period, timeout) map onto the
 QoS metrics and how heartbeat traffic loads the network.
 
-All three are registered as ``fd_kind``\\ s in the stack registry
+All three are :class:`DetectorFabric`\\ s -- the one contract of an fd kind:
+one :class:`FailureDetector` per process, whose suspicion state the fabric
+drives -- registered as ``fd_kind``\\ s in the stack registry
 (:mod:`repro.stacks.registry`): ``"qos"``, ``"perfect"`` and ``"heartbeat"``
 are selectable on any stack via ``SystemConfig(fd_kind=...)``.
 """
@@ -29,23 +31,19 @@ from repro.failure_detectors.heartbeat import (
     HeartbeatFailureDetector,
     HeartbeatFailureDetectorFabric,
 )
-from repro.failure_detectors.interface import FailureDetector, SuspicionListener
-from repro.failure_detectors.perfect import (
-    PerfectFailureDetector,
-    PerfectFailureDetectorFabric,
-)
-from repro.failure_detectors.qos import QoSConfig, QoSFailureDetector, QoSFailureDetectorFabric
+from repro.failure_detectors.interface import DetectorFabric, FailureDetector, SuspicionListener
+from repro.failure_detectors.perfect import PerfectFailureDetectorFabric
+from repro.failure_detectors.qos import QoSConfig, QoSFailureDetectorFabric
 
 __all__ = [
     "CrashDetectionFabric",
+    "DetectorFabric",
     "FailureDetector",
     "HeartbeatConfig",
     "HeartbeatFailureDetector",
     "HeartbeatFailureDetectorFabric",
-    "PerfectFailureDetector",
     "PerfectFailureDetectorFabric",
     "QoSConfig",
-    "QoSFailureDetector",
     "QoSFailureDetectorFabric",
     "SuspicionListener",
 ]

@@ -1,7 +1,9 @@
 """Shared machinery of the clock-driven failure detector fabrics.
 
-:class:`CrashDetectionFabric` owns one detector per process and implements
-everything every clock-driven fabric needs, independent of *why* suspicions
+:class:`CrashDetectionFabric` is the
+:class:`~repro.failure_detectors.interface.DetectorFabric` of the clock-driven
+kinds: it owns one plain detector per process and implements everything
+every clock-driven fabric needs, independent of *why* suspicions
 happen:
 
 * crash detection: a crash is suspected by every monitor a per-pair
@@ -59,9 +61,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.failure_detectors.interface import FailureDetector
+from repro.failure_detectors.interface import DetectorFabric, FailureDetector
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.network import Network
 
@@ -78,11 +80,9 @@ PARTITION_TRUST = "_partition_trust"
 Entry = Union[EventHandle, int]
 
 
-class CrashDetectionFabric:
+class CrashDetectionFabric(DetectorFabric):
     """Base fabric: crash detection, trust restoration, forced suspicions."""
 
-    #: Detector class instantiated per process; subclasses may refine it.
-    detector_class = FailureDetector
     #: The pair transition kinds this fabric arms.
     kinds: Tuple[str, ...] = (DETECT, TRUST, PARTITION_DETECT, PARTITION_TRUST)
 
@@ -94,12 +94,9 @@ class CrashDetectionFabric:
     ) -> None:
         if scan_interval is not None and scan_interval <= 0:
             raise ValueError(f"scan_interval must be > 0, got {scan_interval}")
-        self._sim = sim
-        self._network = network
+        super().__init__(sim, network)
         pids = list(range(network.n))
-        self._detectors: Dict[int, FailureDetector] = {
-            pid: self.detector_class(pid, pids) for pid in pids
-        }
+        self._detectors.update((pid, FailureDetector(pid, pids)) for pid in pids)
         self._crashed: set = set()
         self._started = False
         #: The pending transition of each kind, per pair.
@@ -125,18 +122,6 @@ class CrashDetectionFabric:
     def scan_interval(self) -> Optional[float]:
         """The batched-scan tick, or ``None`` in exact per-pair-timer mode."""
         return self._scan_interval
-
-    def attach(self, process) -> FailureDetector:
-        """The detector of ``process`` (fabric protocol; detectors pre-exist)."""
-        return self._detectors[process.pid]
-
-    def detector(self, pid: int) -> FailureDetector:
-        """The failure detector local to process ``pid``."""
-        return self._detectors[pid]
-
-    def detectors(self) -> Dict[int, FailureDetector]:
-        """All detectors, keyed by owner process id."""
-        return dict(self._detectors)
 
     # ------------------------------------------------------------------ hooks
 
@@ -233,37 +218,13 @@ class CrashDetectionFabric:
         the measured window: every detector suspects the crashed processes
         from the very start of the run.
         """
+        self._check("suspect_permanently", [monitored])
         self._crashed.add(monitored)
         for monitor, detector in self._detectors.items():
             if monitor == monitored:
                 continue
             self._cancel_mistakes(monitor, monitored)
             detector._set_suspected(monitored, True)
-
-    def suspect_during(
-        self,
-        target: int,
-        start: float,
-        duration: float,
-        monitors: Optional[Iterable[int]] = None,
-    ) -> None:
-        """Force a wrong suspicion of ``target`` during ``[start, start + duration]``.
-
-        Every monitor in ``monitors`` (default: all) suspects ``target`` at
-        absolute time ``start`` and trusts it again ``duration`` later --
-        the deterministic counterpart of the random QoS mistakes, used by
-        declarative fault schedules.  Crashed endpoints are skipped at fire
-        time, and the suspicion is not lifted if ``target`` really crashed
-        in the meantime.  Forced windows are rare (a handful per scenario),
-        so they stay direct simulator events even in batched-scan mode.
-        """
-        if duration < 0:
-            raise ValueError(f"duration must be >= 0, got {duration}")
-        pids = self._detectors.keys() if monitors is None else monitors
-        for monitor in pids:
-            if monitor == target:
-                continue
-            self._sim.post_at(start, self._forced_begins, monitor, target, duration)
 
     def _forced_begins(self, monitor: int, target: int, duration: float) -> None:
         if target in self._crashed or monitor in self._crashed:

@@ -6,21 +6,21 @@ implementation parameters (heartbeat period, timeout) translate into the QoS
 metrics (``T_D`` roughly equals ``period + timeout`` in the absence of
 contention) and how the extra heartbeat traffic loads the network.
 
-:class:`HeartbeatFailureDetectorFabric` adapts the per-process detectors to
-the fabric protocol of the stack registry
-(:class:`repro.stacks.api.FailureDetectorFabric`), which makes the heartbeat
-detector a first-class ``fd_kind``: ``SystemConfig(stack="fd",
-fd_kind="heartbeat")`` (or ``stack="fd/heartbeat"``) runs any scenario --
-including the crash-recovery churn and correlated-crash schedules -- on real
-heartbeat traffic instead of the paper's abstract QoS clock.
+:class:`HeartbeatFailureDetectorFabric` is the
+:class:`~repro.failure_detectors.interface.DetectorFabric` of the per-process
+detectors, which makes the heartbeat detector a first-class ``fd_kind``:
+``SystemConfig(stack="fd", fd_kind="heartbeat")`` (or
+``stack="fd/heartbeat"``) runs any scenario -- including the crash-recovery
+churn and correlated-crash schedules -- on real heartbeat traffic instead of
+the paper's abstract QoS clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
-from repro.failure_detectors.interface import FailureDetector
+from repro.failure_detectors.interface import DetectorFabric, FailureDetector
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.network import Network
 from repro.sim.process import Component, SimProcess
@@ -162,8 +162,8 @@ class HeartbeatFailureDetector(FailureDetector, Component):
         self._check_timer = self.set_timer(self.config.period, self._check_timeouts)
 
 
-class HeartbeatFailureDetectorFabric:
-    """Fabric protocol adapter over per-process heartbeat detectors.
+class HeartbeatFailureDetectorFabric(DetectorFabric):
+    """The fabric of per-process heartbeat detectors.
 
     Unlike the clock-driven fabrics, the detectors here are real protocol
     components: they are created when a process is attached, start with the
@@ -174,13 +174,9 @@ class HeartbeatFailureDetectorFabric:
     """
 
     def __init__(self, sim: Simulator, network: Network, config: HeartbeatConfig) -> None:
-        self._sim = sim
-        self._network = network
+        super().__init__(sim, network)
         self.config = config
-        self._detectors: Dict[int, HeartbeatFailureDetector] = {}
         network.add_recovery_listener(self._on_recovery)
-
-    # ------------------------------------------------------------------ access
 
     def attach(self, process: SimProcess) -> HeartbeatFailureDetector:
         """Create the heartbeat component of ``process`` (once per process)."""
@@ -189,19 +185,6 @@ class HeartbeatFailureDetectorFabric:
         detector = HeartbeatFailureDetector(process, self.config)
         self._detectors[process.pid] = detector
         return detector
-
-    def detector(self, pid: int) -> HeartbeatFailureDetector:
-        """The failure detector local to process ``pid``."""
-        return self._detectors[pid]
-
-    def detectors(self) -> Dict[int, HeartbeatFailureDetector]:
-        """All detectors, keyed by owner process id."""
-        return dict(self._detectors)
-
-    # ------------------------------------------------------------------ lifecycle
-
-    def start(self) -> None:
-        """No-op: heartbeat detectors start with their hosting process."""
 
     # ------------------------------------------------------------------ fault injection
 
@@ -213,6 +196,7 @@ class HeartbeatFailureDetectorFabric:
         ends the window and its next heartbeat restores trust -- the
         crash-steady convention of the clock-driven fabrics.
         """
+        self._check("suspect_permanently", [monitored])
         for monitor, detector in self._detectors.items():
             if monitor == monitored:
                 continue
@@ -223,29 +207,9 @@ class HeartbeatFailureDetectorFabric:
             if detector._forced_until.get(pid) == INFINITY:
                 del detector._forced_until[pid]
 
-    def suspect_during(
-        self,
-        target: int,
-        start: float,
-        duration: float,
-        monitors: Optional[Iterable[int]] = None,
-    ) -> None:
-        """Force a wrong suspicion of ``target`` during ``[start, start + duration]``.
-
-        Heartbeats from ``target`` arriving inside the window are ignored
-        (the mistake does not self-heal early); crashed endpoints are
-        skipped at fire time, and the suspicion is not lifted if ``target``
-        really crashed in the meantime.
-        """
-        if duration < 0:
-            raise ValueError(f"duration must be >= 0, got {duration}")
-        pids = self._detectors.keys() if monitors is None else monitors
-        for monitor in pids:
-            if monitor == target:
-                continue
-            self._sim.post_at(start, self._forced_begins, monitor, target, duration)
-
     def _forced_begins(self, monitor: int, target: int, duration: float) -> None:
+        # Heartbeats from ``target`` arriving inside the window are ignored:
+        # the mistake does not self-heal early.
         if self._network.is_crashed(monitor) or self._network.is_crashed(target):
             return
         detector = self._detectors[monitor]

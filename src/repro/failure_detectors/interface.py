@@ -4,11 +4,17 @@ A failure detector is local to one process.  Algorithms query the current
 suspicion state with :meth:`FailureDetector.is_suspected` and subscribe to
 changes with :meth:`FailureDetector.add_listener`; listeners are invoked as
 ``listener(pid, suspected)`` whenever the suspicion state of ``pid`` flips.
+
+:class:`DetectorFabric` is what an ``fd_kind`` is: the one object per
+system that owns every process's detector and drives their suspicion state.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Set, Tuple
+from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+
+from repro.sim.engine import Simulator
+from repro.sim.network import Network
 
 SuspicionListener = Callable[[int, bool], None]
 
@@ -70,3 +76,68 @@ class FailureDetector:
         """Testing hook: mark ``pid`` trusted immediately."""
         self._set_suspected(pid, False)
 
+
+class DetectorFabric:
+    """The failure detectors of one system: the contract of an ``fd_kind``.
+
+    The system assembler, the fault events and the instrumentation use only
+    this surface.  A subclass fills ``_detectors`` (up front, or in its own
+    :meth:`attach`), implements ``suspect_permanently`` and the
+    ``_forced_begins(monitor, target, duration)`` event that
+    :meth:`suspect_during` posts, and overrides :meth:`start` if it has
+    anything to start.
+    """
+
+    def __init__(self, sim: Simulator, network: Network) -> None:
+        self._sim = sim
+        self._network = network
+        self._detectors: Dict[int, FailureDetector] = {}
+
+    def attach(self, process) -> FailureDetector:
+        """The detector of ``process`` (called once per process, before its components)."""
+        return self._detectors[process.pid]
+
+    def detector(self, pid: int) -> FailureDetector:
+        """The failure detector local to process ``pid``."""
+        return self._detectors[pid]
+
+    def detectors(self) -> Dict[int, FailureDetector]:
+        """All detectors, keyed by owner process id."""
+        return dict(self._detectors)
+
+    def start(self) -> None:
+        """Lifecycle hook called once when the system starts (no-op here)."""
+
+    def _check(self, call: str, pids: Iterable[int]) -> None:
+        """Raise ``ValueError`` naming the first of ``pids`` the system lacks."""
+        n = self._network.n
+        for pid in pids:
+            if not 0 <= pid < n:
+                raise ValueError(
+                    f"{call} names process {pid}, but the system has processes 0..{n - 1}"
+                )
+
+    def suspect_during(
+        self,
+        target: int,
+        start: float,
+        duration: float,
+        monitors: Optional[Iterable[int]] = None,
+    ) -> None:
+        """Force a wrong suspicion of ``target`` during ``[start, start + duration]``.
+
+        Every monitor in ``monitors`` (default: all) suspects ``target`` at
+        absolute time ``start`` and trusts it again ``duration`` later --
+        the deterministic counterpart of random mistakes, used by
+        declarative fault schedules.  Crashed endpoints are skipped at fire
+        time, and the suspicion is not lifted if ``target`` really crashed
+        in the meantime.
+        """
+        if duration < 0:
+            raise ValueError(f"duration must be >= 0, got {duration}")
+        pids = list(self._detectors if monitors is None else monitors)
+        self._check("suspect_during", [target, *pids])
+        for monitor in pids:
+            if monitor == target:
+                continue
+            self._sim.post_at(start, self._forced_begins, monitor, target, duration)

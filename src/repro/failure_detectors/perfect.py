@@ -16,19 +16,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.failure_detectors.fabric import CrashDetectionFabric
-from repro.failure_detectors.interface import FailureDetector
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
 
-class PerfectFailureDetector(FailureDetector):
-    """Per-process detector driven by a :class:`PerfectFailureDetectorFabric`."""
-
-
 class PerfectFailureDetectorFabric(CrashDetectionFabric):
     """An idealised detector: constant-delay crash detection, zero mistakes."""
-
-    detector_class = PerfectFailureDetector
 
     def __init__(
         self,

@@ -1,9 +1,9 @@
 """QoS-model failure detectors (Chen, Toueg, Aguilera).
 
-The fabric owns one :class:`QoSFailureDetector` per process and drives all
-``n * (n - 1)`` monitor pairs directly from the simulation clock, without
-exchanging any messages.  This is the abstraction used by the paper
-(Section 6.2):
+The fabric owns one plain :class:`~repro.failure_detectors.interface.FailureDetector`
+per process and drives all ``n * (n - 1)`` monitor pairs directly from the
+simulation clock, without exchanging any messages.  This is the abstraction
+used by the paper (Section 6.2):
 
 * the detection time ``T_D`` is a constant,
 * the mistake recurrence time ``T_MR`` and the mistake duration ``T_M`` are
@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.failure_detectors.fabric import CrashDetectionFabric, Pair
-from repro.failure_detectors.interface import FailureDetector
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
@@ -50,7 +49,7 @@ INFINITY = float("inf")
 MISTAKE_BEGINS = "_mistake_begins"
 MISTAKE_ENDS = "_mistake_ends"
 
-__all__ = ["INFINITY", "Pair", "QoSConfig", "QoSFailureDetector", "QoSFailureDetectorFabric"]
+__all__ = ["INFINITY", "Pair", "QoSConfig", "QoSFailureDetectorFabric"]
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,6 @@ class QoSConfig:
         )
 
 
-class QoSFailureDetector(FailureDetector):
-    """Per-process failure detector driven by a :class:`QoSFailureDetectorFabric`."""
-
-
 def _constant_draw(value: float) -> Callable[[], float]:
     def draw() -> float:
         return value
@@ -158,7 +153,6 @@ def _constant_draw(value: float) -> Callable[[], float]:
 class QoSFailureDetectorFabric(CrashDetectionFabric):
     """Creates and drives the QoS failure detectors of every process."""
 
-    detector_class = QoSFailureDetector
     kinds = CrashDetectionFabric.kinds + (MISTAKE_BEGINS, MISTAKE_ENDS)
 
     def __init__(

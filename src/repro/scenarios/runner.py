@@ -199,14 +199,13 @@ class ScenarioRunner:
     def run_reformation(self, spec: ReformationSpec) -> ScenarioResult:
         """Run one view-majority-loss point, measuring time-to-reformation."""
         with build_system(spec.config) as system:
-            watches_views = system.stack_spec.uses_membership
+            watches_views = bool(system.memberships)
             installs: list = []
-            if watches_views:
-                sim = system.sim
-                for pid, membership in enumerate(system.memberships):
-                    membership.add_view_listener(
-                        lambda view, _pid=pid: installs.append((sim.now, _pid, view))
-                    )
+            sim = system.sim
+            for pid, membership in enumerate(system.memberships):
+                membership.add_view_listener(
+                    lambda view, _pid=pid: installs.append((sim.now, _pid, view))
+                )
             steady = replace(
                 spec,
                 senders=list(range(spec.config.n)),

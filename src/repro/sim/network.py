@@ -232,10 +232,6 @@ class Network:
         self._check_pid(pid)
         return self._crash_times.get(pid)
 
-    def crashed_processes(self) -> Set[int]:
-        """The set of crashed process ids."""
-        return set(self._crashed)
-
     def correct_processes(self) -> List[int]:
         """Process ids that have not crashed, in increasing order."""
         return [pid for pid in range(self._n) if pid not in self._crashed]

@@ -3,16 +3,12 @@
 A *stack* is a named, frozen composition of protocol layers (atomic
 broadcast variant + its substrates) resolved through a registry; a *failure
 detector kind* is an interchangeable fabric implementation attached to any
-stack.  See :mod:`repro.stacks.api` for the contracts and
+stack (a :class:`~repro.failure_detectors.interface.DetectorFabric`).  See
+:mod:`repro.stacks.api` for the contracts and
 :mod:`repro.stacks.registry` for the built-in registrations.
 """
 
-from repro.stacks.api import (
-    FailureDetectorFabric,
-    StackLayers,
-    StackSpec,
-    param,
-)
+from repro.stacks.api import StackLayers, StackSpec, param
 from repro.stacks.registry import (
     available_fd_kinds,
     available_stacks,
@@ -29,7 +25,6 @@ from repro.stacks.registry import (
 )
 
 __all__ = [
-    "FailureDetectorFabric",
     "StackLayers",
     "StackSpec",
     "available_fd_kinds",

@@ -10,9 +10,11 @@ first-class, swappable object instead of an ``if algorithm == ...`` chain:
   (defaults live there only, its ``__post_init__`` checks them, and
   :func:`param` gives a field its flat keyword and CLI flag);
 * :class:`StackLayers` -- the per-process layer bundle a stack's builder
-  returns to the system assembler;
-* :class:`FailureDetectorFabric` -- the structural protocol a failure
-  detector implementation satisfies to be registered as an ``fd_kind``.
+  returns to the system assembler.
+
+An ``fd_kind``'s factory returns a
+:class:`~repro.failure_detectors.interface.DetectorFabric`: that base class
+is the one contract of a failure detector implementation.
 
 Faults are not part of this API: each :mod:`repro.scenarios.faults` event
 posts the bound method that enacts it (a process's ``crash``, the network's
@@ -26,25 +28,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, fields
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    NamedTuple,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.core.consensus import ConsensusService
     from repro.core.group_membership import GroupMembership
     from repro.core.reliable_broadcast import ReliableBroadcast
     from repro.core.types import AtomicBroadcast
-    from repro.failure_detectors.interface import FailureDetector
+    from repro.failure_detectors.interface import DetectorFabric
     from repro.sim.process import SimProcess
     from repro.system import BroadcastSystem
 
@@ -119,16 +110,14 @@ class StackSpec:
     """A named, frozen descriptor of one protocol-stack composition.
 
     ``name`` is the registry key; ``build`` is the per-process layer factory
-    (:data:`LayerBuilder`); ``uses_membership`` says whether the stack runs a
-    group membership service (exposed as ``BroadcastSystem.membership``);
-    ``default_fd_kind`` applies unless a configuration names another;
-    ``params`` is the params dataclass of what the layers read, resolved into
-    ``system.config.params.stack``.
+    (:data:`LayerBuilder`), whose :class:`StackLayers` say whether the stack
+    runs a group membership service; ``default_fd_kind`` applies unless a
+    configuration names another; ``params`` is the params dataclass of what
+    the layers read, resolved into ``system.config.params.stack``.
     """
 
     name: str
     build: LayerBuilder
-    uses_membership: bool = False
     default_fd_kind: str = "qos"
     params: type = NoParams
 
@@ -146,7 +135,7 @@ class StackSpec:
 #: process exists, with the simulation kernel, the network, the system's
 #: random streams and the full configuration (its own params are
 #: ``config.params.detector``).
-FabricFactory = Callable[..., "FailureDetectorFabric"]
+FabricFactory = Callable[..., "DetectorFabric"]
 
 
 class LayerSpec(NamedTuple):
@@ -163,45 +152,3 @@ class FdKindSpec(NamedTuple):
     factory: FabricFactory
     params: type = NoParams
 
-
-@runtime_checkable
-class FailureDetectorFabric(Protocol):
-    """Structural protocol of a failure detector implementation.
-
-    A fabric owns one :class:`~repro.failure_detectors.interface.FailureDetector`
-    per process and drives their suspicion state -- from the simulation clock
-    (QoS model), from real messages (heartbeats) or not at all (perfect).
-    The system assembler and the fault-schedule compiler only ever use these
-    methods, so any object satisfying them can be registered as an
-    ``fd_kind``.
-    """
-
-    def attach(self, process: "SimProcess") -> "FailureDetector":
-        """Create/return the detector of ``process`` (called once per process)."""
-        ...
-
-    def detector(self, pid: int) -> "FailureDetector":
-        """The failure detector local to process ``pid``."""
-        ...
-
-    def detectors(self) -> Dict[int, "FailureDetector"]:
-        """All detectors, keyed by owner process id."""
-        ...
-
-    def start(self) -> None:
-        """Lifecycle hook invoked once when the system starts."""
-        ...
-
-    def suspect_permanently(self, monitored: int) -> None:
-        """Make every monitor suspect ``monitored`` from now until it recovers."""
-        ...
-
-    def suspect_during(
-        self,
-        target: int,
-        start: float,
-        duration: float,
-        monitors: Optional[Iterable[int]] = None,
-    ) -> None:
-        """Force a wrong suspicion of ``target`` during ``[start, start + duration]``."""
-        ...

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.failure_detectors.heartbeat import HeartbeatConfig
+from repro.failure_detectors.interface import DetectorFabric
 from repro.stacks.api import (
     FabricFactory,
     FdKindSpec,
@@ -36,9 +37,6 @@ from repro.stacks.api import (
     param,
     params_of,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy/cycle-free
-    from repro.stacks.api import FailureDetectorFabric
 
 _STACKS: Dict[str, StackSpec] = {}
 _FD_KINDS: Dict[str, FdKindSpec] = {}
@@ -200,7 +198,7 @@ def resolve(stack: str, fd_kind: Optional[str] = None) -> Tuple[StackSpec, str]:
     return spec, kind
 
 
-def create_fd_fabric(kind: str, sim, network, rng, config) -> "FailureDetectorFabric":
+def create_fd_fabric(kind: str, sim, network, rng, config) -> DetectorFabric:
     """Instantiate the fabric of fd kind ``kind`` for one system."""
     return get_fd_kind(kind).factory(sim, network, rng, config)
 
@@ -402,7 +400,6 @@ def _register_builtins() -> None:
         StackSpec(
             name="gm",
             build=_make_gm_builder(uniform=True),
-            uses_membership=True,
             params=GmParams,
         )
     )
@@ -410,7 +407,6 @@ def _register_builtins() -> None:
         StackSpec(
             name="gm-nonuniform",
             build=_make_gm_builder(uniform=False),
-            uses_membership=True,
             params=GmParams,
         )
     )
@@ -418,7 +414,6 @@ def _register_builtins() -> None:
         StackSpec(
             name="gm-reform",
             build=_make_gm_builder(uniform=True),
-            uses_membership=True,
             params=GmReformParams,
         )
     )

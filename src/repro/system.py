@@ -26,6 +26,7 @@ from repro.core.consensus import ConsensusService
 from repro.core.group_membership import GroupMembership
 from repro.core.reliable_broadcast import ReliableBroadcast
 from repro.core.types import AtomicBroadcast, BroadcastID
+from repro.failure_detectors.interface import DetectorFabric
 from repro.failure_detectors.qos import QoSConfig
 from repro.obs.instrumentation import Instrumentation
 from repro.sim.engine import Simulator
@@ -34,7 +35,7 @@ from repro.sim.process import SimProcess
 from repro.sim.rng import RandomStreams
 from repro.sim.wan import wan_profile as wan_registry_lookup
 from repro.stacks import registry as stack_registry
-from repro.stacks.api import FailureDetectorFabric, StackSpec
+from repro.stacks.api import StackSpec
 from repro.stacks.registry import SystemParams
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ class BroadcastSystem:
         # front costs nothing (streams are independent and it is only read
         # when a lossy/duplicating link exists).
         self.network.set_link_rng(self.rng.stream("net/gray"))
-        self.fd_fabric: FailureDetectorFabric = stack_registry.create_fd_fabric(
+        self.fd_fabric: DetectorFabric = stack_registry.create_fd_fabric(
             config.fd_kind, self.sim, self.network, self.rng, config
         )
         self.processes: List[SimProcess] = []
@@ -336,7 +337,7 @@ class BroadcastSystem:
 
     def membership(self, pid: int) -> GroupMembership:
         """The group membership component of ``pid`` (GM stacks only)."""
-        if not self.stack_spec.uses_membership:
+        if not self.memberships:
             raise ValueError(
                 f"the {self.config.stack!r} stack has no group membership service"
             )

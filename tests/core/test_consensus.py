@@ -53,7 +53,8 @@ class TestFailureFreeRuns:
         harness.propose_all("c1", ["a", "b", "c"])
         harness.run()
         for service in harness.services:
-            assert service.instance("c1").rounds_executed == 1
+            counters = service.counters()
+            assert (counters["rounds"], counters["decisions"]) == (1, 1)
 
     def test_multiple_instances_are_independent(self):
         harness = ConsensusHarness(n=3)

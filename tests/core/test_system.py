@@ -121,6 +121,24 @@ class TestBuildSystem:
             assert process.failure_detector is system.fd_fabric.detector(process.pid)
             assert process.component("heartbeat-fd") is process.failure_detector
 
+    @pytest.mark.parametrize("fd_kind", ["qos", "heartbeat", "perfect"])
+    def test_a_forced_suspicion_names_only_processes_of_the_system(self, fd_kind):
+        # Rejected at the call on every fd kind, nothing posted: not ignored
+        # (qos, perfect), nor a KeyError or ValueError from inside run().
+        system = build_system(n=3, fd_kind=fd_kind)
+        for call, pid in [
+            (lambda: system.suspect_during(7, 10.0, 5.0), 7),
+            (lambda: system.suspect_during(0, 10.0, 5.0, monitors=[1, 9]), 9),
+            (lambda: system.suspect_during(-1, 10.0, 5.0), -1),
+            (lambda: system.suspect_permanently(7), 7),
+        ]:
+            with pytest.raises(ValueError, match=rf"names process {pid}, .* processes 0\.\.2$"):
+                call()
+        assert system.sim.pending_events == 0
+        system.suspect_during(2, 10.0, 5.0, monitors=[0])
+        system.run(until=12.0)
+        assert system.fd_fabric.detector(0).is_suspected(2)
+
     def test_fd_system_has_no_membership(self):
         system = build_system(stack="fd")
         with pytest.raises(ValueError):

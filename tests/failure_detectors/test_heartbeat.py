@@ -77,7 +77,7 @@ class TestHeartbeatDetector:
 
 
 def build_fabric(n=3, period=10.0, timeout=30.0):
-    """A fabric wired through the fabric protocol (attach per process)."""
+    """A fabric wired the way the system assembler wires it (attach per process)."""
     sim = Simulator()
     network = Network(sim, NetworkConfig(n=n))
     config = HeartbeatConfig(period=period, timeout=timeout)

@@ -71,7 +71,7 @@ class TestScheduleCompilation:
         system = make_system(n=5)
         FaultSchedule([CorrelatedCrash(12.0, (3, 4))]).apply(system)
         system.run(until=12.0)
-        assert system.network.crashed_processes() == {3, 4}
+        assert system.network.correct_processes() == [0, 1, 2]
 
     def test_suspect_during_window(self):
         system = make_system()
@@ -158,7 +158,7 @@ class TestOutOfRangePids:
         with pytest.raises(ValueError, match=f"{type(event).__name__}.* names process {pid},"):
             schedule.apply(system)
         assert system.sim.pending_events == 0
-        assert system.network.crashed_processes() == set()
+        assert system.network.correct_processes() == [0, 1, 2]
 
     def test_every_timed_event_class_is_in_the_table(self):
         classes = {type(event) for event, _pid in OUT_OF_RANGE}

@@ -160,7 +160,6 @@ class TestCrashes:
         _sim, network, _collector = build(n=4)
         network.crash(2)
         assert network.correct_processes() == [0, 1, 3]
-        assert network.crashed_processes() == {2}
         assert network.is_crashed(2)
         assert not network.is_crashed(0)
 

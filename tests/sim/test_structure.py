@@ -9,8 +9,11 @@
 * No program state is write-only and no entry point is uncalled: every
   attribute a class of ``src/repro`` stores is loaded by ``src/repro`` or
   ``benchmarks/suite``, and every public function, method and class is loaded
-  by ``src/repro``, ``benchmarks/`` or ``examples/``, unless :data:`TEST_ONLY`
+  by ``src/repro``, ``benchmarks/`` or ``examples/`` (a method only as an
+  attribute: a local of the same name is no call), unless :data:`TEST_ONLY`
   names it with its reason.
+* Every process has a failure detector: no expression compares a
+  ``.failure_detector`` (or a local bound to one) with ``None``.
 """
 
 import ast
@@ -141,6 +144,11 @@ TEST_ONLY = {
     "FIFOResource.queue_length": "FIFO resource stats",
     "FIFOResource.jobs_served": "FIFO resource stats",
     "FIFOResource.busy_time": "FIFO resource stats",
+    "FIFOResource.busy": "FIFO resource stats",
+    "SimProcess.component": "a process's component by protocol name, no other view",
+    "ColumnarTable.row": "one row of the columnar mirror as a dict, no other view",
+    "MessageCost.total": _MODEL,
+    "WorkQueue.results": _QUEUE,
     "Network.network_resource": "the medium, whose FIFO resource stats tests read",
     "Instrumentation.subscribe": "README API; ROADMAP 3(b) builds on it",
     "Instrumentation.unsubscribe": "README API; ROADMAP 3(b) builds on it",
@@ -174,19 +182,19 @@ TEST_ONLY = {
 
 
 def _loads(*roots):
-    """Every name an AST ``Name`` or ``Attribute`` load under ``roots`` uses.
+    """``(names, attributes)``: what AST ``Name`` and ``Attribute`` loads under ``roots`` use.
 
     An import (a re-export) and an ``__all__`` string are no loads.
     """
-    names = set()
+    names, attributes = set(), set()
     for root in roots:
         for path in sorted(root.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    names.add(node.attr)
-    return names
+                    attributes.add(node.attr)
+    return names, attributes
 
 
 def _stored(cls):
@@ -215,12 +223,20 @@ def _definitions(body, owner=""):
 
 
 def _findings(trees, read, called):
-    """``(write-only attributes, uncalled definitions)`` of ``trees``, qualified."""
+    """``(write-only attributes, uncalled definitions)`` of ``trees``, qualified.
+
+    ``read`` and ``called`` are :func:`_loads` pairs.  A module-level name
+    counts as called on either load; a class member only on an attribute one.
+    """
+    read = read[0] | read[1]
+    names, attributes = called
     write_only, uncalled = set(), set()
     for tree in trees:
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
             write_only.update(f"{cls.name}.{name}" for name in _stored(cls) if name not in read)
-        uncalled.update(qualified for qualified, name in _definitions(tree.body) if name not in called)
+        for qualified, name in _definitions(tree.body):
+            if name not in attributes and ("." in qualified or name not in names):
+                uncalled.add(qualified)
     return write_only, uncalled
 
 
@@ -261,10 +277,66 @@ def test_the_rules_see_a_write_only_tally_and_an_uncalled_view(tmp_path):
         "        self.suspected.add(pid)\n"
         "    def summary(self):\n"
         "        return len(self.suspected)\n"
-        "Detector().suspect(1)\n"
+        "    def total(self):\n"
+        "        return 0\n"
+        "total = 1\n"
+        "Detector().suspect(total)\n"
     )
     (tmp_path / "detector.py").write_text(source, encoding="utf-8")
     loads = _loads(tmp_path)
     assert _findings([ast.parse(source)], loads, loads) == (
-        {"Detector.events"}, {"Detector.summary"}
+        {"Detector.events"}, {"Detector.summary", "Detector.total"}
     )
+
+
+def _detector_none_checks(tree):
+    """Lines where a ``.failure_detector``, or a local bound to one, is compared with ``None``."""
+    def is_detector(node):
+        return isinstance(node, ast.Attribute) and node.attr == "failure_detector"
+
+    lines = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        aliases = {
+            target.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and is_detector(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Constant) and o.value is None for o in operands) and any(
+                is_detector(o) or (isinstance(o, ast.Name) and o.id in aliases) for o in operands
+            ):
+                lines.add(node.lineno)
+    return lines
+
+
+def test_no_process_is_without_a_failure_detector():
+    # ``BroadcastSystem._build`` attaches a detector before any component.
+    checks = [
+        f"{path.relative_to(SRC.parent)}:{line}"
+        for path, tree in _trees()
+        for line in sorted(_detector_none_checks(tree))
+    ]
+    assert checks == [], f"a process always has a failure detector: {checks}"
+
+
+def test_the_detector_rule_sees_a_guard_through_a_local():
+    # Guards the rule above against passing vacuously.
+    source = (
+        "def suspects(process, pid):\n"
+        "    detector = process.failure_detector\n"
+        "    return detector is not None and detector.is_suspected(pid)\n"
+        "def start(process):\n"
+        "    if process.failure_detector is None:\n"
+        "        return\n"
+        "def trusted(process):\n"
+        "    detector = process.failure_detector\n"
+        "    return detector.suspected() is None\n"  # compares what it returns
+    )
+    assert _detector_none_checks(ast.parse(source)) == {3, 5}

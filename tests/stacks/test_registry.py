@@ -1,12 +1,12 @@
-"""Unit tests for the protocol-stack registry and its public protocols."""
+"""Unit tests for the protocol-stack registry and the fd-kind contract."""
 
 from dataclasses import dataclass
 
 import pytest
 
 from repro import build_system
+from repro.failure_detectors import DetectorFabric
 from repro.stacks import (
-    FailureDetectorFabric,
     StackLayers,
     StackSpec,
     available_fd_kinds,
@@ -39,10 +39,10 @@ class TestBuiltinRegistrations:
         assert "fd/qos" not in variants  # default kind is not re-listed
 
     def test_gm_stacks_use_membership(self):
-        assert not get_stack("fd").uses_membership
-        assert get_stack("gm").uses_membership
-        assert get_stack("gm-nonuniform").uses_membership
-        assert get_stack("gm-reform").uses_membership
+        # Whether a stack runs a membership service is what its builder returns.
+        for stack in available_stacks():
+            system = build_system(n=3, stack=stack)
+            assert len(system.memberships) == (0 if stack == "fd" else 3), stack
 
     def test_unknown_names_raise_with_candidates(self):
         with pytest.raises(ValueError, match="expected one of"):
@@ -118,7 +118,6 @@ class TestCustomRegistration:
             StackSpec(
                 name="gm-custom",
                 build=build_echo_gm,
-                uses_membership=True,
                 params=EchoParams,
             )
         )
@@ -128,7 +127,7 @@ class TestCustomRegistration:
             system.run(until=100.0)
             assert all(len(seq) == 1 for seq in system.delivery_sequences().values())
             assert system.config.stack == "gm-custom"
-            assert system.memberships[0].join_retry_interval == 250.0
+            assert system.membership(0).join_retry_interval == 250.0
             # gm-reform's own param is not this stack's: its default drops, a value raises.
             assert build_system(n=3, stack="gm-custom", reformation_timeout=500.0)
             with pytest.raises(ValueError, match="reformation_timeout applies to stack gm-reform"):
@@ -186,8 +185,8 @@ class TestReadmeBlock:
             build_system(n=3, fd_kind="lagging", lag_ms=-1.0)
 
 
-class TestProtocolConformance:
-    def test_all_builtin_fabrics_satisfy_the_fabric_protocol(self):
+class TestFabricContract:
+    def test_all_builtin_fabrics_are_detector_fabrics(self):
         for fd_kind in available_fd_kinds():
             system = build_system(n=3, fd_kind=fd_kind)
-            assert isinstance(system.fd_fabric, FailureDetectorFabric), fd_kind
+            assert isinstance(system.fd_fabric, DetectorFabric), fd_kind
