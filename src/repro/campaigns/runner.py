@@ -40,7 +40,6 @@ def execute_chunk(
 class CampaignRun:
     """Outcome of one campaign execution: records plus cache statistics."""
 
-    campaign: CampaignSpec
     records: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     cache_hits: int = 0
     executed: int = 0
@@ -142,7 +141,7 @@ class CampaignRunner:
         source of this runner's mode; each ``(point, record)`` it yields is
         committed on arrival, so an interrupted run keeps what finished.
         """
-        run = CampaignRun(campaign=campaign)
+        run = CampaignRun()
         misses: List[PointSpec] = []
         for declared in campaign.points():
             point = declared

@@ -20,6 +20,7 @@ disseminated with reliable broadcast, as in the paper.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
@@ -52,6 +53,7 @@ class ConsensusInstance:
         "_acked_round", "_nacked_round", "_estimates", "_acks", "_nacks",
         "_proposal_value", "_future", "_abandon_recheck_round", "rounds_executed",
         "abandoned_nacked", "abandoned_silent", "rounds_skipped", "started_at", "decided_at",
+        "serial",
     )
 
     def __init__(
@@ -100,6 +102,8 @@ class ConsensusInstance:
         self.abandoned_nacked = self.abandoned_silent = self.rounds_skipped = 0
         self.started_at = service.sim.now
         self.decided_at: Optional[float] = None
+        #: Creation rank among the service's started instances (set by it).
+        self.serial = 0
 
     # ------------------------------------------------------------------ helpers
 
@@ -484,6 +488,15 @@ class ConsensusService(Component):
     instance the local process has not proposed in yet are buffered and
     replayed once :meth:`propose` is called; decisions are processed
     immediately in all cases because they are carried by reliable broadcast.
+
+    A decision is all the service keeps of a decided instance: the value, in
+    :attr:`_decisions`, and the instance's diagnostic counters, folded into
+    the service totals :meth:`counters` reports.  The instance itself, with
+    its rounds' estimates, acks, nacks and proposals, is forgotten, so the
+    instances held are the undecided ones and live state follows the
+    ordering window, not the run.  A message of a decided instance is
+    answered from the decision alone: it is dropped, as the decided
+    instance would have dropped it.
     """
 
     protocol = "consensus"
@@ -495,12 +508,19 @@ class ConsensusService(Component):
         #: Grace period before a coordinator abandons a round that is blocked
         #: only by suspicions (roughly one acknowledgement round-trip).
         self.abandon_grace = 2 * (2 * network_config.lambda_cpu + network_config.network_time) + 2.0
+        # The undecided instances, in creation order: an instance leaves on
+        # its decision.  The suspicion sweep runs once per new suspicion (hot
+        # under frequent wrong suspicions) and walks only these.
         self._instances: Dict[Hashable, ConsensusInstance] = {}
-        # Undecided subset of ``_instances``, maintained on creation and
-        # decision: the suspicion sweep runs once per new suspicion (hot
-        # under frequent wrong suspicions) and must not walk the full,
-        # ever-growing instance history.
-        self._undecided: Dict[Hashable, ConsensusInstance] = {}
+        self._created = 0
+        # Counters of the decided instances (see ``_fold``).
+        self._folded: Dict[str, float] = dict.fromkeys(
+            ("rounds", "abandoned_nacked", "abandoned_silent", "rounds_skipped",
+             "decisions", "decision_ms", "open"), 0,
+        )
+        # ``(serial, decision ms)`` of decided instances created after the
+        # oldest undecided one: a heap, folded in creation order.
+        self._late_decision_ms: List[Tuple[int, float]] = []
         self._buffered: Dict[Hashable, List[Tuple[int, Any]]] = {}
         self._decisions: Dict[Hashable, Any] = {}
         self._decision_listeners: List[DecisionListener] = []
@@ -515,7 +535,7 @@ class ConsensusService(Component):
 
     def on_recover(self) -> None:
         """Re-stimulate every undecided instance after a crash recovery."""
-        for instance in list(self._undecided.values()):
+        for instance in list(self._instances.values()):
             instance.resync_after_recovery()
 
     # ------------------------------------------------------------------ API
@@ -548,13 +568,15 @@ class ConsensusService(Component):
         if cid in self._instances:
             return self._instances[cid]
         instance = ConsensusInstance(self, cid, value, participants, coordinator_order)
-        self._instances[cid] = instance
         if self._obs is not None:
             self._obs.consensus_started(self.now, self.pid, cid)
         if cid in self._decisions:
+            # Never started, so it has no counters to fold and is not kept.
             instance.mark_decided()
             return instance
-        self._undecided[cid] = instance
+        self._created += 1
+        instance.serial = self._created
+        self._instances[cid] = instance
         instance.start()
         for sender, body in self._buffered.pop(cid, []):
             if not instance.decided:
@@ -573,23 +595,40 @@ class ConsensusService(Component):
         ``decision_ms`` is their summed time from creation to decision;
         ``open`` counts the ones that entered a round and did not decide.
         """
-        totals = dict.fromkeys(
-            ("rounds", "abandoned_nacked", "abandoned_silent", "rounds_skipped",
-             "decisions", "decision_ms", "open"), 0,
-        )
+        totals = dict(self._folded)
+        for _serial, decision_ms in sorted(self._late_decision_ms):
+            totals["decision_ms"] += decision_ms
         for instance in self._instances.values():
-            if not instance.rounds_executed:
-                continue
             totals["rounds"] += instance.rounds_executed
             totals["abandoned_nacked"] += instance.abandoned_nacked
             totals["abandoned_silent"] += instance.abandoned_silent
             totals["rounds_skipped"] += instance.rounds_skipped
-            if instance.decided:
-                totals["decisions"] += 1
-                totals["decision_ms"] += instance.decided_at - instance.started_at
-            else:
-                totals["open"] += 1
+            totals["open"] += 1
         return totals
+
+    def _fold(self, instance: ConsensusInstance) -> None:
+        """Add the counters of ``instance``, decided just now, to the totals.
+
+        A float sum depends on its order, and :meth:`counters` sums the
+        decision times in creation order: a decided instance created after
+        the oldest undecided one waits in ``_late_decision_ms`` until every
+        instance before it has decided.  An instance that never decides (one
+        left open across a crash of this process) keeps the decision times
+        of the instances created after it there: a float each, not an
+        instance.
+        """
+        totals = self._folded
+        totals["rounds"] += instance.rounds_executed
+        totals["abandoned_nacked"] += instance.abandoned_nacked
+        totals["abandoned_silent"] += instance.abandoned_silent
+        totals["rounds_skipped"] += instance.rounds_skipped
+        totals["decisions"] += 1
+        late = self._late_decision_ms
+        heappush(late, (instance.serial, instance.decided_at - instance.started_at))
+        oldest = next(iter(self._instances.values()), None)
+        horizon = oldest.serial if oldest is not None else self._created + 1
+        while late and late[0][0] < horizon:
+            totals["decision_ms"] += heappop(late)[1]
 
     # ------------------------------------------------------------------ messages
 
@@ -640,10 +679,10 @@ class ConsensusService(Component):
         self._decisions[cid] = value
         if self._obs is not None:
             self._obs.consensus_decided(self.now, self.pid, cid)
-        self._undecided.pop(cid, None)
-        instance = self._instances.get(cid)
+        instance = self._instances.pop(cid, None)
         if instance is not None:
             instance.mark_decided()
+            self._fold(instance)
         self._buffered.pop(cid, None)
         for listener in list(self._decision_listeners):
             listener(cid, value)
@@ -651,13 +690,13 @@ class ConsensusService(Component):
     # ------------------------------------------------------------------ suspicions
 
     def _on_suspicion_change(self, pid: int, suspected: bool) -> None:
-        if not suspected or not self._undecided:
+        if not suspected or not self._instances:
             # Instances only react to new suspicions (a restored trust is a
             # no-op in every round state), so skip the sweep entirely.
             return
         # The list copy is required: reacting can decide instances and start
-        # new ones (both mutate ``_undecided``), exactly like the historical
-        # full-instance sweep, which iterated in the same creation order.
-        for instance in list(self._undecided.values()):
+        # new ones (both mutate ``_instances``); the sweep goes in creation
+        # order.
+        for instance in list(self._instances.values()):
             if not instance.decided:
                 instance.on_suspicion_change(pid, suspected)

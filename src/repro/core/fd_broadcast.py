@@ -41,7 +41,16 @@ _DATA_TAG = "AB_DATA"
 
 
 class FDAtomicBroadcast(AtomicBroadcast):
-    """Chandra-Toueg atomic broadcast over unreliable failure detectors."""
+    """Chandra-Toueg atomic broadcast over unreliable failure detectors.
+
+    What a process keeps past a delivery is the decided log (:attr:`log`,
+    complete, because a recovering peer fetches it from position 0) and the
+    base class's delivery record.  The bookkeeping of ordering ends with the
+    delivery: ``_ordered`` holds the ids decided and not yet delivered, and
+    ``_rb_uid_of`` the reliable-broadcast uid of each message received and
+    not yet delivered (the delivery marks it stable).  A message is ordered
+    once it is in ``_ordered`` or delivered.
+    """
 
     protocol = "abcast"
 
@@ -63,6 +72,7 @@ class FDAtomicBroadcast(AtomicBroadcast):
         self._decisions = self.log.batches
         self._rb_uid_of: Dict[BroadcastID, Tuple[int, int]] = {}
         self._pending: Set[BroadcastID] = set()
+        # Decided and not delivered yet.
         self._ordered: Set[BroadcastID] = set()
         self._next_delivery = 1
         self._highest_proposed = 0
@@ -148,10 +158,10 @@ class FDAtomicBroadcast(AtomicBroadcast):
         for k, batch in batches:
             if k not in decisions:
                 decisions[k] = batch
-                self._ordered.update(batch[1])
+                self._mark_ordered(batch[1])
                 self._pending.difference_update(batch[1])
         for broadcast_id, _payload in payloads:
-            if broadcast_id not in self._ordered and not self.has_delivered(broadcast_id):
+            if not self._is_ordered(broadcast_id):
                 self._pending.add(broadcast_id)
         log = self.log
         while log.length + 1 in decisions:
@@ -163,7 +173,7 @@ class FDAtomicBroadcast(AtomicBroadcast):
             if k <= log.length:
                 released = self._inflight_proposals.pop(k)
                 self._claimed -= released
-                self._pending.update(released - self._ordered)
+                self._pending.update(bid for bid in released if not self._is_ordered(bid))
         if self._highest_proposed < log.length:
             self._highest_proposed = log.length
         self._try_deliver()
@@ -200,12 +210,19 @@ class FDAtomicBroadcast(AtomicBroadcast):
             return
         self._payloads[broadcast_id] = data
         self._rb_uid_of[broadcast_id] = rb_uid
-        if broadcast_id not in self._ordered and not self.has_delivered(broadcast_id):
+        if broadcast_id not in self._ordered and broadcast_id not in self._delivered_ids:
             self._pending.add(broadcast_id)
         self._try_deliver()
         self._maybe_start_consensus()
 
     # ------------------------------------------------------------------ consensus plumbing
+
+    def _is_ordered(self, broadcast_id: BroadcastID) -> bool:
+        """Whether a decision placed ``broadcast_id`` in the total order."""
+        return broadcast_id in self._ordered or self.has_delivered(broadcast_id)
+
+    def _mark_ordered(self, broadcast_ids) -> None:
+        self._ordered |= set(broadcast_ids).difference(self._delivered_ids)
 
     def _cid(self, k: int) -> Hashable:
         return ("ab", k)
@@ -280,7 +297,7 @@ class FDAtomicBroadcast(AtomicBroadcast):
         k = cid[1]
         proposer, broadcast_ids = value
         self._decisions[k] = (proposer, tuple(broadcast_ids))
-        self._ordered.update(broadcast_ids)
+        self._mark_ordered(broadcast_ids)
         if self._obs is not None:
             # The decision fixes the message's place in the total order; the
             # instrumentation keeps only the earliest report per message.
@@ -308,8 +325,9 @@ class FDAtomicBroadcast(AtomicBroadcast):
                 self._request_missing_payloads(missing)
                 return
             for broadcast_id in sorted(broadcast_ids):
+                self._ordered.discard(broadcast_id)
                 if self._deliver(broadcast_id, self._payloads[broadcast_id]):
-                    rb_uid = self._rb_uid_of.get(broadcast_id)
+                    rb_uid = self._rb_uid_of.pop(broadcast_id, None)
                     if rb_uid is not None:
                         self.rbcast.mark_stable(rb_uid)
             self._next_delivery += 1

@@ -12,7 +12,7 @@ corresponding consensus instance has decided) to bound the relay buffer.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.process import Component, SimProcess
 
@@ -22,7 +22,21 @@ _MSG = "RB"
 
 
 class ReliableBroadcast(Component):
-    """Reliable broadcast component (protocol name ``"rbcast"``)."""
+    """Reliable broadcast component (protocol name ``"rbcast"``).
+
+    What it keeps of a delivered message is its uid, to drop later copies,
+    and the message itself until it is marked stable or relayed.  The uids
+    are kept per origin as a watermark -- every sequence number up to it was
+    delivered -- plus the sparse set of the sequence numbers delivered above
+    it, so in-order delivery keeps one integer per origin.
+
+    The watermark stops at a sequence number this process never receives:
+    one sent while it was down, or one of a group-scoped broadcast that left
+    it out (a view-change decision goes to the members of the view only, so
+    a process outside the view misses it).  Every later uid of that origin
+    then stays in the sparse set, which still never holds more than a set of
+    every delivered uid would.
+    """
 
     protocol = "rbcast"
 
@@ -32,7 +46,11 @@ class ReliableBroadcast(Component):
         self._listeners: List[RBListener] = []
         self._listener_snapshot: tuple = ()
         self._local_seq = 0
-        self._delivered: set = set()
+        # Delivered uids by origin: every sequence number up to
+        # ``_delivered_upto[origin]``, and those in ``_delivered_above[origin]``
+        # (made by the first one delivered out of order).
+        self._delivered_upto: List[int] = [0] * len(self._group)
+        self._delivered_above: Dict[int, Set[int]] = {}
         # Delivered messages neither stable nor relayed yet, by origin: the
         # relay sweep runs on every new suspicion and walks only the
         # suspect's messages.  A relayed message leaves the buffer, so it is
@@ -85,9 +103,20 @@ class ReliableBroadcast(Component):
         tag, rb_uid, origin, destinations, payload = body
         if tag != _MSG:
             raise ValueError(f"unexpected reliable broadcast message {tag!r}")
-        if rb_uid in self._delivered:
+        seq = rb_uid[1]
+        upto = self._delivered_upto[origin]
+        above = self._delivered_above.get(origin)
+        if seq == upto + 1:
+            upto = seq
+            if above:
+                while upto + 1 in above:
+                    upto += 1
+                    above.remove(upto)
+            self._delivered_upto[origin] = upto
+        elif seq <= upto or (above is not None and seq in above):
             return
-        self._delivered.add(rb_uid)
+        else:
+            self._delivered_above.setdefault(origin, set()).add(seq)
         entry = (origin, tuple(destinations), payload)
         self._unstable_by_origin.setdefault(origin, {})[rb_uid] = entry
         for listener in self._listener_snapshot:

@@ -46,7 +46,16 @@ _DELIVER = "DELIVER"
 
 
 class SequencerAtomicBroadcast(AtomicBroadcast):
-    """Fixed-sequencer atomic broadcast reconfigured by group membership."""
+    """Fixed-sequencer atomic broadcast reconfigured by group membership.
+
+    What a process keeps past a delivery is the decided log (:attr:`log`,
+    complete, because a joiner fetches it from position 0) and the base
+    class's delivery record.  A batch of the current view is *done* once it
+    is delivered here and stable (acknowledged by every member).  Batches
+    ``1 .. _done_batches`` are done; their entries, their messages' sequence
+    numbers and their acks are dropped, since no rule asks about a done
+    batch or its messages again.
+    """
 
     protocol = "abcast"
 
@@ -108,6 +117,8 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         self._assignments: Dict[BroadcastID, int] = {}
         self._unstable: Dict[BroadcastID, Optional[int]] = {}
         self._stable_watermark = 0
+        # Batches ``1 .. _done_batches`` are delivered here and stable.
+        self._done_batches = 0
         # Ids ``_on_data`` put back into ``_unstable`` after their batch went
         # stable; the next stability update drops them again.
         self._restabilize: List[BroadcastID] = []
@@ -225,7 +236,8 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         if self._obs is not None:
             self._obs.observe("abcast.batch_size", len(entries))
         self._batch_entries[batch_id] = entries
-        self._batch_acks[batch_id] = {self.pid}
+        if self.uniform:
+            self._batch_acks[batch_id] = {self.pid}
         if self._others:
             self.send(
                 self._others, (_SEQ, self._view_id, batch_id, entries, self._stable_watermark)
@@ -247,7 +259,7 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
     ) -> None:
         if sender != self._sequencer:
             return
-        if batch_id not in self._batch_entries:
+        if batch_id > self._done_batches and batch_id not in self._batch_entries:
             self._batch_entries[batch_id] = tuple(entries)
             if self.uniform:
                 self._unacked_batches.add(batch_id)
@@ -280,8 +292,8 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
     def _on_ack(self, sender: int, batch_id: int) -> None:
         if not self._is_sequencer:
             return
-        acks = self._batch_acks.setdefault(batch_id, set())
-        acks.add(sender)
+        if batch_id > self._done_batches:
+            self._batch_acks.setdefault(batch_id, set()).add(sender)
         self._update_stability()
         self._maybe_complete_batch(batch_id)
 
@@ -304,6 +316,8 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             self._outstanding.discard(completing)
             self._ready_batches.discard(completing)
             self._next_batch_to_complete += 1
+        if self._stable_watermark > self._done_batches:
+            self._drop_done_batches()
         self._maybe_start_batch()
 
     def _on_deliver(self, sender: int, batch_id: int, watermark: int) -> None:
@@ -336,6 +350,8 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
                 return
             self._deliver_batch(batch_id)
             self._next_batch_to_deliver = batch_id + 1
+            if batch_id <= self._stable_watermark:
+                self._drop_done_batches()
 
     def _deliver_message(self, broadcast_id: BroadcastID, payload: Any) -> None:
         if self._deliver(broadcast_id, payload):
@@ -382,10 +398,33 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             for broadcast_id in self._restabilize:
                 unstable.pop(broadcast_id, None)
             self._restabilize = []
-        for batch_id in range(self._stable_watermark + 1, watermark + 1):
+        first = self._stable_watermark + 1
+        for batch_id in range(first, watermark + 1):
             for _seqnum, broadcast_id in self._batch_entries[batch_id]:
                 unstable.pop(broadcast_id, None)
             self._stable_watermark = batch_id
+        if watermark >= first:
+            self._drop_done_batches()
+
+    def _drop_done_batches(self) -> None:
+        """Forget the batches that became done: delivered here and stable.
+
+        Every message of a done batch is delivered, so the checks that
+        consult ``_assignments`` and ``_batch_of`` skip it on the delivery
+        record; a duplicate SEQ of a done batch is recognised by its number;
+        a late ack of one is no longer counted.
+        """
+        delivered = (
+            self._next_batch_to_complete if self._is_sequencer else self._next_batch_to_deliver
+        ) - 1
+        done = min(delivered, self._stable_watermark)
+        for batch_id in range(self._done_batches + 1, done + 1):
+            for _seqnum, broadcast_id in self._batch_entries.pop(batch_id):
+                self._assignments.pop(broadcast_id, None)
+                self._batch_of.pop(broadcast_id, None)
+            self._batch_acks.pop(batch_id, None)
+            self._deliverable.discard(batch_id)
+            self._done_batches = batch_id
 
     # ------------------------------------------------------------------ group membership hooks
 

@@ -196,7 +196,10 @@ class ClosedLoopClients(_ClientPopulation):
     ``total_requests`` bounds the run: once the population has issued that
     many requests, clients stop instead of submitting again.  The population
     subscribes once to the service's completions and recognises its own
-    requests by their command.
+    requests by their command.  It unsubscribes when it issues its last
+    request, after which no completion can start another: the subscription
+    is the service's only reference to the population, so a finished run
+    leaves no cycle between the two for the collector.
     """
 
     def __init__(
@@ -237,6 +240,8 @@ class ClosedLoopClients(_ClientPopulation):
         if self.issued >= self._total:
             return
         command = self._waiting[client] = self._next_command(client)
+        if self.issued >= self._total:
+            self.service.remove_completion_listener(self._on_complete)
         self.service.submit(self._sender_for(client), command)
 
     def _on_complete(self, request) -> None:

@@ -89,6 +89,10 @@ class ReplicatedService:
         """Subscribe to every request completion (shed requests included)."""
         self._completion_listeners.append(listener)
 
+    def remove_completion_listener(self, listener: Callable[[ServiceRequest], None]) -> None:
+        """Undo one :meth:`add_completion_listener` of ``listener``."""
+        self._completion_listeners.remove(listener)
+
     # ------------------------------------------------------------------ client API
 
     def submit(self, sender: int, command: Command) -> ServiceRequest:

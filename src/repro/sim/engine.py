@@ -58,13 +58,11 @@ class EventHandle:
     themselves by ``(time, seq)`` for callers that sort them directly.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_cancel_box")
+    __slots__ = ("time", "seq", "cancelled", "_cancel_box")
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: tuple):
+    def __init__(self, time: float, seq: int):
         self.time = time
         self.seq = seq
-        self.callback = callback
-        self.args = args
         self.cancelled = False
         #: Owning simulator's cancelled-event counter cell while the event
         #: is on the heap; ``None`` once the run loop popped it (and for
@@ -213,7 +211,7 @@ class Simulator:
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args)
+        handle = EventHandle(time, seq)
         box = handle._cancel_box = self._cancel_box
         queue = self._queue
         heappush(queue, (time, seq, callback, args, handle))
@@ -234,7 +232,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args)
+        handle = EventHandle(time, seq)
         box = handle._cancel_box = self._cancel_box
         queue = self._queue
         heappush(queue, (time, seq, callback, args, handle))

@@ -347,3 +347,52 @@ class TestCounters:
         totals = summed_counters(harness.services)
         assert totals["decisions"] == 30
         assert totals["rounds"] > totals["decisions"]
+
+
+#: Steady points whose per-process counters ``data/consensus_counters.json``
+#: pins: the counters a decided instance leaves behind must not depend on
+#: whether the instance itself is still held.
+COUNTER_POINTS = {
+    "normal-steady n3": ("normal-steady", 3, 300.0, 300, {}),
+    # Decides some instances out of creation order, where the float sum of
+    # ``decision_ms`` depends on the order it is added in.
+    "suspicion-steady n3": (
+        "suspicion-steady", 3, 100.0, 300,
+        {"mistake_recurrence_time": 30.0, "mistake_duration": 5.0},
+    ),
+    "suspicion-steady n7": (
+        "suspicion-steady", 7, 100.0, 150,
+        {"mistake_recurrence_time": 30.0, "mistake_duration": 5.0},
+    ),
+    "churn-steady n5": (
+        "churn-steady", 5, 100.0, 200, {"churn_rate": 4.0, "mean_downtime": 100.0},
+    ),
+}
+
+
+def test_the_counters_match_the_pin(monkeypatch):
+    import os
+
+    from repro import SystemConfig
+    from repro.scenarios import run_kind
+    from repro.scenarios.runner import ScenarioRunner
+
+    from tests import goldens
+
+    seen = []
+    measure = ScenarioRunner._measure_steady
+
+    def measure_and_read(self, system, spec):
+        result = measure(self, system, spec)
+        seen.append([service.counters() for service in system.consensus_services])
+        return result
+
+    monkeypatch.setattr(ScenarioRunner, "_measure_steady", measure_and_read)
+    captured = {}
+    for stack in ("fd", "gm"):
+        for label, (kind, n, throughput, messages, params) in COUNTER_POINTS.items():
+            run_kind(kind, SystemConfig(n=n, stack=stack, seed=2), throughput,
+                     num_messages=messages, **params)
+            captured[f"{stack} {label}"] = seen.pop()
+    path = os.path.join(os.path.dirname(__file__), "data", "consensus_counters.json")
+    goldens.check(path, captured)

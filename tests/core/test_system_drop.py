@@ -26,6 +26,7 @@ from repro.replication.state_machine import Command
 from repro.scenarios.faults import CrashAt, FaultSchedule, PoissonChurn
 from repro.scenarios import runner
 from repro.scenarios.runner import ScenarioRunner, SteadyStateSpec
+from repro.scenarios.service_load import run_service_load
 from repro.stacks.registry import (
     available_fd_kinds,
     available_stacks,
@@ -96,6 +97,19 @@ def test_a_dropped_system_frees_itself(stack, fd_kind, max_batch, instrument, fo
     # The second call of ``run`` is the one made with the collector off.
     garbage = cyclic_garbage(lambda: alive.append(_run_and_drop(config, form)))
     assert alive[-1] == []
+    assert garbage == Counter()
+
+
+@pytest.mark.parametrize("stack", ["fd", "gm"])
+def test_a_finished_closed_loop_point_leaves_no_cycle(stack):
+    # The client population subscribes to the service's completions; it lets
+    # go when it issues its last request, so the run leaves the population
+    # and the service to reference counting, with nothing for the collector.
+    garbage = cyclic_garbage(
+        lambda: run_service_load(
+            SystemConfig(n=3, stack=stack), 200.0, clients=4, think_time=5.0, num_requests=40
+        )
+    )
     assert garbage == Counter()
 
 

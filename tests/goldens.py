@@ -4,8 +4,8 @@ Frozen pins record history and are only ever read, with :func:`load`:
 ``kind_records.json``, ``kind_keys.json``, ``keys_v8_to_v9.json`` and
 ``cli_options.json``.  Captured pins record what the code does today, and
 :func:`check` compares a fresh capture with the committed file byte for byte:
-``fault_events.json``, ``scan_events.json``, ``figures.json`` and
-``service_points.json``.
+``fault_events.json``, ``scan_events.json``, ``figures.json``,
+``service_points.json`` and ``consensus_counters.json``.
 
 To re-capture a pin after a deliberate change of behaviour, delete its file
 and rerun its test.  ``check`` then writes the file and fails, so a new pin is
