@@ -28,21 +28,61 @@ Quickstart::
         print(system.abcast(0).delivered)
 """
 
-# Defined before the imports below: submodules (e.g. repro.obs.export) read
-# it back during package initialisation to stamp provenance.
+import importlib
+import sys
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+# Defined first: submodules (e.g. repro.obs.export) read it back during
+# package initialisation to stamp provenance.
 __version__ = "1.0.0"
 
-from repro.core.types import AtomicBroadcast, BroadcastID, View
-from repro.failure_detectors.heartbeat import HeartbeatConfig
-from repro.failure_detectors.qos import QoSConfig
-from repro.stacks import (
-    StackSpec,
-    available_fd_kinds,
-    available_stacks,
-    register_fd_kind,
-    register_stack,
+
+def _lazy_exports(
+    package: str,
+    exports: Dict[str, Sequence[str]],
+    prefixed: Optional[Tuple[str, str]] = None,
+) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package re-exporting lazily.
+
+    ``exports`` maps each defining module to the names the package takes
+    from it; ``prefixed``, a ``(prefix, module)`` pair, also resolves any
+    other name starting with ``prefix`` that ``module`` binds.  A name is
+    imported on its first access -- an attribute, a ``from package import
+    name`` or a ``from package import *`` -- and kept in the package's
+    namespace, so later accesses never come back here, and importing the
+    package loads none of its modules.
+    """
+    home = {name: module for module, names in exports.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> object:
+        module = home.get(name)
+        if module is None and prefixed is not None and name.startswith(prefixed[0]):
+            module = prefixed[1]
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(module), name)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(home))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.types": ("AtomicBroadcast", "BroadcastID", "View"),
+        "repro.failure_detectors.heartbeat": ("HeartbeatConfig",),
+        "repro.failure_detectors.qos": ("QoSConfig",),
+        "repro.stacks.api": ("StackSpec",),
+        "repro.stacks.registry": (
+            "available_fd_kinds", "available_stacks", "register_fd_kind", "register_stack",
+        ),
+        "repro.system": ("BroadcastSystem", "NetworkModel", "SystemConfig", "build_system"),
+    },
 )
-from repro.system import BroadcastSystem, NetworkModel, SystemConfig, build_system
 
 __all__ = [
     "AtomicBroadcast",

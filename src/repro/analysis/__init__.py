@@ -12,7 +12,14 @@ timestamped records of ``system.obs.events`` or attach a callable with
 ``system.obs.subscribe``.
 """
 
-from repro.analysis.model import CostModel, MessageCost, predicted_latency
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.analysis.model": ("CostModel", "MessageCost", "predicted_latency"),
+    },
+)
 
 __all__ = [
     "CostModel",

@@ -20,29 +20,36 @@ figures of :mod:`repro.experiments.figures` declare their sweeps as campaigns
 and accept a shared runner (``--jobs`` / ``--cache-dir``).
 """
 
-from repro.campaigns.aggregate import (
-    cross_campaign_summary,
-    figure_from_campaign,
-    load_store_table,
-    merge_scenario_results,
-    merge_transient_results,
-    series_from_spec,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.campaigns.aggregate": (
+            "cross_campaign_summary",
+            "figure_from_campaign",
+            "load_store_table",
+            "merge_scenario_results",
+            "merge_transient_results",
+            "series_from_spec",
+        ),
+        "repro.campaigns.columnar": ("ColumnarTable",),
+        "repro.campaigns.queue": ("QueueWorker", "WorkQueue"),
+        "repro.campaigns.records": ("execute_point", "record_to_result", "result_to_record"),
+        "repro.campaigns.runner": ("CampaignRun", "CampaignRunner", "execute_chunk"),
+        "repro.campaigns.spec": (
+            "CampaignSpec",
+            "PointSpec",
+            "SeriesPointSpec",
+            "SeriesSpec",
+            "derive_seed",
+            "grid",
+            "replicate_seeds",
+        ),
+        "repro.campaigns.store": ("ResultStore",),
+        "repro.scenarios.kinds": ("crashed_processes",),
+    },
 )
-from repro.campaigns.columnar import ColumnarTable
-from repro.campaigns.queue import QueueWorker, WorkQueue
-from repro.campaigns.records import execute_point, record_to_result, result_to_record
-from repro.campaigns.runner import CampaignRun, CampaignRunner, execute_chunk
-from repro.campaigns.spec import (
-    CampaignSpec,
-    PointSpec,
-    SeriesPointSpec,
-    SeriesSpec,
-    derive_seed,
-    grid,
-    replicate_seeds,
-)
-from repro.campaigns.store import ResultStore
-from repro.scenarios.kinds import crashed_processes
 
 __all__ = [
     "CampaignRun",

@@ -18,12 +18,19 @@
   fetch that catch-up, retransmission and state transfer use.
 """
 
-from repro.core.types import AtomicBroadcast, BroadcastID, View
-from repro.core.reliable_broadcast import ReliableBroadcast
-from repro.core.consensus import ConsensusService
-from repro.core.fd_broadcast import FDAtomicBroadcast
-from repro.core.group_membership import GroupMembership
-from repro.core.sequencer_broadcast import SequencerAtomicBroadcast
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.types": ("AtomicBroadcast", "BroadcastID", "View"),
+        "repro.core.reliable_broadcast": ("ReliableBroadcast",),
+        "repro.core.consensus": ("ConsensusService",),
+        "repro.core.fd_broadcast": ("FDAtomicBroadcast",),
+        "repro.core.group_membership": ("GroupMembership",),
+        "repro.core.sequencer_broadcast": ("SequencerAtomicBroadcast",),
+    },
+)
 
 __all__ = [
     "AtomicBroadcast",

@@ -98,9 +98,10 @@ class Figure:
 FIGURES: Dict[str, Figure] = {}
 
 
-def register_figure(figure: Figure) -> None:
+def register_figure(figure: Figure) -> Figure:
     """Add a figure to :data:`FIGURES` (the CLI and the shape checks iterate it)."""
     FIGURES[figure.number] = figure
+    return figure
 
 
 def algorithm_label(stack: str) -> str:
@@ -190,7 +191,7 @@ def _check_figure4(figure: Figure, result: FigureResult) -> Dict[str, bool]:
     return checks
 
 
-register_figure(
+figure4 = register_figure(
     Figure(
         number="4",
         title="Latency vs throughput, normal-steady scenario",
@@ -275,7 +276,7 @@ def _check_figure5(figure: Figure, result: FigureResult) -> Dict[str, bool]:
     return checks
 
 
-register_figure(
+figure5 = register_figure(
     Figure(
         number="5",
         title="Latency vs throughput, crash-steady scenario",
@@ -352,7 +353,7 @@ def _check_figure6(
     return checks
 
 
-register_figure(
+figure6 = register_figure(
     Figure(
         number="6",
         title="Latency vs mistake recurrence time T_MR (T_M = 0), suspicion-steady",
@@ -421,7 +422,7 @@ def _check_figure7(figure: Figure, result: FigureResult) -> Dict[str, bool]:
     return checks
 
 
-register_figure(
+figure7 = register_figure(
     Figure(
         number="7",
         title="Latency vs mistake duration T_M (T_MR fixed), suspicion-steady",
@@ -481,7 +482,7 @@ def _check_figure8(figure: Figure, result: FigureResult) -> Dict[str, bool]:
     return checks
 
 
-register_figure(
+figure8 = register_figure(
     Figure(
         number="8",
         title="Latency overhead vs throughput after the crash of p1 (crash-transient)",

@@ -25,15 +25,22 @@ drives -- registered as ``fd_kind``\\ s in the stack registry
 are selectable on any stack via ``SystemConfig(fd_kind=...)``.
 """
 
-from repro.failure_detectors.fabric import CrashDetectionFabric
-from repro.failure_detectors.heartbeat import (
-    HeartbeatConfig,
-    HeartbeatFailureDetector,
-    HeartbeatFailureDetectorFabric,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.failure_detectors.fabric": ("CrashDetectionFabric",),
+        "repro.failure_detectors.heartbeat": (
+            "HeartbeatConfig", "HeartbeatFailureDetector", "HeartbeatFailureDetectorFabric",
+        ),
+        "repro.failure_detectors.interface": (
+            "DetectorFabric", "FailureDetector", "SuspicionListener",
+        ),
+        "repro.failure_detectors.perfect": ("PerfectFailureDetectorFabric",),
+        "repro.failure_detectors.qos": ("QoSConfig", "QoSFailureDetectorFabric"),
+    },
 )
-from repro.failure_detectors.interface import DetectorFabric, FailureDetector, SuspicionListener
-from repro.failure_detectors.perfect import PerfectFailureDetectorFabric
-from repro.failure_detectors.qos import QoSConfig, QoSFailureDetectorFabric
 
 __all__ = [
     "CrashDetectionFabric",

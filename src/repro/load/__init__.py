@@ -17,9 +17,16 @@ The ``service-load`` scenario (:func:`repro.scenarios.run_service_load`)
 drives all three through the campaign machinery.
 """
 
-from repro.load.batching import BATCH_TAG, BatchingAtomicBroadcast
-from repro.load.clients import ARRIVALS, ClosedLoopClients, CommandMix, OpenLoopClients
-from repro.load.service import CONSISTENCY_MODES, AdmissionConfig, LoadTestedService
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.load.batching": ("BATCH_TAG", "BatchingAtomicBroadcast"),
+        "repro.load.clients": ("ARRIVALS", "ClosedLoopClients", "CommandMix", "OpenLoopClients"),
+        "repro.load.service": ("CONSISTENCY_MODES", "AdmissionConfig", "LoadTestedService"),
+    },
+)
 
 __all__ = [
     "ARRIVALS",

@@ -1,6 +1,13 @@
 """Performance metrics: latency recording, summary statistics, the run digest."""
 
-from repro.metrics.latency import LatencyRecorder, observed_digest
-from repro.metrics.stats import Summary, summarize
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.metrics.latency": ("LatencyRecorder", "observed_digest"),
+        "repro.metrics.stats": ("Summary", "summarize"),
+    },
+)
 
 __all__ = ["LatencyRecorder", "Summary", "observed_digest", "summarize"]

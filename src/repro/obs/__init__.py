@@ -21,15 +21,22 @@ Enable it per system (``SystemConfig(instrument=True)`` or
 (``--trace`` / ``--metrics-out``).
 """
 
-from repro.obs.instrumentation import HOOKS, Instrumentation
-from repro.obs.export import (
-    chrome_trace,
-    metrics_snapshot,
-    metrics_snapshot_from_obs,
-    set_trace_dir,
-    write_chrome_trace,
-    write_event_trace,
-    write_metrics,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.obs.instrumentation": ("HOOKS", "Instrumentation"),
+        "repro.obs.export": (
+            "chrome_trace",
+            "metrics_snapshot",
+            "metrics_snapshot_from_obs",
+            "set_trace_dir",
+            "write_chrome_trace",
+            "write_event_trace",
+            "write_metrics",
+        ),
+    },
 )
 
 __all__ = [

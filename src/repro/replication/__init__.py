@@ -11,8 +11,15 @@ integration-test workload.  :mod:`repro.load` is the same service with
 admission control in front.
 """
 
-from repro.replication.state_machine import Command, KeyValueStore
-from repro.replication.service import ReplicatedService, ServiceRequest
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.replication.state_machine": ("Command", "KeyValueStore"),
+        "repro.replication.service": ("ReplicatedService", "ServiceRequest"),
+    },
+)
 
 __all__ = [
     "Command",

@@ -20,61 +20,77 @@ omitted parameter has the default a campaign point has.
 what a point does not carry (admission bounds, a command mix, a fault schedule).
 """
 
-import functools
+from repro import _lazy_exports
 
-from repro.scenarios import kinds  # noqa: F401  (registers the built-in kinds)
-from repro.scenarios.faults import (
-    CorrelatedCrash,
-    CrashAt,
-    DegradeAt,
-    DegradeLinkAt,
-    FaultEvent,
-    FaultSchedule,
-    HealAt,
-    PartitionAt,
-    PoissonChurn,
-    RecoverAt,
-    RestoreAt,
-    SuspectDuring,
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.scenarios.faults": (
+            "CorrelatedCrash",
+            "CrashAt",
+            "DegradeAt",
+            "DegradeLinkAt",
+            "FaultEvent",
+            "FaultSchedule",
+            "HealAt",
+            "PartitionAt",
+            "PoissonChurn",
+            "RecoverAt",
+            "RestoreAt",
+            "SuspectDuring",
+        ),
+        "repro.scenarios.kinds": (
+            "run_asymmetric_qos",
+            "run_churn_steady",
+            "run_correlated_crash",
+            "run_crash_steady",
+            "run_crash_transient",
+            "run_gray_degradation",
+            "run_normal_steady",
+            "run_partition_transient",
+            "run_suspicion_steady",
+            "run_view_majority_loss",
+            "run_wan_steady",
+        ),
+        "repro.scenarios.registry": ("available_kinds", "run_kind"),
+        "repro.scenarios.results": ("ScenarioResult", "TransientResult"),
+        "repro.scenarios.runner": (
+            "ProbeSpec", "ReformationSpec", "ScenarioRunner", "SteadyStateSpec",
+        ),
+        "repro.scenarios.service_load": ("run_service_load",),
+    },
 )
-from repro.scenarios.registry import available_kinds, run_kind
-from repro.scenarios.results import ScenarioResult, TransientResult
-from repro.scenarios.runner import (
-    ProbeSpec,
-    ReformationSpec,
-    ScenarioRunner,
-    SteadyStateSpec,
-)
-from repro.scenarios.service_load import run_service_load
 
-_ENTRY_POINTS = {
-    "run_" + _name.replace("-", "_"): functools.partial(run_kind, _name)
-    for _name in available_kinds()
-}
-_ENTRY_POINTS["run_service_load"] = run_service_load
-globals().update(_ENTRY_POINTS)
-
-__all__ = sorted(
-    [
-        "CorrelatedCrash",
-        "CrashAt",
-        "DegradeAt",
-        "DegradeLinkAt",
-        "FaultEvent",
-        "FaultSchedule",
-        "HealAt",
-        "PartitionAt",
-        "PoissonChurn",
-        "ProbeSpec",
-        "RecoverAt",
-        "ReformationSpec",
-        "RestoreAt",
-        "ScenarioResult",
-        "ScenarioRunner",
-        "SteadyStateSpec",
-        "SuspectDuring",
-        "TransientResult",
-        "run_kind",
-        *_ENTRY_POINTS,
-    ]
-)
+__all__ = [
+    "CorrelatedCrash",
+    "CrashAt",
+    "DegradeAt",
+    "DegradeLinkAt",
+    "FaultEvent",
+    "FaultSchedule",
+    "HealAt",
+    "PartitionAt",
+    "PoissonChurn",
+    "ProbeSpec",
+    "RecoverAt",
+    "ReformationSpec",
+    "RestoreAt",
+    "ScenarioResult",
+    "ScenarioRunner",
+    "SteadyStateSpec",
+    "SuspectDuring",
+    "TransientResult",
+    "run_asymmetric_qos",
+    "run_churn_steady",
+    "run_correlated_crash",
+    "run_crash_steady",
+    "run_crash_transient",
+    "run_gray_degradation",
+    "run_kind",
+    "run_normal_steady",
+    "run_partition_transient",
+    "run_service_load",
+    "run_suspicion_steady",
+    "run_view_majority_loss",
+    "run_wan_steady",
+]

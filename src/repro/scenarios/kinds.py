@@ -14,13 +14,15 @@ resolved) plus the kind's read-outs.
 The paper's scenarios come first (Figs. 4-8), then the fault-schedule kinds,
 ``service-load`` and the network fault-injection kinds, whose ``verify``
 step is recorded under ``params["script"]``.  Importing this module
-registers them all (:mod:`repro.scenarios` does).
+registers them all; the first call into :mod:`repro.scenarios.registry`
+does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.failure_detectors.qos import QoSConfig
@@ -38,7 +40,7 @@ from repro.scenarios.faults import (
     RestoreAt,
     minority,
 )
-from repro.scenarios.registry import Axis, ScenarioKind, register_kind
+from repro.scenarios.registry import Axis, ScenarioKind, register_kind, run_kind
 from repro.scenarios.results import ScenarioResult
 from repro.scenarios.runner import (
     ReformationSpec,
@@ -796,3 +798,19 @@ register_kind(
         ),
     )
 )
+
+
+# ``repro.scenarios.run_<kind>``: :func:`run_kind` bound to each built-in's
+# name, so an omitted parameter has the default a campaign point has.
+# ``service-load``'s is :func:`run_service_load`, the measurement itself.
+run_normal_steady = partial(run_kind, "normal-steady")
+run_crash_steady = partial(run_kind, "crash-steady")
+run_suspicion_steady = partial(run_kind, "suspicion-steady")
+run_crash_transient = partial(run_kind, "crash-transient")
+run_correlated_crash = partial(run_kind, "correlated-crash")
+run_churn_steady = partial(run_kind, "churn-steady")
+run_asymmetric_qos = partial(run_kind, "asymmetric-qos")
+run_view_majority_loss = partial(run_kind, "view-majority-loss")
+run_partition_transient = partial(run_kind, "partition-transient")
+run_wan_steady = partial(run_kind, "wan-steady")
+run_gray_degradation = partial(run_kind, "gray-degradation")

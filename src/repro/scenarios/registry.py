@@ -11,7 +11,9 @@ layer (:mod:`repro.campaigns`) builds points, cache
 keys, grids, dispatch and the command line from this table, and
 :func:`run_kind` runs one point without it; adding a kind is one
 :func:`register_kind` call and changes nobody else's cache keys.  The
-built-in kinds register themselves from :mod:`repro.scenarios.kinds`.
+built-in kinds (:mod:`repro.scenarios.kinds`) register on the first call
+into this table, so a program that never looks a kind up never imports
+them, and a user's kind still registers after them.
 
 ``core`` is the part of a point every kind shares (a campaign
 ``PointSpec``); the built-ins only read ``core.throughput``,
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -151,15 +154,27 @@ class ScenarioKind:
 
 
 _KINDS: Dict[str, ScenarioKind] = {}
+_builtins_registered = False
+
+
+def _kinds() -> Dict[str, ScenarioKind]:
+    """The registered kinds, the built-ins registered on the first call."""
+    global _builtins_registered
+    if not _builtins_registered:
+        # Set first: the built-ins' own register_kind calls come back here.
+        _builtins_registered = True
+        importlib.import_module("repro.scenarios.kinds")
+    return _KINDS
 
 
 def register_kind(kind: ScenarioKind) -> ScenarioKind:
     """Register ``kind`` under its name (an error if the name is taken)."""
-    if kind.name in _KINDS:
+    kinds = _kinds()
+    if kind.name in kinds:
         raise ValueError(f"scenario kind {kind.name!r} is already registered")
     taken = {
         spelling
-        for other in _KINDS.values()
+        for other in kinds.values()
         if other.name != kind.name
         for spelling in (other.name, other.shorthand)
     }
@@ -168,29 +183,29 @@ def register_kind(kind: ScenarioKind) -> ScenarioKind:
             f"scenario kind {kind.name!r} / shorthand {kind.shorthand!r} collides "
             "with a registered kind"
         )
-    _KINDS[kind.name] = kind
+    kinds[kind.name] = kind
     return kind
 
 
 def unregister_kind(name: str) -> None:
     """Remove a registered kind (testing hook; unknown names are a no-op)."""
-    _KINDS.pop(name, None)
+    _kinds().pop(name, None)
 
 
 def available_kinds() -> Tuple[str, ...]:
     """Registered kind names, in registration order."""
-    return tuple(_KINDS)
+    return tuple(_kinds())
 
 
 def kind_shorthands() -> Dict[str, str]:
     """``shorthand -> canonical name`` of every registered kind."""
-    return {kind.shorthand: kind.name for kind in _KINDS.values()}
+    return {kind.shorthand: kind.name for kind in _kinds().values()}
 
 
 def get_kind(name: str) -> ScenarioKind:
     """The :class:`ScenarioKind` registered under the canonical ``name``."""
     try:
-        return _KINDS[name]
+        return _kinds()[name]
     except KeyError:
         raise ValueError(
             f"unknown scenario kind {name!r}; expected one of {available_kinds()}"

@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 from repro.core.types import BroadcastID
 from repro.metrics.latency import LatencyRecorder, observed_digest
 from repro.metrics.stats import interarrival_from_throughput
-from repro.obs import export as obs_export
 from repro.scenarios.faults import FaultSchedule
 from repro.scenarios.results import ScenarioResult
 from repro.system import SystemConfig, build_system
@@ -136,6 +135,8 @@ def finish_run(
         params["run_exhausted"] = True
     metrics = None
     if system.obs is not None:
+        from repro.obs import export as obs_export
+
         metrics = obs_export.metrics_snapshot(system, scenario=scenario, throughput=throughput)
         obs_export.maybe_write_traces(
             system,

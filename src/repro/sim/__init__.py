@@ -19,12 +19,19 @@ The time unit of the simulation is the network transmission time; following
 the paper we interpret it as one millisecond.
 """
 
-from repro.sim.engine import EventHandle, Simulator
-from repro.sim.messages import Message
-from repro.sim.network import Network, NetworkConfig
-from repro.sim.process import Component, SimProcess
-from repro.sim.resources import FIFOResource
-from repro.sim.rng import RandomStreams
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.sim.engine": ("EventHandle", "Simulator"),
+        "repro.sim.messages": ("Message",),
+        "repro.sim.network": ("Network", "NetworkConfig"),
+        "repro.sim.process": ("Component", "SimProcess"),
+        "repro.sim.resources": ("FIFOResource",),
+        "repro.sim.rng": ("RandomStreams",),
+    },
+)
 
 __all__ = [
     "Component",

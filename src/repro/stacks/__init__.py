@@ -8,20 +8,27 @@ stack (a :class:`~repro.failure_detectors.interface.DetectorFabric`).  See
 :mod:`repro.stacks.registry` for the built-in registrations.
 """
 
-from repro.stacks.api import StackLayers, StackSpec, param
-from repro.stacks.registry import (
-    available_fd_kinds,
-    available_stacks,
-    create_fd_fabric,
-    get_fd_kind,
-    get_stack,
-    register_fd_kind,
-    register_stack,
-    resolve,
-    split_stack,
-    stack_variants,
-    unregister_fd_kind,
-    unregister_stack,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.stacks.api": ("StackLayers", "StackSpec", "param"),
+        "repro.stacks.registry": (
+            "available_fd_kinds",
+            "available_stacks",
+            "create_fd_fabric",
+            "get_fd_kind",
+            "get_stack",
+            "register_fd_kind",
+            "register_stack",
+            "resolve",
+            "split_stack",
+            "stack_variants",
+            "unregister_fd_kind",
+            "unregister_stack",
+        ),
+    },
 )
 
 __all__ = [

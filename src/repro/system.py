@@ -20,23 +20,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core.consensus import ConsensusService
-from repro.core.group_membership import GroupMembership
 from repro.core.reliable_broadcast import ReliableBroadcast
 from repro.core.types import AtomicBroadcast, BroadcastID
 from repro.failure_detectors.interface import DetectorFabric
 from repro.failure_detectors.qos import QoSConfig
-from repro.obs.instrumentation import Instrumentation
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.process import SimProcess
 from repro.sim.rng import RandomStreams
-from repro.sim.wan import wan_profile as wan_registry_lookup
 from repro.stacks import registry as stack_registry
 from repro.stacks.api import StackSpec
 from repro.stacks.registry import SystemParams
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.group_membership import GroupMembership
+    from repro.obs.instrumentation import Instrumentation
 
 @dataclass(frozen=True)
 class NetworkModel:
@@ -63,7 +64,9 @@ class NetworkModel:
 
     def __post_init__(self) -> None:
         if self.wan_profile is not None:
-            wan_registry_lookup(self.wan_profile)
+            from repro.sim.wan import wan_profile
+
+            wan_profile(self.wan_profile)
 
 
 @dataclass(frozen=True, init=False)
@@ -193,7 +196,9 @@ class BroadcastSystem:
             NetworkConfig(n=config.n, lambda_cpu=model.lambda_cpu, network_time=model.network_time),
         )
         if model.wan_profile is not None:
-            self.network.set_wan_delays(wan_registry_lookup(model.wan_profile).delays(config.n))
+            from repro.sim.wan import wan_profile
+
+            self.network.set_wan_delays(wan_profile(model.wan_profile).delays(config.n))
         # Gray links draw from their own named stream: installing it up
         # front costs nothing (streams are independent and it is only read
         # when a lossy/duplicating link exists).
@@ -266,6 +271,8 @@ class BroadcastSystem:
         if self.obs is not None:
             return self.obs
         if obs is None:
+            from repro.obs.instrumentation import Instrumentation
+
             obs = Instrumentation()
         self.obs = obs
         self.sim.set_instrumentation(obs)

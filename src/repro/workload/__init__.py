@@ -1,5 +1,12 @@
 """Workload generation for the benchmark scenarios."""
 
-from repro.workload.generator import PoissonWorkload
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.workload.generator": ("PoissonWorkload",),
+    },
+)
 
 __all__ = ["PoissonWorkload"]

@@ -1,0 +1,82 @@
+"""A clock-free budget on what a fresh interpreter imports before it simulates.
+
+Every CLI run, queue worker and benchmark setup starts a new interpreter,
+and each module it imports is a file to find, compile (with bytecode caching
+off) and execute.  The rule: importing a module loads what that module uses,
+not the package tree around it -- package ``__init__``\\ s resolve their names
+on first access, the built-in scenario kinds register on the first registry
+call, and optional layers (instrumentation, exporters, WAN profiles, group
+membership) load where a run uses them.  Module counts, unlike host timings,
+repeat exactly, so a new eager import fails here::
+
+    what                                 repro modules  before
+    import repro.sim.engine                    3          30
+    suspicion_n15 setup, fd n=3 build         32          50
+"""
+
+import os
+import subprocess
+import sys
+
+#: The benchmark's ``suspicion_n15`` setup command: its imports, then one
+#: started fd system of three processes.
+SETUP = (
+    "import repro.scenarios.runner, repro.scenarios.faults\n"
+    "from repro.system import SystemConfig, build_system\n"
+    "build_system(SystemConfig(n=3, seed=1)).start()\n"
+)
+
+#: Layers that setup command does not use (a prefix ending in ``*`` covers
+#: the package and its modules).
+UNUSED_BY_SETUP = (
+    "repro.load*",
+    "repro.replication*",
+    "repro.campaigns*",
+    "repro.experiments*",
+    "repro.scenarios.kinds",
+    "repro.obs.export",
+    "repro.obs.instrumentation",
+    "repro.core.group_membership",
+    "repro.core.sequencer_broadcast",
+    "repro.sim.wan",
+    "subprocess",
+)
+
+
+def loaded_after(program):
+    """The modules a fresh interpreter holds after running ``program``."""
+    probe = program + "import sys\nprint('\\n'.join(sorted(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in sys.path if path))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], check=True, env=env, capture_output=True, text=True
+    )
+    return set(done.stdout.split())
+
+
+def matches(module, pattern):
+    if pattern.endswith("*"):
+        return module == pattern[:-1] or module.startswith(pattern[:-1] + ".")
+    return module == pattern
+
+
+def test_the_setup_command_loads_no_layer_it_does_not_use():
+    loaded = loaded_after(SETUP)
+    assert "repro.system" in loaded and "repro.core.fd_broadcast" in loaded
+    unused = sorted(
+        module for module in loaded if any(matches(module, p) for p in UNUSED_BY_SETUP)
+    )
+    assert unused == [], f"the fd setup command imports {unused}"
+
+
+def test_the_kernel_imports_alone():
+    loaded = loaded_after("import repro.sim.engine\n")
+    assert sorted(m for m in loaded if m.split(".")[0] == "repro") == [
+        "repro", "repro.sim", "repro.sim.engine",
+    ]
+
+
+def test_the_budget_sees_an_eager_import():
+    # Guards the two rules above against passing vacuously.
+    loaded = loaded_after(SETUP + "build_system(SystemConfig(n=3, stack='gm', instrument=True))\n")
+    assert {"repro.core.group_membership", "repro.obs.instrumentation"} <= loaded
+    assert any(matches("repro.load.service", p) for p in UNUSED_BY_SETUP)
