@@ -30,7 +30,7 @@ Quickstart::
 
 import importlib
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 # Defined first: submodules (e.g. repro.obs.export) read it back during
 # package initialisation to stamp provenance.
@@ -38,27 +38,23 @@ __version__ = "1.0.0"
 
 
 def _lazy_exports(
-    package: str,
-    exports: Dict[str, Sequence[str]],
-    prefixed: Optional[Tuple[str, str]] = None,
+    package: str, exports: Dict[str, Sequence[str]]
 ) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
     """The PEP 562 ``__getattr__`` and ``__dir__`` of a package re-exporting lazily.
 
     ``exports`` maps each defining module to the names the package takes
-    from it; ``prefixed``, a ``(prefix, module)`` pair, also resolves any
-    other name starting with ``prefix`` that ``module`` binds.  A name is
-    imported on its first access -- an attribute, a ``from package import
-    name`` or a ``from package import *`` -- and kept in the package's
-    namespace, so later accesses never come back here, and importing the
-    package loads none of its modules.
+    from it, and is the package's one list of public names: it becomes the
+    package's sorted ``__all__``.  A name is imported on its first access --
+    an attribute, a ``from package import name`` or a ``from package import
+    *`` -- and kept in the package's namespace, so later accesses never come
+    back here, and importing the package loads none of its modules.
     """
     home = {name: module for module, names in exports.items() for name in names}
     namespace = sys.modules[package].__dict__
+    namespace["__all__"] = sorted(home)
 
     def __getattr__(name: str) -> object:
         module = home.get(name)
-        if module is None and prefixed is not None and name.startswith(prefixed[0]):
-            module = prefixed[1]
         if module is None:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
         value = namespace[name] = getattr(importlib.import_module(module), name)
@@ -73,6 +69,7 @@ def _lazy_exports(
 __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
+        "repro": ("__version__",),  # defined above, so never looked up
         "repro.core.types": ("AtomicBroadcast", "BroadcastID", "View"),
         "repro.failure_detectors.heartbeat": ("HeartbeatConfig",),
         "repro.failure_detectors.qos": ("QoSConfig",),
@@ -83,21 +80,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.system": ("BroadcastSystem", "NetworkModel", "SystemConfig", "build_system"),
     },
 )
-
-__all__ = [
-    "AtomicBroadcast",
-    "BroadcastID",
-    "BroadcastSystem",
-    "HeartbeatConfig",
-    "NetworkModel",
-    "QoSConfig",
-    "StackSpec",
-    "SystemConfig",
-    "View",
-    "available_fd_kinds",
-    "available_stacks",
-    "build_system",
-    "register_fd_kind",
-    "register_stack",
-    "__version__",
-]

@@ -20,9 +20,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.analysis.model": ("CostModel", "MessageCost", "predicted_latency"),
     },
 )
-
-__all__ = [
-    "CostModel",
-    "MessageCost",
-    "predicted_latency",
-]

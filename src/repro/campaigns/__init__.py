@@ -50,30 +50,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.scenarios.kinds": ("crashed_processes",),
     },
 )
-
-__all__ = [
-    "CampaignRun",
-    "CampaignRunner",
-    "CampaignSpec",
-    "ColumnarTable",
-    "PointSpec",
-    "QueueWorker",
-    "ResultStore",
-    "SeriesPointSpec",
-    "SeriesSpec",
-    "WorkQueue",
-    "crashed_processes",
-    "cross_campaign_summary",
-    "derive_seed",
-    "execute_chunk",
-    "execute_point",
-    "figure_from_campaign",
-    "grid",
-    "load_store_table",
-    "merge_scenario_results",
-    "merge_transient_results",
-    "record_to_result",
-    "replicate_seeds",
-    "result_to_record",
-    "series_from_spec",
-]

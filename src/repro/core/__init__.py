@@ -31,14 +31,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.core.sequencer_broadcast": ("SequencerAtomicBroadcast",),
     },
 )
-
-__all__ = [
-    "AtomicBroadcast",
-    "BroadcastID",
-    "ConsensusService",
-    "FDAtomicBroadcast",
-    "GroupMembership",
-    "ReliableBroadcast",
-    "SequencerAtomicBroadcast",
-    "View",
-]

@@ -10,23 +10,23 @@ rows/series the paper plots).
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+_exported, __dir__ = _lazy_exports(
     __name__,
     {
         "repro.experiments.report": ("format_figure", "format_markdown_table"),
         "repro.experiments.series": ("FigurePoint", "FigureResult", "Series"),
     },
-    # ``figureN``: each figure's declaration, named where it is made.  The
-    # figures declare their grids through repro.campaigns, which folds
-    # results into the containers above, so either package may be imported
-    # first.
-    prefixed=("figure", "repro.experiments.figures"),
 )
 
-__all__ = [
-    "FigurePoint",
-    "FigureResult",
-    "Series",
-    "format_figure",
-    "format_markdown_table",
-]
+
+def __getattr__(name: str):
+    # ``figureN`` resolves on first use: the figures declare their grids
+    # through repro.campaigns, which folds results into the containers above,
+    # so either package may be imported first.
+    number = name[len("figure"):] if name.startswith("figure") else ""
+    if number.isdigit():
+        from repro.experiments.figures import FIGURES
+
+        if number in FIGURES:
+            return FIGURES[number]
+    return _exported(name)

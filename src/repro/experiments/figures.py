@@ -98,10 +98,9 @@ class Figure:
 FIGURES: Dict[str, Figure] = {}
 
 
-def register_figure(figure: Figure) -> Figure:
+def register_figure(figure: Figure) -> None:
     """Add a figure to :data:`FIGURES` (the CLI and the shape checks iterate it)."""
     FIGURES[figure.number] = figure
-    return figure
 
 
 def algorithm_label(stack: str) -> str:
@@ -191,7 +190,7 @@ def _check_figure4(figure: Figure, result: FigureResult) -> Dict[str, bool]:
     return checks
 
 
-figure4 = register_figure(
+register_figure(
     Figure(
         number="4",
         title="Latency vs throughput, normal-steady scenario",
@@ -276,7 +275,7 @@ def _check_figure5(figure: Figure, result: FigureResult) -> Dict[str, bool]:
     return checks
 
 
-figure5 = register_figure(
+register_figure(
     Figure(
         number="5",
         title="Latency vs throughput, crash-steady scenario",
@@ -353,7 +352,7 @@ def _check_figure6(
     return checks
 
 
-figure6 = register_figure(
+register_figure(
     Figure(
         number="6",
         title="Latency vs mistake recurrence time T_MR (T_M = 0), suspicion-steady",
@@ -422,7 +421,7 @@ def _check_figure7(figure: Figure, result: FigureResult) -> Dict[str, bool]:
     return checks
 
 
-figure7 = register_figure(
+register_figure(
     Figure(
         number="7",
         title="Latency vs mistake duration T_M (T_MR fixed), suspicion-steady",
@@ -482,7 +481,7 @@ def _check_figure8(figure: Figure, result: FigureResult) -> Dict[str, bool]:
     return checks
 
 
-figure8 = register_figure(
+register_figure(
     Figure(
         number="8",
         title="Latency overhead vs throughput after the crash of p1 (crash-transient)",

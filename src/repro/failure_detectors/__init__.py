@@ -41,16 +41,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.failure_detectors.qos": ("QoSConfig", "QoSFailureDetectorFabric"),
     },
 )
-
-__all__ = [
-    "CrashDetectionFabric",
-    "DetectorFabric",
-    "FailureDetector",
-    "HeartbeatConfig",
-    "HeartbeatFailureDetector",
-    "HeartbeatFailureDetectorFabric",
-    "PerfectFailureDetectorFabric",
-    "QoSConfig",
-    "QoSFailureDetectorFabric",
-    "SuspicionListener",
-]

@@ -27,15 +27,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.load.service": ("CONSISTENCY_MODES", "AdmissionConfig", "LoadTestedService"),
     },
 )
-
-__all__ = [
-    "ARRIVALS",
-    "BATCH_TAG",
-    "BatchingAtomicBroadcast",
-    "CONSISTENCY_MODES",
-    "AdmissionConfig",
-    "ClosedLoopClients",
-    "CommandMix",
-    "LoadTestedService",
-    "OpenLoopClients",
-]

@@ -9,5 +9,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.metrics.stats": ("Summary", "summarize"),
     },
 )
-
-__all__ = ["LatencyRecorder", "Summary", "observed_digest", "summarize"]

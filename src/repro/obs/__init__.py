@@ -38,15 +38,3 @@ __getattr__, __dir__ = _lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "HOOKS",
-    "Instrumentation",
-    "chrome_trace",
-    "metrics_snapshot",
-    "metrics_snapshot_from_obs",
-    "set_trace_dir",
-    "write_chrome_trace",
-    "write_event_trace",
-    "write_metrics",
-]

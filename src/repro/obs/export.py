@@ -38,72 +38,30 @@ _trace_prefix: str = ""
 def git_revision() -> Optional[str]:
     """Best-effort git revision of this package's checkout (None outside a repo), read once."""
     if not _git_rev_cache:
-        _git_rev_cache.append(_read_revision(os.path.dirname(os.path.abspath(__file__))))
+        _git_rev_cache.append(_rev_parse(os.path.dirname(os.path.abspath(__file__))))
     return _git_rev_cache[0]
 
 
-def _read_revision(directory: str) -> Optional[str]:
-    """The first 7 hex digits of the commit checked out around ``directory``.
+def _rev_parse(directory: str) -> Optional[str]:
+    """``git rev-parse --short HEAD`` run in ``directory`` (None when it fails)."""
+    # Imported here: only an instrumented run stamps a revision, once per process.
+    import subprocess
 
-    Read from ``.git`` itself, with no ``git`` child process: a ``.git``
-    directory or a ``gitdir:`` file (a worktree, whose ``commondir`` holds
-    the shared refs), then ``HEAD`` -- a commit when detached, else a ref
-    resolved through its loose file or ``packed-refs``.  ``None`` outside a
-    checkout, on an unborn branch or when a file cannot be read.
-    """
     try:
-        git_dir = _find_git_dir(os.path.abspath(directory))
-        if git_dir is None:
-            return None
-        common = git_dir
-        if os.path.isfile(os.path.join(git_dir, "commondir")):
-            common = os.path.join(git_dir, _read_line(os.path.join(git_dir, "commondir")))
-        head = _read_line(os.path.join(git_dir, "HEAD"))
-        if head.startswith("ref:"):
-            head = _resolve_ref(head[len("ref:"):].strip(), git_dir, common)
-    except (OSError, ValueError):
+        return (
+            subprocess.run(
+                ["git", "rev-parse", "--short", "HEAD"],
+                cwd=directory,
+                capture_output=True,
+                timeout=5,
+                check=True,
+            )
+            .stdout.decode("ascii", "replace")
+            .strip()
+            or None
+        )
+    except Exception:
         return None
-    if len(head) >= 40 and all(ch in "0123456789abcdef" for ch in head):
-        return head[:7]
-    return None
-
-
-def _find_git_dir(directory: str) -> Optional[str]:
-    """The git directory of the checkout holding ``directory``, or ``None``."""
-    while True:
-        dot_git = os.path.join(directory, ".git")
-        if os.path.isdir(dot_git):
-            return dot_git
-        if os.path.isfile(dot_git):
-            line = _read_line(dot_git)
-            if not line.startswith("gitdir:"):
-                return None
-            return os.path.join(directory, line[len("gitdir:"):].strip())
-        parent = os.path.dirname(directory)
-        if parent == directory:
-            return None
-        directory = parent
-
-
-def _resolve_ref(ref: str, git_dir: str, common: str) -> str:
-    """The commit ``ref`` names, or ``""`` on an unborn branch."""
-    for root in (git_dir, common):
-        path = os.path.join(root, ref)
-        if os.path.isfile(path):
-            return _read_line(path)
-    packed = os.path.join(common, "packed-refs")
-    if os.path.isfile(packed):
-        with open(packed, encoding="utf-8") as handle:
-            for line in handle:
-                sha, _, name = line.strip().partition(" ")
-                if name == ref:
-                    return sha
-    return ""
-
-
-def _read_line(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.readline().strip()
 
 
 def config_fingerprint(config) -> str:

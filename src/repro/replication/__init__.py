@@ -20,10 +20,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.replication.service": ("ReplicatedService", "ServiceRequest"),
     },
 )
-
-__all__ = [
-    "Command",
-    "KeyValueStore",
-    "ReplicatedService",
-    "ServiceRequest",
-]

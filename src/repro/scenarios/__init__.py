@@ -60,37 +60,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.scenarios.service_load": ("run_service_load",),
     },
 )
-
-__all__ = [
-    "CorrelatedCrash",
-    "CrashAt",
-    "DegradeAt",
-    "DegradeLinkAt",
-    "FaultEvent",
-    "FaultSchedule",
-    "HealAt",
-    "PartitionAt",
-    "PoissonChurn",
-    "ProbeSpec",
-    "RecoverAt",
-    "ReformationSpec",
-    "RestoreAt",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "SteadyStateSpec",
-    "SuspectDuring",
-    "TransientResult",
-    "run_asymmetric_qos",
-    "run_churn_steady",
-    "run_correlated_crash",
-    "run_crash_steady",
-    "run_crash_transient",
-    "run_gray_degradation",
-    "run_kind",
-    "run_normal_steady",
-    "run_partition_transient",
-    "run_service_load",
-    "run_suspicion_steady",
-    "run_view_majority_loss",
-    "run_wan_steady",
-]

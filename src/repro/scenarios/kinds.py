@@ -40,7 +40,13 @@ from repro.scenarios.faults import (
     RestoreAt,
     minority,
 )
-from repro.scenarios.registry import Axis, ScenarioKind, register_kind, run_kind
+from repro.scenarios.registry import (
+    Axis,
+    ScenarioKind,
+    available_kinds,
+    register_kind,
+    run_kind,
+)
 from repro.scenarios.results import ScenarioResult
 from repro.scenarios.runner import (
     ReformationSpec,
@@ -803,14 +809,6 @@ register_kind(
 # ``repro.scenarios.run_<kind>``: :func:`run_kind` bound to each built-in's
 # name, so an omitted parameter has the default a campaign point has.
 # ``service-load``'s is :func:`run_service_load`, the measurement itself.
-run_normal_steady = partial(run_kind, "normal-steady")
-run_crash_steady = partial(run_kind, "crash-steady")
-run_suspicion_steady = partial(run_kind, "suspicion-steady")
-run_crash_transient = partial(run_kind, "crash-transient")
-run_correlated_crash = partial(run_kind, "correlated-crash")
-run_churn_steady = partial(run_kind, "churn-steady")
-run_asymmetric_qos = partial(run_kind, "asymmetric-qos")
-run_view_majority_loss = partial(run_kind, "view-majority-loss")
-run_partition_transient = partial(run_kind, "partition-transient")
-run_wan_steady = partial(run_kind, "wan-steady")
-run_gray_degradation = partial(run_kind, "gray-degradation")
+for _name in available_kinds():
+    if _name != "service-load":
+        globals()["run_" + _name.replace("-", "_")] = partial(run_kind, _name)

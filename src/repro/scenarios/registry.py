@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import importlib
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -163,7 +162,7 @@ def _kinds() -> Dict[str, ScenarioKind]:
     if not _builtins_registered:
         # Set first: the built-ins' own register_kind calls come back here.
         _builtins_registered = True
-        importlib.import_module("repro.scenarios.kinds")
+        from repro.scenarios import kinds  # noqa: F401  (registers the built-in kinds)
     return _KINDS
 
 

@@ -32,15 +32,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.sim.rng": ("RandomStreams",),
     },
 )
-
-__all__ = [
-    "Component",
-    "EventHandle",
-    "FIFOResource",
-    "Message",
-    "Network",
-    "NetworkConfig",
-    "RandomStreams",
-    "SimProcess",
-    "Simulator",
-]

@@ -30,21 +30,3 @@ __getattr__, __dir__ = _lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "StackLayers",
-    "StackSpec",
-    "available_fd_kinds",
-    "available_stacks",
-    "create_fd_fabric",
-    "get_fd_kind",
-    "get_stack",
-    "param",
-    "register_fd_kind",
-    "register_stack",
-    "resolve",
-    "split_stack",
-    "stack_variants",
-    "unregister_fd_kind",
-    "unregister_stack",
-]

@@ -8,5 +8,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.workload.generator": ("PoissonWorkload",),
     },
 )
-
-__all__ = ["PoissonWorkload"]

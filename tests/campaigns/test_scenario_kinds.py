@@ -338,13 +338,19 @@ def code_strings(path):
 
 
 def code_imports(source):
-    """Dotted names of every module a source imports (at any depth)."""
+    """Dotted names of every module a source imports (at any depth).
+
+    A package's lazy re-export table (the modules of a ``_lazy_exports``
+    call) counts as importing each of its modules.
+    """
     modules = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
             modules.add(node.module)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lazy_exports":
+            modules.update(ast.literal_eval(node.args[1]))
     return {
         ".".join(module.split(".")[:depth])
         for module in modules

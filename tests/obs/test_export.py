@@ -1,8 +1,6 @@
 """Tests for the exporters: metrics snapshots, JSONL traces, Chrome traces."""
 
 import json
-import shutil
-import subprocess
 
 import pytest
 
@@ -85,77 +83,10 @@ class TestGitRevision:
         assert metrics_snapshot(instrumented_run())["provenance"]["git_rev"] == rev
 
     def test_null_outside_a_checkout(self, tmp_path, monkeypatch):
-        outside = obs_export._read_revision(str(tmp_path))
+        outside = obs_export._rev_parse(str(tmp_path))
         assert outside is None
         monkeypatch.setattr(obs_export, "_git_rev_cache", [outside])
         assert metrics_snapshot(instrumented_run())["provenance"]["git_rev"] is None
-
-    def test_null_when_head_cannot_be_read(self, tmp_path):
-        (tmp_path / ".git").mkdir()
-        assert obs_export._read_revision(str(tmp_path)) is None
-
-    def test_no_child_process(self):
-        assert "subprocess" not in vars(obs_export)
-
-
-def git(cwd, *arguments):
-    done = subprocess.run(
-        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *arguments],
-        cwd=cwd, check=True, capture_output=True, text=True,
-    )
-    return done.stdout.strip()
-
-
-@pytest.fixture
-def repository(tmp_path):
-    """A temp repository with two commits on its branch."""
-    if shutil.which("git") is None:
-        pytest.skip("git is not installed")
-    root = tmp_path / "repo"
-    root.mkdir()
-    git(root, "init", "-q")
-    for text in ("one", "two"):
-        (root / "file.txt").write_text(text)
-        git(root, "add", "file.txt")
-        git(root, "commit", "-q", "-m", text)
-    (root / "sub").mkdir()
-    return root
-
-
-class TestGitRevisionFromTheRepository:
-    """What ``git rev-parse HEAD`` says, read without running git."""
-
-    def assert_matches_git(self, checkout, where):
-        revision = obs_export._read_revision(str(where))
-        assert revision is not None and len(revision) == 7
-        assert git(checkout, "rev-parse", "HEAD").startswith(revision)
-
-    def test_a_loose_ref(self, repository):
-        assert (repository / ".git" / git(repository, "symbolic-ref", "HEAD")).is_file()
-        self.assert_matches_git(repository, repository / "sub")
-
-    def test_a_packed_ref(self, repository):
-        git(repository, "pack-refs", "--all")
-        assert not (repository / ".git" / git(repository, "symbolic-ref", "HEAD")).exists()
-        self.assert_matches_git(repository, repository)
-
-    def test_a_detached_head(self, repository):
-        git(repository, "checkout", "-q", "--detach", "HEAD~1")
-        assert not (repository / ".git" / "HEAD").read_text().startswith("ref:")
-        self.assert_matches_git(repository, repository)
-
-    def test_a_worktree(self, repository, tmp_path):
-        worktree = tmp_path / "worktree"
-        git(repository, "worktree", "add", "-q", "-b", "side", str(worktree), "HEAD~1")
-        (worktree / "file.txt").write_text("three")
-        git(worktree, "commit", "-q", "-am", "three")
-        assert (worktree / ".git").is_file()
-        self.assert_matches_git(worktree, worktree)
-        self.assert_matches_git(repository, repository)
-        read = obs_export._read_revision
-        assert read(str(worktree)) != read(str(repository))
-        git(worktree, "pack-refs", "--all")  # into the shared packed-refs
-        self.assert_matches_git(worktree, worktree)
 
 
 class TestHistogramSummary:

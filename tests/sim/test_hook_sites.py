@@ -99,8 +99,14 @@ def test_no_module_imports_a_retired_observation_path():
             for node in ast.walk(tree):
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     module = getattr(node, "module", None)
-                    names = {module} | {alias.name for alias in node.names}
-                    names |= {f"{module}.{alias.name}" for alias in node.names}
+                    imported = [(module, [alias.name for alias in node.names])]
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lazy_exports":
+                    # A package's lazy re-exports import each module of its table.
+                    imported = ast.literal_eval(node.args[1]).items()
+                else:
+                    continue
+                for module, aliases in imported:
+                    names = {module} | set(aliases) | {f"{module}.{name}" for name in aliases}
                     if names & retired:
                         offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == [], f"imports of a retired observation path: {offenders}"
