@@ -5,7 +5,8 @@ interpreter has loaded when it is done and the median wall time, start to
 exit, over ``--samples`` fresh interpreters.  The entry points are the
 benchmark suite's five ``setup_s`` commands (each workload's imports, then
 one started fd system of three processes), the ``suspicion_n15`` one plus a
-gm build, and ``--help`` of the two CLIs::
+gm build, the figures import plus one Figure 4 point (what every figure run
+starts with) and ``--help`` of the two CLIs::
 
     python benchmarks/cold_start.py                    # 9 samples per entry point
     python benchmarks/cold_start.py --samples 3 --list
@@ -49,6 +50,17 @@ def setup_program(src: str, imports: Tuple[str, ...], stacks: Tuple[str, ...] = 
     return "\n".join(lines)
 
 
+def figure_program(src: str) -> str:
+    """The figure table, then one Figure 4 point (normal-steady, fd, n=3) executed."""
+    return (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from repro.experiments.figures import FIGURES\n"
+        "from repro.campaigns.records import execute_point\n"
+        "from repro.campaigns.spec import PointSpec\n"
+        "execute_point(PointSpec('normal-steady', throughput=100.0, num_messages=5))"
+    )
+
+
 def cli_program(src: str, package: str) -> str:
     """``python -m <package> --help``, with its exit caught so the probe runs."""
     return (
@@ -72,6 +84,7 @@ def entry_points(src: str) -> Dict[str, str]:
     points["setup suspicion_n15 + gm"] = setup_program(
         src, REGISTRY["suspicion_n15"].setup_imports, ("fd", "gm")
     )
+    points["figures import + one Figure 4 point"] = figure_program(src)
     for package in ("repro.experiments", "repro.campaigns"):
         points[f"python -m {package} --help"] = cli_program(src, package)
     return points

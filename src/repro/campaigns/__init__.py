@@ -47,6 +47,6 @@ __getattr__, __dir__ = _lazy_exports(
             "replicate_seeds",
         ),
         "repro.campaigns.store": ("ResultStore",),
-        "repro.scenarios.kinds": ("crashed_processes",),
+        "repro.scenarios.faults": ("crashed_processes",),
     },
 )

@@ -24,10 +24,10 @@ Examples::
 ``asymmetric-qos`` (``asymmetric``), ``view-majority-loss``
 (``majority-loss``), ``service-load`` (``service``), ``partition-transient``
 (``partition``), ``wan-steady`` (``wan``) and ``gray-degradation``
-(``gray``).  Each kind declares its own axes
-(:mod:`repro.scenarios.registry`); the options of the selected kind are
-generated from that declaration, ``--help`` lists every kind with its axes,
-and an axis given for a kind that does not declare it is an error.
+(``gray``).  Each kind declares its own axes, the flagged fields of its
+params (:mod:`repro.scenarios.registry`); the options of the selected kind
+are generated from that declaration, ``--help`` lists every kind with its
+axes, and an axis given for a kind that does not declare it is an error.
 
 The system-level dimensions apply under *every* kind: ``--stack`` sweeps
 protocol stacks from the registry (``fd``, ``gm``, ``gm-nonuniform``,
@@ -65,13 +65,7 @@ from repro.campaigns.execution import (
 )
 from repro.campaigns.queue import QueueWorker, WorkQueue
 from repro.campaigns.spec import grid
-from repro.scenarios.registry import (
-    Axis,
-    ScenarioKind,
-    available_kinds,
-    get_kind,
-    kind_shorthands,
-)
+from repro.scenarios.registry import ScenarioKind, available_kinds, get_kind, kind_shorthands
 from repro.scenarios.results import TransientResult
 from repro.stacks.api import Param, params_of
 from repro.stacks.registry import (
@@ -98,7 +92,10 @@ def kind_catalog() -> str:
     for name in available_kinds():
         kind = get_kind(name)
         lines.append(f"  {kind.name} ({kind.shorthand}): {kind.summary}")
-        lines.extend(f"      {axis.flag:<20} {_axis_help(axis)}" for axis in kind.axes if axis.flag)
+        lines.extend(
+            f"      {param.flag:<20} {param.help} (default: {param.default})"
+            for param in kind_flags(kind)
+        )
     lines.append("stacks (--stack NAME or NAME/FD_KIND), fd kinds (--fd NAME) and their params:")
     registrations = [("stack", get_stack(name)) for name in available_stacks()]
     registrations += [("fd kind", get_fd_kind(name)) for name in available_fd_kinds()]
@@ -109,6 +106,11 @@ def kind_catalog() -> str:
         )
         lines.append(f"  {axis} {registration.name}:" + ("".join(described) or " no params"))
     return "\n".join(lines)
+
+
+def kind_flags(kind: ScenarioKind) -> List[Param]:
+    """The values of ``kind`` a command line sets: those declared with a flag."""
+    return [param for param in kind.settable if param.flag]
 
 
 def system_flags() -> List[Param]:
@@ -125,8 +127,16 @@ def _readers(keyword: str) -> str:
     )
 
 
-def _axis_help(axis: Axis) -> str:
-    return axis.help if axis.default is None else f"{axis.help} (default: {axis.default})"
+def _add_flag(group, param: Param, dest: str, readers: str = "") -> None:
+    """``param``'s option, typed by its default (``float`` for ``None``)."""
+    group.add_argument(
+        param.flag,
+        dest=dest,
+        metavar=param.keyword.upper(),
+        type=float if param.default is None else type(param.default),
+        default=param.default,
+        help=f"{param.help} (default: {param.default}{readers})",
+    )
 
 
 def build_parser(kind: ScenarioKind) -> argparse.ArgumentParser:
@@ -143,17 +153,8 @@ def build_parser(kind: ScenarioKind) -> argparse.ArgumentParser:
         help="scenario kind of every point (default: normal-steady)",
     )
     axes = parser.add_argument_group(f"axes of {kind.name}")
-    for axis in kind.axes:
-        if axis.flag:
-            axes.add_argument(
-                axis.flag,
-                dest=f"axis_{axis.name}",
-                metavar=None if axis.choices else axis.name.upper(),
-                type=axis.type,
-                default=axis.default,
-                choices=axis.choices,
-                help=_axis_help(axis),
-            )
+    for param in kind_flags(kind):
+        _add_flag(axes, param, f"axis_{param.keyword}")
     parser.add_argument(
         "--stack",
         "--stacks",
@@ -193,13 +194,7 @@ def build_parser(kind: ScenarioKind) -> argparse.ArgumentParser:
     )
     system = parser.add_argument_group("system params (declared by the stacks and fd kinds)")
     for param in system_flags():
-        system.add_argument(
-            param.flag,
-            dest=param.keyword,
-            type=float if param.default is None else type(param.default),
-            default=param.default,
-            help=f"{param.help} (default: {param.default}; read by {_readers(param.keyword)})",
-        )
+        _add_flag(system, param, param.keyword, f"; read by {_readers(param.keyword)}")
     parser.add_argument("--name", default="adhoc", help="campaign name")
     parser.add_argument(
         "--queue-worker",
@@ -227,7 +222,7 @@ def main(argv: List[str] = None) -> int:
         owners = [
             name
             for name in available_kinds()
-            if any(axis.flag == flag for axis in get_kind(name).axes)
+            if any(param.flag == flag for param in kind_flags(get_kind(name)))
         ]
         if owners:
             parser.error(
@@ -270,11 +265,7 @@ def main(argv: List[str] = None) -> int:
             seeds=args.seeds,
             num_messages=args.messages,
             **{param.keyword: getattr(args, param.keyword) for param in system_flags()},
-            **{
-                axis.name: getattr(args, f"axis_{axis.name}")
-                for axis in kind.axes
-                if axis.flag
-            },
+            **{param.keyword: getattr(args, f"axis_{param.keyword}") for param in kind_flags(kind)},
         )
     except ValueError as error:
         parser.error(str(error))

@@ -247,7 +247,7 @@ def grid(
     throughputs: Sequence[float] = (10.0, 100.0),
     seeds: Sequence[int] = (1,),
     num_messages: int = 100,
-    **axes: Any,
+    **values: Any,
 ) -> CampaignSpec:
     """Build an ad-hoc campaign over the cartesian product of the axes.
 
@@ -255,18 +255,18 @@ def grid(
     throughput, one replica per seed.  ``stacks`` accepts slash-qualified
     names (``"fd/heartbeat"``); ``fd_kinds`` crosses every stack with every
     failure detector kind (the QoS-FD vs heartbeat-FD comparison sweeps).
-    ``axes`` are the ones the kind declares
-    (``grid("churn-steady", churn_rate=2.0)``, see
-    :attr:`repro.scenarios.registry.ScenarioKind.axes`), each defaulting as
-    on the command line, plus system params (``reformation_timeout=300``,
-    ``max_batch=8``).  A system param goes to the points whose stack, fd
-    kind or batching layer reads it; one no point reads raises unless it
-    holds its default, and an axis of another kind raises.
+    ``values`` are the kind's params fields and derived values
+    (``grid("churn-steady", churn_rate=2.0)``, ``grid("crash-steady",
+    crashes=2)``, see :attr:`repro.scenarios.registry.ScenarioKind.settable`),
+    each defaulting as on the command line, plus system params
+    (``reformation_timeout=300``, ``max_batch=8``).  A system param goes to
+    the points whose stack, fd kind or batching layer reads it; one no point
+    reads raises unless it holds its default, and a value of another kind
+    raises.
     """
     scenario = get_kind(kind)
     declared = stack_registry.param_keywords()
-    system = {keyword: axes.pop(keyword) for keyword in list(axes) if keyword in declared}
-    values = scenario.axis_values(axes)
+    system = {keyword: values.pop(keyword) for keyword in list(values) if keyword in declared}
     # Duplicate seeds would pool the same simulation twice and shrink the
     # reported CI with zero new information; drop them, preserving order.
     seeds = list(dict.fromkeys(int(seed) for seed in seeds))

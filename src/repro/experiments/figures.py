@@ -20,7 +20,7 @@ from repro.campaigns.spec import (
     CampaignSpec, PointSpec, SeriesPointSpec, SeriesSpec, replicate_seeds,
 )
 from repro.experiments.series import FigureResult, Series
-from repro.scenarios.kinds import crashed_processes
+from repro.scenarios.faults import crashed_processes
 
 STACKS = ("fd", "gm")
 #: The system sizes of Figs. 4, 5 and 8.

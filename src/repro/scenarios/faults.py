@@ -53,6 +53,16 @@ def minority(n: int) -> Tuple[int, ...]:
     return tuple(range(n - (n - 1) // 2, n))
 
 
+def crashed_processes(n: int, count: int) -> Tuple[int, ...]:
+    """The ``count`` highest-numbered (non-coordinator) processes.
+
+    The paper's crash-steady convention: the coordinator re-numbering
+    optimisation makes the steady state independent of *which* processes
+    crashed, so the figures crash the highest pids.
+    """
+    return tuple(range(n - count, n))
+
+
 class FaultEvent:
     """Base class of all fault-schedule events.
 

@@ -1,10 +1,10 @@
 """The twelve built-in scenario kinds, one block each.
 
 Every kind is written the way the README's "Adding a scenario kind" tells
-users to write theirs: a frozen params dataclass (the *only* place a default
-lives), a ``validate(core, params)`` (the *only* place a parameter is
-checked), a ``run(config, core, params)`` that builds a spec for the shared
-:class:`~repro.scenarios.runner.ScenarioRunner`, and one
+users to write theirs: a frozen params dataclass (the *only* place a default,
+a CLI flag and its help live), a ``validate(core, params)`` (the *only*
+place a parameter is checked), a ``run(config, core, params)`` that builds a
+spec for the shared :class:`~repro.scenarios.runner.ScenarioRunner`, and one
 :func:`~repro.scenarios.registry.register_kind` call.  ``crash-transient``
 and ``service-load`` measure something other than steady-state broadcast
 latency and delegate to their own modules; the steady-state ones share
@@ -26,7 +26,6 @@ from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.failure_detectors.qos import QoSConfig
-from repro.load.service import CONSISTENCY_MODES
 from repro.metrics.stats import interarrival_from_throughput
 from repro.scenarios.faults import (
     VML_CRASH_TIME,
@@ -38,15 +37,10 @@ from repro.scenarios.faults import (
     FaultSchedule,
     PoissonChurn,
     RestoreAt,
+    crashed_processes,
     minority,
 )
-from repro.scenarios.registry import (
-    Axis,
-    ScenarioKind,
-    available_kinds,
-    register_kind,
-    run_kind,
-)
+from repro.scenarios.registry import ScenarioKind, available_kinds, register_kind, run_kind
 from repro.scenarios.results import ScenarioResult
 from repro.scenarios.runner import (
     ReformationSpec,
@@ -54,24 +48,32 @@ from repro.scenarios.runner import (
     SteadyStateSpec,
     warmup_count,
 )
-from repro.scenarios.service_load import run_service_load
 from repro.scenarios.transient import measure_crash_transient
-from repro.sim.wan import wan_profile
+from repro.stacks.api import Param, param
 from repro.stacks.registry import GmReformParams
 from repro.system import SystemConfig
 
 #: Round trips of headroom wan-steady gives the derived per-pair detection times.
 WAN_FD_SLACK = 2.0
 
-_DETECTION_TIME = Axis(
-    "detection_time", "constant crash detection time T_D in ms", "--detection-time"
+#: What crash-steady and correlated-crash derive their ``crashed`` tuple from.
+_CRASHES = Param(
+    "crashes", "crashes", 1, "--crashes", "how many of the highest-numbered processes crash"
 )
-_CRASHES = Axis(
-    "crashes", "how many of the highest-numbered processes crash", "--crashes", int, default=1
-)
-_TMR = Axis("mistake_recurrence_time", "mean mistake recurrence time T_MR in ms", "--tmr")
-_TM = Axis("mistake_duration", "mean mistake duration T_M in ms", "--tm")
-_MID_WINDOW = "in ms (default: the middle of the arrival window)"
+_MID_WINDOW = "in ms, unset = the middle of the arrival window"
+
+
+# The values several kinds read, one flag each: a fresh field per class.
+def _detection_time() -> Any:
+    return param(0.0, flag="--detection-time", help="constant crash detection time T_D in ms")
+
+
+def _tmr() -> Any:
+    return param(1000.0, flag="--tmr", help="mean mistake recurrence time T_MR in ms")
+
+
+def _tm() -> Any:
+    return param(0.0, flag="--tm", help="mean mistake duration T_M in ms")
 
 
 def _arrival_window(core: Any) -> float:
@@ -127,22 +129,11 @@ register_kind(
 
 @dataclass(frozen=True)
 class CrashSteadyParams:
-    #: Pre-crashed process ids.
-    crashed: Tuple[int, ...] = ()
+    crashed: Tuple[int, ...] = param((), help="pre-crashed process ids")
 
 
-def crashed_processes(n: int, count: int) -> Tuple[int, ...]:
-    """The ``count`` highest-numbered (non-coordinator) processes.
-
-    The paper's crash-steady convention: the coordinator re-numbering
-    optimisation makes the steady state independent of *which* processes
-    crashed, so the figures crash the highest pids.
-    """
-    return tuple(range(n - count, n))
-
-
-def _expand_crashes(n: int, values: Dict[str, Any]) -> Dict[str, Any]:
-    return dict(values, crashed=crashed_processes(n, values.pop("crashes")))
+def _expand_crashes(n: int, derived: Dict[str, Any]) -> Dict[str, Any]:
+    return {"crashed": crashed_processes(n, derived["crashes"])}
 
 
 def _validate_crashed(core: Any, params: Any) -> None:
@@ -179,7 +170,7 @@ register_kind(
         params=CrashSteadyParams,
         run=_run_crash_steady,
         validate=_validate_crashed,
-        axes=(_CRASHES,),
+        derived=(_CRASHES,),
         expand=_expand_crashes,
     )
 )
@@ -190,9 +181,8 @@ register_kind(
 
 @dataclass(frozen=True)
 class SuspicionSteadyParams:
-    #: Means of the detectors' exponential T_MR / T_M, ms.
-    mistake_recurrence_time: float = 1000.0
-    mistake_duration: float = 0.0
+    mistake_recurrence_time: float = _tmr()
+    mistake_duration: float = _tm()
 
 
 def _validate_suspicion(core: Any, params: Any) -> None:
@@ -229,7 +219,6 @@ register_kind(
         params=SuspicionSteadyParams,
         run=_run_suspicion_steady,
         validate=_validate_suspicion,
-        axes=(_TMR, _TM),
     )
 )
 
@@ -239,12 +228,12 @@ register_kind(
 
 @dataclass(frozen=True)
 class CrashTransientParams:
-    #: Independent executions of the point.
-    num_runs: int = 8
-    detection_time: float = 0.0
-    crashed_process: int = 0
-    #: Tagged sender of the probe; ``None`` = the highest non-crashed pid.
-    sender: Optional[int] = None
+    num_runs: int = param(8, flag="--runs", help="independent runs per point")
+    detection_time: float = _detection_time()
+    crashed_process: int = param(0, flag="--crashed-process", help="the pid that crashes")
+    sender: Optional[int] = param(
+        None, help="tagged sender of the probe, unset = the highest non-crashed pid"
+    )
 
 
 def _validate_crash_transient(core: Any, params: CrashTransientParams) -> None:
@@ -275,12 +264,6 @@ register_kind(
             config, core.throughput, **vars(params)
         ),
         validate=_validate_crash_transient,
-        axes=(
-            Axis("num_runs", "independent runs per point", "--runs", int),
-            _DETECTION_TIME,
-            Axis("crashed_process", "the pid that crashes", "--crashed-process", int),
-            Axis("sender", "tagged sender (default: the highest non-crashed pid)"),
-        ),
     )
 )
 
@@ -290,10 +273,11 @@ register_kind(
 
 @dataclass(frozen=True)
 class CorrelatedCrashParams:
-    crashed: Tuple[int, ...] = ()
-    #: When the group crashes, ms; ``None`` = the middle of the arrival window.
-    crash_time: Optional[float] = None
-    detection_time: float = 0.0
+    crashed: Tuple[int, ...] = param((), help="the processes that crash together")
+    crash_time: Optional[float] = param(
+        None, flag="--crash-time", help=f"crash instant {_MID_WINDOW}"
+    )
+    detection_time: float = _detection_time()
 
 
 def _run_correlated_crash(
@@ -326,11 +310,7 @@ register_kind(
         params=CorrelatedCrashParams,
         run=_run_correlated_crash,
         validate=_validate_crashed,
-        axes=(
-            _CRASHES,
-            Axis("crash_time", f"crash instant {_MID_WINDOW}", "--crash-time"),
-            _DETECTION_TIME,
-        ),
+        derived=(_CRASHES,),
         expand=_expand_crashes,
     )
 )
@@ -341,10 +321,11 @@ register_kind(
 
 @dataclass(frozen=True)
 class ChurnSteadyParams:
-    #: Crash arrivals per second and mean exponential downtime, ms.
-    churn_rate: float = 1.0
-    mean_downtime: float = 200.0
-    detection_time: float = 0.0
+    churn_rate: float = param(1.0, flag="--churn-rate", help="crash arrivals per second")
+    mean_downtime: float = param(
+        200.0, flag="--downtime", help="mean exponential downtime per crash in ms"
+    )
+    detection_time: float = _detection_time()
 
 
 def _validate_churn(core: Any, params: ChurnSteadyParams) -> None:
@@ -383,11 +364,6 @@ register_kind(
         params=ChurnSteadyParams,
         run=_run_churn_steady,
         validate=_validate_churn,
-        axes=(
-            Axis("churn_rate", "crash arrivals per second", "--churn-rate"),
-            Axis("mean_downtime", "mean downtime per crash in ms", "--downtime"),
-            _DETECTION_TIME,
-        ),
     )
 )
 
@@ -397,11 +373,10 @@ register_kind(
 
 @dataclass(frozen=True)
 class AsymmetricQosParams:
-    mistake_recurrence_time: float = 1000.0
-    mistake_duration: float = 0.0
-    #: ``flaky_monitor`` wrongly suspects ``flaky_target``; other pairs are perfect.
-    flaky_monitor: int = 1
-    flaky_target: int = 0
+    mistake_recurrence_time: float = _tmr()
+    mistake_duration: float = _tm()
+    flaky_monitor: int = param(1, flag="--flaky-monitor", help="observer of the flaky pair")
+    flaky_target: int = param(0, flag="--flaky-target", help="observed process of the flaky pair")
 
 
 def _validate_asymmetric(core: Any, params: AsymmetricQosParams) -> None:
@@ -441,12 +416,6 @@ register_kind(
         params=AsymmetricQosParams,
         run=_run_asymmetric_qos,
         validate=_validate_asymmetric,
-        axes=(
-            _TMR,
-            _TM,
-            Axis("flaky_monitor", "observer of the flaky pair", "--flaky-monitor", int),
-            Axis("flaky_target", "observed process of the flaky pair", "--flaky-target", int),
-        ),
     )
 )
 
@@ -456,9 +425,12 @@ register_kind(
 
 @dataclass(frozen=True)
 class ViewMajorityLossParams:
-    detection_time: float = 0.0
-    #: The blocking crash, ms, inside the canonical suspicion window.
-    crash_time: float = VML_CRASH_TIME
+    detection_time: float = _detection_time()
+    crash_time: float = param(
+        VML_CRASH_TIME,
+        flag="--crash-time",
+        help="blocking crash instant in ms, inside the suspicion window (50, 450)",
+    )
 
 
 def _validate_view_majority_loss(core: Any, params: ViewMajorityLossParams) -> None:
@@ -507,14 +479,6 @@ register_kind(
         params=ViewMajorityLossParams,
         run=_run_view_majority_loss,
         validate=_validate_view_majority_loss,
-        axes=(
-            _DETECTION_TIME,
-            Axis(
-                "crash_time",
-                "blocking crash instant in ms, inside the suspicion window (50, 450)",
-                "--crash-time",
-            ),
-        ),
     )
 )
 
@@ -524,15 +488,20 @@ register_kind(
 
 @dataclass(frozen=True)
 class ServiceLoadParams:
-    #: Closed-loop client count; 0 = open loop at ``throughput`` requests/s.
-    clients: int = 0
-    #: Mean exponential think time per closed-loop client, ms.
-    think_time: float = 0.0
-    #: Read path: ``"ordered"`` or ``"local"``.
-    consistency: str = "ordered"
+    clients: int = param(0, flag="--clients", help="closed-loop client count, 0 = open loop")
+    think_time: float = param(
+        0.0, flag="--think-time", help="mean client think time in ms (closed loop)"
+    )
+    consistency: str = param(
+        "ordered",
+        flag="--consistency",
+        help="read path: ordered (through the total order) or local (stale reads)",
+    )
 
 
 def _validate_service_load(core: Any, params: ServiceLoadParams) -> None:
+    from repro.load.service import CONSISTENCY_MODES
+
     if params.clients < 0:
         raise ValueError(f"clients must be >= 0 (0 = open loop), got {params.clients}")
     if params.think_time < 0:
@@ -543,30 +512,23 @@ def _validate_service_load(core: Any, params: ServiceLoadParams) -> None:
         )
 
 
-# :func:`repro.scenarios.service_load.run_service_load` is the measurement;
-# called directly it also takes what a point does not carry (admission
-# bounds, a command mix, a fault schedule).
+def _run_service_load(config: SystemConfig, core: Any, params: ServiceLoadParams) -> Any:
+    """:func:`repro.scenarios.service_load.run_service_load`, the measurement;
+    called directly it also takes what a point does not carry (admission
+    bounds, a command mix, a fault schedule)."""
+    from repro.scenarios.service_load import run_service_load
+
+    return run_service_load(config, core.throughput, num_requests=core.num_messages, **vars(params))
+
+
 register_kind(
     ScenarioKind(
         name="service-load",
         shorthand="service",
         summary="the replicated KV service under an open- or closed-loop client population",
         params=ServiceLoadParams,
-        run=lambda config, core, params: run_service_load(
-            config, core.throughput, num_requests=core.num_messages, **vars(params)
-        ),
+        run=_run_service_load,
         validate=_validate_service_load,
-        axes=(
-            Axis("clients", "closed-loop client count, 0 = open loop", "--clients", int),
-            Axis("think_time", "mean client think time in ms (closed loop)", "--think-time"),
-            Axis(
-                "consistency",
-                "read path: totally ordered or local stale reads",
-                "--consistency",
-                str,
-                CONSISTENCY_MODES,
-            ),
-        ),
     )
 )
 
@@ -576,10 +538,13 @@ register_kind(
 
 @dataclass(frozen=True)
 class PartitionTransientParams:
-    #: Partition instant, ms; ``None`` = the middle of the arrival window.
-    partition_start: Optional[float] = None
-    partition_duration: float = 2000.0
-    detection_time: float = 0.0
+    partition_start: Optional[float] = param(
+        None, flag="--crash-time", help=f"partition instant {_MID_WINDOW}"
+    )
+    partition_duration: float = param(
+        2000.0, flag="--fault-duration", help="length of the partition in ms"
+    )
+    detection_time: float = _detection_time()
 
 
 def _validate_partition(core: Any, params: PartitionTransientParams) -> None:
@@ -642,11 +607,6 @@ register_kind(
         params=PartitionTransientParams,
         run=_run_partition_transient,
         validate=_validate_partition,
-        axes=(
-            Axis("partition_start", f"partition instant {_MID_WINDOW}", "--crash-time"),
-            Axis("partition_duration", "length of the partition in ms", "--fault-duration"),
-            _DETECTION_TIME,
-        ),
     )
 )
 
@@ -656,12 +616,13 @@ register_kind(
 
 @dataclass(frozen=True)
 class WanSteadyParams:
-    #: Name of a registered :class:`repro.sim.wan.WanProfile`.
-    wan_profile: str = "wan-3dc"
-    detection_time: float = 0.0
+    wan_profile: str = param("wan-3dc", flag="--wan-profile", help="registered WAN topology name")
+    detection_time: float = _detection_time()
 
 
 def _validate_wan(core: Any, params: WanSteadyParams) -> None:
+    from repro.sim.wan import wan_profile
+
     wan_profile(params.wan_profile)  # unknown names raise here, not in a worker
 
 
@@ -675,6 +636,8 @@ def _run_wan_steady(config: SystemConfig, core: Any, params: WanSteadyParams) ->
     times are derived from the topology (:data:`WAN_FD_SLACK` round trips of
     headroom) so WAN lag alone never looks like a crash.
     """
+    from repro.sim.wan import wan_profile
+
     topology = wan_profile(params.wan_profile)
     fd = QoSConfig(detection_time=params.detection_time)
     if config.fd_kind == "qos":
@@ -706,10 +669,6 @@ register_kind(
         params=WanSteadyParams,
         run=_run_wan_steady,
         validate=_validate_wan,
-        axes=(
-            Axis("wan_profile", "registered WAN topology name", "--wan-profile", str),
-            _DETECTION_TIME,
-        ),
     )
 )
 
@@ -719,15 +678,20 @@ register_kind(
 
 @dataclass(frozen=True)
 class GrayDegradationParams:
-    degraded_pid: int = 0
-    #: CPU service-time multiplier while degraded.
-    degrade_factor: float = 4.0
-    #: Degradation instant, ms; ``None`` = the middle of the arrival window.
-    degrade_start: Optional[float] = None
-    degrade_duration: float = 2000.0
-    #: Per-frame loss probability on the degraded pid's outgoing links.
-    link_loss: float = 0.0
-    detection_time: float = 0.0
+    degraded_pid: int = param(0, flag="--crashed-process", help="the degraded pid")
+    degrade_factor: float = param(
+        4.0, flag="--degrade-factor", help="CPU service-time multiplier while degraded"
+    )
+    degrade_start: Optional[float] = param(
+        None, flag="--crash-time", help=f"degradation instant {_MID_WINDOW}"
+    )
+    degrade_duration: float = param(
+        2000.0, flag="--fault-duration", help="length of the degradation in ms"
+    )
+    link_loss: float = param(
+        0.0, flag="--link-loss", help="frame loss probability on the degraded pid's links"
+    )
+    detection_time: float = _detection_time()
 
 
 def _validate_gray(core: Any, params: GrayDegradationParams) -> None:
@@ -790,25 +754,14 @@ register_kind(
         params=GrayDegradationParams,
         run=_run_gray_degradation,
         validate=_validate_gray,
-        axes=(
-            Axis("degraded_pid", "the degraded pid", "--crashed-process", int),
-            Axis(
-                "degrade_factor", "CPU service-time multiplier while degraded", "--degrade-factor"
-            ),
-            Axis("degrade_start", f"degradation instant {_MID_WINDOW}", "--crash-time"),
-            Axis("degrade_duration", "length of the degradation in ms", "--fault-duration"),
-            Axis(
-                "link_loss", "frame loss probability on the degraded pid's links", "--link-loss"
-            ),
-            _DETECTION_TIME,
-        ),
     )
 )
 
 
 # ``repro.scenarios.run_<kind>``: :func:`run_kind` bound to each built-in's
 # name, so an omitted parameter has the default a campaign point has.
-# ``service-load``'s is :func:`run_service_load`, the measurement itself.
+# ``service-load``'s is :func:`~repro.scenarios.service_load.run_service_load`,
+# the measurement itself.
 for _name in available_kinds():
     if _name != "service-load":
         globals()["run_" + _name.replace("-", "_")] = partial(run_kind, _name)

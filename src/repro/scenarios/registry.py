@@ -5,15 +5,15 @@ four benchmark scenarios plus the beyond-paper fault-schedule, service-load
 and network fault-injection scenarios.  Each kind is one
 :class:`ScenarioKind` registration -- its name and CLI shorthand, a frozen
 params dataclass holding exactly the fields that kind reads, a ``validate``
-hook, a ``run(config, core, params)`` that performs the measurement and its
-sweep axes (``grid()`` keywords and CLI flags, as plain data).  The campaign
-layer (:mod:`repro.campaigns`) builds points, cache
-keys, grids, dispatch and the command line from this table, and
-:func:`run_kind` runs one point without it; adding a kind is one
-:func:`register_kind` call and changes nobody else's cache keys.  The
-built-in kinds (:mod:`repro.scenarios.kinds`) register on the first call
-into this table, so a program that never looks a kind up never imports
-them, and a user's kind still registers after them.
+hook and a ``run(config, core, params)`` that performs the measurement;
+each params field is also a ``grid()`` keyword and, declared with
+:func:`~repro.stacks.api.param`, a CLI flag.  The campaign layer
+(:mod:`repro.campaigns`) builds points, cache keys, grids, dispatch and the
+command line from this table, and :func:`run_kind` runs one point without
+it; adding a kind is one :func:`register_kind` call and changes nobody
+else's cache keys.  The built-in kinds (:mod:`repro.scenarios.kinds`)
+register on the first call into this table, so a program that never looks
+a kind up never imports them, and a user's kind still registers after them.
 
 ``core`` is the part of a point every kind shares (a campaign
 ``PointSpec``); the built-ins only read ``core.throughput``,
@@ -31,36 +31,13 @@ from types import SimpleNamespace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.scenarios.runner import DEFAULT_MESSAGES
+from repro.stacks.api import Param, params_of
 from repro.stacks.registry import param_keywords
 from repro.system import SystemConfig
 
 #: Names a point already gives a meaning to besides ``SystemConfig``'s
 #: fields and the system params: a kind's params may not reuse them.
 _POINT_NAMES = {"kind", "throughput", "num_messages", "params", "system"}
-
-
-#: ``Axis.default`` of an axis that names a params field: the field's default.
-_FROM_PARAMS: Any = object()
-
-
-@dataclass(frozen=True)
-class Axis:
-    """One sweepable dimension of a kind: a ``grid()`` keyword and CLI flag.
-
-    ``name`` is the ``grid()`` keyword -- a field of the kind's params unless
-    the kind's ``expand`` hook derives the params from it (``crashes``).
-    ``flag`` is the command-line spelling (``None``: ``grid()`` only).  The
-    default of both is the params field's default, so the CLI, a bare
-    ``grid(kind)`` and ``run_kind`` run the same point; only an axis that
-    names no params field declares its own ``default``.
-    """
-
-    name: str
-    help: str
-    flag: Optional[str] = None
-    type: Callable[[str], Any] = float
-    choices: Optional[Tuple[Any, ...]] = None
-    default: Any = _FROM_PARAMS
 
 
 @dataclass(frozen=True)
@@ -76,21 +53,20 @@ class ScenarioKind:
         One line for ``--help`` and the README catalog.
     params:
         A frozen dataclass with a default for every field: the values this
-        kind reads besides the common core.  Field types must be ones the
-        cache key can canonicalise (:mod:`repro.campaigns.canonical`).
+        kind reads besides the common core, each a ``grid()`` keyword and,
+        declared with :func:`~repro.stacks.api.param`, a CLI flag.  Field
+        types must be ones the cache key can canonicalise
+        (:mod:`repro.campaigns.canonical`).
     run:
         ``run(config, core, params)`` -> ``ScenarioResult`` /
         ``TransientResult``; ``config`` is the point's ``SystemConfig``.
     validate:
         ``validate(core, params)`` raises ``ValueError`` for a point that
         could never run, at declaration time instead of mid-campaign.
-    axes:
-        The kind's sweep axes (see :class:`Axis`), each with its default
-        resolved at registration.
-    expand:
-        Optional ``expand(n, values) -> params kwargs`` for kinds whose axes
-        are not params fields one to one; ``values`` maps every axis name to
-        its value.
+    derived / expand:
+        Values a grid gives instead of params fields (``crashes``), and
+        ``expand(n, derived) -> params kwargs`` for a point of size ``n``;
+        ``derived`` maps each to its value, given or its default.
     """
 
     name: str
@@ -99,7 +75,7 @@ class ScenarioKind:
     params: type
     run: Callable[[SystemConfig, Any, Any], Any]
     validate: Callable[[Any, Any], None] = lambda core, params: None
-    axes: Tuple[Axis, ...] = ()
+    derived: Tuple[Param, ...] = ()
     expand: Optional[Callable[[int, Dict[str, Any]], Dict[str, Any]]] = None
 
     def __post_init__(self) -> None:
@@ -111,33 +87,16 @@ class ScenarioKind:
             raise ValueError(
                 f"{self.name}: params fields {sorted(reserved)} shadow the common core"
             )
-        defaults = {field.name: field.default for field in dataclasses.fields(self.params)}
-        axes = []
-        for axis in self.axes:
-            default = defaults.get(axis.name, axis.default)
-            if default is _FROM_PARAMS or axis.default not in (_FROM_PARAMS, default):
-                raise ValueError(
-                    f"{self.name}: axis {axis.name!r} takes its default from the params "
-                    "field it names; an axis that names none declares its own"
-                )
-            axes.append(dataclasses.replace(axis, default=default))
-        object.__setattr__(self, "axes", tuple(axes))
 
     @functools.cached_property
     def param_names(self) -> Tuple[str, ...]:
         """The kind's own settable point fields, in declaration order."""
         return tuple(field.name for field in dataclasses.fields(self.params))
 
-    def axis_values(self, given: Dict[str, Any]) -> Dict[str, Any]:
-        """Every axis of the kind mapped to its value: ``given`` over defaults."""
-        values = {axis.name: axis.default for axis in self.axes}
-        unknown = set(given) - set(values)
-        if unknown:
-            raise ValueError(
-                f"{self.name} has no axis {sorted(unknown)}; its axes are {sorted(values)}"
-            )
-        values.update(given)
-        return values
+    @functools.cached_property
+    def settable(self) -> Tuple[Param, ...]:
+        """Every value a grid of the kind takes: ``derived``, then its params fields."""
+        return self.derived + params_of(self.params)
 
     def check(self, core: Any, params: Any) -> None:
         """Reject a point that could never run: the common core, then ``validate``."""
@@ -147,9 +106,27 @@ class ScenarioKind:
             raise ValueError(f"num_messages must be >= 0, got {core.num_messages}")
         self.validate(core, params)
 
-    def point_params(self, n: int, values: Dict[str, Any]) -> Any:
-        """The params instance of a grid point of size ``n``."""
-        return self.params(**(self.expand(n, dict(values)) if self.expand else values))
+    def point_params(self, n: int, given: Dict[str, Any]) -> Any:
+        """The params instance of a grid point of size ``n``: ``given`` over the defaults.
+
+        A derived value is expanded unless the fields it derives are given
+        instead; giving both raises.
+        """
+        names = [param.keyword for param in self.settable]
+        unknown = set(given) - set(names)
+        if unknown:
+            raise ValueError(
+                f"{self.name} has no axis {sorted(unknown)}; its axes are {sorted(names)}"
+            )
+        values = dict(given)
+        derived = {p.keyword: values.pop(p.keyword, p.default) for p in self.derived}
+        if self.expand:
+            expanded = self.expand(n, derived)
+            both, chosen = sorted(set(expanded) & set(values)), sorted(set(derived) & set(given))
+            if both and chosen:
+                raise ValueError(f"{self.name}: give {chosen} or {both}, not both")
+            values = {**expanded, **values}
+        return self.params(**values)
 
 
 _KINDS: Dict[str, ScenarioKind] = {}

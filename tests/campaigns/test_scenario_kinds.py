@@ -102,11 +102,11 @@ class TestBuiltinTable:
         for name in available_kinds():
             kind = get_kind(name)
             assert kind.summary and kind.shorthand
-            defaults = kind.params()  # every param has a default
-            for axis in kind.axes:
-                assert axis.help, (name, axis.name)
-                if kind.expand is None:
-                    assert hasattr(defaults, axis.name), (name, axis.name)
+            kind.params()  # every param has a default
+            for param in kind.settable:
+                assert param.help, (name, param.keyword)
+            # A derived value comes with the hook that expands it.
+            assert bool(kind.derived) == (kind.expand is not None), name
             # 0-6 own settable values on top of the 8 core ones.
             assert len(kind.param_names) <= 6
 
@@ -134,22 +134,15 @@ class TestBuiltinTable:
 
         with pytest.raises(ValueError, match="shadow the common core"):
             dataclasses.replace(normal, name="other", shorthand="o", params=Shadowing)
-        churn = get_kind("churn-steady")
-        for axis in (registry.Axis("churn_rate", "h", default=2.0), registry.Axis("rate", "h")):
-            with pytest.raises(ValueError, match="takes its default from the params field"):
-                dataclasses.replace(churn, name="other", shorthand="o", axes=(axis,))
         assert available_kinds() == BUILTIN_KINDS
 
     @pytest.mark.parametrize("name", available_kinds())
     def test_a_bare_grid_sweeps_the_default_point(self, name):
         kind = get_kind(name)
         first = grid(name).points()[0]
-        # Only what ``expand`` derives from an axis is not a default.
-        derived = {
-            field: getattr(first.params, field)
-            for field in kind.param_names
-            if field not in {axis.name for axis in kind.axes}
-        }
+        # Only what ``expand`` derives from a derived value's default is not a default.
+        defaults = {param.keyword: param.default for param in kind.derived}
+        derived = kind.expand(first.n, defaults) if kind.expand else {}
         assert first.params == PointSpec(name, **derived).params
 
     def test_unknown_kind_names_the_registered_ones(self):
@@ -379,10 +372,10 @@ class TestStructure:
 
     def test_campaign_code_names_no_kind_and_no_kind_flag(self):
         flags = {
-            axis.flag
+            param.flag
             for name in BUILTIN_KINDS
-            for axis in get_kind(name).axes
-            if axis.flag
+            for param in get_kind(name).settable
+            if param.flag
         }
         names = set(BUILTIN_KINDS) | set(kind_shorthands())
         for path, _source in self.campaign_sources():
@@ -431,6 +424,19 @@ class TestDocsDrift:
         section = readme_section("## Scenario catalog")
         rows = re.findall(r"^\| `([a-z-]+)` \(`([a-z-]+)`\) \|", section, re.MULTILINE)
         assert rows == self.registry_pairs()
+
+    def test_readme_catalog_rows_use_their_kinds_flags(self):
+        """Each built-in kind's row runs that kind, and every ``--flag`` the row
+        names is an option of that kind's parser (never another kind's axis)."""
+        section = readme_section("## Scenario catalog")
+        rows = dict(re.findall(r"^\| `([a-z-]+)` \(`[a-z-]+`\) \|(.*)$", section, re.MULTILINE))
+        assert set(BUILTIN_KINDS) <= set(rows)
+        for name, row in rows.items():
+            example = re.search(r"`python -m repro\.campaigns --scenario ([a-z-]+)[^`]*`", row)
+            assert kind_shorthands().get(example.group(1), example.group(1)) == name, row
+            options = campaigns_cli.build_parser(get_kind(name))._option_string_actions
+            unknown = set(re.findall(FLAG, row)) - set(options)
+            assert not unknown, (name, sorted(unknown))
 
     def test_cli_docstring_states_the_kinds_once(self):
         pairs = re.findall(r"``([a-z-]+)``\s+\(``([a-z-]+)``\)", campaigns_cli.__doc__)

@@ -270,6 +270,14 @@ class TestGrid:
         point = campaign.points()[0]
         assert point.crashed == (5, 6)
 
+    @pytest.mark.parametrize("kind", ["crash-steady", "correlated-crash"])
+    def test_grid_takes_every_field_a_point_takes(self, kind):
+        campaign = grid(kind, n_values=(5,), crashed=(3, 4), stacks=("fd",), throughputs=(10.0,))
+        (point,) = campaign.points()
+        assert point.params == PointSpec(kind, n=5, crashed=(3, 4)).params
+        with pytest.raises(ValueError, match=r"\['crashes'\] or \['crashed'\], not both"):
+            grid(kind, n_values=(5,), crashes=1, crashed=(3, 4))
+
     def test_duplicate_seeds_are_dropped(self):
         campaign = grid(
             "normal-steady", stacks=("fd",), throughputs=(10.0,), seeds=(1, 1, 2)

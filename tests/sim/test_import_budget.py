@@ -12,6 +12,7 @@ repeat exactly, so a new eager import fails here::
     what                                 repro modules  before
     import repro.sim.engine                    3          30
     suspicion_n15 setup, fd n=3 build         32          50
+    figures import + one Figure 4 point       50          58
 """
 
 import os
@@ -43,6 +44,23 @@ UNUSED_BY_SETUP = (
 )
 
 
+#: What a figure run starts with: the figure table, then one Figure 4 point.
+FIGURE_POINT = (
+    "from repro.experiments.figures import FIGURES\n"
+    "from repro.campaigns.records import execute_point\n"
+    "from repro.campaigns.spec import PointSpec\n"
+    "execute_point(PointSpec('normal-steady', throughput=100.0, num_messages=5))\n"
+)
+
+#: Layers no figure reads: the KV service and its load, the WAN topologies.
+UNUSED_BY_FIGURES = (
+    "repro.load*",
+    "repro.replication*",
+    "repro.scenarios.service_load",
+    "repro.sim.wan",
+)
+
+
 def loaded_after(program):
     """The modules a fresh interpreter holds after running ``program``."""
     probe = program + "import sys\nprint('\\n'.join(sorted(sys.modules)))\n"
@@ -66,6 +84,15 @@ def test_the_setup_command_loads_no_layer_it_does_not_use():
         module for module in loaded if any(matches(module, p) for p in UNUSED_BY_SETUP)
     )
     assert unused == [], f"the fd setup command imports {unused}"
+
+
+def test_a_figure_point_loads_no_service_layer():
+    loaded = loaded_after(FIGURE_POINT)
+    assert {"repro.scenarios.kinds", "repro.core.fd_broadcast"} <= loaded
+    unused = sorted(
+        module for module in loaded if any(matches(module, p) for p in UNUSED_BY_FIGURES)
+    )
+    assert unused == [], f"a figure point imports {unused}"
 
 
 def test_the_kernel_imports_alone():
