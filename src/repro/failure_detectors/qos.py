@@ -91,7 +91,7 @@ class QoSConfig:
             raise ValueError(f"mistake_duration must be >= 0, got {self.mistake_duration}")
         for (monitor, monitored), override in self.pair_overrides:
             if monitor == monitored:
-                raise ValueError(f"a process does not monitor itself: pair {monitor!r}")
+                raise ValueError(f"a process does not monitor itself: pair ({monitor}, {monitored})")
             if override.pair_overrides:
                 raise ValueError("pair overrides cannot nest further overrides")
 

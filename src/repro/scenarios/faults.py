@@ -28,8 +28,10 @@ Two kinds of events exist:
 Generators (:class:`PoissonChurn`) expand deterministically into concrete
 crash/recovery pairs using the system's named random streams, so a churn
 schedule is a pure function of the system seed.  Before anything is
-applied or posted, the schedule checks every pid every event names against
-the system's ``n``.
+applied or posted, :meth:`FaultSchedule.check` holds the schedule to the
+system's ``n``: every pid an event names is a process, and no instant has
+more than the ``f < n/2`` processes down.  The built-in scenario kinds call
+it when a point is declared, so a bad schedule never reaches a worker.
 """
 
 from __future__ import annotations
@@ -133,8 +135,10 @@ class CorrelatedCrash(FaultEvent):
     pids: Tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.time < 0:
+            raise ValueError(f"a correlated crash cannot predate the run, got time={self.time}")
         if not self.pids:
-            raise ValueError("a correlated crash needs at least one process")
+            raise ValueError(f"a correlated crash needs at least one process, got pids={self.pids}")
         if len(set(self.pids)) != len(self.pids):
             raise ValueError(f"duplicate pids in correlated crash group: {self.pids}")
 
@@ -427,7 +431,7 @@ class FaultSchedule:
         if n < 3:
             raise ValueError(f"a transient partition needs n >= 3, got n={n}")
         if duration <= 0:
-            raise ValueError(f"the partition needs a positive duration, got {duration}")
+            raise ValueError(f"partition_duration must be > 0 ms, got {duration}")
         cut_off = minority(n)
         majority = tuple(range(n - len(cut_off)))
         return FaultSchedule(
@@ -572,20 +576,11 @@ class FaultSchedule:
     def max_concurrent_crashes(self, system=None) -> int:
         """Largest number of processes simultaneously down under this schedule.
 
-        A check of the ``f < n/2`` bound for callers and tests; no scenario
-        driver runs it (the built-in kinds keep the bound by construction:
-        their params checks cap static crashes, and :class:`PoissonChurn`
-        caps itself).  Schedules containing generators (:class:`PoissonChurn`)
-        need ``system`` to expand them; validating one without a system would
-        silently undercount, so it is an error.
+        A generator (:class:`PoissonChurn`) counts only when ``system`` is
+        given to expand it; without one it is left out, which is what
+        :meth:`check` needs: churn caps itself at the bound around the
+        explicit events' downtime.
         """
-        if system is None and any(
-            isinstance(event, PoissonChurn) for event in self.events
-        ):
-            raise ValueError(
-                "validating a schedule with churn generators requires the system "
-                "whose random streams expand them"
-            )
         deltas: List[Tuple[float, int]] = [(0.0, 1) for _ in self.pre_run_events()]
         for event in self.timeline(system):
             if isinstance(event, CrashAt):
@@ -604,9 +599,13 @@ class FaultSchedule:
 
     # ------------------------------------------------------------------ compilation
 
-    def _check(self, system) -> None:
-        """Raise ``ValueError`` naming the first event with a pid ``system`` lacks."""
-        n = system.config.n
+    def check(self, n: int) -> "FaultSchedule":
+        """Hold the schedule to ``n`` processes (chainable).
+
+        Raise ``ValueError`` naming the first event with a pid outside
+        ``0..n-1``, or when more than the ``f < n/2`` processes are down at
+        one instant (:meth:`max_concurrent_crashes`).
+        """
         for event in self.events:
             for pid in event.pids_named():
                 if not 0 <= pid < n:
@@ -614,10 +613,14 @@ class FaultSchedule:
                         f"{event!r} names process {pid}, but the system has "
                         f"processes 0..{n - 1}"
                     )
+        worst = self.max_concurrent_crashes()
+        if 2 * worst >= n:
+            raise ValueError(f"{worst} crashes exceed the f < n/2 bound for n={n}")
+        return self
 
     def apply_pre(self, system) -> None:
         """Apply the pre-run crashes synchronously (before the run starts)."""
-        self._check(system)
+        self.check(system.config.n)
         for event in self.pre_run_events():
             system.crash(event.pid)
             if event.permanent_suspicion:
@@ -625,7 +628,7 @@ class FaultSchedule:
 
     def schedule(self, system) -> None:
         """Post every timed event on the system's simulation kernel."""
-        self._check(system)
+        self.check(system.config.n)
         for event in self.timeline(system):
             event.schedule(system)
 

@@ -2,14 +2,18 @@
 
 Every kind is written the way the README's "Adding a scenario kind" tells
 users to write theirs: a frozen params dataclass (the *only* place a default,
-a CLI flag and its help live), a ``validate(core, params)`` (the *only*
-place a parameter is checked), a ``run(config, core, params)`` that builds a
-spec for the shared :class:`~repro.scenarios.runner.ScenarioRunner`, and one
-:func:`~repro.scenarios.registry.register_kind` call.  ``crash-transient``
-and ``service-load`` measure something other than steady-state broadcast
-latency and delegate to their own modules; the steady-state ones share
-:func:`_steady`.  A result's ``params`` echo the kind's params (defaults
-resolved) plus the kind's read-outs.
+a CLI flag and its help live), a ``validate(core, params)``, a
+``run(config, core, params)`` and one
+:func:`~repro.scenarios.registry.register_kind` call.  A kind checks a point
+by building what it runs: a fault kind's ``validate`` is its builder,
+``_build_<kind>(core, params)``, which ``run`` calls too.  It returns the
+fault model ``fd``, the :class:`FaultSchedule` checked against ``core.n``
+and, for a steady kind, the rest of its :class:`SteadyStateSpec`.  So a
+constructor's check (``QoSConfig``, a fault event, :meth:`FaultSchedule.check`)
+runs at declaration, and a builder states only what no constructor knows.
+``crash-transient`` and ``service-load`` delegate to their own modules.  A
+result's ``params`` echo the kind's params (defaults resolved) plus its
+read-outs.
 
 The paper's scenarios come first (Figs. 4-8), then the fault-schedule kinds,
 ``service-load`` and the network fault-injection kinds, whose ``verify``
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.failure_detectors.qos import QoSConfig
 from repro.metrics.stats import interarrival_from_throughput
@@ -32,6 +36,7 @@ from repro.scenarios.faults import (
     VML_SUSPECT_DURATION,
     VML_SUSPECT_START,
     CorrelatedCrash,
+    CrashAt,
     DegradeAt,
     DegradeLinkAt,
     FaultSchedule,
@@ -48,7 +53,7 @@ from repro.scenarios.runner import (
     SteadyStateSpec,
     warmup_count,
 )
-from repro.scenarios.transient import measure_crash_transient
+from repro.scenarios.transient import CRASH_TIME, measure_crash_transient
 from repro.stacks.api import Param, param
 from repro.stacks.registry import GmReformParams
 from repro.system import SystemConfig
@@ -87,9 +92,10 @@ def _or_mid_window(instant: Optional[float], core: Any) -> float:
     return 0.5 * _arrival_window(core) if instant is None else instant
 
 
-def _steady(config, core: Any, fd: QoSConfig, verify=None, **fields: Any) -> ScenarioResult:
-    """Run the steady-state measurement of ``core`` on ``config`` under the
-    fault model ``fd`` (``fields``: the rest of its :class:`SteadyStateSpec`)."""
+def _run_steady(config, core: Any, fd: QoSConfig, verify=None, **fields: Any) -> ScenarioResult:
+    """Run the steady-state measurement of ``core`` on ``config`` as a builder
+    made it: the fault model ``fd``, ``verify`` and the rest of its
+    :class:`SteadyStateSpec` (``fields``)."""
     spec = SteadyStateSpec(
         scenario=core.kind,
         config=replace(config, fd=fd),
@@ -100,6 +106,14 @@ def _steady(config, core: Any, fd: QoSConfig, verify=None, **fields: Any) -> Sce
     return ScenarioRunner().run_steady(spec, verify=verify)
 
 
+def _steady(build: Callable[[Any, Any], Dict[str, Any]]) -> Dict[str, Callable]:
+    """The ``validate`` and ``run`` of a steady kind: both call ``build``."""
+    return {
+        "validate": build,
+        "run": lambda config, core, params: _run_steady(config, core, **build(core, params)),
+    }
+
+
 # ------------------------------------------------------------------ normal-steady
 
 
@@ -108,9 +122,9 @@ class NoParams:
     """normal-steady reads nothing beyond the common core."""
 
 
-def _run_normal_steady(config: SystemConfig, core: Any, params: NoParams) -> ScenarioResult:
+def _build_normal_steady(core: Any, params: NoParams) -> Dict[str, Any]:
     """Latency in runs with neither crashes nor suspicions (Fig. 4)."""
-    return _steady(config, core, QoSConfig())
+    return dict(fd=QoSConfig())
 
 
 register_kind(
@@ -119,7 +133,7 @@ register_kind(
         shorthand="normal",
         summary="steady state with neither crashes nor suspicions (Fig. 4)",
         params=NoParams,
-        run=_run_normal_steady,
+        **_steady(_build_normal_steady),
     )
 )
 
@@ -136,30 +150,18 @@ def _expand_crashes(n: int, derived: Dict[str, Any]) -> Dict[str, Any]:
     return {"crashed": crashed_processes(n, derived["crashes"])}
 
 
-def _validate_crashed(core: Any, params: Any) -> None:
-    if not params.crashed:
-        raise ValueError(f"{core.kind} points need a non-empty crashed tuple")
-    if 2 * len(params.crashed) >= core.n:
-        raise ValueError(
-            f"{len(params.crashed)} crashes exceed the f < n/2 bound for n={core.n}"
-        )
-    for pid in params.crashed:
-        if not 0 <= pid < core.n:
-            raise ValueError(f"crashed process {pid} out of range 0..{core.n - 1}")
-
-
-def _run_crash_steady(config: SystemConfig, core: Any, params: CrashSteadyParams) -> ScenarioResult:
+def _build_crash_steady(core: Any, params: CrashSteadyParams) -> Dict[str, Any]:
     """Latency long after the processes in ``crashed`` have crashed (Fig. 5).
 
     The crashed processes are suspected permanently by every failure detector
     from the very start of the run, and they do not send workload messages --
     exactly the paper's definition of the crash-steady scenario.
     """
+    if not params.crashed:
+        raise ValueError(f"{core.kind} points need a non-empty crashed tuple")
     crashed = tuple(params.crashed)
-    return _steady(
-        config, core, QoSConfig(),
-        faults=FaultSchedule.pre_crashed(crashed), params={"crashed": crashed},
-    )
+    faults = FaultSchedule.pre_crashed(crashed).check(core.n)
+    return dict(fd=QoSConfig(), faults=faults, params={"crashed": crashed})
 
 
 register_kind(
@@ -168,10 +170,9 @@ register_kind(
         shorthand="crash",
         summary="steady state long after some processes crashed (Fig. 5)",
         params=CrashSteadyParams,
-        run=_run_crash_steady,
-        validate=_validate_crashed,
         derived=(_CRASHES,),
         expand=_expand_crashes,
+        **_steady(_build_crash_steady),
     )
 )
 
@@ -185,7 +186,7 @@ class SuspicionSteadyParams:
     mistake_duration: float = _tm()
 
 
-def _validate_suspicion(core: Any, params: Any) -> None:
+def _require_qos_mistakes(core: Any, params: Any) -> None:
     if core.fd_kind != "qos":
         raise ValueError(
             f"{core.kind} points drive the QoS mistake model and need fd_kind='qos'"
@@ -194,21 +195,20 @@ def _validate_suspicion(core: Any, params: Any) -> None:
         raise ValueError(f"{core.kind} points need a finite mistake_recurrence_time")
 
 
-def _run_suspicion_steady(
-    config: SystemConfig, core: Any, params: SuspicionSteadyParams
-) -> ScenarioResult:
+def _build_suspicion_steady(core: Any, params: SuspicionSteadyParams) -> Dict[str, Any]:
     """Latency with wrong suspicions of correct processes (Figs. 6 and 7).
 
     ``mistake_recurrence_time`` and ``mistake_duration`` are the means (in
     ms) of the exponential QoS metrics ``T_MR`` and ``T_M`` of every failure
     detector pair.  No process crashes.
     """
+    _require_qos_mistakes(core, params)
     fd = QoSConfig(
         detection_time=0.0,
         mistake_recurrence_time=params.mistake_recurrence_time,
         mistake_duration=params.mistake_duration,
     )
-    return _steady(config, core, fd, params=dict(vars(params)))
+    return dict(fd=fd, params=dict(vars(params)))
 
 
 register_kind(
@@ -217,8 +217,7 @@ register_kind(
         shorthand="suspicion",
         summary="steady state under wrong suspicions of correct processes (Figs. 6, 7)",
         params=SuspicionSteadyParams,
-        run=_run_suspicion_steady,
-        validate=_validate_suspicion,
+        **_steady(_build_suspicion_steady),
     )
 )
 
@@ -236,7 +235,11 @@ class CrashTransientParams:
     )
 
 
-def _validate_crash_transient(core: Any, params: CrashTransientParams) -> None:
+def _build_crash_transient(core: Any, params: CrashTransientParams) -> Dict[str, Any]:
+    """What :func:`~repro.scenarios.transient.measure_crash_transient` takes
+    besides the system and the throughput: ``crashed_process`` crashes at
+    :data:`~repro.scenarios.transient.CRASH_TIME`, and ``sender`` (by default
+    the highest pid that does not crash) issues the probe."""
     if core.fd_kind == "heartbeat":
         raise ValueError(
             "crash-transient points pin the detection time T_D and subtract it "
@@ -245,11 +248,24 @@ def _validate_crash_transient(core: Any, params: CrashTransientParams) -> None:
         )
     if params.sender == params.crashed_process:
         raise ValueError("the tagged sender must differ from the crashed process")
-    for role, pid in (("crashed_process", params.crashed_process), ("sender", params.sender)):
-        if pid is not None and not 0 <= pid < core.n:
-            raise ValueError(f"{role} {pid} out of range 0..{core.n - 1}")
+    if params.sender is not None and not 0 <= params.sender < core.n:
+        raise ValueError(f"sender {params.sender} out of range 0..{core.n - 1}")
     if core.n < 2:
         raise ValueError("crash-transient points need n >= 2 (a sender besides the crash)")
+    if params.num_runs < 1:
+        raise ValueError(f"num_runs must be >= 1, got {params.num_runs}")
+    crash = CrashAt(CRASH_TIME, params.crashed_process)
+    FaultSchedule([crash]).check(core.n)
+    sender = params.sender
+    if sender is None:
+        sender = core.n - 1 if crash.pid != core.n - 1 else core.n - 2
+    fd = QoSConfig(detection_time=params.detection_time)
+    return dict(fd=fd, crash=crash, sender=sender, num_runs=params.num_runs)
+
+
+def _run_crash_transient(config: SystemConfig, core: Any, params: CrashTransientParams) -> Any:
+    built = _build_crash_transient(core, params)
+    return measure_crash_transient(replace(config, fd=built.pop("fd")), core.throughput, **built)
 
 
 # :mod:`repro.scenarios.transient` defines the scenario, holds its measurement
@@ -260,10 +276,8 @@ register_kind(
         shorthand="transient",
         summary="latency of a broadcast issued at the instant of a crash (Fig. 8)",
         params=CrashTransientParams,
-        run=lambda config, core, params: measure_crash_transient(
-            config, core.throughput, **vars(params)
-        ),
-        validate=_validate_crash_transient,
+        run=_run_crash_transient,
+        validate=_build_crash_transient,
     )
 )
 
@@ -280,9 +294,7 @@ class CorrelatedCrashParams:
     detection_time: float = _detection_time()
 
 
-def _run_correlated_crash(
-    config: SystemConfig, core: Any, params: CorrelatedCrashParams
-) -> ScenarioResult:
+def _build_correlated_crash(core: Any, params: CorrelatedCrashParams) -> Dict[str, Any]:
     """Steady-state latency across a simultaneous crash of ``crashed``.
 
     A shared-fate fault: all processes in ``crashed`` fail at ``crash_time``,
@@ -293,11 +305,10 @@ def _run_correlated_crash(
     """
     crashed = tuple(params.crashed)
     crash_time = _or_mid_window(params.crash_time, core)
-    return _steady(
-        config, core, QoSConfig(detection_time=params.detection_time),
-        faults=FaultSchedule([CorrelatedCrash(crash_time, crashed)]),
-        senders=list(range(config.n)),
-        reassign_crashed_senders=True,
+    return dict(
+        fd=QoSConfig(detection_time=params.detection_time),
+        faults=FaultSchedule([CorrelatedCrash(crash_time, crashed)]).check(core.n),
+        senders=list(range(core.n)), reassign_crashed_senders=True,
         params=dict(vars(params), crashed=crashed, crash_time=crash_time),
     )
 
@@ -308,10 +319,9 @@ register_kind(
         shorthand="correlated",
         summary="a group of processes crashes simultaneously inside the measured window",
         params=CorrelatedCrashParams,
-        run=_run_correlated_crash,
-        validate=_validate_crashed,
         derived=(_CRASHES,),
         expand=_expand_crashes,
+        **_steady(_build_correlated_crash),
     )
 )
 
@@ -328,12 +338,7 @@ class ChurnSteadyParams:
     detection_time: float = _detection_time()
 
 
-def _validate_churn(core: Any, params: ChurnSteadyParams) -> None:
-    if params.churn_rate <= 0 or params.mean_downtime <= 0:
-        raise ValueError("churn-steady points need churn_rate > 0 and mean_downtime > 0")
-
-
-def _run_churn_steady(config: SystemConfig, core: Any, params: ChurnSteadyParams) -> ScenarioResult:
+def _build_churn_steady(core: Any, params: ChurnSteadyParams) -> Dict[str, Any]:
     """Steady-state latency under Poisson crash-recovery churn.
 
     Crashes arrive at ``churn_rate`` per second; each takes a uniformly
@@ -347,12 +352,10 @@ def _run_churn_steady(config: SystemConfig, core: Any, params: ChurnSteadyParams
         mean_downtime=params.mean_downtime,
         until=1.5 * _arrival_window(core) + 10_000.0,
     )
-    return _steady(
-        config, core, QoSConfig(detection_time=params.detection_time),
-        faults=FaultSchedule([churn]),
-        senders=list(range(config.n)),
-        reassign_crashed_senders=True,
-        params=dict(vars(params)),
+    return dict(
+        fd=QoSConfig(detection_time=params.detection_time),
+        faults=FaultSchedule([churn]).check(core.n),
+        senders=list(range(core.n)), reassign_crashed_senders=True, params=dict(vars(params)),
     )
 
 
@@ -362,8 +365,7 @@ register_kind(
         shorthand="churn",
         summary="Poisson crash-recovery churn with rejoin, never exceeding f < n/2",
         params=ChurnSteadyParams,
-        run=_run_churn_steady,
-        validate=_validate_churn,
+        **_steady(_build_churn_steady),
     )
 )
 
@@ -379,18 +381,7 @@ class AsymmetricQosParams:
     flaky_target: int = param(0, flag="--flaky-target", help="observed process of the flaky pair")
 
 
-def _validate_asymmetric(core: Any, params: AsymmetricQosParams) -> None:
-    _validate_suspicion(core, params)
-    if params.flaky_monitor == params.flaky_target:
-        raise ValueError("the flaky observer pair needs two distinct processes")
-    for pid in (params.flaky_monitor, params.flaky_target):
-        if not 0 <= pid < core.n:
-            raise ValueError(f"flaky pair process {pid} out of range 0..{core.n - 1}")
-
-
-def _run_asymmetric_qos(
-    config: SystemConfig, core: Any, params: AsymmetricQosParams
-) -> ScenarioResult:
+def _build_asymmetric_qos(core: Any, params: AsymmetricQosParams) -> Dict[str, Any]:
     """Steady-state latency with one flaky failure detector pair.
 
     Only the ordered pair ``(flaky_monitor observes flaky_target)`` makes
@@ -399,13 +390,17 @@ def _run_asymmetric_qos(
     default pair is "p1 wrongly suspects the coordinator / sequencer p0",
     the most damaging single bad link for both algorithms.
     """
+    _require_qos_mistakes(core, params)
+    for pid in (params.flaky_monitor, params.flaky_target):
+        if not 0 <= pid < core.n:
+            raise ValueError(f"flaky pair process {pid} out of range 0..{core.n - 1}")
     fd = QoSConfig().with_pair(
         params.flaky_monitor,
         params.flaky_target,
         mistake_recurrence_time=params.mistake_recurrence_time,
         mistake_duration=params.mistake_duration,
     )
-    return _steady(config, core, fd, params=dict(vars(params)))
+    return dict(fd=fd, params=dict(vars(params)))
 
 
 register_kind(
@@ -414,8 +409,7 @@ register_kind(
         shorthand="asymmetric",
         summary="one flaky failure-detector pair, every other pair perfect",
         params=AsymmetricQosParams,
-        run=_run_asymmetric_qos,
-        validate=_validate_asymmetric,
+        **_steady(_build_asymmetric_qos),
     )
 )
 
@@ -433,40 +427,37 @@ class ViewMajorityLossParams:
     )
 
 
-def _validate_view_majority_loss(core: Any, params: ViewMajorityLossParams) -> None:
-    # The schedule itself rejects n < 3 and a crash outside the canonical
-    # suspicion window (which could never block the view).
-    FaultSchedule.view_majority_loss(core.n, crash_time=params.crash_time)
+def _build_view_majority_loss(core: Any, params: ViewMajorityLossParams) -> Dict[str, Any]:
+    """Latency and time-to-reformation across a view-majority loss.
+
+    :meth:`FaultSchedule.view_majority_loss` (which rejects n < 3 and a crash
+    outside its suspicion window) shrinks the installed view through wrong
+    suspicions, then crashes just enough of it that its alive members lose
+    the view majority -- the GM algorithm's permanent deadlock, which
+    ``gm-reform`` turns into a recovery: ``params`` report whether a
+    successor view was installed and how long after the blocking crash
+    (``time_to_reformation``).  Every record echoes the stack's
+    ``reformation_timeout`` param, ``gm-reform``'s default when it has none.
+    """
+    faults = FaultSchedule.view_majority_loss(core.n, crash_time=params.crash_time)
+    return dict(
+        fd=QoSConfig(detection_time=params.detection_time), faults=faults.check(core.n),
+        params=dict(
+            vars(params), suspect_start=VML_SUSPECT_START, suspect_duration=VML_SUSPECT_DURATION
+        ),
+    )
 
 
 def _run_view_majority_loss(
     config: SystemConfig, core: Any, params: ViewMajorityLossParams
 ) -> ScenarioResult:
-    """Latency and time-to-reformation across a view-majority loss.
-
-    :meth:`FaultSchedule.view_majority_loss` shrinks the installed view
-    through wrong suspicions, then crashes just enough of it that its alive
-    members lose the view majority -- the GM algorithm's permanent deadlock,
-    which ``gm-reform`` turns into a recovery: ``params`` report whether a
-    successor view was installed and how long after the blocking crash
-    (``time_to_reformation``).  Every record echoes the stack's
-    ``reformation_timeout`` param, ``gm-reform``'s default when it has none.
-    """
+    built = _build_view_majority_loss(core, params)
+    built["params"]["reformation_timeout"] = getattr(
+        config.params.stack, "reformation_timeout", GmReformParams.reformation_timeout
+    )
     spec = ReformationSpec(
-        scenario="view-majority-loss",
-        config=replace(config, fd=QoSConfig(detection_time=params.detection_time)),
-        throughput=core.throughput,
-        block_time=params.crash_time,
-        num_messages=core.num_messages,
-        faults=FaultSchedule.view_majority_loss(config.n, crash_time=params.crash_time),
-        params=dict(
-            vars(params),
-            suspect_start=VML_SUSPECT_START,
-            suspect_duration=VML_SUSPECT_DURATION,
-            reformation_timeout=getattr(
-                config.params.stack, "reformation_timeout", GmReformParams.reformation_timeout
-            ),
-        ),
+        scenario=core.kind, config=replace(config, fd=built.pop("fd")), throughput=core.throughput,
+        num_messages=core.num_messages, block_time=params.crash_time, **built,
     )
     return ScenarioRunner().run_reformation(spec)
 
@@ -478,7 +469,7 @@ register_kind(
         summary="the GM view-majority-loss blocked state; time-to-reformation under gm-reform",
         params=ViewMajorityLossParams,
         run=_run_view_majority_loss,
-        validate=_validate_view_majority_loss,
+        validate=_build_view_majority_loss,
     )
 )
 
@@ -547,22 +538,12 @@ class PartitionTransientParams:
     detection_time: float = _detection_time()
 
 
-def _validate_partition(core: Any, params: PartitionTransientParams) -> None:
-    if core.n < 3:
-        raise ValueError("partition-transient points need n >= 3 (a real minority)")
-    if params.partition_duration <= 0:
-        raise ValueError(
-            f"partition_duration must be > 0 ms, got {params.partition_duration}"
-        )
-
-
-def _run_partition_transient(
-    config: SystemConfig, core: Any, params: PartitionTransientParams
-) -> ScenarioResult:
+def _build_partition_transient(core: Any, params: PartitionTransientParams) -> Dict[str, Any]:
     """Steady-state latency across a transient symmetric partition.
 
     The top ``(n - 1) // 2`` pids are cut off from the majority at
-    ``partition_start`` and rejoin ``partition_duration`` ms later.  The
+    ``partition_start`` and rejoin ``partition_duration`` ms later
+    (:meth:`FaultSchedule.partition_transient`, which rejects n < 3).  The
     clock-driven detectors suspect unreachable peers one detection time
     after the cut (and trust them again after the heal); the heartbeat
     detector starves naturally.  Workload arrivals stay on all processes --
@@ -571,7 +552,7 @@ def _run_partition_transient(
     ``verify`` checks the partition actually bit (frames were dropped) and
     fully healed; a violation is recorded under ``params["script"]``.
     """
-    n = config.n
+    n = core.n
     start = _or_mid_window(params.partition_start, core)
     heal = start + params.partition_duration
     def verify(system, result: ScenarioResult) -> None:
@@ -591,9 +572,9 @@ def _run_partition_transient(
                 raise AssertionError(f"links still blocked after the heal: {still_blocked}")
         result.params["dropped_partitioned"] = dropped
 
-    return _steady(
-        config, core, QoSConfig(detection_time=params.detection_time), verify,
-        faults=FaultSchedule.partition_transient(n, start, params.partition_duration),
+    return dict(
+        fd=QoSConfig(detection_time=params.detection_time), verify=verify,
+        faults=FaultSchedule.partition_transient(n, start, params.partition_duration).check(n),
         senders=list(range(n)),
         params=dict(vars(params), partition_start=start, minority=minority(n)),
     )
@@ -605,8 +586,7 @@ register_kind(
         shorthand="partition",
         summary="a symmetric split isolates a minority for a window, then heals",
         params=PartitionTransientParams,
-        run=_run_partition_transient,
-        validate=_validate_partition,
+        **_steady(_build_partition_transient),
     )
 )
 
@@ -620,28 +600,23 @@ class WanSteadyParams:
     detection_time: float = _detection_time()
 
 
-def _validate_wan(core: Any, params: WanSteadyParams) -> None:
-    from repro.sim.wan import wan_profile
-
-    wan_profile(params.wan_profile)  # unknown names raise here, not in a worker
-
-
-def _run_wan_steady(config: SystemConfig, core: Any, params: WanSteadyParams) -> ScenarioResult:
+def _build_wan_steady(core: Any, params: WanSteadyParams) -> Dict[str, Any]:
     """Steady-state latency with the group spread across WAN datacenters.
 
     Process ``pid`` lives in datacenter ``pid % dc_count`` of the named
-    :class:`~repro.sim.wan.WanProfile` and every cross-datacenter frame pays
-    the profile's one-way propagation delay on top of the paper's contention
-    model.  When the stack runs the QoS detector, its per-pair detection
-    times are derived from the topology (:data:`WAN_FD_SLACK` round trips of
-    headroom) so WAN lag alone never looks like a crash.
+    :class:`~repro.sim.wan.WanProfile` (an unknown name raises here) and
+    every cross-datacenter frame pays the profile's one-way propagation
+    delay on top of the paper's contention model.  When the stack runs the
+    QoS detector, its per-pair detection times are derived from the topology
+    (:data:`WAN_FD_SLACK` round trips of headroom) so WAN lag alone never
+    looks like a crash.
     """
     from repro.sim.wan import wan_profile
 
     topology = wan_profile(params.wan_profile)
     fd = QoSConfig(detection_time=params.detection_time)
-    if config.fd_kind == "qos":
-        fd = topology.derive_fd_config(fd, config.n, slack=WAN_FD_SLACK)
+    if core.fd_kind == "qos":
+        fd = topology.derive_fd_config(fd, core.n, slack=WAN_FD_SLACK)
     def verify(system, result: ScenarioResult) -> None:
         if result.undelivered:
             raise AssertionError(
@@ -649,9 +624,8 @@ def _run_wan_steady(config: SystemConfig, core: Any, params: WanSteadyParams) ->
                 "messages were never delivered"
             )
 
-    return _steady(
-        replace(config, network=replace(config.network, wan_profile=params.wan_profile)),
-        core, fd, verify,
+    return dict(
+        fd=fd, verify=verify,
         params=dict(
             vars(params),
             dc_count=topology.dc_count,
@@ -661,6 +635,11 @@ def _run_wan_steady(config: SystemConfig, core: Any, params: WanSteadyParams) ->
     )
 
 
+def _run_wan_steady(config: SystemConfig, core: Any, params: WanSteadyParams) -> ScenarioResult:
+    network = replace(config.network, wan_profile=params.wan_profile)
+    return _run_steady(replace(config, network=network), core, **_build_wan_steady(core, params))
+
+
 register_kind(
     ScenarioKind(
         name="wan-steady",
@@ -668,7 +647,7 @@ register_kind(
         summary="steady state with the group spread across the datacenters of a WAN profile",
         params=WanSteadyParams,
         run=_run_wan_steady,
-        validate=_validate_wan,
+        validate=_build_wan_steady,
     )
 )
 
@@ -694,7 +673,18 @@ class GrayDegradationParams:
     detection_time: float = _detection_time()
 
 
-def _validate_gray(core: Any, params: GrayDegradationParams) -> None:
+def _build_gray_degradation(core: Any, params: GrayDegradationParams) -> Dict[str, Any]:
+    """Steady-state latency across a gray failure of one process.
+
+    From ``degrade_start`` until ``degrade_duration`` later,
+    ``degraded_pid``'s CPU serves every job ``degrade_factor`` times slower
+    -- alive and correct, just slow: the failure mode detectors must *not*
+    treat as a crash.  With ``link_loss > 0`` its outgoing links
+    additionally drop each frame with that probability during the window.
+    The default victim is pid 0: the sequencer/coordinator of the GM stacks,
+    the most damaging single slow process.  The kind asks more than the
+    fault events do: a factor above 1 and a loss below 1.
+    """
     if params.degrade_factor <= 1.0:
         raise ValueError(
             f"gray-degradation needs degrade_factor > 1, got {params.degrade_factor}"
@@ -705,22 +695,7 @@ def _validate_gray(core: Any, params: GrayDegradationParams) -> None:
         raise ValueError(f"link_loss must be in [0, 1), got {params.link_loss}")
     if params.degrade_duration <= 0:
         raise ValueError(f"degrade_duration must be > 0 ms, got {params.degrade_duration}")
-
-
-def _run_gray_degradation(
-    config: SystemConfig, core: Any, params: GrayDegradationParams
-) -> ScenarioResult:
-    """Steady-state latency across a gray failure of one process.
-
-    From ``degrade_start`` until ``degrade_duration`` later,
-    ``degraded_pid``'s CPU serves every job ``degrade_factor`` times slower
-    -- alive and correct, just slow: the failure mode detectors must *not*
-    treat as a crash.  With ``link_loss > 0`` its outgoing links
-    additionally drop each frame with that probability during the window.
-    The default victim is pid 0: the sequencer/coordinator of the GM stacks,
-    the most damaging single slow process.
-    """
-    n, pid = config.n, params.degraded_pid
+    n, pid = core.n, params.degraded_pid
     start = _or_mid_window(params.degrade_start, core)
     end = start + params.degrade_duration
     faults = FaultSchedule([DegradeAt(start, pid, params.degrade_factor), RestoreAt(end, pid)])
@@ -740,9 +715,10 @@ def _run_gray_degradation(
         if params.link_loss > 0.0:
             result.params["dropped_lossy_link"] = system.network.stats.dropped_lossy_link
 
-    return _steady(
-        config, core, QoSConfig(detection_time=params.detection_time), verify,
-        faults=faults, senders=list(range(n)), params=dict(vars(params), degrade_start=start),
+    return dict(
+        fd=QoSConfig(detection_time=params.detection_time), verify=verify,
+        faults=faults.check(n), senders=list(range(n)),
+        params=dict(vars(params), degrade_start=start),
     )
 
 
@@ -752,8 +728,7 @@ register_kind(
         shorthand="gray",
         summary="one process's CPU runs slower for a window, optionally with lossy links",
         params=GrayDegradationParams,
-        run=_run_gray_degradation,
-        validate=_validate_gray,
+        **_steady(_build_gray_degradation),
     )
 )
 

@@ -62,7 +62,9 @@ class ScenarioKind:
         ``TransientResult``; ``config`` is the point's ``SystemConfig``.
     validate:
         ``validate(core, params)`` raises ``ValueError`` for a point that
-        could never run, at declaration time instead of mid-campaign.
+        could never run, at declaration time instead of mid-campaign.  A
+        kind checks a point by building what it runs: a built-in's is the
+        builder its ``run`` calls, so every constructor's check runs here.
     derived / expand:
         Values a grid gives instead of params fields (``crashes``), and
         ``expand(n, derived) -> params kwargs`` for a point of size ``n``;

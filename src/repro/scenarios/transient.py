@@ -22,9 +22,8 @@ a tagged probe from ``q`` at the same instant) run by the shared
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
+from typing import List
 
-from repro.failure_detectors.qos import QoSConfig
 from repro.scenarios.faults import CrashAt, FaultSchedule
 from repro.scenarios.results import TransientResult
 from repro.scenarios.runner import ProbeSpec, ScenarioRunner
@@ -37,26 +36,21 @@ CRASH_TIME = 400.0
 def measure_crash_transient(
     config: SystemConfig,
     throughput: float,
-    detection_time: float,
-    crashed_process: int,
-    sender: Optional[int],
+    crash: CrashAt,
+    sender: int,
     num_runs: int,
 ) -> TransientResult:
-    """Measure the transient latency of a broadcast issued at the crash instant.
+    """Measure the transient latency of a broadcast ``sender`` issues at ``crash``.
 
     The measurement of the ``crash-transient`` kind, whose params, defaults
-    and checks live in :mod:`repro.scenarios.kinds`: ``num_runs`` executions
-    of the probe described above, each on a fresh system (and seed), with
-    the crash at :data:`CRASH_TIME` and ``sender=None`` meaning the highest
-    non-crashed pid.  A run ends as soon as the tagged message is delivered
-    somewhere (or :data:`~repro.scenarios.runner.PROBE_MAX_WAIT` ms past the
-    crash).
+    and checks live in :mod:`repro.scenarios.kinds` (its builder makes
+    ``crash`` at :data:`CRASH_TIME` and ``config.fd``, whose ``T_D`` the
+    result reports): ``num_runs`` executions of the probe described above,
+    each on a fresh system (and seed).  A run ends as soon as the tagged
+    message is delivered somewhere (or
+    :data:`~repro.scenarios.runner.PROBE_MAX_WAIT` ms past the crash).
     """
-    if sender is None:
-        sender = config.n - 1 if crashed_process != config.n - 1 else config.n - 2
-
-    fd = QoSConfig(detection_time=detection_time)
-    base_config = replace(config, fd=fd)
+    faults = FaultSchedule([crash])
     runner = ScenarioRunner()
 
     # With instrumentation requested, one shared Instrumentation object
@@ -64,12 +58,12 @@ def measure_crash_transient(
     # over all executions (event recording stays off: the runs' timelines
     # overlap, so an interleaved event trace would be meaningless).
     shared_obs = None
-    run_config = base_config
-    if base_config.instrument:
+    run_config = config
+    if config.instrument:
         from repro.obs.instrumentation import Instrumentation
 
         shared_obs = Instrumentation(record_events=False)
-        run_config = replace(base_config, instrument=False)
+        run_config = replace(config, instrument=False)
 
     latencies: List[float] = []
     failed = 0
@@ -78,8 +72,8 @@ def measure_crash_transient(
             config=run_config.with_seed(run_config.seed + 1000 * (run + 1)),
             throughput=throughput,
             probe_sender=sender,
-            probe_time=CRASH_TIME,
-            faults=FaultSchedule([CrashAt(CRASH_TIME, crashed_process)]),
+            probe_time=crash.time,
+            faults=faults,
             obs=shared_obs,
         )
         latency = runner.run_probe(spec)
@@ -94,7 +88,7 @@ def measure_crash_transient(
 
         metrics = metrics_snapshot_from_obs(
             shared_obs,
-            base_config,
+            config,
             scenario="crash-transient",
             throughput=throughput,
             runs=num_runs,
@@ -104,12 +98,12 @@ def measure_crash_transient(
         algorithm=config.stack_label,
         n=config.n,
         throughput=throughput,
-        detection_time=detection_time,
-        crashed_process=crashed_process,
+        detection_time=config.fd.detection_time,
+        crashed_process=crash.pid,
         sender=sender,
         latencies=latencies,
         failed_runs=failed,
-        params={"crash_time": CRASH_TIME, "num_runs": num_runs},
+        params={"crash_time": crash.time, "num_runs": num_runs},
         metrics=metrics,
     )
 

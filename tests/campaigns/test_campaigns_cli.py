@@ -172,6 +172,13 @@ class TestCampaignsCLI:
         assert "--fault-duration is not an axis of wan-steady" in error
         assert "partition-transient, gray-degradation" in error
 
+    def test_an_invalid_value_exits_2_at_declaration(self, capsys):
+        """Used to reach the workers and exit 1 with a worker's traceback."""
+        with pytest.raises(SystemExit) as exited:
+            main(["--scenario", "transient", "--detection-time", "-5", "--jobs", "2"])
+        assert exited.value.code == 2
+        assert "detection_time" in capsys.readouterr().err
+
     def test_help_lists_every_kind_with_its_own_axis_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["--scenario", "gray", "--help"])

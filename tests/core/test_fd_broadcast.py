@@ -111,7 +111,9 @@ class TestCrashes:
     def test_blocks_without_majority(self):
         system = fd_system(fd=QoSConfig(detection_time=5.0))
         system.start()
-        FaultSchedule([CrashAt(0.5, 1), CrashAt(0.5, 2)]).apply(system)
+        # Posted directly: a FaultSchedule holds itself to f < n/2.
+        for pid in (1, 2):
+            system.sim.post_at(0.5, system.processes[pid].crash)
         system.broadcast_at(10.0, 0, "stuck")
         system.run(until=2000.0)
         # With only 1 of 3 processes alive no message can be ordered.

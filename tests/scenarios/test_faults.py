@@ -37,6 +37,12 @@ class TestEventValidation:
         with pytest.raises(ValueError):
             CorrelatedCrash(10.0, ())
 
+    def test_correlated_crash_cannot_predate_the_run(self):
+        # Only a pre-run CrashAt may be at t <= 0; this one used to fail
+        # mid-run with "cannot schedule an event in the past".
+        with pytest.raises(ValueError, match="cannot predate the run, got time=-1.0"):
+            CorrelatedCrash(-1.0, (3, 4))
+
     def test_suspect_during_rejects_negative_duration(self):
         with pytest.raises(ValueError):
             SuspectDuring(start=5.0, duration=-1.0, target=0)
@@ -91,9 +97,42 @@ class TestScheduleCompilation:
         assert overlapping.max_concurrent_crashes() == 2
 
 
+class TestCheck:
+    """``FaultSchedule.check(n)``: the pid range and the f < n/2 bound."""
+
+    def test_more_than_f_down_at_once_is_rejected_before_anything_is_posted(self):
+        system = make_system(n=5)
+        schedule = FaultSchedule([CrashAt(10.0, 0), CorrelatedCrash(20.0, (1, 2))])
+        with pytest.raises(ValueError, match="3 crashes exceed the f < n/2 bound for n=5"):
+            schedule.apply(system)
+        assert system.sim.pending_events == 0
+        assert system.network.correct_processes() == [0, 1, 2, 3, 4]
+
+    def test_a_recovery_frees_its_slot(self):
+        schedule = FaultSchedule(
+            [CrashAt(10.0, 0), RecoverAt(20.0, 0), CorrelatedCrash(20.0, (1, 2))]
+        )
+        assert schedule.check(5) is schedule
+        with pytest.raises(ValueError, match="2 crashes exceed the f < n/2 bound for n=4"):
+            schedule.check(4)
+
+    def test_pre_run_crashes_count_from_the_start(self):
+        with pytest.raises(ValueError, match="2 crashes exceed the f < n/2 bound for n=3"):
+            FaultSchedule.pre_crashed([1]).add(CrashAt(50.0, 2)).check(3)
+
+    def test_churn_caps_itself_and_is_not_counted_without_a_system(self):
+        churn = PoissonChurn(rate=50.0, mean_downtime=500.0, until=3000.0)
+        schedule = FaultSchedule([CrashAt(10.0, 4), churn])
+        assert schedule.max_concurrent_crashes() == 1
+        schedule.check(5)
+        assert schedule.max_concurrent_crashes(make_system(n=5, seed=13)) == 2
+
+
 class TestEventsScheduleThemselves:
     def test_each_timed_event_posts_the_bound_method_that_enacts_it(self):
-        system = make_system(n=3)
+        # n = 5: the correlated crash takes two processes down, which f < n/2
+        # allows from n = 5 on.
+        system = make_system(n=5)
         processes, network, fabric = system.processes, system.network, system.fd_fabric
         FaultSchedule([
             CrashAt(10.0, 1, permanent_suspicion=True),

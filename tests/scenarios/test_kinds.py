@@ -56,24 +56,24 @@ class TestOneDefaultPerParameter:
 INVALID = [
     ("crash-steady", {}, {}, "non-empty crashed"),
     ("crash-steady", {"n": 3}, {"crashed": (1, 2)}, "2 crashes exceed the f < n/2 bound for n=3"),
-    ("crash-steady", {"n": 3}, {"crashed": (7,)}, "crashed process 7 out of range"),
+    ("crash-steady", {"n": 3}, {"crashed": (7,)}, "names process 7"),
     ("suspicion-steady", {}, {"mistake_recurrence_time": math.inf}, "finite mistake_recurrence"),
     ("suspicion-steady", {"fd_kind": "heartbeat"}, {"mistake_recurrence_time": 100.0}, "fd_kind"),
     ("crash-transient", {"fd_kind": "heartbeat"}, {}, r"period \+ timeout"),
     ("crash-transient", {}, {"crashed_process": 1, "sender": 1}, "must differ"),
-    ("crash-transient", {"n": 3}, {"crashed_process": 7}, "crashed_process 7 out of range"),
+    ("crash-transient", {"n": 3}, {"crashed_process": 7}, "names process 7"),
     ("crash-transient", {"n": 3}, {"sender": 3}, "sender 3 out of range"),
     ("crash-transient", {"n": 1}, {}, "n >= 2"),
-    ("correlated-crash", {}, {}, "non-empty crashed"),
+    ("correlated-crash", {}, {}, r"needs at least one process, got pids=\(\)"),
     ("correlated-crash", {"n": 5}, {"crashed": (2, 3, 4)}, "3 crashes exceed the f < n/2 bound"),
-    ("churn-steady", {}, {"churn_rate": 0.0}, "churn_rate > 0 and mean_downtime > 0"),
-    ("churn-steady", {}, {"churn_rate": 1.0, "mean_downtime": 0.0}, "mean_downtime > 0"),
+    ("churn-steady", {}, {"churn_rate": 0.0}, "churn rate must be > 0 crashes/s, got 0.0"),
+    ("churn-steady", {}, {"churn_rate": 1.0, "mean_downtime": 0.0}, "mean_downtime must be > 0"),
     ("asymmetric-qos", {}, {"mistake_recurrence_time": math.inf}, "finite mistake_recurrence"),
     ("asymmetric-qos", {"fd_kind": "perfect"}, {"mistake_recurrence_time": 100.0}, "fd_kind"),
     (
         "asymmetric-qos", {},
         {"mistake_recurrence_time": 100.0, "flaky_monitor": 1, "flaky_target": 1},
-        "two distinct processes",
+        r"does not monitor itself: pair \(1, 1\)",
     ),
     (
         "asymmetric-qos", {"n": 3}, {"mistake_recurrence_time": 100.0, "flaky_target": 9},
@@ -97,6 +97,18 @@ INVALID = [
     ("service-load", {"throughput": -1.0}, {}, "throughput must be finite and > 0"),
     ("wan-steady", {"throughput": math.inf}, {}, "throughput must be finite and > 0"),
     ("view-majority-loss", {"num_messages": -1}, {}, "num_messages must be >= 0"),
+    # Rules a constructor owns, reached at declaration because validate builds the run.
+    ("crash-transient", {}, {"detection_time": -5.0}, "detection_time must be >= 0, got -5"),
+    ("crash-transient", {}, {"num_runs": 0}, "num_runs must be >= 1, got 0"),
+    ("suspicion-steady", {}, {"mistake_duration": -1.0}, "mistake_duration must be >= 0, got -1"),
+    ("suspicion-steady", {}, {"mistake_recurrence_time": 0.0}, "mistake_recurrence_time must be > 0"),
+    ("asymmetric-qos", {}, {"mistake_recurrence_time": -3.0}, "mistake_recurrence_time must be > 0"),
+    ("churn-steady", {}, {"detection_time": -1.0}, "detection_time must be >= 0, got -1"),
+    ("wan-steady", {}, {"detection_time": -1.0}, "detection_time must be >= 0, got -1"),
+    ("view-majority-loss", {}, {"detection_time": -1.0}, "detection_time must be >= 0, got -1"),
+    ("gray-degradation", {}, {"degrade_start": -10.0}, "cannot predate the run, got time=-10"),
+    ("partition-transient", {}, {"partition_start": -5.0}, "cannot predate the run, got time=-5"),
+    ("correlated-crash", {"n": 5}, {"crash_time": -1.0}, "cannot predate the run, got time=-1"),
 ]
 
 #: Former driver keywords no caller set: constants now, on every path.

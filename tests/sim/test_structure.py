@@ -151,7 +151,6 @@ TEST_ONLY = {
     "MessageCost.total": _MODEL,
     "Command.request_id": "part of a Command's value: a client's two equal operations stay "
                           "two commands",
-    "CrashTransientParams.num_runs": "a scenario param, read by name through vars(params)",
     "ScenarioResult.observed_digest": "what the runner goldens pin; ROADMAP 10(a) puts it "
                                       "in records",
     "ServiceRequest.reply": "the reply a client gets, which the KV service tests check",
@@ -168,7 +167,6 @@ TEST_ONLY = {
     "unregister_stack": "undoes a registration a test made",
     "unregister_fd_kind": "undoes a registration a test made",
     "stack_variants": "every selectable stack name, which tests sweep",
-    "FaultSchedule.max_concurrent_crashes": "README: the f < n/2 check of a schedule",
     "GroupMembership.is_sequencer": "the reference for the cached sequencer flag",
     "BatchingAtomicBroadcast.pending_count": "the batch buffer, no other view",
     "LoadTestedService.inflight": "the admission window's occupancy, no other view",
