@@ -11,22 +11,23 @@ It also hosts the *cross-campaign* query path: :func:`load_store_table`
 loads a whole result store as columns -- through the columnar mirror when it
 is fresh, rebuilding it from the JSONL otherwise -- and
 :func:`cross_campaign_summary` aggregates grouped statistics across any
-number of stores without materialising one dict per record.
+number of stores without materialising one dict per record.  Only that path
+loads the store and its mirror, so a figure built from a run does not.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
-from repro.campaigns import columnar
-from repro.campaigns.columnar import ColumnarTable
 from repro.campaigns.runner import CampaignRun
 from repro.campaigns.spec import CampaignSpec, SeriesSpec
-from repro.campaigns.store import ResultStore
 from repro.experiments.series import FigurePoint, FigureResult, Series
 from repro.scenarios.results import ScenarioResult, TransientResult
+
+if TYPE_CHECKING:
+    from repro.campaigns.columnar import ColumnarTable
 
 
 def merge_scenario_results(results: Sequence[ScenarioResult]) -> ScenarioResult:
@@ -131,7 +132,9 @@ def figure_from_campaign(
 
 
 def _empty_table() -> ColumnarTable:
-    return ColumnarTable(
+    from repro.campaigns import columnar
+
+    return columnar.ColumnarTable(
         count=0,
         keys=[],
         strings={name: (array("i"), []) for name in columnar.STRING_COLUMNS},
@@ -153,6 +156,9 @@ def load_store_table(directory: str, filename: str = "results.jsonl") -> Columna
     through the mirror writer, one parsed record at a time, so the *next*
     aggregation over the same store is columnar again.
     """
+    from repro.campaigns import columnar
+    from repro.campaigns.store import ResultStore
+
     jsonl_path = os.path.join(directory, filename)
     fresh = columnar.fresh_mirror_path(jsonl_path)
     if fresh is not None:
@@ -160,16 +166,12 @@ def load_store_table(directory: str, filename: str = "results.jsonl") -> Columna
             return columnar.read_mirror(fresh)
         except (OSError, ValueError):
             pass  # torn/foreign mirror: fall through to the JSONL truth
-    if not os.path.exists(jsonl_path):
-        return _empty_table()
-    store = ResultStore(directory, filename, mirror=False)
-    try:
-        mirror_path = store.sync_mirror()
-        if mirror_path is None:
-            return _empty_table()
-        return columnar.read_mirror(mirror_path)
-    finally:
-        store.close()
+    if os.path.exists(jsonl_path):
+        with ResultStore(directory, filename, mirror=False) as store:
+            mirror_path = store.sync_mirror()
+        if mirror_path is not None:
+            return columnar.read_mirror(mirror_path)
+    return _empty_table()
 
 
 def cross_campaign_summary(

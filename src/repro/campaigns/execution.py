@@ -18,7 +18,6 @@ from contextlib import ExitStack, contextmanager
 from functools import lru_cache
 from typing import Callable, Iterator, List
 
-from repro.campaigns.queue import WorkQueue
 from repro.campaigns.runner import CampaignRun, CampaignRunner
 from repro.campaigns.store import DURABILITY_MODES, ResultStore
 from repro.scenarios.registry import available_kinds
@@ -110,14 +109,18 @@ def open_execution(args: argparse.Namespace) -> Iterator[CampaignRunner]:
 
     On exit -- an error included -- the runner releases its warm pool, then
     the store closes, which flushes buffered lines and refreshes the columnar
-    mirror.
+    mirror.  The work queue's module loads only under ``--queue-dir``.
     """
     with ExitStack() as stack:  # unwinds in reverse: runner, then store
-        store = (
-            stack.enter_context(ResultStore(args.cache_dir, durability=args.durability))
-            if args.cache_dir
-            else None
-        )
+        store = queue = None
+        if args.cache_dir:
+            store = stack.enter_context(ResultStore(args.cache_dir, durability=args.durability))
+        if args.queue_dir:
+            from repro.campaigns.queue import WorkQueue
+
+            queue = WorkQueue(
+                args.queue_dir, lease_ttl=args.lease_ttl, queue_timeout=args.queue_timeout
+            )
         runner = stack.enter_context(
             CampaignRunner(
                 jobs=args.jobs,
@@ -126,10 +129,7 @@ def open_execution(args: argparse.Namespace) -> Iterator[CampaignRunner]:
                 trace_dir=args.trace,
                 force=args.force,
                 force_kinds=tuple(args.force_kinds or ()),
-                queue=(
-                    WorkQueue(args.queue_dir, lease_ttl=args.lease_ttl) if args.queue_dir else None
-                ),
-                queue_timeout=args.queue_timeout,
+                queue=queue,
             )
         )
         yield runner

@@ -33,7 +33,11 @@ time, never correctness.
 :class:`QueueWorker` is the fleet-side loop: claim, simulate, commit, with
 per-result provenance (worker id, wall clock, schema/package version, git
 revision).  ``python -m repro.campaigns --queue-worker --queue-dir DIR``
-runs one.
+runs one.  :meth:`WorkQueue.execute` is the campaign runner's side: it
+enqueues a run's missing points, works them as one more worker and yields
+each ``(point, record)`` as it is committed, by whichever worker, until all
+are in or ``queue_timeout`` runs out.  The whole queue is this module: the
+runner only calls that method on a queue its caller built.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import os
 import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro import __version__
 from repro.campaigns.records import execute_point
@@ -54,6 +58,10 @@ from repro.obs.export import git_revision
 POINTS = "points"
 LEASES = "leases"
 RESULTS = "results"
+
+#: Seconds :meth:`WorkQueue.execute` sleeps between polls for records
+#: committed by other workers.
+QUEUE_POLL_S = 0.2
 
 
 def _atomic_write(path: str, body: str) -> None:
@@ -83,13 +91,21 @@ class Lease:
 
 
 class WorkQueue:
-    """A shared-directory work queue of campaign points."""
+    """A shared-directory work queue of campaign points.
 
-    def __init__(self, directory: str, *, lease_ttl: float = 300.0) -> None:
+    ``lease_ttl`` is the age at which a crashed worker's lease is reclaimed;
+    ``queue_timeout`` bounds how long :meth:`execute` waits for points other
+    workers hold (``None``: as long as it takes).
+    """
+
+    def __init__(
+        self, directory: str, *, lease_ttl: float = 300.0, queue_timeout: Optional[float] = None
+    ) -> None:
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be > 0 seconds, got {lease_ttl}")
         self.directory = directory
         self.lease_ttl = lease_ttl
+        self.queue_timeout = queue_timeout
         for sub in (POINTS, LEASES, RESULTS):
             os.makedirs(os.path.join(directory, sub), exist_ok=True)
         # Every manifest parsed so far, by file name, and the points they list.
@@ -255,6 +271,38 @@ class WorkQueue:
             pass
 
     # ------------------------------------------------------------------ consumer
+
+    def execute(
+        self, points: List[PointSpec], trace_dir: Optional[str], forced: Callable[[PointSpec], bool]
+    ) -> Iterator[Tuple[PointSpec, Dict[str, Any]]]:
+        """Enqueue ``points``, work them as one queue worker, poll for the rest.
+
+        A ``forced`` point's earlier result is retired first, or the point
+        would count as done.  Yields each ``(point, record)`` as its result
+        appears and completes when every point has one, from this worker or
+        any other; stale leases of crashed workers are reclaimed along the
+        way by the claim path.
+        """
+        for point in filter(forced, points):
+            self.retire(point.key())
+        self.enqueue(points)
+        worker = QueueWorker(self, trace_dir=trace_dir)
+        outstanding = {point.key(): point for point in points}
+        deadline = None if self.queue_timeout is None else time.monotonic() + self.queue_timeout
+        while True:
+            worker.run()
+            for key in list(outstanding):
+                record = self.result(key)
+                if record is not None:
+                    yield outstanding.pop(key), record
+            if not outstanding:
+                return
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError(
+                    f"{len(outstanding)} campaign points still outstanding in queue "
+                    f"{self.directory!r} after {self.queue_timeout:g} s"
+                )
+            time.sleep(QUEUE_POLL_S)
 
     def result(self, key: str) -> Optional[Dict[str, Any]]:
         """The committed record for ``key``, or ``None`` while outstanding."""

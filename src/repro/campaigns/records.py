@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.campaigns.spec import PointSpec
-from repro.obs.export import set_trace_dir
 from repro.scenarios.registry import get_kind
 from repro.scenarios.results import ScenarioResult, TransientResult
 
@@ -24,9 +23,12 @@ def execute_point(point: PointSpec, trace_dir: Optional[str] = None) -> Dict[str
     a pool worker and a queue worker all call it.  ``trace_dir`` arms the
     process-wide trace sink (:func:`repro.obs.export.set_trace_dir`) for this
     point only, prefixed by the point's cache key to stay collision-free,
-    and disarms it however the point ends.
+    and disarms it however the point ends.  Only a traced point loads the
+    exporters.
     """
     if trace_dir is not None:
+        from repro.obs.export import set_trace_dir
+
         set_trace_dir(trace_dir, prefix=point.key()[:12])
     try:
         result = get_kind(point.kind).run(point.config(), point, point.params)

@@ -6,27 +6,27 @@ worker pool or a shared-directory work queue -- and commits each pair as it
 arrives.  :func:`~repro.campaigns.records.execute_point` is a pure function
 of the spec (every simulation is deterministic given its config), which is
 what makes the three sources bit-identical and the cache sound.
+
+The two in-process sources live here; the queue's source is
+:meth:`repro.campaigns.queue.WorkQueue.execute`, so this module loads
+neither the queue nor the store (the caller builds them), and the worker
+pool's ``ProcessPoolExecutor`` loads on the first pooled run.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import concurrent.futures
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.campaigns.queue import QueueWorker, WorkQueue
 from repro.campaigns.records import execute_point, record_to_result
 from repro.campaigns.spec import CampaignSpec, PointSpec
-from repro.campaigns.store import ResultStore
 from repro.scenarios.registry import available_kinds
 
-#: Seconds a queue-backed run sleeps between polls for records committed by
-#: other workers.
-QUEUE_POLL_S = 0.2
-
-Pairs = Iterator[Tuple[PointSpec, Dict[str, Any]]]
+if TYPE_CHECKING:
+    from repro.campaigns.queue import WorkQueue
+    from repro.campaigns.store import ResultStore
 
 
 def execute_chunk(
@@ -66,12 +66,12 @@ class WarmPool:
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
 
-    def executor(self) -> ProcessPoolExecutor:
+    def executor(self) -> concurrent.futures.ProcessPoolExecutor:
         """The live executor, spinning it up on first use."""
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            self._executor = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 
     def close(self) -> None:
@@ -89,7 +89,8 @@ class CampaignRunner:
     :meth:`close` (the runner is a context manager).  With a ``queue``
     (:class:`repro.campaigns.queue.WorkQueue`) this runner enqueues the
     missing points and doubles as one worker beside any number of
-    ``--queue-worker`` processes or machines draining the same directory.
+    ``--queue-worker`` processes or machines draining the same directory,
+    waiting for them as long as the queue's ``queue_timeout`` allows.
 
     With a ``store``, points are written as they finish and never
     re-simulated, so re-running an interrupted campaign only executes what
@@ -108,7 +109,6 @@ class CampaignRunner:
         force: bool = False,
         force_kinds: Sequence[str] = (),
         queue: Optional[WorkQueue] = None,
-        queue_timeout: Optional[float] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -128,7 +128,6 @@ class CampaignRunner:
         self.force = force
         self.force_kinds = frozenset(force_kinds)
         self.queue = queue
-        self.queue_timeout = queue_timeout
         #: No worker process starts before the first pooled run.
         self.pool = WarmPool(jobs)
         #: Statistics of the most recent :meth:`run` (for CLI reporting).
@@ -158,7 +157,7 @@ class CampaignRunner:
                 run.cache_hits += 1
 
         if self.queue is not None and misses:
-            source = self._queued(misses)
+            source = self.queue.execute(misses, self.trace_dir, self._forced)
         elif self.jobs > 1 and len(misses) > 1:
             source = self._pooled(misses)
         else:
@@ -189,7 +188,7 @@ class CampaignRunner:
 
     # ------------------------------------------------------------------ sources
 
-    def _pooled(self, misses: List[PointSpec]) -> Pairs:
+    def _pooled(self, misses: List[PointSpec]) -> Iterator[Tuple[PointSpec, Dict[str, Any]]]:
         """One task per chunk on the warm pool, yielded in completion order.
 
         A chunk amortises the per-task pickle, IPC hop and wake-up over up to
@@ -206,41 +205,11 @@ class CampaignRunner:
             chunk = misses[start:start + size]
             chunks[executor.submit(execute_chunk, chunk, self.trace_dir)] = chunk
         try:
-            for future in as_completed(chunks):
+            for future in concurrent.futures.as_completed(chunks):
                 yield from zip(chunks[future], future.result())
         finally:
             for future in chunks:
                 future.cancel()
-
-    def _queued(self, misses: List[PointSpec]) -> Pairs:
-        """Enqueue ``misses``, work them as one queue worker, poll for the rest.
-
-        A forced point's earlier queue result is retired first, or the
-        point would count as done.  Completes when every point
-        has a committed result, from this worker or any other; stale leases
-        of crashed workers are reclaimed along the way by the claim path.
-        """
-        for point in misses:
-            if self._forced(point):
-                self.queue.retire(point.key())
-        self.queue.enqueue(misses)
-        worker = QueueWorker(self.queue, trace_dir=self.trace_dir)
-        outstanding = {point.key(): point for point in misses}
-        deadline = None if self.queue_timeout is None else time.monotonic() + self.queue_timeout
-        while True:
-            worker.run()
-            for key in list(outstanding):
-                record = self.queue.result(key)
-                if record is not None:
-                    yield outstanding.pop(key), record
-            if not outstanding:
-                return
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"{len(outstanding)} campaign points still outstanding in queue "
-                    f"{self.queue.directory!r} after {self.queue_timeout:g} s"
-                )
-            time.sleep(QUEUE_POLL_S)
 
     def _forced(self, point: PointSpec) -> bool:
         return self.force or point.kind in self.force_kinds

@@ -10,20 +10,25 @@ Three views of one instrumented run:
   installations and reformations for ``chrome://tracing`` / Perfetto.
 
 The module also keeps the *process-wide trace sink* campaign execution
-uses: :func:`set_trace_dir` arms it for the duration of one point (in
-whichever process runs the point) and the scenario runner calls
-:func:`maybe_write_traces` after every measured run, so per-point trace
-files land beside the campaign's result records.
+uses: :func:`repro.campaigns.records.execute_point` arms it with
+:func:`set_trace_dir` for the duration of one traced point (in whichever
+process runs the point; an untraced point never loads this module) and the
+scenario runner calls :func:`maybe_write_traces` after every measured run,
+so per-point trace files land beside the campaign's result records.  The
+work queue loads the module only for :func:`git_revision`, so it names
+:class:`~repro.obs.instrumentation.Instrumentation` in annotations only.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro import __version__
-from repro.obs.instrumentation import Instrumentation
+
+if TYPE_CHECKING:
+    from repro.obs.instrumentation import Instrumentation
 
 #: Bump when the shape of the metrics snapshot changes.
 METRICS_SCHEMA = 1

@@ -128,7 +128,7 @@ class TestOpenExecution:
 
     def test_an_unset_queue_timeout_waits(self, tmp_path):
         with execution.open_execution(parse("--queue-dir", str(tmp_path))) as runner:
-            assert runner.queue is not None and runner.queue_timeout is None
+            assert runner.queue is not None and runner.queue.queue_timeout is None
 
     def test_every_option_reaches_the_object_it_configures(self, tmp_path):
         args = parse(
@@ -142,7 +142,7 @@ class TestOpenExecution:
             assert runner.store.durability == "batch"
             assert runner.force_kinds == {"churn-steady"} and not runner.force
             assert runner.queue.directory == str(tmp_path / "queue")
-            assert (runner.queue.lease_ttl, runner.queue_timeout) == (7.0, 3.0)
+            assert (runner.queue.lease_ttl, runner.queue.queue_timeout) == (7.0, 3.0)
             assert runner.instrument and runner.trace_dir == str(tmp_path / "trace")
 
     def test_the_runner_closes_before_the_store_even_on_error(self, tmp_path, monkeypatch):

@@ -14,7 +14,6 @@ import sys
 import pytest
 
 import repro.campaigns.queue as queue_module
-import repro.campaigns.runner as runner_module
 from repro.campaigns.queue import QueueWorker, WorkQueue
 from repro.campaigns.runner import CampaignRunner, execute_point
 from repro.campaigns.spec import PointSpec, grid
@@ -282,7 +281,7 @@ class TestQueueBackedRunner:
         )
         serial = CampaignRunner(jobs=1).run(campaign)
         queue_run = CampaignRunner(
-            queue=WorkQueue(str(tmp_path)), queue_timeout=120.0
+            queue=WorkQueue(str(tmp_path), queue_timeout=120.0)
         ).run(campaign)
         assert queue_run.records == serial.records
         assert queue_run.executed == 2
@@ -295,11 +294,11 @@ class TestQueueBackedRunner:
             throughputs=(25.0,),
             num_messages=10,
         )
-        queue = WorkQueue(str(tmp_path))
+        queue = WorkQueue(str(tmp_path), queue_timeout=60.0)
         # A "remote" worker commits the whole grid before the runner joins.
         queue.enqueue(campaign.points())
         QueueWorker(queue, worker_id="remote").run()
-        run = CampaignRunner(queue=queue, queue_timeout=60.0).run(campaign)
+        run = CampaignRunner(queue=queue).run(campaign)
         assert run.executed == 1
         [key] = [point.key() for point in campaign.points()]
         assert run.records[key] == queue.result(key)
@@ -312,9 +311,9 @@ class TestQueueBackedRunner:
             throughputs=(25.0,),
             num_messages=10,
         )
-        queue = WorkQueue(str(tmp_path))
-        monkeypatch.setattr(runner_module, "QUEUE_POLL_S", 0.01)
-        runner = CampaignRunner(queue=queue, queue_timeout=0.05)
+        queue = WorkQueue(str(tmp_path), queue_timeout=0.05)
+        monkeypatch.setattr(queue_module, "QUEUE_POLL_S", 0.01)
+        runner = CampaignRunner(queue=queue)
         # Make the embedded worker unable to claim anything, simulating a
         # grid whose points are all leased by stalled remote workers.
         monkeypatch.setattr(WorkQueue, "claim", lambda self, worker, names=None: None)
@@ -333,11 +332,11 @@ class TestQueueBackedRunner:
             num_messages=10,
         )
         [point] = campaign.points()
-        queue = WorkQueue(str(tmp_path / "queue"))
+        queue = WorkQueue(str(tmp_path / "queue"), queue_timeout=60.0)
         queue.enqueue([point])
         queue.commit(queue.claim("earlier"), {"stale": True})
         store = ResultStore(str(tmp_path / "cache"))
-        run = CampaignRunner(store=store, queue=queue, queue_timeout=60.0, **forcing).run(campaign)
+        run = CampaignRunner(store=store, queue=queue, **forcing).run(campaign)
         fresh = execute_point(point)
         assert run.executed == 1
         assert run.records[point.key()] == fresh
@@ -545,9 +544,9 @@ class TestOldQueueDirectory:
                        "record": serial.records[done.key()],
                        "provenance": {"worker": "old"}}, handle, sort_keys=True)
 
-        queue = WorkQueue(directory)
+        queue = WorkQueue(directory, queue_timeout=60.0)
         assert (queue.pending_count(), queue.result_count()) == (0, 1)
-        run = CampaignRunner(queue=queue, queue_timeout=60.0).run(campaign)
+        run = CampaignRunner(queue=queue).run(campaign)
         assert run.records == serial.records
         assert queue.result_entry(done.key())["provenance"] == {"worker": "old"}
         assert queue.result_entry(missing.key())["provenance"]["worker"] != "old"

@@ -6,13 +6,15 @@ off) and execute.  The rule: importing a module loads what that module uses,
 not the package tree around it -- package ``__init__``\\ s resolve their names
 on first access, the built-in scenario kinds register on the first registry
 call, and optional layers (instrumentation, exporters, WAN profiles, group
-membership) load where a run uses them.  Module counts, unlike host timings,
+membership, the work queue, the result store and its mirror, the worker
+pool) load where a run uses them.  Module counts, unlike host timings,
 repeat exactly, so a new eager import fails here::
 
     what                                 repro modules  before
     import repro.sim.engine                    3          30
     suspicion_n15 setup, fd n=3 build         32          50
-    figures import + one Figure 4 point       50          58
+    figures import + one Figure 4 point       44          50
+    import repro.experiments.__main__         45          49
 """
 
 import os
@@ -61,6 +63,26 @@ UNUSED_BY_FIGURES = (
 )
 
 
+#: What the experiments CLI loads none of before it runs: the work queue,
+#: the exporters and instrumentation, and the stdlib modules behind them
+#: (lease host names, the worker pool, git).
+UNUSED_BY_THE_CLI = (
+    "repro.campaigns.queue",
+    "repro.obs*",
+    "socket",
+    "multiprocessing*",
+    "subprocess",
+)
+
+#: What a serial, uncached, untraced figure point loads none of: the above,
+#: the store and its columnar mirror, and the process pool.
+UNUSED_BY_A_SERIAL_RUN = UNUSED_BY_THE_CLI + (
+    "repro.campaigns.store",
+    "repro.campaigns.columnar",
+    "concurrent.futures.process",
+)
+
+
 def loaded_after(program):
     """The modules a fresh interpreter holds after running ``program``."""
     probe = program + "import sys\nprint('\\n'.join(sorted(sys.modules)))\n"
@@ -93,6 +115,26 @@ def test_a_figure_point_loads_no_service_layer():
         module for module in loaded if any(matches(module, p) for p in UNUSED_BY_FIGURES)
     )
     assert unused == [], f"a figure point imports {unused}"
+
+
+def test_a_serial_figure_point_loads_no_queue_store_or_exporter():
+    loaded = loaded_after(FIGURE_POINT)
+    assert {"repro.campaigns.runner", "repro.campaigns.aggregate"} <= loaded
+    unused = sorted(
+        module for module in loaded if any(matches(module, p) for p in UNUSED_BY_A_SERIAL_RUN)
+    )
+    assert unused == [], f"a serial figure point imports {unused}"
+
+
+def test_the_experiments_cli_loads_no_queue_or_exporter():
+    # Its execution options name the store's durability modes, so the store
+    # loads; the queue loads only under --queue-dir.
+    loaded = loaded_after("import repro.experiments.__main__\n")
+    assert "repro.campaigns.execution" in loaded
+    unused = sorted(
+        module for module in loaded if any(matches(module, p) for p in UNUSED_BY_THE_CLI)
+    )
+    assert unused == [], f"import repro.experiments.__main__ imports {unused}"
 
 
 def test_the_kernel_imports_alone():
