@@ -54,9 +54,7 @@ __getattr__, __dir__ = _lazy_exports(
         ),
         "repro.scenarios.registry": ("available_kinds", "run_kind"),
         "repro.scenarios.results": ("ScenarioResult", "TransientResult"),
-        "repro.scenarios.runner": (
-            "ProbeSpec", "ReformationSpec", "ScenarioRunner", "SteadyStateSpec",
-        ),
+        "repro.scenarios.runner": ("ProbeSpec", "ScenarioRunner", "SteadyStateSpec"),
         "repro.scenarios.service_load": ("run_service_load",),
     },
 )

@@ -11,9 +11,10 @@ fault model ``fd``, the :class:`FaultSchedule` checked against ``core.n``
 and, for a steady kind, the rest of its :class:`SteadyStateSpec`.  So a
 constructor's check (``QoSConfig``, a fault event, :meth:`FaultSchedule.check`)
 runs at declaration, and a builder states only what no constructor knows.
-``crash-transient`` and ``service-load`` delegate to their own modules.  A
-result's ``params`` echo the kind's params (defaults resolved) plus its
-read-outs.
+Every kind but two registers through :func:`_steady`, so its ``run`` is the
+one steady run of its builder's spec; ``crash-transient`` and
+``service-load`` delegate to their own modules.  A result's ``params`` echo
+the kind's params (defaults resolved) plus its read-outs.
 
 The paper's scenarios come first (Figs. 4-8), then the fault-schedule kinds,
 ``service-load`` and the network fault-injection kinds, whose ``verify``
@@ -47,12 +48,7 @@ from repro.scenarios.faults import (
 )
 from repro.scenarios.registry import ScenarioKind, available_kinds, register_kind, run_kind
 from repro.scenarios.results import ScenarioResult
-from repro.scenarios.runner import (
-    ReformationSpec,
-    ScenarioRunner,
-    SteadyStateSpec,
-    warmup_count,
-)
+from repro.scenarios.runner import ScenarioRunner, SteadyStateSpec, warmup_count
 from repro.scenarios.transient import CRASH_TIME, measure_crash_transient
 from repro.stacks.api import Param, param
 from repro.stacks.registry import GmReformParams
@@ -92,18 +88,25 @@ def _or_mid_window(instant: Optional[float], core: Any) -> float:
     return 0.5 * _arrival_window(core) if instant is None else instant
 
 
-def _run_steady(config, core: Any, fd: QoSConfig, verify=None, **fields: Any) -> ScenarioResult:
+def _run_steady(
+    config, core: Any, fd: QoSConfig, verify=None, watch=None, wan_profile=None, **fields: Any
+) -> ScenarioResult:
     """Run the steady-state measurement of ``core`` on ``config`` as a builder
-    made it: the fault model ``fd``, ``verify`` and the rest of its
+    made it: the fault model ``fd``, the WAN profile set on the config's
+    network, the hooks ``verify`` and ``watch`` of
+    :meth:`ScenarioRunner.run_steady` and the rest of its
     :class:`SteadyStateSpec` (``fields``)."""
+    network = config.network
+    if wan_profile is not None:
+        network = replace(network, wan_profile=wan_profile)
     spec = SteadyStateSpec(
         scenario=core.kind,
-        config=replace(config, fd=fd),
+        config=replace(config, fd=fd, network=network),
         throughput=core.throughput,
         num_messages=core.num_messages,
         **fields,
     )
-    return ScenarioRunner().run_steady(spec, verify=verify)
+    return ScenarioRunner().run_steady(spec, verify=verify, watch=watch)
 
 
 def _steady(build: Callable[[Any, Any], Dict[str, Any]]) -> Dict[str, Callable]:
@@ -434,32 +437,48 @@ def _build_view_majority_loss(core: Any, params: ViewMajorityLossParams) -> Dict
     outside its suspicion window) shrinks the installed view through wrong
     suspicions, then crashes just enough of it that its alive members lose
     the view majority -- the GM algorithm's permanent deadlock, which
-    ``gm-reform`` turns into a recovery: ``params`` report whether a
-    successor view was installed and how long after the blocking crash
-    (``time_to_reformation``).  Every record echoes the stack's
-    ``reformation_timeout`` param, ``gm-reform``'s default when it has none.
+    ``gm-reform`` turns into a recovery.  Every process sends (a wrongly
+    excluded sender flushes its buffer when the reformation re-admits it).
+
+    ``watch`` records every view installation and reports whether a view of
+    a later epoch was installed (``reformed``, ``None`` on a stack without
+    views), its members and how long after the blocking crash
+    (``time_to_reformation``, ``None`` while the group stays blocked).  Every
+    record echoes the stack's ``reformation_timeout``, ``gm-reform``'s
+    default when it has none.
     """
-    faults = FaultSchedule.view_majority_loss(core.n, crash_time=params.crash_time)
+    block_time = params.crash_time
+    def watch(system) -> Callable[[ScenarioResult], None]:
+        installs: list = []
+        sim, watches_views = system.sim, bool(system.memberships)
+        timeout = getattr(
+            system.config.params.stack, "reformation_timeout", GmReformParams.reformation_timeout
+        )
+        for pid, membership in enumerate(system.memberships):
+            membership.add_view_listener(
+                lambda view, _pid=pid: installs.append((sim.now, _pid, view))
+            )
+        def read(result: ScenarioResult) -> None:
+            reformed = [(time, pid, view) for time, pid, view in installs if view.epoch > 0]
+            first = min(reformed, default=None)
+            result.params.update(
+                block_time=block_time,
+                reformed=bool(reformed) if watches_views else None,
+                time_to_reformation=None if first is None else first[0] - block_time,
+                reformed_members=None if first is None else list(first[2].members),
+                views_installed=len(installs) if watches_views else None,
+                reformation_timeout=timeout,
+            )
+        return read
+
+    faults = FaultSchedule.view_majority_loss(core.n, crash_time=block_time)
     return dict(
         fd=QoSConfig(detection_time=params.detection_time), faults=faults.check(core.n),
+        senders=list(range(core.n)), reassign_crashed_senders=True, watch=watch,
         params=dict(
             vars(params), suspect_start=VML_SUSPECT_START, suspect_duration=VML_SUSPECT_DURATION
         ),
     )
-
-
-def _run_view_majority_loss(
-    config: SystemConfig, core: Any, params: ViewMajorityLossParams
-) -> ScenarioResult:
-    built = _build_view_majority_loss(core, params)
-    built["params"]["reformation_timeout"] = getattr(
-        config.params.stack, "reformation_timeout", GmReformParams.reformation_timeout
-    )
-    spec = ReformationSpec(
-        scenario=core.kind, config=replace(config, fd=built.pop("fd")), throughput=core.throughput,
-        num_messages=core.num_messages, block_time=params.crash_time, **built,
-    )
-    return ScenarioRunner().run_reformation(spec)
 
 
 register_kind(
@@ -468,8 +487,7 @@ register_kind(
         shorthand="majority-loss",
         summary="the GM view-majority-loss blocked state; time-to-reformation under gm-reform",
         params=ViewMajorityLossParams,
-        run=_run_view_majority_loss,
-        validate=_build_view_majority_loss,
+        **_steady(_build_view_majority_loss),
     )
 )
 
@@ -625,7 +643,7 @@ def _build_wan_steady(core: Any, params: WanSteadyParams) -> Dict[str, Any]:
             )
 
     return dict(
-        fd=fd, verify=verify,
+        fd=fd, verify=verify, wan_profile=params.wan_profile,
         params=dict(
             vars(params),
             dc_count=topology.dc_count,
@@ -635,19 +653,13 @@ def _build_wan_steady(core: Any, params: WanSteadyParams) -> Dict[str, Any]:
     )
 
 
-def _run_wan_steady(config: SystemConfig, core: Any, params: WanSteadyParams) -> ScenarioResult:
-    network = replace(config.network, wan_profile=params.wan_profile)
-    return _run_steady(replace(config, network=network), core, **_build_wan_steady(core, params))
-
-
 register_kind(
     ScenarioKind(
         name="wan-steady",
         shorthand="wan",
         summary="steady state with the group spread across the datacenters of a WAN profile",
         params=WanSteadyParams,
-        run=_run_wan_steady,
-        validate=_build_wan_steady,
+        **_steady(_build_wan_steady),
     )
 )
 

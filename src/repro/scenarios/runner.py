@@ -8,10 +8,10 @@ stop conditions and result assembly; a scenario kind
 (:mod:`repro.scenarios.kinds`) only builds a *spec*:
 
 * :class:`SteadyStateSpec` measures the latency of ``num_messages`` workload
-  messages after a warm-up window (every ``*-steady`` kind and the
-  fault-window kinds that span a crash, a partition or a gray failure);
-* :class:`ReformationSpec` additionally reports time-to-reformation
-  (``view-majority-loss``);
+  messages after a warm-up window (every kind but ``crash-transient`` and
+  ``service-load``: the ``*-steady`` kinds, the fault-window kinds that
+  span a crash, a partition or a gray failure, and ``view-majority-loss``,
+  whose ``watch`` hook adds time-to-reformation);
 * :class:`ProbeSpec` measures one tagged message injected at a fault instant
   (the crash-transient scenario), returning its latency.
 
@@ -25,7 +25,7 @@ per paper scenario and stack) and the committed JSON pins under
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.types import BroadcastID
@@ -64,34 +64,6 @@ class SteadyStateSpec:
     #: (used by scenarios whose fault schedule crashes processes mid-run).
     reassign_crashed_senders: bool = False
     params: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
-class ReformationSpec(SteadyStateSpec):
-    """One recovery measurement: drive the group into view-majority loss.
-
-    A steady-state measurement whose fault schedule (typically
-    :meth:`FaultSchedule.view_majority_loss`) blocks the installed view at
-    ``block_time``; the runner additionally watches every membership
-    service for view installations and reports, in the result ``params``:
-
-    * ``reformed``             -- whether any process installed a view of a
-      later epoch (i.e. a reformation decided); ``None`` for stacks
-      without a membership service (``"fd"``), which run the same workload
-      and faults but have no views to reform,
-    * ``time_to_reformation``  -- first such installation time minus
-      ``block_time`` (``None`` when the group stays blocked, as the plain
-      GM stacks do),
-    * ``reformed_members``     -- membership of the first reformed view,
-    * ``views_installed``      -- total view installations across processes.
-
-    ``senders`` / ``reassign_crashed_senders`` are forced by the runner:
-    every process sends (wrongly excluded senders flush their buffered
-    messages when the reformation re-admits them) and crashed senders'
-    arrivals are redirected.
-    """
-
-    block_time: float = 0.0
 
 
 @dataclass
@@ -166,8 +138,14 @@ class ScenarioRunner:
         self,
         spec: SteadyStateSpec,
         verify: Optional[Callable[[Any, ScenarioResult], None]] = None,
+        watch: Optional[Callable[[Any], Callable[[ScenarioResult], None]]] = None,
     ) -> ScenarioResult:
         """Run one steady-state scenario point and return its result.
+
+        ``watch(system)`` runs before the measurement: it may subscribe
+        listeners (capturing parts, never ``system``) and returns
+        ``read(result)``, which runs after it and adds its read-outs to
+        ``result.params``; it records no script.
 
         ``verify(system, result)`` inspects the finished system (did the
         fault take effect, did it heal) and may add read-outs to
@@ -179,7 +157,10 @@ class ScenarioRunner:
         building or measuring propagate.
         """
         with build_system(spec.config) as system:
+            read = watch(system) if watch is not None else None
             result = self._measure_steady(system, spec)
+            if read is not None:
+                read(result)
             if verify is not None:
                 trace: Dict[str, Any] = {"stages": ["build", "measure"]}
                 try:
@@ -196,40 +177,6 @@ class ScenarioRunner:
         (``build_system(spec.config)``) and still owns: the caller inspects
         it afterwards, and dropping it (or closing it) frees it."""
         return self._measure_steady(system, spec)
-
-    def run_reformation(self, spec: ReformationSpec) -> ScenarioResult:
-        """Run one view-majority-loss point, measuring time-to-reformation."""
-        with build_system(spec.config) as system:
-            watches_views = bool(system.memberships)
-            installs: list = []
-            sim = system.sim
-            for pid, membership in enumerate(system.memberships):
-                membership.add_view_listener(
-                    lambda view, _pid=pid: installs.append((sim.now, _pid, view))
-                )
-            steady = replace(
-                spec,
-                senders=list(range(spec.config.n)),
-                reassign_crashed_senders=True,
-                params=dict(spec.params),
-            )
-            result = self._measure_steady(system, steady)
-            reformed = [
-                (time, pid, view) for time, pid, view in installs if view.epoch > 0
-            ]
-            first = min(reformed, default=None)
-            result.params.update(
-                {
-                    "block_time": spec.block_time,
-                    "reformed": bool(reformed) if watches_views else None,
-                    "time_to_reformation": (
-                        None if first is None else first[0] - spec.block_time
-                    ),
-                    "reformed_members": None if first is None else list(first[2].members),
-                    "views_installed": len(installs) if watches_views else None,
-                }
-            )
-        return result
 
     def _measure_steady(self, system, spec: SteadyStateSpec) -> ScenarioResult:
         """The shared steady-state measurement loop on a prepared system.

@@ -411,6 +411,30 @@ class TestStructure:
             if name != "normal-steady":  # which accepts every point
                 assert kind.validate.__module__ == home, name
 
+    def test_every_steady_kind_is_a_builder_over_the_one_steady_run(self):
+        """Only the kinds with a measurement of their own register a ``run``;
+        every other kind's ``run`` and ``validate`` are ``_steady(build)``'s."""
+        from repro.scenarios import kinds, runner
+
+        own_run = {
+            name for name in BUILTIN_KINDS
+            if not get_kind(name).run.__qualname__.startswith("_steady.")
+        }
+        assert own_run == {"crash-transient", "service-load"}
+        for name in set(BUILTIN_KINDS) - own_run:
+            assert get_kind(name).validate.__name__.startswith("_build_"), name
+        second_drivers = [
+            name
+            for owner, name in (
+                (runner, "ReformationSpec"),
+                (runner.ScenarioRunner, "run_reformation"),
+                (kinds, "_run_view_majority_loss"),
+                (kinds, "_run_wan_steady"),
+            )
+            if hasattr(owner, name)
+        ]
+        assert second_drivers == []
+
     def test_spec_module_stays_small(self):
         with open(os.path.join(CAMPAIGNS_SRC, "spec.py"), encoding="utf-8") as handle:
             assert len(handle.read().splitlines()) <= 400

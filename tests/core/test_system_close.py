@@ -31,7 +31,7 @@ from repro.scenarios.faults import (
     RecoverAt,
     SuspectDuring,
 )
-from repro.scenarios.runner import ProbeSpec, ReformationSpec, ScenarioRunner, SteadyStateSpec
+from repro.scenarios.runner import ProbeSpec, ScenarioRunner, SteadyStateSpec
 from repro.stacks.registry import (
     available_fd_kinds,
     available_stacks,
@@ -111,14 +111,10 @@ FAULT_MIX = {
     "gray-link": _steady(FaultSchedule([DegradeLinkAt(10.0, 0, 1, loss_probability=0.3)])),
     "wan": _steady(FaultSchedule(), NetworkModel(wan_profile="wan-3dc"), stack="fd"),
     "suspect-during": _steady(FaultSchedule([SuspectDuring(20.0, 80.0, 4)])),
-    "reformation": lambda: ScenarioRunner().run_reformation(
-        ReformationSpec(
-            "vml",
-            SystemConfig(n=5, stack="gm-reform"),
-            50.0,
-            num_messages=40,
-            faults=FaultSchedule.view_majority_loss(5),
-        )
+    # The view listeners of view-majority-loss's watch hook, through the
+    # one steady run.
+    "reformation": lambda: run_kind(
+        "view-majority-loss", SystemConfig(n=5, stack="gm-reform"), 50.0, num_messages=40
     ),
 }
 

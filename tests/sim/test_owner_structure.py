@@ -56,9 +56,9 @@ def test_every_system_built_in_src_is_a_with_item():
         f"build a system as `with build_system(config) as system:` so it is "
         f"closed: {open_systems}"
     )
-    # The steady, reformation and probe runners and the service-load point:
-    # guards the rule above against passing vacuously after a rename.
-    assert len(constructions) >= 4
+    # The steady and probe runners and the service-load point: guards the
+    # rule above against passing vacuously after a rename.
+    assert len(constructions) >= 3
 
 
 def test_run_steady_on_is_the_one_caller_owned_entry():
