@@ -568,7 +568,8 @@ def _build_partition_transient(core: Any, params: PartitionTransientParams) -> D
     minority-side sends during the window are the interesting part.
 
     ``verify`` checks the partition actually bit (frames were dropped) and
-    fully healed; a violation is recorded under ``params["script"]``.
+    fully healed, and that a run which outlived the heal delivered every
+    measured message; a violation is recorded under ``params["script"]``.
     """
     n = core.n
     start = _or_mid_window(params.partition_start, core)
@@ -577,6 +578,7 @@ def _build_partition_transient(core: Any, params: PartitionTransientParams) -> D
         dropped = system.network.stats.dropped_partitioned
         if dropped == 0:
             raise AssertionError("the partition window dropped no frames -- it never took effect")
+        result.params["dropped_partitioned"] = dropped
         # The run may legitimately stop (all measured messages delivered)
         # before the heal instant; only a run that outlived it must be whole.
         if result.duration >= heal:
@@ -588,7 +590,11 @@ def _build_partition_transient(core: Any, params: PartitionTransientParams) -> D
             ]
             if still_blocked:
                 raise AssertionError(f"links still blocked after the heal: {still_blocked}")
-        result.params["dropped_partitioned"] = dropped
+            if result.undelivered:
+                raise AssertionError(
+                    f"the partition healed yet {result.undelivered} measured "
+                    "messages were never delivered"
+                )
 
     return dict(
         fd=QoSConfig(detection_time=params.detection_time), verify=verify,

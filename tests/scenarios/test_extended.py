@@ -3,6 +3,8 @@
 Rejected inputs are covered once for every kind in ``test_kinds.py``.
 """
 
+import pytest
+
 from repro import SystemConfig
 from repro.scenarios import (
     run_asymmetric_qos,
@@ -116,7 +118,13 @@ class TestAsymmetricQoS:
 
 
 class TestPartitionTransient:
-    def test_partition_bites_and_heals(self, algorithm):
+    def test_partition_bites_and_heals(self, algorithm, request):
+        if algorithm == "fd":
+            # verify fails a healed run that lost messages, and FD orders
+            # nothing after the cut (the strict xfail of test_composition.py).
+            request.node.add_marker(pytest.mark.xfail(
+                strict=True, reason="FD leaves 13 of 60 measured messages undelivered"
+            ))
         result = run_partition_transient(
             config(algorithm), throughput=50, partition_duration=500.0, detection_time=10.0,
             num_messages=60,
@@ -126,6 +134,14 @@ class TestPartitionTransient:
         assert result.params["dropped_partitioned"] > 0
         assert result.params["script"]["stages"] == ["build", "measure", "verify"]
         assert "failed_stage" not in result.params["script"]
+
+    def test_a_run_past_the_heal_that_lost_messages_fails_verify(self):
+        # FD orders nothing after the cut at n = 3 (tests/scenarios/test_composition.py).
+        result = run_partition_transient(SystemConfig(n=3, stack="fd"), 50.0, num_messages=20)
+        assert result.undelivered > 0
+        assert result.params["script"]["failed_stage"] == "verify"
+        assert "never delivered" in result.params["script"]["error"]
+        assert result.params["dropped_partitioned"] > 0
 
     def test_explicit_partition_start_is_used(self, algorithm):
         result = run_partition_transient(
