@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Callable, Iterator, List
 
 from repro.campaigns.runner import CampaignRun, CampaignRunner
-from repro.campaigns.store import DURABILITY_MODES, ResultStore
 from repro.scenarios.registry import available_kinds
 
 
@@ -46,7 +45,7 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None, help="JSONL result cache directory")
     parser.add_argument(
         "--durability",
-        choices=DURABILITY_MODES,
+        choices=("fsync", "batch"),  # the store's DURABILITY_MODES; parsing loads no store
         default="fsync",
         help=(
             "cache write durability: fsync every point (default, resumable "
@@ -109,11 +108,14 @@ def open_execution(args: argparse.Namespace) -> Iterator[CampaignRunner]:
 
     On exit -- an error included -- the runner releases its warm pool, then
     the store closes, which flushes buffered lines and refreshes the columnar
-    mirror.  The work queue's module loads only under ``--queue-dir``.
+    mirror.  The store's module loads only under ``--cache-dir``, the work
+    queue's only under ``--queue-dir``.
     """
     with ExitStack() as stack:  # unwinds in reverse: runner, then store
         store = queue = None
         if args.cache_dir:
+            from repro.campaigns.store import ResultStore
+
             store = stack.enter_context(ResultStore(args.cache_dir, durability=args.durability))
         if args.queue_dir:
             from repro.campaigns.queue import WorkQueue

@@ -25,7 +25,7 @@ dominated quick-point campaigns).  Two durability modes:
   ``put`` is flushed *and* fsynced before returning, so a crashed campaign
   resumes from its last completed point;
 * ``durability="batch"``: lines are buffered and flushed every
-  ``flush_every`` puts (and on :meth:`flush` / :meth:`close`), trading a
+  :data:`FLUSH_EVERY` puts (and on :meth:`flush` / :meth:`close`), trading a
   bounded window of re-simulation after a crash for throughput on
   many-small-point grids.
 
@@ -36,7 +36,7 @@ load (the whole line: record *and* point), and :meth:`compact` rewrites the
 file to one line per key atomically (tmp + ``os.replace``), so a store shared
 by several appending runners (or rewritten by ``--force``) stops growing
 without bound; compaction triggers automatically once enough duplicate lines
-accumulate.
+accumulate (:data:`AUTO_COMPACT_DUPES`).
 
 Closing a store (context-manager exit, :meth:`close`, or garbage
 collection) also refreshes the columnar mirror (:mod:`repro.campaigns.columnar`)
@@ -53,6 +53,12 @@ from repro.campaigns import columnar
 from repro.campaigns.columnar import Entry
 
 DURABILITY_MODES = ("fsync", "batch")
+#: ``batch`` mode flushes its buffered lines every this many puts.
+FLUSH_EVERY = 64
+#: Compact automatically once this many duplicate lines accumulate (0
+#: disables); duplicates come from multi-writer appends and from ``--force``
+#: rewrites, both of which are last-wins by contract.
+AUTO_COMPACT_DUPES = 512
 
 #: The shape of every line this store writes (``json.dumps`` with
 #: ``sort_keys``: the key first, the record -- a dict -- last); the load scan
@@ -103,25 +109,16 @@ class ResultStore:
         filename: str = "results.jsonl",
         *,
         durability: str = "fsync",
-        flush_every: int = 64,
-        auto_compact_dupes: int = 512,
         mirror: bool = True,
     ) -> None:
         if durability not in DURABILITY_MODES:
             raise ValueError(
                 f"durability must be one of {DURABILITY_MODES}, got {durability!r}"
             )
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, filename)
         self.durability = durability
-        self.flush_every = flush_every
-        #: Compact automatically once this many duplicate lines accumulate
-        #: (0 disables); duplicates come from multi-writer appends and from
-        #: ``--force`` rewrites, both of which are last-wins by contract.
-        self.auto_compact_dupes = auto_compact_dupes
         self.mirror = mirror
         #: Every cached key, in order of first appearance.  A loaded key maps
         #: to the ``(offset, length)`` of its last line in the file behind
@@ -208,7 +205,7 @@ class ResultStore:
         point: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Persist ``record`` under ``key`` (durable before returning in
-        ``fsync`` mode; buffered up to ``flush_every`` lines in ``batch``
+        ``fsync`` mode; buffered up to :data:`FLUSH_EVERY` lines in ``batch``
         mode)."""
         handle = self._append_handle()
         handle.write(_encode(key, point, record))
@@ -222,9 +219,9 @@ class ResultStore:
             os.fsync(handle.fileno())
         else:
             self._unflushed += 1
-            if self._unflushed >= self.flush_every:
+            if self._unflushed >= FLUSH_EVERY:
                 self.flush()
-        if self.auto_compact_dupes and self._dupes >= self.auto_compact_dupes:
+        if AUTO_COMPACT_DUPES and self._dupes >= AUTO_COMPACT_DUPES:
             self.compact()
 
     def keys(self) -> Iterator[str]:

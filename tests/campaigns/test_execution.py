@@ -103,6 +103,17 @@ class TestOneDeclaration:
         assert exit_info.value.code == 2
         assert f"argument {flag}: must be > 0, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cli", ["campaigns", "experiments"])
+    def test_an_unknown_durability_names_the_stores_modes(self, capsys, cli):
+        from repro.campaigns.store import DURABILITY_MODES
+
+        assert shared_options()[("--durability",)].choices == DURABILITY_MODES
+        main = {"campaigns": campaigns_main, "experiments": experiments_main}[cli]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--durability", "bogus"])
+        assert exit_info.value.code == 2
+        assert "(choose from 'fsync', 'batch')" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["-5", "nan"])
     @pytest.mark.parametrize("cli", ["campaigns", "experiments"])
     def test_a_negative_or_nan_queue_timeout_is_a_usage_error(self, capsys, cli, value):

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.campaigns import columnar
+from repro.campaigns import store as store_module
 from repro.campaigns.store import ResultStore
 
 
@@ -76,10 +77,6 @@ class TestDurabilityModes:
         with pytest.raises(ValueError):
             ResultStore(str(tmp_path), durability="paranoid")
 
-    def test_rejects_non_positive_flush_every(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultStore(str(tmp_path), durability="batch", flush_every=0)
-
     # On the disk, not the suite's tmpfs: an fsync there is real work, and a
     # store bug that only a disk-backed file system shows must fail here.
     @pytest.mark.real_filesystem
@@ -90,17 +87,18 @@ class TestDurabilityModes:
         assert ResultStore(str(real_tmp_path)).get("k") == {"measured": 1}
         store.close()
 
-    def test_batch_mode_flushes_every_n_puts(self, tmp_path):
-        store = ResultStore(str(tmp_path), durability="batch", flush_every=3, mirror=False)
+    def test_batch_mode_flushes_every_n_puts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_EVERY", 3)
+        store = ResultStore(str(tmp_path), durability="batch", mirror=False)
         store.put("a", {"measured": 1})
         store.put("b", {"measured": 2})
         buffered = line_count(store.path)
-        store.put("c", {"measured": 3})  # third put crosses flush_every
+        store.put("c", {"measured": 3})  # third put crosses FLUSH_EVERY
         assert line_count(store.path) == 3 >= buffered
         store.close()
 
     def test_batch_mode_flush_and_close_drain_the_buffer(self, tmp_path):
-        store = ResultStore(str(tmp_path), durability="batch", flush_every=100, mirror=False)
+        store = ResultStore(str(tmp_path), durability="batch", mirror=False)
         store.put("a", {"measured": 1})
         store.flush()
         assert line_count(store.path) == 1
@@ -142,16 +140,18 @@ class TestCompaction:
         store.close()
         assert ResultStore(str(tmp_path)).get("b") == {"measured": 2}
 
-    def test_auto_compaction_bounds_file_growth(self, tmp_path):
-        store = ResultStore(str(tmp_path), auto_compact_dupes=10, mirror=False)
+    def test_auto_compaction_bounds_file_growth(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "AUTO_COMPACT_DUPES", 10)
+        store = ResultStore(str(tmp_path), mirror=False)
         for value in range(50):
             store.put("hot", {"measured": value})
         assert line_count(store.path) <= 11
         assert store.get("hot") == {"measured": 49}
         store.close()
 
-    def test_auto_compaction_disabled_with_zero(self, tmp_path):
-        store = ResultStore(str(tmp_path), auto_compact_dupes=0, mirror=False)
+    def test_auto_compaction_disabled_with_zero(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "AUTO_COMPACT_DUPES", 0)
+        store = ResultStore(str(tmp_path), mirror=False)
         for value in range(20):
             store.put("hot", {"measured": value})
         assert line_count(store.path) == 20

@@ -26,9 +26,11 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.campaigns import store as store_module
 from repro.campaigns.store import ResultStore
 
 FLUSH_EVERY = 2
@@ -112,9 +114,18 @@ class ModelStore:
         return len(self.records)
 
 
+@pytest.fixture(autouse=True, scope="module")
+def small_batches_and_no_auto_compaction():
+    """The index store flushes every ``FLUSH_EVERY`` puts, as the model does,
+    and compacts only as a step of the program."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store_module, "FLUSH_EVERY", FLUSH_EVERY)
+        patch.setattr(store_module, "AUTO_COMPACT_DUPES", 0)
+        yield
+
+
 def open_index(directory):
-    return ResultStore(directory, durability="batch", flush_every=FLUSH_EVERY,
-                       auto_compact_dupes=0, mirror=False)
+    return ResultStore(directory, durability="batch", mirror=False)
 
 
 def open_model(directory):

@@ -14,12 +14,14 @@ repeat exactly, so a new eager import fails here::
     import repro.sim.engine                    3          30
     suspicion_n15 setup, fd n=3 build         32          50
     figures import + one Figure 4 point       44          50
-    import repro.experiments.__main__         45          49
+    import repro.experiments.__main__         43          49
 """
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 #: The benchmark's ``suspicion_n15`` setup command: its imports, then one
 #: started fd system of three processes.
@@ -127,14 +129,22 @@ def test_a_serial_figure_point_loads_no_queue_store_or_exporter():
 
 
 def test_the_experiments_cli_loads_no_queue_or_exporter():
-    # Its execution options name the store's durability modes, so the store
-    # loads; the queue loads only under --queue-dir.
+    # The queue loads only under --queue-dir.
     loaded = loaded_after("import repro.experiments.__main__\n")
     assert "repro.campaigns.execution" in loaded
     unused = sorted(
         module for module in loaded if any(matches(module, p) for p in UNUSED_BY_THE_CLI)
     )
     assert unused == [], f"import repro.experiments.__main__ imports {unused}"
+
+
+@pytest.mark.parametrize("cli", ["repro.experiments.__main__", "repro.campaigns.__main__"])
+def test_a_cli_loads_no_store_without_a_cache_dir(cli):
+    # Both parse --durability; the store and its mirror load in
+    # open_execution, under --cache-dir only.
+    loaded = loaded_after(f"import {cli}\n")
+    assert "repro.campaigns.execution" in loaded
+    assert {"repro.campaigns.store", "repro.campaigns.columnar"} & loaded == set()
 
 
 def test_the_kernel_imports_alone():
