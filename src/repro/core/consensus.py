@@ -592,8 +592,10 @@ class ConsensusService(Component):
 
         ``rounds`` sums the instances' ``rounds_executed``; ``decisions``
         counts the instances that entered a round and decided, and
-        ``decision_ms`` is their summed time from creation to decision;
-        ``open`` counts the ones that entered a round and did not decide.
+        ``decision_ms`` is their summed time from creation to the local
+        record of the decision (for an instance a crash recovery's catch-up
+        closed, that includes the downtime); ``open`` counts the ones that
+        entered a round and did not decide yet.
         """
         totals = dict(self._folded)
         for _serial, decision_ms in sorted(self._late_decision_ms):
@@ -612,10 +614,9 @@ class ConsensusService(Component):
         A float sum depends on its order, and :meth:`counters` sums the
         decision times in creation order: a decided instance created after
         the oldest undecided one waits in ``_late_decision_ms`` until every
-        instance before it has decided.  An instance that never decides (one
-        left open across a crash of this process) keeps the decision times
-        of the instances created after it there: a float each, not an
-        instance.
+        instance before it has decided.  An instance left open across a
+        crash of this process folds when the catch-up records its decision,
+        so its ``decision_ms`` runs from creation to that close.
         """
         totals = self._folded
         totals["rounds"] += instance.rounds_executed
@@ -652,7 +653,7 @@ class ConsensusService(Component):
             return
         _tag, cid, value = payload
         self.rbcast.mark_stable(rb_uid)
-        self._record_decision(cid, value)
+        self.record_decision(cid, value)
 
     # ------------------------------------------------------------------ decisions
 
@@ -671,9 +672,18 @@ class ConsensusService(Component):
         instance = self._instances.get(cid)
         participants = instance.participants if instance else None
         self.rbcast.broadcast((_DECIDE_TAG, cid, value), group=participants)
-        self._record_decision(cid, value)
+        self.record_decision(cid, value)
 
-    def _record_decision(self, cid: Hashable, value: Any) -> None:
+    def record_decision(self, cid: Hashable, value: Any) -> None:
+        """Record that instance ``cid`` decided ``value``: the one recording site.
+
+        A decision reaches a process in one of three ways: it decided the
+        instance itself (:meth:`_local_decision`), the decision arrived by
+        reliable broadcast, or -- after a crash recovery -- a peer's decided
+        log reported it.  Each way ends here, so the instance, if this
+        process holds it, closes and folds, the messages buffered for it are
+        dropped, and the decision listeners run once.  A repeat is ignored.
+        """
         if cid in self._decisions:
             return
         self._decisions[cid] = value

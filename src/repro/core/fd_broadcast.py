@@ -10,9 +10,11 @@ identifiers.
 Crash *recovery* (beyond the paper's crash-stop model) works with a warm
 restart plus a catch-up: a recovered process fetches from its peers' decided
 logs (:mod:`repro.core.log`) the consensus decisions and message payloads it
-missed while down, applies them in instance order -- so its delivery sequence
-stays a prefix of the group's total order -- and then resumes proposing from
-the group's frontier.
+missed while down and hands each decision to the consensus service, in
+instance order, as if it had arrived by reliable broadcast.  The decisions
+take the one path every decision takes: the instances left open by the crash
+close, the delivery sequence stays a prefix of the group's total order, and
+the process then resumes proposing from the group's frontier.
 
 Two practical details follow the paper:
 
@@ -154,28 +156,19 @@ class FDAtomicBroadcast(AtomicBroadcast):
         if frontier is None:  # the payloads a decision named
             self._try_deliver()
             return
-        decisions = self._decisions
+        # Rejoin the pipeline past the decided prefix this catch-up completes
+        # before recording it, so that the decisions below open no instance
+        # that is decided already.
+        top = max(self.log.length, batches[-1][0] if batches else 0)
+        while top + 1 in self._decisions:
+            top += 1
+        if self._highest_proposed < top:
+            self._highest_proposed = top
         for k, batch in batches:
-            if k not in decisions:
-                decisions[k] = batch
-                self._mark_ordered(batch[1])
-                self._pending.difference_update(batch[1])
+            self.consensus.record_decision(self._cid(k), batch)
         for broadcast_id, _payload in payloads:
             if not self._is_ordered(broadcast_id):
                 self._pending.add(broadcast_id)
-        log = self.log
-        while log.length + 1 in decisions:
-            log.length += 1
-        # Proposals left in flight across the crash would pin their messages
-        # forever (their instances were decided without us): release them and
-        # rejoin the pipeline at the group's frontier.
-        for k in list(self._inflight_proposals):
-            if k <= log.length:
-                released = self._inflight_proposals.pop(k)
-                self._claimed -= released
-                self._pending.update(bid for bid in released if not self._is_ordered(bid))
-        if self._highest_proposed < log.length:
-            self._highest_proposed = log.length
         self._try_deliver()
         self._maybe_start_consensus(join_up_to=frontier)
 

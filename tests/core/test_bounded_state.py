@@ -7,13 +7,19 @@ sequencer batches that are delivered and stable.
 The checks run at two points of one run, after the 1 000th and the 8 000th
 delivery at process 0, so a structure that grows with the run fails at the
 second point at the latest.  They count objects, never time or bytes.
+
+A run with crash recovery (fd ``churn-steady``) holds the same bound for
+what a recovered process's catch-up decides: the instances its crash left
+open close when the catch-up records their decisions.  Two structures still
+grow under churn or without acks; strict xfails pin them (ROADMAP 21).
 """
 
 import pytest
 
 from repro import SystemConfig, build_system
 from repro.core.types import PIPELINE_DEPTH
-from repro.scenarios.runner import ScenarioRunner, SteadyStateSpec
+from repro.scenarios.faults import FaultSchedule, PoissonChurn
+from repro.scenarios.runner import ScenarioRunner, SteadyStateSpec, warmup_count
 
 CHECKPOINTS = (1_000, 8_000)
 
@@ -28,6 +34,13 @@ def held_state(system):
         batches = getattr(abcast, "_batch_entries", {})
         state.append({
             "instances": len(consensus._instances),
+            # FD instances open at positions the decided log already covers.
+            "logged_open": [
+                cid for cid in consensus._instances
+                if cid[0] == "ab" and cid[1] <= abcast.log.length
+            ],
+            "late_decisions": len(consensus._late_decision_ms),
+            "unstable": len(getattr(abcast, "_unstable", ())),
             "decided_held": [
                 cid for cid, instance in consensus._instances.items()
                 if instance.decided or cid in consensus._decisions
@@ -47,11 +60,9 @@ def held_state(system):
     return state
 
 
-@pytest.mark.parametrize("stack", ["fd", "gm"])
-@pytest.mark.parametrize("n", [3, 7])
-def test_live_state_is_bounded_by_the_window(stack, n):
-    config = SystemConfig(n=n, stack=stack, seed=1)
-    system = build_system(config)
+def run_to_checkpoints(spec):
+    """Run ``spec`` and return :func:`held_state` at each of ``CHECKPOINTS``."""
+    system = build_system(spec.config)
     sim = system.sim
     seen = {}
 
@@ -62,10 +73,33 @@ def test_live_state_is_bounded_by_the_window(stack, n):
             sim.post_at(sim.now, lambda: seen.setdefault(count, held_state(system)))
 
     system.abcasts[0].add_delivery_listener(on_delivery)
-    spec = SteadyStateSpec("normal-steady", config, 300.0, CHECKPOINTS[-1])
     result = ScenarioRunner().run_steady_on(system, spec)
+    system.close()
     assert result.undelivered == 0
     assert sorted(seen) == list(CHECKPOINTS)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def fd_churn():
+    """fd at n = 5, 100/s, 4 crashes/s of mean downtime 200 ms (seed 2)."""
+    messages = CHECKPOINTS[-1]
+    window = (warmup_count(messages) + messages) * 10.0
+    churn = PoissonChurn(rate=4.0, mean_downtime=200.0, until=window + 10_000.0)
+    config = SystemConfig(n=5, stack="fd", seed=2)
+    spec = SteadyStateSpec(
+        "churn-steady", config, 100.0, messages,
+        faults=FaultSchedule([churn]).check(config.n),
+        senders=list(range(config.n)), reassign_crashed_senders=True,
+    )
+    return run_to_checkpoints(spec)
+
+
+@pytest.mark.parametrize("stack", ["fd", "gm"])
+@pytest.mark.parametrize("n", [3, 7])
+def test_live_state_is_bounded_by_the_window(stack, n):
+    config = SystemConfig(n=n, stack=stack, seed=1)
+    seen = run_to_checkpoints(SteadyStateSpec("normal-steady", config, 300.0, CHECKPOINTS[-1]))
     for count, state in seen.items():
         for pid, held in enumerate(state):
             where = f"after {count} deliveries, p{pid}"
@@ -83,4 +117,38 @@ def test_live_state_is_bounded_by_the_window(stack, n):
             assert held["batches_held"] <= 2 * PIPELINE_DEPTH, where
             assert held["stray_batch_records"] == set(), where
             assert held["stray_sequenced"] == set(), where
-    system.close()
+
+
+def test_a_recovered_fd_process_closes_what_its_catch_up_decided(fd_churn):
+    first, last = (fd_churn[count] for count in CHECKPOINTS)
+    for pid, (early, late) in enumerate(zip(first, last)):
+        for count, held in zip(CHECKPOINTS, (early, late)):
+            where = f"after {count} deliveries, p{pid}"
+            assert held["logged_open"] == [], where
+            assert held["decided_held"] == [], where
+        # A decision time waits for every older instance to close.
+        assert late["late_decisions"] <= early["late_decisions"], f"p{pid}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 21(d): a reliable-broadcast watermark stops at a uid missed while down",
+)
+def test_reliable_broadcast_sparse_sets_stay_bounded_under_churn(fd_churn):
+    first, last = (fd_churn[count] for count in CHECKPOINTS)
+    for pid, (early, late) in enumerate(zip(first, last)):
+        assert late["sparse_uids"] <= early["sparse_uids"], f"p{pid}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 21(d): gm-nonuniform's sequencer gets no acks, so nothing becomes stable",
+)
+def test_gm_nonuniform_keeps_only_unstable_messages_in_flight():
+    config = SystemConfig(n=3, stack="gm-nonuniform", seed=1)
+    seen = run_to_checkpoints(SteadyStateSpec("normal-steady", config, 300.0, CHECKPOINTS[-1]))
+    for count, state in seen.items():
+        for pid, held in enumerate(state):
+            assert held["unstable"] <= 2 * PIPELINE_DEPTH, f"after {count} deliveries, p{pid}"

@@ -5,6 +5,11 @@ doubles when the run doubles: 697.5 ms at 150 messages, 1 485.7 ms at 300.
 GM, on the same cell, holds 61.4 -> 60.6 ms.  The FD pin is a strict xfail:
 the fix ROADMAP 16 asks for turns it into a strict XPASS, which fails the
 suite until the marker goes.
+
+Under crash-recovery churn (n = 5, T = 100/s, 4 crashes/s, seed 2) FD's mean
+latency holds 16.8 -> 17.1 ms from 1 000 to 4 000 messages.  It grew 18.4 ->
+26.4 ms while a recovered process kept the consensus instances its crash
+left open: their traffic grew with every recovery.
 """
 
 import statistics
@@ -46,3 +51,15 @@ def test_fd_latency_is_flat_in_run_length():
 
 def test_gm_latency_is_flat_in_run_length():
     assert 1 / DRIFT <= run_length_drift("gm") <= DRIFT
+
+
+def churn_mean_latency(messages):
+    result = run_kind(
+        "churn-steady", SystemConfig(n=5, stack="fd", seed=2), 100.0, messages, churn_rate=4.0
+    )
+    assert result.undelivered == 0
+    return statistics.fmean(result.latencies)
+
+
+def test_fd_latency_is_flat_in_run_length_under_churn():
+    assert 1 / DRIFT <= churn_mean_latency(4_000) / churn_mean_latency(1_000) <= DRIFT
