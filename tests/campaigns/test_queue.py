@@ -193,7 +193,8 @@ class TestWorkQueue:
         # A crashed enqueue or commit leaves its ``*.tmp.<pid>`` behind,
         # possibly half-written; no listing or count sees it.
         queue = WorkQueue(str(tmp_path))
-        points = quick_points(3)
+        *listed, third = quick_points(3)
+        points = sorted(listed, key=lambda point: point.key()) + [third]  # claim order
         queue.enqueue(points[:2])
         lease = queue.claim("w1")
         queue.commit(lease, {"measured": 8})
