@@ -63,7 +63,6 @@ from repro.campaigns.execution import (
     metrics_lines,
     open_execution,
 )
-from repro.campaigns.queue import QueueWorker, WorkQueue
 from repro.campaigns.spec import grid
 from repro.scenarios.registry import ScenarioKind, available_kinds, get_kind, kind_shorthands
 from repro.scenarios.results import TransientResult
@@ -235,6 +234,8 @@ def main(argv: List[str] = None) -> int:
     if args.queue_worker:
         if not args.queue_dir:
             parser.error("--queue-worker needs --queue-dir")
+        from repro.campaigns.queue import QueueWorker, WorkQueue
+
         worker = QueueWorker(
             WorkQueue(args.queue_dir, lease_ttl=args.lease_ttl), trace_dir=args.trace
         )

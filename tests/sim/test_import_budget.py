@@ -15,6 +15,7 @@ repeat exactly, so a new eager import fails here::
     suspicion_n15 setup, fd n=3 build         32          50
     figures import + one Figure 4 point       44          50
     import repro.experiments.__main__         43          49
+    import repro.campaigns.__main__           41          44
 """
 
 import os
@@ -136,6 +137,26 @@ def test_the_experiments_cli_loads_no_queue_or_exporter():
         module for module in loaded if any(matches(module, p) for p in UNUSED_BY_THE_CLI)
     )
     assert unused == [], f"import repro.experiments.__main__ imports {unused}"
+
+
+def test_the_campaigns_cli_loads_no_queue_or_exporter():
+    # The queue loads only under --queue-worker or --queue-dir.
+    loaded = loaded_after("import repro.campaigns.__main__\n")
+    assert "repro.campaigns.execution" in loaded
+    unused = sorted(
+        module for module in loaded if any(matches(module, p) for p in UNUSED_BY_THE_CLI)
+    )
+    assert unused == [], f"import repro.campaigns.__main__ imports {unused}"
+
+
+def test_a_queue_worker_without_a_queue_dir_still_exits_2():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in sys.path if path))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.campaigns", "--queue-worker"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert "--queue-worker needs --queue-dir" in done.stderr
 
 
 @pytest.mark.parametrize("cli", ["repro.experiments.__main__", "repro.campaigns.__main__"])
