@@ -33,12 +33,10 @@ from repro.system import SystemConfig
 #: own kind only.  v9: the core is eight fields, and the system part of a key
 #: is :func:`~repro.campaigns.canonical.canonical_system` -- stack, fd-kind
 #: and batching params only when off their declared defaults.  v10: the same
-#: dict; a recovered FD process closes the instances its crash left open, so
-#: FD runs with crash recovery simulate differently.  Migration from any older
-#: version is the same: version-prefixed keys never collide, so old entries
-#: are never hit and re-simulate once; delete them or leave them.
+#: dict, but FD runs with crash recovery simulate differently.  Migration from
+#: any older version is the same: version-prefixed keys never collide, so old
+#: entries are never hit and re-simulate once; delete them or leave them.
 SCHEMA_VERSION = 10
-
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Derive a per-point seed from ``root_seed`` and a stream ``name``.

@@ -592,10 +592,9 @@ class ConsensusService(Component):
 
         ``rounds`` sums the instances' ``rounds_executed``; ``decisions``
         counts the instances that entered a round and decided, and
-        ``decision_ms`` is their summed time from creation to the local
-        record of the decision (for an instance a crash recovery's catch-up
-        closed, that includes the downtime); ``open`` counts the ones that
-        entered a round and did not decide yet.
+        ``decision_ms`` is their summed time from creation to decision (for
+        one a catch-up closed, downtime included); ``open`` counts the ones
+        that entered a round and did not decide.
         """
         totals = dict(self._folded)
         for _serial, decision_ms in sorted(self._late_decision_ms):
@@ -675,15 +674,10 @@ class ConsensusService(Component):
         self.record_decision(cid, value)
 
     def record_decision(self, cid: Hashable, value: Any) -> None:
-        """Record that instance ``cid`` decided ``value``: the one recording site.
-
-        A decision reaches a process in one of three ways: it decided the
-        instance itself (:meth:`_local_decision`), the decision arrived by
-        reliable broadcast, or -- after a crash recovery -- a peer's decided
-        log reported it.  Each way ends here, so the instance, if this
-        process holds it, closes and folds, the messages buffered for it are
-        dropped, and the decision listeners run once.  A repeat is ignored.
-        """
+        """The one place a decision is recorded, whether this process decided
+        it, it came by reliable broadcast or FD's catch-up fetched it: a held
+        instance closes and folds, its buffered messages drop and the
+        decision listeners run once."""
         if cid in self._decisions:
             return
         self._decisions[cid] = value

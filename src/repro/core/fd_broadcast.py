@@ -10,11 +10,10 @@ identifiers.
 Crash *recovery* (beyond the paper's crash-stop model) works with a warm
 restart plus a catch-up: a recovered process fetches from its peers' decided
 logs (:mod:`repro.core.log`) the consensus decisions and message payloads it
-missed while down and hands each decision to the consensus service, in
-instance order, as if it had arrived by reliable broadcast.  The decisions
-take the one path every decision takes: the instances left open by the crash
-close, the delivery sequence stays a prefix of the group's total order, and
-the process then resumes proposing from the group's frontier.
+missed while down and hands each decision to the consensus service in
+instance order, like one that came by reliable broadcast: the instances its
+crash left open close, its delivery sequence stays a prefix of the group's
+total order, and it resumes proposing from the group's frontier.
 
 Two practical details follow the paper:
 
@@ -156,9 +155,8 @@ class FDAtomicBroadcast(AtomicBroadcast):
         if frontier is None:  # the payloads a decision named
             self._try_deliver()
             return
-        # Rejoin the pipeline past the decided prefix this catch-up completes
-        # before recording it, so that the decisions below open no instance
-        # that is decided already.
+        # Rejoin past the prefix this catch-up completes before recording it,
+        # so that no decision below opens an instance that is decided already.
         top = max(self.log.length, batches[-1][0] if batches else 0)
         while top + 1 in self._decisions:
             top += 1
