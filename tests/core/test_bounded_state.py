@@ -19,7 +19,7 @@ import pytest
 from repro import SystemConfig, build_system
 from repro.core.types import PIPELINE_DEPTH
 from repro.scenarios.faults import FaultSchedule, PoissonChurn
-from repro.scenarios.runner import ScenarioRunner, SteadyStateSpec, warmup_count
+from repro.scenarios.runner import ScenarioRunner, SteadyStateSpec
 
 CHECKPOINTS = (1_000, 8_000)
 
@@ -83,12 +83,11 @@ def run_to_checkpoints(spec):
 @pytest.fixture(scope="module")
 def fd_churn():
     """fd at n = 5, 100/s, 4 crashes/s of mean downtime 200 ms (seed 2)."""
-    messages = CHECKPOINTS[-1]
-    window = (warmup_count(messages) + messages) * 10.0
-    churn = PoissonChurn(rate=4.0, mean_downtime=200.0, until=window + 10_000.0)
+    # Churn lasts past the last of the 9 600 arrivals.
+    churn = PoissonChurn(rate=4.0, mean_downtime=200.0, until=120_000.0)
     config = SystemConfig(n=5, stack="fd", seed=2)
     spec = SteadyStateSpec(
-        "churn-steady", config, 100.0, messages,
+        "churn-steady", config, 100.0, CHECKPOINTS[-1],
         faults=FaultSchedule([churn]).check(config.n),
         senders=list(range(config.n)), reassign_crashed_senders=True,
     )

@@ -66,9 +66,9 @@ UNUSED_BY_FIGURES = (
 )
 
 
-#: What the experiments CLI loads none of before it runs: the work queue,
-#: the exporters and instrumentation, and the stdlib modules behind them
-#: (lease host names, the worker pool, git).
+#: What neither CLI loads before it runs: the work queue, the exporters and
+#: instrumentation, and the stdlib modules behind them (lease host names, the
+#: worker pool, git).
 UNUSED_BY_THE_CLI = (
     "repro.campaigns.queue",
     "repro.obs*",
@@ -129,24 +129,16 @@ def test_a_serial_figure_point_loads_no_queue_store_or_exporter():
     assert unused == [], f"a serial figure point imports {unused}"
 
 
-def test_the_experiments_cli_loads_no_queue_or_exporter():
-    # The queue loads only under --queue-dir.
-    loaded = loaded_after("import repro.experiments.__main__\n")
+@pytest.mark.parametrize("cli", ["repro.experiments.__main__", "repro.campaigns.__main__"])
+def test_a_cli_loads_no_queue_or_exporter(cli):
+    # The queue loads only under --queue-dir (or the campaigns CLI's
+    # --queue-worker).
+    loaded = loaded_after(f"import {cli}\n")
     assert "repro.campaigns.execution" in loaded
     unused = sorted(
         module for module in loaded if any(matches(module, p) for p in UNUSED_BY_THE_CLI)
     )
-    assert unused == [], f"import repro.experiments.__main__ imports {unused}"
-
-
-def test_the_campaigns_cli_loads_no_queue_or_exporter():
-    # The queue loads only under --queue-worker or --queue-dir.
-    loaded = loaded_after("import repro.campaigns.__main__\n")
-    assert "repro.campaigns.execution" in loaded
-    unused = sorted(
-        module for module in loaded if any(matches(module, p) for p in UNUSED_BY_THE_CLI)
-    )
-    assert unused == [], f"import repro.campaigns.__main__ imports {unused}"
+    assert unused == [], f"import {cli} imports {unused}"
 
 
 def test_a_queue_worker_without_a_queue_dir_still_exits_2():
