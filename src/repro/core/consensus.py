@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.reliable_broadcast import ReliableBroadcast
 from repro.sim.process import Component, SimProcess
@@ -489,9 +489,10 @@ class ConsensusService(Component):
     replayed once :meth:`propose` is called; decisions are processed
     immediately in all cases because they are carried by reliable broadcast.
 
-    A decision is all the service keeps of a decided instance: the value, in
-    :attr:`_decisions`, and the instance's diagnostic counters, folded into
-    the service totals :meth:`counters` reports.  The instance itself, with
+    A decision is all the service keeps of a decided instance: its id, in
+    :attr:`_decisions` (the value goes to the decision listeners), and the
+    instance's diagnostic counters, folded into the service totals
+    :meth:`counters` reports.  The instance itself, with
     its rounds' estimates, acks, nacks and proposals, is forgotten, so the
     instances held are the undecided ones and live state follows the
     ordering window, not the run.  A message of a decided instance is
@@ -522,7 +523,7 @@ class ConsensusService(Component):
         # oldest undecided one: a heap, folded in creation order.
         self._late_decision_ms: List[Tuple[int, float]] = []
         self._buffered: Dict[Hashable, List[Tuple[int, Any]]] = {}
-        self._decisions: Dict[Hashable, Any] = {}
+        self._decisions: Set[Hashable] = set()
         self._decision_listeners: List[DecisionListener] = []
         self._unknown_listeners: List[UnknownInstanceListener] = []
         rbcast.add_listener(self._on_rbcast_delivery)
@@ -680,7 +681,7 @@ class ConsensusService(Component):
         decision listeners run once."""
         if cid in self._decisions:
             return
-        self._decisions[cid] = value
+        self._decisions.add(cid)
         if self._obs is not None:
             self._obs.consensus_decided(self.now, self.pid, cid)
         instance = self._instances.pop(cid, None)

@@ -13,7 +13,10 @@ logs (:mod:`repro.core.log`) the consensus decisions and message payloads it
 missed while down and hands each decision to the consensus service in
 instance order, like one that came by reliable broadcast: the instances its
 crash left open close, its delivery sequence stays a prefix of the group's
-total order, and it resumes proposing from the group's frontier.
+total order, and it resumes proposing from the group's frontier.  A
+payload that a later decision names and this process lacks (its DATA
+multicast was missed, and reliable broadcast never delivers a missed uid
+late) is pulled from the peers when the decision names it, in any run.
 
 Two practical details follow the paper:
 
@@ -81,9 +84,6 @@ class FDAtomicBroadcast(AtomicBroadcast):
         # Union of ``_inflight_proposals`` (which are pairwise disjoint: each
         # proposal is drawn from the pending messages no other one claims).
         self._claimed: Set[BroadcastID] = set()
-        # Whether this process ever recovered: payload fetches are only
-        # needed -- and only allowed -- then.
-        self._recovered_once = False
 
         rbcast.add_listener(self._on_rbcast_delivery)
         consensus.add_decision_listener(self._on_decision)
@@ -118,7 +118,6 @@ class FDAtomicBroadcast(AtomicBroadcast):
         payloads are still missing (they were dropped during the crash), and
         the catch-up answers are the only way to refetch them.
         """
-        self._recovered_once = True
         self.log.requested.clear()  # allow fetching again after this recovery
         # Asking every peer trades a little duplicate traffic (n - 1 full
         # answers per recovery) for robustness: any single chosen peer may
@@ -171,17 +170,15 @@ class FDAtomicBroadcast(AtomicBroadcast):
         self._maybe_start_consensus(join_up_to=frontier)
 
     def _request_missing_payloads(self, broadcast_ids) -> None:
-        """Ask the peers for payloads a decision references but we never got.
+        """Ask the peers for payloads a decision names and this process lacks.
 
-        Only armed after a recovery: in crash-free runs every payload arrives
-        by reliable broadcast before (or shortly after) its decision, but a
-        DATA multicast sent while this process was down is dropped and -- the
-        origin being alive and trusted -- never relayed.  An instance that
-        was still undecided when the catch-up answers were built can
-        therefore decide later with payloads only this path can recover.
+        In a crash-free run every payload arrives by reliable broadcast
+        before its decision, so this sends nothing.  A DATA multicast this
+        process missed (sent while it was down or cut off) is never
+        delivered later: reliable broadcast drops a uid below the origin's
+        last delivered one, and a live, trusted origin is never relayed.
+        Each id is asked for once, and once more after each recovery.
         """
-        if not self._recovered_once:
-            return
         missing = self.log.unrequested(broadcast_ids)
         if missing:
             self._fetch_from_peers(None, missing)
@@ -235,6 +232,11 @@ class FDAtomicBroadcast(AtomicBroadcast):
             k = self._highest_proposed + 1
             if k > self.log.length + PIPELINE_DEPTH:
                 return
+            if k in self._decisions:
+                # Decided by reliable broadcast before this process proposed:
+                # a proposal there would never start, nor release its ids.
+                self._highest_proposed = k
+                continue
             fresh = self._unproposed_pending()
             need = bool(fresh) or k <= join_up_to
             need = need or self.consensus.has_buffered(self._cid(k))
@@ -309,10 +311,9 @@ class FDAtomicBroadcast(AtomicBroadcast):
             _proposer, broadcast_ids = self._decisions[self._next_delivery]
             missing = [bid for bid in broadcast_ids if bid not in self._payloads]
             if missing:
-                # Wait for the payloads (they arrive by reliable broadcast; a
-                # recovered process additionally re-requests ones whose DATA
-                # was dropped while it was down); the delivery loop resumes
-                # from _on_rbcast_delivery or _on_payload_response.
+                # Wait for the payloads (by reliable broadcast, or pulled if
+                # their DATA was missed); the delivery loop resumes from
+                # _on_rbcast_delivery or _on_fetched.
                 self._request_missing_payloads(missing)
                 return
             for broadcast_id in sorted(broadcast_ids):

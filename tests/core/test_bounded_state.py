@@ -10,14 +10,18 @@ second point at the latest.  They count objects, never time or bytes.
 
 A run with crash recovery (fd ``churn-steady``) holds the same bound for
 what a recovered process's catch-up decides: the instances its crash left
-open close when the catch-up records their decisions.  Two structures still
-grow under churn or without acks; strict xfails pin them (ROADMAP 21).
+open close when the catch-up records their decisions, and no proposal waits
+in an instance that is decided already.  Reliable broadcast keeps one integer
+per origin there too, and under GM's wrong suspicions, where an excluded
+process misses the view-change decisions.  ``gm-nonuniform``'s unstable
+messages still grow without acks; a strict xfail pins it (ROADMAP 21).
 """
 
 import pytest
 
 from repro import SystemConfig, build_system
 from repro.core.types import PIPELINE_DEPTH
+from repro.failure_detectors.qos import QoSConfig
 from repro.scenarios.faults import FaultSchedule, PoissonChurn
 from repro.scenarios.runner import ScenarioRunner, SteadyStateSpec
 
@@ -45,9 +49,17 @@ def held_state(system):
                 cid for cid, instance in consensus._instances.items()
                 if instance.decided or cid in consensus._decisions
             ],
+            # FD proposals waiting in an instance that is decided already.
+            "decided_inflight": [
+                k for k in getattr(abcast, "_inflight_proposals", ())
+                if ("ab", k) in consensus._decisions
+            ],
             "delivered_rb_uids": delivered & set(getattr(abcast, "_rb_uid_of", ())),
             "delivered_ordered": delivered & set(getattr(abcast, "_ordered", ())),
-            "sparse_uids": sum(len(above) for above in rbcast._delivered_above.values()),
+            # Delivered uids kept beyond one integer per origin.
+            "sparse_uids": sum(
+                len(above) for above in getattr(rbcast, "_delivered_above", {}).values()
+            ),
             "batches_held": len(batches),
             # Per-batch and per-message records of batches no longer held.
             "stray_batch_records": (
@@ -94,6 +106,14 @@ def fd_churn():
     return run_to_checkpoints(spec)
 
 
+@pytest.fixture(scope="module")
+def gm_suspicion():
+    """gm at n = 3, 100/s, wrong suspicions with T_MR = 1 000 ms, T_M = 10 ms."""
+    fd = QoSConfig(detection_time=0.0, mistake_recurrence_time=1_000.0, mistake_duration=10.0)
+    config = SystemConfig(n=3, stack="gm", seed=1, fd=fd)
+    return run_to_checkpoints(SteadyStateSpec("suspicion-steady", config, 100.0, CHECKPOINTS[-1]))
+
+
 @pytest.mark.parametrize("stack", ["fd", "gm"])
 @pytest.mark.parametrize("n", [3, 7])
 def test_live_state_is_bounded_by_the_window(stack, n):
@@ -125,17 +145,14 @@ def test_a_recovered_fd_process_closes_what_its_catch_up_decided(fd_churn):
             where = f"after {count} deliveries, p{pid}"
             assert held["logged_open"] == [], where
             assert held["decided_held"] == [], where
+            assert held["decided_inflight"] == [], where
         # A decision time waits for every older instance to close.
         assert late["late_decisions"] <= early["late_decisions"], f"p{pid}"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP 21(d): a reliable-broadcast watermark stops at a uid missed while down",
-)
-def test_reliable_broadcast_sparse_sets_stay_bounded_under_churn(fd_churn):
-    first, last = (fd_churn[count] for count in CHECKPOINTS)
+@pytest.mark.parametrize("run", ["fd_churn", "gm_suspicion"])
+def test_reliable_broadcast_keeps_one_integer_per_origin(run, request):
+    first, last = (request.getfixturevalue(run)[count] for count in CHECKPOINTS)
     for pid, (early, late) in enumerate(zip(first, last)):
         assert late["sparse_uids"] <= early["sparse_uids"], f"p{pid}"
 

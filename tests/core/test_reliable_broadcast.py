@@ -56,6 +56,14 @@ class TestReliableBroadcast:
         rbcasts[1].on_message(0, ("RB", (0, 1), 0, (0, 1, 2), "once"))
         assert deliveries[1] == [(0, "once")]
 
+    def test_a_uid_below_the_origins_last_delivered_one_is_dropped(self):
+        _sim, _n, _p, _d, rbcasts, deliveries = build()
+        # p1 missed (0, 1) and delivered (0, 2); a late relayed copy of
+        # (0, 1) stays missed.
+        rbcasts[1].on_message(0, ("RB", (0, 2), 0, (0, 1, 2), "second"))
+        rbcasts[1].on_message(2, ("RB", (0, 1), 0, (0, 1, 2), "first"))
+        assert deliveries[1] == [(0, "second")]
+
     def test_restricted_group(self):
         sim, _n, _p, _d, rbcasts, deliveries = build()
         rbcasts[0].broadcast("secret", group=[0, 1])
