@@ -33,10 +33,13 @@ from repro.system import SystemConfig
 #: own kind only.  v9: the core is eight fields, and the system part of a key
 #: is :func:`~repro.campaigns.canonical.canonical_system` -- stack, fd-kind
 #: and batching params only when off their declared defaults.  v10: the same
-#: dict, but FD runs with crash recovery simulate differently.  Migration from
-#: any older version is the same: version-prefixed keys never collide, so old
-#: entries are never hit and re-simulate once; delete them or leave them.
-SCHEMA_VERSION = 10
+#: dict, but FD runs with crash recovery simulate differently.  v11: the same
+#: dict, but reliable broadcast never delivers a missed uid late and FD pulls
+#: a payload a decision names whenever it lacks one, so FD runs with
+#: partitions or lossy links simulate differently.  Migration from any older
+#: version is the same: version-prefixed keys never collide, so old entries
+#: are never hit and re-simulate once; delete them or leave them.
+SCHEMA_VERSION = 11
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Derive a per-point seed from ``root_seed`` and a stream ``name``.
