@@ -3,6 +3,8 @@
 Rejected inputs are covered once for every kind in ``test_kinds.py``.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import SystemConfig
@@ -15,6 +17,9 @@ from repro.scenarios import (
     run_partition_transient,
     run_wan_steady,
 )
+from repro.scenarios.faults import CrashAt
+from repro.scenarios.registry import get_kind
+from repro.scenarios.runner import ScenarioRunner, SteadyStateSpec
 
 
 def config(algorithm="fd", n=5, seed=11):
@@ -135,9 +140,21 @@ class TestPartitionTransient:
         assert result.params["script"]["stages"] == ["build", "measure", "verify"]
         assert "failed_stage" not in result.params["script"]
 
-    def test_a_run_past_the_heal_that_lost_messages_fails_verify(self):
-        # FD orders nothing after the cut at n = 3 (tests/scenarios/test_composition.py).
-        result = run_partition_transient(SystemConfig(n=3, stack="fd"), 50.0, num_messages=20)
+    def test_a_run_past_the_heal_that_lost_messages_fails_verify(self, algorithm):
+        # The kind's own point at n = 3, plus a permanent crash of the cut-off
+        # p2 just before the heal: what p2 A-broadcast inside the cut reached
+        # no other process, so every stack loses it.
+        kind = get_kind("partition-transient")
+        core = SimpleNamespace(kind=kind.name, throughput=50.0, num_messages=20, n=3, fd_kind="qos")
+        built = kind.validate(core, kind.params())
+        heal = built["params"]["partition_start"] + built["params"]["partition_duration"]
+        built["faults"].add(CrashAt(heal - 1.0, 2))
+        spec = SteadyStateSpec(
+            kind.name, SystemConfig(n=3, stack=algorithm, fd=built["fd"]), 50.0, 20,
+            faults=built["faults"], senders=built["senders"], params=built["params"],
+        )
+        result = ScenarioRunner().run_steady(spec, verify=built["verify"])
+        assert result.duration > heal
         assert result.undelivered > 0
         assert result.params["script"]["failed_stage"] == "verify"
         assert "never delivered" in result.params["script"]["error"]
@@ -219,3 +236,19 @@ class TestGrayDegradation:
         )
         assert result.params["link_loss"] == 0.3
         assert result.params["dropped_lossy_link"] > 0
+
+    @pytest.mark.parametrize("stack", [
+        pytest.param("fd", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP 28: FD resends no frame a lossy link dropped; "
+            "118 of 200 measured messages are never delivered",
+        )),
+        "gm", "gm-nonuniform", "gm-reform",
+    ])
+    def test_lossy_links_lose_no_message(self, stack):
+        # n = 3, 100/s, 200 messages; pid 0's links drop 5 % of frames for 2 s.
+        result = run_gray_degradation(
+            SystemConfig(n=3, stack=stack, seed=1), 100.0, link_loss=0.05, num_messages=200
+        )
+        assert result.params["dropped_lossy_link"] > 0
+        assert result.undelivered == 0
