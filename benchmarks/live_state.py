@@ -39,7 +39,7 @@ RUNS = {
 TARGET_KB = {
     ("normal-steady", "fd"): 3.0,
     ("normal-steady", "gm"): 1.6,
-    ("churn-steady", "fd"): 3.3,
+    ("churn-steady", "fd"): 2.9,
     ("churn-steady", "gm"): 2.3,
 }
 

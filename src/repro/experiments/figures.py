@@ -363,7 +363,7 @@ register_figure(
             "T_MR.  Measured here: at T = 300/s and T_MR <= 100 ms, FD's mean latency "
             "grows with run length: consensus acknowledgements queue behind "
             "reliable-broadcast relays of wrongly suspected origins (EXPERIMENTS.md); "
-            "whether that is a bug or the model is open (ROADMAP 16(b))."
+            "whether that is a bug or the model is open (ROADMAP 20)."
         ),
         label="{algorithm}, n={n}, T={throughput:g}/s".format,
         curves=_figure6_curves,
