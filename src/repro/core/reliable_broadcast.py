@@ -16,11 +16,11 @@ survives a crash, and the shared wire is FIFO), so that integer is all
 duplicate suppression needs.  A uid this process skipped (sent while it was
 down or cut off, or scoped to a view that left it out) stays missed, and a
 late relayed copy of it is dropped too: filling the gap is left to the layers
-above, FD's catch-up and payload pull and GM's state transfer.  A set of the
-uids delivered above a gap, kept before this rule, grew with the run, and in
-churn, wrong-suspicion, view-loss, partition and correlated-crash runs no late
-copy filled a gap but three relayed DATA copies in six 2 000-message fd churn
-runs.
+above, FD's catch-up and payload pull and GM's state transfer.  Measured
+over churn, wrong-suspicion, view-loss, partition and correlated-crash runs,
+the only late copies that would fill a gap were three relayed DATA copies in
+six 2 000-message fd churn runs, while a set of the uids above a gap grew
+with the run.
 """
 
 from __future__ import annotations
