@@ -2,8 +2,9 @@
 
 * :mod:`repro.core.types` -- broadcast identifiers, views and the common
   :class:`~repro.core.types.AtomicBroadcast` interface.
-* :mod:`repro.core.reliable_broadcast` -- efficient reliable broadcast (one
-  multicast in the common case, relay on suspicion of the origin).
+* :mod:`repro.core.reliable_broadcast` -- reliable broadcast as one multicast
+  with duplicates dropped; a missed message comes back through the layers
+  above.
 * :mod:`repro.core.consensus` -- Chandra-Toueg rotating-coordinator consensus
   for the failure detector class ``<>S``.
 * :mod:`repro.core.fd_broadcast` -- the *FD algorithm*: Chandra-Toueg atomic

@@ -648,11 +648,10 @@ class ConsensusService(Component):
             return
         instance.handle(sender, body)
 
-    def _on_rbcast_delivery(self, origin: int, rb_uid: Tuple[int, int], payload: Any) -> None:
+    def _on_rbcast_delivery(self, origin: int, payload: Any) -> None:
         if not isinstance(payload, tuple) or not payload or payload[0] != _DECIDE_TAG:
             return
         _tag, cid, value = payload
-        self.rbcast.mark_stable(rb_uid)
         self.record_decision(cid, value)
 
     # ------------------------------------------------------------------ decisions

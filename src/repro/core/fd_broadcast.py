@@ -50,10 +50,17 @@ class FDAtomicBroadcast(AtomicBroadcast):
     What a process keeps past a delivery is the decided log (:attr:`log`,
     complete, because a recovering peer fetches it from position 0) and the
     base class's delivery record.  The bookkeeping of ordering ends with the
-    delivery: ``_ordered`` holds the ids decided and not yet delivered, and
-    ``_rb_uid_of`` the reliable-broadcast uid of each message received and
-    not yet delivered (the delivery marks it stable).  A message is ordered
-    once it is in ``_ordered`` or delivered.
+    delivery: ``_ordered`` holds the ids decided and not yet delivered.  A
+    message is ordered once it is in ``_ordered`` or delivered.
+
+    Reliable broadcast is one multicast, with no relay on suspicion.  A
+    message this process missed comes back only through the decided log:
+    the pull of the payloads a decision names (:meth:`_request_missing_payloads`)
+    and the catch-up after a recovery (:meth:`on_recover`).  Nothing is
+    lost by the missing relay: a multicast handed to the origin's CPU
+    reaches every process that is up and connected even if the origin then
+    crashes, so each decided id has holders (its proposer among them), and
+    the pull asks every peer.
     """
 
     protocol = "abcast"
@@ -74,7 +81,6 @@ class FDAtomicBroadcast(AtomicBroadcast):
         self.log = DecidedLog()
         self._payloads = self.log.payload_of
         self._decisions = self.log.batches
-        self._rb_uid_of: Dict[BroadcastID, Tuple[int, int]] = {}
         self._pending: Set[BroadcastID] = set()
         # Decided and not delivered yet.
         self._ordered: Set[BroadcastID] = set()
@@ -134,10 +140,9 @@ class FDAtomicBroadcast(AtomicBroadcast):
                 self.send_one(sender, (FETCHED, None, (), payloads))
             return
         # A catch-up.  Undecided messages ride along too: a DATA multicast
-        # sent while the requester was down was dropped and -- its origin
-        # staying alive -- is never relayed again, so without this hand-over
-        # the requester could not propose (or even learn of) the messages the
-        # group is currently ordering.
+        # sent while the requester was down was dropped and is never sent
+        # again, so without this hand-over the requester could not propose
+        # (or even learn of) the messages the group is currently ordering.
         unordered = log.payloads(sorted(self._pending))
         batches = log.since(since)
         if not batches and self._highest_proposed <= since and not unordered:
@@ -175,9 +180,9 @@ class FDAtomicBroadcast(AtomicBroadcast):
         In a crash-free run every payload arrives by reliable broadcast
         before its decision, so this sends nothing.  A DATA multicast this
         process missed (sent while it was down or cut off) is never
-        delivered later: reliable broadcast drops a uid below the origin's
-        last delivered one, and a live, trusted origin is never relayed.
-        Each id is asked for once, and once more after each recovery.
+        delivered later: reliable broadcast sends each message once and
+        drops a uid below the origin's last delivered one.  Each id is asked
+        for once, and once more after each recovery.
         """
         missing = self.log.unrequested(broadcast_ids)
         if missing:
@@ -190,14 +195,13 @@ class FDAtomicBroadcast(AtomicBroadcast):
 
     # ------------------------------------------------------------------ data dissemination
 
-    def _on_rbcast_delivery(self, origin: int, rb_uid: Tuple[int, int], payload: Any) -> None:
+    def _on_rbcast_delivery(self, origin: int, payload: Any) -> None:
         if not isinstance(payload, tuple) or not payload or payload[0] != _DATA_TAG:
             return
         _tag, broadcast_id, data = payload
         if broadcast_id in self._payloads:
             return
         self._payloads[broadcast_id] = data
-        self._rb_uid_of[broadcast_id] = rb_uid
         if broadcast_id not in self._ordered and broadcast_id not in self._delivered_ids:
             self._pending.add(broadcast_id)
         self._try_deliver()
@@ -318,8 +322,5 @@ class FDAtomicBroadcast(AtomicBroadcast):
                 return
             for broadcast_id in sorted(broadcast_ids):
                 self._ordered.discard(broadcast_id)
-                if self._deliver(broadcast_id, self._payloads[broadcast_id]):
-                    rb_uid = self._rb_uid_of.pop(broadcast_id, None)
-                    if rb_uid is not None:
-                        self.rbcast.mark_stable(rb_uid)
+                self._deliver(broadcast_id, self._payloads[broadcast_id])
             self._next_delivery += 1

@@ -360,10 +360,10 @@ register_figure(
         note=(
             "per the paper, GM latency explodes (or the point does not complete) at "
             "small T_MR while FD degrades only mildly; the curves join at very large "
-            "T_MR.  Measured here: at T = 300/s and T_MR <= 100 ms, FD's mean latency "
-            "grows with run length: consensus acknowledgements queue behind "
-            "reliable-broadcast relays of wrongly suspected origins (EXPERIMENTS.md); "
-            "whether that is a bug or the model is open (ROADMAP 20)."
+            "T_MR.  Reliable broadcast here is one multicast with no relay on "
+            "suspicion: a relay of a wrongly suspected origin's messages never "
+            "delivered anything and made FD's latency grow with run length at "
+            "T = 300/s (EXPERIMENTS.md, FD under frequent wrong suspicions)."
         ),
         label="{algorithm}, n={n}, T={throughput:g}/s".format,
         curves=_figure6_curves,

@@ -136,8 +136,6 @@ _MODEL = "the closed-form cost model the analysis tests hold the simulator to"
 #: stays anyway, with the reason.  Each is a test seam that steers or exposes
 #: state no other API does, documented API, or evidence a ROADMAP item reads.
 TEST_ONLY = {
-    "ReliableBroadcast.relays": "ROADMAP 16's evidence: the relays of a run",
-    "ReliableBroadcast.unstable_count": "the unstable-message buffer, no other view",
     "FailureDetector.force_suspect": "steers a detector",
     "FailureDetector.force_trust": "steers a detector",
     "Simulator.pending_events": "the kernel queue's live entries",
