@@ -36,10 +36,12 @@ from repro.system import SystemConfig
 #: dict, but FD runs with crash recovery simulate differently.  v11: the same
 #: dict, but reliable broadcast never delivers a missed uid late and FD pulls
 #: a payload a decision names whenever it lacks one, so FD runs with
-#: partitions or lossy links simulate differently.  Migration from any older
-#: version is the same: version-prefixed keys never collide, so old entries
-#: are never hit and re-simulate once; delete them or leave them.
-SCHEMA_VERSION = 11
+#: partitions or lossy links simulate differently.  v12: the same dict, but
+#: reliable broadcast no longer relays on suspicion, so FD runs with wrong
+#: suspicions, crashes or partitions simulate differently.  Migration from
+#: any older version is the same: version-prefixed keys never collide, so old
+#: entries are never hit and re-simulate once; delete them or leave them.
+SCHEMA_VERSION = 12
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Derive a per-point seed from ``root_seed`` and a stream ``name``.

@@ -14,7 +14,7 @@
 Regenerate ``kind_keys.json`` only for an intended key change (a new
 ``SCHEMA_VERSION`` or package version): ``PointSpec.from_dict(point).key()``
 for every entry, and record the old -> new pairs (with the figure keys of
-``tests/experiments/data/figures.json``) in ``data/keys_v10_to_v11.json``.
+``tests/experiments/data/figures.json``) in ``data/keys_v11_to_v12.json``.
 ``kind_records.json`` changes only when a simulation result is meant to
 change.
 """
@@ -159,9 +159,9 @@ class TestKeyTable:
         assert PointSpec.from_dict(entry["point"]).key() == entry["key"]
 
     def test_the_last_rekeying_is_one_to_one_and_in_order(self):
-        """``keys_v10_to_v11.json`` pairs every key of this table and of the
+        """``keys_v11_to_v12.json`` pairs every key of this table and of the
         figure grids with its predecessor, in file order."""
-        table = goldens.load("keys_v10_to_v11.json")
+        table = goldens.load("keys_v11_to_v12.json")
         figures = goldens.load("figures.json")
         current = [entry["key"] for entry in KEY_TABLE] + [
             key

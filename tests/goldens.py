@@ -1,7 +1,7 @@
 """The suite's committed JSON pins, read and compared in one place.
 
 Frozen pins record history and are only ever read, with :func:`load`:
-``kind_records.json``, ``kind_keys.json``, ``keys_v10_to_v11.json`` and
+``kind_records.json``, ``kind_keys.json``, ``keys_v11_to_v12.json`` and
 ``cli_options.json``.  Captured pins record what the code does today, and
 :func:`check` compares a fresh capture with the committed file byte for byte:
 ``fault_events.json``, ``scan_events.json``, ``figures.json``,

@@ -25,7 +25,7 @@ GOLDEN_STEADY = {
     ("normal-steady", "gm"): (11.413199718013795, 0, 768.821849452246, 1392, "3fdb85087a086ce7"),
     ("crash-steady", "fd"): (9.627147225463041, 0, 751.7707303878062, 1281, "3b35c527eb5e6818"),
     ("crash-steady", "gm"): (9.627147225463041, 0, 751.7707303878062, 1030, "e582152515ae6a4d"),
-    ("suspicion-steady", "fd"): (8.88605195060407, 0, 5188.85601135372, 1162, "1c9f9706d02e5836"),
+    ("suspicion-steady", "fd"): (8.88605195060407, 0, 5188.85601135372, 1157, "1c9f9706d02e5836"),
     ("suspicion-steady", "gm"): (12.393748769369768, 0, 5188.85601135372, 3574, "88e14ad325a851e2"),
 }
 

@@ -463,8 +463,8 @@ class TestCallbackCategory:
             (
                 "fd", "qos",
                 {
-                    "FIFOResource._finish": 2591,
-                    "Network._deliver_local": 288,
+                    "FIFOResource._finish": 2558,
+                    "Network._deliver_local": 279,
                     "PoissonWorkload._emit": 144,
                     "QoSFailureDetectorFabric._mistake_begins": 37,
                     "QoSFailureDetectorFabric._mistake_ends": 34,
