@@ -12,6 +12,8 @@ delivery logs:
   delivered by every correct process.
 """
 
+import functools
+
 import pytest
 
 from repro import QoSConfig, SystemConfig, build_system
@@ -23,7 +25,9 @@ from tests.conftest import (
 )
 
 
-def run_scenario(algorithm, n, seed, broadcasts, crashes=(), qos=None, until=120_000.0):
+def run_scenario(
+    algorithm, n, seed, broadcasts, crashes=(), qos=None, until=120_000.0, crash_orderer_of=None
+):
     config = SystemConfig(n=n, stack=algorithm, seed=seed, fd=qos or QoSConfig())
     system = build_system(config)
     system.start()
@@ -32,8 +36,32 @@ def run_scenario(algorithm, n, seed, broadcasts, crashes=(), qos=None, until=120
         system.broadcast_at(time, sender, payload)
         sent.append((time, sender, payload))
     FaultSchedule([CrashAt(time, pid) for time, pid in crashes]).apply(system)
+    if crash_orderer_of is not None:
+        crash_the_orderer(system, crash_orderer_of)
     system.run(until=until, max_events=3_000_000)
     return system, sent
+
+
+def crash_the_orderer(system, payload):
+    """Crash the process that ordered ``payload`` at its first A-delivery
+    anywhere: under fd the proposer whose value the deciding consensus
+    instance chose, under gm the sequencer that numbered it."""
+
+    def on_delivery(abcast, broadcast_id, delivered):
+        if delivered != payload or ordered:
+            return
+        if hasattr(abcast, "_sequencer"):
+            orderer = abcast._sequencer
+        else:
+            (orderer,) = {
+                proposer for proposer, ids in abcast.log.batches.values() if broadcast_id in ids
+            }
+        ordered.append(orderer)
+        system.sim.post(0.0, system.crash, orderer)
+
+    ordered = []
+    for abcast in system.abcasts:
+        abcast.add_delivery_listener(functools.partial(on_delivery, abcast))
 
 
 class TestSafetyUnderCrashes:
@@ -134,3 +162,54 @@ class TestSafetyUnderWrongSuspicions:
         correct = [1, 2, 3, 4]
         lengths = {len(sequences[pid]) for pid in correct}
         assert lengths == {35}
+
+
+class TestSafetyWhenTheOriginCrashesMidMulticast:
+    """An origin crashes while its DATA multicasts are still on its CPU.
+
+    A multicast handed to the CPU is emitted after a crash, so every correct
+    process gets the payloads.  With no relay on suspicion that is all
+    reliable broadcast offers, and it is enough: the payloads are ordered and
+    delivered even when the process that ordered them crashes too.
+    """
+
+    ORIGIN = 3
+    BURST = ("mid-0", "mid-1", "mid-2")
+
+    def run(self, algorithm, crash_orderer):
+        background = poisson_broadcasts(30, 0.02, senders=[0, 1, 2, 4], seed=19)
+        burst_at = 600.0
+        broadcasts = sorted(
+            background + [(burst_at, self.ORIGIN, payload) for payload in self.BURST]
+        )
+        system, sent = run_scenario(
+            algorithm,
+            5,
+            89,
+            broadcasts,
+            # The first DATA multicast is in service on the CPU, the others
+            # queued behind it.
+            crashes=[(burst_at + 0.5, self.ORIGIN)],
+            qos=QoSConfig(detection_time=20.0),
+            crash_orderer_of=self.BURST[0] if crash_orderer else None,
+        )
+        crashed = {pid for pid in range(5) if system.processes[pid].crashed}
+        correct = [pid for pid in range(5) if pid not in crashed]
+        sequences = system.delivery_sequences()
+        assert_prefix_consistent(sequences)
+        assert_no_duplicates(sequences)
+        # One total order: every correct process delivers the same sequence.
+        assert len({tuple(sequences[pid]) for pid in correct}) == 1
+        expected = {payload for _t, sender, payload in sent if sender in correct}
+        expected.update(self.BURST)
+        for pid in correct:
+            delivered = {payload for _bid, payload in system.abcast(pid).delivered}
+            assert expected <= delivered, f"p{pid}"
+        return crashed
+
+    def test_the_origin_crashes_alone(self, algorithm):
+        assert self.run(algorithm, crash_orderer=False) == {self.ORIGIN}
+
+    def test_the_orderer_of_its_message_crashes_too(self, algorithm):
+        crashed = self.run(algorithm, crash_orderer=True)
+        assert len(crashed) == 2 and self.ORIGIN in crashed
