@@ -56,11 +56,11 @@ class FDAtomicBroadcast(AtomicBroadcast):
     Reliable broadcast is one multicast, with no relay on suspicion.  A
     message this process missed comes back only through the decided log:
     the pull of the payloads a decision names (:meth:`_request_missing_payloads`)
-    and the catch-up after a recovery (:meth:`on_recover`).  Nothing is
-    lost by the missing relay: a multicast handed to the origin's CPU
-    reaches every process that is up and connected even if the origin then
-    crashes, so each decided id has holders (its proposer among them), and
-    the pull asks every peer.
+    and the catch-up after a recovery (:meth:`on_recover`).  That is
+    enough: a multicast handed to the origin's CPU reaches every process
+    that is up and connected even if the origin then crashes, so each
+    decided id has holders (its proposer among them), and the pull asks
+    every peer.
     """
 
     protocol = "abcast"

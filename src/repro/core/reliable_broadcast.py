@@ -12,11 +12,13 @@ a view that left it out) stays missed.  Filling the gap is left to the layers
 above: FD's catch-up and pull of the payloads a decision names, and GM's
 state transfer.  Those are the one way a missed message comes back.
 
-The lazy relay of Frolund and Pedone's *Revisiting reliable broadcast*
-(every process re-sends the undelivered-elsewhere messages of an origin it
-suspects) is not implemented.  Under wrong suspicions it sent thousands of
-copies a run, none of which delivered anything the pull did not, and its
-traffic is what made FD collapse in Figure 6 (EXPERIMENTS.md, "FD under
+Nothing is relayed when an origin is suspected (the lazy relay of Frolund
+and Pedone's *Revisiting reliable broadcast*).  A relayed copy could fill no
+gap the layers above leave: the origin's multicast reaches every process
+that is up even if the origin crashes, and FD's pull asks every peer, where
+only a holder of the payload could relay it.  Under wrong suspicions a relay
+sends thousands of copies a run that deliver nothing, and they made FD's
+latency grow with run length in Figure 6 (EXPERIMENTS.md, "FD under
 frequent wrong suspicions").
 """
 
